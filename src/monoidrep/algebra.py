@@ -16,16 +16,24 @@ conversely a missing simple yields a primitive idempotent killing W,
 and a nonzero idempotent is never nilpotent, so the containment fails.
 That single test replaces any explicit construction of simple modules.
 
+Both sides are kernels: Rad = (rowspace G)^perp for the trace-form Gram
+matrix G, and Ann(W) = F^perp for the span F, inside Q^M, of W's
+matrix-coefficient functions x -> W(x)[i][j].  So the test is decided
+in dual form, on row spaces: Ann(W) <= Rad exactly when
+rowspace(G) <= F, and dim Ann(W) = |M| - rank F.  A ``Subspace``
+therefore stores the reduced echelon rows it is the kernel of; a kernel
+basis is formed only when it is read, which on the checking path
+happens only to produce the witness of a failed containment.
+
 Verifiers built on it: the tensor-power coverage bound (powers 0..r-1
 where r counts distinct character values), the symmetric-power bound
 (degrees 0 .. dim*s - 1 where s counts distinct characteristic
 polynomials), the positive-power refinement for monoids without zero,
-and the coarse |M|-power bound.  Scans for the minimal covering and
-minimal faithful power use an incremental constraint chain so tensor
-exponents up to |M| stay cheap: the annihilator of V^(tensor k) is the
-orthogonal complement of the span of all k-fold entrywise products of
-matrix-entry functions M -> Q, a subspace of Q^M that never grows past
-dimension |M|.
+and the coarse |M|-power bound.  Each reads the last step of a
+coefficient-span chain, so no direct sum or Kronecker power is built:
+the span E_k of the k-th tensor power's coefficient functions consists
+of the k-fold entrywise products of V's, and the accumulated span
+F_k = E_0 + ... + E_k never grows past dimension |M|.
 """
 
 from __future__ import annotations
@@ -37,12 +45,10 @@ from .linalg import Echelon, Matrix, ZERO, ONE, as_fraction
 from .monoids import Monoid, has_zero
 from .representations import (
     Representation,
-    direct_sum,
     distinct_character_values,
     distinct_charpolys,
     is_faithful,
     sym_power,
-    tensor_power,
 )
 
 # Exact Gram matrices cost O(|M|^3); beyond a few hundred elements this
@@ -50,47 +56,81 @@ from .representations import (
 SIZE_GUARD = 300
 
 
-class Subspace:
-    """A linear subspace of Q^ambient with a canonical RREF basis.
+def _perp(ech: Echelon) -> Echelon:
+    """Reduced echelon form of the orthogonal complement of a row space."""
+    out = Echelon(ech.ncols)
+    for v in ech.kernel_basis():
+        out.insert(v)
+    return out
 
-    Two Subspace objects are equal exactly when they describe the same
-    subspace, because the reduced echelon basis is unique.
+
+class Subspace:
+    """A linear subspace of Q^ambient, stored as the kernel of RREF rows.
+
+    The stored constraint rows are the reduced echelon basis of the
+    orthogonal complement, so they are unique: two Subspace objects are
+    equal exactly when they describe the same subspace.  The subspace's
+    own canonical RREF basis is derived on first read and then cached.
+    ``Subspace(n, vectors)`` is the span of ``vectors``;
+    ``Subspace.kernel(ech)`` is the kernel of an echelon's rows.
     """
 
     def __init__(self, ambient, vectors=()):
-        ech = Echelon(ambient)
+        span = Echelon(ambient)
         for v in vectors:
             if len(v) != ambient:
                 raise ValueError("vector length differs from ambient dimension")
-            ech.insert(v)
+            span.insert(v)
         self.ambient = ambient
-        self.basis = tuple(tuple(row) for row in ech.rows)
-        self._pivots = tuple(ech.pivots)
+        self._constraints = _perp(span)
+        self._span = span
+
+    @classmethod
+    def kernel(cls, constraints: Echelon) -> Subspace:
+        """{v : row . v = 0 for every row}, over a snapshot of the rows."""
+        sub = cls.__new__(cls)
+        sub.ambient = constraints.ncols
+        sub._constraints = constraints.copy()
+        sub._span = None
+        return sub
+
+    def _span_echelon(self) -> Echelon:
+        if self._span is None:
+            self._span = _perp(self._constraints)
+        return self._span
+
+    @property
+    def basis(self):
+        """Canonical RREF basis, as a tuple of tuples."""
+        return tuple(tuple(row) for row in self._span_echelon().rows)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self.ambient - self._constraints.rank
 
     def reduce(self, vec):
         """Residual of vec modulo this subspace, as a tuple."""
-        v = [as_fraction(x) for x in vec]
-        for p, row in zip(self._pivots, self.basis):
-            c = v[p]
-            if c:
-                for j in range(p, self.ambient):
-                    if row[j]:
-                        v[j] -= c * row[j]
-        return tuple(v)
+        return tuple(self._span_echelon().reduce(vec))
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        v = [as_fraction(x) for x in vec]
+        return not any(sum(c * x for c, x in zip(row, v) if c)
+                       for row in self._constraints.rows)
+
+    def __le__(self, other):
+        """Containment, decided on the constraint rows: a <= b exactly
+        when every constraint row of b lies in the row space of a's."""
+        if self.ambient != other.ambient:
+            raise ValueError("subspaces live in different ambient spaces")
+        return self.dim <= other.dim and all(
+            self._constraints.contains(row) for row in other._constraints.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient == other.ambient
-                and self.basis == other.basis)
+                and self._constraints.rows == other._constraints.rows)
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, tuple(map(tuple, self._constraints.rows))))
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
@@ -99,15 +139,12 @@ class Subspace:
 def subspace_leq(a: Subspace, b: Subspace):
     """Whether a is contained in b.
 
-    Returns (True, None) or (False, w) where w is the first basis vector
-    of a outside b.
+    Returns (True, None) or (False, w) where w is the first RREF basis
+    vector of a outside b; only a failed containment forms that basis.
     """
-    if a.ambient != b.ambient:
-        raise ValueError("subspaces live in different ambient spaces")
-    for v in a.basis:
-        if not b.contains(v):
-            return False, v
-    return True, None
+    if a <= b:
+        return True, None
+    return False, next(v for v in a.basis if not b.contains(v))
 
 
 def left_regular_matrix(m: Monoid, coeffs) -> Matrix:
@@ -157,7 +194,7 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
     for x in range(n):
         tx = m.table[x]
         ech.insert([Fraction(fix[tx[y]]) for y in range(n)])
-    return Subspace(n, ech.kernel_basis())
+    return Subspace.kernel(ech)
 
 
 def annihilator_basis(rho: Representation) -> Subspace:
@@ -178,7 +215,7 @@ def annihilator_basis(rho: Representation) -> Subspace:
                 ech.insert(row)
         if ech.rank == n:
             break
-    return Subspace(n, ech.kernel_basis())
+    return Subspace.kernel(ech)
 
 
 def all_simples_appear(rho: Representation, radical: Subspace | None = None):
@@ -230,6 +267,17 @@ def _require_faithful(rho):
             f"{labels[b]!r} have the same matrix")
 
 
+def _check_last(theorem, rho, chain, radical, r, s, bound, powers):
+    """Report whether the last annihilator of ``chain`` lies in the radical."""
+    rad = radical_basis(rho.monoid) if radical is None else radical
+    ann = None
+    for _, ann in chain:
+        pass
+    holds, witness = subspace_leq(ann, rad)
+    return VerificationReport(theorem, holds, r, s, bound, powers,
+                              rad.dim, ann.dim, witness)
+
+
 def verify_tensor_theorem(rho: Representation, powers_cap=None,
                           radical: Subspace | None = None) -> VerificationReport:
     """Check that tensor powers 0..r-1 already reach every simple module.
@@ -243,12 +291,8 @@ def verify_tensor_theorem(rho: Representation, powers_cap=None,
     r = len(distinct_character_values(rho))
     if powers_cap is not None and r - 1 > powers_cap:
         raise ValueError(f"tensor bound r-1 = {r - 1} exceeds the cap {powers_cap}")
-    w = direct_sum([tensor_power(rho, i) for i in range(r)])
-    rad = radical_basis(rho.monoid) if radical is None else radical
-    ann = annihilator_basis(w)
-    holds, witness = subspace_leq(ann, rad)
-    return VerificationReport("tensor", holds, r, None, r - 1,
-                              tuple(range(r)), rad.dim, ann.dim, witness)
+    return _check_last("tensor", rho, tensor_annihilator_chain(rho, r - 1),
+                       radical, r, None, r - 1, tuple(range(r)))
 
 
 def verify_symmetric_theorem(rho: Representation, powers_cap=None,
@@ -264,12 +308,8 @@ def verify_symmetric_theorem(rho: Representation, powers_cap=None,
     if powers_cap is not None and bound - 1 > powers_cap:
         raise ValueError(
             f"symmetric bound dim*s-1 = {bound - 1} exceeds the cap {powers_cap}")
-    w = direct_sum([sym_power(rho, d) for d in range(bound)], monoid=rho.monoid)
-    rad = radical_basis(rho.monoid) if radical is None else radical
-    ann = annihilator_basis(w)
-    holds, witness = subspace_leq(ann, rad)
-    return VerificationReport("symmetric", holds, None, s, bound - 1,
-                              tuple(range(bound)), rad.dim, ann.dim, witness)
+    return _check_last("symmetric", rho, symmetric_annihilator_chain(rho, bound - 1),
+                       radical, None, s, bound - 1, tuple(range(bound)))
 
 
 def verify_positive_power_refinement(rho: Representation, powers_cap=None,
@@ -288,12 +328,9 @@ def verify_positive_power_refinement(rho: Representation, powers_cap=None,
     r = len(distinct_character_values(rho))
     if powers_cap is not None and r > powers_cap:
         raise ValueError(f"tensor bound r = {r} exceeds the cap {powers_cap}")
-    w = direct_sum([tensor_power(rho, i) for i in range(1, r + 1)])
-    rad = radical_basis(rho.monoid) if radical is None else radical
-    ann = annihilator_basis(w)
-    holds, witness = subspace_leq(ann, rad)
-    return VerificationReport("positive-refinement", holds, r, None, r,
-                              tuple(range(1, r + 1)), rad.dim, ann.dim, witness)
+    return _check_last("positive-refinement", rho,
+                       tensor_annihilator_chain(rho, r, first=1),
+                       radical, r, None, r, tuple(range(1, r + 1)))
 
 
 def _entry_functions(rho):
@@ -306,38 +343,30 @@ def _entry_functions(rho):
     return [list(row) for row in ech.rows]
 
 
-def tensor_annihilator_chain(rho: Representation, kmax):
-    """Yield (k, Ann(V^0 + V^1 + ... + V^k)) for k = 0..kmax.
+def tensor_annihilator_chain(rho: Representation, kmax, first=0):
+    """Yield (k, Ann(V^first + ... + V^k)) for k = first..kmax.
 
-    Never builds a Kronecker power.  The annihilator of the k-th tensor
-    power is the orthogonal complement, in Q^M, of the span E_k of all
-    k-fold entrywise products of matrix-entry functions; E_{k+1} is
-    spanned by products of an E_k basis with an E_1 basis, and the
-    accumulated span F_k = E_0 + ... + E_k has the chain's annihilator as
-    its kernel.  Once E_k lands inside F_{k-1} the whole chain has
-    stabilised and no further products are formed.
+    ``first`` is 0, or 1 to leave out the trivial module V^0.  Never
+    builds a Kronecker power.  The coefficient functions of V^k span the
+    space E_k of k-fold entrywise products of V's coefficient functions,
+    so E_{k+1} = E_k * E_1, and the annihilator is the kernel of the
+    accumulated span F_k = E_first + ... + E_k.  Let D_k hold the vectors
+    that step k added, so F_k = F_{k-1} + D_k.  Then E_{k+1} lies in
+    F_{k-1} * E_1 + D_k * E_1, and F_{k-1} * E_1 lies in F_k, so
+    F_{k+1} = F_k + D_k * E_1: each vector is multiplied with an E_1
+    basis once, and the work stops as soon as a step adds nothing.
     """
     n = rho.monoid.size
     acc = Echelon(n)
-    acc.insert([ONE] * n)  # degree 0: the all-ones function
-    yield 0, Subspace(n, acc.kernel_basis())
+    new = [[ONE] * n]  # spans E_0: the constant functions
+    if first == 0:
+        acc.insert(new[0])
+        yield 0, Subspace.kernel(acc)
     e1 = _entry_functions(rho)
-    ek = [[ONE] * n]
-    stable = False
     for k in range(1, kmax + 1):
-        if not stable:
-            step = Echelon(n)
-            for e in ek:
-                for g in e1:
-                    step.insert([a * b for a, b in zip(e, g)])
-            ek = [list(row) for row in step.rows]
-            grew = False
-            for row in ek:
-                if acc.insert(row):
-                    grew = True
-            if not grew:
-                stable = True
-        yield k, Subspace(n, acc.kernel_basis())
+        products = ([a * b for a, b in zip(d, g)] for d in new for g in e1)
+        new = [v for v in products if acc.rank < n and acc.insert(v)]
+        yield k, Subspace.kernel(acc)
 
 
 def symmetric_annihilator_chain(rho: Representation, kmax):
@@ -357,7 +386,7 @@ def symmetric_annihilator_chain(rho: Representation, kmax):
                     row = [sp.matrices[x][i][j] for x in range(n)]
                     if any(row):
                         acc.insert(row)
-        yield d, Subspace(n, acc.kernel_basis())
+        yield d, Subspace.kernel(acc)
 
 
 def _power_chain(rho, mode, kmax):
@@ -386,8 +415,7 @@ def minimal_covering_power(rho: Representation, mode="tensor", cap=None,
     if radical is None:
         radical = radical_basis(rho.monoid)
     for k, ann in _power_chain(rho, mode, cap):
-        holds, _ = subspace_leq(ann, radical)
-        if holds:
+        if ann <= radical:
             return k
     raise RuntimeError(
         f"no covering power up to {cap} in {mode} mode; this contradicts "
@@ -413,15 +441,10 @@ def verify_steinberg_bound(rho: Representation,
                            radical: Subspace | None = None) -> VerificationReport:
     """Check the coarse bound: tensor powers 0..|M|-1 reach every simple.
 
-    Uses the incremental constraint chain, so it stays cheap even when
-    |M|-1 Kronecker powers would be astronomically large.
+    Uses the incremental coefficient-span chain, so it stays cheap even
+    when |M|-1 Kronecker powers would be astronomically large.
     """
     _require_faithful(rho)
     n = rho.monoid.size
-    rad = radical_basis(rho.monoid) if radical is None else radical
-    ann = None
-    for _, ann in tensor_annihilator_chain(rho, n - 1):
-        pass
-    holds, witness = subspace_leq(ann, rad)
-    return VerificationReport("steinberg", holds, None, None, n - 1,
-                              tuple(range(n)), rad.dim, ann.dim, witness)
+    return _check_last("steinberg", rho, tensor_annihilator_chain(rho, n - 1),
+                       radical, None, None, n - 1, tuple(range(n)))

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .algebra import (
@@ -26,7 +25,6 @@ from .algebra import (
     _power_chain,
     minimal_covering_power,
     radical_basis,
-    subspace_leq,
     verify_positive_power_refinement,
     verify_steinberg_bound,
     verify_symmetric_theorem,
@@ -181,16 +179,18 @@ def _scan_row(t, mode, cap):
     rho = nt_paper_representation(t)
     m = rho.monoid
     rad = radical_basis(m)
+    r = len(distinct_character_values(rho))
+    s = len(distinct_charpolys(rho))
     if mode == "tensor":
-        bound = len(distinct_character_values(rho)) - 1
+        bound = r - 1
         w_dim = sum(rho.dim ** i for i in range(bound + 1))
     else:
-        bound = rho.dim * len(distinct_charpolys(rho)) - 1
+        bound = rho.dim * s - 1
         w_dim = sum(d + 1 for d in range(bound + 1))
     row = {
         "t": t,
-        "r": len(distinct_character_values(rho)),
-        "s": len(distinct_charpolys(rho)),
+        "r": r,
+        "s": s,
         "bound": bound,
         "dim_rad": rad.dim,
         "dim_ann": None,
@@ -201,7 +201,7 @@ def _scan_row(t, mode, cap):
     }
     kmax = max(bound, cap)
     for k, ann in _power_chain(rho, mode, kmax):
-        contained, _ = subspace_leq(ann, rad)
+        contained = ann <= rad
         if contained and row["min_covering"] is None:
             row["min_covering"] = k
         if ann.dim == 0 and row["min_faithful"] is None:
@@ -221,12 +221,8 @@ def _scan_row(t, mode, cap):
 def cmd_scan_nt(args):
     if args.t_from < 2 or args.t_to < args.t_from:
         raise ValueError(f"bad range: from={args.t_from} to={args.t_to}")
-    ts = list(range(args.t_from, args.t_to + 1))
-    if args.parallel:
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(lambda t: _scan_row(t, args.mode, args.cap), ts))
-    else:
-        rows = [_scan_row(t, args.mode, args.cap) for t in ts]
+    rows = [_scan_row(t, args.mode, args.cap)
+            for t in range(args.t_from, args.t_to + 1)]
     ok = all(r["holds"] for r in rows)
     if args.json:
         _emit_json({"mode": args.mode, "rows": rows, "ok": ok})
@@ -339,8 +335,6 @@ def build_parser():
     sp.add_argument("--mode", default="tensor", choices=["tensor", "symmetric"])
     sp.add_argument("--cap", type=int, default=32,
                     help="largest power probed for faithfulness")
-    sp.add_argument("--parallel", action="store_true",
-                    help="compute rows in a thread pool (same output)")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_scan_nt)
 

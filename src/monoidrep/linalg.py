@@ -184,6 +184,14 @@ class Echelon:
     def rank(self):
         return len(self.rows)
 
+    def copy(self):
+        """An independent snapshot in O(rank): ``insert`` replaces stored
+        rows and never mutates one in place, so the rows can be shared."""
+        out = Echelon(self.ncols)
+        out.pivots = list(self.pivots)
+        out.rows = list(self.rows)
+        return out
+
     def reduce(self, vec):
         """Reduce ``vec`` modulo the stored row space; returns a list."""
         v = [as_fraction(x) for x in vec]

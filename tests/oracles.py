@@ -140,3 +140,17 @@ def kron_entry_formula(a, b):
                 for l in range(cb):
                     out[i * rb + k][j * cb + l] = Fraction(a[i][j]) * Fraction(b[k][l])
     return out
+
+
+def in_radical(table, v):
+    """Whether v lies in the radical of QM, straight from the definition.
+
+    In characteristic zero the radical is {a : tr(L_ab) = 0 for all b},
+    L_c being left multiplication by c on QM.  A basis element z has
+    trace tr(L_z) = #{j : z*j = j}, so for b = y the condition reads
+    sum_x a_x * fix(x*y) = 0.
+    """
+    n = len(table)
+    fix = [sum(1 for j in range(n) if table[z][j] == j) for z in range(n)]
+    return all(sum(Fraction(v[x]) * fix[table[x][y]] for x in range(n) if v[x]) == 0
+               for y in range(n))

@@ -165,13 +165,6 @@ def test_scan_nt_text_table(capsys):
     assert "overall: OK" in out
 
 
-def test_scan_nt_parallel_identical_output(capsys):
-    _, seq, _ = run(capsys, ["scan-nt", "--from", "2", "--to", "5", "--json"])
-    _, par, _ = run(capsys, ["scan-nt", "--from", "2", "--to", "5", "--json",
-                             "--parallel"])
-    assert seq == par
-
-
 def test_scan_nt_bad_range(capsys):
     code, _, err = run(capsys, ["scan-nt", "--from", "5", "--to", "2"])
     assert code == 2
