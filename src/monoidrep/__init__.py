@@ -66,10 +66,8 @@ from .representations import (
 from .algebra import (
     Subspace,
     VerificationReport,
-    algebra_mul,
     all_simples_appear,
     annihilator_basis,
-    left_regular_matrix,
     minimal_covering_power,
     minimal_faithful_power,
     radical_basis,

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Echelon, Matrix, ZERO, ONE, as_fraction
+from .linalg import Echelon, ONE, as_fraction
 from .monoids import Monoid, has_zero
 from .representations import (
     Representation,
@@ -147,34 +147,6 @@ def subspace_leq(a: Subspace, b: Subspace):
     return False, next(v for v in a.basis if not b.contains(v))
 
 
-def left_regular_matrix(m: Monoid, coeffs) -> Matrix:
-    """Matrix of left multiplication by sum_x coeffs[x] x on the basis M."""
-    n = m.size
-    if len(coeffs) != n:
-        raise ValueError("coefficient vector length differs from monoid size")
-    rows = [[ZERO] * n for _ in range(n)]
-    for x, c in enumerate(coeffs):
-        c = as_fraction(c)
-        if c:
-            tx = m.table[x]
-            for j in range(n):
-                rows[tx[j]][j] += c
-    return Matrix(rows, ncols=n)
-
-
-def algebra_mul(m: Monoid, a, b):
-    """Product of two algebra elements (convolution over the table)."""
-    n = m.size
-    out = [ZERO] * n
-    for x, ca in enumerate(a):
-        if ca:
-            tx = m.table[x]
-            for y, cb in enumerate(b):
-                if cb:
-                    out[tx[y]] += as_fraction(ca) * as_fraction(cb)
-    return tuple(out)
-
-
 def radical_basis(m: Monoid, force=False) -> Subspace:
     """Radical of QM as a subspace, via the trace-form kernel.
 
@@ -243,6 +215,7 @@ class VerificationReport:
     dim_rad: int
     dim_ann: int
     witness: tuple | None
+    minimal_k: int | None = None
 
     def to_json_dict(self):
         return {
@@ -267,15 +240,28 @@ def _require_faithful(rho):
             f"{labels[b]!r} have the same matrix")
 
 
+def _walk(chain, radical):
+    """Run ``chain`` to its end: (last annihilator, first covering k).
+
+    The first covering k is the first step whose annihilator lies in
+    ``radical``, or None.  Steps whose annihilator is larger than the
+    radical are rejected on dimension alone.
+    """
+    first = None
+    for k, ann in chain:
+        if first is None and ann <= radical:
+            first = k
+    return ann, first
+
+
 def _check_last(theorem, rho, chain, radical, r, s, bound, powers):
-    """Report whether the last annihilator of ``chain`` lies in the radical."""
+    """Report whether the last annihilator of ``chain`` lies in the radical,
+    with the first covering step of the same walk as ``minimal_k``."""
     rad = radical_basis(rho.monoid) if radical is None else radical
-    ann = None
-    for _, ann in chain:
-        pass
+    ann, first = _walk(chain, rad)
     holds, witness = subspace_leq(ann, rad)
     return VerificationReport(theorem, holds, r, s, bound, powers,
-                              rad.dim, ann.dim, witness)
+                              rad.dim, ann.dim, witness, first)
 
 
 def verify_tensor_theorem(rho: Representation, powers_cap=None,
@@ -414,9 +400,9 @@ def minimal_covering_power(rho: Representation, mode="tensor", cap=None,
             cap = rho.dim * len(distinct_charpolys(rho)) - 1
     if radical is None:
         radical = radical_basis(rho.monoid)
-    for k, ann in _power_chain(rho, mode, cap):
-        if ann <= radical:
-            return k
+    _, k = _walk(_power_chain(rho, mode, cap), radical)
+    if k is not None:
+        return k
     raise RuntimeError(
         f"no covering power up to {cap} in {mode} mode; this contradicts "
         "the coverage theorem for a faithful representation and indicates "

@@ -23,7 +23,6 @@ from fractions import Fraction
 from .algebra import (
     Subspace,
     _power_chain,
-    minimal_covering_power,
     radical_basis,
     verify_positive_power_refinement,
     verify_steinberg_bound,
@@ -31,7 +30,7 @@ from .algebra import (
     verify_tensor_theorem,
 )
 from .fileio import format_rational, load_monoid, load_representation
-from .linalg import format_polynomial
+from .linalg import complete_homogeneous_sequence, format_polynomial, power_traces
 from .molien import series_prefix, weighted_series
 from .monoids import has_zero, idempotents, local_ideal, local_monoid, unit_group
 from .representations import (
@@ -40,7 +39,6 @@ from .representations import (
     is_faithful,
     nt_paper_representation,
     restrict_to_local,
-    sym_power_character,
 )
 
 
@@ -124,13 +122,12 @@ def cmd_verify(args):
         rep = verify_tensor_theorem(rho, powers_cap=cap, radical=radical)
         reports.append(rep)
         if rep.holds:
-            sharpness["tensor"] = minimal_covering_power(rho, "tensor", radical=radical)
+            sharpness["tensor"] = rep.minimal_k
     if which in ("all", "symmetric"):
         rep = verify_symmetric_theorem(rho, powers_cap=cap, radical=radical)
         reports.append(rep)
         if rep.holds:
-            sharpness["symmetric"] = minimal_covering_power(rho, "symmetric",
-                                                            radical=radical)
+            sharpness["symmetric"] = rep.minimal_k
     if which in ("all", "positive"):
         if has_zero(m) is None:
             reports.append(verify_positive_power_refinement(rho, powers_cap=cap,
@@ -280,16 +277,23 @@ def cmd_molien(args):
     prefix = series_prefix(f, args.terms)
 
     # cross-check every coefficient against the symmetric-power characters
+    # sum_x w_x h_d(eigenvalues of x), from one power-trace pass per x
     local = restrict_to_local(rho, e)
     members = local_monoid(m, e)
     pos = {x: i for i, x in enumerate(members)}
+    n = args.terms
+    direct = [Fraction(0)] * (n + 1)
+    for x in range(m.size):
+        if weights[x]:
+            mat = local.matrices[pos[x]]
+            h = complete_homogeneous_sequence(power_traces(mat, n) if n else (), n)
+            for d in range(n + 1):
+                direct[d] += weights[x] * h[d]
     for d, coeff in enumerate(prefix):
-        direct = sum((weights[x] * sym_power_character(local, pos[x], d)
-                      for x in range(m.size) if weights[x]), Fraction(0))
-        if direct != coeff:
+        if direct[d] != coeff:
             raise RuntimeError(
                 f"series coefficient {d} disagrees with the symmetric-power "
-                f"character sum: {coeff} vs {direct}")
+                f"character sum: {coeff} vs {direct[d]}")
 
     if args.json:
         _emit_json({

@@ -164,7 +164,3 @@ def load_representation(path, monoid: Monoid | None = None) -> Representation:
     except ValueError as e:
         msg = str(e)
         raise ValueError(msg if msg.startswith(path) else f"{path}: {e}") from None
-
-
-def matrix_to_json(m: Matrix):
-    return [[format_rational(x) for x in row] for row in m.rows]

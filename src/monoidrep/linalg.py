@@ -110,20 +110,6 @@ class Matrix:
     def __rmul__(self, c):
         return self.scale(c)
 
-    def __pow__(self, k):
-        if not self.is_square:
-            raise ValueError("matrix power needs a square matrix")
-        if k < 0:
-            raise ValueError("negative matrix powers are not supported")
-        out = Matrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def transpose(self):
         if not self.rows:
             return Matrix(tuple(() for _ in range(self.ncols)), ncols=0)
@@ -465,10 +451,10 @@ def power_traces(m: Matrix, k: int):
     return tuple(out)
 
 
-def complete_homogeneous_from_power_sums(p, d: int) -> Fraction:
-    """h_d of any value multiset whose power sums are p[0], p[1], ...
+def complete_homogeneous_sequence(p, d: int):
+    """[h_0, ..., h_d] of any value multiset whose power sums are p[0], p[1], ...
 
-    Uses the Newton identity d*h_d = sum_{i=1..d} p_i h_{d-i} with h_0 = 1,
+    Uses the Newton identity k*h_k = sum_{i=1..k} p_i h_{k-i} with h_0 = 1,
     so it needs the first d power sums and characteristic zero, nothing
     else.
     """
@@ -476,11 +462,20 @@ def complete_homogeneous_from_power_sums(p, d: int) -> Fraction:
         raise ValueError("degree must be nonnegative")
     if len(p) < d:
         raise ValueError(f"need {d} power sums, got {len(p)}")
+    p = [as_fraction(x) for x in p[:d]]
     h = [ONE]
     for k in range(1, d + 1):
-        s = sum((as_fraction(p[i - 1]) * h[k - i] for i in range(1, k + 1)), ZERO)
+        s = sum((p[i - 1] * h[k - i] for i in range(1, k + 1)), ZERO)
         h.append(s / k)
-    return h[d]
+    return h
+
+
+def complete_homogeneous_from_power_sums(p, d: int) -> Fraction:
+    """h_d of any value multiset whose power sums are p[0], p[1], ...
+
+    The last entry of ``complete_homogeneous_sequence(p, d)``.
+    """
+    return complete_homogeneous_sequence(p, d)[d]
 
 
 def charpoly_from_power_traces(p, n: int) -> Polynomial:

@@ -3,7 +3,8 @@
 Everything here is deliberately written from scratch against the package
 under test: plain Gaussian elimination instead of the incremental echelon,
 Laplace expansion instead of Faddeev-LeVerrier, brute-force enumeration
-instead of Newton's identities, set-based closure instead of indexed BFS.
+instead of Newton's identities, set-based closure instead of indexed BFS,
+every triple and every pair instead of a generating set.
 """
 
 from fractions import Fraction
@@ -129,6 +130,17 @@ def convolve(table, a, b):
     return out
 
 
+def left_regular_matrix(table, coeffs):
+    """Left multiplication by sum_x coeffs[x] x on the basis M, as nested
+    lists: column j of basis element x has its 1 in row x*j."""
+    n = len(table)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for x in range(n):
+        for j in range(n):
+            rows[table[x][j]][j] += Fraction(coeffs[x])
+    return rows
+
+
 def kron_entry_formula(a, b):
     """Kronecker product via the raw index formula, as nested lists."""
     ra, ca = len(a), len(a[0])
@@ -154,3 +166,39 @@ def in_radical(table, v):
     fix = [sum(1 for j in range(n) if table[z][j] == j) for z in range(n)]
     return all(sum(Fraction(v[x]) * fix[table[x][y]] for x in range(n) if v[x]) == 0
                for y in range(n))
+
+
+def generated(table, identity, gens):
+    """The submonoid generated by gens: set-based closure under products."""
+    elems = {identity, *gens}
+    while True:
+        new = {table[a][b] for a in elems for b in elems} - elems
+        if not new:
+            return elems
+        elems |= new
+
+
+def is_associative(table):
+    """Whether (x*y)*z = x*(y*z) for every triple."""
+    n = len(table)
+    return all(table[table[x][y]][z] == table[x][table[y][z]]
+               for x, y, z in product(range(n), repeat=3))
+
+
+def matmul(a, b):
+    """Product of square matrices given as nested lists."""
+    n = len(a)
+    return [[sum((Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(n)), Fraction(0))
+             for j in range(n)] for i in range(n)]
+
+
+def is_homomorphism(monoid, mats):
+    """Whether mats (nested lists, one per element) send the identity to I
+    and every product x*y to the product of the matrices."""
+    n, dim = monoid.size, len(mats[monoid.identity])
+    ident = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    if [[Fraction(x) for x in row] for row in mats[monoid.identity]] != ident:
+        return False
+    return all(matmul(mats[x], mats[y]) == [[Fraction(v) for v in row]
+                                            for row in mats[monoid.table[x][y]]]
+               for x in range(n) for y in range(n))

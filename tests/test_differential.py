@@ -7,9 +7,17 @@ dimension is compared with plain Gaussian elimination on the entry rows
 of the explicit direct sum of the powers, the containment verdict with
 the trace-form definition of the radical, and every witness is checked
 to annihilate the module while lying outside the radical.
+
+A second corpus checks the validators, which test only against a
+generating set (Light's test), against the exhaustive oracles: every
+``Monoid.generators`` generates M, single-entry corruptions of a valid
+table, of one matrix of a valid representation and of a morphism are
+rejected exactly when the all-triples or all-pairs oracle rejects them,
+and the triple or pair an error names is a real violation.
 """
 
 import random
+import re
 
 import pytest
 
@@ -19,8 +27,17 @@ from monoidrep.algebra import (
     symmetric_annihilator_chain,
     tensor_annihilator_chain,
 )
-from monoidrep.monoids import from_matrices, from_transformations
+from monoidrep.linalg import Matrix
+from monoidrep.monoids import (
+    Monoid,
+    MonoidMorphism,
+    from_cayley_table,
+    from_matrices,
+    from_transformations,
+    nt_monoid,
+)
 from monoidrep.representations import (
+    build_representation,
     direct_sum,
     matrix_representation,
     natural_representation,
@@ -29,7 +46,15 @@ from monoidrep.representations import (
     tensor_power,
 )
 
-from oracles import gauss_nullity, gauss_rank, in_radical
+from oracles import (
+    gauss_nullity,
+    gauss_rank,
+    generated,
+    in_radical,
+    is_associative,
+    is_homomorphism,
+    matmul,
+)
 
 SEED = 7632
 KMAX = 3
@@ -52,7 +77,7 @@ def _random_01_matrices(rng):
         except ValueError:  # infinite or too large a closure: draw again
             continue
         if m.size >= 4:  # smaller ones add nothing the other families lack
-            return matrix_representation(m)
+            return gens, matrix_representation(m)
 
 
 def _corpus():
@@ -63,7 +88,7 @@ def _corpus():
     for t in sorted(rng.sample(range(2, 10), 3)):
         out[f"nt-{t}"] = nt_paper_representation(t)
     for i in range(3):
-        out[f"matrices-{i}"] = _random_01_matrices(rng)
+        out[f"matrices-{i}"] = _random_01_matrices(rng)[1]
     return out
 
 
@@ -119,3 +144,158 @@ def test_chain_against_oracles(name, chain_name):
             assert not in_radical(m.table, witness)
             assert witness == next(v for v in basis if not in_radical(m.table, v))
     assert steps == KMAX + 1 - first
+
+
+# --- validators against a generating set ---------------------------------------
+
+VALIDATOR_SEED = 2419
+
+
+def _random_transformation_monoid(rng, max_degree):
+    degree = rng.randint(2, max_degree)
+    gens = [tuple(rng.randint(1, degree) for _ in range(degree))
+            for _ in range(rng.randint(1, 3))]
+    return gens, from_transformations(degree, gens)
+
+
+def _relabelled(rng, m):
+    """The table of m under a random permutation of its element indices."""
+    perm = list(range(m.size))
+    rng.shuffle(perm)
+    inv = {p: i for i, p in enumerate(perm)}
+    table = [[perm[m.table[inv[a]][inv[b]]] for b in range(m.size)]
+             for a in range(m.size)]
+    return from_cayley_table(perm[m.identity], table)
+
+
+def _validator_corpus():
+    rng = random.Random(VALIDATOR_SEED)
+    seeded, raw = {}, {}
+    for i in range(12):
+        gens, m = _random_transformation_monoid(rng, 4)
+        seeded[f"transformations-{i}"] = (m, [
+            m.transformations.index(tuple(x - 1 for x in g)) for g in gens])
+        raw[f"cayley-{i}"] = _relabelled(rng, m)
+    for i in range(3):
+        gens, rho = _random_01_matrices(rng)
+        m = rho.monoid
+        seeded[f"matrices-{i}"] = (m, [m.matrix_elements.index(Matrix(g)) for g in gens])
+        raw[f"cayley-matrices-{i}"] = _relabelled(rng, m)
+    for t in (1, 2, 5, 8):
+        raw[f"nt-{t}"] = nt_monoid(t)
+    return seeded, raw
+
+
+SEEDED, RAW = _validator_corpus()
+ALL_MONOIDS = {**{k: m for k, (m, _) in SEEDED.items()}, **RAW}
+
+
+def _small_representations(rng, max_size):
+    """Valid representations of monoids with at most max_size elements."""
+    out = []
+    while len(out) < 6:
+        _, m = _random_transformation_monoid(rng, 3)
+        if 3 <= m.size <= max_size:
+            out.append(natural_representation(m))
+    out += [nt_paper_representation(t) for t in (2, 4)]
+    out.append(_random_01_matrices(rng)[1])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ALL_MONOIDS))
+def test_generators_generate(name):
+    m = ALL_MONOIDS[name]
+    gens = m.generators
+    assert len(set(gens)) == len(gens) and m.identity not in gens
+    assert generated(m.table, m.identity, gens) == set(range(m.size))
+    # greedy: no generator lies in the submonoid of the ones before it
+    for i, g in enumerate(gens):
+        assert g not in generated(m.table, m.identity, gens[:i])
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_closures_seed_their_generators(name):
+    m, inputs = SEEDED[name]
+    assert set(m.generators) <= set(inputs)
+    assert m.generators == tuple(
+        g for i, g in enumerate(inputs)
+        if g not in generated(m.table, m.identity, inputs[:i]))
+
+
+def test_table_corruptions_match_oracle():
+    rng = random.Random(VALIDATOR_SEED + 1)
+    tables = [m for m in ALL_MONOIDS.values() if 2 <= m.size <= 16]
+    rejected = 0
+    for m in tables:
+        for _ in range(12):
+            table = [list(row) for row in m.table]
+            a, b = rng.randrange(m.size), rng.randrange(m.size)
+            table[a][b] = rng.choice([c for c in range(m.size) if c != table[a][b]])
+            ident_ok = all(table[m.identity][x] == x == table[x][m.identity]
+                           for x in range(m.size))
+            valid = ident_ok and is_associative(table)
+            try:
+                Monoid(table, m.identity)
+            except ValueError as e:
+                assert not valid, e
+                rejected += 1
+                if ident_ok:
+                    found = re.search(r"triple \((\d+), (\d+), (\d+)\)", str(e))
+                    x, g, y = map(int, found.groups())
+                    assert table[table[x][g]][y] != table[x][table[g][y]]
+            else:
+                assert valid
+    assert rejected > 50
+
+
+def test_representation_corruptions_match_oracle():
+    rng = random.Random(VALIDATOR_SEED + 2)
+    rejected = 0
+    for rho in _small_representations(rng, 16):
+        m = rho.monoid
+        for _ in range(8):
+            mats = [[list(row) for row in mat.rows] for mat in rho.matrices]
+            x = rng.randrange(m.size)
+            i, j = rng.randrange(rho.dim), rng.randrange(rho.dim)
+            mats[x][i][j] += rng.choice([-1, 1, 2])
+            valid = is_homomorphism(m, mats)
+            try:
+                build_representation(m, mats)
+            except ValueError as e:
+                assert not valid, e
+                rejected += 1
+                found = re.search(r"pair \((\d+), (\d+)\)", str(e))
+                if found:
+                    a, g = map(int, found.groups())
+                    assert matmul(mats[a], mats[g]) != mats[m.table[a][g]]
+                else:
+                    assert x == m.identity
+            else:
+                assert valid
+    assert rejected > 20
+
+
+def test_morphism_corruptions_match_oracle():
+    rng = random.Random(VALIDATOR_SEED + 3)
+    rejected = 0
+    for m in ALL_MONOIDS.values():
+        if m.size > 30:
+            continue
+        for _ in range(4):
+            mapping = list(range(m.size))
+            mapping[rng.randrange(m.size)] = rng.randrange(m.size)
+            valid = (mapping[m.identity] == m.identity and all(
+                mapping[m.table[a][b]] == m.table[mapping[a]][mapping[b]]
+                for a in range(m.size) for b in range(m.size)))
+            try:
+                MonoidMorphism(m, m, mapping)
+            except ValueError as e:
+                assert not valid, e
+                rejected += 1
+                found = re.search(r"pair \((\d+), (\d+)\)", str(e))
+                if found:
+                    a, g = map(int, found.groups())
+                    assert mapping[m.table[a][g]] != m.table[mapping[a]][mapping[g]]
+            else:
+                assert valid
+    assert rejected > 20

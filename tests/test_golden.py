@@ -24,11 +24,15 @@ INPUTS = GOLDEN / "inputs"
 
 T3 = ["t3.json", "natural.json"]
 N7 = ["nt7.json", "nt-paper.json"]
+# the 128-element submonoid of T_4 generated by (2,3,4,1) and (1,1,3,4)
+M128 = ["m128.json", "natural.json"]
 MOLIEN_WEIGHTS = "[1,2,3]:1,[2,1,3]:-1/2,[2,3,1]:3,[1,1,3]:2/3,[1,1,1]:-1"
 
 # name -> (argv with input file names, expected exit code)
 CASES = {
     "info-t3": (["info", *T3], 0),
+    "info-m128": (["info", *M128], 0),
+    "info-m128-json": (["info", *M128, "--json"], 0),
     "verify-t3": (["verify", *T3, "--which", "all", "--powers-cap", "20"], 0),
     "verify-t3-json": (["verify", *T3, "--which", "all", "--powers-cap", "20",
                         "--json"], 0),
@@ -43,6 +47,8 @@ CASES = {
                                 "--mode", "symmetric", "--json"], 0),
     "molien-t3": (["molien", *T3, "--idempotent", "[1,2,3]",
                    "--weights", MOLIEN_WEIGHTS, "-N", "12"], 0),
+    "molien-t3-n0": (["molien", *T3, "--idempotent", "[1,2,3]",
+                      "--weights", MOLIEN_WEIGHTS, "-N", "0"], 0),
 }
 
 
