@@ -59,6 +59,7 @@ from .representations import (
     restrict_to_local,
     sym_power,
     sym_power_character,
+    sym_power_characters,
     sym_power_dim,
     tensor_power,
     trivial_representation,

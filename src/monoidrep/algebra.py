@@ -240,25 +240,14 @@ def _require_faithful(rho):
             f"{labels[b]!r} have the same matrix")
 
 
-def _walk(chain, radical):
-    """Run ``chain`` to its end: (last annihilator, first covering k).
-
-    The first covering k is the first step whose annihilator lies in
-    ``radical``, or None.  Steps whose annihilator is larger than the
-    radical are rejected on dimension alone.
-    """
-    first = None
-    for k, ann in chain:
-        if first is None and ann <= radical:
-            first = k
-    return ann, first
-
-
 def _check_last(theorem, rho, chain, radical, r, s, bound, powers):
     """Report whether the last annihilator of ``chain`` lies in the radical,
     with the first covering step of the same walk as ``minimal_k``."""
     rad = radical_basis(rho.monoid) if radical is None else radical
-    ann, first = _walk(chain, rad)
+    first = None
+    for k, ann in chain:
+        if first is None and ann <= rad:
+            first = k
     holds, witness = subspace_leq(ann, rad)
     return VerificationReport(theorem, holds, r, s, bound, powers,
                               rad.dim, ann.dim, witness, first)
@@ -400,9 +389,9 @@ def minimal_covering_power(rho: Representation, mode="tensor", cap=None,
             cap = rho.dim * len(distinct_charpolys(rho)) - 1
     if radical is None:
         radical = radical_basis(rho.monoid)
-    _, k = _walk(_power_chain(rho, mode, cap), radical)
-    if k is not None:
-        return k
+    for k, ann in _power_chain(rho, mode, cap):
+        if ann <= radical:
+            return k
     raise RuntimeError(
         f"no covering power up to {cap} in {mode} mode; this contradicts "
         "the coverage theorem for a faithful representation and indicates "

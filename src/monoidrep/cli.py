@@ -30,7 +30,7 @@ from .algebra import (
     verify_tensor_theorem,
 )
 from .fileio import format_rational, load_monoid, load_representation
-from .linalg import complete_homogeneous_sequence, format_polynomial, power_traces
+from .linalg import format_polynomial
 from .molien import series_prefix, weighted_series
 from .monoids import has_zero, idempotents, local_ideal, local_monoid, unit_group
 from .representations import (
@@ -39,6 +39,7 @@ from .representations import (
     is_faithful,
     nt_paper_representation,
     restrict_to_local,
+    sym_power_characters,
 )
 
 
@@ -285,8 +286,7 @@ def cmd_molien(args):
     direct = [Fraction(0)] * (n + 1)
     for x in range(m.size):
         if weights[x]:
-            mat = local.matrices[pos[x]]
-            h = complete_homogeneous_sequence(power_traces(mat, n) if n else (), n)
+            h = sym_power_characters(local, pos[x], n)
             for d in range(n + 1):
                 direct[d] += weights[x] * h[d]
     for d, coeff in enumerate(prefix):

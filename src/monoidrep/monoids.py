@@ -33,14 +33,11 @@ class Monoid:
     The table is validated on construction: the identity law is checked
     for every element, and associativity by Light's test against the
     generating set ``generators``, reporting the first violation found.
-    ``generators`` seeds that set with element indices known to generate
-    (the inputs of a closure); elements are added greedily until the
-    closure is all of M, so any seed is checked, never trusted.
     Instances are immutable in use; all queries are pure.
     """
 
     def __init__(self, table, identity, labels=None,
-                 transformations=None, matrix_elements=None, generators=()):
+                 transformations=None, matrix_elements=None):
         table = tuple(tuple(row) for row in table)
         n = len(table)
         if n == 0:
@@ -56,7 +53,7 @@ class Monoid:
         for a in range(n):
             if table[identity][a] != a or table[a][identity] != a:
                 raise ValueError(f"identity law fails at element {a}")
-        gens = _generating_set(table, identity, generators)
+        gens = _generating_set(table, identity)
         for x in range(n):
             tx = table[x]
             for a in gens:
@@ -107,11 +104,10 @@ class Monoid:
         return hash((self.table, self.identity))
 
 
-def _generating_set(table, identity, seed):
+def _generating_set(table, identity):
     """Indices A whose left-normed products reach every element.
 
-    Takes the indices of ``seed`` in order, skipping any already reached,
-    then the first element not yet reached, until every element is.  The
+    Takes the first element not yet reached, until every element is.  The
     reached set (the identity, closed under right multiplication by A)
     grows incrementally: each element is multiplied by each generator
     once, so the cost is O(|M| |A|) lookups.
@@ -140,11 +136,6 @@ def _generating_set(table, identity, seed):
                     inside[y] = True
                     members.append(y)
 
-    for g in seed:
-        if not isinstance(g, int) or not 0 <= g < n:
-            raise ValueError(f"generator index {g!r} is out of range")
-        if not inside[g]:
-            add(g)
     for g in range(n):
         if len(members) == n:
             break
@@ -203,8 +194,7 @@ def from_transformations(degree, generators) -> Monoid:
                 queue.append(c)
     table = tuple(tuple(index[_compose(a, b)] for b in elements) for a in elements)
     return Monoid(table, 0, labels=[_one_line_label(f) for f in elements],
-                  transformations=tuple(elements),
-                  generators=[index[g] for g in gens])
+                  transformations=tuple(elements))
 
 
 def from_matrices(generators, cap=10000) -> Monoid:
@@ -244,8 +234,7 @@ def from_matrices(generators, cap=10000) -> Monoid:
                 queue.append(c)
     table = tuple(tuple(index[a * b] for b in elements) for a in elements)
     return Monoid(table, 0, labels=[f"g{i}" for i in range(len(elements))],
-                  matrix_elements=tuple(elements),
-                  generators=[index[g] for g in gens])
+                  matrix_elements=tuple(elements))
 
 
 def nt_monoid(t) -> Monoid:

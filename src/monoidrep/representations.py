@@ -31,7 +31,7 @@ from .linalg import (
     ZERO,
     ONE,
     charpoly,
-    complete_homogeneous_from_power_sums,
+    complete_homogeneous_sequence,
     kron,
     power_traces,
 )
@@ -276,17 +276,21 @@ def sym_power(rho: Representation, d) -> Representation:
     return Representation(rho.monoid, mats, check=False)
 
 
-def sym_power_character(rho: Representation, x, d) -> Fraction:
-    """Trace of the degree-d symmetric power at element x.
+def sym_power_characters(rho: Representation, x, n):
+    """[h_0, ..., h_n]: traces of the symmetric powers 0..n at element x.
 
-    Evaluated as the complete homogeneous symmetric function of the
+    Evaluated as the complete homogeneous symmetric functions of the
     eigenvalue multiset through Newton's identities on the power traces
     tr(rho(x)^i), so no eigenvalues are ever extracted and the arithmetic
-    stays rational.
+    stays rational.  One pass of n matrix products serves every degree.
     """
-    if d == 0:
-        return ONE
-    return complete_homogeneous_from_power_sums(power_traces(rho.matrices[x], d), d)
+    p = power_traces(rho.matrices[x], n) if n else ()
+    return complete_homogeneous_sequence(p, n)
+
+
+def sym_power_character(rho: Representation, x, d) -> Fraction:
+    """Trace of the degree-d symmetric power at element x."""
+    return sym_power_characters(rho, x, d)[d]
 
 
 def sym_power_dim(n, d):

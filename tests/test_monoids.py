@@ -64,11 +64,6 @@ def test_bad_identity_rejected():
         Monoid([[0]], 3)
 
 
-def test_bad_generator_index_rejected():
-    with pytest.raises(ValueError, match="generator index 3"):
-        Monoid([[0]], 0, generators=[3])
-
-
 # --- transformation closures -------------------------------------------------
 
 def test_t2_is_all_four_selfmaps():

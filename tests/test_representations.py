@@ -19,6 +19,7 @@ from monoidrep.representations import (
     restrict_to_local,
     sym_power,
     sym_power_character,
+    sym_power_characters,
     sym_power_dim,
     tensor_power,
     trivial_representation,
@@ -204,6 +205,15 @@ def test_sym_power_trace_matches_newton_route(corpus):
             sp = sym_power(rho, d)
             for x in range(rho.monoid.size):
                 assert sp.matrices[x].trace() == sym_power_character(rho, x, d)
+
+
+def test_sym_power_characters_list_every_degree(corpus):
+    for rho in corpus.values():
+        powers = [sym_power(rho, d) for d in range(5)]
+        for x in range(rho.monoid.size):
+            assert sym_power_characters(rho, x, 0) == [1]
+            assert sym_power_characters(rho, x, 4) == [
+                sp.matrices[x].trace() for sp in powers]
 
 
 # --- direct sums --------------------------------------------------------------------
