@@ -29,11 +29,13 @@ Verifiers built on it: the tensor-power coverage bound (powers 0..r-1
 where r counts distinct character values), the symmetric-power bound
 (degrees 0 .. dim*s - 1 where s counts distinct characteristic
 polynomials), the positive-power refinement for monoids without zero,
-and the coarse |M|-power bound.  Each reads the last step of a
-coefficient-span chain, so no direct sum or Kronecker power is built:
-the span E_k of the k-th tensor power's coefficient functions consists
-of the k-fold entrywise products of V's, and the accumulated span
-F_k = E_0 + ... + E_k never grows past dimension |M|.
+and the coarse |M|-power bound.  Each works out its bound and hands a
+coefficient-span chain to one body, which walks it once: the first
+covering step is ``minimal_k``, the last gives verdict and witness.  No
+direct sum or Kronecker power is built: the span E_k of the k-th tensor
+power's coefficient functions consists of the k-fold entrywise products
+of V's, and the accumulated span F_k = E_0 + ... + E_k never grows past
+dimension |M|.
 """
 
 from __future__ import annotations
@@ -78,8 +80,6 @@ class Subspace:
     def __init__(self, ambient, vectors=()):
         span = Echelon(ambient)
         for v in vectors:
-            if len(v) != ambient:
-                raise ValueError("vector length differs from ambient dimension")
             span.insert(v)
         self.ambient = ambient
         self._constraints = _perp(span)
@@ -108,11 +108,9 @@ class Subspace:
     def dim(self):
         return self.ambient - self._constraints.rank
 
-    def reduce(self, vec):
-        """Residual of vec modulo this subspace, as a tuple."""
-        return tuple(self._span_echelon().reduce(vec))
-
     def contains(self, vec):
+        if len(vec) != self.ambient:
+            raise ValueError("vector length differs from ambient dimension")
         v = [as_fraction(x) for x in vec]
         return not any(sum(c * x for c, x in zip(row, v) if c)
                        for row in self._constraints.rows)
@@ -178,15 +176,10 @@ def annihilator_basis(rho: Representation) -> Subspace:
     """
     n = rho.monoid.size
     ech = Echelon(n)
-    dim = rho.dim
-    mats = rho.matrices
-    for i in range(dim):
-        for j in range(dim):
-            row = [mats[x][i][j] for x in range(n)]
-            if any(row):
-                ech.insert(row)
+    for row in _entry_rows(rho):
         if ech.rank == n:
             break
+        ech.insert(row)
     return Subspace.kernel(ech)
 
 
@@ -240,17 +233,21 @@ def _require_faithful(rho):
             f"{labels[b]!r} have the same matrix")
 
 
-def _check_last(theorem, rho, chain, radical, r, s, bound, powers):
-    """Report whether the last annihilator of ``chain`` lies in the radical,
-    with the first covering step of the same walk as ``minimal_k``."""
+def _check(theorem, rho, chain, radical, powers_cap, r, s, bound, first=0):
+    """Report whether the annihilator at the last step ``bound`` of
+    ``chain`` (steps ``first``..``bound``) lies in the radical, with the
+    first covering step of the same walk as ``minimal_k``."""
+    if powers_cap is not None and bound > powers_cap:
+        raise ValueError(f"{theorem} bound {bound} exceeds the cap {powers_cap}")
     rad = radical_basis(rho.monoid) if radical is None else radical
-    first = None
+    minimal_k = None
     for k, ann in chain:
-        if first is None and ann <= rad:
-            first = k
+        if minimal_k is None and ann <= rad:
+            minimal_k = k
     holds, witness = subspace_leq(ann, rad)
-    return VerificationReport(theorem, holds, r, s, bound, powers,
-                              rad.dim, ann.dim, witness, first)
+    return VerificationReport(theorem, holds, r, s, bound,
+                              tuple(range(first, bound + 1)),
+                              rad.dim, ann.dim, witness, minimal_k)
 
 
 def verify_tensor_theorem(rho: Representation, powers_cap=None,
@@ -264,10 +261,8 @@ def verify_tensor_theorem(rho: Representation, powers_cap=None,
     """
     _require_faithful(rho)
     r = len(distinct_character_values(rho))
-    if powers_cap is not None and r - 1 > powers_cap:
-        raise ValueError(f"tensor bound r-1 = {r - 1} exceeds the cap {powers_cap}")
-    return _check_last("tensor", rho, tensor_annihilator_chain(rho, r - 1),
-                       radical, r, None, r - 1, tuple(range(r)))
+    return _check("tensor", rho, tensor_annihilator_chain(rho, r - 1),
+                  radical, powers_cap, r, None, r - 1)
 
 
 def verify_symmetric_theorem(rho: Representation, powers_cap=None,
@@ -279,12 +274,9 @@ def verify_symmetric_theorem(rho: Representation, powers_cap=None,
     """
     _require_faithful(rho)
     s = len(distinct_charpolys(rho))
-    bound = rho.dim * s
-    if powers_cap is not None and bound - 1 > powers_cap:
-        raise ValueError(
-            f"symmetric bound dim*s-1 = {bound - 1} exceeds the cap {powers_cap}")
-    return _check_last("symmetric", rho, symmetric_annihilator_chain(rho, bound - 1),
-                       radical, None, s, bound - 1, tuple(range(bound)))
+    bound = rho.dim * s - 1
+    return _check("symmetric", rho, symmetric_annihilator_chain(rho, bound),
+                  radical, powers_cap, None, s, bound)
 
 
 def verify_positive_power_refinement(rho: Representation, powers_cap=None,
@@ -301,21 +293,28 @@ def verify_positive_power_refinement(rho: Representation, powers_cap=None,
             f"monoid has a zero element ({rho.monoid.labels[z]!r}); the "
             "positive-power refinement does not apply")
     r = len(distinct_character_values(rho))
-    if powers_cap is not None and r > powers_cap:
-        raise ValueError(f"tensor bound r = {r} exceeds the cap {powers_cap}")
-    return _check_last("positive-refinement", rho,
-                       tensor_annihilator_chain(rho, r, first=1),
-                       radical, r, None, r, tuple(range(1, r + 1)))
+    return _check("positive-refinement", rho,
+                  tensor_annihilator_chain(rho, r, first=1),
+                  radical, powers_cap, r, None, r, first=1)
+
+
+def _entry_rows(rho):
+    """Yield the nonzero coefficient functions x -> rho(x)[i][j], as rows."""
+    n = rho.monoid.size
+    mats = rho.matrices
+    for i in range(rho.dim):
+        for j in range(rho.dim):
+            row = [mats[x][i][j] for x in range(n)]
+            if any(row):
+                yield row
 
 
 def _entry_functions(rho):
     """Independent basis of the span of x -> rho(x)[i][j] inside Q^M."""
-    n = rho.monoid.size
-    ech = Echelon(n)
-    for i in range(rho.dim):
-        for j in range(rho.dim):
-            ech.insert([rho.matrices[x][i][j] for x in range(n)])
-    return [list(row) for row in ech.rows]
+    ech = Echelon(rho.monoid.size)
+    for row in _entry_rows(rho):
+        ech.insert(row)
+    return ech.rows
 
 
 def tensor_annihilator_chain(rho: Representation, kmax, first=0):
@@ -355,12 +354,8 @@ def symmetric_annihilator_chain(rho: Representation, kmax):
     acc = Echelon(n)
     for d in range(kmax + 1):
         if acc.rank < n:  # once the kernel is zero it stays zero
-            sp = sym_power(rho, d)
-            for i in range(sp.dim):
-                for j in range(sp.dim):
-                    row = [sp.matrices[x][i][j] for x in range(n)]
-                    if any(row):
-                        acc.insert(row)
+            for row in _entry_rows(sym_power(rho, d)):
+                acc.insert(row)
         yield d, Subspace.kernel(acc)
 
 
@@ -421,5 +416,5 @@ def verify_steinberg_bound(rho: Representation,
     """
     _require_faithful(rho)
     n = rho.monoid.size
-    return _check_last("steinberg", rho, tensor_annihilator_chain(rho, n - 1),
-                       radical, None, None, n - 1, tuple(range(n)))
+    return _check("steinberg", rho, tensor_annihilator_chain(rho, n - 1),
+                  radical, None, None, None, n - 1)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .algebra import (
     Subspace,
-    _power_chain,
+    minimal_faithful_power,
     radical_basis,
     verify_positive_power_refinement,
     verify_steinberg_bound,
@@ -118,30 +118,21 @@ def cmd_verify(args):
     which = args.which
     reports = []
     skipped = []
-    sharpness = {}
     if which in ("all", "tensor"):
-        rep = verify_tensor_theorem(rho, powers_cap=cap, radical=radical)
-        reports.append(rep)
-        if rep.holds:
-            sharpness["tensor"] = rep.minimal_k
+        reports.append(verify_tensor_theorem(rho, powers_cap=cap, radical=radical))
     if which in ("all", "symmetric"):
-        rep = verify_symmetric_theorem(rho, powers_cap=cap, radical=radical)
-        reports.append(rep)
-        if rep.holds:
-            sharpness["symmetric"] = rep.minimal_k
-    if which in ("all", "positive"):
-        if has_zero(m) is None:
-            reports.append(verify_positive_power_refinement(rho, powers_cap=cap,
-                                                            radical=radical))
-        elif which == "positive":
-            raise ValueError(
-                f"monoid has a zero element ({m.label(has_zero(m))!r}); the "
-                "positive-power refinement does not apply")
-        else:
-            skipped.append("positive-refinement: monoid has a zero element")
+        reports.append(verify_symmetric_theorem(rho, powers_cap=cap, radical=radical))
+    # the verifier itself refuses a monoid with a zero; "all" skips it
+    if which == "positive" or (which == "all" and has_zero(m) is None):
+        reports.append(verify_positive_power_refinement(rho, powers_cap=cap,
+                                                        radical=radical))
+    elif which == "all":
+        skipped.append("positive-refinement: monoid has a zero element")
     if which in ("all", "steinberg"):
         reports.append(verify_steinberg_bound(rho, radical=radical))
 
+    sharpness = {rep.theorem: rep.minimal_k for rep in reports
+                 if rep.holds and rep.theorem in ("tensor", "symmetric")}
     ok = all(rep.holds for rep in reports)
     if args.json:
         _emit_json({
@@ -176,40 +167,27 @@ def cmd_verify(args):
 def _scan_row(t, mode, cap):
     rho = nt_paper_representation(t)
     m = rho.monoid
-    rad = radical_basis(m)
-    r = len(distinct_character_values(rho))
-    s = len(distinct_charpolys(rho))
+    verify = {"tensor": verify_tensor_theorem,
+              "symmetric": verify_symmetric_theorem}[mode]
+    rep = verify(rho, radical=radical_basis(m))
+    bound = rep.bound
     if mode == "tensor":
-        bound = r - 1
         w_dim = sum(rho.dim ** i for i in range(bound + 1))
     else:
-        bound = rho.dim * s - 1
         w_dim = sum(d + 1 for d in range(bound + 1))
     row = {
         "t": t,
-        "r": r,
-        "s": s,
+        # the report carries the one of r, s its bound needs
+        "r": rep.r or len(distinct_character_values(rho)),
+        "s": rep.s or len(distinct_charpolys(rho)),
         "bound": bound,
-        "dim_rad": rad.dim,
-        "dim_ann": None,
-        "holds": None,
-        "min_covering": None,
-        "min_faithful": None,
+        "dim_rad": rep.dim_rad,
+        "dim_ann": rep.dim_ann,
+        "holds": rep.holds,
+        "min_covering": rep.minimal_k,
+        "min_faithful": minimal_faithful_power(rho, mode, max(bound, cap)),
         "note": "",
     }
-    kmax = max(bound, cap)
-    for k, ann in _power_chain(rho, mode, kmax):
-        contained = ann <= rad
-        if contained and row["min_covering"] is None:
-            row["min_covering"] = k
-        if ann.dim == 0 and row["min_faithful"] is None:
-            row["min_faithful"] = k
-        if k == bound:
-            row["dim_ann"] = ann.dim
-            row["holds"] = contained
-        if (row["min_covering"] is not None and row["min_faithful"] is not None
-                and k >= bound):
-            break
     if w_dim * w_dim < m.size:
         row["note"] = (f"dim forces Ann != 0: W dim {w_dim}, "
                        f"{w_dim}^2 = {w_dim * w_dim} < |M| = {m.size}")

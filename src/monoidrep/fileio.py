@@ -94,9 +94,14 @@ def monoid_from_spec(obj) -> Monoid:
     if kind == "matrices":
         gens = [parse_matrix(g) for g in _require(obj, "generators", list)]
         dim = obj.get("dim")
+        if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool)):
+            raise ValueError("field 'dim' has the wrong type")
         if dim is not None and any(g.nrows != dim for g in gens):
             raise ValueError(f"a generator does not match the declared dim {dim}")
-        return from_matrices(gens, cap=obj.get("cap", 10000))
+        cap = obj.get("cap", 10000)
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+            raise ValueError(f"field 'cap' must be a positive integer, not {cap!r}")
+        return from_matrices(gens, cap=cap)
     raise ValueError(f"unknown monoid type {kind!r}")
 
 

@@ -120,10 +120,6 @@ class Matrix:
             raise ValueError("trace needs a square matrix")
         return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
 
-    def flatten(self):
-        """Entries in row-major order, as one tuple."""
-        return tuple(x for row in self.rows for x in row)
-
     def apply(self, vec):
         """Matrix-vector product, returning a tuple."""
         if len(vec) != self.ncols:
@@ -180,6 +176,8 @@ class Echelon:
 
     def reduce(self, vec):
         """Reduce ``vec`` modulo the stored row space; returns a list."""
+        if len(vec) != self.ncols:
+            raise ValueError("vector length differs from ambient dimension")
         v = [as_fraction(x) for x in vec]
         for p, row in zip(self.pivots, self.rows):
             c = v[p]

@@ -149,6 +149,30 @@ def from_cayley_table(identity, table, labels=None) -> Monoid:
     return Monoid(table, identity, labels=labels)
 
 
+def _closure(identity, generators, mul, cap=None):
+    """Elements generated under ``mul``, in the element order described
+    above, and their table; raises once more than ``cap`` appear."""
+    elements = [identity]
+    index = {identity: 0}
+    for g in generators:
+        if g not in index:
+            index[g] = len(elements)
+            elements.append(g)
+    pos = 0
+    while pos < len(elements):
+        a = elements[pos]
+        pos += 1
+        for g in generators:
+            c = mul(a, g)
+            if c not in index:
+                if cap is not None and len(elements) >= cap:
+                    raise ValueError(f"cap exceeded: more than {cap} distinct elements")
+                index[c] = len(elements)
+                elements.append(c)
+    table = tuple(tuple(index[mul(a, b)] for b in elements) for a in elements)
+    return elements, table
+
+
 def _compose(f, g):
     # apply g first, then f, so that the natural 0/1 matrices multiply
     # in the same order as the monoid product
@@ -174,25 +198,7 @@ def from_transformations(degree, generators) -> Monoid:
         if len(g) != degree or any(not 1 <= x <= degree for x in g):
             raise ValueError(f"generator {k} is not a self-map of 1..{degree}")
         gens.append(tuple(x - 1 for x in g))
-    ident = tuple(range(degree))
-    elements = [ident]
-    index = {ident: 0}
-    for g in gens:
-        if g not in index:
-            index[g] = len(elements)
-            elements.append(g)
-    queue = list(elements)
-    pos = 0
-    while pos < len(queue):
-        a = queue[pos]
-        pos += 1
-        for g in gens:
-            c = _compose(a, g)
-            if c not in index:
-                index[c] = len(elements)
-                elements.append(c)
-                queue.append(c)
-    table = tuple(tuple(index[_compose(a, b)] for b in elements) for a in elements)
+    elements, table = _closure(tuple(range(degree)), gens, _compose)
     return Monoid(table, 0, labels=[_one_line_label(f) for f in elements],
                   transformations=tuple(elements))
 
@@ -212,27 +218,7 @@ def from_matrices(generators, cap=10000) -> Monoid:
     for g in gens:
         if not g.is_square or g.nrows != dim:
             raise ValueError("generators must be square matrices of one dimension")
-    ident = Matrix.identity(dim)
-    elements = [ident]
-    index = {ident: 0}
-    for g in gens:
-        if g not in index:
-            index[g] = len(elements)
-            elements.append(g)
-    queue = list(elements)
-    pos = 0
-    while pos < len(queue):
-        a = queue[pos]
-        pos += 1
-        for g in gens:
-            c = a * g
-            if c not in index:
-                if len(elements) >= cap:
-                    raise ValueError(f"cap exceeded: more than {cap} distinct matrices")
-                index[c] = len(elements)
-                elements.append(c)
-                queue.append(c)
-    table = tuple(tuple(index[a * b] for b in elements) for a in elements)
+    elements, table = _closure(Matrix.identity(dim), gens, Matrix.__mul__, cap)
     return Monoid(table, 0, labels=[f"g{i}" for i in range(len(elements))],
                   matrix_elements=tuple(elements))
 

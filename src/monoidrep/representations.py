@@ -323,12 +323,7 @@ def restrict_to_local(rho: Representation, e) -> Representation:
             w = mx.apply(b)
             # basis is in RREF, so coordinates are read off pivot columns
             coords = [w[p] for p in pivots]
-            residual = list(w)
-            for s, c in enumerate(coords):
-                if c:
-                    for t, val in enumerate(basis[s]):
-                        residual[t] -= c * val
-            if any(residual):
+            if any(ech.reduce(w)):
                 raise RuntimeError(
                     "column space of the idempotent is not invariant; "
                     "the input is not a representation")

@@ -227,6 +227,15 @@ def test_subspace_dimension_mismatch():
         subspace_leq(Subspace(2), Subspace(3))
 
 
+def test_subspace_contains_rejects_wrong_length():
+    s = Subspace(3, [(1, 0, 0)])
+    assert s.contains((2, 0, 0))
+    with pytest.raises(ValueError, match="length"):
+        s.contains((1, 0, 0, 5))
+    with pytest.raises(ValueError, match="length"):
+        s.contains((1, 0))
+
+
 def test_n5_annihilator_inside_radical():
     rho = nt_paper_representation(5)
     w = direct_sum([tensor_power(rho, 0), rho])
@@ -293,9 +302,16 @@ def test_tensor_theorem_rejects_unfaithful():
         verify_tensor_theorem(rho)
 
 
-def test_tensor_theorem_powers_cap():
+def test_tensor_theorem_powers_cap(t2_natural):
     with pytest.raises(ValueError, match="cap"):
         verify_tensor_theorem(nt_paper_representation(3), powers_cap=0)
+    # the cap is on the reported bound of every capped verifier
+    with pytest.raises(ValueError, match="cap"):
+        verify_symmetric_theorem(nt_paper_representation(3), powers_cap=2)
+    assert verify_symmetric_theorem(nt_paper_representation(3), powers_cap=3).holds
+    with pytest.raises(ValueError, match="cap"):
+        verify_positive_power_refinement(t2_natural, powers_cap=2)
+    assert verify_positive_power_refinement(t2_natural, powers_cap=3).holds
 
 
 def test_symmetric_theorem_examples(t2_natural):
@@ -412,8 +428,12 @@ def test_minimal_covering_power_below_bounds(corpus):
     for rho in corpus.values():
         k = minimal_covering_power(rho, "tensor")
         assert k <= len(distinct_character_values(rho)) - 1
+        rep = verify_tensor_theorem(rho)
+        assert rep.minimal_k == k and rep.holds == (k <= rep.bound)
         k = minimal_covering_power(rho, "symmetric")
         assert k <= rho.dim * len(distinct_charpolys(rho)) - 1
+        rep = verify_symmetric_theorem(rho)
+        assert rep.minimal_k == k and rep.holds == (k <= rep.bound)
 
 
 def test_minimal_covering_power_cap_violation_is_loud():

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import monoidrep.cli as cli
+from monoidrep.algebra import Subspace
 from monoidrep.cli import main, parse_weights
 from monoidrep.monoids import from_transformations
 
@@ -70,6 +72,15 @@ def test_info_bad_table_exit_two(files, capsys):
     code, out, err = run(capsys, ["info", files["bad_table"]])
     assert code == 2
     assert "(1, 1, 1)" in err
+
+
+@pytest.mark.parametrize("field, value", [("cap", "x"), ("cap", 0), ("cap", 2.5),
+                                          ("cap", True), ("dim", "x"), ("dim", 2.0)])
+def test_info_bad_matrices_field_exit_two(tmp_path, capsys, field, value):
+    spec = {"type": "matrices", "generators": [[["1", "1"], ["0", "1"]]], field: value}
+    code, out, err = run(capsys, ["info", write(tmp_path, "m.json", spec)])
+    assert code == 2 and out == ""
+    assert f"'{field}'" in err
 
 
 # --- verify ----------------------------------------------------------------------
@@ -178,6 +189,18 @@ def test_scan_nt_symmetric_mode(capsys):
     rows = json.loads(out)["rows"]
     assert [r["min_faithful"] for r in rows] == [1, 2, 3, 4]
     assert all(r["holds"] for r in rows)
+
+
+def test_scan_nt_failed_check_has_no_min_covering(monkeypatch, capsys):
+    # only a broken radical can fail the check: the zero subspace makes
+    # covering the same as faithfulness, first reached at step t-1 = 4
+    monkeypatch.setattr(cli, "radical_basis", lambda m: Subspace(m.size))
+    code, out, _ = run(capsys, ["scan-nt", "--from", "5", "--to", "5",
+                                "--cap", "6", "--json"])
+    assert code == 1
+    row = json.loads(out)["rows"][0]
+    assert row["holds"] is False and row["bound"] == 1
+    assert row["min_covering"] is None and row["min_faithful"] == 4
 
 
 # --- molien -------------------------------------------------------------------------

@@ -6,7 +6,9 @@ three coefficient-span chains.  At every step k <= 3 the annihilator's
 dimension is compared with plain Gaussian elimination on the entry rows
 of the explicit direct sum of the powers, the containment verdict with
 the trace-form definition of the radical, and every witness is checked
-to annihilate the module while lying outside the radical.
+to annihilate the module while lying outside the radical.  The tensor
+and symmetric verifiers' ``minimal_k`` and verdict are checked against
+the minimal covering and faithful power scans on the same corpus.
 
 A second corpus checks the validators, which test only against a
 generating set (Light's test), against the exhaustive oracles: every
@@ -22,10 +24,15 @@ import re
 import pytest
 
 from monoidrep.algebra import (
+    Subspace,
+    minimal_covering_power,
+    minimal_faithful_power,
     radical_basis,
     subspace_leq,
     symmetric_annihilator_chain,
     tensor_annihilator_chain,
+    verify_symmetric_theorem,
+    verify_tensor_theorem,
 )
 from monoidrep.linalg import Matrix
 from monoidrep.monoids import (
@@ -144,6 +151,26 @@ def test_chain_against_oracles(name, chain_name):
             assert not in_radical(m.table, witness)
             assert witness == next(v for v in basis if not in_radical(m.table, v))
     assert steps == KMAX + 1 - first
+
+
+VERIFIERS = {"tensor": verify_tensor_theorem, "symmetric": verify_symmetric_theorem}
+
+
+@pytest.mark.parametrize("mode", sorted(VERIFIERS))
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_verifier_walk_matches_scans(name, mode):
+    """A verifier's ``minimal_k`` is the covering scan's answer and its
+    verdict reads it; against the zero subspace as radical both turn into
+    the faithfulness scan's answer up to the bound."""
+    rho = CORPUS[name]
+    verify = VERIFIERS[mode]
+    rep = verify(rho)
+    assert rep.minimal_k == minimal_covering_power(rho, mode)
+    assert rep.holds == (rep.minimal_k <= rep.bound)
+    rep = verify(rho, radical=Subspace(rho.monoid.size))
+    k = minimal_faithful_power(rho, mode, rep.bound)
+    assert rep.minimal_k == k
+    assert rep.holds == (k is not None) == (rep.dim_ann == 0)
 
 
 # --- validators against a generating set ---------------------------------------

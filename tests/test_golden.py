@@ -45,6 +45,15 @@ CASES = {
                            "--mode", "symmetric"], 0),
     "scan-nt-symmetric-json": (["scan-nt", "--from", "2", "--to", "9",
                                 "--mode", "symmetric", "--json"], 0),
+    # --cap 3 leaves min_faithful = none from t = 5 on
+    "scan-nt-tensor-cap3": (["scan-nt", "--from", "2", "--to", "9", "--cap", "3"], 0),
+    "scan-nt-tensor-cap3-json": (["scan-nt", "--from", "2", "--to", "9",
+                                  "--cap", "3", "--json"], 0),
+    "scan-nt-symmetric-cap3": (["scan-nt", "--from", "2", "--to", "9",
+                                "--mode", "symmetric", "--cap", "3"], 0),
+    "scan-nt-symmetric-cap3-json": (["scan-nt", "--from", "2", "--to", "9",
+                                     "--mode", "symmetric", "--cap", "3",
+                                     "--json"], 0),
     "molien-t3": (["molien", *T3, "--idempotent", "[1,2,3]",
                    "--weights", MOLIEN_WEIGHTS, "-N", "12"], 0),
     "molien-t3-n0": (["molien", *T3, "--idempotent", "[1,2,3]",

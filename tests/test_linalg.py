@@ -120,6 +120,22 @@ def test_echelon_insert_reports_growth():
     assert ech.rank == 2
 
 
+def test_echelon_insert_rejects_wrong_length():
+    ech = Echelon(3)
+    with pytest.raises(ValueError, match="length"):
+        ech.insert((0, 0, 0, 7))
+    assert ech.rank == 0 and len(ech.kernel_basis()) == 3
+
+
+def test_echelon_contains_rejects_wrong_length():
+    ech = Echelon(3)
+    ech.insert((1, 0, 0))
+    with pytest.raises(ValueError, match="length"):
+        ech.contains((1, 0))
+    with pytest.raises(ValueError, match="length"):
+        ech.reduce((1, 0, 0, 0))
+
+
 # --- kronecker products ----------------------------------------------------
 
 def test_kron_identities():
