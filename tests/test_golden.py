@@ -26,6 +26,10 @@ T3 = ["t3.json", "natural.json"]
 N7 = ["nt7.json", "nt-paper.json"]
 # the 128-element submonoid of T_4 generated by (2,3,4,1) and (1,1,3,4)
 M128 = ["m128.json", "natural.json"]
+# rational conjugates P rho P^-1 of the natural and N_7 representations:
+# every chain row has denominators to clear
+T3_CONJ = ["t3.json", "t3-conjugate.json"]
+N7_CONJ = ["nt7.json", "nt7-conjugate.json"]
 MOLIEN_WEIGHTS = "[1,2,3]:1,[2,1,3]:-1/2,[2,3,1]:3,[1,1,3]:2/3,[1,1,1]:-1"
 
 # name -> (argv with input file names, expected exit code)
@@ -36,6 +40,16 @@ CASES = {
     "verify-t3": (["verify", *T3, "--which", "all", "--powers-cap", "20"], 0),
     "verify-t3-json": (["verify", *T3, "--which", "all", "--powers-cap", "20",
                         "--json"], 0),
+    "verify-m128-steinberg": (["verify", *M128, "--which", "steinberg"], 0),
+    "verify-m128-steinberg-json": (["verify", *M128, "--which", "steinberg",
+                                    "--json"], 0),
+    "verify-t3-conjugate": (["verify", *T3_CONJ, "--which", "all",
+                             "--powers-cap", "20"], 0),
+    # Ann = 0 at every bound, so even the zero radical holds
+    "verify-t3-conjugate-corrupt": (["verify", *T3_CONJ, "--which", "all",
+                                     "--powers-cap", "20", "--corrupt-radical"], 0),
+    "verify-n7-conjugate-corrupt": (["verify", *N7_CONJ, "--which", "all",
+                                     "--corrupt-radical"], 1),
     "verify-n7-corrupt": (["verify", *N7, "--which", "all", "--corrupt-radical"], 1),
     "verify-n7-corrupt-json": (["verify", *N7, "--which", "all",
                                 "--corrupt-radical", "--json"], 1),
