@@ -21,9 +21,12 @@ matrix G, and Ann(W) = F^perp for the span F, inside Q^M, of W's
 matrix-coefficient functions x -> W(x)[i][j].  So the test is decided
 in dual form, on row spaces: Ann(W) <= Rad exactly when
 rowspace(G) <= F, and dim Ann(W) = |M| - rank F.  A ``Subspace``
-therefore stores the reduced echelon rows it is the kernel of; a kernel
-basis is formed only when it is read, which on the checking path
-happens only to produce the witness of a failed containment.
+therefore stores the echelon it is the kernel of: primitive integer
+rows, which the containment test and ``contains`` read directly.  The
+canonical reduced echelon rows (``Fraction`` entries) are derived only
+for equality and hashing, and a kernel basis only when it is read, which
+on the checking path happens only to produce the witness of a failed
+containment.
 
 Verifiers built on it: the tensor-power coverage bound (powers 0..r-1
 where r counts distinct character values), the symmetric-power bound
@@ -41,9 +44,8 @@ dimension |M|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import Echelon, ONE, as_fraction
+from .linalg import Echelon, clear_denominators
 from .monoids import Monoid, has_zero
 from .representations import (
     Representation,
@@ -59,7 +61,7 @@ SIZE_GUARD = 300
 
 
 def _perp(ech: Echelon) -> Echelon:
-    """Reduced echelon form of the orthogonal complement of a row space."""
+    """Echelon of the orthogonal complement of a row space."""
     out = Echelon(ech.ncols)
     for v in ech.kernel_basis():
         out.insert(v)
@@ -67,12 +69,13 @@ def _perp(ech: Echelon) -> Echelon:
 
 
 class Subspace:
-    """A linear subspace of Q^ambient, stored as the kernel of RREF rows.
+    """A linear subspace of Q^ambient, stored as the kernel of echelon rows.
 
-    The stored constraint rows are the reduced echelon basis of the
-    orthogonal complement, so they are unique: two Subspace objects are
-    equal exactly when they describe the same subspace.  The subspace's
-    own canonical RREF basis is derived on first read and then cached.
+    The constraint echelon spans the orthogonal complement.  Its integer
+    rows decide ``contains`` and ``<=``; its canonical RREF rows are
+    unique, so two Subspace objects are equal exactly when they describe
+    the same subspace.  The subspace's own canonical RREF basis is
+    derived on first read and then cached.
     ``Subspace(n, vectors)`` is the span of ``vectors``;
     ``Subspace.kernel(ech)`` is the kernel of an echelon's rows.
     """
@@ -102,7 +105,7 @@ class Subspace:
     @property
     def basis(self):
         """Canonical RREF basis, as a tuple of tuples."""
-        return tuple(tuple(row) for row in self._span_echelon().rows)
+        return self._span_echelon().rows
 
     @property
     def dim(self):
@@ -111,9 +114,9 @@ class Subspace:
     def contains(self, vec):
         if len(vec) != self.ambient:
             raise ValueError("vector length differs from ambient dimension")
-        v = [as_fraction(x) for x in vec]
+        v = clear_denominators(vec)
         return not any(sum(c * x for c, x in zip(row, v) if c)
-                       for row in self._constraints.rows)
+                       for row in self._constraints.int_rows)
 
     def __le__(self, other):
         """Containment, decided on the constraint rows: a <= b exactly
@@ -121,14 +124,14 @@ class Subspace:
         if self.ambient != other.ambient:
             raise ValueError("subspaces live in different ambient spaces")
         return self.dim <= other.dim and all(
-            self._constraints.contains(row) for row in other._constraints.rows)
+            self._constraints.contains(row) for row in other._constraints.int_rows)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient == other.ambient
                 and self._constraints.rows == other._constraints.rows)
 
     def __hash__(self):
-        return hash((self.ambient, tuple(map(tuple, self._constraints.rows))))
+        return hash((self.ambient, self._constraints.rows))
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
@@ -163,7 +166,7 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
     ech = Echelon(n)
     for x in range(n):
         tx = m.table[x]
-        ech.insert([Fraction(fix[tx[y]]) for y in range(n)])
+        ech.insert([fix[tx[y]] for y in range(n)])
     return Subspace.kernel(ech)
 
 
@@ -310,11 +313,11 @@ def _entry_rows(rho):
 
 
 def _entry_functions(rho):
-    """Independent basis of the span of x -> rho(x)[i][j] inside Q^M."""
+    """Independent integer basis of the span of x -> rho(x)[i][j] in Q^M."""
     ech = Echelon(rho.monoid.size)
     for row in _entry_rows(rho):
         ech.insert(row)
-    return ech.rows
+    return ech.int_rows
 
 
 def tensor_annihilator_chain(rho: Representation, kmax, first=0):
@@ -332,7 +335,7 @@ def tensor_annihilator_chain(rho: Representation, kmax, first=0):
     """
     n = rho.monoid.size
     acc = Echelon(n)
-    new = [[ONE] * n]  # spans E_0: the constant functions
+    new = [[1] * n]  # spans E_0: the constant functions
     if first == 0:
         acc.insert(new[0])
         yield 0, Subspace.kernel(acc)

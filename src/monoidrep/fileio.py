@@ -46,7 +46,9 @@ from .representations import (
 
 
 def parse_rational(s) -> Fraction:
-    """Parse "p/q", "p", or an int into a Fraction."""
+    """Parse "p/q", "p", or an int (not a JSON boolean) into a Fraction."""
+    if isinstance(s, bool):
+        raise ValueError(f"bad rational {json.dumps(s)}: a boolean is not a number")
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
@@ -71,6 +73,9 @@ def _require(obj, field, kind=None):
     if field not in obj:
         raise ValueError(f"missing field {field!r}")
     v = obj[field]
+    # bool is a subclass of int, but JSON true/false are not numbers
+    if kind is int and isinstance(v, bool):
+        raise ValueError(f"field {field!r} must be an integer, not {json.dumps(v)}")
     if kind is not None and not isinstance(v, kind):
         raise ValueError(f"field {field!r} has the wrong type")
     return v

@@ -1,10 +1,12 @@
 """Exact dense linear algebra over the rationals.
 
-Everything in this module is built on ``fractions.Fraction``: matrices,
-univariate polynomials, echelon reduction, characteristic polynomials and
-the Newton-identity conversions between power sums, complete homogeneous
-symmetric functions and elementary symmetric functions.  There is no
-floating point anywhere; every result is exact.
+Matrices, univariate polynomials, characteristic polynomials and the
+Newton-identity conversions between power sums, complete homogeneous
+symmetric functions and elementary symmetric functions are built on
+``fractions.Fraction``.  Echelon reduction takes rational input but
+eliminates in Python integers (fraction-free, by cross-multiplication)
+and forms ``Fraction`` entries only for its canonical reduced form.
+There is no floating point anywhere; every result is exact.
 
 Matrices and polynomials are immutable once constructed, so all functions
 here are safe to call from multiple threads.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def as_fraction(x) -> Fraction:
@@ -27,6 +30,16 @@ def as_fraction(x) -> Fraction:
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def clear_denominators(vec):
+    """``vec`` times the least common multiple of its denominators, as a
+    list of ints spanning the same line."""
+    if all(type(x) is int for x in vec):
+        return list(vec)
+    q = [as_fraction(x) for x in vec]
+    d = lcm(*(x.denominator for x in q))
+    return [x.numerator * (d // x.denominator) for x in q]
 
 
 class Matrix:
@@ -148,43 +161,63 @@ class Matrix:
         return Matrix(tuple(tuple(row[n:]) for row in aug), ncols=n)
 
 
-class Echelon:
-    """A row space accumulated one vector at a time, kept in RREF.
+def _eliminate(v, row, p):
+    """(a/g)*v - (c/g)*row for a = row[p] > 0, c = v[p] and g = gcd(a, c):
+    a positive integer multiple of v modulo row, with entry 0 at column p."""
+    a, c = row[p], v[p]
+    g = gcd(a, c)
+    a, c = a // g, c // g
+    if a == 1:
+        return [x - c * y for x, y in zip(v, row)]
+    return [a * x - c * y for x, y in zip(v, row)]
 
-    Rows are stored fully reduced with pivot entry 1, ordered by pivot
-    column.  Feeding the rows of a matrix through ``insert`` therefore
-    yields its reduced row echelon form, and large systems can be reduced
-    without ever materialising them.
+
+class Echelon:
+    """A row space accumulated one vector at a time, in integers.
+
+    The stored rows ``int_rows`` are primitive integer vectors (content 1,
+    leading entry positive) in row echelon form, not reduced, ordered by
+    pivot column.  ``insert`` clears a vector's denominators with one
+    common multiple and eliminates by cross-multiplication, so no
+    ``Fraction`` arises and every result is exact over Q; it never
+    touches a stored row, so ``copy`` is an O(rank) snapshot.
+
+    ``rows`` is the canonical reduced row echelon form (pivot entry 1,
+    ``Fraction`` entries), derived from the stored rows on first read and
+    cached until the next insert that enlarges the space.  Feeding the
+    rows of a matrix through ``insert`` and reading ``rows`` therefore
+    yields its RREF without ever materialising the matrix.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
         self.pivots = []
-        self.rows = []
+        self.int_rows = []
+        self._rref = None
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self.int_rows)
 
     def copy(self):
-        """An independent snapshot in O(rank): ``insert`` replaces stored
-        rows and never mutates one in place, so the rows can be shared."""
+        """An independent snapshot in O(rank): stored rows are tuples and
+        ``insert`` never replaces one, so they can be shared."""
         out = Echelon(self.ncols)
         out.pivots = list(self.pivots)
-        out.rows = list(self.rows)
+        out.int_rows = list(self.int_rows)
+        out._rref = self._rref
         return out
 
     def reduce(self, vec):
-        """Reduce ``vec`` modulo the stored row space; returns a list."""
+        """A nonzero integer multiple of ``vec``'s residual modulo the
+        stored rows, as a list of ints: zero exactly when ``vec`` lies in
+        the row space, and zero at every pivot column."""
         if len(vec) != self.ncols:
             raise ValueError("vector length differs from ambient dimension")
-        v = [as_fraction(x) for x in vec]
-        for p, row in zip(self.pivots, self.rows):
-            c = v[p]
-            if c:
-                for j in range(p, self.ncols):
-                    if row[j]:
-                        v[j] -= c * row[j]
+        v = clear_denominators(vec)
+        for p, row in zip(self.pivots, self.int_rows):
+            if v[p]:
+                v = _eliminate(v, row, p)
         return v
 
     def contains(self, vec):
@@ -196,32 +229,47 @@ class Echelon:
         p = next((j for j, c in enumerate(v) if c), None)
         if p is None:
             return False
-        inv = ONE / v[p]
-        v = [c * inv for c in v]
-        for i, row in enumerate(self.rows):
-            c = row[p]
-            if c:
-                self.rows[i] = [a - c * b for a, b in zip(row, v)]
+        g = gcd(*v)
+        if v[p] < 0:
+            g = -g
         k = bisect_left(self.pivots, p)
         self.pivots.insert(k, p)
-        self.rows.insert(k, v)
+        self.int_rows.insert(k, tuple(x // g for x in v))
+        self._rref = None
         return True
+
+    @property
+    def rows(self):
+        """The canonical RREF rows: tuples of ``Fraction`` with pivot 1."""
+        if self._rref is None:
+            done = []  # reduced primitive rows below the current one
+            for p, row in zip(reversed(self.pivots), reversed(self.int_rows)):
+                v = row
+                for q, r in done:
+                    if v[q]:
+                        v = _eliminate(v, r, q)
+                g = gcd(*v)
+                done.append((p, [x // g for x in v]))
+            self._rref = tuple(tuple(Fraction(x, v[p]) for x in v)
+                               for p, v in reversed(done))
+        return self._rref
 
     def kernel_basis(self):
         """Canonical kernel basis of the accumulated constraint rows.
 
         One vector per free column, free columns in ascending order; the
-        vector for free column f has entry 1 there and the negated pivot
-        row entries elsewhere.
+        vector for free column f has entry 1 there and the negated RREF
+        pivot row entries elsewhere.
         """
         pivot_set = set(self.pivots)
+        rows = self.rows
         basis = []
         for f in range(self.ncols):
             if f in pivot_set:
                 continue
             v = [ZERO] * self.ncols
             v[f] = ONE
-            for p, row in zip(self.pivots, self.rows):
+            for p, row in zip(self.pivots, rows):
                 if row[f]:
                     v[p] = -row[f]
             basis.append(tuple(v))

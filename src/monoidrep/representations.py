@@ -312,7 +312,7 @@ def restrict_to_local(rho: Representation, e) -> Representation:
     ech = Echelon(rho.dim)
     for col in pe.transpose().rows:
         ech.insert(col)
-    basis = [tuple(row) for row in ech.rows]
+    basis = ech.rows
     pivots = list(ech.pivots)
     k = len(basis)
     mats = []

@@ -31,6 +31,26 @@ def gauss_rank(rows):
     return rank
 
 
+def rref(rows, ncols):
+    """Reduced row echelon form by plain Gauss-Jordan elimination on a
+    copy: the nonzero rows, each with pivot entry 1, as Fraction tuples."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        lead = m[rank][col]
+        m[rank] = [a / lead for a in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return [tuple(row) for row in m[:rank]]
+
+
 def gauss_nullity(rows, ncols):
     return ncols - gauss_rank(rows)
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from monoidrep.algebra import (
     verify_symmetric_theorem,
     verify_tensor_theorem,
 )
+from monoidrep.fileio import load_monoid, load_representation
 from monoidrep.linalg import Matrix
 from monoidrep.monoids import from_transformations, idempotents, nt_monoid
 from monoidrep.representations import (
@@ -443,3 +445,43 @@ def test_minimal_covering_power_cap_violation_is_loud():
         # faithfulness threshold t - 1 = 4
         minimal_covering_power(rho, "tensor", cap=3,
                                radical=Subspace(rho.monoid.size))
+
+
+# --- integer elimination on the hot paths ----------------------------------------
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def _load(monoid_file, rep_file):
+    m = load_monoid(str(GOLDEN_INPUTS / monoid_file))
+    return load_representation(str(GOLDEN_INPUTS / rep_file), m)
+
+
+# the 128-element submonoid of T_4, N_7, and a rational conjugate of T_3's
+# natural representation (entries like 411/164)
+HOT_PATH_INPUTS = {
+    "m128": ("m128.json", "natural.json"),
+    "n7": ("nt7.json", "nt-paper.json"),
+    "t3-conjugate": ("t3.json", "t3-conjugate.json"),
+}
+
+
+def _int_constraints(sub):
+    return all(type(x) is int for row in sub._constraints.int_rows for x in row)
+
+
+@pytest.mark.parametrize("name", sorted(HOT_PATH_INPUTS))
+def test_elimination_stores_only_ints(name):
+    """The radical's, the annihilator's and every tensor-chain step's
+    constraint rows are plain ints: no Fraction enters the elimination,
+    even when the representation's matrices have denominators."""
+    rho = _load(*HOT_PATH_INPUTS[name])
+    n = rho.monoid.size
+    rad = radical_basis(rho.monoid)
+    assert rad.dim < n and _int_constraints(rad)
+    assert _int_constraints(annihilator_basis(rho))
+    steps = 0
+    for _, ann in tensor_annihilator_chain(rho, n - 1):
+        assert _int_constraints(ann)
+        steps += 1
+    assert steps == n

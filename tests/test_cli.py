@@ -83,6 +83,35 @@ def test_info_bad_matrices_field_exit_two(tmp_path, capsys, field, value):
     assert f"'{field}'" in err
 
 
+# JSON true/false are not integers, although Python's bool is an int:
+# name -> (monoid spec, representation spec or None, error message)
+N1 = {"type": "nt", "t": 1}
+BOOLEAN_INPUTS = {
+    "degree": ({"type": "transformations", "degree": True, "generators": [[1]]},
+               None, "field 'degree' must be an integer, not true"),
+    "identity": ({"type": "cayley", "identity": False, "table": [[0, 1], [1, 1]]},
+                 None, "field 'identity' must be an integer, not false"),
+    "t": ({"type": "nt", "t": True}, None, "field 't' must be an integer, not true"),
+    "monoid-matrix-entry": ({"type": "matrices", "generators": [[[True, 0], [0, 1]]]},
+                            None, "bad rational true: a boolean is not a number"),
+    "dim": (N1, {"dim": True, "matrices": {"0": [["0"]], "1": [["1"]]}},
+            "field 'dim' must be an integer, not true"),
+    "matrix-entry": (N1, {"dim": 1, "matrices": {"0": [[False]], "1": [["1"]]}},
+                     "bad rational false: a boolean is not a number"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOLEAN_INPUTS))
+def test_info_boolean_for_integer_exit_two(tmp_path, capsys, name):
+    monoid, rep, message = BOOLEAN_INPUTS[name]
+    argv = ["info", write(tmp_path, "m.json", monoid)]
+    if rep is not None:
+        argv.append(write(tmp_path, "rep.json", rep))
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 # --- verify ----------------------------------------------------------------------
 
 def test_verify_nt7_all(files, capsys):

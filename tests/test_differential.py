@@ -1,14 +1,17 @@
 """Seeded differential test of the coverage checks against tests/oracles.py.
 
 A fixed-seed corpus of random transformation monoids (degree 2 or 3), N_t
-(t <= 9) and monoids generated by random 0/1 matrices is run through the
-three coefficient-span chains.  At every step k <= 3 the annihilator's
+(t <= 9), monoids generated by random 0/1 matrices, and rational
+conjugates P rho(x) P^-1 of each nontrivial one is run through the three
+coefficient-span chains.  At every step k <= 3 the annihilator's
 dimension is compared with plain Gaussian elimination on the entry rows
 of the explicit direct sum of the powers, the containment verdict with
 the trace-form definition of the radical, and every witness is checked
 to annihilate the module while lying outside the radical.  The tensor
 and symmetric verifiers' ``minimal_k`` and verdict are checked against
-the minimal covering and faithful power scans on the same corpus.
+the minimal covering and faithful power scans on the same corpus.  A
+conjugate has the same annihilator as its original, so its every chain
+step, verdict, ``minimal_k`` and witness must equal the original's.
 
 A second corpus checks the validators, which test only against a
 generating set (Light's test), against the exhaustive oracles: every
@@ -20,6 +23,7 @@ and the triple or pair an error names is a real violation.
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -87,6 +91,22 @@ def _random_01_matrices(rng):
             return gens, matrix_representation(m)
 
 
+def _conjugate(rng, rho):
+    """P rho(x) P^-1 for a random invertible rational P with a non-integer
+    result: the same module, so the same annihilator, with denominators."""
+    n = rho.dim
+    while True:
+        p = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                     for _ in range(n)] for _ in range(n)])
+        try:
+            p_inv = p.inverse()
+        except ValueError:  # singular: draw again
+            continue
+        mats = [p * mat * p_inv for mat in rho.matrices]
+        if any(x.denominator > 1 for mat in mats for row in mat for x in row):
+            return build_representation(rho.monoid, mats)
+
+
 def _corpus():
     rng = random.Random(SEED)
     out = {}
@@ -96,6 +116,10 @@ def _corpus():
         out[f"nt-{t}"] = nt_paper_representation(t)
     for i in range(3):
         out[f"matrices-{i}"] = _random_01_matrices(rng)[1]
+    rng = random.Random(SEED + 1)
+    for name, rho in list(out.items()):
+        if rho.monoid.size > 1:  # the trivial monoid's only matrix is I
+            out[f"conjugate-{name}"] = _conjugate(rng, rho)
     return out
 
 
@@ -171,6 +195,28 @@ def test_verifier_walk_matches_scans(name, mode):
     k = minimal_faithful_power(rho, mode, rep.bound)
     assert rep.minimal_k == k
     assert rep.holds == (k is not None) == (rep.dim_ann == 0)
+
+
+CONJUGATES = sorted(name for name in CORPUS if name.startswith("conjugate-"))
+
+
+@pytest.mark.parametrize("name", CONJUGATES)
+def test_rational_conjugate_matches_original(name):
+    """Conjugating by a rational P changes no annihilator: every chain
+    step, verdict, ``minimal_k`` and witness equals the unconjugated one."""
+    rho, orig = CORPUS[name], CORPUS[name.removeprefix("conjugate-")]
+    assert any(x.denominator > 1 for mat in rho.matrices for row in mat for x in row)
+    rad = radical_basis(rho.monoid)
+    for chain, _, _ in CHAINS.values():
+        steps = list(zip(chain(rho, KMAX), chain(orig, KMAX)))
+        assert steps
+        for (k, ann), (k_orig, ann_orig) in steps:
+            assert k == k_orig and ann == ann_orig and ann.dim == ann_orig.dim
+            assert subspace_leq(ann, rad) == subspace_leq(ann_orig, rad)
+    zero = Subspace(rho.monoid.size)
+    for verify in VERIFIERS.values():
+        assert verify(rho) == verify(orig)
+        assert verify(rho, radical=zero) == verify(orig, radical=zero)
 
 
 # --- validators against a generating set ---------------------------------------

@@ -1,0 +1,191 @@
+"""Seeded differential test of the integer echelon against Gauss-Jordan.
+
+``Echelon`` stores primitive integer rows in (unreduced) row echelon
+form and derives the canonical ``Fraction`` RREF only when ``rows`` is
+read.  A fixed-seed corpus of random tall, wide and square matrices --
+negative entries, non-integer Fractions, "p/q" strings, zero rows,
+duplicate rows and multiples of other rows -- is fed through it and
+compared with the plain Gauss-Jordan ``oracles.rref`` and with
+``oracles.gauss_rank``: rank, the RREF rows, their independence from the
+insertion order, the stored integer form, the kernel basis, ``reduce``
+and ``contains``, and ``copy`` as a snapshot that later inserts on
+either side, before or after the RREF was cached, leave alone.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from monoidrep.linalg import Echelon
+
+from oracles import gauss_rank, rref
+
+SEED = 1968
+
+
+def _entry(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    if kind == 3:
+        return f"{rng.randint(-9, 9)}/{rng.randint(1, 7)}"
+    return rng.randint(-(2 ** 40), 2 ** 40)
+
+
+def _random_matrix(rng, nrows, ncols):
+    rows = []
+    for _ in range(nrows):
+        pick = rng.random()
+        if rows and pick < 0.15:
+            rows.append(list(rng.choice(rows)))  # duplicate
+        elif rows and pick < 0.3:  # rational combination of two earlier rows
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-3, 3)
+            rows.append([s * Fraction(x) + t * Fraction(y) for x, y in zip(a, b)])
+        elif pick < 0.4:
+            rows.append([0] * ncols)
+        else:
+            rows.append([_entry(rng) for _ in range(ncols)])
+    return rows
+
+
+def _corpus():
+    rng = random.Random(SEED)
+    out = {}
+    for shape in ("tall", "wide", "square"):
+        for i in range(8):
+            a, b = rng.randint(1, 5), rng.randint(1, 5)
+            nrows, ncols = {"tall": (a + b, a), "wide": (a, a + b),
+                            "square": (a, a)}[shape]
+            out[f"{shape}-{i}"] = _random_matrix(rng, nrows, ncols)
+    return out
+
+
+CORPUS = _corpus()
+
+
+def _echelon(ncols, rows):
+    ech = Echelon(ncols)
+    for row in rows:
+        ech.insert(row)
+    return ech
+
+
+def _ncols(name):
+    return len(CORPUS[name][0])
+
+
+def _check_stored_form(ech):
+    """Primitive integer rows, leading entry > 0, ascending pivots."""
+    assert ech.pivots == sorted(set(ech.pivots)) and len(ech.pivots) == ech.rank
+    for p, row in zip(ech.pivots, ech.int_rows):
+        assert all(type(x) is int for x in row)
+        assert not any(row[:p]) and row[p] > 0
+        assert gcd(*row) == 1
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_echelon_matches_gauss_jordan(name):
+    rows, ncols = CORPUS[name], _ncols(name)
+    ech = _echelon(ncols, rows)
+    expected = rref(rows, ncols)
+    assert ech.rank == gauss_rank(rows) == len(expected)
+    assert ech.rows == tuple(expected)
+    assert all(type(x) is Fraction for row in ech.rows for x in row)
+    _check_stored_form(ech)
+    # the same space in any order gives the same canonical rows
+    rng = random.Random(f"{SEED}-{name}")
+    for _ in range(3):
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        assert _echelon(ncols, shuffled).rows == ech.rows
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_echelon_kernel_basis_is_canonical(name):
+    rows, ncols = CORPUS[name], _ncols(name)
+    ech = _echelon(ncols, rows)
+    basis = ech.kernel_basis()
+    free = [f for f in range(ncols) if f not in ech.pivots]
+    assert len(basis) == ncols - ech.rank == len(free)
+    for v, f in zip(basis, free):
+        assert all(sum(Fraction(a) * b for a, b in zip(row, v)) == 0 for row in rows)
+        assert v[f] == 1 and all(v[g] == 0 for g in free if g != f)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_echelon_reduce_and_contains(name):
+    rows, ncols = CORPUS[name], _ncols(name)
+    ech = _echelon(ncols, rows)
+    rank = gauss_rank(rows)
+    free = [f for f in range(ncols) if f not in ech.pivots]
+    rng = random.Random(f"{SEED}-reduce-{name}")
+    for _ in range(6):
+        # an integer combination of the stored rows plus a vector that is
+        # zero at every pivot reduces to exactly that vector: each step
+        # scales by a / gcd(a, c) = 1
+        tail = [0] * ncols
+        for f in free:
+            tail[f] = rng.randint(-5, 5)
+        w = list(tail)
+        for row in ech.int_rows:
+            k = rng.randint(-3, 3)
+            w = [x + k * y for x, y in zip(w, row)]
+        assert ech.reduce(w) == tail
+        assert ech.contains(w) == (not any(tail))
+        # a rational vector: the residual is a positive multiple of the
+        # canonical one, and contains agrees with the rank test
+        w = [_entry(rng) for _ in range(ncols)]
+        residual = ech.reduce(w)
+        assert all(type(x) is int for x in residual)
+        canonical = [Fraction(x) for x in w]
+        for p, row in zip(ech.pivots, ech.rows):
+            c = canonical[p]
+            canonical = [x - c * y for x, y in zip(canonical, row)]
+        k = next((i for i, x in enumerate(canonical) if x), None)
+        if k is None:
+            assert not any(residual)
+        else:
+            scale = residual[k] / canonical[k]
+            assert scale > 0 and residual == [scale * x for x in canonical]
+        assert ech.contains(w) == (gauss_rank(rows + [w]) == rank)
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_echelon_copy_is_a_snapshot(name, read_first):
+    rows, ncols = CORPUS[name], _ncols(name)
+    half = len(rows) // 2
+    ech = _echelon(ncols, rows[:half])
+    if read_first:
+        ech.rows  # cache the RREF before the copy
+    snap = ech.copy()
+    for row in rows[half:]:
+        ech.insert(row)
+    assert ech.rows == tuple(rref(rows, ncols))
+    assert snap.rows == tuple(rref(rows[:half], ncols))
+    # inserting into the snapshot leaves the original alone
+    rng = random.Random(f"{SEED}-copy-{name}")
+    extra = [[_entry(rng) for _ in range(ncols)] for _ in range(3)]
+    for v in extra:
+        snap.insert(v)
+    assert snap.rows == tuple(rref(rows[:half] + extra, ncols))
+    assert ech.rows == tuple(rref(rows, ncols))
+    _check_stored_form(ech)
+    _check_stored_form(snap)
+
+
+def test_echelon_rows_follow_inserts_after_a_read():
+    ech = Echelon(3)
+    ech.insert((2, 4, 0))
+    assert ech.rows == ((1, 2, 0),)
+    ech.insert(("1/3", 0, 1))
+    assert ech.rows == ((1, 0, 3), (0, 1, Fraction(-3, 2)))
+    ech.insert((0, 0, 5))
+    assert ech.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))

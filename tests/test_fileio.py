@@ -37,6 +37,9 @@ def test_parse_rational_errors():
         parse_rational("1/0")
     with pytest.raises(ValueError, match="bad rational"):
         parse_rational(1.5)
+    for b in (True, False):
+        with pytest.raises(ValueError, match="boolean"):
+            parse_rational(b)
 
 
 def test_format_round_trip():
