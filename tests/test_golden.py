@@ -27,7 +27,7 @@ N7 = ["nt7.json", "nt-paper.json"]
 # the 128-element submonoid of T_4 generated by (2,3,4,1) and (1,1,3,4)
 M128 = ["m128.json", "natural.json"]
 # rational conjugates P rho P^-1 of the natural and N_7 representations:
-# every chain row has denominators to clear
+# their coefficient rows have denominators to clear
 T3_CONJ = ["t3.json", "t3-conjugate.json"]
 N7_CONJ = ["nt7.json", "nt7-conjugate.json"]
 MOLIEN_WEIGHTS = "[1,2,3]:1,[2,1,3]:-1/2,[2,3,1]:3,[1,1,3]:2/3,[1,1,1]:-1"
