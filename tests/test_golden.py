@@ -31,12 +31,17 @@ M128 = ["m128.json", "natural.json"]
 T3_CONJ = ["t3.json", "t3-conjugate.json"]
 N7_CONJ = ["nt7.json", "nt7-conjugate.json"]
 MOLIEN_WEIGHTS = "[1,2,3]:1,[2,1,3]:-1/2,[2,3,1]:3,[1,1,3]:2/3,[1,1,1]:-1"
+MOLIEN_SHORT = "[1,2,3]:1,[2,1,3]:-1/2,[2,3,1]:3"
 
 # name -> (argv with input file names, expected exit code)
 CASES = {
     "info-t3": (["info", *T3], 0),
     "info-m128": (["info", *M128], 0),
     "info-m128-json": (["info", *M128, "--json"], 0),
+    # characteristic polynomials and character values of rational matrices
+    "info-t3-conjugate": (["info", *T3_CONJ], 0),
+    "info-t3-conjugate-json": (["info", *T3_CONJ, "--json"], 0),
+    "info-n7-conjugate": (["info", *N7_CONJ], 0),
     "verify-t3": (["verify", *T3, "--which", "all", "--powers-cap", "20"], 0),
     "verify-t3-json": (["verify", *T3, "--which", "all", "--powers-cap", "20",
                         "--json"], 0),
@@ -72,6 +77,8 @@ CASES = {
                    "--weights", MOLIEN_WEIGHTS, "-N", "12"], 0),
     "molien-t3-n0": (["molien", *T3, "--idempotent", "[1,2,3]",
                       "--weights", MOLIEN_WEIGHTS, "-N", "0"], 0),
+    "molien-t3-conjugate": (["molien", *T3_CONJ, "--idempotent", "[1,2,3]",
+                             "--weights", MOLIEN_SHORT, "-N", "6"], 0),
 }
 
 
