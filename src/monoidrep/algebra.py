@@ -303,11 +303,10 @@ def verify_positive_power_refinement(rho: Representation, powers_cap=None,
 
 def _entry_rows(rho):
     """Yield the nonzero coefficient functions x -> rho(x)[i][j], as rows."""
-    n = rho.monoid.size
-    mats = rho.matrices
+    mats = [m.rows for m in rho.matrices]
     for i in range(rho.dim):
         for j in range(rho.dim):
-            row = [mats[x][i][j] for x in range(n)]
+            row = [m[i][j] for m in mats]
             if any(row):
                 yield row
 

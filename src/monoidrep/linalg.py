@@ -1,12 +1,16 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices, univariate polynomials, characteristic polynomials and the
+A matrix entry is a Python ``int`` when its value is an integer and a
+``fractions.Fraction`` only when it is not, so integral matrices multiply,
+add and transpose in integers alone.  Characteristic polynomials are
+division-free (Berkowitz), hence integral on integral input.  Echelon
+reduction takes rational input but eliminates in Python integers
+(fraction-free, by cross-multiplication) and forms ``Fraction`` entries
+only for its canonical reduced form.  Univariate polynomials and the
 Newton-identity conversions between power sums, complete homogeneous
-symmetric functions and elementary symmetric functions are built on
-``fractions.Fraction``.  Echelon reduction takes rational input but
-eliminates in Python integers (fraction-free, by cross-multiplication)
-and forms ``Fraction`` entries only for its canonical reduced form.
-There is no floating point anywhere; every result is exact.
+symmetric functions and elementary symmetric functions work in
+``Fraction``.  There is no floating point anywhere; every result is
+exact.
 
 Matrices and polynomials are immutable once constructed, so all functions
 here are safe to call from multiple threads.
@@ -16,7 +20,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import add, mul
 
 
 def as_fraction(x) -> Fraction:
@@ -42,15 +48,49 @@ def clear_denominators(vec):
     return [x.numerator * (d // x.denominator) for x in q]
 
 
+def _exact(x):
+    """The canonical form of an int, a "p/q" string or a Fraction: an int
+    when the value is an integer, otherwise a Fraction."""
+    if type(x) is int:
+        return x
+    q = as_fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
+_INT = frozenset((int,))
+
+
+def _canonical(rows):
+    """``rows`` as a tuple of tuples of canonical entries, and whether
+    every entry is an int."""
+    rows = tuple(map(tuple, rows))
+    if _INT.issuperset(map(type, chain.from_iterable(rows))):
+        return rows, True
+    rows = tuple(tuple(map(_exact, row)) for row in rows)
+    return rows, _INT.issuperset(map(type, chain.from_iterable(rows)))
+
+
 class Matrix:
     """Immutable dense matrix with exact rational entries.
+
+    Entries are canonical: an entry whose value is an integer is a Python
+    ``int``, and only an entry that is not an integer is a ``Fraction``.
+    The constructor normalises its input once (ints, "p/q" strings and
+    Fractions are accepted); products, sums, transposes, ``identity`` and
+    ``zero`` build their results through ``_trusted``, which coerces
+    nothing when every operand is integral.  So integral data never forms
+    a ``Fraction``, while rational data keeps exact ``Fraction``
+    arithmetic.  Equality and hashing do not depend on the form of an
+    entry, since ``2 == Fraction(2)`` and both hash alike.
 
     Entries are stored as a tuple of row tuples; ``m[i]`` is row ``i``.
     Empty matrices (0 rows and/or 0 columns) are allowed.
     """
 
+    __slots__ = ("rows", "nrows", "ncols", "_integral")
+
     def __init__(self, rows, ncols=None):
-        self.rows = tuple(tuple(as_fraction(x) for x in row) for row in rows)
+        self.rows, self._integral = _canonical(rows)
         self.nrows = len(self.rows)
         if self.nrows:
             self.ncols = len(self.rows[0])
@@ -60,13 +100,29 @@ class Matrix:
             self.ncols = 0 if ncols is None else ncols
 
     @classmethod
+    def _trusted(cls, rows, ncols, integral):
+        """A matrix on a tuple of equal-length row tuples, unchecked.
+
+        When ``integral`` is true every entry must already be an int and
+        nothing is coerced; otherwise the entries are made canonical.
+        """
+        if not integral:
+            rows, integral = _canonical(rows)
+        m = object.__new__(cls)
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        m._integral = integral
+        return m
+
+    @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                         for i in range(n)))
+        return cls._trusted(tuple(tuple(int(i == j) for j in range(n))
+                                  for i in range(n)), n, True)
 
     @classmethod
     def zero(cls, nrows, ncols):
-        return cls(tuple((ZERO,) * ncols for _ in range(nrows)), ncols=ncols)
+        return cls._trusted(((0,) * ncols,) * nrows, ncols, True)
 
     @property
     def is_square(self):
@@ -94,9 +150,9 @@ class Matrix:
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("matrix shapes differ")
-        return Matrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.rows, other.rows)),
-                      ncols=self.ncols)
+        return Matrix._trusted(tuple(tuple(map(add, r1, r2))
+                                     for r1, r2 in zip(self.rows, other.rows)),
+                               self.ncols, self._integral and other._integral)
 
     def __sub__(self, other):
         return self + (-other)
@@ -105,47 +161,44 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c):
-        c = as_fraction(c)
-        return Matrix(tuple(tuple(c * x for x in row) for row in self.rows),
-                      ncols=self.ncols)
+        c = _exact(c)
+        return Matrix._trusted(tuple(tuple(c * x for x in row) for row in self.rows),
+                               self.ncols, self._integral and type(c) is int)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("inner dimensions differ")
-            bt = other.transpose().rows
-            return Matrix(tuple(tuple(sum(a * b for a, b in zip(row, col))
-                                      for col in bt)
-                                for row in self.rows),
-                          ncols=other.ncols)
+            cols = tuple(zip(*other.rows)) if other.rows else ((),) * other.ncols
+            return Matrix._trusted(tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                                         for row in self.rows),
+                                   other.ncols, self._integral and other._integral)
         return self.scale(other)
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def transpose(self):
-        if not self.rows:
-            return Matrix(tuple(() for _ in range(self.ncols)), ncols=0)
-        return Matrix(tuple(zip(*self.rows)), ncols=self.nrows)
+        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
+        return Matrix._trusted(rows, self.nrows, self._integral)
 
     def trace(self):
         if not self.is_square:
             raise ValueError("trace needs a square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
+        return sum(row[i] for i, row in enumerate(self.rows))
 
     def apply(self, vec):
         """Matrix-vector product, returning a tuple."""
         if len(vec) != self.ncols:
             raise ValueError("vector length differs from column count")
-        return tuple(sum((a * b for a, b in zip(row, vec)), ZERO)
-                     for row in self.rows)
+        return tuple(sum(map(mul, row, vec)) for row in self.rows)
 
     def inverse(self):
         """Inverse by Gauss-Jordan elimination; raises on singular input."""
         if not self.is_square:
             raise ValueError("only square matrices can be inverted")
         n = self.nrows
-        aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
+        aug = [list(row) + [int(i == j) for j in range(n)]
                for i, row in enumerate(self.rows)]
         for col in range(n):
             piv = next((r for r in range(col, n) if aug[r][col]), None)
@@ -303,11 +356,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     Row (i, k) and column (j, l) of the result, with the pairs flattened
     row-major, hold a[i][j] * b[k][l].
     """
-    out = []
-    for arow in a.rows:
-        for brow in b.rows:
-            out.append(tuple(x * y for x in arow for y in brow))
-    return Matrix(out, ncols=a.ncols * b.ncols)
+    out = tuple(tuple(x * y for x in arow for y in brow)
+                for arow in a.rows for brow in b.rows)
+    return Matrix._trusted(out, a.ncols * b.ncols, a._integral and b._integral)
 
 
 class Polynomial:
@@ -465,21 +516,28 @@ def format_polynomial(p: Polynomial, var="t"):
 def charpoly(m: Matrix) -> Polynomial:
     """Characteristic polynomial det(tI - m), monic of degree n.
 
-    Computed by the Faddeev-LeVerrier recurrence, which only ever divides
-    by the integers 1..n and so stays exact over the rationals.
+    Computed by Berkowitz's algorithm (1984), which uses ring operations
+    only: an integral matrix never forms a ``Fraction`` on the way, and a
+    rational one stays exact.  Step k borders the leading k x k block A
+    with row r = m[k][:k], column c = m[:k][k] and corner a = m[k][k]; the
+    characteristic polynomial of the bordered block is that of A times
+    the lower triangular Toeplitz matrix whose first column is
+    (1, -a, -r c, -r A c, ..., -r A^(k-1) c).
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
-    n = m.nrows
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    mk = Matrix.identity(n)
-    for k in range(1, n + 1):
-        am = m * mk
-        c = -am.trace() / k
-        coeffs[n - k] = c
-        mk = am + Matrix.identity(n).scale(c)
-    return Polynomial(coeffs)
+    rows = m.rows
+    p = [1]  # leading block's polynomial, leading coefficient first
+    for k in range(m.nrows):
+        block = [row[:k] for row in rows[:k]]
+        r = rows[k][:k]
+        c = [row[k] for row in rows[:k]]
+        t = [1, -rows[k][k]]
+        for _ in range(k):
+            t.append(-sum(map(mul, r, c)))
+            c = [sum(map(mul, row, c)) for row in block]
+        p = [sum(t[i - j] * p[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return Polynomial(reversed(p))
 
 
 def power_traces(m: Matrix, k: int):

@@ -24,7 +24,17 @@ generator checks every element, at |M|^2 |A| lookups instead of |M|^3.
 
 from __future__ import annotations
 
+import json
+
 from .linalg import Matrix
+
+
+def _require_int(v, what):
+    """Raise unless v is a Python int; bool subclasses int, but JSON
+    true/false are not integers."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        shown = json.dumps(v) if isinstance(v, bool) else repr(v)
+        raise ValueError(f"{what} must be an integer, not {shown}")
 
 
 class Monoid:
@@ -46,9 +56,12 @@ class Monoid:
             if len(row) != n:
                 raise ValueError(f"table row {a} has length {len(row)}, expected {n}")
             for b, c in enumerate(row):
-                if not isinstance(c, int) or not 0 <= c < n:
+                if type(c) is not int:
+                    _require_int(c, f"table entry [{a}][{b}]")
+                if not 0 <= c < n:
                     raise ValueError(f"table entry [{a}][{b}] = {c!r} is out of range")
-        if not isinstance(identity, int) or not 0 <= identity < n:
+        _require_int(identity, "identity index")
+        if not 0 <= identity < n:
             raise ValueError(f"identity index {identity!r} is out of range")
         for a in range(n):
             if table[identity][a] != a or table[a][identity] != a:
@@ -195,6 +208,8 @@ def from_transformations(degree, generators) -> Monoid:
     gens = []
     for k, g in enumerate(generators):
         g = tuple(g)
+        for x in g:
+            _require_int(x, f"generator {k} image")
         if len(g) != degree or any(not 1 <= x <= degree for x in g):
             raise ValueError(f"generator {k} is not a self-map of 1..{degree}")
         gens.append(tuple(x - 1 for x in g))

@@ -10,7 +10,13 @@ character values and the number of distinct characteristic polynomials.
 
 A representation is validated against the monoid's generating set:
 rho(1) = I and rho(x) rho(g) = rho(x*g) for every x and every generator
-g, which is |M| |A| matrix products instead of |M|^2.  That is a proof:
+g, which is |M| |A| matrix products instead of |M|^2.  The products are
+exact and, for integral matrices, run in Python ints: the natural,
+regular, trivial and N_t representations and the symmetric powers of
+integral ones are built with int entries, so their validation never
+forms a ``Fraction``.  For N_t the only generating set is every
+non-identity element, so there the check stays all-pairs and its cost is
+that of integer 2 x 2 products.  The check is a proof:
 if b and c pass for every x, so does b*c, because rho(b*c) = rho(b)rho(c)
 and rho(x)rho(b)rho(c) = rho(x*b)rho(c) = rho((x*b)*c) = rho(x*(b*c)) by
 associativity, and every element is a product of generators.
@@ -28,8 +34,6 @@ from math import comb
 from .linalg import (
     Echelon,
     Matrix,
-    ZERO,
-    ONE,
     charpoly,
     complete_homogeneous_sequence,
     kron,
@@ -93,9 +97,9 @@ def natural_representation(m: Monoid) -> Representation:
     degree = len(m.transformations[0]) if m.transformations else 0
     mats = []
     for f in m.transformations:
-        rows = [[ZERO] * degree for _ in range(degree)]
+        rows = [[0] * degree for _ in range(degree)]
         for j, img in enumerate(f):
-            rows[img][j] = ONE
+            rows[img][j] = 1
         mats.append(Matrix(rows))
     return Representation(m, mats, check=True)
 
@@ -118,9 +122,9 @@ def nt_paper_representation(t) -> Representation:
     if t < 2:
         raise ValueError("t must be at least 2")
     m = nt_monoid(t)
-    mats = [Matrix([[ZERO, ZERO], [ZERO, ZERO]]), Matrix.identity(2)]
+    mats = [Matrix.zero(2, 2), Matrix.identity(2)]
     for j in range(2, t + 1):
-        mats.append(Matrix([[ZERO, Fraction(j)], [ZERO, ZERO]]))
+        mats.append(Matrix([[0, j], [0, 0]]))
     return Representation(m, mats, check=True)
 
 
@@ -129,16 +133,16 @@ def regular_representation(m: Monoid) -> Representation:
     n = m.size
     mats = []
     for x in range(n):
-        rows = [[ZERO] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for j in range(n):
-            rows[m.table[x][j]][j] = ONE
+            rows[m.table[x][j]][j] = 1
         mats.append(Matrix(rows))
     return Representation(m, mats, check=False)
 
 
 def trivial_representation(m: Monoid) -> Representation:
     """Every element acting as [[1]] on a one-dimensional space."""
-    one = Matrix([[ONE]])
+    one = Matrix.identity(1)
     return Representation(m, (one,) * m.size, check=False)
 
 
@@ -198,7 +202,7 @@ def direct_sum(rhos, monoid=None) -> Representation:
     dim = sum(r.dim for r in rhos)
     mats = []
     for x in range(base.size):
-        rows = [[ZERO] * dim for _ in range(dim)]
+        rows = [[0] * dim for _ in range(dim)]
         off = 0
         for r in rhos:
             block = r.matrices[x]
@@ -238,7 +242,8 @@ def sym_power(rho: Representation, d) -> Representation:
 
     The column at monomial x^alpha expands prod_j (m . x_j)^(alpha_j) in
     the monomial basis, where m . x_j is the linear form given by column j
-    of the element matrix.  Dimension is C(n+d-1, d).
+    of the element matrix.  Dimension is C(n+d-1, d).  The expansion
+    starts from the integer 1, so an integral input gives int entries.
     """
     if d < 0:
         raise ValueError("symmetric power degree must be nonnegative")
@@ -246,28 +251,28 @@ def sym_power(rho: Representation, d) -> Representation:
     basis = monomial_basis(n, d)
     pos = {mono: k for k, mono in enumerate(basis)}
     dim = len(basis)
-    unit = tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n))
 
     mats = []
     for mat in rho.matrices:
+        forms = [[(i, x) for i, x in enumerate(col) if x]
+                 for col in mat.transpose().rows]
         cols = []
         for alpha in basis:
             # expand the product of column linear forms as a sparse
             # polynomial {exponent tuple: coefficient}
-            acc = {(0,) * n: ONE}
-            for j, a in enumerate(alpha):
-                col = [(i, mat[i][j]) for i in range(n) if mat[i][j]]
+            acc = {(0,) * n: 1}
+            for col, a in zip(forms, alpha):
                 for _ in range(a):
                     nxt = {}
                     for mono, c in acc.items():
                         for i, entry in col:
-                            key = tuple(e + u for e, u in zip(mono, unit[i]))
-                            nxt[key] = nxt.get(key, ZERO) + c * entry
+                            key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                            nxt[key] = nxt.get(key, 0) + c * entry
                     acc = nxt
                 if not acc:
                     break
             cols.append(acc)
-        rows = [[ZERO] * dim for _ in range(dim)]
+        rows = [[0] * dim for _ in range(dim)]
         for k, acc in enumerate(cols):
             for mono, c in acc.items():
                 if c:
@@ -318,7 +323,7 @@ def restrict_to_local(rho: Representation, e) -> Representation:
     mats = []
     for x in members:
         mx = rho.matrices[x]
-        rows = [[ZERO] * k for _ in range(k)]
+        rows = [[0] * k for _ in range(k)]
         for j, b in enumerate(basis):
             w = mx.apply(b)
             # basis is in RREF, so coordinates are read off pivot columns
@@ -341,8 +346,8 @@ def character_kernel(rho: Representation):
     over a characteristic-zero field; a mismatch means the arithmetic
     itself is broken, so it raises rather than returning.
     """
-    dim = Fraction(rho.dim)
-    by_trace = tuple(x for x, mat in enumerate(rho.matrices) if mat.trace() == dim)
+    by_trace = tuple(x for x, mat in enumerate(rho.matrices)
+                     if mat.trace() == rho.dim)
     ident = Matrix.identity(rho.dim)
     by_matrix = tuple(x for x, mat in enumerate(rho.matrices) if mat == ident)
     if by_trace != by_matrix:

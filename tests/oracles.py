@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from scratch against the package
 under test: plain Gaussian elimination instead of the incremental echelon,
-Laplace expansion instead of Faddeev-LeVerrier, brute-force enumeration
-instead of Newton's identities, set-based closure instead of indexed BFS,
-every triple and every pair instead of a generating set.
+Laplace expansion and the Faddeev-LeVerrier recurrence instead of
+Berkowitz, nested lists of ``Fraction`` instead of ``Matrix``, brute-force
+enumeration instead of Newton's identities, set-based closure instead of
+indexed BFS, every triple and every pair instead of a generating set.
 """
 
 from fractions import Fraction
@@ -102,6 +103,24 @@ def charpoly_laplace(mat):
         return total
 
     return det(tuple(range(n)), tuple(range(n)))
+
+
+def charpoly_faddeev(mat):
+    """det(tI - mat) by the Faddeev-LeVerrier recurrence, as an ascending
+    coefficient list.
+
+    With M_0 = I, the coefficient of t^(n-k) is c = -tr(mat M_{k-1}) / k
+    and M_k = mat M_{k-1} + c I; it divides only by the integers 1..n.
+    """
+    n = len(mat)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = identity(n)
+    for k in range(1, n + 1):
+        am = matmul(mat, mk)
+        c = -trace(am) / k
+        coeffs[n - k] = c
+        mk = mat_add(am, [[c * x for x in row] for row in identity(n)])
+    return coeffs
 
 
 def h_complete_brute(values, d):
@@ -205,19 +224,41 @@ def is_associative(table):
                for x, y, z in product(range(n), repeat=3))
 
 
-def matmul(a, b):
-    """Product of square matrices given as nested lists."""
-    n = len(a)
-    return [[sum((Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(n)), Fraction(0))
-             for j in range(n)] for i in range(n)]
+def matmul(a, b, ncols=None):
+    """Product of matrices given as nested lists; ``ncols`` is the column
+    count of b, needed only when b has no rows."""
+    ncols = len(b[0]) if b else ncols
+    return [[sum((Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(len(b))),
+                 Fraction(0))
+             for j in range(ncols)] for i in range(len(a))]
+
+
+def mat_add(a, b):
+    return [[Fraction(x) + Fraction(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def transpose(a, ncols):
+    return [[Fraction(a[i][j]) for i in range(len(a))] for j in range(ncols)]
+
+
+def trace(a):
+    return sum((Fraction(a[i][i]) for i in range(len(a))), Fraction(0))
+
+
+def mat_vec(a, v):
+    return [sum((Fraction(x) * Fraction(y) for x, y in zip(row, v)), Fraction(0))
+            for row in a]
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def is_homomorphism(monoid, mats):
     """Whether mats (nested lists, one per element) send the identity to I
     and every product x*y to the product of the matrices."""
     n, dim = monoid.size, len(mats[monoid.identity])
-    ident = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    if [[Fraction(x) for x in row] for row in mats[monoid.identity]] != ident:
+    if [[Fraction(x) for x in row] for row in mats[monoid.identity]] != identity(dim):
         return False
     return all(matmul(mats[x], mats[y]) == [[Fraction(v) for v in row]
                                             for row in mats[monoid.table[x][y]]]

@@ -98,6 +98,11 @@ BOOLEAN_INPUTS = {
             "field 'dim' must be an integer, not true"),
     "matrix-entry": (N1, {"dim": 1, "matrices": {"0": [[False]], "1": [["1"]]}},
                      "bad rational false: a boolean is not a number"),
+    "cayley-entry": ({"type": "cayley", "identity": 0, "table": [[0, True], [True, 0]]},
+                     None, "table entry [0][1] must be an integer, not true"),
+    "transformation-image": ({"type": "transformations", "degree": 2,
+                              "generators": [[2, True]]},
+                             None, "generator 0 image must be an integer, not true"),
 }
 
 

@@ -13,6 +13,13 @@ the minimal covering and faithful power scans on the same corpus.  A
 conjugate has the same annihilator as its original, so its every chain
 step, verdict, ``minimal_k`` and witness must equal the original's.
 
+A third, seeded corpus of random square matrices whose entries mix ints,
+non-integral ``Fraction``s, "p/q" strings and integers in ``Fraction``
+or string form checks ``Matrix`` products, sums, traces, ``apply`` and
+transposes against plain ``Fraction`` lists, Berkowitz's characteristic
+polynomial against Faddeev-LeVerrier's, and that every result holds
+canonical entries (an int exactly where the value is an integer).
+
 A second corpus checks the validators, which test only against a
 generating set (Light's test), against the exhaustive oracles: every
 ``Monoid.generators`` generates M, single-entry corruptions of a valid
@@ -38,7 +45,7 @@ from monoidrep.algebra import (
     verify_symmetric_theorem,
     verify_tensor_theorem,
 )
-from monoidrep.linalg import Matrix
+from monoidrep.linalg import Matrix, Polynomial, charpoly
 from monoidrep.monoids import (
     Monoid,
     MonoidMorphism,
@@ -49,7 +56,9 @@ from monoidrep.monoids import (
 )
 from monoidrep.representations import (
     build_representation,
+    character,
     direct_sum,
+    distinct_charpolys,
     matrix_representation,
     natural_representation,
     nt_paper_representation,
@@ -58,13 +67,18 @@ from monoidrep.representations import (
 )
 
 from oracles import (
+    charpoly_faddeev,
     gauss_nullity,
     gauss_rank,
     generated,
     in_radical,
     is_associative,
     is_homomorphism,
+    mat_add,
+    mat_vec,
     matmul,
+    trace,
+    transpose,
 )
 
 SEED = 7632
@@ -217,6 +231,123 @@ def test_rational_conjugate_matches_original(name):
     for verify in VERIFIERS.values():
         assert verify(rho) == verify(orig)
         assert verify(rho, radical=zero) == verify(orig, radical=zero)
+
+
+@pytest.mark.parametrize("name", CONJUGATES)
+def test_rational_conjugate_sym_powers_match_original(name):
+    """P rho P^-1 and rho have the same symmetric powers up to a change of
+    basis, hence the same characters and characteristic polynomials."""
+    rho, orig = CORPUS[name], CORPUS[name.removeprefix("conjugate-")]
+    assert distinct_charpolys(rho) == distinct_charpolys(orig)
+    for d in range(KMAX + 1):
+        assert character(sym_power(rho, d)) == character(sym_power(orig, d))
+
+
+# --- exact matrices against plain Fraction lists ---------------------------------
+
+MATRIX_SEED = 1984
+
+
+def _random_entry(rng, integral):
+    p, q = rng.randint(-9, 9), rng.randint(2, 5)
+    kinds = [p, Fraction(p * q, q), f"{p * q}/{q}", str(p)]
+    if not integral:
+        kinds += [Fraction(p, q), f"{p}/{q}"]
+    return rng.choice(kinds)
+
+
+def _matrix_corpus():
+    """(entries, Matrix) pairs: for each size 0..4, integral ones (whose
+    entries may still be Fractions or strings) and rational ones."""
+    rng = random.Random(MATRIX_SEED)
+    out = []
+    for n in range(5):
+        for i in range(8):
+            rows = [[_random_entry(rng, integral=i % 2 == 0) for _ in range(n)]
+                    for _ in range(n)]
+            out.append((rows, Matrix(rows, ncols=n)))
+    return out
+
+
+MATRICES = _matrix_corpus()
+
+
+def _is_canonical(mat):
+    return all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+               for row in mat.rows for x in row)
+
+
+def _as_lists(mat):
+    return [list(row) for row in mat.rows]
+
+
+def test_matrix_arithmetic_matches_fraction_oracle():
+    rng = random.Random(MATRIX_SEED + 1)
+    by_size = {}
+    for rows, a in MATRICES:
+        by_size.setdefault(a.nrows, []).append((rows, a))
+    for n, group in by_size.items():
+        for rows, a in group:
+            assert _is_canonical(a)
+            assert _as_lists(a) == [[Fraction(x) for x in row] for row in rows]
+            assert a.transpose() == Matrix(transpose(rows, n), ncols=n)
+            assert _is_canonical(a.transpose())
+            assert a.trace() == trace(rows)
+            v = [_random_entry(rng, integral=False) for _ in range(n)]
+            assert list(a.apply([Fraction(x) for x in v])) == mat_vec(rows, v)
+            c = _random_entry(rng, integral=False)
+            scaled = a.scale(c)
+            assert _is_canonical(scaled)
+            assert _as_lists(scaled) == [[Fraction(c) * Fraction(x) for x in row]
+                                         for row in rows]
+            for other_rows, b in group:
+                for result, expected in ((a * b, matmul(rows, other_rows, n)),
+                                         (a + b, mat_add(rows, other_rows))):
+                    assert _is_canonical(result)
+                    assert _as_lists(result) == expected
+                    assert result.nrows == result.ncols == n
+
+
+def test_integral_matrices_multiply_in_ints():
+    """An all-integer product never forms a Fraction, whatever form its
+    integral operands were given in."""
+    integral = [a for _, a in MATRICES if all(type(x) is int for row in a for x in row)]
+    assert len(integral) >= 20
+    for a in integral:
+        for b in integral:
+            if a.nrows == b.nrows:
+                prod = a * b
+                assert all(type(x) is int for row in prod for x in row)
+
+
+def test_berkowitz_matches_faddeev_leverrier():
+    for rows, a in MATRICES:
+        p = charpoly(a)
+        assert p == Polynomial(charpoly_faddeev(rows))
+        assert p.degree == a.nrows and p[a.nrows] == 1
+        if all(type(x) is int for row in a for x in row):
+            assert all(c.denominator == 1 for c in p.coeffs)
+
+
+def test_matrix_equality_and_hash_across_forms():
+    assert Matrix([[2]]) == Matrix([["4/2"]]) == Matrix([[Fraction(4, 2)]])
+    assert hash(Matrix([[2]])) == hash(Matrix([["4/2"]]))
+    assert type(Matrix([[Fraction(4, 2)]])[0][0]) is int
+    # a product of non-integral matrices with an integral result
+    half = Matrix([["1/2", 0], [0, "3/2"]])
+    double = Matrix([[4, 0], [0, "2/3"]])
+    assert half * double == Matrix([[2, 0], [0, 1]])
+    assert hash(half * double) == hash(Matrix.identity(2) + Matrix([[1, 0], [0, 0]]))
+    assert all(type(x) is int for row in half * double for x in row)
+    for rows, a in MATRICES:
+        as_fractions = Matrix([[Fraction(x) for x in row] for row in rows], ncols=a.ncols)
+        as_strings = Matrix([[str(Fraction(x)) for x in row] for row in rows],
+                            ncols=a.ncols)
+        assert a == as_fractions == as_strings
+        assert hash(a) == hash(as_fractions) == hash(as_strings)
+        assert a.rows == as_strings.rows
+        assert [list(map(type, r)) for r in a.rows] == [list(map(type, r))
+                                                        for r in as_fractions.rows]
 
 
 # --- validators against a generating set ---------------------------------------

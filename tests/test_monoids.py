@@ -110,6 +110,18 @@ def test_bad_generator_rejected():
         from_transformations(2, [(3, 1)])
 
 
+@pytest.mark.parametrize("image, shown", [(True, "true"), ("1", "'1'"), (1.0, "1.0")])
+def test_non_integer_image_rejected(image, shown):
+    with pytest.raises(ValueError, match=f"generator 1 image must be an integer, not {shown}"):
+        from_transformations(2, [(1, 2), (2, image)])
+
+
+@pytest.mark.parametrize("entry, shown", [(True, "true"), (1.0, "1.0")])
+def test_non_integer_table_entry_rejected(entry, shown):
+    with pytest.raises(ValueError, match=fr"table entry \[1\]\[0\] must be an integer, not {shown}"):
+        Monoid([[0, 1], [entry, 0]], 0)
+
+
 # --- matrix closures -----------------------------------------------------------
 
 def test_matrix_closure_swap():

@@ -1,11 +1,15 @@
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from monoidrep.linalg import Matrix, Polynomial
+from monoidrep import linalg
+from monoidrep.fileio import load_monoid
+from monoidrep.linalg import Matrix, Polynomial, charpoly
 from monoidrep.monoids import from_cayley_table, idempotents, local_monoid, nt_monoid
 from monoidrep.representations import (
+    Representation,
     build_representation,
     character,
     character_kernel,
@@ -14,6 +18,7 @@ from monoidrep.representations import (
     distinct_charpolys,
     is_faithful,
     monomial_basis,
+    natural_representation,
     nt_paper_representation,
     regular_representation,
     restrict_to_local,
@@ -310,3 +315,72 @@ def test_regular_representation_character():
     m = nt_monoid(2)
     reg = regular_representation(m)
     assert character(reg) == (F(1), F(3), F(1))
+
+
+# --- integral data stays in ints ------------------------------------------------
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def _ints(mat):
+    return all(type(x) is int for row in mat.rows for x in row)
+
+
+# T_3's and the 128-element submonoid of T_4's natural representations, N_7's
+INTEGRAL_REPRESENTATIONS = {
+    "t3": lambda: natural_representation(load_monoid(str(GOLDEN_INPUTS / "t3.json"))),
+    "m128": lambda: natural_representation(load_monoid(str(GOLDEN_INPUTS / "m128.json"))),
+    "n7": lambda: nt_paper_representation(7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_REPRESENTATIONS))
+def test_integral_representations_never_form_a_fraction(name, monkeypatch):
+    """Every matrix of an integral representation, of its symmetric powers
+    up to degree 3, of every product validation makes, and every
+    characteristic polynomial coefficient before ``Polynomial`` coerces
+    it, is a plain int; and no non-int value ever reaches the matrix
+    constructor's normalisation, so none was formed on the way."""
+    products, coerced = [], []
+    mul, exact = Matrix.__mul__, linalg._exact
+
+    def recording_mul(a, b):
+        out = mul(a, b)
+        products.append(out)
+        return out
+
+    def recording_exact(x):
+        coerced.append(type(x))
+        return exact(x)
+
+    monkeypatch.setattr(Matrix, "__mul__", recording_mul)
+    monkeypatch.setattr(linalg, "_exact", recording_exact)
+    rho = INTEGRAL_REPRESENTATIONS[name]()
+    assert products  # built with check=True, so validation multiplied
+    assert all(_ints(m) for m in rho.matrices)
+    assert all(_ints(m) for m in products)
+    assert _ints(Matrix.identity(rho.dim)) and _ints(Matrix.zero(2, 3))
+    del products[:]
+    rho.validate()
+    assert len(products) == rho.monoid.size * len(rho.monoid.generators)
+    assert all(_ints(m) for m in products)
+    for d in range(4):
+        power = sym_power(rho, d)
+        assert all(_ints(m) for m in power.matrices)
+        Representation(rho.monoid, power.matrices, check=True)
+    a, b = rho.matrices[-1], rho.matrices[-2]
+    assert all(_ints(m) for m in (a * b, a + b, a - b, a.transpose(), a.scale(3)))
+    assert type(a.trace()) is int and all(type(x) is int for x in a.apply([1] * a.ncols))
+    assert set(coerced) <= {int}
+
+    coefficients = []
+
+    def recording_polynomial(coeffs):
+        coefficients.append(list(coeffs))
+        return Polynomial(coefficients[-1])
+
+    monkeypatch.setattr(linalg, "Polynomial", recording_polynomial)
+    for m in rho.matrices:
+        assert charpoly(m).degree == rho.dim
+    assert len(coefficients) == rho.monoid.size
+    assert all(type(c) is int for cs in coefficients for c in cs)
