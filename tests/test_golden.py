@@ -73,6 +73,22 @@ CASES = {
     "scan-nt-symmetric-cap3-json": (["scan-nt", "--from", "2", "--to", "9",
                                      "--mode", "symmetric", "--cap", "3",
                                      "--json"], 0),
+    # the cap is below the symmetric bound 3; min_faithful still reads up to 3
+    "scan-nt-symmetric-cap1": (["scan-nt", "--from", "2", "--to", "9",
+                                "--mode", "symmetric", "--cap", "1"], 0),
+    "scan-nt-symmetric-cap1-json": (["scan-nt", "--from", "2", "--to", "9",
+                                     "--mode", "symmetric", "--cap", "1",
+                                     "--json"], 0),
+    # t = 13 gives min_faithful 12 and t >= 14 gives none, as in the benchmark
+    "scan-nt-tensor-cap12-deep": (["scan-nt", "--from", "12", "--to", "15",
+                                   "--cap", "12"], 0),
+    "scan-nt-tensor-cap12-deep-json": (["scan-nt", "--from", "12", "--to", "15",
+                                        "--cap", "12", "--json"], 0),
+    "scan-nt-symmetric-cap12-deep": (["scan-nt", "--from", "12", "--to", "15",
+                                      "--mode", "symmetric", "--cap", "12"], 0),
+    "scan-nt-symmetric-cap12-deep-json": (["scan-nt", "--from", "12", "--to", "15",
+                                           "--mode", "symmetric", "--cap", "12",
+                                           "--json"], 0),
     "molien-t3": (["molien", *T3, "--idempotent", "[1,2,3]",
                    "--weights", MOLIEN_WEIGHTS, "-N", "12"], 0),
     "molien-t3-n0": (["molien", *T3, "--idempotent", "[1,2,3]",
