@@ -34,11 +34,16 @@ where r counts distinct character values), the symmetric-power bound
 polynomials), the positive-power refinement for monoids without zero,
 and the coarse |M|-power bound.  Each works out its bound and hands a
 coefficient-span chain to one body, which walks it once: the first
-covering step is ``minimal_k``, the last gives verdict and witness.  No
-direct sum or Kronecker power is built: the span E_k of the k-th tensor
-power's coefficient functions consists of the k-fold entrywise products
-of V's, and the accumulated span F_k = E_0 + ... + E_k never grows past
-dimension |M|.
+covering step is ``minimal_k``, the step at the bound gives verdict and
+witness, and the first step with Ann = 0 is ``min_faithful``.  A
+``scan-nt`` row is one such walk, carried on past the bound to the
+faithfulness cap.  No direct sum or Kronecker power is built: the span
+E_k of the k-th tensor power's coefficient functions consists of the
+k-fold entrywise products of V's, and the accumulated span
+F_k = E_0 + ... + E_k never grows past dimension |M|.  No symmetric
+power matrix is built either: each degree's sparse columns come from the
+degree below, and their entries are scattered straight into coefficient
+rows.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .representations import (
     distinct_character_values,
     distinct_charpolys,
     is_faithful,
-    sym_power,
+    symmetric_columns,
 )
 
 # Exact Gram matrices cost O(|M|^3); beyond a few hundred elements this
@@ -212,6 +217,7 @@ class VerificationReport:
     dim_ann: int
     witness: tuple | None
     minimal_k: int | None = None
+    min_faithful: int | None = None
 
     def to_json_dict(self):
         return {
@@ -236,50 +242,65 @@ def _require_faithful(rho):
             f"{labels[b]!r} have the same matrix")
 
 
-def _check(theorem, rho, chain, radical, powers_cap, r, s, bound, first=0):
-    """Report whether the annihilator at the last step ``bound`` of
-    ``chain`` (steps ``first``..``bound``) lies in the radical, with the
-    first covering step of the same walk as ``minimal_k``."""
+def _check(theorem, rho, chain, radical, powers_cap, r, s, bound, first=0,
+           faithful_cap=None):
+    """Report whether the annihilator at step ``bound`` of ``chain(kmax)``
+    (steps ``first``..``kmax``) lies in the radical.  The same walk gives
+    the first covering step up to ``bound`` as ``minimal_k`` and the first
+    step with Ann = 0 as ``min_faithful``; with ``faithful_cap`` it goes
+    on past ``bound`` up to that step until Ann = 0 is reached."""
     if powers_cap is not None and bound > powers_cap:
         raise ValueError(f"{theorem} bound {bound} exceeds the cap {powers_cap}")
     rad = radical_basis(rho.monoid) if radical is None else radical
-    minimal_k = None
-    for k, ann in chain:
-        if minimal_k is None and ann <= rad:
+    minimal_k = min_faithful = None
+    for k, ann in chain(max(bound, faithful_cap or 0)):
+        if minimal_k is None and k <= bound and ann <= rad:
             minimal_k = k
-    holds, witness = subspace_leq(ann, rad)
+        if min_faithful is None and ann.dim == 0:
+            min_faithful = k
+        if k == bound:
+            at_bound = ann
+        if k >= bound and (faithful_cap is None or min_faithful is not None):
+            break
+    holds, witness = subspace_leq(at_bound, rad)
     return VerificationReport(theorem, holds, r, s, bound,
                               tuple(range(first, bound + 1)),
-                              rad.dim, ann.dim, witness, minimal_k)
+                              rad.dim, at_bound.dim, witness, minimal_k,
+                              min_faithful)
 
 
 def verify_tensor_theorem(rho: Representation, powers_cap=None,
-                          radical: Subspace | None = None) -> VerificationReport:
+                          radical: Subspace | None = None,
+                          faithful_cap=None) -> VerificationReport:
     """Check that tensor powers 0..r-1 already reach every simple module.
 
     r is the number of distinct character values of the (faithful) input.
     A False result would contradict the theorem and therefore signals an
     implementation bug; the report carries the witness for auditing.
     ``radical`` overrides the computed radical (negative-path testing).
+    With ``faithful_cap`` the walk also finds the least faithful power up
+    to ``max(bound, faithful_cap)``, as ``minimal_faithful_power`` would.
     """
     _require_faithful(rho)
     r = len(distinct_character_values(rho))
-    return _check("tensor", rho, tensor_annihilator_chain(rho, r - 1),
-                  radical, powers_cap, r, None, r - 1)
+    return _check("tensor", rho, lambda k: tensor_annihilator_chain(rho, k),
+                  radical, powers_cap, r, None, r - 1, faithful_cap=faithful_cap)
 
 
 def verify_symmetric_theorem(rho: Representation, powers_cap=None,
-                             radical: Subspace | None = None) -> VerificationReport:
+                             radical: Subspace | None = None,
+                             faithful_cap=None) -> VerificationReport:
     """Check that symmetric powers 0..dim*s-1 reach every simple module.
 
     s is the number of distinct characteristic polynomials of the element
-    matrices of the (faithful) input.
+    matrices of the (faithful) input.  ``faithful_cap`` is as for
+    ``verify_tensor_theorem``.
     """
     _require_faithful(rho)
     s = len(distinct_charpolys(rho))
-    bound = rho.dim * s - 1
-    return _check("symmetric", rho, symmetric_annihilator_chain(rho, bound),
-                  radical, powers_cap, None, s, bound)
+    return _check("symmetric", rho, lambda k: symmetric_annihilator_chain(rho, k),
+                  radical, powers_cap, None, s, rho.dim * s - 1,
+                  faithful_cap=faithful_cap)
 
 
 def verify_positive_power_refinement(rho: Representation, powers_cap=None,
@@ -297,7 +318,7 @@ def verify_positive_power_refinement(rho: Representation, powers_cap=None,
             "positive-power refinement does not apply")
     r = len(distinct_character_values(rho))
     return _check("positive-refinement", rho,
-                  tensor_annihilator_chain(rho, r, first=1),
+                  lambda k: tensor_annihilator_chain(rho, k, first=1),
                   radical, powers_cap, r, None, r, first=1)
 
 
@@ -348,15 +369,28 @@ def tensor_annihilator_chain(rho: Representation, kmax, first=0):
 def symmetric_annihilator_chain(rho: Representation, kmax):
     """Yield (d, Ann(S^0 + ... + S^d)) for d = 0..kmax.
 
-    Symmetric-power dimensions grow polynomially, so each degree is built
-    explicitly and its entry rows are folded into one accumulated
-    constraint space.
+    Each degree is built from the one before (``symmetric_columns``); the
+    entries of its sparse columns are scattered straight into the
+    coefficient rows x -> S^d(x)[p][q], and each distinct row is folded
+    once into one accumulated constraint space.  Once the kernel is zero
+    it stays zero, so no further degree is built.
     """
     n = rho.monoid.size
     acc = Echelon(n)
+    degrees = symmetric_columns(rho)
     for d in range(kmax + 1):
-        if acc.rank < n:  # once the kernel is zero it stays zero
-            for row in _entry_rows(sym_power(rho, d)):
+        if acc.rank < n:
+            rows = {}
+            for x, cols in enumerate(next(degrees)):
+                for q, col in enumerate(cols):
+                    for p, c in col.items():
+                        row = rows.get((p, q))
+                        if row is None:
+                            row = rows[p, q] = [0] * n
+                        row[x] = c
+            for row in dict.fromkeys(map(tuple, rows.values())):
+                if acc.rank == n:
+                    break
                 acc.insert(row)
         yield d, Subspace.kernel(acc)
 
@@ -418,5 +452,5 @@ def verify_steinberg_bound(rho: Representation,
     """
     _require_faithful(rho)
     n = rho.monoid.size
-    return _check("steinberg", rho, tensor_annihilator_chain(rho, n - 1),
+    return _check("steinberg", rho, lambda k: tensor_annihilator_chain(rho, k),
                   radical, None, None, None, n - 1)

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .algebra import (
     Subspace,
-    minimal_faithful_power,
     radical_basis,
     verify_positive_power_refinement,
     verify_steinberg_bound,
@@ -169,7 +168,7 @@ def _scan_row(t, mode, cap):
     m = rho.monoid
     verify = {"tensor": verify_tensor_theorem,
               "symmetric": verify_symmetric_theorem}[mode]
-    rep = verify(rho, radical=radical_basis(m))
+    rep = verify(rho, radical=radical_basis(m), faithful_cap=cap)
     bound = rep.bound
     if mode == "tensor":
         w_dim = sum(rho.dim ** i for i in range(bound + 1))
@@ -185,7 +184,7 @@ def _scan_row(t, mode, cap):
         "dim_ann": rep.dim_ann,
         "holds": rep.holds,
         "min_covering": rep.minimal_k,
-        "min_faithful": minimal_faithful_power(rho, mode, max(bound, cap)),
+        "min_faithful": rep.min_faithful,
         "note": "",
     }
     if w_dim * w_dim < m.size:

@@ -37,6 +37,14 @@ def _require_int(v, what):
         raise ValueError(f"{what} must be an integer, not {shown}")
 
 
+def _require_sequence(v, what):
+    """``v`` as a tuple; raise if it is not a sequence (a JSON array)."""
+    try:
+        return tuple(v)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, not {v!r}") from None
+
+
 class Monoid:
     """A finite monoid: multiplication table, identity index, labels.
 
@@ -48,7 +56,8 @@ class Monoid:
 
     def __init__(self, table, identity, labels=None,
                  transformations=None, matrix_elements=None):
-        table = tuple(tuple(row) for row in table)
+        table = tuple(_require_sequence(row, f"table row {a}")
+                      for a, row in enumerate(table))
         n = len(table)
         if n == 0:
             raise ValueError("a monoid needs at least the identity element")
@@ -207,7 +216,7 @@ def from_transformations(degree, generators) -> Monoid:
         raise ValueError("degree must be at least 1")
     gens = []
     for k, g in enumerate(generators):
-        g = tuple(g)
+        g = _require_sequence(g, f"generator {k}")
         for x in g:
             _require_int(x, f"generator {k} image")
         if len(g) != degree or any(not 1 <= x <= degree for x in g):

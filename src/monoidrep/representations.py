@@ -29,6 +29,7 @@ test suite does exactly that.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
 from math import comb
 
 from .linalg import (
@@ -237,46 +238,71 @@ def monomial_basis(n, d):
     return out
 
 
+def symmetric_columns(rho: Representation):
+    """Yield the symmetric powers of every element matrix, degree by degree.
+
+    Item d (d = 0, 1, 2, ...) holds one entry per monoid element: the
+    columns of its degree-d symmetric power, in ``monomial_basis(dim, d)``
+    order, each a dict from row position to coefficient.  Column
+    x^alpha is the expansion of prod_j (m . x_j)^(alpha_j) in the monomial
+    basis, where m . x_j is the linear form given by column j of the
+    element matrix.  Degree d+1 is built from degree d: column alpha is
+    column alpha - e_j times the form of column j, for the first j with
+    alpha_j > 0, so each monomial costs one product with a linear form.
+    The expansion starts from the integer 1, so integral input stays in
+    ints.  The generator is lazy: a degree is built only when asked for.
+    """
+    n = rho.dim
+    forms = [[[(i, x) for i, x in enumerate(col) if x] for col in mat.transpose().rows]
+             for mat in rho.matrices]
+    basis = monomial_basis(n, 0)
+    cols = [[{0: 1}] for _ in rho.matrices]
+    for d in count(1):
+        yield cols
+        nxt = monomial_basis(n, d)
+        pos = {mono: k for k, mono in enumerate(nxt)}
+        # up[k][i]: position of basis[k] * x_i among the next degree's monomials
+        up = [[pos[mono[:i] + (mono[i] + 1,) + mono[i + 1:]] for i in range(n)]
+              for mono in basis]
+        prev = {mono: k for k, mono in enumerate(basis)}
+        steps = []
+        for mono in nxt:
+            j = next(i for i, a in enumerate(mono) if a)
+            steps.append((j, prev[mono[:j] + (mono[j] - 1,) + mono[j + 1:]]))
+        cols = [[_times_form(col[k], form[j], up) if col[k] and form[j] else {}
+                 for j, k in steps]
+                for form, col in zip(forms, cols)]
+        basis = nxt
+
+
+def _times_form(poly, form, up):
+    """The sparse polynomial ``poly`` times a linear form, both given by
+    positions in their monomial bases."""
+    out = {}
+    for k, c in poly.items():
+        row = up[k]
+        for i, x in form:
+            key = row[i]
+            out[key] = out.get(key, 0) + c * x
+    return out
+
+
 def sym_power(rho: Representation, d) -> Representation:
     """Degree-d symmetric power on the monomial basis.
 
-    The column at monomial x^alpha expands prod_j (m . x_j)^(alpha_j) in
-    the monomial basis, where m . x_j is the linear form given by column j
-    of the element matrix.  Dimension is C(n+d-1, d).  The expansion
-    starts from the integer 1, so an integral input gives int entries.
+    Dimension is C(n+d-1, d).  The columns come from
+    ``symmetric_columns``, which builds each degree from the one before;
+    an integral input gives int entries.
     """
     if d < 0:
         raise ValueError("symmetric power degree must be nonnegative")
-    n = rho.dim
-    basis = monomial_basis(n, d)
-    pos = {mono: k for k, mono in enumerate(basis)}
-    dim = len(basis)
-
+    dim = sym_power_dim(rho.dim, d)
     mats = []
-    for mat in rho.matrices:
-        forms = [[(i, x) for i, x in enumerate(col) if x]
-                 for col in mat.transpose().rows]
-        cols = []
-        for alpha in basis:
-            # expand the product of column linear forms as a sparse
-            # polynomial {exponent tuple: coefficient}
-            acc = {(0,) * n: 1}
-            for col, a in zip(forms, alpha):
-                for _ in range(a):
-                    nxt = {}
-                    for mono, c in acc.items():
-                        for i, entry in col:
-                            key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-                            nxt[key] = nxt.get(key, 0) + c * entry
-                    acc = nxt
-                if not acc:
-                    break
-            cols.append(acc)
+    for cols in next(islice(symmetric_columns(rho), d, None)):
         rows = [[0] * dim for _ in range(dim)]
-        for k, acc in enumerate(cols):
-            for mono, c in acc.items():
-                if c:
-                    rows[pos[mono]][k] = c
+        for k, col in enumerate(cols):
+            for p, c in col.items():
+                rows[p][k] = c
         mats.append(Matrix(rows, ncols=dim))
     return Representation(rho.monoid, mats, check=False)
 

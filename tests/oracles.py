@@ -5,11 +5,16 @@ under test: plain Gaussian elimination instead of the incremental echelon,
 Laplace expansion and the Faddeev-LeVerrier recurrence instead of
 Berkowitz, nested lists of ``Fraction`` instead of ``Matrix``, brute-force
 enumeration instead of Newton's identities, set-based closure instead of
-indexed BFS, every triple and every pair instead of a generating set.
+indexed BFS, every triple and every pair instead of a generating set, and
+each symmetric power expanded from scratch instead of from the degree
+below.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+
+from monoidrep.linalg import Matrix
+from monoidrep.representations import Representation
 
 
 def gauss_rank(rows):
@@ -263,3 +268,38 @@ def is_homomorphism(monoid, mats):
     return all(matmul(mats[x], mats[y]) == [[Fraction(v) for v in row]
                                             for row in mats[monoid.table[x][y]]]
                for x in range(n) for y in range(n))
+
+
+def sym_power_direct(rho, d):
+    """Degree-d symmetric power, every column expanded from scratch.
+
+    The basis is every exponent tuple of length dim summing to d, in
+    descending lex order.  The column at x^alpha expands
+    prod_j (m . x_j)^(alpha_j), where m . x_j is the linear form given by
+    column j of the element matrix, one linear factor at a time as a
+    sparse polynomial {exponent tuple: coefficient}.
+    """
+    n = rho.dim
+    basis = sorted((a for a in product(range(d + 1), repeat=n) if sum(a) == d),
+                   reverse=True)
+    pos = {mono: k for k, mono in enumerate(basis)}
+    dim = len(basis)
+    mats = []
+    for mat in rho.matrices:
+        forms = [[(i, mat[i][j]) for i in range(n) if mat[i][j]] for j in range(n)]
+        rows = [[0] * dim for _ in range(dim)]
+        for k, alpha in enumerate(basis):
+            acc = {(0,) * n: 1}
+            for form, a in zip(forms, alpha):
+                for _ in range(a):
+                    nxt = {}
+                    for mono, c in acc.items():
+                        for i, entry in form:
+                            key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                            nxt[key] = nxt.get(key, 0) + c * entry
+                    acc = nxt
+            for mono, c in acc.items():
+                if c:
+                    rows[pos[mono]][k] = c
+        mats.append(Matrix(rows, ncols=dim))
+    return Representation(rho.monoid, mats, check=False)

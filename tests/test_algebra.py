@@ -32,7 +32,7 @@ from monoidrep.representations import (
     trivial_representation,
 )
 
-from oracles import convolve, left_regular_matrix
+from oracles import convolve, left_regular_matrix, sym_power_direct
 
 F = Fraction
 
@@ -373,7 +373,7 @@ def test_symmetric_chain_matches_explicit_annihilators(corpus):
         rho = corpus[name]
         chain = dict(symmetric_annihilator_chain(rho, 3))
         for k in range(4):
-            w = direct_sum([sym_power(rho, d) for d in range(k + 1)],
+            w = direct_sum([sym_power_direct(rho, d) for d in range(k + 1)],
                            monoid=rho.monoid)
             assert chain[k] == annihilator_basis(w)
 

@@ -3,9 +3,20 @@ import json
 import pytest
 
 import monoidrep.cli as cli
-from monoidrep.algebra import Subspace
+from monoidrep.algebra import (
+    Subspace,
+    minimal_faithful_power,
+    radical_basis,
+    verify_symmetric_theorem,
+    verify_tensor_theorem,
+)
 from monoidrep.cli import main, parse_weights
 from monoidrep.monoids import from_transformations
+from monoidrep.representations import (
+    distinct_character_values,
+    distinct_charpolys,
+    nt_paper_representation,
+)
 
 from conftest import T3_GENERATORS
 
@@ -104,6 +115,23 @@ BOOLEAN_INPUTS = {
                               "generators": [[2, True]]},
                              None, "generator 0 image must be an integer, not true"),
 }
+
+
+# a transformation generator or a Cayley table row that is not an array
+MALFORMED_SHAPES = {
+    "generator": ({"type": "transformations", "degree": 2, "generators": [2]},
+                  "generator 0 must be a sequence, not 2"),
+    "table-row": ({"type": "cayley", "identity": 0, "table": [[0, 1], 5]},
+                  "table row 1 must be a sequence, not 5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SHAPES))
+def test_info_malformed_shape_exit_two(tmp_path, capsys, name):
+    spec, message = MALFORMED_SHAPES[name]
+    code, out, err = run(capsys, ["info", write(tmp_path, "m.json", spec)])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", sorted(BOOLEAN_INPUTS))
@@ -235,6 +263,36 @@ def test_scan_nt_failed_check_has_no_min_covering(monkeypatch, capsys):
     row = json.loads(out)["rows"][0]
     assert row["holds"] is False and row["bound"] == 1
     assert row["min_covering"] is None and row["min_faithful"] == 4
+
+
+def _two_walk_row(t, mode, cap):
+    """A scan-nt row as two walks of the chain: the verifier's to the
+    bound, then the faithfulness scan's from 0 to max(bound, cap)."""
+    rho = nt_paper_representation(t)
+    verify = {"tensor": verify_tensor_theorem, "symmetric": verify_symmetric_theorem}[mode]
+    rep = verify(rho, radical=radical_basis(rho.monoid))
+    return {
+        "t": t,
+        "r": len(distinct_character_values(rho)),
+        "s": len(distinct_charpolys(rho)),
+        "bound": rep.bound,
+        "dim_rad": rep.dim_rad,
+        "dim_ann": rep.dim_ann,
+        "holds": rep.holds,
+        "min_covering": rep.minimal_k,
+        "min_faithful": minimal_faithful_power(rho, mode, max(rep.bound, cap)),
+    }
+
+
+@pytest.mark.parametrize("cap", [1, 3, 12, 32])
+@pytest.mark.parametrize("mode", ["tensor", "symmetric"])
+def test_scan_nt_one_walk_matches_two(capsys, mode, cap):
+    code, out, _ = run(capsys, ["scan-nt", "--from", "2", "--to", "14", "--mode", mode,
+                                "--cap", str(cap), "--json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [{key: row[key] for key in _two_walk_row(2, mode, cap)} for row in rows] == [
+        _two_walk_row(t, mode, cap) for t in range(2, 15)]
 
 
 # --- molien -------------------------------------------------------------------------

@@ -9,9 +9,11 @@ of the explicit direct sum of the powers, the containment verdict with
 the trace-form definition of the radical, and every witness is checked
 to annihilate the module while lying outside the radical.  The tensor
 and symmetric verifiers' ``minimal_k`` and verdict are checked against
-the minimal covering and faithful power scans on the same corpus.  A
-conjugate has the same annihilator as its original, so its every chain
-step, verdict, ``minimal_k`` and witness must equal the original's.
+the minimal covering and faithful power scans on the same corpus, and
+every symmetric power up to degree 6 against its from-scratch
+expansion.  A conjugate has the same annihilator as its original, so
+its every chain step, verdict, ``minimal_k`` and witness must equal the
+original's.
 
 A third, seeded corpus of random square matrices whose entries mix ints,
 non-integral ``Fraction``s, "p/q" strings and integers in ``Fraction``
@@ -77,6 +79,7 @@ from oracles import (
     mat_add,
     mat_vec,
     matmul,
+    sym_power_direct,
     trace,
     transpose,
 )
@@ -144,7 +147,7 @@ CHAINS = {
     "tensor": (tensor_annihilator_chain, tensor_power, 0),
     "positive": (lambda rho, k: tensor_annihilator_chain(rho, k, first=1),
                  tensor_power, 1),
-    "symmetric": (symmetric_annihilator_chain, sym_power, 0),
+    "symmetric": (symmetric_annihilator_chain, sym_power_direct, 0),
 }
 
 
@@ -241,6 +244,20 @@ def test_rational_conjugate_sym_powers_match_original(name):
     assert distinct_charpolys(rho) == distinct_charpolys(orig)
     for d in range(KMAX + 1):
         assert character(sym_power(rho, d)) == character(sym_power(orig, d))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_sym_power_matches_direct_expansion(name):
+    """Building each degree from the one below gives the same matrices,
+    entry for entry and in the same canonical form, as expanding every
+    column from scratch."""
+    rho = CORPUS[name]
+    for d in range(7):
+        power, direct = sym_power(rho, d), sym_power_direct(rho, d)
+        assert power.dim == direct.dim
+        for a, b in zip(power.matrices, direct.matrices, strict=True):
+            assert a == b
+            assert [type(x) for row in a for x in row] == [type(x) for row in b for x in row]
 
 
 # --- exact matrices against plain Fraction lists ---------------------------------

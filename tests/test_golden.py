@@ -13,6 +13,7 @@ Regenerate after a deliberate output change with
 
 import contextlib
 import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,28 @@ def run_case(name):
 def test_golden_output(name):
     code, out = run_case(name)
     assert code == CASES[name][1]
+    assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+EXPLICIT_POWERS = ("direct_sum", "tensor_power", "kron", "sym_power")
+
+
+@pytest.mark.parametrize("name", ["verify-t3", "scan-nt-tensor", "scan-nt-symmetric"])
+def test_checking_path_builds_no_explicit_power(name, monkeypatch):
+    """Verifying and scanning never build a direct sum, a Kronecker power
+    or a symmetric power matrix: with all of them made to raise, in every
+    package module that holds one, the output is unchanged."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an explicit power was built")
+
+    for key, mod in list(sys.modules.items()):
+        if key == "monoidrep" or key.startswith("monoidrep."):
+            for fn in EXPLICIT_POWERS:
+                if hasattr(mod, fn):
+                    monkeypatch.setattr(mod, fn, refuse)
+    code, out = run_case(name)
+    assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
 
 

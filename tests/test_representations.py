@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import islice
 from math import comb
 from pathlib import Path
 
 import pytest
 
 from monoidrep import linalg
+from monoidrep.algebra import symmetric_annihilator_chain
 from monoidrep.fileio import load_monoid
 from monoidrep.linalg import Matrix, Polynomial, charpoly
 from monoidrep.monoids import from_cayley_table, idempotents, local_monoid, nt_monoid
@@ -26,6 +28,7 @@ from monoidrep.representations import (
     sym_power_character,
     sym_power_characters,
     sym_power_dim,
+    symmetric_columns,
     tensor_power,
     trivial_representation,
 )
@@ -337,7 +340,9 @@ INTEGRAL_REPRESENTATIONS = {
 @pytest.mark.parametrize("name", sorted(INTEGRAL_REPRESENTATIONS))
 def test_integral_representations_never_form_a_fraction(name, monkeypatch):
     """Every matrix of an integral representation, of its symmetric powers
-    up to degree 3, of every product validation makes, and every
+    up to degree 3 and every column of the degree-by-degree expansion they
+    are built from, every coefficient row the symmetric chain inserts, of
+    every product validation makes, and every
     characteristic polynomial coefficient before ``Polynomial`` coerces
     it, is a plain int; and no non-int value ever reaches the matrix
     constructor's normalisation, so none was formed on the way."""
@@ -368,6 +373,20 @@ def test_integral_representations_never_form_a_fraction(name, monkeypatch):
         power = sym_power(rho, d)
         assert all(_ints(m) for m in power.matrices)
         Representation(rho.monoid, power.matrices, check=True)
+    for cols in islice(symmetric_columns(rho), 4):
+        assert all(type(c) is int for per_x in cols for col in per_x for c in col.values())
+    inserted = []
+    insert = linalg.Echelon.insert
+
+    def recording_insert(ech, vec):
+        inserted.append(vec)
+        return insert(ech, vec)
+
+    monkeypatch.setattr(linalg.Echelon, "insert", recording_insert)
+    for _ in symmetric_annihilator_chain(rho, 3):
+        pass
+    monkeypatch.setattr(linalg.Echelon, "insert", insert)
+    assert inserted and all(type(x) is int for row in inserted for x in row)
     a, b = rho.matrices[-1], rho.matrices[-2]
     assert all(_ints(m) for m in (a * b, a + b, a - b, a.transpose(), a.scale(3)))
     assert type(a.trace()) is int and all(type(x) is int for x in a.apply([1] * a.ncols))
