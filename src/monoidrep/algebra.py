@@ -20,13 +20,14 @@ Both sides are kernels: Rad = (rowspace G)^perp for the trace-form Gram
 matrix G, and Ann(W) = F^perp for the span F, inside Q^M, of W's
 matrix-coefficient functions x -> W(x)[i][j].  So the test is decided
 in dual form, on row spaces: Ann(W) <= Rad exactly when
-rowspace(G) <= F, and dim Ann(W) = |M| - rank F.  A ``Subspace``
-therefore stores the echelon it is the kernel of: primitive integer
-rows, which the containment test and ``contains`` read directly.  The
-canonical reduced echelon rows (``Fraction`` entries) are derived only
-for equality and hashing, and a kernel basis only when it is read, which
-on the checking path happens only to produce the witness of a failed
-containment.
+rowspace(G) <= F, and dim Ann(W) = |M| - rank F.  A ``Subspace`` is
+therefore kept as integer rows spanning the space it is the kernel of,
+with their echelon.  Any spanning set serves, so the radical is read as
+its own rows of G (entries at most |M|), not as their reduced echelon,
+whose entries grow large.  Canonical reduced echelon rows (``Fraction``
+entries) are derived only for equality and hashing, and a kernel basis
+only when it is read, which on the checking path happens only to produce
+the witness of a failed containment.
 
 Verifiers built on it: the tensor-power coverage bound (powers 0..r-1
 where r counts distinct character values), the symmetric-power bound
@@ -34,8 +35,9 @@ where r counts distinct character values), the symmetric-power bound
 polynomials), the positive-power refinement for monoids without zero,
 and the coarse |M|-power bound.  Each works out its bound and hands a
 coefficient-span chain to one body, which walks it once: the first
-covering step is ``minimal_k``, the step at the bound gives verdict and
-witness, and the first step with Ann = 0 is ``min_faithful``.  A
+covering step is ``minimal_k`` and the verdict is whether it exists, the
+step at the bound gives a failed check's witness, and the first step
+with Ann = 0 is ``min_faithful``.  A
 ``scan-nt`` row is one such walk, carried on past the bound to the
 faithfulness cap.  No direct sum or Kronecker power is built: the span
 E_k of the k-th tensor power's coefficient functions consists of the
@@ -74,69 +76,61 @@ def _perp(ech: Echelon) -> Echelon:
 
 
 class Subspace:
-    """A linear subspace of Q^ambient, stored as the kernel of echelon rows.
+    """A linear subspace of Q^ambient, kept as the kernel of integer rows.
 
-    The constraint echelon spans the orthogonal complement.  Its integer
-    rows decide ``contains`` and ``<=``; its canonical RREF rows are
-    unique, so two Subspace objects are equal exactly when they describe
-    the same subspace.  The subspace's own canonical RREF basis is
-    derived on first read and then cached.
+    ``rows`` spans the orthogonal complement, any spanning set: the
+    radical keeps the rows of G its echelon accepted.  Their echelon
+    snapshot fixes ``dim``, decides ``a <= b`` (b's rows lie in a's row
+    space) and, by its canonical RREF, ``==`` and ``hash``; ``contains``
+    is a dot product with each row, and ``basis`` is derived on read.
     ``Subspace(n, vectors)`` is the span of ``vectors``;
-    ``Subspace.kernel(ech)`` is the kernel of an echelon's rows.
+    ``Subspace.kernel(ech, rows)`` is the kernel of an echelon's rows.
     """
 
     def __init__(self, ambient, vectors=()):
         span = Echelon(ambient)
         for v in vectors:
             span.insert(v)
-        self.ambient = ambient
-        self._constraints = _perp(span)
-        self._span = span
+        self._hold(_perp(span))
 
     @classmethod
-    def kernel(cls, constraints: Echelon) -> Subspace:
-        """{v : row . v = 0 for every row}, over a snapshot of the rows."""
+    def kernel(cls, constraints: Echelon, rows=None) -> Subspace:
+        """{v : row . v = 0 for every row}, over a snapshot of the echelon,
+        read through ``rows`` (any spanning set; by default its own rows)."""
         sub = cls.__new__(cls)
-        sub.ambient = constraints.ncols
-        sub._constraints = constraints.copy()
-        sub._span = None
+        sub._hold(constraints.copy(), rows)
         return sub
 
-    def _span_echelon(self) -> Echelon:
-        if self._span is None:
-            self._span = _perp(self._constraints)
-        return self._span
+    def _hold(self, echelon, rows=None):
+        self.ambient = echelon.ncols
+        self._echelon = echelon
+        self.rows = tuple(echelon.int_rows if rows is None else rows)
+        self.dim = self.ambient - echelon.rank
 
     @property
     def basis(self):
         """Canonical RREF basis, as a tuple of tuples."""
-        return self._span_echelon().rows
-
-    @property
-    def dim(self):
-        return self.ambient - self._constraints.rank
+        return _perp(self._echelon).rows
 
     def contains(self, vec):
         if len(vec) != self.ambient:
             raise ValueError("vector length differs from ambient dimension")
         v = clear_denominators(vec)
-        return not any(sum(c * x for c, x in zip(row, v) if c)
-                       for row in self._constraints.int_rows)
+        return not any(sum(c * x for c, x in zip(row, v) if c) for row in self.rows)
 
     def __le__(self, other):
         """Containment, decided on the constraint rows: a <= b exactly
-        when every constraint row of b lies in the row space of a's."""
+        when every row of b lies in the row space of a's."""
         if self.ambient != other.ambient:
             raise ValueError("subspaces live in different ambient spaces")
-        return self.dim <= other.dim and all(
-            self._constraints.contains(row) for row in other._constraints.int_rows)
+        return self.dim <= other.dim and all(map(self._echelon.contains, other.rows))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient == other.ambient
-                and self._constraints.rows == other._constraints.rows)
+                and self._echelon.rows == other._echelon.rows)
 
     def __hash__(self):
-        return hash((self.ambient, self._constraints.rows))
+        return hash((self.ambient, self._echelon.rows))
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
@@ -160,7 +154,8 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
     bilinear form (x, y) -> trace of left multiplication by x*y.  The
     trace of left multiplication by a basis element z is the number of
     fixed points {j : z*j = j}, so the Gram matrix is integral and the
-    radical drops out of one exact kernel computation.
+    radical drops out of one exact kernel computation.  Its ``rows`` are
+    the rows of G that the echelon accepted, with entries at most |M|.
     """
     n = m.size
     if n > SIZE_GUARD and not force:
@@ -168,11 +163,10 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
             f"monoid has {n} > {SIZE_GUARD} elements; exact O(n^3) radical "
             "computation refused (pass force=True to override)")
     fix = [sum(1 for j in range(n) if m.table[z][j] == j) for z in range(n)]
+    gram = (tuple(fix[z] for z in tx) for tx in m.table)
     ech = Echelon(n)
-    for x in range(n):
-        tx = m.table[x]
-        ech.insert([fix[tx[y]] for y in range(n)])
-    return Subspace.kernel(ech)
+    rows = [row for row in gram if ech.insert(row)]
+    return Subspace.kernel(ech, rows)
 
 
 def annihilator_basis(rho: Representation) -> Subspace:
@@ -245,10 +239,15 @@ def _require_faithful(rho):
 def _check(theorem, rho, chain, radical, powers_cap, r, s, bound, first=0,
            faithful_cap=None):
     """Report whether the annihilator at step ``bound`` of ``chain(kmax)``
-    (steps ``first``..``kmax``) lies in the radical.  The same walk gives
-    the first covering step up to ``bound`` as ``minimal_k`` and the first
-    step with Ann = 0 as ``min_faithful``; with ``faithful_cap`` it goes
-    on past ``bound`` up to that step until Ann = 0 is reached."""
+    (steps ``first``..``kmax``) lies in the radical.  Annihilators only
+    shrink along the chain, so it does exactly when some step up to
+    ``bound`` is covered, the first being ``minimal_k``; only a failed
+    check tests step ``bound`` again, for its witness.  The first step with
+    Ann = 0 is ``min_faithful``; with ``faithful_cap`` the walk goes on
+    past ``bound`` up to that step until Ann = 0 is reached."""
+    if bound < first:
+        raise ValueError(f"{theorem} bound {bound} is below the first power "
+                         f"{first}: there is no power to check")
     if powers_cap is not None and bound > powers_cap:
         raise ValueError(f"{theorem} bound {bound} exceeds the cap {powers_cap}")
     rad = radical_basis(rho.monoid) if radical is None else radical
@@ -262,7 +261,8 @@ def _check(theorem, rho, chain, radical, powers_cap, r, s, bound, first=0,
             at_bound = ann
         if k >= bound and (faithful_cap is None or min_faithful is not None):
             break
-    holds, witness = subspace_leq(at_bound, rad)
+    holds = minimal_k is not None
+    witness = None if holds else subspace_leq(at_bound, rad)[1]
     return VerificationReport(theorem, holds, r, s, bound,
                               tuple(range(first, bound + 1)),
                               rad.dim, at_bound.dim, witness, minimal_k,
@@ -410,7 +410,8 @@ def minimal_covering_power(rho: Representation, mode="tensor", cap=None,
     The coverage theorems guarantee k <= r-1 (tensor) and k <= dim*s-1
     (symmetric) for faithful input, so by default the scan is capped at
     that bound and running past it raises: it would mean the machinery
-    itself is broken, which must not pass silently.
+    itself is broken, which must not pass silently.  The scan is the
+    verifiers' walk with ``cap`` as its bound.
     """
     _require_faithful(rho)
     if cap is None:
@@ -418,11 +419,10 @@ def minimal_covering_power(rho: Representation, mode="tensor", cap=None,
             cap = len(distinct_character_values(rho)) - 1
         else:
             cap = rho.dim * len(distinct_charpolys(rho)) - 1
-    if radical is None:
-        radical = radical_basis(rho.monoid)
-    for k, ann in _power_chain(rho, mode, cap):
-        if ann <= radical:
-            return k
+    k = _check(mode, rho, lambda kmax: _power_chain(rho, mode, kmax), radical,
+               None, None, None, cap).minimal_k
+    if k is not None:
+        return k
     raise RuntimeError(
         f"no covering power up to {cap} in {mode} mode; this contradicts "
         "the coverage theorem for a faithful representation and indicates "

@@ -194,24 +194,18 @@ class Matrix:
         return tuple(sum(map(mul, row, vec)) for row in self.rows)
 
     def inverse(self):
-        """Inverse by Gauss-Jordan elimination; raises on singular input."""
+        """Inverse, read off the RREF of [A | I]: A is invertible exactly
+        when that form has its pivots in the first n columns, and then its
+        right block is the inverse.  Raises on singular input."""
         if not self.is_square:
             raise ValueError("only square matrices can be inverted")
         n = self.nrows
-        aug = [list(row) + [int(i == j) for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col]), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = ONE / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    c = aug[r][col]
-                    aug[r] = [a - c * b for a, b in zip(aug[r], aug[col])]
-        return Matrix(tuple(tuple(row[n:]) for row in aug), ncols=n)
+        ech = Echelon(2 * n)
+        for i, row in enumerate(self.rows):
+            ech.insert(row + tuple(int(i == j) for j in range(n)))
+        if ech.pivots != list(range(n)):
+            raise ValueError("matrix is singular")
+        return Matrix(tuple(row[n:] for row in ech.rows), ncols=n)
 
 
 def _eliminate(v, row, p):

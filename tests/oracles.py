@@ -61,6 +61,22 @@ def gauss_nullity(rows, ncols):
     return ncols - gauss_rank(rows)
 
 
+def null_space(rows, ncols):
+    """The canonical (reduced row echelon) basis of {v : row . v = 0 for
+    every row}: one kernel vector per free column of ``rref(rows)``, the
+    free entry 1, then brought to reduced echelon form."""
+    red = rref(rows, ncols)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in red]
+    kernel = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for p, row in zip(pivots, red):
+            v[p] = -row[f]
+        kernel.append(v)
+    return rref(kernel, ncols)
+
+
 def poly_mul(a, b):
     """Multiply coefficient lists (ascending)."""
     if not a or not b:

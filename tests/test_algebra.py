@@ -21,8 +21,14 @@ from monoidrep.algebra import (
 )
 from monoidrep.fileio import load_monoid, load_representation
 from monoidrep.linalg import Matrix
-from monoidrep.monoids import from_transformations, idempotents, nt_monoid
+from monoidrep.monoids import (
+    from_cayley_table,
+    from_transformations,
+    idempotents,
+    nt_monoid,
+)
 from monoidrep.representations import (
+    build_representation,
     direct_sum,
     distinct_character_values,
     nt_paper_representation,
@@ -447,6 +453,19 @@ def test_minimal_covering_power_cap_violation_is_loud():
                                radical=Subspace(rho.monoid.size))
 
 
+def test_dimension_zero_symmetric_bound_is_refused():
+    """The zero-dimensional module of the trivial monoid has symmetric
+    bound dim*s - 1 = -1: no degree to check, refused before any step."""
+    rho = build_representation(from_cayley_table(0, [[0]]), [Matrix([], ncols=0)])
+    message = "symmetric bound -1 is below the first power 0"
+    with pytest.raises(ValueError, match=message):
+        verify_symmetric_theorem(rho)
+    with pytest.raises(ValueError, match=message):
+        minimal_covering_power(rho, "symmetric")
+    assert minimal_covering_power(rho, "tensor") == 0
+    assert verify_tensor_theorem(rho).holds
+
+
 # --- integer elimination on the hot paths ----------------------------------------
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -467,7 +486,7 @@ HOT_PATH_INPUTS = {
 
 
 def _int_constraints(sub):
-    return all(type(x) is int for row in sub._constraints.int_rows for x in row)
+    return all(type(x) is int for row in sub.rows for x in row)
 
 
 @pytest.mark.parametrize("name", sorted(HOT_PATH_INPUTS))

@@ -207,6 +207,35 @@ def test_verify_powers_cap(files, capsys):
     assert "cap" in err
 
 
+# the trivial monoid on the zero-dimensional module: s = 1, so the
+# symmetric bound dim*s - 1 is -1, below the first power 0
+DIM_ZERO = ({"type": "cayley", "identity": 0, "table": [[0]]},
+            {"dim": 0, "matrices": {"0": []}})
+
+
+def _dim_zero_argv(tmp_path, which):
+    return ["verify", write(tmp_path, "m.json", DIM_ZERO[0]),
+            write(tmp_path, "rep.json", DIM_ZERO[1]), "--which", which]
+
+
+@pytest.mark.parametrize("which", ["symmetric", "all"])
+def test_verify_dimension_zero_symmetric_bound_exit_two(tmp_path, capsys, which):
+    code, out, err = run(capsys, _dim_zero_argv(tmp_path, which))
+    assert code == 2 and out == ""
+    assert err == ("error: symmetric bound -1 is below the first power 0: "
+                   "there is no power to check\n")
+
+
+@pytest.mark.parametrize("which, expected", [
+    ("tensor", "tensor: HOLDS r=1 bound=0 powers=0..0 dim_rad=0 dim_ann=0 minimal_k=0\n"),
+    ("steinberg", "steinberg: HOLDS bound=0 powers=0..0 dim_rad=0 dim_ann=0\n"),
+])
+def test_verify_dimension_zero_other_bounds(tmp_path, capsys, which, expected):
+    code, out, err = run(capsys, _dim_zero_argv(tmp_path, which))
+    assert code == 0 and err == ""
+    assert out == expected + "overall: OK\n"
+
+
 # --- scan-nt -----------------------------------------------------------------------
 
 def test_scan_nt_tensor(files, capsys):

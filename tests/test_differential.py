@@ -13,13 +13,18 @@ the minimal covering and faithful power scans on the same corpus, and
 every symmetric power up to degree 6 against its from-scratch
 expansion.  A conjugate has the same annihilator as its original, so
 its every chain step, verdict, ``minimal_k`` and witness must equal the
-original's.
+original's.  The radical, kept as its own rows of the Gram matrix G, must
+be the kernel of G's full echelon, and ``<=``, ``subspace_leq`` and
+``contains`` on those rows must agree with the trace-form definition and
+plain Gauss-Jordan kernels at every tensor and symmetric chain step.
 
 A third, seeded corpus of random square matrices whose entries mix ints,
 non-integral ``Fraction``s, "p/q" strings and integers in ``Fraction``
 or string form checks ``Matrix`` products, sums, traces, ``apply`` and
-transposes against plain ``Fraction`` lists, Berkowitz's characteristic
-polynomial against Faddeev-LeVerrier's, and that every result holds
+transposes against plain ``Fraction`` lists, inverses against the plain
+Gauss-Jordan form of [A | I] (with singular draws added), Berkowitz's
+characteristic polynomial against Faddeev-LeVerrier's, and that every
+result holds
 canonical entries (an int exactly where the value is an integer).
 
 A second corpus checks the validators, which test only against a
@@ -47,7 +52,7 @@ from monoidrep.algebra import (
     verify_symmetric_theorem,
     verify_tensor_theorem,
 )
-from monoidrep.linalg import Matrix, Polynomial, charpoly
+from monoidrep.linalg import Echelon, Matrix, Polynomial, charpoly
 from monoidrep.monoids import (
     Monoid,
     MonoidMorphism,
@@ -79,6 +84,8 @@ from oracles import (
     mat_add,
     mat_vec,
     matmul,
+    null_space,
+    rref,
     sym_power_direct,
     trace,
     transpose,
@@ -192,6 +199,61 @@ def test_chain_against_oracles(name, chain_name):
             assert not in_radical(m.table, witness)
             assert witness == next(v for v in basis if not in_radical(m.table, v))
     assert steps == KMAX + 1 - first
+
+
+def _gram(m):
+    return [tuple(sum(1 for j in range(m.size) if m.table[m.table[x][y]][j] == j)
+                  for y in range(m.size)) for x in range(m.size)]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_subspace_form_against_oracles(name):
+    """The radical keeps its own rows of G yet is the same subspace as the
+    kernel of G's full echelon; at every tensor and symmetric chain step
+    ``<=``, ``subspace_leq`` and ``contains`` on those rows agree with the
+    trace-form definition and with plain Gauss-Jordan kernels."""
+    rho = CORPUS[name]
+    m = rho.monoid
+    gram = _gram(m)
+    rad = radical_basis(m)
+    full = Echelon(m.size)
+    for row in gram:
+        full.insert(row)
+    kernel = Subspace.kernel(full)
+    assert rad == kernel and hash(rad) == hash(kernel)
+    assert rad.dim == kernel.dim == gauss_nullity(gram, m.size)
+    assert rad.basis == kernel.basis == tuple(null_space(gram, m.size))
+    assert set(rad.rows) <= set(gram)
+    assert len(rad.rows) == gauss_rank(rad.rows) == m.size - rad.dim
+    for chain_name in ("tensor", "symmetric"):
+        chain, power, _ = CHAINS[chain_name]
+        for k, ann in chain(rho, KMAX):
+            w = direct_sum([power(rho, i) for i in range(k + 1)])
+            basis = null_space(_entry_rows(w), m.size)
+            assert ann.basis == tuple(basis)
+            outside = [v for v in basis if not in_radical(m.table, v)]
+            assert [v for v in basis if not rad.contains(v)] == outside
+            assert (ann <= rad) == (not outside)
+            assert subspace_leq(ann, rad) == (not outside, outside[0] if outside else None)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_span_constructor_round_trips(name):
+    """A span, rebuilt from its own basis, is the same subspace; its basis
+    is the plain Gauss-Jordan form of the spanning vectors."""
+    rho = CORPUS[name]
+    n = rho.monoid.size
+    rng = random.Random(f"{SEED}-{name}")
+    for k, ann in tensor_annihilator_chain(rho, 1):
+        vectors = list(ann.basis) + [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(k)]
+        span = Subspace(n, vectors)
+        again = Subspace(n, span.basis)
+        assert span == again and hash(span) == hash(again)
+        assert span.dim == again.dim == gauss_rank(vectors)
+        assert span.basis == again.basis == tuple(rref(vectors, n))
+        assert all(type(x) is int for row in span.rows for x in row)
 
 
 VERIFIERS = {"tensor": verify_tensor_theorem, "symmetric": verify_symmetric_theorem}
@@ -335,6 +397,40 @@ def test_integral_matrices_multiply_in_ints():
             if a.nrows == b.nrows:
                 prod = a * b
                 assert all(type(x) is int for row in prod for x in row)
+
+
+def test_inverse_matches_gauss_jordan_oracle():
+    """An invertible A's inverse is the right block of the plain
+    Gauss-Jordan form of [A | I], in canonical entries; a singular A, one
+    of whose rows is a rational combination of the others, is refused."""
+    rng = random.Random(MATRIX_SEED + 2)
+    cases = list(MATRICES)
+    for rows, _ in MATRICES:
+        if rows:
+            rows = [list(row) for row in rows]
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in rows[1:]]
+            rows[0] = [sum(c * Fraction(row[j]) for c, row in zip(coeffs, rows[1:]))
+                       for j in range(len(rows))]
+            cases.append((rows, Matrix(rows, ncols=len(rows))))
+    counts = {True: 0, False: 0}
+    for rows, a in cases:
+        n = a.nrows
+        invertible = gauss_rank(rows) == n
+        counts[invertible] += 1
+        if not invertible:
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                a.inverse()
+            continue
+        aug = [[Fraction(x) for x in row] + [int(i == j) for j in range(n)]
+               for i, row in enumerate(rows)]
+        inv = a.inverse()
+        assert _is_canonical(inv) and inv.nrows == inv.ncols == n
+        assert _as_lists(inv) == [list(row[n:]) for row in rref(aug, 2 * n)]
+        assert a * inv == inv * a == Matrix.identity(n)
+    assert counts[True] >= 30 and counts[False] >= 30
+    for a in (Matrix([[1, 2]]), Matrix([], ncols=3), Matrix([["1/2"], [3]])):
+        with pytest.raises(ValueError, match="^only square matrices can be inverted$"):
+            a.inverse()
 
 
 def test_berkowitz_matches_faddeev_leverrier():

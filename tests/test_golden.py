@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from monoidrep import algebra, cli
+from monoidrep.algebra import Subspace
 from monoidrep.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -135,6 +137,53 @@ def test_checking_path_builds_no_explicit_power(name, monkeypatch):
     code, out = run_case(name)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+VERIFIERS = ("verify_tensor_theorem", "verify_symmetric_theorem",
+             "verify_positive_power_refinement", "verify_steinberg_bound")
+
+
+@pytest.mark.parametrize("name", ["verify-t3", "verify-m128-steinberg",
+                                  "verify-n7-corrupt"])
+def test_each_step_containment_decided_once(name, monkeypatch):
+    """A passing check tests ``Ann <= Rad`` once per chain step up to its
+    first covered step and never again at the bound; only a failed check
+    calls ``subspace_leq``, once, for its witness."""
+    calls = {"le": 0, "leq": 0}
+    le, leq = Subspace.__le__, algebra.subspace_leq
+
+    def counting_le(a, b):
+        calls["le"] += 1
+        return le(a, b)
+
+    def counting_leq(a, b):
+        calls["leq"] += 1
+        return leq(a, b)
+
+    monkeypatch.setattr(Subspace, "__le__", counting_le)
+    monkeypatch.setattr(algebra, "subspace_leq", counting_leq)
+    reports = []
+    for verifier in VERIFIERS:
+        def counted(*args, _verify=getattr(cli, verifier), **kwargs):
+            before = dict(calls)
+            rep = _verify(*args, **kwargs)
+            reports.append((rep, calls["le"] - before["le"], calls["leq"] - before["leq"]))
+            return rep
+
+        monkeypatch.setattr(cli, verifier, counted)
+    code, out = run_case(name)
+    assert code == CASES[name][1]
+    assert out == (GOLDEN / f"{name}.txt").read_text()
+    assert reports
+    for rep, le_calls, leq_calls in reports:
+        if rep.holds:
+            assert le_calls == rep.minimal_k - rep.powers_used[0] + 1
+            assert leq_calls == 0
+        else:
+            # every step up to the bound, then once more inside subspace_leq
+            assert le_calls == len(rep.powers_used) + 1
+            assert leq_calls == 1
+    assert any(not rep.holds for rep, _, _ in reports) == (CASES[name][1] == 1)
 
 
 if __name__ == "__main__":
