@@ -22,12 +22,22 @@ matrix-coefficient functions x -> W(x)[i][j].  So the test is decided
 in dual form, on row spaces: Ann(W) <= Rad exactly when
 rowspace(G) <= F, and dim Ann(W) = |M| - rank F.  A ``Subspace`` is
 therefore kept as integer rows spanning the space it is the kernel of,
-with their echelon.  Any spanning set serves, so the radical is read as
-its own rows of G (entries at most |M|), not as their reduced echelon,
-whose entries grow large.  Canonical reduced echelon rows (``Fraction``
-entries) are derived only for equality and hashing, and a kernel basis
-only when it is read, which on the checking path happens only to produce
-the witness of a failed containment.
+with its dimension; the echelon of the rows is built only when ``<=``,
+``==`` or ``hash`` needs it.  Any spanning set serves, so the radical is
+read as its own rows of G (entries at most |M|), not as their reduced
+echelon, whose entries grow large.  Canonical reduced echelon rows
+(``Fraction`` entries) are derived only for equality and hashing, and a
+kernel basis only when it is read, which on the checking path happens
+only to produce the witness of a failed containment.
+
+The radical is the one computation done modulo a prime: G is put in
+echelon form mod p < 2^26 on rows packed into single ints
+(``linalg._echelon_mod_p``), and the result is certified over Z before
+it is used.  Rows independent mod p are independent over Q; the mod-p
+kernel vectors, lifted by rational reconstruction, are checked to
+satisfy G k = 0 exactly and are independent, so the exact rank equals
+the rank mod p (``_certified_radical``).  When a check fails the exact
+integer echelon of G decides instead.  Every verdict stays exact.
 
 Verifiers built on it: the tensor-power coverage bound (powers 0..r-1
 where r counts distinct character values), the symmetric-power bound
@@ -51,8 +61,11 @@ rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from math import isqrt, lcm
+from operator import mul
 
-from .linalg import Echelon, clear_denominators
+from .linalg import Echelon, _echelon_mod_p, _pack, _slots_fit, clear_denominators
 from .monoids import Monoid, has_zero
 from .representations import (
     Representation,
@@ -67,10 +80,10 @@ from .representations import (
 SIZE_GUARD = 300
 
 
-def _perp(ech: Echelon) -> Echelon:
-    """Echelon of the orthogonal complement of a row space."""
-    out = Echelon(ech.ncols)
-    for v in ech.kernel_basis():
+def _span(ncols, vectors) -> Echelon:
+    """Echelon of the span of ``vectors``."""
+    out = Echelon(ncols)
+    for v in vectors:
         out.insert(v)
     return out
 
@@ -79,19 +92,18 @@ class Subspace:
     """A linear subspace of Q^ambient, kept as the kernel of integer rows.
 
     ``rows`` spans the orthogonal complement, any spanning set: the
-    radical keeps the rows of G its echelon accepted.  Their echelon
-    snapshot fixes ``dim``, decides ``a <= b`` (b's rows lie in a's row
-    space) and, by its canonical RREF, ``==`` and ``hash``; ``contains``
-    is a dot product with each row, and ``basis`` is derived on read.
+    radical keeps rows of G.  ``dim`` is fixed at construction.  The
+    echelon snapshot of ``rows`` decides ``a <= b`` (b's rows lie in a's
+    row space) and, by its canonical RREF, ``==`` and ``hash``; it is
+    built from ``rows`` only when one of those needs it.  ``contains`` is
+    a dot product with each row, and ``basis`` is derived on read, from
+    the certified kernel vectors when the subspace has them.
     ``Subspace(n, vectors)`` is the span of ``vectors``;
     ``Subspace.kernel(ech, rows)`` is the kernel of an echelon's rows.
     """
 
     def __init__(self, ambient, vectors=()):
-        span = Echelon(ambient)
-        for v in vectors:
-            span.insert(v)
-        self._hold(_perp(span))
+        self._hold(_span(ambient, _span(ambient, vectors).kernel_basis()))
 
     @classmethod
     def kernel(cls, constraints: Echelon, rows=None) -> Subspace:
@@ -101,16 +113,32 @@ class Subspace:
         sub._hold(constraints.copy(), rows)
         return sub
 
+    @classmethod
+    def _certified(cls, ambient, rows, kernel) -> Subspace:
+        """The kernel of ``rows``, given a basis ``kernel`` of it that the
+        caller has proved to be one."""
+        sub = cls.__new__(cls)
+        sub.ambient, sub.rows, sub.dim = ambient, tuple(rows), len(kernel)
+        sub._snapshot, sub._kernel = None, kernel
+        return sub
+
     def _hold(self, echelon, rows=None):
         self.ambient = echelon.ncols
-        self._echelon = echelon
+        self._snapshot, self._kernel = echelon, None
         self.rows = tuple(echelon.int_rows if rows is None else rows)
         self.dim = self.ambient - echelon.rank
 
     @property
+    def _echelon(self):
+        if self._snapshot is None:
+            self._snapshot = _span(self.ambient, self.rows)
+        return self._snapshot
+
+    @property
     def basis(self):
         """Canonical RREF basis, as a tuple of tuples."""
-        return _perp(self._echelon).rows
+        kernel = self._echelon.kernel_basis() if self._kernel is None else self._kernel
+        return _span(self.ambient, kernel).rows
 
     def contains(self, vec):
         if len(vec) != self.ambient:
@@ -147,15 +175,86 @@ def subspace_leq(a: Subspace, b: Subspace):
     return False, next(v for v in a.basis if not b.contains(v))
 
 
+# The largest prime below 2^26: packed rows of G keep 64-bit slots for
+# up to 4096 pivots (``_slots_fit``).
+_PRIME = 67108859
+
+
+def _lift(vec, p):
+    """An integer vector whose reduction mod p is a multiple of ``vec``,
+    by rational reconstruction of each entry (Wang, Guy & Davenport
+    1982) with numerator and denominator at most sqrt(p/2); None when an
+    entry has no such fraction."""
+    bound = isqrt(p // 2)
+    fracs = []
+    for j, a in compress(enumerate(vec), vec):  # the nonzero entries
+        r0, r1, s0, s1 = p, a, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if abs(s1) > bound:
+            return None
+        fracs.append((j, r1, s1))
+    d = lcm(*(abs(s) for _, _, s in fracs))
+    out = [0] * len(vec)
+    for j, r, s in fracs:
+        out[j] = r * (d // s)
+    return out
+
+
+def _certified_radical(gram, n):
+    """The kernel of G from one echelon mod ``_PRIME``, or None.
+
+    The rows accepted mod p are independent mod p, hence over Q, so
+    rank G >= rank_p.  Each mod-p kernel vector is lifted by rational
+    reconstruction and checked to satisfy G k = 0 exactly over Z; the
+    lifted vectors are nonzero at distinct free columns and zero at the
+    other free columns, so they are independent, and nullity G >=
+    n - rank_p.  When every check passes, rank G = rank_p: the accepted
+    rows span G's row space and the lifted vectors its kernel.
+
+    G k is summed over G's columns packed into 64-bit slots, the positive
+    and the negative terms apart, so no slot borrows; G's entries are
+    nonnegative (fixed-point counts), so no slot carries while
+    max(G) * sum |k_j| < 2^64, and then the two sums are equal exactly
+    when every entry of G k is 0.  The rank mod p is at most n, so the
+    echelon's slots cannot overflow when ``_slots_fit(n)`` (n <= 4096);
+    beyond that there is no candidate.
+    """
+    if not _slots_fit(n, _PRIME):
+        return None
+    accepted, kernel = _echelon_mod_p(gram, n, _PRIME)
+    cols = [_pack(col) for col in zip(*dict.fromkeys(gram))]  # of distinct rows
+    top = max(map(max, gram))
+    lifted = []
+    for v in kernel:
+        k = _lift(v, _PRIME)
+        if k is None or top * sum(map(abs, k)) >= 1 << 64:
+            return None
+        pos = neg = 0
+        for c, col in compress(zip(k, cols), k):
+            if c > 0:
+                pos += c * col
+            else:
+                neg -= c * col
+        if pos != neg:
+            return None
+        lifted.append(k)
+    return Subspace._certified(n, [gram[i] for i in accepted], lifted)
+
+
 def radical_basis(m: Monoid, force=False) -> Subspace:
     """Radical of QM as a subspace, via the trace-form kernel.
 
     In characteristic zero the radical is exactly the kernel of the
     bilinear form (x, y) -> trace of left multiplication by x*y.  The
     trace of left multiplication by a basis element z is the number of
-    fixed points {j : z*j = j}, so the Gram matrix is integral and the
-    radical drops out of one exact kernel computation.  Its ``rows`` are
-    the rows of G that the echelon accepted, with entries at most |M|.
+    fixed points {j : z*j = j}, so the Gram matrix G is integral.  Its
+    rank and kernel are computed modulo a prime below 2^26 and certified
+    over Z (``_certified_radical``): the ``rows`` are the rows of G that
+    are independent mod p, with entries at most |M|, and ``basis`` is
+    read from the lifted kernel vectors.  If any check fails, the exact
+    integer echelon of G decides instead, keeping the rows it accepted.
     """
     n = m.size
     if n > SIZE_GUARD and not force:
@@ -163,10 +262,13 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
             f"monoid has {n} > {SIZE_GUARD} elements; exact O(n^3) radical "
             "computation refused (pass force=True to override)")
     fix = [sum(1 for j in range(n) if m.table[z][j] == j) for z in range(n)]
-    gram = (tuple(fix[z] for z in tx) for tx in m.table)
-    ech = Echelon(n)
-    rows = [row for row in gram if ech.insert(row)]
-    return Subspace.kernel(ech, rows)
+    gram = [tuple(map(fix.__getitem__, tx)) for tx in m.table]
+    rad = _certified_radical(gram, n)
+    if rad is None:
+        ech = Echelon(n)
+        rows = [row for row in gram if ech.insert(row)]
+        rad = Subspace.kernel(ech, rows)
+    return rad
 
 
 def annihilator_basis(rho: Representation) -> Subspace:
@@ -351,18 +453,19 @@ def tensor_annihilator_chain(rho: Representation, kmax, first=0):
     that step k added, so F_k = F_{k-1} + D_k.  Then E_{k+1} lies in
     F_{k-1} * E_1 + D_k * E_1, and F_{k-1} * E_1 lies in F_k, so
     F_{k+1} = F_k + D_k * E_1: each vector is multiplied with an E_1
-    basis once, and the work stops as soon as a step adds nothing.
+    basis once, and the work stops as soon as a step adds nothing.  Each
+    step inserts each distinct nonzero product once.
     """
     n = rho.monoid.size
     acc = Echelon(n)
-    new = [[1] * n]  # spans E_0: the constant functions
+    new = [(1,) * n]  # spans E_0: the constant functions
     if first == 0:
         acc.insert(new[0])
         yield 0, Subspace.kernel(acc)
     e1 = _entry_functions(rho)
     for k in range(1, kmax + 1):
-        products = ([a * b for a, b in zip(d, g)] for d in new for g in e1)
-        new = [v for v in products if acc.rank < n and acc.insert(v)]
+        products = dict.fromkeys(tuple(map(mul, d, g)) for d in new for g in e1)
+        new = [v for v in products if any(v) and acc.rank < n and acc.insert(v)]
         yield k, Subspace.kernel(acc)
 
 

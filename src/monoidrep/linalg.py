@@ -6,7 +6,10 @@ add and transpose in integers alone.  Characteristic polynomials are
 division-free (Berkowitz), hence integral on integral input.  Echelon
 reduction takes rational input but eliminates in Python integers
 (fraction-free, by cross-multiplication) and forms ``Fraction`` entries
-only for its canonical reduced form.  Univariate polynomials and the
+only for its canonical reduced form.  One private routine,
+``_echelon_mod_p``, echelons integer rows modulo a prime, each row packed
+into one int; its result is only a candidate, which the caller
+certifies over the integers.  Univariate polynomials and the
 Newton-identity conversions between power sums, complete homogeneous
 symmetric functions and elementary symmetric functions work in
 ``Fraction``.  There is no floating point anywhere; every result is
@@ -18,6 +21,7 @@ here are safe to call from multiple threads.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
@@ -321,6 +325,92 @@ class Echelon:
                     v[p] = -row[f]
             basis.append(tuple(v))
         return basis
+
+
+_SLOT_MASK = (1 << 64) - 1
+
+
+def _slots_fit(rank, p):
+    """Whether a 64-bit slot holding an entry below p survives ``rank``
+    eliminations, each adding at most (p-1)^2 without reduction."""
+    return rank * (p - 1) ** 2 + (p - 1) < 1 << 64
+
+
+def _pack(vals):
+    """Entries in [0, 2^64) as one int, entry j in bits 64j .. 64j+63."""
+    return int.from_bytes(struct.pack(f"<{len(vals)}Q", *vals), "little")
+
+
+def _unpack(v, n):
+    """The n 64-bit slots of a packed int, entry 0 first."""
+    return struct.unpack(f"<{n}Q", v.to_bytes(8 * n, "little"))
+
+
+def _reduce_mod_p(v, stored, p, n):
+    """The n entries mod p of packed v once the pivot slot of each stored
+    (offset, row), in turn, is brought to 0 by one multiply-add."""
+    for shift, r in stored:
+        c = (v >> shift & _SLOT_MASK) % p
+        if c:
+            v += (p - c) * r
+    return [x % p for x in _unpack(v, n)]
+
+
+def _echelon_mod_p(rows, ncols, p):
+    """Row echelon form of integer rows modulo a prime p.
+
+    Returns ``(accepted, kernel)``: the indices of the rows that enlarged
+    the row space mod p (in order), and the canonical kernel basis mod p,
+    one list per free column in ascending order with entry 1 there,
+    entries in [0, p).
+
+    Each row is packed into one int of 64-bit slots (``_pack``), so
+    eliminating a stored pivot row R is the single big-int multiply-add
+    ``v += (p - c) * R`` with c the residue of v's pivot slot.  Slots are
+    reduced mod p only when a row is unpacked: after its elimination, or
+    when the stored rows are brought to reduced form.  A slot starts
+    below p and each elimination adds at most (p-1)^2, so it never
+    carries into its neighbour while the rank stays within ``_slots_fit``:
+    up to 4096 for p < 2^26.  The caller keeps it there.
+    """
+    stored = []  # (bit offset of the pivot slot, packed row with pivot 1)
+    pivots, accepted = [], []
+    seen = set()  # a repeated row never enlarges the row space
+    for i, row in enumerate(rows):
+        if len(stored) == ncols:
+            break
+        row = tuple(row)
+        if row in seen:
+            continue
+        seen.add(row)
+        vals = _reduce_mod_p(_pack([x % p for x in row]), stored, p, ncols)
+        col = next((j for j, x in enumerate(vals) if x), None)
+        if col is None:
+            continue
+        inv = pow(vals[col], -1, p)
+        stored.append((64 * col, _pack([x * inv % p for x in vals])))
+        pivots.append(col)
+        accepted.append(i)
+    # Row k is already zero at the pivots stored before it; clearing the
+    # later pivots, last row first, leaves the reduced form.
+    reduced = []
+    for k in range(len(stored) - 1, -1, -1):
+        vals = _reduce_mod_p(stored[k][1], stored[k + 1:], p, ncols)
+        stored[k] = stored[k][0], _pack(vals)
+        reduced.append(vals)
+    reduced.reverse()
+    pivot_set = set(pivots)
+    kernel = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for q, row in zip(pivots, reduced):
+            if row[f]:
+                v[q] = p - row[f]
+        kernel.append(v)
+    return accepted, kernel
 
 
 def rank(m: Matrix) -> int:

@@ -25,6 +25,7 @@ generator checks every element, at |M|^2 |A| lookups instead of |M|^3.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 from .linalg import Matrix
 
@@ -76,16 +77,19 @@ class Monoid:
             if table[identity][a] != a or table[a][identity] != a:
                 raise ValueError(f"identity law fails at element {a}")
         gens = _generating_set(table, identity)
+        # row x of y -> x*(a*y) is row x read through row a, in C; a
+        # one-element monoid has no generators, so every row has length >= 2
+        # here and its itemgetter returns a tuple
+        through = [(a, itemgetter(*table[a])) for a in gens]
         for x in range(n):
             tx = table[x]
-            for a in gens:
-                txa = table[tx[a]]
-                ta = table[a]
-                for y in range(n):
-                    if txa[y] != tx[ta[y]]:
-                        raise ValueError(
-                            f"associativity fails at triple ({x}, {a}, {y}): "
-                            f"({x}*{a})*{y} = {txa[y]} but {x}*({a}*{y}) = {tx[ta[y]]}")
+            for a, through_a in through:
+                if table[tx[a]] != through_a(tx):
+                    txa, ta = table[tx[a]], table[a]
+                    y = next(y for y in range(n) if txa[y] != tx[ta[y]])
+                    raise ValueError(
+                        f"associativity fails at triple ({x}, {a}, {y}): "
+                        f"({x}*{a})*{y} = {txa[y]} but {x}*({a}*{y}) = {tx[ta[y]]}")
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         else:
@@ -198,7 +202,7 @@ def _closure(identity, generators, mul, cap=None):
 def _compose(f, g):
     # apply g first, then f, so that the natural 0/1 matrices multiply
     # in the same order as the monoid product
-    return tuple(f[x] for x in g)
+    return tuple(map(f.__getitem__, g))
 
 
 def _one_line_label(f):
@@ -256,7 +260,8 @@ def nt_monoid(t) -> Monoid:
     if t < 1:
         raise ValueError("t must be at least 1")
     n = t + 1
-    table = tuple(tuple(b if a == 1 else (a if b == 1 else 0) for b in range(n))
+    # row a != 1 holds a at column 1 (a*1 = a) and 0 elsewhere
+    table = tuple(tuple(range(n)) if a == 1 else (0, a) + (0,) * (n - 2)
                   for a in range(n))
     return Monoid(table, 1, labels=[str(i) for i in range(n)])
 

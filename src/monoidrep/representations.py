@@ -10,13 +10,16 @@ character values and the number of distinct characteristic polynomials.
 
 A representation is validated against the monoid's generating set:
 rho(1) = I and rho(x) rho(g) = rho(x*g) for every x and every generator
-g, which is |M| |A| matrix products instead of |M|^2.  The products are
-exact and, for integral matrices, run in Python ints: the natural,
-regular, trivial and N_t representations and the symmetric powers of
-integral ones are built with int entries, so their validation never
-forms a ``Fraction``.  For N_t the only generating set is every
-non-identity element, so there the check stays all-pairs and its cost is
-that of integer 2 x 2 products.  The check is a proof:
+g, which is |M| |A| matrix products instead of |M|^2.  Each product is
+formed as row tuples against the generator's columns, each distinct row
+multiplied once, and compared with the stored rows; no ``Matrix`` is
+built per product.  The products are exact and, for integral matrices,
+run in Python ints: the natural, regular, trivial and N_t
+representations and the symmetric powers of integral ones are built
+with int entries, so their validation never forms a ``Fraction``.  For
+N_t the only generating set is every non-identity element, so there the
+check stays all-pairs and its cost is that of integer 2 x 2 products.
+The check is a proof:
 if b and c pass for every x, so does b*c, because rho(b*c) = rho(b)rho(c)
 and rho(x)rho(b)rho(c) = rho(x*b)rho(c) = rho((x*b)*c) = rho(x*(b*c)) by
 associativity, and every element is a product of generators.
@@ -31,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count, islice
 from math import comb
+from operator import mul
 
 from .linalg import (
     Echelon,
@@ -65,10 +69,11 @@ class Representation:
         if self.matrices[self.monoid.identity] != Matrix.identity(self.dim):
             raise ValueError("identity element does not map to the identity matrix")
         table = self.monoid.table
+        times = [(g, _RowTimes(self.matrices[g])) for g in self.monoid.generators]
         for a in range(self.monoid.size):
-            ma = self.matrices[a]
-            for g in self.monoid.generators:
-                if ma * self.matrices[g] != self.matrices[table[a][g]]:
+            rows = self.matrices[a].rows
+            for g, times_g in times:
+                if _product(rows, times_g) != self.matrices[table[a][g]].rows:
                     raise ValueError(
                         f"not a homomorphism: matrices at the pair ({a}, {g}) "
                         f"do not multiply to the matrix at {table[a][g]}")
@@ -79,6 +84,27 @@ class Representation:
 
     def __repr__(self):
         return f"Representation(dim={self.dim}, monoid_size={self.monoid.size})"
+
+
+class _RowTimes(dict):
+    """Row vector -> its product with one matrix, each distinct row
+    multiplied once: the rows of a representation's matrices repeat
+    across elements (about half of them for N_t, over 90% for the
+    natural representations of T_3 and of a 128-element monoid)."""
+
+    def __init__(self, mat):
+        super().__init__()
+        self.cols = mat.transpose().rows
+
+    def __missing__(self, row):
+        out = self[row] = tuple([sum(map(mul, row, col)) for col in self.cols])
+        return out
+
+
+def _product(rows, times):
+    """The product of the matrix with rows ``rows`` and the matrix of
+    ``times`` (a ``_RowTimes``), as a tuple of row tuples."""
+    return tuple(map(times.__getitem__, rows))
 
 
 def build_representation(m: Monoid, matrices) -> Representation:

@@ -7,13 +7,15 @@ Berkowitz, nested lists of ``Fraction`` instead of ``Matrix``, brute-force
 enumeration instead of Newton's identities, set-based closure instead of
 indexed BFS, every triple and every pair instead of a generating set, and
 each symmetric power expanded from scratch instead of from the degree
-below.
+below.  Two are the package's own earlier loops, kept as they were to pin
+a faster rewrite to the old results: the tensor chain that inserted
+every product in turn, and Light's test scanned triple by triple.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from monoidrep.linalg import Matrix
+from monoidrep.linalg import Echelon, Matrix
 from monoidrep.representations import Representation
 
 
@@ -319,3 +321,35 @@ def sym_power_direct(rho, d):
                     rows[pos[mono]][k] = c
         mats.append(Matrix(rows, ncols=dim))
     return Representation(rho.monoid, mats, check=False)
+
+
+def tensor_chain_steps(rho, kmax, first=0):
+    """Yield (k, dim Ann, stored echelon rows) for k = first..kmax of the
+    tensor chain F_{k+1} = F_k + D_k * E_1, inserting every product of a
+    step in turn, repeats and zero products included."""
+    n = rho.monoid.size
+    acc = Echelon(n)
+    new = [[1] * n]
+    if first == 0:
+        acc.insert(new[0])
+        yield 0, n - acc.rank, list(acc.int_rows)
+    e1 = Echelon(n)  # spans E_1: the coefficient functions
+    for i in range(rho.dim):
+        for j in range(rho.dim):
+            e1.insert([m[i][j] for m in rho.matrices])
+    for k in range(1, kmax + 1):
+        products = ([a * b for a, b in zip(d, g)] for d in new for g in e1.int_rows)
+        new = [v for v in products if acc.rank < n and acc.insert(v)]
+        yield k, n - acc.rank, list(acc.int_rows)
+
+
+def first_associativity_failure(table, gens):
+    """The first triple (x, a, y), x outer, a over ``gens``, y inner, with
+    (x*a)*y != x*(a*y), or None."""
+    n = len(table)
+    for x in range(n):
+        for a in gens:
+            for y in range(n):
+                if table[table[x][a]][y] != table[x][table[a][y]]:
+                    return x, a, y
+    return None

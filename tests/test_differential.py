@@ -17,6 +17,13 @@ original's.  The radical, kept as its own rows of the Gram matrix G, must
 be the kernel of G's full echelon, and ``<=``, ``subspace_leq`` and
 ``contains`` on those rows must agree with the trace-form definition and
 plain Gauss-Jordan kernels at every tensor and symmetric chain step.
+On the corpus, N_t, T_3 and the 128-element submonoid of T_4 the radical
+certified modulo a prime must equal the plain Gauss-Jordan kernel of G,
+and with a prime that divides a minor of G it must fall back to the
+exact echelon and give the same subspace.  The tensor chain, which
+inserts each distinct product once per step, must store the same
+echelon rows at every step as the loop that inserted every product,
+kept in ``tests/oracles.py``.
 
 A third, seeded corpus of random square matrices whose entries mix ints,
 non-integral ``Fraction``s, "p/q" strings and integers in ``Fraction``
@@ -32,17 +39,22 @@ generating set (Light's test), against the exhaustive oracles: every
 ``Monoid.generators`` generates M, single-entry corruptions of a valid
 table, of one matrix of a valid representation and of a morphism are
 rejected exactly when the all-triples or all-pairs oracle rejects them,
-and the triple or pair an error names is a real violation.
+and the triple or pair an error names is a real violation; the triple is
+the one the old triple-by-triple scan of Light's test reported.
 """
 
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from monoidrep import algebra
 from monoidrep.algebra import (
     Subspace,
+    _certified_radical,
+    _lift,
     minimal_covering_power,
     minimal_faithful_power,
     radical_basis,
@@ -52,10 +64,12 @@ from monoidrep.algebra import (
     verify_symmetric_theorem,
     verify_tensor_theorem,
 )
-from monoidrep.linalg import Echelon, Matrix, Polynomial, charpoly
+from monoidrep.fileio import load_monoid, load_representation
+from monoidrep.linalg import Echelon, Matrix, Polynomial, _echelon_mod_p, charpoly
 from monoidrep.monoids import (
     Monoid,
     MonoidMorphism,
+    _generating_set,
     from_cayley_table,
     from_matrices,
     from_transformations,
@@ -75,6 +89,7 @@ from monoidrep.representations import (
 
 from oracles import (
     charpoly_faddeev,
+    first_associativity_failure,
     gauss_nullity,
     gauss_rank,
     generated,
@@ -87,6 +102,7 @@ from oracles import (
     null_space,
     rref,
     sym_power_direct,
+    tensor_chain_steps,
     trace,
     transpose,
 )
@@ -206,6 +222,14 @@ def _gram(m):
                   for y in range(m.size)) for x in range(m.size)]
 
 
+def _exact_radical(gram):
+    """The kernel of G's full exact echelon."""
+    full = Echelon(len(gram))
+    for row in gram:
+        full.insert(row)
+    return Subspace.kernel(full)
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_subspace_form_against_oracles(name):
     """The radical keeps its own rows of G yet is the same subspace as the
@@ -216,10 +240,7 @@ def test_subspace_form_against_oracles(name):
     m = rho.monoid
     gram = _gram(m)
     rad = radical_basis(m)
-    full = Echelon(m.size)
-    for row in gram:
-        full.insert(row)
-    kernel = Subspace.kernel(full)
+    kernel = _exact_radical(gram)
     assert rad == kernel and hash(rad) == hash(kernel)
     assert rad.dim == kernel.dim == gauss_nullity(gram, m.size)
     assert rad.basis == kernel.basis == tuple(null_space(gram, m.size))
@@ -254,6 +275,108 @@ def test_span_constructor_round_trips(name):
         assert span.dim == again.dim == gauss_rank(vectors)
         assert span.basis == again.basis == tuple(rref(vectors, n))
         assert all(type(x) is int for row in span.rows for x in row)
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+# the golden representations, rational conjugates included
+GOLDEN_REPRESENTATIONS = {
+    name: load_representation(str(GOLDEN_INPUTS / rep), load_monoid(str(GOLDEN_INPUTS / mon)))
+    for name, (mon, rep) in {
+        "t3": ("t3.json", "natural.json"),
+        "t3-conjugate": ("t3.json", "t3-conjugate.json"),
+        "m128": ("m128.json", "natural.json"),
+        "n7": ("nt7.json", "nt-paper.json"),
+        "n7-conjugate": ("nt7.json", "nt7-conjugate.json"),
+    }.items()}
+CHAIN_INPUTS = {**CORPUS, **{f"golden-{k}": v for k, v in GOLDEN_REPRESENTATIONS.items()}}
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("name", sorted(CHAIN_INPUTS))
+def test_tensor_chain_matches_old_loop(name, first):
+    """Inserting each distinct nonzero product once per step leaves every
+    step's dimension and stored echelon rows as inserting every product."""
+    rho = CHAIN_INPUTS[name]
+    kmax = min(rho.monoid.size - 1, 8)
+    got = [(k, ann.dim, ann._echelon.int_rows)
+           for k, ann in tensor_annihilator_chain(rho, kmax, first=first)]
+    assert got == list(tensor_chain_steps(rho, kmax, first=first))
+
+
+# --- the certified modular radical ---------------------------------------------
+
+RADICAL_MONOIDS = {
+    **{name: rho.monoid for name, rho in CORPUS.items() if not name.startswith("conjugate-")},
+    **{f"nt-{t}": nt_monoid(t) for t in (2, 7, 20)},
+    "t3": GOLDEN_REPRESENTATIONS["t3"].monoid,
+    "m128": GOLDEN_REPRESENTATIONS["m128"].monoid,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RADICAL_MONOIDS))
+def test_certified_radical_against_null_space(name):
+    """The radical certified mod p is the plain Gauss-Jordan kernel of G
+    in ``==``, ``hash``, ``dim`` and ``basis``, read through rows of G."""
+    m = RADICAL_MONOIDS[name]
+    gram = _gram(m)
+    rad = radical_basis(m)
+    assert rad._kernel is not None  # the certificate held; no fallback
+    expected = null_space(gram, m.size)
+    oracle = Subspace(m.size, expected)
+    assert rad == oracle and hash(rad) == hash(oracle)
+    assert rad.dim == oracle.dim == len(expected)
+    assert rad.basis == tuple(expected)
+    assert set(rad.rows) <= set(gram)
+
+
+# small primes dividing a minor of G, so the rank drops mod p
+UNLUCKY = {"t3": 3, "m128": 3, "nt-7": 7}
+
+
+@pytest.mark.parametrize("name", sorted(UNLUCKY))
+def test_unlucky_prime_falls_back_to_exact_radical(name, monkeypatch):
+    m, p = RADICAL_MONOIDS[name], UNLUCKY[name]
+    gram = _gram(m)
+    exact = _exact_radical(gram)
+    assert len(_echelon_mod_p(gram, m.size, p)[0]) < m.size - exact.dim
+    monkeypatch.setattr(algebra, "_PRIME", p)
+    rad = radical_basis(m)
+    assert rad._kernel is None  # fell back to the exact echelon
+    assert rad == exact and hash(rad) == hash(exact)
+    assert rad.dim == exact.dim and rad.basis == exact.basis
+    assert set(rad.rows) <= set(gram)
+
+
+def test_certificate_refuses_a_wrong_kernel(monkeypatch):
+    """A hand-built G whose rank drops mod p, and one whose kernel entry
+    is too large to reconstruct from its residue, both fail the check."""
+    assert _certified_radical([(1, 2), (3, 4)], 2).dim == 0
+    assert _certified_radical([(1, 100003), (2, 200006)], 2) is None
+    monkeypatch.setattr(algebra, "_PRIME", 2)
+    assert _certified_radical([(1, 2), (3, 4)], 2) is None
+
+
+def test_lift_reconstructs_small_fractions():
+    """Residues of -1, 2 and 1/2 lift to (-2, 4, 1), the same line over Q;
+    a residue with no fraction of numerator and denominator up to
+    sqrt(p/2) lifts to nothing."""
+    p = algebra._PRIME
+    assert _lift([p - 1, 2, (p + 1) // 2, 0], p) == [-2, 4, 1, 0]
+    assert _lift([pow(7919, -1, p) * 7907 % p], p) is None
+
+
+def test_certified_radical_forms_no_exact_echelon(monkeypatch):
+    inserted = []
+    insert = Echelon.insert
+
+    def recording_insert(ech, vec):
+        inserted.append(vec)
+        return insert(ech, vec)
+
+    monkeypatch.setattr(Echelon, "insert", recording_insert)
+    rad = radical_basis(RADICAL_MONOIDS["m128"])
+    assert rad._kernel is not None and rad.dim == 37
+    assert not inserted
 
 
 VERIFIERS = {"tensor": verify_tensor_theorem, "symmetric": verify_symmetric_theorem}
@@ -560,6 +683,12 @@ def test_table_corruptions_match_oracle():
                     found = re.search(r"triple \((\d+), (\d+), (\d+)\)", str(e))
                     x, g, y = map(int, found.groups())
                     assert table[table[x][g]][y] != table[x][table[g][y]]
+                    # the triple the old triple-by-triple scan reported
+                    gens = _generating_set(table, m.identity)
+                    assert (x, g, y) == first_associativity_failure(table, gens)
+                    assert str(e).endswith(
+                        f"({x}*{g})*{y} = {table[table[x][g]][y]} but "
+                        f"{x}*({g}*{y}) = {table[x][table[g][y]]}")
             else:
                 assert valid
     assert rejected > 50
@@ -585,6 +714,10 @@ def test_representation_corruptions_match_oracle():
                 if found:
                     a, g = map(int, found.groups())
                     assert matmul(mats[a], mats[g]) != mats[m.table[a][g]]
+                    # the first failing pair, x outer and generators inner
+                    assert (a, g) == next(
+                        (b, h) for b in range(m.size) for h in m.generators
+                        if matmul(mats[b], mats[h]) != mats[m.table[b][h]])
                 else:
                     assert x == m.identity
             else:

@@ -9,7 +9,9 @@ compared with the plain Gauss-Jordan ``oracles.rref`` and with
 ``oracles.gauss_rank``: rank, the RREF rows, their independence from the
 insertion order, the stored integer form, the kernel basis, ``reduce``
 and ``contains``, and ``copy`` as a snapshot that later inserts on
-either side, before or after the RREF was cached, leave alone.
+either side, before or after the RREF was cached, leave alone.  The same
+corpus, denominators cleared, checks the echelon modulo a prime on packed
+rows against the exact one.
 """
 
 import random
@@ -18,7 +20,15 @@ from math import gcd
 
 import pytest
 
-from monoidrep.linalg import Echelon
+from monoidrep.algebra import _PRIME, _certified_radical
+from monoidrep.linalg import (
+    Echelon,
+    _echelon_mod_p,
+    _pack,
+    _slots_fit,
+    _unpack,
+    clear_denominators,
+)
 
 from oracles import gauss_rank, rref
 
@@ -189,3 +199,50 @@ def test_echelon_rows_follow_inserts_after_a_read():
     assert ech.rows == ((1, 0, 3), (0, 1, Fraction(-3, 2)))
     ech.insert((0, 0, 5))
     assert ech.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+# --- echelon modulo a prime, on packed rows -------------------------------------
+
+def _residue(x, p):
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_echelon_mod_p_matches_exact(name):
+    """With a prime dividing no minor that matters, the packed echelon
+    accepts the rows the exact one accepts, and its kernel basis is the
+    exact canonical one reduced mod p (so its free columns, hence its
+    pivots, are the exact ones)."""
+    rows, ncols = [clear_denominators(r) for r in CORPUS[name]], _ncols(name)
+    accepted, kernel = _echelon_mod_p(rows, ncols, _PRIME)
+    ech = Echelon(ncols)
+    assert accepted == [i for i, row in enumerate(rows) if ech.insert(row)]
+    assert kernel == [[_residue(x, _PRIME) for x in v] for v in ech.kernel_basis()]
+
+
+def test_echelon_mod_small_prime():
+    """Modulo 3 the rank of [[1, 2], [2, 1]] drops to 1; the kernel basis
+    is that of the reduced rows."""
+    assert _echelon_mod_p([[1, 2], [2, 1]], 2, 3) == ([0], [[1, 1]])
+    assert _echelon_mod_p([[0, 3], [-1, 4]], 2, 3) == ([1], [[1, 1]])
+
+
+def test_pack_round_trip():
+    vals = [0, 1, 2 ** 64 - 1, 5, 2 ** 63]
+    v = _pack(vals)
+    assert v == sum(x << (64 * j) for j, x in enumerate(vals))
+    assert list(_unpack(v, len(vals))) == vals
+    assert list(_unpack(_pack([]), 0)) == []
+
+
+def test_slot_bound_refuses_overflowing_ranks():
+    """A slot starts below p and gains at most (p-1)^2 per elimination, so
+    rank r is safe exactly when r (p-1)^2 + (p-1) < 2^64.  The certified
+    radical refuses a size whose rank could pass that before it reads a
+    row of G, so the exact path decides."""
+    assert _slots_fit(4096, _PRIME) and not _slots_fit(4097, _PRIME)
+    assert _certified_radical(None, 4097) is None
+    big = 2 ** 32 - 5  # prime; (p-1)^2 is close to 2^64
+    assert _slots_fit(1, big) and not _slots_fit(2, big)
+    assert _echelon_mod_p([[1, 0]], 2, big) == ([0], [[0, 1]])

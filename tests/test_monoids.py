@@ -29,6 +29,7 @@ def t2():
 def test_trivial_monoid():
     m = from_cayley_table(0, [[0]])
     assert m.size == 1 and m.identity == 0
+    assert m.generators == ()
 
 
 def test_cyclic_group_of_order_two():
@@ -52,6 +53,14 @@ def test_associativity_failure_reports_triple():
     # left translations of a quasigroup without associativity
     with pytest.raises(ValueError, match=r"associativity fails at triple \(1, 1, 1\)"):
         Monoid([[0, 1, 2], [1, 2, 0], [2, 1, 0]], 0)
+
+
+def test_associativity_failure_past_the_first_generator():
+    # generators (1, 2, 3): x = 3 passes with a = 1 and fails with a = 2
+    table = [[0, 1, 2, 3], [1, 1, 1, 1], [2, 2, 2, 2], [3, 2, 3, 3]]
+    with pytest.raises(ValueError, match=r"triple \(3, 2, 1\): \(3\*2\)\*1 = 2 but "
+                                         r"3\*\(2\*1\) = 3$"):
+        Monoid(table, 0)
 
 
 def test_out_of_range_entry_rejected():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from monoidrep import linalg
+from monoidrep import linalg, representations
 from monoidrep.algebra import symmetric_annihilator_chain
 from monoidrep.fileio import load_monoid
 from monoidrep.linalg import Matrix, Polynomial, charpoly
@@ -326,7 +326,8 @@ GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def _ints(mat):
-    return all(type(x) is int for row in mat.rows for x in row)
+    """Whether every entry of a Matrix, or of a tuple of rows, is an int."""
+    return all(type(x) is int for row in mat for x in row)
 
 
 # T_3's and the 128-element submonoid of T_4's natural representations, N_7's
@@ -342,15 +343,15 @@ def test_integral_representations_never_form_a_fraction(name, monkeypatch):
     """Every matrix of an integral representation, of its symmetric powers
     up to degree 3 and every column of the degree-by-degree expansion they
     are built from, every coefficient row the symmetric chain inserts, of
-    every product validation makes, and every
-    characteristic polynomial coefficient before ``Polynomial`` coerces
-    it, is a plain int; and no non-int value ever reaches the matrix
-    constructor's normalisation, so none was formed on the way."""
+    every product validation makes (``representations._product``), and
+    every characteristic polynomial coefficient before ``Polynomial``
+    coerces it, is a plain int; and no non-int value ever reaches the
+    matrix constructor's normalisation, so none was formed on the way."""
     products, coerced = [], []
-    mul, exact = Matrix.__mul__, linalg._exact
+    product, exact = representations._product, linalg._exact
 
-    def recording_mul(a, b):
-        out = mul(a, b)
+    def recording_product(rows, times):
+        out = product(rows, times)
         products.append(out)
         return out
 
@@ -358,7 +359,7 @@ def test_integral_representations_never_form_a_fraction(name, monkeypatch):
         coerced.append(type(x))
         return exact(x)
 
-    monkeypatch.setattr(Matrix, "__mul__", recording_mul)
+    monkeypatch.setattr(representations, "_product", recording_product)
     monkeypatch.setattr(linalg, "_exact", recording_exact)
     rho = INTEGRAL_REPRESENTATIONS[name]()
     assert products  # built with check=True, so validation multiplied
