@@ -43,13 +43,15 @@ Verifiers built on it: the tensor-power coverage bound (powers 0..r-1
 where r counts distinct character values), the symmetric-power bound
 (degrees 0 .. dim*s - 1 where s counts distinct characteristic
 polynomials), the positive-power refinement for monoids without zero,
-and the coarse |M|-power bound.  Each works out its bound and hands a
-coefficient-span chain to one body, which walks it once: the first
-covering step is ``minimal_k`` and the verdict is whether it exists, the
-step at the bound gives a failed check's witness, and the first step
-with Ann = 0 is ``min_faithful``.  A
-``scan-nt`` row is one such walk, carried on past the bound to the
-faithfulness cap.  No direct sum or Kronecker power is built: the span
+and the coarse |M|-power bound.  Each works out its bound and names its
+chain (tensor or symmetric, from power 0 or 1) to one body, which walks
+it once: the first covering step is ``minimal_k`` and the verdict is
+whether it exists, the step at the bound gives a failed check's witness,
+and the first step with Ann = 0 is ``min_faithful``.  A ``scan-nt`` row
+is one such walk, carried on past the bound to the faithfulness cap.
+No bound is capped: a tensor chain multiplies each of the at most |M|
+vectors it adds once; a symmetric degree too large is refused unbuilt.
+No direct sum or Kronecker power is built: the span
 E_k of the k-th tensor power's coefficient functions consists of the
 k-fold entrywise products of V's, and the accumulated span
 F_k = E_0 + ... + E_k never grows past dimension |M|.  No symmetric
@@ -72,6 +74,7 @@ from .representations import (
     distinct_character_values,
     distinct_charpolys,
     is_faithful,
+    sym_power_dim,
     symmetric_columns,
 )
 
@@ -151,6 +154,8 @@ class Subspace:
         when every row of b lies in the row space of a's."""
         if self.ambient != other.ambient:
             raise ValueError("subspaces live in different ambient spaces")
+        if self.dim == 0:  # the zero subspace lies in every subspace
+            return True
         return self.dim <= other.dim and all(map(self._echelon.contains, other.rows))
 
     def __eq__(self, other):
@@ -338,10 +343,9 @@ def _require_faithful(rho):
             f"{labels[b]!r} have the same matrix")
 
 
-def _check(theorem, rho, chain, radical, powers_cap, r, s, bound, first=0,
-           faithful_cap=None):
-    """Report whether the annihilator at step ``bound`` of ``chain(kmax)``
-    (steps ``first``..``kmax``) lies in the radical.  Annihilators only
+def _check(theorem, rho, mode, radical, r, s, bound, first=0, faithful_cap=None):
+    """Report whether the annihilator at step ``bound`` of the ``mode``
+    chain (steps ``first``..) lies in the radical.  Annihilators only
     shrink along the chain, so it does exactly when some step up to
     ``bound`` is covered, the first being ``minimal_k``; only a failed
     check tests step ``bound`` again, for its witness.  The first step with
@@ -350,11 +354,9 @@ def _check(theorem, rho, chain, radical, powers_cap, r, s, bound, first=0,
     if bound < first:
         raise ValueError(f"{theorem} bound {bound} is below the first power "
                          f"{first}: there is no power to check")
-    if powers_cap is not None and bound > powers_cap:
-        raise ValueError(f"{theorem} bound {bound} exceeds the cap {powers_cap}")
     rad = radical_basis(rho.monoid) if radical is None else radical
     minimal_k = min_faithful = None
-    for k, ann in chain(max(bound, faithful_cap or 0)):
+    for k, ann in _power_chain(rho, mode, max(bound, faithful_cap or 0), first):
         if minimal_k is None and k <= bound and ann <= rad:
             minimal_k = k
         if min_faithful is None and ann.dim == 0:
@@ -371,8 +373,7 @@ def _check(theorem, rho, chain, radical, powers_cap, r, s, bound, first=0,
                               min_faithful)
 
 
-def verify_tensor_theorem(rho: Representation, powers_cap=None,
-                          radical: Subspace | None = None,
+def verify_tensor_theorem(rho: Representation, radical: Subspace | None = None,
                           faithful_cap=None) -> VerificationReport:
     """Check that tensor powers 0..r-1 already reach every simple module.
 
@@ -385,27 +386,25 @@ def verify_tensor_theorem(rho: Representation, powers_cap=None,
     """
     _require_faithful(rho)
     r = len(distinct_character_values(rho))
-    return _check("tensor", rho, lambda k: tensor_annihilator_chain(rho, k),
-                  radical, powers_cap, r, None, r - 1, faithful_cap=faithful_cap)
+    return _check("tensor", rho, "tensor", radical, r, None, r - 1,
+                  faithful_cap=faithful_cap)
 
 
-def verify_symmetric_theorem(rho: Representation, powers_cap=None,
-                             radical: Subspace | None = None,
+def verify_symmetric_theorem(rho: Representation, radical: Subspace | None = None,
                              faithful_cap=None) -> VerificationReport:
     """Check that symmetric powers 0..dim*s-1 reach every simple module.
 
     s is the number of distinct characteristic polynomials of the element
     matrices of the (faithful) input.  ``faithful_cap`` is as for
-    ``verify_tensor_theorem``.
+    ``verify_tensor_theorem``; a degree too large to build raises.
     """
     _require_faithful(rho)
     s = len(distinct_charpolys(rho))
-    return _check("symmetric", rho, lambda k: symmetric_annihilator_chain(rho, k),
-                  radical, powers_cap, None, s, rho.dim * s - 1,
-                  faithful_cap=faithful_cap)
+    return _check("symmetric", rho, "symmetric", radical, None, s,
+                  rho.dim * s - 1, faithful_cap=faithful_cap)
 
 
-def verify_positive_power_refinement(rho: Representation, powers_cap=None,
+def verify_positive_power_refinement(rho: Representation,
                                      radical: Subspace | None = None) -> VerificationReport:
     """Check powers 1..r suffice when the monoid has no zero element.
 
@@ -419,9 +418,8 @@ def verify_positive_power_refinement(rho: Representation, powers_cap=None,
             f"monoid has a zero element ({rho.monoid.labels[z]!r}); the "
             "positive-power refinement does not apply")
     r = len(distinct_character_values(rho))
-    return _check("positive-refinement", rho,
-                  lambda k: tensor_annihilator_chain(rho, k, first=1),
-                  radical, powers_cap, r, None, r, first=1)
+    return _check("positive-refinement", rho, "tensor", radical, r, None, r,
+                  first=1)
 
 
 def _entry_rows(rho):
@@ -476,13 +474,20 @@ def symmetric_annihilator_chain(rho: Representation, kmax):
     entries of its sparse columns are scattered straight into the
     coefficient rows x -> S^d(x)[p][q], and each distinct row is folded
     once into one accumulated constraint space.  Once the kernel is zero
-    it stays zero, so no further degree is built.
+    it stays zero, so no further degree is built.  A degree of
+    c = C(dim+d-1, d) columns holds at most |M| * c^2 entries, in its
+    columns and in its rows; past ``SIZE_GUARD ** 3``, the work the
+    radical guard admits, it is refused before it is built.
     """
     n = rho.monoid.size
     acc = Echelon(n)
     degrees = symmetric_columns(rho)
     for d in range(kmax + 1):
         if acc.rank < n:
+            size = n * sym_power_dim(rho.dim, d) ** 2
+            if size > SIZE_GUARD ** 3:
+                raise ValueError(f"symmetric degree {d} refused: predicted size "
+                                 f"{size} exceeds {SIZE_GUARD ** 3}")
             rows = {}
             for x, cols in enumerate(next(degrees)):
                 for q, col in enumerate(cols):
@@ -498,9 +503,9 @@ def symmetric_annihilator_chain(rho: Representation, kmax):
         yield d, Subspace.kernel(acc)
 
 
-def _power_chain(rho, mode, kmax):
+def _power_chain(rho, mode, kmax, first=0):
     if mode == "tensor":
-        return tensor_annihilator_chain(rho, kmax)
+        return tensor_annihilator_chain(rho, kmax, first)
     if mode == "symmetric":
         return symmetric_annihilator_chain(rho, kmax)
     raise ValueError(f"unknown power mode {mode!r}")
@@ -522,8 +527,7 @@ def minimal_covering_power(rho: Representation, mode="tensor", cap=None,
             cap = len(distinct_character_values(rho)) - 1
         else:
             cap = rho.dim * len(distinct_charpolys(rho)) - 1
-    k = _check(mode, rho, lambda kmax: _power_chain(rho, mode, kmax), radical,
-               None, None, None, cap).minimal_k
+    k = _check(mode, rho, mode, radical, None, None, cap).minimal_k
     if k is not None:
         return k
     raise RuntimeError(
@@ -554,6 +558,5 @@ def verify_steinberg_bound(rho: Representation,
     when |M|-1 Kronecker powers would be astronomically large.
     """
     _require_faithful(rho)
-    n = rho.monoid.size
-    return _check("steinberg", rho, lambda k: tensor_annihilator_chain(rho, k),
-                  radical, None, None, None, n - 1)
+    return _check("steinberg", rho, "tensor", radical, None, None,
+                  rho.monoid.size - 1)

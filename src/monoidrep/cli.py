@@ -9,8 +9,8 @@ Four subcommands:
 
 Exit codes: 0 all checks hold, 1 a verified theorem failed (which means
 the implementation is broken -- the JSON witness is printed for
-auditing), 2 malformed input.  All output is deterministic; pass --json
-for machine-readable reports.
+auditing), 2 malformed input or a refused job.  All output is
+deterministic; pass --json for machine-readable reports.
 """
 
 from __future__ import annotations
@@ -109,22 +109,22 @@ def cmd_info(args):
 
 
 def cmd_verify(args):
+    if args.powers_cap is not None:
+        print("warning: --powers-cap is ignored; no bound is capped", file=sys.stderr)
     m = load_monoid(args.monoid)
     rho = load_representation(args.representation, m)
     radical = Subspace(m.size) if args.corrupt_radical else radical_basis(m, force=args.force)
-    cap = args.powers_cap
 
     which = args.which
     reports = []
     skipped = []
     if which in ("all", "tensor"):
-        reports.append(verify_tensor_theorem(rho, powers_cap=cap, radical=radical))
+        reports.append(verify_tensor_theorem(rho, radical=radical))
     if which in ("all", "symmetric"):
-        reports.append(verify_symmetric_theorem(rho, powers_cap=cap, radical=radical))
+        reports.append(verify_symmetric_theorem(rho, radical=radical))
     # the verifier itself refuses a monoid with a zero; "all" skips it
     if which == "positive" or (which == "all" and has_zero(m) is None):
-        reports.append(verify_positive_power_refinement(rho, powers_cap=cap,
-                                                        radical=radical))
+        reports.append(verify_positive_power_refinement(rho, radical=radical))
     elif which == "all":
         skipped.append("positive-refinement: monoid has a zero element")
     if which in ("all", "steinberg"):
@@ -302,8 +302,8 @@ def build_parser():
     sp.add_argument("representation")
     sp.add_argument("--which", default="all",
                     choices=["all", "tensor", "symmetric", "positive", "steinberg"])
-    sp.add_argument("--powers-cap", type=int, default=12,
-                    help="refuse tensor/symmetric exponents above this bound")
+    # accepted for old scripts and ignored, with a warning
+    sp.add_argument("--powers-cap", type=int, help=argparse.SUPPRESS)
     sp.add_argument("--force", action="store_true",
                     help="override the size guard on exact radical computation")
     sp.add_argument("--json", action="store_true")

@@ -79,9 +79,6 @@ class Representation:
                         f"do not multiply to the matrix at {table[a][g]}")
         return self
 
-    def matrix(self, x) -> Matrix:
-        return self.matrices[x]
-
     def __repr__(self):
         return f"Representation(dim={self.dim}, monoid_size={self.monoid.size})"
 

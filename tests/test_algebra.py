@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from monoidrep import algebra
 from monoidrep.algebra import (
     Subspace,
     all_simples_appear,
@@ -34,6 +35,7 @@ from monoidrep.representations import (
     nt_paper_representation,
     regular_representation,
     sym_power,
+    sym_power_dim,
     tensor_power,
     trivial_representation,
 )
@@ -310,16 +312,36 @@ def test_tensor_theorem_rejects_unfaithful():
         verify_tensor_theorem(rho)
 
 
-def test_tensor_theorem_powers_cap(t2_natural):
-    with pytest.raises(ValueError, match="cap"):
-        verify_tensor_theorem(nt_paper_representation(3), powers_cap=0)
-    # the cap is on the reported bound of every capped verifier
-    with pytest.raises(ValueError, match="cap"):
-        verify_symmetric_theorem(nt_paper_representation(3), powers_cap=2)
-    assert verify_symmetric_theorem(nt_paper_representation(3), powers_cap=3).holds
-    with pytest.raises(ValueError, match="cap"):
-        verify_positive_power_refinement(t2_natural, powers_cap=2)
-    assert verify_positive_power_refinement(t2_natural, powers_cap=3).holds
+def test_symmetric_degree_refused_before_it_is_built(monkeypatch):
+    """Degree d of N_7's symmetric chain has predicted size 8 * (d+1)^2.
+    With the budget SIZE_GUARD ** 3 = 125 between degree 2 (72) and the
+    bound, degree 3 (128), the walk refuses degree 3 without building it;
+    the radical is passed in, so its own guard does not fire."""
+    rho = nt_paper_representation(7)
+    radical = radical_basis(rho.monoid)
+    built = []
+    columns = algebra.symmetric_columns
+
+    def recording(rho):
+        for d, cols in enumerate(columns(rho)):
+            built.append(d)
+            yield cols
+
+    monkeypatch.setattr(algebra, "symmetric_columns", recording)
+    monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
+    with pytest.raises(ValueError, match="symmetric degree 3 refused: predicted size 128 "):
+        verify_symmetric_theorem(rho, radical=radical)
+    assert built == [0, 1, 2]
+
+
+def test_symmetric_degree_budget():
+    """The budget admits T_3's bound 17 and T_4's natural representation
+    up to degree 7, where its chain reaches rank |M| = 256; a dim-6
+    representation with s = 2 is refused at its bound 11 for any |M| > 1."""
+    budget = algebra.SIZE_GUARD ** 3
+    assert 27 * sym_power_dim(3, 17) ** 2 < budget
+    assert 256 * sym_power_dim(4, 7) ** 2 == 3_686_400 < budget
+    assert 2 * sym_power_dim(6, 11) ** 2 == 2 * 4368 ** 2 > budget
 
 
 def test_symmetric_theorem_examples(t2_natural):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import monoidrep.cli as cli
+from monoidrep import algebra
 from monoidrep.algebra import (
     Subspace,
     minimal_faithful_power,
@@ -200,11 +201,27 @@ def test_verify_corrupted_radical_exit_one(files, capsys):
     assert "VIOLATED" in out and "witness" in out
 
 
-def test_verify_powers_cap(files, capsys):
-    code, _, err = run(capsys, ["verify", files["t2"], files["natural"],
-                                "--which", "tensor", "--powers-cap", "1"])
-    assert code == 2
-    assert "cap" in err
+@pytest.mark.parametrize("cap", ["1", "20"])
+def test_verify_powers_cap_is_ignored(files, capsys, cap):
+    argv = ["verify", files["t3"], files["natural"]]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    capped = run(capsys, argv + ["--powers-cap", cap])
+    assert capped[:2] == (code, out)
+    assert capped[2].startswith("warning: ") and capped[2].count("\n") == 1
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "--powers-cap" not in capsys.readouterr().out
+
+
+def test_verify_symmetric_degree_refused(files, capsys, monkeypatch):
+    """A symmetric degree past the budget exits 2 with one error line;
+    --force lifts only the radical guard, not this one."""
+    monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
+    code, out, err = run(capsys, ["verify", files["nt7"], files["nt_rep"],
+                                  "--which", "symmetric", "--force"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: symmetric degree 3 refused") and err.count("\n") == 1
 
 
 # the trivial monoid on the zero-dimensional module: s = 1, so the

@@ -21,6 +21,7 @@ import pytest
 from monoidrep import algebra, cli
 from monoidrep.algebra import Subspace
 from monoidrep.cli import main
+from monoidrep.linalg import Echelon
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -46,6 +47,8 @@ CASES = {
     "info-t3-conjugate-json": (["info", *T3_CONJ, "--json"], 0),
     "info-n7-conjugate": (["info", *N7_CONJ], 0),
     "verify-t3": (["verify", *T3, "--which", "all", "--powers-cap", "20"], 0),
+    # the default flags walk every bound; same stdout as verify-t3
+    "verify-t3-default": (["verify", *T3], 0),
     "verify-t3-json": (["verify", *T3, "--which", "all", "--powers-cap", "20",
                         "--json"], 0),
     "verify-m128-steinberg": (["verify", *M128, "--which", "steinberg"], 0),
@@ -205,6 +208,32 @@ def test_each_step_containment_decided_once(name, monkeypatch):
             assert le_calls == len(rep.powers_used) + 1
             assert leq_calls == 1
     assert any(not rep.holds for rep, _, _ in reports) == (CASES[name][1] == 1)
+
+
+@pytest.mark.parametrize("name", ["verify-t3", "verify-m128-steinberg"])
+def test_zero_annihilator_contained_without_reduction(name, monkeypatch):
+    """The zero subspace lies in every subspace: a chain step with
+    Ann = 0 is covered without reducing a row of the radical."""
+    reduces, steps = [], []
+    reduce, le = Echelon.reduce, Subspace.__le__
+
+    def counting_reduce(self, vec):
+        reduces.append(vec)
+        return reduce(self, vec)
+
+    def recording_le(a, b):
+        before = len(reduces)
+        holds = le(a, b)
+        steps.append((a.dim, holds, len(reduces) - before))
+        return holds
+
+    monkeypatch.setattr(Echelon, "reduce", counting_reduce)
+    monkeypatch.setattr(Subspace, "__le__", recording_le)
+    code, out = run_case(name)
+    assert code == CASES[name][1]
+    assert out == (GOLDEN / f"{name}.txt").read_text()
+    zero = [(holds, n) for dim, holds, n in steps if dim == 0]
+    assert zero and all(holds and n == 0 for holds, n in zero)
 
 
 if __name__ == "__main__":
