@@ -44,11 +44,11 @@ where r counts distinct character values), the symmetric-power bound
 (degrees 0 .. dim*s - 1 where s counts distinct characteristic
 polynomials), the positive-power refinement for monoids without zero,
 and the coarse |M|-power bound.  Each works out its bound and names its
-chain (tensor or symmetric, from power 0 or 1) to one body, which walks
-it once: the first covering step is ``minimal_k`` and the verdict is
-whether it exists, the step at the bound gives a failed check's witness,
-and the first step with Ann = 0 is ``min_faithful``.  A ``scan-nt`` row
-is one such walk, carried on past the bound to the faithfulness cap.
+chain (tensor or symmetric, from power 0 or 1) to one body, which reads
+it: the first covering step is ``minimal_k`` and the verdict is whether
+it exists, and the step at the bound gives a failed check's witness.
+Each chain of a representation is walked once (``_walk``), as far as
+its furthest read; verifiers and minimal-power scans all read that walk.
 No bound is capped: a tensor chain multiplies each of the at most |M|
 vectors it adds once; a symmetric degree too large is refused unbuilt.
 No direct sum or Kronecker power is built: the span
@@ -62,8 +62,10 @@ rows.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from math import isqrt, lcm
 from operator import mul
 
@@ -84,9 +86,11 @@ SIZE_GUARD = 300
 
 
 def _span(ncols, vectors) -> Echelon:
-    """Echelon of the span of ``vectors``."""
+    """Echelon of the span of ``vectors``, read only until the rank is full."""
     out = Echelon(ncols)
     for v in vectors:
+        if out.rank == ncols:
+            break
         out.insert(v)
     return out
 
@@ -283,13 +287,7 @@ def annihilator_basis(rho: Representation) -> Subspace:
     with column x holding that entry of rho(x); rows stream through an
     incremental echelon so only the O(|M|) pivot rows are ever stored.
     """
-    n = rho.monoid.size
-    ech = Echelon(n)
-    for row in _entry_rows(rho):
-        if ech.rank == n:
-            break
-        ech.insert(row)
-    return Subspace.kernel(ech)
+    return Subspace.kernel(_span(rho.monoid.size, _entry_rows(rho)))
 
 
 def all_simples_appear(rho: Representation, radical: Subspace | None = None):
@@ -318,7 +316,6 @@ class VerificationReport:
     dim_ann: int
     witness: tuple | None
     minimal_k: int | None = None
-    min_faithful: int | None = None
 
     def to_json_dict(self):
         return {
@@ -343,65 +340,56 @@ def _require_faithful(rho):
             f"{labels[b]!r} have the same matrix")
 
 
-def _check(theorem, rho, mode, radical, r, s, bound, first=0, faithful_cap=None):
+def _check(theorem, rho, mode, radical, r, s, bound, first=0):
     """Report whether the annihilator at step ``bound`` of the ``mode``
     chain (steps ``first``..) lies in the radical.  Annihilators only
-    shrink along the chain, so it does exactly when some step up to
-    ``bound`` is covered, the first being ``minimal_k``; only a failed
-    check tests step ``bound`` again, for its witness.  The first step with
-    Ann = 0 is ``min_faithful``; with ``faithful_cap`` the walk goes on
-    past ``bound`` up to that step until Ann = 0 is reached."""
+    shrink, so it does exactly when some step up to ``bound`` is covered,
+    the first being ``minimal_k``.  The read stops at ``bound`` or at
+    Ann = 0, which lasts; only a failed check tests step ``bound`` again,
+    for its witness."""
     if bound < first:
         raise ValueError(f"{theorem} bound {bound} is below the first power "
                          f"{first}: there is no power to check")
     rad = radical_basis(rho.monoid) if radical is None else radical
-    minimal_k = min_faithful = None
-    for k, ann in _power_chain(rho, mode, max(bound, faithful_cap or 0), first):
-        if minimal_k is None and k <= bound and ann <= rad:
+    minimal_k = None
+    for k, ann in _walk(rho, mode, first):
+        if minimal_k is None and ann <= rad:
             minimal_k = k
-        if min_faithful is None and ann.dim == 0:
-            min_faithful = k
-        if k == bound:
-            at_bound = ann
-        if k >= bound and (faithful_cap is None or min_faithful is not None):
+        if k == bound or not ann.dim:
             break
     holds = minimal_k is not None
-    witness = None if holds else subspace_leq(at_bound, rad)[1]
+    witness = None if holds else subspace_leq(ann, rad)[1]
     return VerificationReport(theorem, holds, r, s, bound,
                               tuple(range(first, bound + 1)),
-                              rad.dim, at_bound.dim, witness, minimal_k,
-                              min_faithful)
+                              rad.dim, ann.dim, witness, minimal_k)
 
 
-def verify_tensor_theorem(rho: Representation, radical: Subspace | None = None,
-                          faithful_cap=None) -> VerificationReport:
+def verify_tensor_theorem(rho: Representation,
+                          radical: Subspace | None = None) -> VerificationReport:
     """Check that tensor powers 0..r-1 already reach every simple module.
 
     r is the number of distinct character values of the (faithful) input.
     A False result would contradict the theorem and therefore signals an
     implementation bug; the report carries the witness for auditing.
     ``radical`` overrides the computed radical (negative-path testing).
-    With ``faithful_cap`` the walk also finds the least faithful power up
-    to ``max(bound, faithful_cap)``, as ``minimal_faithful_power`` would.
+    The chain walked is shared with every other read of it (``_walk``).
     """
     _require_faithful(rho)
     r = len(distinct_character_values(rho))
-    return _check("tensor", rho, "tensor", radical, r, None, r - 1,
-                  faithful_cap=faithful_cap)
+    return _check("tensor", rho, "tensor", radical, r, None, r - 1)
 
 
-def verify_symmetric_theorem(rho: Representation, radical: Subspace | None = None,
-                             faithful_cap=None) -> VerificationReport:
+def verify_symmetric_theorem(rho: Representation,
+                             radical: Subspace | None = None) -> VerificationReport:
     """Check that symmetric powers 0..dim*s-1 reach every simple module.
 
     s is the number of distinct characteristic polynomials of the element
-    matrices of the (faithful) input.  ``faithful_cap`` is as for
+    matrices of the (faithful) input.  The rest is as for
     ``verify_tensor_theorem``; a degree too large to build raises.
     """
     _require_faithful(rho)
     s = len(distinct_charpolys(rho))
-    return _check("symmetric", rho, "symmetric", radical, None, s,
-                  rho.dim * s - 1, faithful_cap=faithful_cap)
+    return _check("symmetric", rho, "symmetric", radical, None, s, rho.dim * s - 1)
 
 
 def verify_positive_power_refinement(rho: Representation,
@@ -432,16 +420,8 @@ def _entry_rows(rho):
                 yield row
 
 
-def _entry_functions(rho):
-    """Independent integer basis of the span of x -> rho(x)[i][j] in Q^M."""
-    ech = Echelon(rho.monoid.size)
-    for row in _entry_rows(rho):
-        ech.insert(row)
-    return ech.int_rows
-
-
 def tensor_annihilator_chain(rho: Representation, kmax, first=0):
-    """Yield (k, Ann(V^first + ... + V^k)) for k = first..kmax.
+    """Yield (k, Ann(V^first + ... + V^k)) for k = first..kmax (on, if None).
 
     ``first`` is 0, or 1 to leave out the trivial module V^0.  Never
     builds a Kronecker power.  The coefficient functions of V^k span the
@@ -460,15 +440,15 @@ def tensor_annihilator_chain(rho: Representation, kmax, first=0):
     if first == 0:
         acc.insert(new[0])
         yield 0, Subspace.kernel(acc)
-    e1 = _entry_functions(rho)
-    for k in range(1, kmax + 1):
+    e1 = _span(n, _entry_rows(rho)).int_rows  # a basis of E_1
+    for k in count(1) if kmax is None else range(1, kmax + 1):
         products = dict.fromkeys(tuple(map(mul, d, g)) for d in new for g in e1)
         new = [v for v in products if any(v) and acc.rank < n and acc.insert(v)]
         yield k, Subspace.kernel(acc)
 
 
 def symmetric_annihilator_chain(rho: Representation, kmax):
-    """Yield (d, Ann(S^0 + ... + S^d)) for d = 0..kmax.
+    """Yield (d, Ann(S^0 + ... + S^d)) for d = 0..kmax (on, if kmax is None).
 
     Each degree is built from the one before (``symmetric_columns``); the
     entries of its sparse columns are scattered straight into the
@@ -482,7 +462,7 @@ def symmetric_annihilator_chain(rho: Representation, kmax):
     n = rho.monoid.size
     acc = Echelon(n)
     degrees = symmetric_columns(rho)
-    for d in range(kmax + 1):
+    for d in count() if kmax is None else range(kmax + 1):
         if acc.rank < n:
             size = n * sym_power_dim(rho.dim, d) ** 2
             if size > SIZE_GUARD ** 3:
@@ -509,6 +489,32 @@ def _power_chain(rho, mode, kmax, first=0):
     if mode == "symmetric":
         return symmetric_annihilator_chain(rho, kmax)
     raise ValueError(f"unknown power mode {mode!r}")
+
+
+# rho -> {(mode, first): (chain, steps)}; weak keys and proxies free them with rho
+_WALKS = weakref.WeakKeyDictionary()
+_LOCK = threading.Lock()
+
+
+def _walk(rho, mode, first=0):
+    """Yield (k, Ann at step k of rho's ``mode`` chain) for k = first, ...
+    The chain is stepped once per rho, under ``_LOCK``, as far as a read
+    asks, and not past Ann = 0, where it stays.  A step that raises drops
+    the walk, so the next read raises again."""
+    for k in count(first):
+        with _LOCK:
+            walks = _WALKS.setdefault(rho, {})
+            if (mode, first) not in walks:
+                walks[mode, first] = _power_chain(weakref.proxy(rho), mode, None, first), []
+            chain, steps = walks[mode, first]
+            while len(steps) <= k - first and (not steps or steps[-1].dim):
+                try:
+                    steps.append(next(chain)[1])
+                except BaseException:
+                    del walks[mode, first]
+                    raise
+            ann = steps[min(k - first, len(steps) - 1)]
+        yield k, ann
 
 
 def minimal_covering_power(rho: Representation, mode="tensor", cap=None,
@@ -544,10 +550,9 @@ def minimal_faithful_power(rho: Representation, mode="tensor", cap=32):
     there are, which is exactly what the scan exposes.
     """
     _require_faithful(rho)
-    for k, ann in _power_chain(rho, mode, cap):
-        if ann.dim == 0:
-            return k
-    return None
+    for k, ann in _walk(rho, mode):
+        if not ann.dim or k >= cap:
+            return None if ann.dim else k
 
 
 def verify_steinberg_bound(rho: Representation,

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import (
-    Subspace,
+    minimal_faithful_power,
     radical_basis,
     verify_positive_power_refinement,
     verify_steinberg_bound,
@@ -113,7 +113,7 @@ def cmd_verify(args):
         print("warning: --powers-cap is ignored; no bound is capped", file=sys.stderr)
     m = load_monoid(args.monoid)
     rho = load_representation(args.representation, m)
-    radical = Subspace(m.size) if args.corrupt_radical else radical_basis(m, force=args.force)
+    radical = radical_basis(m, force=args.force)
 
     which = args.which
     reports = []
@@ -168,7 +168,7 @@ def _scan_row(t, mode, cap):
     m = rho.monoid
     verify = {"tensor": verify_tensor_theorem,
               "symmetric": verify_symmetric_theorem}[mode]
-    rep = verify(rho, radical=radical_basis(m), faithful_cap=cap)
+    rep = verify(rho, radical=radical_basis(m))
     bound = rep.bound
     if mode == "tensor":
         w_dim = sum(rho.dim ** i for i in range(bound + 1))
@@ -184,7 +184,7 @@ def _scan_row(t, mode, cap):
         "dim_ann": rep.dim_ann,
         "holds": rep.holds,
         "min_covering": rep.minimal_k,
-        "min_faithful": rep.min_faithful,
+        "min_faithful": minimal_faithful_power(rho, mode, max(bound, cap)),
         "note": "",
     }
     if w_dim * w_dim < m.size:
@@ -307,7 +307,6 @@ def build_parser():
     sp.add_argument("--force", action="store_true",
                     help="override the size guard on exact radical computation")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--corrupt-radical", action="store_true", help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("scan-nt", help="scan the N_t family")

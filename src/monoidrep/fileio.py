@@ -89,7 +89,10 @@ def monoid_from_spec(obj) -> Monoid:
     if kind == "cayley":
         table = _require(obj, "table", list)
         identity = _require(obj, "identity", int)
-        return from_cayley_table(identity, table, labels=obj.get("labels"))
+        labels = obj.get("labels")
+        if labels is not None and not isinstance(labels, list):
+            raise ValueError(f"field 'labels' must be an array, not {json.dumps(labels)}")
+        return from_cayley_table(identity, table, labels=labels)
     if kind == "transformations":
         degree = _require(obj, "degree", int)
         gens = _require(obj, "generators", list)

@@ -93,9 +93,12 @@ class Monoid:
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         else:
-            labels = tuple(str(x) for x in labels)
+            labels = tuple(map(str, _require_sequence(labels, "labels")))
             if len(labels) != n:
                 raise ValueError("label count differs from monoid size")
+            if len(set(labels)) < n:
+                repeat = next(x for i, x in enumerate(labels) if x in labels[:i])
+                raise ValueError(f"label {repeat!r} is repeated")
         self.table = table
         self.identity = identity
         self.generators = gens

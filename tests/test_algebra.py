@@ -1,4 +1,9 @@
+import gc
 import random
+import sys
+import threading
+import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -332,6 +337,81 @@ def test_symmetric_degree_refused_before_it_is_built(monkeypatch):
     with pytest.raises(ValueError, match="symmetric degree 3 refused: predicted size 128 "):
         verify_symmetric_theorem(rho, radical=radical)
     assert built == [0, 1, 2]
+
+
+def test_refused_degree_refused_again(monkeypatch):
+    """A refused degree drops the walk that reached it: the next read of
+    the same representation is refused the same way."""
+    rho = nt_paper_representation(7)
+    radical = radical_basis(rho.monoid)
+    monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="symmetric degree 3 refused"):
+            verify_symmetric_theorem(rho, radical=radical)
+    with pytest.raises(ValueError, match="symmetric degree 3 refused"):
+        minimal_faithful_power(rho, "symmetric", 5)
+
+
+def test_walks_freed_with_their_representation(monkeypatch):
+    """The walks hold a representation only weakly: once verified and
+    scanned, it is freed by reference counting alone, walks and all."""
+    monkeypatch.setattr(algebra, "_WALKS", weakref.WeakKeyDictionary())
+    rho = nt_paper_representation(5)
+    alive = weakref.ref(rho)
+    gc.disable()
+    try:
+        assert verify_tensor_theorem(rho).holds and verify_symmetric_theorem(rho).holds
+        assert minimal_faithful_power(rho, "tensor", 8) == 4
+        assert minimal_faithful_power(rho, "symmetric", 8) == 4
+        assert len(algebra._WALKS) == 1
+        del rho
+        assert alive() is None
+        assert len(algebra._WALKS) == 0
+    finally:
+        gc.enable()
+
+
+def test_concurrent_reads_share_one_walk(monkeypatch):
+    """Threads reading one representation's chains at once, with a short
+    switch interval, open each chain once and get a lone reader's answers."""
+    expected = [(minimal_faithful_power(nt_paper_representation(9), mode, 12),
+                 verify_steinberg_bound(nt_paper_representation(9)).minimal_k)
+                for mode in ("tensor", "symmetric")]
+    opened = []
+
+    def slow(mode, chain, *args):
+        opened.append(mode)
+        for step in chain(*args):
+            time.sleep(0.001)  # a window for another reader to step it too
+            yield step
+
+    for mode in ("tensor", "symmetric"):
+        chain = getattr(algebra, f"{mode}_annihilator_chain")
+        monkeypatch.setattr(algebra, f"{mode}_annihilator_chain",
+                            lambda *args, _mode=mode, _chain=chain: slow(_mode, _chain, *args))
+    rho = nt_paper_representation(9)
+    results = {}
+    start = threading.Barrier(6)
+
+    def read(i):
+        mode = ("tensor", "symmetric")[i % 2]
+        start.wait(timeout=60)
+        results[i] = (minimal_faithful_power(rho, mode, 12),
+                      verify_steinberg_bound(rho).minimal_k)
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results[i] for i in range(6)] == expected * 3
+    assert sorted(opened) == ["symmetric", "tensor"]
 
 
 def test_symmetric_degree_budget():

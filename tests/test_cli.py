@@ -12,11 +12,13 @@ from monoidrep.algebra import (
     verify_tensor_theorem,
 )
 from monoidrep.cli import main, parse_weights
+from monoidrep.fileio import monoid_from_spec
 from monoidrep.monoids import from_transformations
 from monoidrep.representations import (
     distinct_character_values,
     distinct_charpolys,
     nt_paper_representation,
+    regular_representation,
 )
 
 from conftest import T3_GENERATORS
@@ -146,6 +148,75 @@ def test_info_boolean_for_integer_exit_two(tmp_path, capsys, name):
     assert message in err
 
 
+@pytest.mark.parametrize("labels, message", [
+    (5, "field 'labels' must be an array, not 5"),
+    (True, "field 'labels' must be an array, not true"),
+    (1.5, "field 'labels' must be an array, not 1.5"),
+    (["a", "a"], "label 'a' is repeated"),
+])
+def test_info_bad_labels_exit_two(tmp_path, capsys, labels, message):
+    spec = {"type": "cayley", "identity": 0, "table": [[0, 1], [1, 0]], "labels": labels}
+    rep = {"dim": 1, "matrices": {"a": [["1"]]}}
+    code, out, err = run(capsys, ["info", write(tmp_path, "m.json", spec),
+                                  write(tmp_path, "rep.json", rep)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+# each valid field of a monoid or representation file is replaced by each of these
+BAD_VALUES = [5, -1, 1.5, True, None, "x", [], {}, [5], [[True]], ["e", "e"]]
+SWEEP_MONOIDS = {
+    "cayley": {"type": "cayley", "identity": 0, "table": [[0, 1], [1, 0]]},
+    "transformations": {"type": "transformations", "degree": 2, "generators": [[2, 1]]},
+    "nt": {"type": "nt", "t": 2},
+    "matrices": {"type": "matrices", "dim": 1, "cap": 10, "generators": [[["-1"]]]},
+}
+
+
+def _sweep_inputs():
+    """(monoid spec, representation spec) pairs, for each monoid type and
+    each representation form (a builtin mode, matrices keyed by label):
+    one field of the pair, or ``labels``, holds one of ``BAD_VALUES``."""
+    for kind, monoid in SWEEP_MONOIDS.items():
+        m = monoid_from_spec(monoid)
+        keyed = {"dim": m.size,
+                 "matrices": {label: [list(row) for row in mat.rows] for label, mat
+                              in zip(m.labels, regular_representation(m).matrices)}}
+        for rep in ({"mode": "nt-paper" if kind == "nt" else "natural"}, keyed):
+            for value in BAD_VALUES:
+                for field in [*monoid, "labels"]:
+                    yield {**monoid, field: value}, rep
+                for field in rep:
+                    yield monoid, {**rep, field: value}
+
+
+def test_info_malformed_input_sweep(tmp_path, capsys, monkeypatch):
+    """No malformed field makes ``mbt info`` raise: it exits 0, or 2 with
+    one ``error:`` line."""
+    paths = {}  # each distinct file is written once
+
+    def path(spec):
+        text = json.dumps(spec)
+        if text not in paths:
+            paths[text] = tmp_path / f"{len(paths)}.json"
+            paths[text].write_text(text)
+        return str(paths[text])
+
+    parser = cli.build_parser()  # built once: building it is most of a run
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    wrong = []
+    for monoid, rep in _sweep_inputs():
+        try:
+            code, _, err = run(capsys, ["info", path(monoid), path(rep)])
+        except Exception as e:  # an escape is what this test reports
+            wrong.append((monoid, rep, repr(e)))
+            continue
+        if code not in (0, 2) or (code == 2) != (err.startswith("error: ")
+                                               and err.count("\n") == 1):
+            wrong.append((monoid, rep, code, err))
+    assert wrong == []
+
+
 # --- verify ----------------------------------------------------------------------
 
 def test_verify_nt7_all(files, capsys):
@@ -194,11 +265,16 @@ def test_verify_unfaithful_exit_two(files, capsys):
     assert "not faithful" in err
 
 
-def test_verify_corrupted_radical_exit_one(files, capsys):
-    code, out, _ = run(capsys, ["verify", files["nt5"], files["nt_rep"],
-                                "--which", "tensor", "--corrupt-radical"])
+def test_verify_corrupted_radical_exit_one(files, capsys, monkeypatch):
+    argv = ["verify", files["nt5"], files["nt_rep"], "--which", "tensor"]
+    monkeypatch.setattr(cli, "radical_basis", lambda m, force=False: Subspace(m.size))
+    code, out, _ = run(capsys, argv)
     assert code == 1
     assert "VIOLATED" in out and "witness" in out
+    # the zero radical is injected by the tests only, not by a flag
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--corrupt-radical"])
+    assert exit_info.value.code == 2
 
 
 @pytest.mark.parametrize("cap", ["1", "20"])

@@ -73,6 +73,19 @@ def test_matrices_spec():
     assert m.matrix_elements[1] == Matrix([[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("labels", [5, True, 1.5, "ab", {"e": 0}])
+def test_cayley_labels_must_be_an_array(labels):
+    with pytest.raises(ValueError, match="field 'labels' must be an array"):
+        monoid_from_spec({"type": "cayley", "identity": 0,
+                          "table": [[0, 1], [1, 0]], "labels": labels})
+
+
+def test_cayley_labels_must_not_repeat():
+    with pytest.raises(ValueError, match="label 'e' is repeated"):
+        monoid_from_spec({"type": "cayley", "identity": 0,
+                          "table": [[0, 1], [1, 0]], "labels": ["e", "e"]})
+
+
 def test_unknown_type_rejected():
     with pytest.raises(ValueError, match="unknown monoid type"):
         monoid_from_spec({"type": "group"})

@@ -4,7 +4,8 @@ Each case runs one `mbt` command in-process and compares its standard
 output with ``tests/golden/<name>.txt`` and its exit code with the one
 listed here.  Input files live in ``tests/golden/inputs``.  The cases
 cover every subcommand, text and ``--json``, and the witness output of a
-failed check (``--corrupt-radical``), so any change to stdout shows.
+failed check: a case named ``*-corrupt*`` runs with ``cli.radical_basis``
+returning the zero subspace, so any change to stdout shows.
 
 Regenerate after a deliberate output change with
 
@@ -15,6 +16,7 @@ import contextlib
 import io
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -56,14 +58,12 @@ CASES = {
                                     "--json"], 0),
     "verify-t3-conjugate": (["verify", *T3_CONJ, "--which", "all",
                              "--powers-cap", "20"], 0),
-    # Ann = 0 at every bound, so even the zero radical holds
+    # with the zero radical: Ann = 0 at every bound, so even that holds
     "verify-t3-conjugate-corrupt": (["verify", *T3_CONJ, "--which", "all",
-                                     "--powers-cap", "20", "--corrupt-radical"], 0),
-    "verify-n7-conjugate-corrupt": (["verify", *N7_CONJ, "--which", "all",
-                                     "--corrupt-radical"], 1),
-    "verify-n7-corrupt": (["verify", *N7, "--which", "all", "--corrupt-radical"], 1),
-    "verify-n7-corrupt-json": (["verify", *N7, "--which", "all",
-                                "--corrupt-radical", "--json"], 1),
+                                     "--powers-cap", "20"], 0),
+    "verify-n7-conjugate-corrupt": (["verify", *N7_CONJ, "--which", "all"], 1),
+    "verify-n7-corrupt": (["verify", *N7, "--which", "all"], 1),
+    "verify-n7-corrupt-json": (["verify", *N7, "--which", "all", "--json"], 1),
     "scan-nt-tensor": (["scan-nt", "--from", "2", "--to", "9"], 0),
     "scan-nt-tensor-json": (["scan-nt", "--from", "2", "--to", "9", "--json"], 0),
     "scan-nt-symmetric": (["scan-nt", "--from", "2", "--to", "9",
@@ -104,11 +104,17 @@ CASES = {
 }
 
 
+def zero_radical(m, force=False):
+    return Subspace(m.size)
+
+
 def run_case(name):
     argv, _ = CASES[name]
     argv = [str(INPUTS / a) if a.endswith(".json") else a for a in argv]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    radical = (mock.patch.object(cli, "radical_basis", zero_radical) if "-corrupt" in name
+               else contextlib.nullcontext())
+    with contextlib.redirect_stdout(out), radical:
         code = main(argv)
     return code, out.getvalue()
 
@@ -208,6 +214,32 @@ def test_each_step_containment_decided_once(name, monkeypatch):
             assert le_calls == len(rep.powers_used) + 1
             assert leq_calls == 1
     assert any(not rep.holds for rep, _, _ in reports) == (CASES[name][1] == 1)
+
+
+def test_each_chain_walked_once(monkeypatch):
+    """``verify --which all`` on T_3 reads the tensor chain from power 0
+    (tensor and Steinberg checks), from power 1 (positive refinement) and
+    the symmetric chain: each is opened once and each step pulled once."""
+    opened = []
+    tensor, symmetric = algebra.tensor_annihilator_chain, algebra.symmetric_annihilator_chain
+
+    def recording(key, chain):
+        pulled = []
+        opened.append((key, pulled))
+        for k, ann in chain:
+            pulled.append(k)
+            yield k, ann
+
+    monkeypatch.setattr(algebra, "tensor_annihilator_chain", lambda rho, kmax, first=0:
+                        recording(("tensor", first), tensor(rho, kmax, first)))
+    monkeypatch.setattr(algebra, "symmetric_annihilator_chain", lambda rho, kmax:
+                        recording(("symmetric", 0), symmetric(rho, kmax)))
+    code, out = run_case("verify-t3")
+    assert code == 0
+    assert out == (GOLDEN / "verify-t3.txt").read_text()
+    assert sorted(key for key, _ in opened) == [("symmetric", 0), ("tensor", 0), ("tensor", 1)]
+    for (_, first), pulled in opened:
+        assert pulled == list(range(first, first + len(pulled)))
 
 
 @pytest.mark.parametrize("name", ["verify-t3", "verify-m128-steinberg"])

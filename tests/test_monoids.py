@@ -131,6 +131,16 @@ def test_non_integer_table_entry_rejected(entry, shown):
         Monoid([[0, 1], [entry, 0]], 0)
 
 
+@pytest.mark.parametrize("labels, message", [
+    (5, "labels must be a sequence, not 5"),
+    (["a", "a"], "label 'a' is repeated"),
+    (["1", 1], "label '1' is repeated"),
+])
+def test_bad_labels_rejected(labels, message):
+    with pytest.raises(ValueError, match=message):
+        Monoid([[0, 1], [1, 0]], 0, labels=labels)
+
+
 # --- matrix closures -----------------------------------------------------------
 
 def test_matrix_closure_swap():
