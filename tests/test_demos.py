@@ -1,4 +1,10 @@
-"""Every script in demos/ runs to completion with exit code 0."""
+"""Every script in demos/ runs to completion with exit code 0 and prints
+exactly its recorded output in ``tests/golden/demos/<name>.txt``.
+
+Regenerate a recorded output after a deliberate change with
+
+    PYTHONPATH=src python demos/<name>.py > tests/golden/demos/<name>.txt
+"""
 
 import os
 import subprocess
@@ -9,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+RECORDED = Path(__file__).parent / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -19,3 +26,4 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (RECORDED / f"{demo.stem}.txt").read_text()

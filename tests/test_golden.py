@@ -36,6 +36,9 @@ M128 = ["m128.json", "natural.json"]
 # their coefficient rows have denominators to clear
 T3_CONJ = ["t3.json", "t3-conjugate.json"]
 N7_CONJ = ["nt7.json", "nt7-conjugate.json"]
+# the 3-element matrix monoid generated by a rational projection and a swap,
+# with its defining matrices: weights and character values are rational
+RATIONAL2 = ["rational2.json", "rational2-defining.json"]
 MOLIEN_WEIGHTS = "[1,2,3]:1,[2,1,3]:-1/2,[2,3,1]:3,[1,1,3]:2/3,[1,1,1]:-1"
 MOLIEN_SHORT = "[1,2,3]:1,[2,1,3]:-1/2,[2,3,1]:3"
 
@@ -101,6 +104,8 @@ CASES = {
                       "--weights", MOLIEN_WEIGHTS, "-N", "0"], 0),
     "molien-t3-conjugate": (["molien", *T3_CONJ, "--idempotent", "[1,2,3]",
                              "--weights", MOLIEN_SHORT, "-N", "6"], 0),
+    "molien-rational": (["molien", *RATIONAL2, "--idempotent", "g0",
+                         "--weights", "g0:1,g1:-2/3,g2:1/2", "-N", "5"], 0),
 }
 
 
