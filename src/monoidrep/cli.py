@@ -30,14 +30,13 @@ from .algebra import (
 )
 from .fileio import format_rational, load_monoid, load_representation
 from .linalg import format_polynomial
-from .molien import series_prefix, weighted_series
+from .molien import _local_weighted_series, series_prefix
 from .monoids import has_zero, idempotents, local_ideal, local_monoid, unit_group
 from .representations import (
     distinct_character_values,
     distinct_charpolys,
     is_faithful,
     nt_paper_representation,
-    restrict_to_local,
     sym_power_characters,
 )
 
@@ -251,16 +250,13 @@ def cmd_molien(args):
     rho = load_representation(args.representation, m)
     e = m.index_of_label(args.idempotent)
     weights = parse_weights(args.weights, m)
-    f = weighted_series(rho, e, weights)
+    f, local, pos = _local_weighted_series(rho, e, weights)
     prefix = series_prefix(f, args.terms)
 
     # cross-check every coefficient against the symmetric-power characters
     # sum_x w_x h_d(eigenvalues of x), from one power-trace pass per x
-    local = restrict_to_local(rho, e)
-    members = local_monoid(m, e)
-    pos = {x: i for i, x in enumerate(members)}
     n = args.terms
-    direct = [Fraction(0)] * (n + 1)
+    direct = [0] * (n + 1)
     for x in range(m.size):
         if weights[x]:
             h = sym_power_characters(local, pos[x], n)

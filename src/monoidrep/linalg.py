@@ -11,9 +11,17 @@ only for its canonical reduced form.  One private routine,
 into one int; its result is only a candidate, which the caller
 certifies over the integers.  Univariate polynomials and the
 Newton-identity conversions between power sums, complete homogeneous
-symmetric functions and elementary symmetric functions work in
-``Fraction``.  There is no floating point anywhere; every result is
-exact.
+symmetric functions and elementary symmetric functions keep the same
+canonical form: every quotient goes through ``_div``, which gives an
+int when it divides exactly, so integral input stays in ints and
+rational input falls back to ``Fraction``.  There is no floating point
+anywhere; every result is exact.
+
+Integral is the common case even for rational matrices.  In a finite
+monoid every element x has x^a = x^(a+p) for some a and p, so each
+eigenvalue of a matrix representing x is 0 or a root of unity.  Its
+characteristic polynomial, its power traces and its symmetric-power
+traces h_d are therefore rational algebraic integers, that is integers.
 
 Matrices and polynomials are immutable once constructed, so all functions
 here are safe to call from multiple threads.
@@ -59,6 +67,17 @@ def _exact(x):
         return x
     q = as_fraction(x)
     return q.numerator if q.denominator == 1 else q
+
+
+def _div(a, b):
+    """The exact quotient a / b in canonical form: an int when both are
+    ints and b divides a, otherwise the value as ``_exact`` gives it.
+    Never a float: ``Fraction`` refuses a float operand."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _exact(Fraction(a, b))
 
 
 _INT = frozenset((int,))
@@ -448,12 +467,17 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 class Polynomial:
     """Univariate polynomial over the rationals, coefficients by degree.
 
+    Coefficients are canonical, as ``Matrix`` entries are: an ``int``
+    wherever the value is an integer and a ``Fraction`` only where it is
+    not.  The constructor accepts ints, "p/q" strings and Fractions;
+    ``p[i]`` and ``p(x)`` answer in the same form, and division goes
+    through ``_div``, so integral polynomials compute in ints alone.
     The zero polynomial has an empty coefficient tuple; otherwise the
     leading coefficient is nonzero.
     """
 
     def __init__(self, coeffs=()):
-        c = [as_fraction(x) for x in coeffs]
+        c = list(map(_exact, coeffs))
         while c and not c[-1]:
             c.pop()
         self.coeffs = tuple(c)
@@ -471,7 +495,7 @@ class Polynomial:
         return bool(self.coeffs)
 
     def __getitem__(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else ZERO
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
@@ -503,11 +527,11 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = as_fraction(other)
+            c = _exact(other)
             return Polynomial(tuple(c * x for x in self.coeffs))
         if self.is_zero or other.is_zero:
             return Polynomial()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -518,15 +542,16 @@ class Polynomial:
         return self * other
 
     def __call__(self, x):
-        acc = ZERO
+        x = _exact(x)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return _exact(acc)
 
     def __divmod__(self, other):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [ZERO] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
+        q = [0] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
         rem = list(self.coeffs)
         lead = other.coeffs[-1]
         d = other.degree
@@ -535,7 +560,7 @@ class Polynomial:
                 rem.pop()
             if len(rem) - 1 < d:
                 break
-            c = rem[-1] / lead
+            c = _div(rem[-1], lead)
             k = len(rem) - 1 - d
             q[k] = c
             for i, b in enumerate(other.coeffs):
@@ -553,13 +578,13 @@ class Polynomial:
         if self.is_zero:
             return self
         lead = self.coeffs[-1]
-        return Polynomial(tuple(c / lead for c in self.coeffs))
+        return Polynomial(tuple(_div(c, lead) for c in self.coeffs))
 
     def degree_reverse(self, n):
         """Coefficient reversal t^n * p(1/t), for a polynomial of degree <= n."""
         if self.degree > n:
             raise ValueError("degree exceeds reversal length")
-        padded = list(self.coeffs) + [ZERO] * (n + 1 - len(self.coeffs))
+        padded = list(self.coeffs) + [0] * (n + 1 - len(self.coeffs))
         return Polynomial(tuple(reversed(padded)))
 
 
@@ -644,21 +669,24 @@ def complete_homogeneous_sequence(p, d: int):
 
     Uses the Newton identity k*h_k = sum_{i=1..k} p_i h_{k-i} with h_0 = 1,
     so it needs the first d power sums and characteristic zero, nothing
-    else.
+    else.  Integral power sums give ints throughout: h_k is then an
+    integer whenever it is the h_k of a multiset of algebraic integers,
+    as for the eigenvalues of a finite monoid's element.  Otherwise a
+    quotient that is not an integer falls back to ``Fraction``.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     if len(p) < d:
         raise ValueError(f"need {d} power sums, got {len(p)}")
-    p = [as_fraction(x) for x in p[:d]]
-    h = [ONE]
+    p = [_exact(x) for x in p[:d]]
+    h = [1]
     for k in range(1, d + 1):
-        s = sum((p[i - 1] * h[k - i] for i in range(1, k + 1)), ZERO)
-        h.append(s / k)
+        s = sum(p[i - 1] * h[k - i] for i in range(1, k + 1))
+        h.append(_div(s, k))
     return h
 
 
-def complete_homogeneous_from_power_sums(p, d: int) -> Fraction:
+def complete_homogeneous_from_power_sums(p, d: int) -> int | Fraction:
     """h_d of any value multiset whose power sums are p[0], p[1], ...
 
     The last entry of ``complete_homogeneous_sequence(p, d)``.
@@ -677,16 +705,17 @@ def charpoly_from_power_traces(p, n: int) -> Polynomial:
         raise ValueError("size must be nonnegative")
     if len(p) < n:
         raise ValueError(f"need {n} power traces, got {len(p)}")
-    e = [ONE]
+    p = [_exact(x) for x in p[:n]]
+    e = [1]
     for k in range(1, n + 1):
-        s = ZERO
+        s = 0
         sign = 1
         for i in range(1, k + 1):
-            term = e[k - i] * as_fraction(p[i - 1])
+            term = e[k - i] * p[i - 1]
             s += term if sign > 0 else -term
             sign = -sign
-        e.append(s / k)
-    coeffs = [ZERO] * (n + 1)
+        e.append(_div(s, k))
+    coeffs = [0] * (n + 1)
     for k in range(n + 1):
         coeffs[n - k] = e[k] if k % 2 == 0 else -e[k]
     return Polynomial(coeffs)

@@ -5,7 +5,10 @@ the symmetric-power character values sum_d trace(S^d(A)) t^d equals
 1 / det(I - tA), and det(I - tA) is nothing but the characteristic
 polynomial of A with its coefficient order reversed.  This module works
 entirely through that reversal, so no determinant is ever expanded
-symbolically and all arithmetic stays in Q[t]:
+symbolically and all arithmetic stays in Q[t].  Coefficients are
+canonical (``linalg.Polynomial``): for an element of a finite monoid
+det(I - tA) has integer coefficients, so its reciprocal series runs in
+ints, and only rational weights bring in ``Fraction``.
 
 * ``reversed_charpoly``  -- det(I - tA) as a polynomial with constant 1;
 * ``element_series``     -- the reciprocal power series, term by term;
@@ -17,8 +20,7 @@ symbolically and all arithmetic stays in Q[t]:
 
 from __future__ import annotations
 
-from .linalg import Polynomial, ZERO, ONE, as_fraction, charpoly, poly_gcd
-from .monoids import local_monoid
+from .linalg import Polynomial, _div, _exact, charpoly, poly_gcd
 from .representations import Representation, restrict_to_local
 
 
@@ -39,8 +41,8 @@ class RationalFunction:
                 num = num // g
                 den = den // g
         scale = den[0] if den[0] else den.coeffs[-1]
-        self.num = num * (ONE / scale)
-        self.den = den * (ONE / scale)
+        self.num = num * _div(1, scale)
+        self.den = den * _div(1, scale)
 
     @property
     def is_zero(self):
@@ -60,7 +62,7 @@ class RationalFunction:
     def __mul__(self, other):
         if isinstance(other, RationalFunction):
             return RationalFunction(self.num * other.num, self.den * other.den)
-        return RationalFunction(self.num * as_fraction(other), self.den)
+        return RationalFunction(self.num * _exact(other), self.den)
 
     def __rmul__(self, other):
         return self * other
@@ -95,9 +97,9 @@ def element_series(rho: Representation, x, nterms: int):
 
 def _reciprocal_series(den: Polynomial, nterms):
     # den has constant term 1 here; s solves den * s = 1 term by term
-    out = [ONE]
+    out = [1]
     for k in range(1, nterms + 1):
-        acc = ZERO
+        acc = 0
         for i in range(1, min(k, den.degree) + 1):
             acc += den[i] * out[k - i]
         out.append(-acc)
@@ -114,27 +116,36 @@ def weighted_series(rho: Representation, e, weights) -> RationalFunction:
     grouped first, so the reduced denominator divides the product of the
     distinct reversed polynomials on the support.
     """
+    return _local_weighted_series(rho, e, weights)[0]
+
+
+def _local_weighted_series(rho: Representation, e, weights):
+    """``(weighted_series(rho, e, weights), local, pos)``, where ``local``
+    is ``restrict_to_local(rho, e)`` and ``pos`` maps an element of eMe to
+    its index in ``local``, so a caller checking the series against the
+    local characters builds the restriction only once."""
     m = rho.monoid
     if len(weights) != m.size:
         raise ValueError("weight vector length differs from monoid size")
-    weights = [as_fraction(c) for c in weights]
-    members = local_monoid(m, e)
-    member_pos = {x: i for i, x in enumerate(members)}
+    weights = [_exact(c) for c in weights]
+    local = restrict_to_local(rho, e)
+    # local's element i is the i-th member of eMe and carries its label
+    index = {label: x for x, label in enumerate(m.labels)}
+    pos = {index[label]: i for i, label in enumerate(local.monoid.labels)}
     support = [x for x, c in enumerate(weights) if c]
-    outside = [x for x in support if x not in member_pos]
+    outside = [x for x in support if x not in pos]
     if outside:
         raise ValueError(
             f"weights supported outside eMe: element "
             f"{m.labels[outside[0]]!r} has a nonzero coefficient")
-    local = restrict_to_local(rho, e)
     grouped = {}
     for x in support:
-        q = reversed_charpoly(local, member_pos[x])
-        grouped[q] = grouped.get(q, ZERO) + weights[x]
-    total = RationalFunction(Polynomial(), Polynomial([ONE]))
+        q = reversed_charpoly(local, pos[x])
+        grouped[q] = grouped.get(q, 0) + weights[x]
+    total = RationalFunction(Polynomial(), Polynomial([1]))
     for q in sorted(grouped):
         total = total + RationalFunction(Polynomial([grouped[q]]), q)
-    return total
+    return total, local, pos
 
 
 def series_prefix(f: RationalFunction, nterms: int):
@@ -151,6 +162,6 @@ def series_prefix(f: RationalFunction, nterms: int):
     rec = _reciprocal_series(f.den, nterms)
     out = []
     for k in range(nterms + 1):
-        out.append(sum((f.num[i] * rec[k - i] for i in range(min(k, f.num.degree) + 1)),
-                       ZERO))
+        out.append(_exact(sum(f.num[i] * rec[k - i]
+                              for i in range(min(k, f.num.degree) + 1))))
     return tuple(out)

@@ -275,8 +275,10 @@ def idempotents(m: Monoid):
 
 
 def _require_idempotent(m, e):
-    if not 0 <= e < m.size or m.table[e][e] != e:
-        raise ValueError(f"element {e} is not an idempotent")
+    if not 0 <= e < m.size:
+        raise ValueError(f"element index {e} is out of range for a monoid of size {m.size}")
+    if m.table[e][e] != e:
+        raise ValueError(f"element {m.labels[e]!r} is not an idempotent")
 
 
 def local_monoid(m: Monoid, e):

@@ -337,12 +337,14 @@ def sym_power_characters(rho: Representation, x, n):
     eigenvalue multiset through Newton's identities on the power traces
     tr(rho(x)^i), so no eigenvalues are ever extracted and the arithmetic
     stays rational.  One pass of n matrix products serves every degree.
+    Each h_d is an integer, since the eigenvalues of an element of a
+    finite monoid are 0 or roots of unity, and is returned as an int.
     """
     p = power_traces(rho.matrices[x], n) if n else ()
     return complete_homogeneous_sequence(p, n)
 
 
-def sym_power_character(rho: Representation, x, d) -> Fraction:
+def sym_power_character(rho: Representation, x, d) -> int | Fraction:
     """Trace of the degree-d symmetric power at element x."""
     return sym_power_characters(rho, x, d)[d]
 
@@ -357,7 +359,9 @@ def restrict_to_local(rho: Representation, e) -> Representation:
     The basis of e.V is the canonical echelon basis of the column space
     of the idempotent's matrix; the result is a representation of the
     monoid eMe (labels inherited), whose character is the restriction of
-    the original character.
+    the original character.  The basis vectors and the local matrices
+    have canonical entries, ints where integral, so an integral rho(e)
+    restricts in integers alone.
     """
     m = rho.monoid
     members = local_monoid(m, e)  # validates idempotency
@@ -366,7 +370,7 @@ def restrict_to_local(rho: Representation, e) -> Representation:
     ech = Echelon(rho.dim)
     for col in pe.transpose().rows:
         ech.insert(col)
-    basis = ech.rows
+    basis = Matrix(ech.rows, ncols=rho.dim).rows  # canonical entries
     pivots = list(ech.pivots)
     k = len(basis)
     mats = []

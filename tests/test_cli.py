@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -452,6 +453,16 @@ def test_molien_support_violation(files, capsys):
                                 "--idempotent", "0", "--weights", "2:1"])
     assert code == 2
     assert "outside eMe" in err
+
+
+def test_molien_non_idempotent_named_by_label(capsys):
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    code, out, err = run(capsys, ["molien", str(inputs / "t3.json"),
+                                  str(inputs / "natural.json"),
+                                  "--idempotent", "[2,3,1]", "--weights", "[2,3,1]:1",
+                                  "-N", "3"])
+    assert code == 2 and out == ""
+    assert err == "error: element '[2,3,1]' is not an idempotent\n"
 
 
 def test_parse_weights_with_bracketed_labels():

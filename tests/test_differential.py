@@ -50,7 +50,7 @@ from pathlib import Path
 
 import pytest
 
-from monoidrep import algebra
+from monoidrep import algebra, linalg
 from monoidrep.algebra import (
     Subspace,
     _certified_radical,
@@ -65,7 +65,18 @@ from monoidrep.algebra import (
     verify_tensor_theorem,
 )
 from monoidrep.fileio import load_monoid, load_representation
-from monoidrep.linalg import Echelon, Matrix, Polynomial, _echelon_mod_p, charpoly
+from monoidrep.linalg import (
+    Echelon,
+    Matrix,
+    Polynomial,
+    _echelon_mod_p,
+    charpoly,
+    charpoly_from_power_traces,
+    complete_homogeneous_from_power_sums,
+    complete_homogeneous_sequence,
+    power_traces,
+)
+from monoidrep.molien import element_series
 from monoidrep.monoids import (
     Monoid,
     MonoidMorphism,
@@ -84,15 +95,18 @@ from monoidrep.representations import (
     natural_representation,
     nt_paper_representation,
     sym_power,
+    sym_power_characters,
     tensor_power,
 )
 
 from oracles import (
     charpoly_faddeev,
+    charpoly_laplace,
     first_associativity_failure,
     gauss_nullity,
     gauss_rank,
     generated,
+    h_complete_brute,
     in_radical,
     is_associative,
     is_homomorphism,
@@ -100,6 +114,8 @@ from oracles import (
     mat_vec,
     matmul,
     null_space,
+    poly_mul,
+    power_sums,
     rref,
     sym_power_direct,
     tensor_chain_steps,
@@ -584,6 +600,140 @@ def test_matrix_equality_and_hash_across_forms():
         assert a.rows == as_strings.rows
         assert [list(map(type, r)) for r in a.rows] == [list(map(type, r))
                                                         for r in as_fractions.rows]
+
+
+# --- integral polynomials: int exactly where integral ----------------------------
+
+POLY_SEED = 5309
+
+
+def _canonical_values(values):
+    """Every value an int, or a Fraction that is not an integer: never a
+    float and never an integral Fraction."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+               for x in values)
+
+
+def _element_matrices():
+    """Each element matrix of the corpus: transformation, N_t and 0/1
+    matrix monoids and their rational conjugates."""
+    return [(name, mat) for name, rho in sorted(CORPUS.items()) for mat in rho.matrices]
+
+
+def test_charpoly_against_oracles_in_canonical_form():
+    """Berkowitz against Faddeev-LeVerrier and Laplace expansion, on random
+    integral and rational matrices and on every element matrix of the
+    corpus.  Coefficients are canonical, and ints for an element of a
+    finite monoid even when its matrix is rational."""
+    cases = [(a, False) for _, a in MATRICES]
+    cases += [(mat, True) for _, mat in _element_matrices()]
+    rational = 0
+    for a, in_monoid in cases:
+        rows = _as_lists(a)
+        p = charpoly(a)
+        assert p == Polynomial(charpoly_faddeev(rows)) == Polynomial(charpoly_laplace(rows))
+        assert _canonical_values(p.coeffs)
+        assert _canonical_values([p[i] for i in range(-1, p.degree + 2)])
+        if in_monoid:
+            assert all(type(c) is int for c in p.coeffs)
+        rational += any(type(c) is Fraction for c in p.coeffs)
+    assert rational >= 10
+
+
+def _value_multisets():
+    """Seeded (values, integral) pairs: integer multisets and rational
+    ones whose every value has a denominator."""
+    rng = random.Random(POLY_SEED)
+    out = []
+    for size in range(5):
+        for _ in range(4):
+            out.append(([rng.randint(-4, 4) for _ in range(size)], True))
+            out.append(([Fraction(rng.choice([-3, -1, 1, 3]), rng.randint(2, 4))
+                         for _ in range(size)], False))
+    return out
+
+
+def test_complete_homogeneous_against_brute_force():
+    """Newton's identities against term enumeration: integer values give
+    ints at every degree, whether the power sums come as ints or as
+    Fractions; rational values fall back to Fraction where h_d is not an
+    integer and give an int where it is."""
+    d = 6
+    fallback = 0
+    for values, integral in _value_multisets():
+        p = power_sums(values, d)
+        forms = [p, [x.numerator for x in p]] if integral else [p]
+        for sums in forms:
+            h = complete_homogeneous_sequence(sums, d)
+            assert h == [h_complete_brute(values, k) for k in range(d + 1)]
+            assert _canonical_values(h)
+            if integral:
+                assert all(type(x) is int for x in h)
+            fallback += any(type(x) is Fraction for x in h)
+            assert complete_homogeneous_from_power_sums(sums, d) == h[d]
+    assert fallback >= 10
+
+
+def test_charpoly_from_power_traces_round_trip():
+    """Power traces to elementary symmetric functions and back: equal to
+    Berkowitz on every matrix, and to prod (t - v) on every value
+    multiset, in canonical form."""
+    for a in [a for _, a in MATRICES] + [mat for _, mat in _element_matrices()]:
+        n = a.nrows
+        q = charpoly_from_power_traces(power_traces(a, n) if n else (), n)
+        assert q == charpoly(a)
+        assert q.coeffs == charpoly(a).coeffs
+        assert _canonical_values(q.coeffs)
+    for values, integral in _value_multisets():
+        n = len(values)
+        expected = [Fraction(1)]
+        for v in values:
+            expected = poly_mul(expected, [-Fraction(v), Fraction(1)])
+        q = charpoly_from_power_traces(power_sums(values, n), n)
+        assert q == Polynomial(expected)
+        assert _canonical_values(q.coeffs)
+        if integral:
+            assert all(type(c) is int for c in q.coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_element_series_matches_sym_power_characters(name):
+    """The reciprocal series of det(I - t rho(x)) against Newton's
+    identities on the power traces: equal, and ints at every degree for
+    every element, including those of the rational conjugates."""
+    rho = CORPUS[name]
+    for x in range(rho.monoid.size):
+        series = element_series(rho, x, 8)
+        assert list(series) == sym_power_characters(rho, x, 8)
+        assert all(type(c) is int for c in series)
+        assert all(type(c) is int for c in sym_power_characters(rho, x, 8))
+
+
+def test_integral_paths_form_no_fraction(monkeypatch):
+    """On integral input the polynomial and Newton-identity code never
+    reaches ``Fraction``: with it made to raise inside ``linalg``, the
+    results are unchanged."""
+    integral = {name: rho for name, rho in CORPUS.items()
+                if not name.startswith("conjugate-")}
+    expected = {name: [(charpoly(mat), element_series(rho, x, 8),
+                        sym_power_characters(rho, x, 8))
+                       for x, mat in enumerate(rho.matrices)]
+                for name, rho in integral.items()}
+    sums = [power_sums(values, 6) for values, ok in _value_multisets() if ok]
+    h_expected = [complete_homogeneous_sequence(p, 6) for p in sums]
+    ints = [[x.numerator for x in p] for p in sums]
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was formed")
+
+    monkeypatch.setattr(linalg, "Fraction", refuse)
+    for name, rho in integral.items():
+        for x, mat in enumerate(rho.matrices):
+            p = charpoly(mat)
+            assert charpoly_from_power_traces(power_traces(mat, mat.nrows), mat.nrows) == p
+            assert (p, element_series(rho, x, 8), sym_power_characters(rho, x, 8)) \
+                == expected[name][x]
+    assert [complete_homogeneous_sequence(p, 6) for p in ints] == h_expected
 
 
 # --- validators against a generating set ---------------------------------------

@@ -20,10 +20,11 @@ from unittest import mock
 
 import pytest
 
-from monoidrep import algebra, cli
+from monoidrep import algebra, cli, representations
 from monoidrep.algebra import Subspace
 from monoidrep.cli import main
 from monoidrep.linalg import Echelon
+from monoidrep.representations import Representation
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -246,6 +247,39 @@ def test_each_chain_walked_once(monkeypatch):
     for (_, first), pulled in opened:
         assert pulled == list(range(first, first + len(pulled)))
 
+
+@pytest.mark.parametrize("name", ["molien-t3", "molien-rational"])
+def test_molien_restricts_once(name, monkeypatch):
+    """The series and its cross-check share one restriction to eMe: the
+    local monoid and the local representation are each built, and the
+    latter validated, once."""
+    calls = {"local_monoid": 0, "restrict_to_local": 0, "validate": 0}
+    originals = {key: getattr(representations, key)
+                 for key in ("local_monoid", "restrict_to_local")}
+
+    def counting(key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return originals[key](*args, **kwargs)
+        return wrapper
+
+    for key, mod in list(sys.modules.items()):
+        if key == "monoidrep" or key.startswith("monoidrep."):
+            for fn, original in originals.items():
+                if getattr(mod, fn, None) is original:
+                    monkeypatch.setattr(mod, fn, counting(fn))
+    validate = Representation.validate
+
+    def counting_validate(self):
+        calls["validate"] += 1
+        return validate(self)
+
+    monkeypatch.setattr(Representation, "validate", counting_validate)
+    code, out = run_case(name)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text()
+    # the loaded representation is validated too
+    assert calls == {"local_monoid": 1, "restrict_to_local": 1, "validate": 2}
 
 @pytest.mark.parametrize("name", ["verify-t3", "verify-m128-steinberg"])
 def test_zero_annihilator_contained_without_reduction(name, monkeypatch):

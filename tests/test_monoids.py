@@ -271,6 +271,16 @@ def test_rejects_non_idempotent():
         local_monoid(m, 1)  # the swap
 
 
+def test_non_idempotent_named_by_label_and_bad_index_by_range():
+    m = t2()
+    with pytest.raises(ValueError, match=r"^element '\[2,1\]' is not an idempotent$"):
+        unit_group(m, 1)
+    for e in (-1, m.size):
+        with pytest.raises(ValueError, match=f"^element index {e} is out of range "
+                                             f"for a monoid of size 4$"):
+            local_monoid(m, e)
+
+
 def test_has_zero_cases():
     assert has_zero(t2()) is None
     assert has_zero(nt_monoid(5)) == 0
