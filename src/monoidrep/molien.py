@@ -40,9 +40,9 @@ class RationalFunction:
             if g.degree > 0:
                 num = num // g
                 den = den // g
-        scale = den[0] if den[0] else den.coeffs[-1]
-        self.num = num * _div(1, scale)
-        self.den = den * _div(1, scale)
+        inverse = _div(1, den[0] if den[0] else den.coeffs[-1])
+        self.num = num * inverse
+        self.den = den * inverse
 
     @property
     def is_zero(self):

@@ -32,7 +32,14 @@ transposes against plain ``Fraction`` lists, inverses against the plain
 Gauss-Jordan form of [A | I] (with singular draws added), Berkowitz's
 characteristic polynomial against Faddeev-LeVerrier's, and that every
 result holds
-canonical entries (an int exactly where the value is an integer).
+canonical entries (an int exactly where the value is an integer).  The
+same corpus, every element matrix of the first and seeded integer and
+rational value multisets check the polynomial side: ``charpoly`` against
+Faddeev-LeVerrier and Laplace expansion, ``complete_homogeneous_sequence``
+against term enumeration, the ``charpoly_from_power_traces`` round trip
+and ``element_series`` against ``sym_power_characters``, each value
+canonical, an int for every element of a finite monoid, and no
+``Fraction`` formed on integral input.
 
 A second corpus checks the validators, which test only against a
 generating set (Light's test), against the exhaustive oracles: every

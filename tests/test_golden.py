@@ -281,6 +281,7 @@ def test_molien_restricts_once(name, monkeypatch):
     # the loaded representation is validated too
     assert calls == {"local_monoid": 1, "restrict_to_local": 1, "validate": 2}
 
+
 @pytest.mark.parametrize("name", ["verify-t3", "verify-m128-steinberg"])
 def test_zero_annihilator_contained_without_reduction(name, monkeypatch):
     """The zero subspace lies in every subspace: a chain step with
