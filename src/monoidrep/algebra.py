@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, count
 from math import isqrt, lcm
 from operator import mul
@@ -302,20 +302,18 @@ def all_simples_appear(rho: Representation, radical: Subspace | None = None):
     return subspace_leq(annihilator_basis(rho), radical)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one coverage check, JSON-serialisable."""
+class VerificationReport(namedtuple(
+        "VerificationReport", "theorem holds r s bound powers_used dim_rad "
+        "dim_ann witness minimal_k", defaults=(None,))):
+    """Outcome of one coverage check, JSON-serialisable.
 
-    theorem: str
-    holds: bool
-    r: int | None
-    s: int | None
-    bound: int
-    powers_used: tuple
-    dim_rad: int
-    dim_ann: int
-    witness: tuple | None
-    minimal_k: int | None = None
+    Fields: ``theorem`` (str), ``holds`` (bool), ``r`` and ``s`` (int or
+    None), ``bound`` (int), ``powers_used`` (tuple), ``dim_rad`` and
+    ``dim_ann`` (int), ``witness`` (tuple or None) and ``minimal_k``
+    (int or None, by default None).  A report is a tuple of them.
+    """
+
+    __slots__ = ()
 
     def to_json_dict(self):
         return {

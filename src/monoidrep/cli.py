@@ -195,6 +195,8 @@ def _scan_row(t, mode, cap):
 def cmd_scan_nt(args):
     if args.t_from < 2 or args.t_to < args.t_from:
         raise ValueError(f"bad range: from={args.t_from} to={args.t_to}")
+    if args.cap < 0:
+        raise ValueError(f"bad cap: {args.cap} (must be nonnegative)")
     rows = [_scan_row(t, args.mode, args.cap)
             for t in range(args.t_from, args.t_to + 1)]
     ok = all(r["holds"] for r in rows)
@@ -310,7 +312,9 @@ def build_parser():
     sp.add_argument("--to", dest="t_to", type=int, required=True)
     sp.add_argument("--mode", default="tensor", choices=["tensor", "symmetric"])
     sp.add_argument("--cap", type=int, default=32,
-                    help="largest power probed for faithfulness")
+                    help="faithfulness is probed up to power max(CAP, bound), "
+                         "bound being the checked theorem's bound for each t; "
+                         "must be nonnegative")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_scan_nt)
 

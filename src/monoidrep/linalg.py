@@ -5,8 +5,9 @@ A matrix entry is a Python ``int`` when its value is an integer and a
 add and transpose in integers alone.  Characteristic polynomials are
 division-free (Berkowitz), hence integral on integral input.  Echelon
 reduction takes rational input but eliminates in Python integers
-(fraction-free, by cross-multiplication) and forms ``Fraction`` entries
-only for its canonical reduced form.  One private routine,
+(fraction-free, by cross-multiplication, over the nonzero columns of
+each pivot row) and forms ``Fraction`` entries only for its canonical
+reduced form.  One private routine,
 ``_echelon_mod_p``, echelons integer rows modulo a prime, each row packed
 into one int; its result is only a candidate, which the caller
 certifies over the integers.  Univariate polynomials and the
@@ -32,7 +33,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import add, mul
 
@@ -48,12 +49,13 @@ def as_fraction(x) -> Fraction:
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_INT = frozenset((int,))
 
 
 def clear_denominators(vec):
     """``vec`` times the least common multiple of its denominators, as a
     list of ints spanning the same line."""
-    if all(type(x) is int for x in vec):
+    if _INT.issuperset(map(type, vec)):
         return list(vec)
     q = [as_fraction(x) for x in vec]
     d = lcm(*(x.denominator for x in q))
@@ -78,9 +80,6 @@ def _div(a, b):
         if not r:
             return q
     return _exact(Fraction(a, b))
-
-
-_INT = frozenset((int,))
 
 
 def _canonical(rows):
@@ -231,15 +230,21 @@ class Matrix:
         return Matrix(tuple(row[n:] for row in ech.rows), ncols=n)
 
 
-def _eliminate(v, row, p):
+def _eliminate(v, row, cols, p):
     """(a/g)*v - (c/g)*row for a = row[p] > 0, c = v[p] and g = gcd(a, c):
-    a positive integer multiple of v modulo row, with entry 0 at column p."""
+    a positive integer multiple of v modulo row, with entry 0 at column p.
+    ``cols`` lists the columns where ``row`` is nonzero; only they change,
+    besides the scaling of v by a/g when a does not divide c.  Updates the
+    list v in place when no scaling is needed, and returns the result."""
     a, c = row[p], v[p]
     g = gcd(a, c)
-    a, c = a // g, c // g
-    if a == 1:
-        return [x - c * y for x, y in zip(v, row)]
-    return [a * x - c * y for x, y in zip(v, row)]
+    c //= g
+    if a != g:
+        a //= g
+        v = [a * x for x in v]
+    for j in cols:
+        v[j] -= c * row[j]
+    return v
 
 
 class Echelon:
@@ -252,6 +257,17 @@ class Echelon:
     ``Fraction`` arises and every result is exact over Q; it never
     touches a stored row, so ``copy`` is an O(rank) snapshot.
 
+    Next to each stored row sits the tuple of columns where it is
+    nonzero, from its pivot on, built once by ``insert``.  Clearing a
+    pivot updates only those columns of the vector being reduced (the
+    whole vector is rescaled only when the pivot entry does not divide
+    it), so a sparse row costs its nonzeros, not the ambient dimension.
+    The coefficient spans of the annihilator chains are sparse: their
+    vectors are entrywise products of matrix entries over the monoid,
+    zero wherever one factor is, and a transformation monoid's matrices
+    are mostly zero.  The pivots, stored rows and every intermediate
+    value are those of dense elimination.
+
     ``rows`` is the canonical reduced row echelon form (pivot entry 1,
     ``Fraction`` entries), derived from the stored rows on first read and
     cached until the next insert that enlarges the space.  Feeding the
@@ -263,6 +279,7 @@ class Echelon:
         self.ncols = ncols
         self.pivots = []
         self.int_rows = []
+        self._cols = []  # nonzero columns of each stored row
         self._rref = None
 
     @property
@@ -275,6 +292,7 @@ class Echelon:
         out = Echelon(self.ncols)
         out.pivots = list(self.pivots)
         out.int_rows = list(self.int_rows)
+        out._cols = list(self._cols)
         out._rref = self._rref
         return out
 
@@ -285,9 +303,9 @@ class Echelon:
         if len(vec) != self.ncols:
             raise ValueError("vector length differs from ambient dimension")
         v = clear_denominators(vec)
-        for p, row in zip(self.pivots, self.int_rows):
+        for p, row, cols in zip(self.pivots, self.int_rows, self._cols):
             if v[p]:
-                v = _eliminate(v, row, p)
+                v = _eliminate(v, row, cols, p)
         return v
 
     def contains(self, vec):
@@ -302,9 +320,11 @@ class Echelon:
         g = gcd(*v)
         if v[p] < 0:
             g = -g
+        row = tuple(x // g for x in v)
         k = bisect_left(self.pivots, p)
         self.pivots.insert(k, p)
-        self.int_rows.insert(k, tuple(x // g for x in v))
+        self.int_rows.insert(k, row)
+        self._cols.insert(k, tuple(compress(range(p, self.ncols), row[p:])))
         self._rref = None
         return True
 
@@ -312,16 +332,17 @@ class Echelon:
     def rows(self):
         """The canonical RREF rows: tuples of ``Fraction`` with pivot 1."""
         if self._rref is None:
-            done = []  # reduced primitive rows below the current one
+            done = []  # (pivot, reduced primitive row, its nonzero columns)
             for p, row in zip(reversed(self.pivots), reversed(self.int_rows)):
-                v = row
-                for q, r in done:
+                v = list(row)
+                for q, r, cols in done:
                     if v[q]:
-                        v = _eliminate(v, r, q)
+                        v = _eliminate(v, r, cols, q)
                 g = gcd(*v)
-                done.append((p, [x // g for x in v]))
+                v = [x // g for x in v]
+                done.append((p, v, tuple(compress(range(p, self.ncols), v[p:]))))
             self._rref = tuple(tuple(Fraction(x, v[p]) for x in v)
-                               for p, v in reversed(done))
+                               for p, v, _ in reversed(done))
         return self._rref
 
     def kernel_basis(self):

@@ -42,7 +42,6 @@ from .linalg import (
     charpoly,
     complete_homogeneous_sequence,
     kron,
-    power_traces,
 )
 from .monoids import Monoid, local_monoid, nt_monoid, submonoid
 
@@ -335,12 +334,19 @@ def sym_power_characters(rho: Representation, x, n):
 
     Evaluated as the complete homogeneous symmetric functions of the
     eigenvalue multiset through Newton's identities on the power traces
-    tr(rho(x)^i), so no eigenvalues are ever extracted and the arithmetic
-    stays rational.  One pass of n matrix products serves every degree.
+    tr(rho(x)^i), i = 1..n, so no eigenvalues are ever extracted and the
+    arithmetic stays rational.  The matrices are assumed to form a
+    homomorphism, as a validated representation's do, so rho(x)^i =
+    rho(x^i): each power trace is the trace of a matrix already built,
+    at the power x^i read off the monoid's table, with no matrix product.
     Each h_d is an integer, since the eigenvalues of an element of a
     finite monoid are 0 or roots of unity, and is returned as an int.
     """
-    p = power_traces(rho.matrices[x], n) if n else ()
+    table, mats = rho.monoid.table, rho.matrices
+    p, y = [], x
+    for _ in range(n):
+        p.append(mats[y].trace())
+        y = table[y][x]
     return complete_homogeneous_sequence(p, n)
 
 

@@ -7,16 +7,107 @@ Berkowitz, nested lists of ``Fraction`` instead of ``Matrix``, brute-force
 enumeration instead of Newton's identities, set-based closure instead of
 indexed BFS, every triple and every pair instead of a generating set, and
 each symmetric power expanded from scratch instead of from the degree
-below.  Two are the package's own earlier loops, kept as they were to pin
+below.  Three are the package's own earlier code, kept as it was to pin
 a faster rewrite to the old results: the tensor chain that inserted
-every product in turn, and Light's test scanned triple by triple.
+every product in turn, Light's test scanned triple by triple, and the
+fraction-free echelon that rewrote every column of a vector for each
+pivot it cleared.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import gcd, lcm
 
 from monoidrep.linalg import Echelon, Matrix
 from monoidrep.representations import Representation
+
+
+def dense_eliminate(v, row, p):
+    """(a/g)*v - (c/g)*row for a = row[p] > 0, c = v[p] and g = gcd(a, c),
+    over every column: a positive integer multiple of v modulo row, with
+    entry 0 at column p."""
+    a, c = row[p], v[p]
+    g = gcd(a, c)
+    a, c = a // g, c // g
+    if a == 1:
+        return [x - c * y for x, y in zip(v, row)]
+    return [a * x - c * y for x, y in zip(v, row)]
+
+
+class DenseEchelon:
+    """The fraction-free integer echelon with dense elimination: the same
+    interface and, by construction, the same pivots, stored rows and
+    intermediate values as ``monoidrep.linalg.Echelon``."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.pivots = []
+        self.int_rows = []
+
+    @property
+    def rank(self):
+        return len(self.int_rows)
+
+    def copy(self):
+        out = DenseEchelon(self.ncols)
+        out.pivots = list(self.pivots)
+        out.int_rows = list(self.int_rows)
+        return out
+
+    def reduce(self, vec):
+        if len(vec) != self.ncols:
+            raise ValueError("vector length differs from ambient dimension")
+        q = [Fraction(x) for x in vec]
+        d = lcm(*(x.denominator for x in q))
+        v = [x.numerator * (d // x.denominator) for x in q]
+        for p, row in zip(self.pivots, self.int_rows):
+            if v[p]:
+                v = dense_eliminate(v, row, p)
+        return v
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
+
+    def insert(self, vec):
+        v = self.reduce(vec)
+        p = next((j for j, c in enumerate(v) if c), None)
+        if p is None:
+            return False
+        g = gcd(*v)
+        if v[p] < 0:
+            g = -g
+        k = bisect_left(self.pivots, p)
+        self.pivots.insert(k, p)
+        self.int_rows.insert(k, tuple(x // g for x in v))
+        return True
+
+    @property
+    def rows(self):
+        done = []  # reduced primitive rows below the current one
+        for p, row in zip(reversed(self.pivots), reversed(self.int_rows)):
+            v = row
+            for q, r in done:
+                if v[q]:
+                    v = dense_eliminate(v, r, q)
+            g = gcd(*v)
+            done.append((p, [x // g for x in v]))
+        return tuple(tuple(Fraction(x, v[p]) for x in v) for p, v in reversed(done))
+
+    def kernel_basis(self):
+        pivot_set = set(self.pivots)
+        rows = self.rows
+        basis = []
+        for f in range(self.ncols):
+            if f in pivot_set:
+                continue
+            v = [Fraction(0)] * self.ncols
+            v[f] = Fraction(1)
+            for p, row in zip(self.pivots, rows):
+                if row[f]:
+                    v[p] = -row[f]
+            basis.append(tuple(v))
+        return basis
 
 
 def gauss_rank(rows):

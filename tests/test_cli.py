@@ -418,6 +418,33 @@ def test_scan_nt_one_walk_matches_two(capsys, mode, cap):
         _two_walk_row(t, mode, cap) for t in range(2, 15)]
 
 
+@pytest.mark.parametrize("cap", ["-1", "-7"])
+def test_scan_nt_negative_cap_exit_two(capsys, cap):
+    code, out, err = run(capsys, ["scan-nt", "--from", "2", "--to", "3", "--cap", cap])
+    assert code == 2 and out == ""
+    assert err == f"error: bad cap: {cap} (must be nonnegative)\n"
+
+
+@pytest.mark.parametrize("mode, expected", [
+    ("tensor", [(1, 1), (1, None)]),
+    ("symmetric", [(3, 1), (3, 2)]),
+])
+def test_scan_nt_cap_below_bound_probes_to_bound(capsys, mode, expected):
+    """--cap only raises the probe: min_faithful is searched up to
+    max(cap, bound), so cap 0 still finds N_2's faithful power 1 (and
+    N_3's 2 below the symmetric bound 3), and the help says so."""
+    code, out, _ = run(capsys, ["scan-nt", "--from", "2", "--to", "3", "--mode", mode,
+                                "--cap", "0", "--json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["bound"], r["min_faithful"]) for r in rows] == expected
+    with pytest.raises(SystemExit):
+        main(["scan-nt", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "probed up to power max(CAP, bound)" in help_text
+    assert "must be nonnegative" in help_text
+
+
 # --- molien -------------------------------------------------------------------------
 
 def test_molien_identity_weight(files, capsys):

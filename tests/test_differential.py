@@ -39,7 +39,18 @@ Faddeev-LeVerrier and Laplace expansion, ``complete_homogeneous_sequence``
 against term enumeration, the ``charpoly_from_power_traces`` round trip
 and ``element_series`` against ``sym_power_characters``, each value
 canonical, an int for every element of a finite monoid, and no
-``Fraction`` formed on integral input.
+``Fraction`` formed on integral input.  ``sym_power_characters``, which
+reads the power traces at the element powers, must equal Newton's
+identities on the traces of the matrix powers.
+
+A seeded corpus of integer and rational vector lists (up to 40 columns,
+sparse and dense, zero, repeated and dependent vectors) checks the
+sparse ``Echelon`` against the dense elimination kept in
+``tests/oracles.py``: insert verdicts, pivots, stored rows, reductions,
+membership, the reduced form, the kernel basis and snapshots taken
+before further inserts.  The tensor and symmetric chains on T_3, the
+128-element submonoid of T_4 and the seeded transformation monoids must
+give the same dimensions and stored rows with either echelon.
 
 A second corpus checks the validators, which test only against a
 generating set (Light's test), against the exhaustive oracles: every
@@ -107,6 +118,7 @@ from monoidrep.representations import (
 )
 
 from oracles import (
+    DenseEchelon,
     charpoly_faddeev,
     charpoly_laplace,
     first_associativity_failure,
@@ -741,6 +753,151 @@ def test_integral_paths_form_no_fraction(monkeypatch):
             assert (p, element_series(rho, x, 8), sym_power_characters(rho, x, 8)) \
                 == expected[name][x]
     assert [complete_homogeneous_sequence(p, 6) for p in ints] == h_expected
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_sym_power_characters_match_matrix_powers(name):
+    """Traces read at the element powers x^i through the table equal the
+    traces of the matrix powers rho(x)^i, at every degree up to 8."""
+    rho = CORPUS[name]
+    for x in range(rho.monoid.size):
+        assert sym_power_characters(rho, x, 0) == [1]
+        for n in (1, 8):
+            assert sym_power_characters(rho, x, n) == complete_homogeneous_sequence(
+                power_traces(rho.matrices[x], n), n)
+
+
+# --- sparse elimination against the dense reference ----------------------------
+
+ECHELON_SEED = 4171
+
+
+def _random_vector(rng, ncols, density, rational):
+    v = [0] * ncols
+    for j in range(ncols):
+        if rng.random() < density:
+            x = rng.choice((-1, 1)) * rng.randint(1, 12) * rng.choice((1, 1, 2, 6, 35))
+            v[j] = Fraction(x, rng.randint(1, 6)) if rational else x
+    return v
+
+
+def _echelon_corpus():
+    """(ncols, vectors, probes) draws: sparse and dense vectors, int or
+    rational, entries with common factors (so pivots are rarely 1), zero
+    vectors, repeats and combinations of earlier vectors."""
+    rng = random.Random(ECHELON_SEED)
+    out = []
+    for ncols in range(41):
+        for _ in range(3):
+            density = rng.choice((0.05, 0.15, 0.4, 1.0))
+            rational = rng.random() < 0.4
+            vecs = []
+            for _ in range(rng.randint(0, ncols + 4)):
+                r = rng.random()
+                if r < 0.08:
+                    vecs.append([0] * ncols)
+                elif r < 0.16 and vecs:
+                    vecs.append(list(rng.choice(vecs)))
+                elif r < 0.26 and len(vecs) >= 2:
+                    a, b = rng.sample(vecs, 2)
+                    s, t = rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    vecs.append([s * x + t * y for x, y in zip(a, b)])
+                else:
+                    vecs.append(_random_vector(rng, ncols, density, rational))
+            probes = vecs + [_random_vector(rng, ncols, density, rational) for _ in range(3)]
+            out.append((ncols, vecs, probes))
+    return out
+
+
+ECHELON_CORPUS = _echelon_corpus()
+
+
+def _same_state(ech, ref, probes):
+    assert ech.pivots == ref.pivots
+    assert ech.int_rows == ref.int_rows
+    assert ech.rank == ref.rank
+    assert [ech.reduce(v) for v in probes] == [ref.reduce(v) for v in probes]
+    assert [ech.contains(v) for v in probes] == [ref.contains(v) for v in probes]
+
+
+def test_echelon_corpus_covers_its_cases():
+    vecs = [v for _, vs, _ in ECHELON_CORPUS for v in vs]
+    assert {ncols for ncols, _, _ in ECHELON_CORPUS} == set(range(41))
+    assert any(type(x) is Fraction and x.denominator > 1 for v in vecs for x in v)
+    assert any(v and not any(v) for v in vecs)
+    ref = [DenseEchelon(ncols) for ncols, _, _ in ECHELON_CORPUS]
+    for r, (_, vs, _) in zip(ref, ECHELON_CORPUS):
+        for v in vs:
+            r.insert(v)
+    assert any(row[p] > 1 for r in ref for p, row in zip(r.pivots, r.int_rows))
+
+
+@pytest.mark.parametrize("index", range(0, len(ECHELON_CORPUS), 6))
+def test_sparse_echelon_matches_dense_reference(index):
+    """Every insert verdict and the pivots and stored rows after each
+    insert equal dense elimination's, and so do the reductions,
+    membership, the reduced form and the kernel basis at the end."""
+    for ncols, vecs, probes in ECHELON_CORPUS[index:index + 6]:
+        ech, ref = Echelon(ncols), DenseEchelon(ncols)
+        for v in vecs:
+            assert ech.insert(v) == ref.insert(v)
+            assert (ech.pivots, ech.int_rows) == (ref.pivots, ref.int_rows)
+        _same_state(ech, ref, probes)
+        assert ech.rows == ref.rows
+        assert ech.kernel_basis() == ref.kernel_basis()
+
+
+@pytest.mark.parametrize("index", range(0, len(ECHELON_CORPUS), 6))
+def test_echelon_copy_is_independent_of_later_inserts(index):
+    """A snapshot taken halfway reduces afterwards exactly as it did when
+    taken, and as the reference snapshot does, while the original goes
+    on to absorb the remaining vectors."""
+    for ncols, vecs, probes in ECHELON_CORPUS[index:index + 6]:
+        ech, ref = Echelon(ncols), DenseEchelon(ncols)
+        half = len(vecs) // 2
+        for v in vecs[:half]:
+            ech.insert(v)
+            ref.insert(v)
+        snap, ref_snap = ech.copy(), ref.copy()
+        before = [snap.reduce(v) for v in probes]
+        for v in vecs[half:]:
+            ech.insert(v)
+            ref.insert(v)
+        assert [snap.reduce(v) for v in probes] == before
+        _same_state(snap, ref_snap, probes)
+        _same_state(ech, ref, probes)
+        assert snap.kernel_basis() == ref_snap.kernel_basis()
+
+
+# the chains walked with the dense reference in place of Echelon
+SPARSE_CHAIN_INPUTS = {
+    **{name: rho for name, rho in CORPUS.items() if name.startswith("transformations-")},
+    "golden-t3": GOLDEN_REPRESENTATIONS["t3"],
+    "golden-m128": GOLDEN_REPRESENTATIONS["m128"],
+}
+
+
+def _chain_record(chain, rho):
+    """Each step's (k, dim Ann) up to Ann = 0 (at most 16 steps), and the
+    stored rows of the last step."""
+    dims = []
+    for k, ann in chain(rho, 16):
+        dims.append((k, ann.dim))
+        if not ann.dim:
+            break
+    return dims, ann._echelon.int_rows
+
+
+@pytest.mark.parametrize("chain", [tensor_annihilator_chain, symmetric_annihilator_chain],
+                         ids=["tensor", "symmetric"])
+@pytest.mark.parametrize("name", sorted(SPARSE_CHAIN_INPUTS))
+def test_chain_with_sparse_echelon_matches_dense(name, chain, monkeypatch):
+    rho = SPARSE_CHAIN_INPUTS[name]
+    got = _chain_record(chain, rho)
+    monkeypatch.setattr(algebra, "Echelon", DenseEchelon)
+    expected = _chain_record(chain, rho)
+    assert got[1] and got == expected
+    assert got[0][-1][1] == 0
 
 
 # --- validators against a generating set ---------------------------------------
