@@ -180,26 +180,46 @@ def from_cayley_table(identity, table, labels=None) -> Monoid:
 
 def _closure(identity, generators, mul, cap=None):
     """Elements generated under ``mul``, in the element order described
-    above, and their table; raises once more than ``cap`` appear."""
+    above, and their table; raises once more than ``cap`` appear.
+
+    Only the |M| |A| products x*g with a generator g are formed, as in
+    Froidure & Pin, "Algorithms for computing finite semigroups" (1997):
+    the search records the right Cayley graph ``right[k][x]`` = x*g_k and,
+    for each element j other than the identity, the pair (p, k) with p < j
+    through which j was first reached as p*g_k.  By associativity
+    x*j = x*(p*g_k) = (x*p)*g_k, so column j of the table is column p read
+    through ``right[k]``, one C-level pass per column, and column 0 (the
+    identity) is 0..n-1.
+    """
     elements = [identity]
     index = {identity: 0}
     for g in generators:
         if g not in index:
             index[g] = len(elements)
             elements.append(g)
+    gens = list(dict.fromkeys(index[g] for g in generators))
+    # a generator other than the identity is reached as identity * itself
+    parent = [None] + [(0, gens.index(j)) for j in range(1, len(elements))]
+    gen_elements = [elements[g] for g in gens]
+    right = [[] for _ in gens]
     pos = 0
     while pos < len(elements):
         a = elements[pos]
-        pos += 1
-        for g in generators:
+        for k, g in enumerate(gen_elements):
             c = mul(a, g)
-            if c not in index:
+            j = index.get(c)
+            if j is None:
                 if cap is not None and len(elements) >= cap:
                     raise ValueError(f"cap exceeded: more than {cap} distinct elements")
-                index[c] = len(elements)
+                j = index[c] = len(elements)
                 elements.append(c)
-    table = tuple(tuple(index[mul(a, b)] for b in elements) for a in elements)
-    return elements, table
+                parent.append((pos, k))
+            right[k].append(j)
+        pos += 1
+    cols = [range(len(elements))]
+    for p, k in parent[1:]:
+        cols.append(tuple(map(right[k].__getitem__, cols[p])))
+    return elements, tuple(zip(*cols))
 
 
 def _compose(f, g):

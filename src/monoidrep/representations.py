@@ -10,15 +10,20 @@ character values and the number of distinct characteristic polynomials.
 
 A representation is validated against the monoid's generating set:
 rho(1) = I and rho(x) rho(g) = rho(x*g) for every x and every generator
-g, which is |M| |A| matrix products instead of |M|^2.  Each product is
-formed as row tuples against the generator's columns, each distinct row
-multiplied once, and compared with the stored rows; no ``Matrix`` is
-built per product.  The products are exact and, for integral matrices,
-run in Python ints: the natural, regular, trivial and N_t
-representations and the symmetric powers of integral ones are built
-with int entries, so their validation never forms a ``Fraction``.  For
-N_t the only generating set is every non-identity element, so there the
-check stays all-pairs and its cost is that of integer 2 x 2 products.
+g, which is |M| |A| matrix products instead of |M|^2.  The matrices of
+all elements are stacked, in element order, into d columns of length
+|M| d (``_stack``), d the dimension, so that one column pass covers
+every x at once: stacked column c of rho(x) rho(g) is the sum over k of
+rho(g)[k][c] times stacked column k (``_stacked_column``, zero
+coefficients skipped, no product by 1), and it is compared with stacked
+column c read at the entries of the elements x*g, one column of the
+Cayley table.  Every entry is still computed and compared, in
+C-level ``map`` passes, and only one stacked copy of the entries is
+held.  The products are exact and, for integral matrices, run in Python
+ints: the natural, regular, trivial and N_t representations and the
+symmetric powers of integral ones are built with int entries, so their
+validation never forms a ``Fraction``.  For N_t the only generating set
+is every non-identity element, so there the check stays all-pairs.
 The check is a proof:
 if b and c pass for every x, so does b*c, because rho(b*c) = rho(b)rho(c)
 and rho(x)rho(b)rho(c) = rho(x*b)rho(c) = rho((x*b)*c) = rho(x*(b*c)) by
@@ -32,9 +37,9 @@ test suite does exactly that.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice, repeat
 from math import comb
-from operator import mul
+from operator import add, itemgetter, mul, ne
 
 from .linalg import (
     Echelon,
@@ -64,43 +69,63 @@ class Representation:
             self.validate()
 
     def validate(self):
-        """Re-check the identity image and the products with generators."""
-        if self.matrices[self.monoid.identity] != Matrix.identity(self.dim):
+        """Re-check the identity image and the products with generators.
+
+        A failure names the least pair (x, g), ordered by x and then by
+        g's position among the generators.
+        """
+        m, d = self.monoid, self.dim
+        if self.matrices[m.identity] != Matrix.identity(d):
             raise ValueError("identity element does not map to the identity matrix")
-        table = self.monoid.table
-        times = [(g, _RowTimes(self.matrices[g])) for g in self.monoid.generators]
-        for a in range(self.monoid.size):
-            rows = self.matrices[a].rows
-            for g, times_g in times:
-                if _product(rows, times_g) != self.matrices[table[a][g]].rows:
-                    raise ValueError(
-                        f"not a homomorphism: matrices at the pair ({a}, {g}) "
-                        f"do not multiply to the matrix at {table[a][g]}")
+        if not d:  # no entries to compare
+            return self
+        stack = _stack(self.matrices)
+        zero = (0,) * len(stack[0])
+        blocks = [range(x * d, x * d + d) for x in range(m.size)]  # element x's entries
+        failures = []
+        for pos, g in enumerate(m.generators):
+            # picks the stacked rho(x*g) for every x; a monoid with a
+            # generator has two elements, so it picks a tuple
+            at = itemgetter(*chain.from_iterable(map(blocks.__getitem__,
+                                                     map(itemgetter(g), m.table))))
+            first = len(zero)
+            for coefs, col in zip(zip(*self.matrices[g].rows), stack):
+                got, want = _stacked_column(stack, coefs, zero), at(col)
+                if got != want:
+                    first = min(first, list(map(ne, got, want)).index(True))
+            if first < len(zero):
+                failures.append((first // d, pos))
+        if failures:
+            a, pos = min(failures)
+            g = m.generators[pos]
+            raise ValueError(
+                f"not a homomorphism: matrices at the pair ({a}, {g}) "
+                f"do not multiply to the matrix at {m.table[a][g]}")
         return self
 
     def __repr__(self):
         return f"Representation(dim={self.dim}, monoid_size={self.monoid.size})"
 
 
-class _RowTimes(dict):
-    """Row vector -> its product with one matrix, each distinct row
-    multiplied once: the rows of a representation's matrices repeat
-    across elements (about half of them for N_t, over 90% for the
-    natural representations of T_3 and of a 128-element monoid)."""
-
-    def __init__(self, mat):
-        super().__init__()
-        self.cols = mat.transpose().rows
-
-    def __missing__(self, row):
-        out = self[row] = tuple([sum(map(mul, row, col)) for col in self.cols])
-        return out
+def _stack(matrices):
+    """Column c of every matrix in turn, as one tuple per c: entry x*d + i
+    of stacked column c is entry (i, c) of the matrix of element x."""
+    return [tuple(chain.from_iterable(cols)) for cols in zip(*(zip(*m.rows) for m in matrices))]
 
 
-def _product(rows, times):
-    """The product of the matrix with rows ``rows`` and the matrix of
-    ``times`` (a ``_RowTimes``), as a tuple of row tuples."""
-    return tuple(map(times.__getitem__, rows))
+def _stacked_column(stack, coefs, zero):
+    """The sum of coefs[k] times stacked column k, over the nonzero
+    coefficients, multiplying by none of them that is 1; ``zero`` when
+    every coefficient is 0.  With coefs column c of rho(g), this is
+    stacked column c of rho(x) rho(g) for every x at once."""
+    out = None
+    for col, c in zip(stack, coefs):
+        if not c:
+            continue
+        if c != 1:
+            col = map(mul, col, repeat(c))
+        out = tuple(col) if out is None else tuple(map(add, out, col))
+    return zero if out is None else out
 
 
 def build_representation(m: Monoid, matrices) -> Representation:

@@ -7,11 +7,12 @@ Berkowitz, nested lists of ``Fraction`` instead of ``Matrix``, brute-force
 enumeration instead of Newton's identities, set-based closure instead of
 indexed BFS, every triple and every pair instead of a generating set, and
 each symmetric power expanded from scratch instead of from the degree
-below.  Three are the package's own earlier code, kept as it was to pin
+below.  Five are the package's own earlier code, kept as it was to pin
 a faster rewrite to the old results: the tensor chain that inserted
-every product in turn, Light's test scanned triple by triple, and the
+every product in turn, Light's test scanned triple by triple, the
 fraction-free echelon that rewrote every column of a vector for each
-pivot it cleared.
+pivot it cleared, the closure that formed all |M|^2 products for its
+table, and representation validation one matrix product per pair.
 """
 
 from bisect import bisect_left
@@ -444,3 +445,43 @@ def first_associativity_failure(table, gens):
                 if table[table[x][a]][y] != table[x][table[a][y]]:
                     return x, a, y
     return None
+
+
+def closure_all_pairs(identity, generators, mul, cap=None):
+    """Elements generated under ``mul`` in breadth-first discovery order,
+    and their table with every one of the |M|^2 products formed; raises
+    once more than ``cap`` appear."""
+    elements = [identity]
+    index = {identity: 0}
+    for g in generators:
+        if g not in index:
+            index[g] = len(elements)
+            elements.append(g)
+    pos = 0
+    while pos < len(elements):
+        a = elements[pos]
+        pos += 1
+        for g in generators:
+            c = mul(a, g)
+            if c not in index:
+                if cap is not None and len(elements) >= cap:
+                    raise ValueError(f"cap exceeded: more than {cap} distinct elements")
+                index[c] = len(elements)
+                elements.append(c)
+    table = tuple(tuple(index[mul(a, b)] for b in elements) for a in elements)
+    return elements, table
+
+
+def validate_pair_by_pair(rho):
+    """Representation validation one matrix product per pair (x, g), x
+    outer and the generators g inner, raising the first failure."""
+    m = rho.monoid
+    if rho.matrices[m.identity] != Matrix.identity(rho.dim):
+        raise ValueError("identity element does not map to the identity matrix")
+    for a in range(m.size):
+        for g in m.generators:
+            if rho.matrices[a] * rho.matrices[g] != rho.matrices[m.table[a][g]]:
+                raise ValueError(
+                    f"not a homomorphism: matrices at the pair ({a}, {g}) "
+                    f"do not multiply to the matrix at {m.table[a][g]}")
+    return rho

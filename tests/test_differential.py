@@ -18,9 +18,10 @@ be the kernel of G's full echelon, and ``<=``, ``subspace_leq`` and
 ``contains`` on those rows must agree with the trace-form definition and
 plain Gauss-Jordan kernels at every tensor and symmetric chain step.
 On the corpus, N_t, T_3 and the 128-element submonoid of T_4 the radical
-certified modulo a prime must equal the plain Gauss-Jordan kernel of G,
-and with a prime that divides a minor of G it must fall back to the
-exact echelon and give the same subspace.  The tensor chain, which
+certified modulo a prime must equal the plain Gauss-Jordan kernel of G;
+with both primes dividing a minor of G it must fall back to the exact
+echelon and give the same subspace, and with only the first, the second
+prime must certify it.  The tensor chain, which
 inserts each distinct product once per step, must store the same
 echelon rows at every step as the loop that inserted every product,
 kept in ``tests/oracles.py``.
@@ -59,6 +60,14 @@ table, of one matrix of a valid representation and of a morphism are
 rejected exactly when the all-triples or all-pairs oracle rejects them,
 and the triple or pair an error names is a real violation; the triple is
 the one the old triple-by-triple scan of Light's test reported.
+Closures, which form only the products with a generator, must give the
+same elements, order, table and cap error as the all-pairs closure kept
+in ``tests/oracles.py``, on seeded transformations of degree 1-5 (with
+repeated generators and the identity among them), T_4, a 610-element
+submonoid of T_5 and matrix closures.  Seeded corruptions of T_3,
+the 128-element monoid, N_7 and a rational conjugate, one entry changed
+or two matrices swapped, must give the stacked validation the same
+error text as the pair-by-pair check kept there.
 """
 
 import random
@@ -98,6 +107,8 @@ from monoidrep.molien import element_series
 from monoidrep.monoids import (
     Monoid,
     MonoidMorphism,
+    _closure,
+    _compose,
     _generating_set,
     from_cayley_table,
     from_matrices,
@@ -105,6 +116,7 @@ from monoidrep.monoids import (
     nt_monoid,
 )
 from monoidrep.representations import (
+    Representation,
     build_representation,
     character,
     direct_sum,
@@ -121,6 +133,7 @@ from oracles import (
     DenseEchelon,
     charpoly_faddeev,
     charpoly_laplace,
+    closure_all_pairs,
     first_associativity_failure,
     gauss_nullity,
     gauss_rank,
@@ -140,6 +153,7 @@ from oracles import (
     tensor_chain_steps,
     trace,
     transpose,
+    validate_pair_by_pair,
 )
 
 SEED = 7632
@@ -375,20 +389,35 @@ def test_unlucky_prime_falls_back_to_exact_radical(name, monkeypatch):
     exact = _exact_radical(gram)
     assert len(_echelon_mod_p(gram, m.size, p)[0]) < m.size - exact.dim
     monkeypatch.setattr(algebra, "_PRIME", p)
+    monkeypatch.setattr(algebra, "_SECOND_PRIME", p)
     rad = radical_basis(m)
-    assert rad._kernel is None  # fell back to the exact echelon
+    assert rad._kernel is None  # both primes failed: the exact echelon
     assert rad == exact and hash(rad) == hash(exact)
     assert rad.dim == exact.dim and rad.basis == exact.basis
     assert set(rad.rows) <= set(gram)
 
 
-def test_certificate_refuses_a_wrong_kernel(monkeypatch):
+def test_second_prime_certifies_when_the_first_is_unlucky(monkeypatch):
+    """On T_3 the rank of G drops mod 3; the second prime then certifies
+    the radical without the exact echelon."""
+    m = RADICAL_MONOIDS["t3"]
+    gram = _gram(m)
+    exact = _exact_radical(gram)
+    assert _certified_radical(gram, m.size, 3) is None
+    monkeypatch.setattr(algebra, "_PRIME", 3)
+    rad = radical_basis(m)
+    assert rad._kernel is not None  # certified mod the second prime
+    assert rad == exact and hash(rad) == hash(exact)
+    assert rad.dim == exact.dim and rad.basis == exact.basis
+
+
+def test_certificate_refuses_a_wrong_kernel():
     """A hand-built G whose rank drops mod p, and one whose kernel entry
     is too large to reconstruct from its residue, both fail the check."""
-    assert _certified_radical([(1, 2), (3, 4)], 2).dim == 0
-    assert _certified_radical([(1, 100003), (2, 200006)], 2) is None
-    monkeypatch.setattr(algebra, "_PRIME", 2)
-    assert _certified_radical([(1, 2), (3, 4)], 2) is None
+    p = algebra._PRIME
+    assert _certified_radical([(1, 2), (3, 4)], 2, p).dim == 0
+    assert _certified_radical([(1, 100003), (2, 200006)], 2, p) is None
+    assert _certified_radical([(1, 2), (3, 4)], 2, 2) is None
 
 
 def test_lift_reconstructs_small_fractions():
@@ -1037,6 +1066,120 @@ def test_representation_corruptions_match_oracle():
             else:
                 assert valid
     assert rejected > 20
+
+
+# --- closure tables and stacked validation against the all-pairs code ----------
+
+CLOSURE_SEED = 2423
+CLOSURE_CAP = 300  # bounds the all-pairs reference's |M|^2 products
+
+
+def _closure_cases():
+    """(identity, generators, mul, cap) closures: seeded transformations
+    of degree 1-5 with 0-4 generators, each drawn plain, with a repeated
+    generator and with the identity among the generators; T_4 and a
+    610-element submonoid of T_5; and matrix closures, some of which
+    exceed their cap."""
+    rng = random.Random(CLOSURE_SEED)
+    cases = {}
+    for degree in range(1, 6):
+        ident = tuple(range(degree))
+        for count in range(5):
+            for i in range(3):
+                gens = [tuple(rng.randrange(degree) for _ in range(degree))
+                        for _ in range(count)]
+                if i == 1 and gens:
+                    gens.insert(rng.randrange(len(gens) + 1), rng.choice(gens))
+                if i == 2:
+                    gens.insert(rng.randrange(len(gens) + 1), ident)
+                cases[f"transformations-{degree}-{count}-{i}"] = (
+                    ident, gens, _compose, CLOSURE_CAP)
+    # T_4 and the 610-element submonoid of T_5, uncapped
+    for name, gens in {"t4": [(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)],
+                       "m610": [(1, 2, 3, 4, 0), (0, 0, 2, 3, 4)]}.items():
+        cases[f"transformations-{name}"] = (tuple(range(len(gens[0]))), gens, _compose, None)
+    half = Fraction(1, 2)
+    matrices = {
+        "swap": [[[0, 1], [1, 0]]],
+        "swap-repeated-and-identity": [[[0, 1], [1, 0]], [[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+        "sign-and-nilpotent": [[[-1, 0], [0, 1]], [[0, 1], [0, 0]]],
+        "rational-projection": [[[1, half], [0, 0]], [[0, 0], [0, 1]]],
+        "cycle-and-idempotent": [[[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+                                 [[1, 0, 0], [0, 1, 0], [0, 0, 0]]],
+        "doubling-over-cap": [[[2]]],
+        "shear-over-cap": [[[1, 1], [0, 1]], [[0, 1], [1, 0]]],
+        "tight-cap": [[[0, 0, 1], [1, 0, 0], [0, 1, 0]]],
+    }
+    caps = {"doubling-over-cap": 40, "shear-over-cap": 25, "tight-cap": 2}
+    for name, gens in matrices.items():
+        gens = [Matrix(g) for g in gens]
+        cases[f"matrices-{name}"] = (Matrix.identity(gens[0].nrows), gens,
+                                     Matrix.__mul__, caps.get(name, 10000))
+    return cases
+
+
+CLOSURE_CASES = _closure_cases()
+
+
+def _outcome(fn, *args):
+    """fn's result, or the text of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CASES))
+def test_closure_table_matches_all_pairs(name):
+    """Elements, their order and the table from the |M| |A| products equal
+    the all-pairs closure's, and a cap exceeded gives the same error, also
+    through ``from_matrices``."""
+    got = _outcome(_closure, *CLOSURE_CASES[name])
+    assert got == _outcome(closure_all_pairs, *CLOSURE_CASES[name])
+    if name.startswith("matrices-"):
+        _, gens, _, cap = CLOSURE_CASES[name]
+        built = _outcome(from_matrices, gens, cap)
+        if isinstance(got, str):
+            assert built == got
+        else:
+            assert built.table == got[1]
+
+
+def test_closure_corpus_covers_its_cases():
+    outcomes = [_outcome(_closure, *case) for case in CLOSURE_CASES.values()]
+    sizes = {len(out[0]) for out in outcomes if isinstance(out, tuple)}
+    assert {1, 2} <= sizes and max(sizes) > 100
+    assert sum(isinstance(out, str) for out in outcomes) >= 3
+
+
+VALIDATION_CORRUPTION_SEED = 2424
+
+
+@pytest.mark.parametrize("name", ["t3", "m128", "n7", "t3-conjugate"])
+def test_stacked_validation_matches_pair_by_pair(name):
+    """Seeded corruptions of a valid representation, one entry changed or
+    two matrices swapped: the stacked check raises exactly when the
+    pair-by-pair check does, with the same text, so it names the same
+    pair."""
+    rho = GOLDEN_REPRESENTATIONS[name]
+    m = rho.monoid
+    rng = random.Random(VALIDATION_CORRUPTION_SEED)
+    assert rho.validate() is rho and validate_pair_by_pair(rho) is rho
+    rejected = 0
+    for trial in range(40):
+        mats = [[list(row) for row in mat.rows] for mat in rho.matrices]
+        if trial % 2:
+            x, y = rng.sample(range(m.size), 2)
+            mats[x], mats[y] = mats[y], mats[x]
+        else:
+            x = rng.randrange(m.size)
+            i, j = rng.randrange(rho.dim), rng.randrange(rho.dim)
+            mats[x][i][j] += rng.choice([-1, 1, 2, Fraction(1, 3)])
+        bad = Representation(m, mats, check=False)
+        expected = _outcome(validate_pair_by_pair, bad)
+        assert _outcome(Representation.validate, bad) == expected
+        rejected += isinstance(expected, str)
+    assert rejected >= 20
 
 
 def test_morphism_corruptions_match_oracle():

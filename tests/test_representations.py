@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 from math import comb
@@ -338,20 +339,35 @@ INTEGRAL_REPRESENTATIONS = {
 }
 
 
+def test_validation_holds_one_stacked_copy():
+    """The regular representation of the 128-element monoid has |M| d^2
+    = 2^21 entries; validating it holds one stacked copy of them (a
+    pointer each, about 16.8 MB) and not a second."""
+    rho = regular_representation(load_monoid(str(GOLDEN_INPUTS / "m128.json")))
+    tracemalloc.start()
+    try:
+        rho.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * rho.monoid.size * rho.dim ** 2 < peak <= 20_000_000
+
+
 @pytest.mark.parametrize("name", sorted(INTEGRAL_REPRESENTATIONS))
 def test_integral_representations_never_form_a_fraction(name, monkeypatch):
     """Every matrix of an integral representation, of its symmetric powers
     up to degree 3 and every column of the degree-by-degree expansion they
     are built from, every coefficient row the symmetric chain inserts, of
-    every product validation makes (``representations._product``), and
-    every characteristic polynomial coefficient before ``Polynomial``
-    coerces it, is a plain int; and no non-int value ever reaches the
-    matrix constructor's normalisation, so none was formed on the way."""
+    every stacked product column validation forms
+    (``representations._stacked_column``), and every characteristic
+    polynomial coefficient before ``Polynomial`` coerces it, is a plain
+    int; and no non-int value ever reaches the matrix constructor's
+    normalisation, so none was formed on the way."""
     products, coerced = [], []
-    product, exact = representations._product, linalg._exact
+    stacked_column, exact = representations._stacked_column, linalg._exact
 
-    def recording_product(rows, times):
-        out = product(rows, times)
+    def recording_stacked_column(stack, coefs, zero):
+        out = stacked_column(stack, coefs, zero)
         products.append(out)
         return out
 
@@ -359,17 +375,20 @@ def test_integral_representations_never_form_a_fraction(name, monkeypatch):
         coerced.append(type(x))
         return exact(x)
 
-    monkeypatch.setattr(representations, "_product", recording_product)
+    monkeypatch.setattr(representations, "_stacked_column", recording_stacked_column)
     monkeypatch.setattr(linalg, "_exact", recording_exact)
     rho = INTEGRAL_REPRESENTATIONS[name]()
     assert products  # built with check=True, so validation multiplied
     assert all(_ints(m) for m in rho.matrices)
-    assert all(_ints(m) for m in products)
+    assert all(type(x) is int for col in products for x in col)
     assert _ints(Matrix.identity(rho.dim)) and _ints(Matrix.zero(2, 3))
     del products[:]
     rho.validate()
-    assert len(products) == rho.monoid.size * len(rho.monoid.generators)
-    assert all(_ints(m) for m in products)
+    # one stacked column per column of each generator's matrix, each
+    # covering every element
+    assert len(products) == rho.dim * len(rho.monoid.generators)
+    assert all(len(col) == rho.monoid.size * rho.dim for col in products)
+    assert all(type(x) is int for col in products for x in col)
     for d in range(4):
         power = sym_power(rho, d)
         assert all(_ints(m) for m in power.matrices)
