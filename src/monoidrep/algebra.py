@@ -36,9 +36,8 @@ echelon form mod p < 2^26 on rows packed into single ints
 it is used.  Rows independent mod p are independent over Q; the mod-p
 kernel vectors, lifted by rational reconstruction, are checked to
 satisfy G k = 0 exactly and are independent, so the exact rank equals
-the rank mod p (``_certified_radical``).  When a check fails it is
-retried with a second prime, and only when that fails too does the
-exact integer echelon of G decide.  Every verdict stays exact.
+the rank mod p (``_certified_radical``).  When a check fails the exact
+integer echelon of G decides instead.  Every verdict stays exact.
 
 Verifiers built on it: the tensor-power coverage bound (powers 0..r-1
 where r counts distinct character values), the symmetric-power bound
@@ -185,11 +184,9 @@ def subspace_leq(a: Subspace, b: Subspace):
     return False, next(v for v in a.basis if not b.contains(v))
 
 
-# The two largest primes below 2^26: packed rows of G keep 64-bit slots
-# for up to 4096 pivots (``_slots_fit``).  The second is tried only when
-# the certificate fails with the first.
+# The largest prime below 2^26: packed rows of G keep 64-bit slots for
+# up to 4096 pivots (``_slots_fit``).
 _PRIME = 67108859
-_SECOND_PRIME = 67108837
 
 
 def _lift(vec, p):
@@ -214,8 +211,8 @@ def _lift(vec, p):
     return out
 
 
-def _certified_radical(gram, n, p):
-    """The kernel of G from one echelon mod the prime p, or None.
+def _certified_radical(gram, n):
+    """The kernel of G from one echelon mod ``_PRIME``, or None.
 
     The rows accepted mod p are independent mod p, hence over Q, so
     rank G >= rank_p.  Each mod-p kernel vector is lifted by rational
@@ -233,14 +230,14 @@ def _certified_radical(gram, n, p):
     echelon's slots cannot overflow when ``_slots_fit(n)`` (n <= 4096);
     beyond that there is no candidate.
     """
-    if not _slots_fit(n, p):
+    if not _slots_fit(n, _PRIME):
         return None
-    accepted, kernel = _echelon_mod_p(gram, n, p)
+    accepted, kernel = _echelon_mod_p(gram, n, _PRIME)
     cols = [_pack(col) for col in zip(*dict.fromkeys(gram))]  # of distinct rows
     top = max(map(max, gram))
     lifted = []
     for v in kernel:
-        k = _lift(v, p)
+        k = _lift(v, _PRIME)
         if k is None or top * sum(map(abs, k)) >= 1 << 64:
             return None
         pos = neg = 0
@@ -265,10 +262,8 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
     rank and kernel are computed modulo a prime below 2^26 and certified
     over Z (``_certified_radical``): the ``rows`` are the rows of G that
     are independent mod p, with entries at most |M|, and ``basis`` is
-    read from the lifted kernel vectors.  If any check fails, the same
-    is tried modulo a second prime, so that one prime dividing a minor of
-    G does not cost the exact path; if that fails too, the exact integer
-    echelon of G decides, keeping the rows it accepted.
+    read from the lifted kernel vectors.  If any check fails, the exact
+    integer echelon of G decides instead, keeping the rows it accepted.
     """
     n = m.size
     if n > SIZE_GUARD and not force:
@@ -277,13 +272,12 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
             "computation refused (pass force=True to override)")
     fix = [sum(1 for j in range(n) if m.table[z][j] == j) for z in range(n)]
     gram = [tuple(map(fix.__getitem__, tx)) for tx in m.table]
-    for p in (_PRIME, _SECOND_PRIME):
-        rad = _certified_radical(gram, n, p)
-        if rad is not None:
-            return rad
-    ech = Echelon(n)
-    rows = [row for row in gram if ech.insert(row)]
-    return Subspace.kernel(ech, rows)
+    rad = _certified_radical(gram, n)
+    if rad is None:
+        ech = Echelon(n)
+        rows = [row for row in gram if ech.insert(row)]
+        rad = Subspace.kernel(ech, rows)
+    return rad
 
 
 def annihilator_basis(rho: Representation) -> Subspace:

@@ -182,14 +182,15 @@ def _closure(identity, generators, mul, cap=None):
     """Elements generated under ``mul``, in the element order described
     above, and their table; raises once more than ``cap`` appear.
 
-    Only the |M| |A| products x*g with a generator g are formed, as in
-    Froidure & Pin, "Algorithms for computing finite semigroups" (1997):
-    the search records the right Cayley graph ``right[k][x]`` = x*g_k and,
-    for each element j other than the identity, the pair (p, k) with p < j
-    through which j was first reached as p*g_k.  By associativity
-    x*j = x*(p*g_k) = (x*p)*g_k, so column j of the table is column p read
-    through ``right[k]``, one C-level pass per column, and column 0 (the
-    identity) is 0..n-1.
+    Only products with a generator are formed, as in Froidure & Pin,
+    "Algorithms for computing finite semigroups" (1997): the |M| |A|
+    products x*g that find the elements, and the |M| |A| products g*y of
+    the left Cayley graph ``left[k][y]`` = g_k*y.  Each element x other
+    than the identity is g_k*q for some q reached before it in a
+    breadth-first search of that graph, and by associativity
+    x*y = g_k*(q*y), so row x of the table is row q read through
+    ``left[k]``, one C-level pass per row; row 0 (the identity) is
+    0..n-1.  Only the rows are held, not a second copy of the table.
     """
     elements = [identity]
     index = {identity: 0}
@@ -197,29 +198,28 @@ def _closure(identity, generators, mul, cap=None):
         if g not in index:
             index[g] = len(elements)
             elements.append(g)
-    gens = list(dict.fromkeys(index[g] for g in generators))
-    # a generator other than the identity is reached as identity * itself
-    parent = [None] + [(0, gens.index(j)) for j in range(1, len(elements))]
-    gen_elements = [elements[g] for g in gens]
-    right = [[] for _ in gens]
     pos = 0
     while pos < len(elements):
         a = elements[pos]
-        for k, g in enumerate(gen_elements):
+        pos += 1
+        for g in generators:
             c = mul(a, g)
-            j = index.get(c)
-            if j is None:
+            if c not in index:
                 if cap is not None and len(elements) >= cap:
                     raise ValueError(f"cap exceeded: more than {cap} distinct elements")
-                j = index[c] = len(elements)
+                index[c] = len(elements)
                 elements.append(c)
-                parent.append((pos, k))
-            right[k].append(j)
-        pos += 1
-    cols = [range(len(elements))]
-    for p, k in parent[1:]:
-        cols.append(tuple(map(right[k].__getitem__, cols[p])))
-    return elements, tuple(zip(*cols))
+    left = [[index[mul(g, y)] for y in elements] for g in dict.fromkeys(generators)]
+    rows = [None] * len(elements)
+    rows[0] = tuple(range(len(elements)))
+    reached = [0]
+    for q in reached:
+        for left_k in left:
+            x = left_k[q]
+            if rows[x] is None:
+                rows[x] = tuple(map(left_k.__getitem__, rows[q]))
+                reached.append(x)
+    return elements, tuple(rows)
 
 
 def _compose(f, g):

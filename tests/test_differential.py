@@ -18,10 +18,9 @@ be the kernel of G's full echelon, and ``<=``, ``subspace_leq`` and
 ``contains`` on those rows must agree with the trace-form definition and
 plain Gauss-Jordan kernels at every tensor and symmetric chain step.
 On the corpus, N_t, T_3 and the 128-element submonoid of T_4 the radical
-certified modulo a prime must equal the plain Gauss-Jordan kernel of G;
-with both primes dividing a minor of G it must fall back to the exact
-echelon and give the same subspace, and with only the first, the second
-prime must certify it.  The tensor chain, which
+certified modulo a prime must equal the plain Gauss-Jordan kernel of G,
+and with a prime that divides a minor of G it must fall back to the
+exact echelon and give the same subspace.  The tensor chain, which
 inserts each distinct product once per step, must store the same
 echelon rows at every step as the loop that inserted every product,
 kept in ``tests/oracles.py``.
@@ -389,35 +388,20 @@ def test_unlucky_prime_falls_back_to_exact_radical(name, monkeypatch):
     exact = _exact_radical(gram)
     assert len(_echelon_mod_p(gram, m.size, p)[0]) < m.size - exact.dim
     monkeypatch.setattr(algebra, "_PRIME", p)
-    monkeypatch.setattr(algebra, "_SECOND_PRIME", p)
     rad = radical_basis(m)
-    assert rad._kernel is None  # both primes failed: the exact echelon
+    assert rad._kernel is None  # fell back to the exact echelon
     assert rad == exact and hash(rad) == hash(exact)
     assert rad.dim == exact.dim and rad.basis == exact.basis
     assert set(rad.rows) <= set(gram)
 
 
-def test_second_prime_certifies_when_the_first_is_unlucky(monkeypatch):
-    """On T_3 the rank of G drops mod 3; the second prime then certifies
-    the radical without the exact echelon."""
-    m = RADICAL_MONOIDS["t3"]
-    gram = _gram(m)
-    exact = _exact_radical(gram)
-    assert _certified_radical(gram, m.size, 3) is None
-    monkeypatch.setattr(algebra, "_PRIME", 3)
-    rad = radical_basis(m)
-    assert rad._kernel is not None  # certified mod the second prime
-    assert rad == exact and hash(rad) == hash(exact)
-    assert rad.dim == exact.dim and rad.basis == exact.basis
-
-
-def test_certificate_refuses_a_wrong_kernel():
+def test_certificate_refuses_a_wrong_kernel(monkeypatch):
     """A hand-built G whose rank drops mod p, and one whose kernel entry
     is too large to reconstruct from its residue, both fail the check."""
-    p = algebra._PRIME
-    assert _certified_radical([(1, 2), (3, 4)], 2, p).dim == 0
-    assert _certified_radical([(1, 100003), (2, 200006)], 2, p) is None
-    assert _certified_radical([(1, 2), (3, 4)], 2, 2) is None
+    assert _certified_radical([(1, 2), (3, 4)], 2).dim == 0
+    assert _certified_radical([(1, 100003), (2, 200006)], 2) is None
+    monkeypatch.setattr(algebra, "_PRIME", 2)
+    assert _certified_radical([(1, 2), (3, 4)], 2) is None
 
 
 def test_lift_reconstructs_small_fractions():

@@ -242,7 +242,7 @@ def test_slot_bound_refuses_overflowing_ranks():
     radical refuses a size whose rank could pass that before it reads a
     row of G, so the exact path decides."""
     assert _slots_fit(4096, _PRIME) and not _slots_fit(4097, _PRIME)
-    assert _certified_radical(None, 4097, _PRIME) is None
+    assert _certified_radical(None, 4097) is None
     big = 2 ** 32 - 5  # prime; (p-1)^2 is close to 2^64
     assert _slots_fit(1, big) and not _slots_fit(2, big)
     assert _echelon_mod_p([[1, 0]], 2, big) == ([0], [[0, 1]])

