@@ -451,7 +451,8 @@ def symmetric_annihilator_chain(rho: Representation, kmax):
     Each degree is built from the one before (``symmetric_columns``); the
     entries of its sparse columns are scattered straight into the
     coefficient rows x -> S^d(x)[p][q], and each distinct row is folded
-    once into one accumulated constraint space.  Once the kernel is zero
+    once into one accumulated constraint space: a row already folded at
+    an earlier degree lies in it and is skipped.  Once the kernel is zero
     it stays zero, so no further degree is built.  A degree of
     c = C(dim+d-1, d) columns holds at most |M| * c^2 entries, in its
     columns and in its rows; past ``SIZE_GUARD ** 3``, the work the
@@ -459,6 +460,7 @@ def symmetric_annihilator_chain(rho: Representation, kmax):
     """
     n = rho.monoid.size
     acc = Echelon(n)
+    folded = set()
     degrees = symmetric_columns(rho)
     for d in count() if kmax is None else range(kmax + 1):
         if acc.rank < n:
@@ -477,7 +479,9 @@ def symmetric_annihilator_chain(rho: Representation, kmax):
             for row in dict.fromkeys(map(tuple, rows.values())):
                 if acc.rank == n:
                     break
-                acc.insert(row)
+                if row not in folded:
+                    folded.add(row)
+                    acc.insert(row)
         yield d, Subspace.kernel(acc)
 
 

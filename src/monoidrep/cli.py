@@ -11,37 +11,18 @@ Exit codes: 0 all checks hold, 1 a verified theorem failed (which means
 the implementation is broken -- the JSON witness is printed for
 auditing), 2 malformed input or a refused job.  All output is
 deterministic; pass --json for machine-readable reports.
+
+Each subcommand imports the layers it calls when it runs, so ``--help``,
+a usage error or a subcommand compiles only the modules it needs.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import sys
-from fractions import Fraction
-
-from .algebra import (
-    minimal_faithful_power,
-    radical_basis,
-    verify_positive_power_refinement,
-    verify_steinberg_bound,
-    verify_symmetric_theorem,
-    verify_tensor_theorem,
-)
-from .fileio import format_rational, load_monoid, load_representation
-from .linalg import format_polynomial
-from .molien import _local_weighted_series, series_prefix
-from .monoids import has_zero, idempotents, local_ideal, local_monoid, unit_group
-from .representations import (
-    distinct_character_values,
-    distinct_charpolys,
-    is_faithful,
-    nt_paper_representation,
-    sym_power_characters,
-)
 
 
 def _emit_json(payload):
+    import json
+
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -56,9 +37,11 @@ def _table(headers, rows):
 
 
 def cmd_info(args):
-    m = load_monoid(args.monoid)
-    z = has_zero(m)
-    idem = idempotents(m)
+    from . import fileio, linalg, monoids, representations
+
+    m = fileio.load_monoid(args.monoid)
+    z = monoids.has_zero(m)
+    idem = monoids.idempotents(m)
     payload = {
         "size": m.size,
         "identity": m.label(m.identity),
@@ -66,9 +49,9 @@ def cmd_info(args):
         "idempotents": [
             {
                 "label": m.label(e),
-                "local_monoid_size": len(local_monoid(m, e)),
-                "unit_group_size": len(unit_group(m, e)),
-                "ideal_size": len(local_ideal(m, e)),
+                "local_monoid_size": len(monoids.local_monoid(m, e)),
+                "unit_group_size": len(monoids.unit_group(m, e)),
+                "ideal_size": len(monoids.local_ideal(m, e)),
             }
             for e in idem
         ],
@@ -76,17 +59,17 @@ def cmd_info(args):
     rep_payload = None
     polys = ()
     if args.representation:
-        rho = load_representation(args.representation, m)
-        ok, _ = is_faithful(rho)
-        values = distinct_character_values(rho)
-        polys = distinct_charpolys(rho)
+        rho = fileio.load_representation(args.representation, m)
+        ok, _ = representations.is_faithful(rho)
+        values = representations.distinct_character_values(rho)
+        polys = representations.distinct_charpolys(rho)
         rep_payload = {
             "dim": rho.dim,
             "faithful": ok,
             "r": len(values),
-            "character_values": [format_rational(v) for v in values],
+            "character_values": [fileio.format_rational(v) for v in values],
             "s": len(polys),
-            "charpolys": [[format_rational(c) for c in p.coeffs] for p in polys],
+            "charpolys": [[fileio.format_rational(c) for c in p.coeffs] for p in polys],
         }
     if args.json:
         _emit_json({"monoid": payload, "representation": rep_payload})
@@ -103,31 +86,35 @@ def cmd_info(args):
         print(f"character values (r={rep_payload['r']}): "
               + ", ".join(rep_payload["character_values"]))
         print(f"characteristic polynomials (s={rep_payload['s']}): "
-              + ", ".join(format_polynomial(p) for p in polys))
+              + ", ".join(linalg.format_polynomial(p) for p in polys))
     return 0
 
 
 def cmd_verify(args):
+    import json
+
+    from . import algebra, fileio, monoids
+
     if args.powers_cap is not None:
         print("warning: --powers-cap is ignored; no bound is capped", file=sys.stderr)
-    m = load_monoid(args.monoid)
-    rho = load_representation(args.representation, m)
-    radical = radical_basis(m, force=args.force)
+    m = fileio.load_monoid(args.monoid)
+    rho = fileio.load_representation(args.representation, m)
+    radical = algebra.radical_basis(m, force=args.force)
 
     which = args.which
     reports = []
     skipped = []
     if which in ("all", "tensor"):
-        reports.append(verify_tensor_theorem(rho, radical=radical))
+        reports.append(algebra.verify_tensor_theorem(rho, radical=radical))
     if which in ("all", "symmetric"):
-        reports.append(verify_symmetric_theorem(rho, radical=radical))
+        reports.append(algebra.verify_symmetric_theorem(rho, radical=radical))
     # the verifier itself refuses a monoid with a zero; "all" skips it
-    if which == "positive" or (which == "all" and has_zero(m) is None):
-        reports.append(verify_positive_power_refinement(rho, radical=radical))
+    if which == "positive" or (which == "all" and monoids.has_zero(m) is None):
+        reports.append(algebra.verify_positive_power_refinement(rho, radical=radical))
     elif which == "all":
         skipped.append("positive-refinement: monoid has a zero element")
     if which in ("all", "steinberg"):
-        reports.append(verify_steinberg_bound(rho, radical=radical))
+        reports.append(algebra.verify_steinberg_bound(rho, radical=radical))
 
     sharpness = {rep.theorem: rep.minimal_k for rep in reports
                  if rep.holds and rep.theorem in ("tensor", "symmetric")}
@@ -155,7 +142,7 @@ def cmd_verify(args):
             print(" ".join(bits))
             if not rep.holds:
                 print("  witness: "
-                      + json.dumps([format_rational(x) for x in rep.witness]))
+                      + json.dumps([fileio.format_rational(x) for x in rep.witness]))
         for note in skipped:
             print(f"{note} (skipped)")
         print("overall: OK" if ok else "overall: THEOREM VIOLATION")
@@ -165,11 +152,13 @@ def cmd_verify(args):
 def _scan_row(t, mode, cap, with_s):
     """One row of ``scan-nt``; s is counted only when ``with_s`` (the
     JSON form prints it, the table does not)."""
-    rho = nt_paper_representation(t)
+    from . import algebra, representations
+
+    rho = representations.nt_paper_representation(t)
     m = rho.monoid
-    verify = {"tensor": verify_tensor_theorem,
-              "symmetric": verify_symmetric_theorem}[mode]
-    rep = verify(rho, radical=radical_basis(m))
+    verify = {"tensor": algebra.verify_tensor_theorem,
+              "symmetric": algebra.verify_symmetric_theorem}[mode]
+    rep = verify(rho, radical=algebra.radical_basis(m))
     bound = rep.bound
     if mode == "tensor":
         w_dim = sum(rho.dim ** i for i in range(bound + 1))
@@ -178,14 +167,14 @@ def _scan_row(t, mode, cap, with_s):
     row = {
         "t": t,
         # the report carries the one of r, s its bound needs
-        "r": rep.r or len(distinct_character_values(rho)),
-        "s": rep.s or (len(distinct_charpolys(rho)) if with_s else None),
+        "r": rep.r or len(representations.distinct_character_values(rho)),
+        "s": rep.s or (len(representations.distinct_charpolys(rho)) if with_s else None),
         "bound": bound,
         "dim_rad": rep.dim_rad,
         "dim_ann": rep.dim_ann,
         "holds": rep.holds,
         "min_covering": rep.minimal_k,
-        "min_faithful": minimal_faithful_power(rho, mode, max(bound, cap)),
+        "min_faithful": algebra.minimal_faithful_power(rho, mode, max(bound, cap)),
         "note": "",
     }
     if w_dim * w_dim < m.size:
@@ -236,6 +225,8 @@ def _split_top_level(s, sep=","):
 
 def parse_weights(spec, m):
     """Parse 'label:rational,label:rational' into a coefficient vector."""
+    from fractions import Fraction
+
     weights = [Fraction(0)] * m.size
     for part in _split_top_level(spec):
         if ":" not in part:
@@ -250,12 +241,14 @@ def parse_weights(spec, m):
 
 
 def cmd_molien(args):
-    m = load_monoid(args.monoid)
-    rho = load_representation(args.representation, m)
+    from . import fileio, linalg, molien, representations
+
+    m = fileio.load_monoid(args.monoid)
+    rho = fileio.load_representation(args.representation, m)
     e = m.index_of_label(args.idempotent)
     weights = parse_weights(args.weights, m)
-    f, local, pos = _local_weighted_series(rho, e, weights)
-    prefix = series_prefix(f, args.terms)
+    f, local, pos = molien._local_weighted_series(rho, e, weights)
+    prefix = molien.series_prefix(f, args.terms)
 
     # cross-check every coefficient against the symmetric-power characters
     # sum_x w_x h_d(eigenvalues of x), from one power-trace pass per x
@@ -263,7 +256,7 @@ def cmd_molien(args):
     direct = [0] * (n + 1)
     for x in range(m.size):
         if weights[x]:
-            h = sym_power_characters(local, pos[x], n)
+            h = representations.sym_power_characters(local, pos[x], n)
             for d in range(n + 1):
                 direct[d] += weights[x] * h[d]
     for d, coeff in enumerate(prefix):
@@ -274,13 +267,14 @@ def cmd_molien(args):
 
     if args.json:
         _emit_json({
-            "num": [format_rational(c) for c in f.num.coeffs],
-            "den": [format_rational(c) for c in f.den.coeffs],
-            "series": [format_rational(c) for c in prefix],
+            "num": [fileio.format_rational(c) for c in f.num.coeffs],
+            "den": [fileio.format_rational(c) for c in f.den.coeffs],
+            "series": [fileio.format_rational(c) for c in prefix],
         })
     else:
-        print(f"g(t) = ({format_polynomial(f.num)}) / ({format_polynomial(f.den)})")
-        print("series: " + ", ".join(format_rational(c) for c in prefix))
+        print(f"g(t) = ({linalg.format_polynomial(f.num)}) / "
+              f"({linalg.format_polynomial(f.den)})")
+        print("series: " + ", ".join(fileio.format_rational(c) for c in prefix))
     return 0
 
 

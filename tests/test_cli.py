@@ -268,7 +268,7 @@ def test_verify_unfaithful_exit_two(files, capsys):
 
 def test_verify_corrupted_radical_exit_one(files, capsys, monkeypatch):
     argv = ["verify", files["nt5"], files["nt_rep"], "--which", "tensor"]
-    monkeypatch.setattr(cli, "radical_basis", lambda m, force=False: Subspace(m.size))
+    monkeypatch.setattr(algebra, "radical_basis", lambda m, force=False: Subspace(m.size))
     code, out, _ = run(capsys, argv)
     assert code == 1
     assert "VIOLATED" in out and "witness" in out
@@ -379,7 +379,7 @@ def test_scan_nt_symmetric_mode(capsys):
 def test_scan_nt_failed_check_has_no_min_covering(monkeypatch, capsys):
     # only a broken radical can fail the check: the zero subspace makes
     # covering the same as faithfulness, first reached at step t-1 = 4
-    monkeypatch.setattr(cli, "radical_basis", lambda m: Subspace(m.size))
+    monkeypatch.setattr(algebra, "radical_basis", lambda m: Subspace(m.size))
     code, out, _ = run(capsys, ["scan-nt", "--from", "5", "--to", "5",
                                 "--cap", "6", "--json"])
     assert code == 1

@@ -23,7 +23,9 @@ and with a prime that divides a minor of G it must fall back to the
 exact echelon and give the same subspace.  The tensor chain, which
 inserts each distinct product once per step, must store the same
 echelon rows at every step as the loop that inserted every product,
-kept in ``tests/oracles.py``.
+kept in ``tests/oracles.py``.  The symmetric chain must insert no
+coefficient row twice, not even one that recurs at a later degree, and
+keep every degree's dimension.
 
 A third, seeded corpus of random square matrices whose entries mix ints,
 non-integral ``Fraction``s, "p/q" strings and integers in ``Fraction``
@@ -349,6 +351,30 @@ def test_tensor_chain_matches_old_loop(name, first):
     got = [(k, ann.dim, ann._echelon.int_rows)
            for k, ann in tensor_annihilator_chain(rho, kmax, first=first)]
     assert got == list(tensor_chain_steps(rho, kmax, first=first))
+
+
+# m128 is left out: its Fraction oracle to degree 6 takes over a minute
+@pytest.mark.parametrize("name", sorted(set(CHAIN_INPUTS) - {"golden-m128"}))
+def test_symmetric_chain_inserts_each_row_once(name, monkeypatch):
+    """No coefficient row is inserted twice, not even one that recurs at
+    a later degree, and each degree's dim Ann is still the nullity of the
+    entry rows of S^0..S^d (up to Ann = 0, at most degree 6)."""
+    rho = CHAIN_INPUTS[name]
+    inserted = []
+
+    class RecordingEchelon(Echelon):
+        def insert(self, vec):
+            inserted.append(tuple(vec))
+            return super().insert(vec)
+
+    monkeypatch.setattr(algebra, "Echelon", RecordingEchelon)
+    rows = []
+    for d, ann in symmetric_annihilator_chain(rho, 6):
+        rows += _entry_rows(sym_power_direct(rho, d))
+        assert ann.dim == gauss_nullity(rows, rho.monoid.size)
+        if not ann.dim:
+            break
+    assert inserted and len(set(inserted)) == len(inserted)
 
 
 # --- the certified modular radical ---------------------------------------------

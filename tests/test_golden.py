@@ -4,7 +4,7 @@ Each case runs one `mbt` command in-process and compares its standard
 output with ``tests/golden/<name>.txt`` and its exit code with the one
 listed here.  Input files live in ``tests/golden/inputs``.  The cases
 cover every subcommand, text and ``--json``, and the witness output of a
-failed check: a case named ``*-corrupt*`` runs with ``cli.radical_basis``
+failed check: a case named ``*-corrupt*`` runs with ``algebra.radical_basis``
 returning the zero subspace, so any change to stdout shows.
 
 Regenerate after a deliberate output change with
@@ -20,7 +20,7 @@ from unittest import mock
 
 import pytest
 
-from monoidrep import algebra, cli, representations
+from monoidrep import algebra, representations
 from monoidrep.algebra import Subspace
 from monoidrep.cli import main
 from monoidrep.linalg import Echelon
@@ -118,7 +118,7 @@ def run_case(name):
     argv, _ = CASES[name]
     argv = [str(INPUTS / a) if a.endswith(".json") else a for a in argv]
     out = io.StringIO()
-    radical = (mock.patch.object(cli, "radical_basis", zero_radical) if "-corrupt" in name
+    radical = (mock.patch.object(algebra, "radical_basis", zero_radical) if "-corrupt" in name
                else contextlib.nullcontext())
     with contextlib.redirect_stdout(out), radical:
         code = main(argv)
@@ -200,13 +200,13 @@ def test_each_step_containment_decided_once(name, monkeypatch):
     monkeypatch.setattr(algebra, "subspace_leq", counting_leq)
     reports = []
     for verifier in VERIFIERS:
-        def counted(*args, _verify=getattr(cli, verifier), **kwargs):
+        def counted(*args, _verify=getattr(algebra, verifier), **kwargs):
             before = dict(calls)
             rep = _verify(*args, **kwargs)
             reports.append((rep, calls["le"] - before["le"], calls["leq"] - before["leq"]))
             return rep
 
-        monkeypatch.setattr(cli, verifier, counted)
+        monkeypatch.setattr(algebra, verifier, counted)
     code, out = run_case(name)
     assert code == CASES[name][1]
     assert out == (GOLDEN / f"{name}.txt").read_text()

@@ -1,0 +1,89 @@
+"""What each launch compiles, and the package API that loads on first use.
+
+A launch is a fresh ``python -X importtime ...`` process; the package
+modules it imported are read from the import-time log on stderr.
+``import monoidrep`` loads no submodule, ``mbt --help`` and a usage
+error load only the command line module, and each subcommand loads the
+layers it calls and no other.  The package still exports every public
+name of its submodules, as the very object the submodule holds.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import monoidrep
+
+ROOT = Path(__file__).resolve().parent.parent
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+LOADERS = {"fileio", "linalg", "monoids", "representations"}  # what a file load needs
+MOLIEN = ["--idempotent", "[1,2,3]", "--weights", "[1,2,3]:1,[2,1,3]:-1/2", "-N", "3"]
+
+# name -> (interpreter arguments, exit code, submodules imported)
+LAUNCHES = {
+    "import": (["-c", "import monoidrep"], 0, set()),
+    "submodule": (["-c", "import monoidrep; monoidrep.linalg"], 0, {"linalg"}),
+    "name": (["-c", "from monoidrep import nt_monoid"], 0, {"linalg", "monoids"}),
+    "help": (["-m", "monoidrep", "--help"], 0, {"cli"}),
+    "usage-error": (["-m", "monoidrep", "verify", "t3.json"], 2, {"cli"}),
+    "unknown-command": (["-m", "monoidrep", "bogus"], 2, {"cli"}),
+    "info": (["-m", "monoidrep", "info", "t3.json", "natural.json"], 0,
+             {"cli"} | LOADERS),
+    "verify": (["-m", "monoidrep", "verify", "t3.json", "natural.json"], 0,
+               {"cli", "algebra"} | LOADERS),
+    "molien": (["-m", "monoidrep", "molien", "t3.json", "natural.json", *MOLIEN], 0,
+               {"cli", "molien"} | LOADERS),
+    "scan-nt": (["-m", "monoidrep", "scan-nt", "--from", "2", "--to", "4"], 0,
+                {"cli", "algebra", "linalg", "monoids", "representations"}),
+}
+
+
+def imported_submodules(args):
+    """Exit code and the ``monoidrep.*`` modules one launch imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=INPUTS,
+                          env=env, capture_output=True, text=True, timeout=120)
+    names = re.findall(r"^import time:.*\|\s*monoidrep(?:\.(\w+))?\s*$",
+                       proc.stderr, re.MULTILINE)
+    assert "" in names, proc.stderr  # the package itself
+    return proc.returncode, set(names) - {"", "__main__"}
+
+
+@pytest.mark.parametrize("name", sorted(LAUNCHES))
+def test_launch_imports_only_what_it_runs(name):
+    args, code, expected = LAUNCHES[name]
+    assert imported_submodules(args) == (code, expected)
+
+
+def test_every_export_is_its_submodules_object():
+    assert len(monoidrep.__all__) == len(set(monoidrep.__all__)) == 70
+    for name in monoidrep.__all__:
+        obj = getattr(monoidrep, name)
+        module = sys.modules[obj.__module__]
+        assert module.__name__.startswith("monoidrep.")
+        assert getattr(module, name) is obj
+        assert getattr(monoidrep, module.__name__.split(".")[1]) is module
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace = {}
+    exec("from monoidrep import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(monoidrep.__all__)
+    listed = dir(monoidrep)
+    assert listed == sorted(listed)
+    assert set(monoidrep.__all__) | {"__version__"} <= set(listed)
+    assert monoidrep.__version__ == "0.1.0"
+
+
+def test_unknown_name_raises():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        monoidrep.no_such_name
+    assert not hasattr(monoidrep, "__main__")
+    with pytest.raises(ImportError):
+        exec("from monoidrep import no_such_name", {})
