@@ -28,18 +28,18 @@ _MODULES = {
         "power_traces", "rank",
     ),
     "monoids": (
-        "Monoid", "MonoidMorphism", "from_cayley_table", "from_matrices",
-        "from_transformations", "has_zero", "idempotents", "is_li_morphism",
-        "local_ideal", "local_monoid", "nt_monoid", "submonoid", "unit_group",
+        "Monoid", "from_cayley_table", "from_matrices", "from_transformations",
+        "has_zero", "idempotents", "local_ideal", "local_monoid", "nt_monoid",
+        "submonoid", "unit_group",
     ),
     "representations": (
-        "Representation", "build_representation", "character",
-        "character_kernel", "direct_sum", "distinct_character_values",
-        "distinct_charpolys", "is_faithful", "matrix_representation",
-        "monomial_basis", "natural_representation", "nt_paper_representation",
-        "regular_representation", "restrict_to_local", "sym_power",
-        "sym_power_character", "sym_power_characters", "sym_power_dim",
-        "tensor_power", "trivial_representation",
+        "Representation", "build_representation", "character", "direct_sum",
+        "distinct_character_values", "distinct_charpolys", "is_faithful",
+        "matrix_representation", "monomial_basis", "natural_representation",
+        "nt_paper_representation", "regular_representation",
+        "restrict_to_local", "sym_power", "sym_power_character",
+        "sym_power_characters", "sym_power_dim", "tensor_power",
+        "trivial_representation",
     ),
     "algebra": (
         "Subspace", "VerificationReport", "all_simples_appear",

@@ -22,13 +22,16 @@ matrix-coefficient functions x -> W(x)[i][j].  So the test is decided
 in dual form, on row spaces: Ann(W) <= Rad exactly when
 rowspace(G) <= F, and dim Ann(W) = |M| - rank F.  A ``Subspace`` is
 therefore kept as integer rows spanning the space it is the kernel of,
-with its dimension; the echelon of the rows is built only when ``<=``,
-``==`` or ``hash`` needs it.  Any spanning set serves, so the radical is
-read as its own rows of G (entries at most |M|), not as their reduced
-echelon, whose entries grow large.  Canonical reduced echelon rows
-(``Fraction`` entries) are derived only for equality and hashing, and a
-kernel basis only when it is read, which on the checking path happens
-only to produce the witness of a failed containment.
+with its dimension, and has one constructor.  The chains and the
+annihilator hand it their echelon's rows and the echelon itself.  The
+radical hands it the rows of G it accepted, with the exact echelon of G
+or, when certified, the kernel; the certified rows' echelon is built
+only when ``<=``, ``==`` or ``hash`` needs it.  Any spanning set serves,
+so the radical is read as rows of G (entries at most |M|), not as their
+reduced echelon, whose entries grow large.  Canonical reduced echelon
+rows are derived only for equality and hashing, and a kernel basis only
+when it is read, which on the checking path happens only to produce the
+witness of a failed containment.
 
 The radical is the one computation done modulo a prime: G is put in
 echelon form mod p < 2^26 on rows packed into single ints
@@ -99,41 +102,19 @@ class Subspace:
     """A linear subspace of Q^ambient, kept as the kernel of integer rows.
 
     ``rows`` spans the orthogonal complement, any spanning set: the
-    radical keeps rows of G.  ``dim`` is fixed at construction.  The
-    echelon snapshot of ``rows`` decides ``a <= b`` (b's rows lie in a's
-    row space) and, by its canonical RREF, ``==`` and ``hash``; it is
-    built from ``rows`` only when one of those needs it.  ``contains`` is
-    a dot product with each row, and ``basis`` is derived on read, from
-    the certified kernel vectors when the subspace has them.
-    ``Subspace(n, vectors)`` is the span of ``vectors``;
-    ``Subspace.kernel(ech, rows)`` is the kernel of an echelon's rows.
+    radical keeps rows of G.  ``dim`` is the subspace's dimension,
+    ``ambient`` minus the rank of ``rows``; the caller has worked it out.
+    ``echelon``, when given, is an echelon of ``rows`` that no one
+    changes afterwards.  It decides ``a <= b`` (b's rows lie in a's row
+    space) and, by its canonical RREF, ``==`` and ``hash``; without it,
+    it is built from ``rows`` when one of those first needs it.
+    ``contains`` is a dot product with each row.  ``basis`` is derived on
+    read, from ``kernel`` when the caller has certified one.
     """
 
-    def __init__(self, ambient, vectors=()):
-        self._hold(_span(ambient, _span(ambient, vectors).kernel_basis()))
-
-    @classmethod
-    def kernel(cls, constraints: Echelon, rows=None) -> Subspace:
-        """{v : row . v = 0 for every row}, over a snapshot of the echelon,
-        read through ``rows`` (any spanning set; by default its own rows)."""
-        sub = cls.__new__(cls)
-        sub._hold(constraints.copy(), rows)
-        return sub
-
-    @classmethod
-    def _certified(cls, ambient, rows, kernel) -> Subspace:
-        """The kernel of ``rows``, given a basis ``kernel`` of it that the
-        caller has proved to be one."""
-        sub = cls.__new__(cls)
-        sub.ambient, sub.rows, sub.dim = ambient, tuple(rows), len(kernel)
-        sub._snapshot, sub._kernel = None, kernel
-        return sub
-
-    def _hold(self, echelon, rows=None):
-        self.ambient = echelon.ncols
-        self._snapshot, self._kernel = echelon, None
-        self.rows = tuple(echelon.int_rows if rows is None else rows)
-        self.dim = self.ambient - echelon.rank
+    def __init__(self, ambient, rows, dim, echelon=None, kernel=None):
+        self.ambient, self.rows, self.dim = ambient, rows, dim
+        self._snapshot, self._kernel = echelon, kernel
 
     @property
     def _echelon(self):
@@ -171,6 +152,12 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
+
+
+def _kernel(ech) -> Subspace:
+    """The kernel of an echelon's rows, held over a snapshot of it."""
+    snap = ech.copy()
+    return Subspace(snap.ncols, snap.int_rows, snap.ncols - snap.rank, snap)
 
 
 def subspace_leq(a: Subspace, b: Subspace):
@@ -249,7 +236,7 @@ def _certified_radical(gram, n):
         if pos != neg:
             return None
         lifted.append(k)
-    return Subspace._certified(n, [gram[i] for i in accepted], lifted)
+    return Subspace(n, [gram[i] for i in accepted], len(lifted), kernel=lifted)
 
 
 def radical_basis(m: Monoid, force=False) -> Subspace:
@@ -276,7 +263,7 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
     if rad is None:
         ech = Echelon(n)
         rows = [row for row in gram if ech.insert(row)]
-        rad = Subspace.kernel(ech, rows)
+        rad = Subspace(n, rows, n - ech.rank, ech)
     return rad
 
 
@@ -287,7 +274,9 @@ def annihilator_basis(rho: Representation) -> Subspace:
     with column x holding that entry of rho(x); rows stream through an
     incremental echelon so only the O(|M|) pivot rows are ever stored.
     """
-    return Subspace.kernel(_span(rho.monoid.size, _entry_rows(rho)))
+    n = rho.monoid.size
+    ech = _span(n, _entry_rows(rho))
+    return Subspace(n, ech.int_rows, n - ech.rank, ech)
 
 
 def all_simples_appear(rho: Representation, radical: Subspace | None = None):
@@ -418,8 +407,8 @@ def _entry_rows(rho):
                 yield row
 
 
-def tensor_annihilator_chain(rho: Representation, kmax, first=0):
-    """Yield (k, Ann(V^first + ... + V^k)) for k = first..kmax (on, if None).
+def tensor_annihilator_chain(rho: Representation, first=0):
+    """Yield (k, Ann(V^first + ... + V^k)) for k = first, first + 1, ...
 
     ``first`` is 0, or 1 to leave out the trivial module V^0.  Never
     builds a Kronecker power.  The coefficient functions of V^k span the
@@ -430,23 +419,24 @@ def tensor_annihilator_chain(rho: Representation, kmax, first=0):
     F_{k-1} * E_1 + D_k * E_1, and F_{k-1} * E_1 lies in F_k, so
     F_{k+1} = F_k + D_k * E_1: each vector is multiplied with an E_1
     basis once, and the work stops as soon as a step adds nothing.  Each
-    step inserts each distinct nonzero product once.
+    step inserts each distinct nonzero product once.  The chain has no
+    last step: a reader takes the steps it needs (``_walk``).
     """
     n = rho.monoid.size
     acc = Echelon(n)
     new = [(1,) * n]  # spans E_0: the constant functions
     if first == 0:
         acc.insert(new[0])
-        yield 0, Subspace.kernel(acc)
+        yield 0, _kernel(acc)
     e1 = _span(n, _entry_rows(rho)).int_rows  # a basis of E_1
-    for k in count(1) if kmax is None else range(1, kmax + 1):
+    for k in count(1):
         products = dict.fromkeys(tuple(map(mul, d, g)) for d in new for g in e1)
         new = [v for v in products if any(v) and acc.rank < n and acc.insert(v)]
-        yield k, Subspace.kernel(acc)
+        yield k, _kernel(acc)
 
 
-def symmetric_annihilator_chain(rho: Representation, kmax):
-    """Yield (d, Ann(S^0 + ... + S^d)) for d = 0..kmax (on, if kmax is None).
+def symmetric_annihilator_chain(rho: Representation):
+    """Yield (d, Ann(S^0 + ... + S^d)) for d = 0, 1, ...
 
     Each degree is built from the one before (``symmetric_columns``); the
     entries of its sparse columns are scattered straight into the
@@ -456,13 +446,14 @@ def symmetric_annihilator_chain(rho: Representation, kmax):
     it stays zero, so no further degree is built.  A degree of
     c = C(dim+d-1, d) columns holds at most |M| * c^2 entries, in its
     columns and in its rows; past ``SIZE_GUARD ** 3``, the work the
-    radical guard admits, it is refused before it is built.
+    radical guard admits, it is refused before it is built.  As for the
+    tensor chain, a reader takes the degrees it needs.
     """
     n = rho.monoid.size
     acc = Echelon(n)
     folded = set()
     degrees = symmetric_columns(rho)
-    for d in count() if kmax is None else range(kmax + 1):
+    for d in count():
         if acc.rank < n:
             size = n * sym_power_dim(rho.dim, d) ** 2
             if size > SIZE_GUARD ** 3:
@@ -482,14 +473,14 @@ def symmetric_annihilator_chain(rho: Representation, kmax):
                 if row not in folded:
                     folded.add(row)
                     acc.insert(row)
-        yield d, Subspace.kernel(acc)
+        yield d, _kernel(acc)
 
 
-def _power_chain(rho, mode, kmax, first=0):
+def _power_chain(rho, mode, first=0):
     if mode == "tensor":
-        return tensor_annihilator_chain(rho, kmax, first)
+        return tensor_annihilator_chain(rho, first)
     if mode == "symmetric":
-        return symmetric_annihilator_chain(rho, kmax)
+        return symmetric_annihilator_chain(rho)
     raise ValueError(f"unknown power mode {mode!r}")
 
 
@@ -507,7 +498,7 @@ def _walk(rho, mode, first=0):
         with _LOCK:
             walks = _WALKS.setdefault(rho, {})
             if (mode, first) not in walks:
-                walks[mode, first] = _power_chain(weakref.proxy(rho), mode, None, first), []
+                walks[mode, first] = _power_chain(weakref.proxy(rho), mode, first), []
             chain, steps = walks[mode, first]
             while len(steps) <= k - first and (not steps or steps[-1].dim):
                 try:

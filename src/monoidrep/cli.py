@@ -188,6 +188,12 @@ def cmd_scan_nt(args):
         raise ValueError(f"bad range: from={args.t_from} to={args.t_to}")
     if args.cap < 0:
         raise ValueError(f"bad cap: {args.cap} (must be nonnegative)")
+    from . import algebra
+
+    if args.t_to + 1 > algebra.SIZE_GUARD:
+        raise ValueError(
+            f"N_{args.t_to} has {args.t_to + 1} > {algebra.SIZE_GUARD} elements; "
+            "exact O(n^3) radical computation refused")
     rows = [_scan_row(t, args.mode, args.cap, args.json)
             for t in range(args.t_from, args.t_to + 1)]
     ok = all(r["holds"] for r in rows)

@@ -6,8 +6,8 @@ add and transpose in integers alone.  Characteristic polynomials are
 division-free (Berkowitz), hence integral on integral input.  Echelon
 reduction takes rational input but eliminates in Python integers
 (fraction-free, by cross-multiplication, over the nonzero columns of
-each pivot row) and forms ``Fraction`` entries only for its canonical
-reduced form.  One private routine,
+each pivot row) and divides only for its canonical reduced form, whose
+entries are canonical as a matrix's are.  One private routine,
 ``_echelon_mod_p``, echelons integer rows modulo a prime, each row packed
 into one int; its result is only a candidate, which the caller
 certifies over the integers.  Univariate polynomials and the
@@ -47,8 +47,6 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 _INT = frozenset((int,))
 
 
@@ -269,7 +267,7 @@ class Echelon:
     value are those of dense elimination.
 
     ``rows`` is the canonical reduced row echelon form (pivot entry 1,
-    ``Fraction`` entries), derived from the stored rows on first read and
+    canonical entries), derived from the stored rows on first read and
     cached until the next insert that enlarges the space.  Feeding the
     rows of a matrix through ``insert`` and reading ``rows`` therefore
     yields its RREF without ever materialising the matrix.
@@ -330,7 +328,8 @@ class Echelon:
 
     @property
     def rows(self):
-        """The canonical RREF rows: tuples of ``Fraction`` with pivot 1."""
+        """The canonical RREF rows, with pivot 1: tuples of canonical
+        entries, an ``int`` wherever the value is an integer."""
         if self._rref is None:
             done = []  # (pivot, reduced primitive row, its nonzero columns)
             for p, row in zip(reversed(self.pivots), reversed(self.int_rows)):
@@ -341,7 +340,7 @@ class Echelon:
                 g = gcd(*v)
                 v = [x // g for x in v]
                 done.append((p, v, tuple(compress(range(p, self.ncols), v[p:]))))
-            self._rref = tuple(tuple(Fraction(x, v[p]) for x in v)
+            self._rref = tuple(tuple(_div(x, v[p]) for x in v)
                                for p, v, _ in reversed(done))
         return self._rref
 
@@ -358,8 +357,8 @@ class Echelon:
         for f in range(self.ncols):
             if f in pivot_set:
                 continue
-            v = [ZERO] * self.ncols
-            v[f] = ONE
+            v = [0] * self.ncols
+            v[f] = 1
             for p, row in zip(self.pivots, rows):
                 if row[f]:
                     v[p] = -row[f]

@@ -13,8 +13,8 @@ discovery order.  All structure queries (idempotents, local monoids eMe,
 unit groups G_e, their ideals I_e, zero elements) work on any Monoid.
 
 Every Monoid carries a generating set A: every element is a left-normed
-product of generators.  The monoid laws, representations and morphisms
-are checked against A only, which is exact by Light's associativity test
+product of generators.  The monoid laws and representations are checked
+against A only, which is exact by Light's associativity test
 (Clifford & Preston, Algebraic Theory of Semigroups I, section 1.2).
 Call b good when (x*b)*y = x*(b*y) for all x, y.  The identity is good,
 and if b and c are good then so is b*c:
@@ -357,51 +357,3 @@ def submonoid(m: Monoid, members, identity) -> Monoid:
             row.append(c)
         table.append(row)
     return Monoid(table, pos[identity], labels=[m.labels[x] for x in members])
-
-
-class MonoidMorphism:
-    """A map between monoids, validated to respect products and identity.
-
-    Products are checked as phi(a*g) = phi(a)phi(g) for every a and every
-    generator g of the source.  That suffices: if b and c pass for all a,
-    so does b*c, since phi(a(bc)) = phi((ab)c) = phi(ab)phi(c)
-    = phi(a)phi(b)phi(c) = phi(a)phi(bc), the last step by c passing at b.
-    """
-
-    def __init__(self, source: Monoid, target: Monoid, mapping):
-        mapping = tuple(mapping)
-        if len(mapping) != source.size:
-            raise ValueError("mapping length differs from source size")
-        if any(not 0 <= x < target.size for x in mapping):
-            raise ValueError("mapping hits an index outside the target")
-        if mapping[source.identity] != target.identity:
-            raise ValueError("mapping does not send identity to identity")
-        for a in range(source.size):
-            for g in source.generators:
-                if mapping[source.table[a][g]] != target.table[mapping[a]][mapping[g]]:
-                    raise ValueError(
-                        f"mapping is not multiplicative at the pair ({a}, {g})")
-        self.source = source
-        self.target = target
-        self.mapping = mapping
-
-    def __call__(self, x):
-        return self.mapping[x]
-
-    def __repr__(self):
-        return f"MonoidMorphism({self.source!r} -> {self.target!r})"
-
-
-def is_li_morphism(phi: MonoidMorphism):
-    """Whether phi separates each idempotent e from the rest of eMe.
-
-    Returns (True, None), or (False, (e, x)) for the first idempotent e
-    and element x in eMe with x != e but phi(x) = phi(e).
-    """
-    src = phi.source
-    for e in idempotents(src):
-        fe = phi.mapping[e]
-        for x in local_monoid(src, e):
-            if x != e and phi.mapping[x] == fe:
-                return False, (e, x)
-    return True, None

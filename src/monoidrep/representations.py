@@ -401,7 +401,7 @@ def restrict_to_local(rho: Representation, e) -> Representation:
     ech = Echelon(rho.dim)
     for col in pe.transpose().rows:
         ech.insert(col)
-    basis = Matrix(ech.rows, ncols=rho.dim).rows  # canonical entries
+    basis = ech.rows
     pivots = list(ech.pivots)
     k = len(basis)
     mats = []
@@ -420,22 +420,3 @@ def restrict_to_local(rho: Representation, e) -> Representation:
                 rows[s][j] = coords[s]
         mats.append(Matrix(rows, ncols=k))
     return Representation(local, mats, check=True)
-
-
-def character_kernel(rho: Representation):
-    """Elements whose character value equals the dimension.
-
-    Computed twice, independently: as {x : trace = dim} and as
-    {x : matrix = I}.  The two sets coincide for every representation
-    over a characteristic-zero field; a mismatch means the arithmetic
-    itself is broken, so it raises rather than returning.
-    """
-    by_trace = tuple(x for x, mat in enumerate(rho.matrices)
-                     if mat.trace() == rho.dim)
-    ident = Matrix.identity(rho.dim)
-    by_matrix = tuple(x for x, mat in enumerate(rho.matrices) if mat == ident)
-    if by_trace != by_matrix:
-        raise RuntimeError(
-            f"character kernel mismatch: trace route {by_trace} vs "
-            f"matrix route {by_matrix}")
-    return by_trace

@@ -13,6 +13,10 @@ every product in turn, Light's test scanned triple by triple, the
 fraction-free echelon that rewrote every column of a vector for each
 pivot it cleared, the closure that formed all |M|^2 products for its
 table, and representation validation one matrix product per pair.
+
+Last come helpers only tests use: the span of vectors as a
+``Subspace``, monoid morphisms with the LI test, and the character
+kernel computed two ways.
 """
 
 from bisect import bisect_left
@@ -20,7 +24,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
+from monoidrep.algebra import Subspace
 from monoidrep.linalg import Echelon, Matrix
+from monoidrep.monoids import Monoid, idempotents, local_monoid
 from monoidrep.representations import Representation
 
 
@@ -485,3 +491,80 @@ def validate_pair_by_pair(rho):
                     f"not a homomorphism: matrices at the pair ({a}, {g}) "
                     f"do not multiply to the matrix at {m.table[a][g]}")
     return rho
+
+
+def span_subspace(n, vectors):
+    """The span of ``vectors`` in Q^n, as the kernel of the plain
+    Gauss-Jordan null space of the vectors, cleared to integer rows."""
+    rows = []
+    for v in null_space(vectors, n):
+        d = lcm(*(x.denominator for x in v))
+        rows.append(tuple(x.numerator * (d // x.denominator) for x in v))
+    return Subspace(n, rows, n - len(rows))
+
+
+class MonoidMorphism:
+    """A map between monoids, validated to respect products and identity.
+
+    Products are checked as phi(a*g) = phi(a)phi(g) for every a and every
+    generator g of the source.  That suffices: if b and c pass for all a,
+    so does b*c, since phi(a(bc)) = phi((ab)c) = phi(ab)phi(c)
+    = phi(a)phi(b)phi(c) = phi(a)phi(bc), the last step by c passing at b.
+    """
+
+    def __init__(self, source: Monoid, target: Monoid, mapping):
+        mapping = tuple(mapping)
+        if len(mapping) != source.size:
+            raise ValueError("mapping length differs from source size")
+        if any(not 0 <= x < target.size for x in mapping):
+            raise ValueError("mapping hits an index outside the target")
+        if mapping[source.identity] != target.identity:
+            raise ValueError("mapping does not send identity to identity")
+        for a in range(source.size):
+            for g in source.generators:
+                if mapping[source.table[a][g]] != target.table[mapping[a]][mapping[g]]:
+                    raise ValueError(
+                        f"mapping is not multiplicative at the pair ({a}, {g})")
+        self.source = source
+        self.target = target
+        self.mapping = mapping
+
+    def __call__(self, x):
+        return self.mapping[x]
+
+    def __repr__(self):
+        return f"MonoidMorphism({self.source!r} -> {self.target!r})"
+
+
+def is_li_morphism(phi: MonoidMorphism):
+    """Whether phi separates each idempotent e from the rest of eMe.
+
+    Returns (True, None), or (False, (e, x)) for the first idempotent e
+    and element x in eMe with x != e but phi(x) = phi(e).
+    """
+    src = phi.source
+    for e in idempotents(src):
+        fe = phi.mapping[e]
+        for x in local_monoid(src, e):
+            if x != e and phi.mapping[x] == fe:
+                return False, (e, x)
+    return True, None
+
+
+def character_kernel(rho: Representation):
+    """Elements whose character value equals the dimension.
+
+    Computed twice, independently: as {x : trace = dim} and as
+    {x : matrix = I}.  The two sets coincide for every representation
+    over a characteristic-zero field; a mismatch means the arithmetic
+    itself is broken, so it raises rather than returning.
+    """
+    by_trace = tuple(x for x, mat in enumerate(rho.matrices)
+                     if mat.trace() == rho.dim)
+    ident = Matrix.identity(rho.dim)
+    by_matrix = tuple(x for x, mat in enumerate(rho.matrices) if mat == ident)
+    if by_trace != by_matrix:
+        raise RuntimeError(
+            f"character kernel mismatch: trace route {by_trace} vs "
+            f"matrix route {by_matrix}")
+    return by_trace

@@ -37,3 +37,4 @@ def test_tracer_runs_golden_case(name, tmp_path):
     assert proc.stdout == (GOLDEN / f"{name}.txt").read_text()
     trace = json.loads(out_path.read_text())
     assert trace["counts"]["algebra.chain_steps"] > 0
+    assert trace["counts"]["algebra.subspace_builds"] > 0

@@ -4,9 +4,8 @@ from pathlib import Path
 import pytest
 
 import monoidrep.cli as cli
-from monoidrep import algebra
+from monoidrep import algebra, representations
 from monoidrep.algebra import (
-    Subspace,
     minimal_faithful_power,
     radical_basis,
     verify_symmetric_theorem,
@@ -23,6 +22,7 @@ from monoidrep.representations import (
 )
 
 from conftest import T3_GENERATORS
+from oracles import span_subspace
 
 
 def write(tmp_path, name, obj):
@@ -268,7 +268,8 @@ def test_verify_unfaithful_exit_two(files, capsys):
 
 def test_verify_corrupted_radical_exit_one(files, capsys, monkeypatch):
     argv = ["verify", files["nt5"], files["nt_rep"], "--which", "tensor"]
-    monkeypatch.setattr(algebra, "radical_basis", lambda m, force=False: Subspace(m.size))
+    monkeypatch.setattr(algebra, "radical_basis",
+                        lambda m, force=False: span_subspace(m.size, ()))
     code, out, _ = run(capsys, argv)
     assert code == 1
     assert "VIOLATED" in out and "witness" in out
@@ -379,7 +380,7 @@ def test_scan_nt_symmetric_mode(capsys):
 def test_scan_nt_failed_check_has_no_min_covering(monkeypatch, capsys):
     # only a broken radical can fail the check: the zero subspace makes
     # covering the same as faithfulness, first reached at step t-1 = 4
-    monkeypatch.setattr(algebra, "radical_basis", lambda m: Subspace(m.size))
+    monkeypatch.setattr(algebra, "radical_basis", lambda m: span_subspace(m.size, ()))
     code, out, _ = run(capsys, ["scan-nt", "--from", "5", "--to", "5",
                                 "--cap", "6", "--json"])
     assert code == 1
@@ -423,6 +424,26 @@ def test_scan_nt_negative_cap_exit_two(capsys, cap):
     code, out, err = run(capsys, ["scan-nt", "--from", "2", "--to", "3", "--cap", cap])
     assert code == 2 and out == ""
     assert err == f"error: bad cap: {cap} (must be nonnegative)\n"
+
+
+@pytest.mark.parametrize("guard, t_to", [(300, 1500), (5, 5)])
+def test_scan_nt_oversized_range_refused_up_front(monkeypatch, capsys, guard, t_to):
+    """N_t has t+1 elements; a range reaching past the radical's size guard
+    is refused before any N_t is built (building N_1500 alone takes over
+    a minute)."""
+    built = []
+    monkeypatch.setattr(algebra, "SIZE_GUARD", guard)
+    monkeypatch.setattr(representations, "nt_monoid", built.append)
+    code, out, err = run(capsys, ["scan-nt", "--from", "2", "--to", str(t_to)])
+    assert (code, out, built) == (2, "", [])
+    assert err == (f"error: N_{t_to} has {t_to + 1} > {guard} elements; "
+                   "exact O(n^3) radical computation refused\n")
+
+
+def test_scan_nt_range_at_size_guard_runs(monkeypatch, capsys):
+    monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
+    code, out, _ = run(capsys, ["scan-nt", "--from", "2", "--to", "4"])
+    assert code == 0 and "overall: OK" in out
 
 
 @pytest.mark.parametrize("mode, expected", [

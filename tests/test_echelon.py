@@ -107,7 +107,9 @@ def test_echelon_matches_gauss_jordan(name):
     expected = rref(rows, ncols)
     assert ech.rank == gauss_rank(rows) == len(expected)
     assert ech.rows == tuple(expected)
-    assert all(type(x) is Fraction for row in ech.rows for x in row)
+    # canonical entries, as a Matrix holds them: an int wherever integral
+    assert all(type(x) is (Fraction if x.denominator > 1 else int)
+               for row in ech.rows for x in row)
     _check_stored_form(ech)
     # the same space in any order gives the same canonical rows
     rng = random.Random(f"{SEED}-{name}")
@@ -127,6 +129,7 @@ def test_echelon_kernel_basis_is_canonical(name):
     for v, f in zip(basis, free):
         assert all(sum(Fraction(a) * b for a, b in zip(row, v)) == 0 for row in rows)
         assert v[f] == 1 and all(v[g] == 0 for g in free if g != f)
+        assert all(type(x) is (Fraction if x.denominator > 1 else int) for x in v)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -26,6 +26,8 @@ from monoidrep.cli import main
 from monoidrep.linalg import Echelon
 from monoidrep.representations import Representation
 
+from oracles import span_subspace
+
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
 
@@ -111,7 +113,7 @@ CASES = {
 
 
 def zero_radical(m, force=False):
-    return Subspace(m.size)
+    return span_subspace(m.size, ())
 
 
 def run_case(name):
@@ -236,10 +238,10 @@ def test_each_chain_walked_once(monkeypatch):
             pulled.append(k)
             yield k, ann
 
-    monkeypatch.setattr(algebra, "tensor_annihilator_chain", lambda rho, kmax, first=0:
-                        recording(("tensor", first), tensor(rho, kmax, first)))
-    monkeypatch.setattr(algebra, "symmetric_annihilator_chain", lambda rho, kmax:
-                        recording(("symmetric", 0), symmetric(rho, kmax)))
+    monkeypatch.setattr(algebra, "tensor_annihilator_chain", lambda rho, first=0:
+                        recording(("tensor", first), tensor(rho, first)))
+    monkeypatch.setattr(algebra, "symmetric_annihilator_chain", lambda rho:
+                        recording(("symmetric", 0), symmetric(rho)))
     code, out = run_case("verify-t3")
     assert code == 0
     assert out == (GOLDEN / "verify-t3.txt").read_text()

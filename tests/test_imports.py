@@ -62,7 +62,7 @@ def test_launch_imports_only_what_it_runs(name):
 
 
 def test_every_export_is_its_submodules_object():
-    assert len(monoidrep.__all__) == len(set(monoidrep.__all__)) == 70
+    assert len(monoidrep.__all__) == len(set(monoidrep.__all__)) == 67
     for name in monoidrep.__all__:
         obj = getattr(monoidrep, name)
         module = sys.modules[obj.__module__]

@@ -3,13 +3,11 @@ import pytest
 from monoidrep.linalg import Matrix
 from monoidrep.monoids import (
     Monoid,
-    MonoidMorphism,
     from_cayley_table,
     from_matrices,
     from_transformations,
     has_zero,
     idempotents,
-    is_li_morphism,
     local_ideal,
     local_monoid,
     nt_monoid,
@@ -17,7 +15,7 @@ from monoidrep.monoids import (
     unit_group,
 )
 
-from oracles import all_selfmaps, transformation_closure
+from oracles import MonoidMorphism, all_selfmaps, is_li_morphism, transformation_closure
 
 
 def t2():
