@@ -22,16 +22,18 @@ matrix-coefficient functions x -> W(x)[i][j].  So the test is decided
 in dual form, on row spaces: Ann(W) <= Rad exactly when
 rowspace(G) <= F, and dim Ann(W) = |M| - rank F.  A ``Subspace`` is
 therefore kept as integer rows spanning the space it is the kernel of,
-with its dimension, and has one constructor.  The chains and the
-annihilator hand it their echelon's rows and the echelon itself.  The
-radical hands it the rows of G it accepted, with the exact echelon of G
-or, when certified, the kernel; the certified rows' echelon is built
-only when ``<=``, ``==`` or ``hash`` needs it.  Any spanning set serves,
-so the radical is read as rows of G (entries at most |M|), not as their
-reduced echelon, whose entries grow large.  Canonical reduced echelon
-rows are derived only for equality and hashing, and a kernel basis only
-when it is read, which on the checking path happens only to produce the
-witness of a failed containment.
+with its dimension, and has one constructor.  Every span of a list of
+rows is built by ``Echelon(ncols, rows)``.  The chains hand a
+``Subspace`` their echelon's rows and the echelon itself; Ann(W) is
+step 1 of the tensor chain from power 1, read off that chain's walk.
+The radical hands it the rows of G it accepted, with the exact echelon
+of G or, when certified, the kernel; the certified rows' echelon is
+built only when ``<=``, ``==`` or ``hash`` needs it.  Any spanning set
+serves, so the radical is read as rows of G (entries at most |M|), not
+as their reduced echelon, whose entries grow large.  Canonical reduced
+echelon rows are derived only for equality and hashing, and a kernel
+basis only when it is read, which on the checking path happens only to
+produce the witness of a failed containment.
 
 The radical is the one computation done modulo a prime: G is put in
 echelon form mod p < 2^26 on rows packed into single ints
@@ -88,16 +90,6 @@ from .representations import (
 SIZE_GUARD = 300
 
 
-def _span(ncols, vectors) -> Echelon:
-    """Echelon of the span of ``vectors``, read only until the rank is full."""
-    out = Echelon(ncols)
-    for v in vectors:
-        if out.rank == ncols:
-            break
-        out.insert(v)
-    return out
-
-
 class Subspace:
     """A linear subspace of Q^ambient, kept as the kernel of integer rows.
 
@@ -119,14 +111,14 @@ class Subspace:
     @property
     def _echelon(self):
         if self._snapshot is None:
-            self._snapshot = _span(self.ambient, self.rows)
+            self._snapshot = Echelon(self.ambient, self.rows)
         return self._snapshot
 
     @property
     def basis(self):
         """Canonical RREF basis, as a tuple of tuples."""
         kernel = self._echelon.kernel_basis() if self._kernel is None else self._kernel
-        return _span(self.ambient, kernel).rows
+        return Echelon(self.ambient, kernel).rows
 
     def contains(self, vec):
         if len(vec) != self.ambient:
@@ -256,7 +248,8 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
     if n > SIZE_GUARD and not force:
         raise ValueError(
             f"monoid has {n} > {SIZE_GUARD} elements; exact O(n^3) radical "
-            "computation refused (pass force=True to override)")
+            "computation refused (pass --force, or force=True from Python, "
+            "to override)")
     fix = [sum(1 for j in range(n) if m.table[z][j] == j) for z in range(n)]
     gram = [tuple(map(fix.__getitem__, tx)) for tx in m.table]
     rad = _certified_radical(gram, n)
@@ -271,20 +264,21 @@ def annihilator_basis(rho: Representation) -> Subspace:
     """Annihilator of the module in QM: {c : sum_x c_x rho(x) = 0}.
 
     The defining system has one constraint row per matrix entry position,
-    with column x holding that entry of rho(x); rows stream through an
-    incremental echelon so only the O(|M|) pivot rows are ever stored.
+    with column x holding that entry of rho(x): the span E_1, whose
+    kernel is step 1 of the tensor chain from power 1.  That step is read
+    off rho's walk (``_walk``), so the annihilator is computed once and
+    shared with every check that walks the same chain.
     """
-    n = rho.monoid.size
-    ech = _span(n, _entry_rows(rho))
-    return Subspace(n, ech.int_rows, n - ech.rank, ech)
+    return next(_walk(rho, "tensor", 1))[1]
 
 
 def all_simples_appear(rho: Representation, radical: Subspace | None = None):
     """Whether every simple QM-module is a composition factor of rho.
 
-    Decided as Ann(rho) <= Rad(QM).  Returns (True, None) or (False, w)
-    with w an explicit algebra element annihilating the module without
-    being nilpotent -- the auditable witness that some simple is missed.
+    Decided as Ann(rho) <= Rad(QM), with Ann(rho) read off rho's walk.
+    Returns (True, None) or (False, w) with w an explicit algebra element
+    annihilating the module without being nilpotent -- the auditable
+    witness that some simple is missed.
     """
     if radical is None:
         radical = radical_basis(rho.monoid)
@@ -428,7 +422,7 @@ def tensor_annihilator_chain(rho: Representation, first=0):
     if first == 0:
         acc.insert(new[0])
         yield 0, _kernel(acc)
-    e1 = _span(n, _entry_rows(rho)).int_rows  # a basis of E_1
+    e1 = Echelon(n, _entry_rows(rho)).int_rows  # a basis of E_1
     for k in count(1):
         products = dict.fromkeys(tuple(map(mul, d, g)) for d in new for g in e1)
         new = [v for v in products if any(v) and acc.rank < n and acc.insert(v)]

@@ -42,6 +42,8 @@ def cmd_info(args):
     m = fileio.load_monoid(args.monoid)
     z = monoids.has_zero(m)
     idem = monoids.idempotents(m)
+    sizes = [(len(monoids.local_monoid(m, e)), len(monoids.unit_group(m, e)))
+             for e in idem]
     payload = {
         "size": m.size,
         "identity": m.label(m.identity),
@@ -49,11 +51,11 @@ def cmd_info(args):
         "idempotents": [
             {
                 "label": m.label(e),
-                "local_monoid_size": len(monoids.local_monoid(m, e)),
-                "unit_group_size": len(monoids.unit_group(m, e)),
-                "ideal_size": len(monoids.local_ideal(m, e)),
+                "local_monoid_size": local,
+                "unit_group_size": units,
+                "ideal_size": local - units,  # I_e = eMe minus G_e
             }
-            for e in idem
+            for e, (local, units) in zip(idem, sizes)
         ],
     }
     rep_payload = None

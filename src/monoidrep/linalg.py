@@ -35,7 +35,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, neg
 
 
 def as_fraction(x) -> Fraction:
@@ -220,9 +220,8 @@ class Matrix:
         if not self.is_square:
             raise ValueError("only square matrices can be inverted")
         n = self.nrows
-        ech = Echelon(2 * n)
-        for i, row in enumerate(self.rows):
-            ech.insert(row + tuple(int(i == j) for j in range(n)))
+        ech = Echelon(2 * n, (row + tuple(int(i == j) for j in range(n))
+                              for i, row in enumerate(self.rows)))
         if ech.pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return Matrix(tuple(row[n:] for row in ech.rows), ncols=n)
@@ -248,6 +247,9 @@ def _eliminate(v, row, cols, p):
 class Echelon:
     """A row space accumulated one vector at a time, in integers.
 
+    ``Echelon(ncols, rows)`` inserts ``rows`` in order, and reads none
+    after the one that makes the rank ``ncols``: none could enlarge the
+    space.
     The stored rows ``int_rows`` are primitive integer vectors (content 1,
     leading entry positive) in row echelon form, not reduced, ordered by
     pivot column.  ``insert`` clears a vector's denominators with one
@@ -268,17 +270,20 @@ class Echelon:
 
     ``rows`` is the canonical reduced row echelon form (pivot entry 1,
     canonical entries), derived from the stored rows on first read and
-    cached until the next insert that enlarges the space.  Feeding the
-    rows of a matrix through ``insert`` and reading ``rows`` therefore
+    cached until the next insert that enlarges the space.  Building an
+    echelon from the rows of a matrix and reading ``rows`` therefore
     yields its RREF without ever materialising the matrix.
     """
 
-    def __init__(self, ncols):
+    def __init__(self, ncols, rows=()):
         self.ncols = ncols
         self.pivots = []
         self.int_rows = []
         self._cols = []  # nonzero columns of each stored row
         self._rref = None
+        for v in rows:
+            if self.insert(v) and self.rank == ncols:
+                break
 
     @property
     def rank(self):
@@ -351,19 +356,26 @@ class Echelon:
         vector for free column f has entry 1 there and the negated RREF
         pivot row entries elsewhere.
         """
-        pivot_set = set(self.pivots)
-        rows = self.rows
-        basis = []
-        for f in range(self.ncols):
-            if f in pivot_set:
-                continue
-            v = [0] * self.ncols
-            v[f] = 1
-            for p, row in zip(self.pivots, rows):
-                if row[f]:
-                    v[p] = -row[f]
-            basis.append(tuple(v))
-        return basis
+        return list(map(tuple, _kernel_from_rref(self.ncols, self.pivots,
+                                                 self.rows, neg)))
+
+
+def _kernel_from_rref(ncols, pivots, rows, negate):
+    """One vector per free column of reduced rows with the given pivots,
+    free columns ascending: entry 1 at its free column f and
+    ``negate(row[f])`` at the pivot of each row nonzero there."""
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for p, row in zip(pivots, rows):
+            if row[f]:
+                v[p] = negate(row[f])
+        basis.append(v)
+    return basis
 
 
 _SLOT_MASK = (1 << 64) - 1
@@ -438,26 +450,12 @@ def _echelon_mod_p(rows, ncols, p):
         stored[k] = stored[k][0], _pack(vals)
         reduced.append(vals)
     reduced.reverse()
-    pivot_set = set(pivots)
-    kernel = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [0] * ncols
-        v[f] = 1
-        for q, row in zip(pivots, reduced):
-            if row[f]:
-                v[q] = p - row[f]
-        kernel.append(v)
-    return accepted, kernel
+    return accepted, _kernel_from_rref(ncols, pivots, reduced, lambda x: p - x)
 
 
 def rank(m: Matrix) -> int:
     """Exact rank of a matrix."""
-    ech = Echelon(m.ncols)
-    for row in m.rows:
-        ech.insert(row)
-    return ech.rank
+    return Echelon(m.ncols, m.rows).rank
 
 
 def kernel_basis(m: Matrix):
@@ -467,10 +465,7 @@ def kernel_basis(m: Matrix):
     ascending column order, each normalised with entry 1 at its free
     column.  Returns a list of tuples; empty for an injective matrix.
     """
-    ech = Echelon(m.ncols)
-    for row in m.rows:
-        ech.insert(row)
-    return ech.kernel_basis()
+    return Echelon(m.ncols, m.rows).kernel_basis()
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from operator import itemgetter
 
-from .linalg import Matrix
+from .linalg import _INT, Matrix
 
 
 def _require_int(v, what):
@@ -65,7 +65,9 @@ class Monoid:
         for a, row in enumerate(table):
             if len(row) != n:
                 raise ValueError(f"table row {a} has length {len(row)}, expected {n}")
-            for b, c in enumerate(row):
+            if _INT.issuperset(map(type, row)) and 0 <= min(row) and max(row) < n:
+                continue
+            for b, c in enumerate(row):  # name the first bad entry
                 if type(c) is not int:
                     _require_int(c, f"table entry [{a}][{b}]")
                 if not 0 <= c < n:

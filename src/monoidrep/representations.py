@@ -28,10 +28,11 @@ The check is a proof:
 if b and c pass for every x, so does b*c, because rho(b*c) = rho(b)rho(c)
 and rho(x)rho(b)rho(c) = rho(x*b)rho(c) = rho((x*b)*c) = rho(x*(b*c)) by
 associativity, and every element is a product of generators.
-Internally produced representations (tensor powers, symmetric powers,
-direct sums, restrictions) are homomorphisms by construction, so the
-check is skipped for them; ``validate()`` re-runs it on demand and the
-test suite does exactly that.
+Internally produced tensor powers, symmetric powers and direct sums are
+homomorphisms by construction, so the check is skipped for them;
+restrictions to a local monoid are validated once, as they are built.
+``validate()`` re-runs the check on demand and the test suite does
+exactly that.
 """
 
 from __future__ import annotations
@@ -398,9 +399,7 @@ def restrict_to_local(rho: Representation, e) -> Representation:
     members = local_monoid(m, e)  # validates idempotency
     local = submonoid(m, members, e)
     pe = rho.matrices[e]
-    ech = Echelon(rho.dim)
-    for col in pe.transpose().rows:
-        ech.insert(col)
+    ech = Echelon(rho.dim, pe.transpose().rows)
     basis = ech.rows
     pivots = list(ech.pivots)
     k = len(basis)

@@ -47,10 +47,13 @@ class DenseEchelon:
     interface and, by construction, the same pivots, stored rows and
     intermediate values as ``monoidrep.linalg.Echelon``."""
 
-    def __init__(self, ncols):
+    def __init__(self, ncols, rows=()):
         self.ncols = ncols
         self.pivots = []
         self.int_rows = []
+        for v in rows:
+            if self.insert(v) and self.rank == ncols:
+                break
 
     @property
     def rank(self):

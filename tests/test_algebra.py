@@ -414,6 +414,34 @@ def test_concurrent_reads_share_one_walk(monkeypatch):
     assert sorted(opened) == ["symmetric", "tensor"]
 
 
+def test_annihilator_is_step_one_of_the_walk(corpus):
+    """Ann(V) is the very subspace the walk of the tensor chain from
+    power 1 holds at step 1, not a second computation of it."""
+    for rho in corpus.values():
+        k, step = next(algebra._walk(rho, "tensor", 1))
+        assert k == 1 and annihilator_basis(rho) is step
+
+
+def test_coverage_and_positive_refinement_share_one_walk(t2_natural, monkeypatch):
+    """``all_simples_appear`` and the positive-power refinement both read
+    the tensor chain from power 1, which is opened once for both."""
+    monkeypatch.setattr(algebra, "_WALKS", weakref.WeakKeyDictionary())
+    opened = []
+    chain = algebra.tensor_annihilator_chain
+
+    def recording_chain(rho, first=0):
+        opened.append(first)
+        return chain(rho, first)
+
+    monkeypatch.setattr(algebra, "tensor_annihilator_chain", recording_chain)
+    radical = radical_basis(t2_natural.monoid)
+    assert all_simples_appear(t2_natural, radical)[0] is False  # V alone misses one
+    assert opened == [1]
+    report = verify_positive_power_refinement(t2_natural, radical=radical)
+    assert report.holds and report.minimal_k == 2
+    assert opened == [1]
+
+
 def test_symmetric_degree_budget():
     """The budget admits T_3's bound 17 and T_4's natural representation
     up to degree 7, where its chain reaches rank |M| = 256; a dim-6

@@ -302,6 +302,18 @@ def test_verify_symmetric_degree_refused(files, capsys, monkeypatch):
     assert err.startswith("error: symmetric degree 3 refused") and err.count("\n") == 1
 
 
+def test_verify_radical_refusal_names_force_flag(files, capsys, monkeypatch):
+    """The radical's size guard tells a command-line user the flag that
+    lifts it, and a library caller the keyword."""
+    monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
+    code, out, err = run(capsys, ["verify", files["nt7"], files["nt_rep"],
+                                  "--which", "tensor"])
+    assert (code, out) == (2, "")
+    assert err == ("error: monoid has 8 > 5 elements; exact O(n^3) radical "
+                   "computation refused (pass --force, or force=True from "
+                   "Python, to override)\n")
+
+
 # the trivial monoid on the zero-dimensional module: s = 1, so the
 # symmetric bound dim*s - 1 is -1, below the first power 0
 DIM_ZERO = ({"type": "cayley", "identity": 0, "table": [[0]]},

@@ -120,6 +120,29 @@ def test_echelon_matches_gauss_jordan(name):
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
+def test_echelon_from_rows_matches_one_by_one(name):
+    """``Echelon(ncols, rows)`` stores what inserting the rows one at a
+    time stores, and reads no row after the one that makes the rank full."""
+    rows, ncols = CORPUS[name], _ncols(name)
+    ech, one_by_one = Echelon(ncols, rows), _echelon(ncols, rows)
+    assert (ech.pivots, ech.int_rows) == (one_by_one.pivots, one_by_one.int_rows)
+    # the rows, then unit vectors, up to the one that makes the rank full
+    prefix, acc = [], Echelon(ncols)
+    for v in rows + [[int(i == j) for j in range(ncols)] for i in range(ncols)]:
+        prefix.append(v)
+        if acc.insert(v) and acc.rank == ncols:
+            break
+
+    def then_raise():
+        yield from prefix
+        raise AssertionError("a row was read after the rank was full")
+
+    full = Echelon(ncols, then_raise())
+    assert full.rank == ncols
+    assert (full.pivots, full.int_rows) == (acc.pivots, acc.int_rows)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
 def test_echelon_kernel_basis_is_canonical(name):
     rows, ncols = CORPUS[name], _ncols(name)
     ech = _echelon(ncols, rows)
