@@ -34,8 +34,8 @@ swap = Matrix([[0, 1], [1, 0]])
 print("trace(swap x swap) =", kron(swap, swap).trace(),
       "= trace(swap)^2 =", swap.trace() ** 2)
 
-# Characteristic polynomials via the Faddeev-LeVerrier recurrence, which
-# only divides by integers and therefore stays in Q.
+# Characteristic polynomials via Berkowitz's division-free algorithm:
+# ring operations only, so an integral matrix stays in the integers.
 fib = Matrix([[0, 1], [1, 1]])
 print("charpoly of the Fibonacci companion matrix:", charpoly(fib))
 

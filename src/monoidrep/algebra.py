@@ -486,8 +486,9 @@ _LOCK = threading.Lock()
 def _walk(rho, mode, first=0):
     """Yield (k, Ann at step k of rho's ``mode`` chain) for k = first, ...
     The chain is stepped once per rho, under ``_LOCK``, as far as a read
-    asks, and not past Ann = 0, where it stays.  A step that raises drops
-    the walk, so the next read raises again."""
+    asks, and not past Ann = 0, where it stays and the chain is closed,
+    so its suspended frame is freed while the steps stay.  A step that
+    raises drops the walk, so the next read raises again."""
     for k in count(first):
         with _LOCK:
             walks = _WALKS.setdefault(rho, {})
@@ -500,6 +501,8 @@ def _walk(rho, mode, first=0):
                 except BaseException:
                     del walks[mode, first]
                     raise
+                if not steps[-1].dim:
+                    chain.close()  # its last step: free the suspended frame
             ann = steps[min(k - first, len(steps) - 1)]
         yield k, ann
 

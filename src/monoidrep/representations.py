@@ -38,7 +38,7 @@ exactly that.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, count, islice, repeat
+from itertools import chain, combinations_with_replacement, count, islice, repeat
 from math import comb
 from operator import add, itemgetter, mul, ne
 
@@ -269,21 +269,11 @@ def monomial_basis(n, d):
     """Exponent tuples of length n summing to d, in descending lex order.
 
     For n = 2, d = 2 this is (2,0), (1,1), (0,2) -- i.e. x1^2, x1 x2,
-    x2^2.  The count is C(n+d-1, d).
+    x2^2.  The count is C(n+d-1, d).  These are the sorted variable
+    tuples ``combinations_with_replacement(range(n), d)``, here (0,0),
+    (0,1), (1,1), in their order, each counted into its exponents.
     """
-    if n == 0:
-        return [()] if d == 0 else []
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == n - 1:
-            out.append(prefix + (remaining,))
-            return
-        for a in range(remaining, -1, -1):
-            rec(prefix + (a,), remaining - a, pos + 1)
-
-    rec((), d, 0)
-    return out
+    return [tuple(map(c.count, range(n))) for c in combinations_with_replacement(range(n), d)]
 
 
 def symmetric_columns(rho: Representation):
@@ -291,36 +281,33 @@ def symmetric_columns(rho: Representation):
 
     Item d (d = 0, 1, 2, ...) holds one entry per monoid element: the
     columns of its degree-d symmetric power, in ``monomial_basis(dim, d)``
-    order, each a dict from row position to coefficient.  Column
-    x^alpha is the expansion of prod_j (m . x_j)^(alpha_j) in the monomial
-    basis, where m . x_j is the linear form given by column j of the
-    element matrix.  Degree d+1 is built from degree d: column alpha is
-    column alpha - e_j times the form of column j, for the first j with
-    alpha_j > 0, so each monomial costs one product with a linear form.
-    The expansion starts from the integer 1, so integral input stays in
-    ints.  The generator is lazy: a degree is built only when asked for.
+    order, each a dict from row position to coefficient.  A monomial of
+    degree d is its sorted tuple of d variables, in the order
+    ``combinations_with_replacement`` lists them, and x_i times it is
+    that tuple with i inserted.  Column mono is the product of the linear
+    forms m . x_j, j in mono, expanded in the monomial basis, where
+    m . x_j is column j of the element matrix.  Degree d+1 is built from
+    degree d: column mono is column mono[1:] times the form of variable
+    mono[0], so each monomial costs one product with a linear form.  The
+    expansion starts from the integer 1, so integral input stays in ints.
+    The generator is lazy: a degree is built only when asked for.
     """
     n = rho.dim
     forms = [[[(i, x) for i, x in enumerate(col) if x] for col in mat.transpose().rows]
              for mat in rho.matrices]
-    basis = monomial_basis(n, 0)
+    basis, prev = [()], {(): 0}
     cols = [[{0: 1}] for _ in rho.matrices]
     for d in count(1):
         yield cols
-        nxt = monomial_basis(n, d)
+        nxt = list(combinations_with_replacement(range(n), d))
         pos = {mono: k for k, mono in enumerate(nxt)}
         # up[k][i]: position of basis[k] * x_i among the next degree's monomials
-        up = [[pos[mono[:i] + (mono[i] + 1,) + mono[i + 1:]] for i in range(n)]
-              for mono in basis]
-        prev = {mono: k for k, mono in enumerate(basis)}
-        steps = []
-        for mono in nxt:
-            j = next(i for i, a in enumerate(mono) if a)
-            steps.append((j, prev[mono[:j] + (mono[j] - 1,) + mono[j + 1:]]))
+        up = [[pos[tuple(sorted(mono + (i,)))] for i in range(n)] for mono in basis]
+        steps = [(mono[0], prev[mono[1:]]) for mono in nxt]
         cols = [[_times_form(col[k], form[j], up) if col[k] and form[j] else {}
                  for j, k in steps]
                 for form, col in zip(forms, cols)]
-        basis = nxt
+        basis, prev = nxt, pos
 
 
 def _times_form(poly, form, up):

@@ -371,6 +371,32 @@ def test_walks_freed_with_their_representation(monkeypatch):
         gc.enable()
 
 
+def test_finished_chain_is_released(monkeypatch):
+    """A walk closes its chain at its first Ann = 0 step: the chain's
+    suspended frame, with its rows and its echelon, is freed while the
+    representation and the walk's steps live on, and a later read of the
+    same walk opens no new chain."""
+    monkeypatch.setattr(algebra, "_WALKS", weakref.WeakKeyDictionary())
+    opened = {"tensor": [], "symmetric": []}
+    for mode in opened:
+        chain = getattr(algebra, f"{mode}_annihilator_chain")
+
+        def recording(*args, _mode=mode, _chain=chain):
+            gen = _chain(*args)
+            opened[_mode].append(gen)
+            return gen
+
+        monkeypatch.setattr(algebra, f"{mode}_annihilator_chain", recording)
+    rho = nt_paper_representation(5)
+    assert minimal_faithful_power(rho, "symmetric") == 4
+    assert minimal_faithful_power(rho, "tensor") == 4
+    (sym,), (ten,) = opened["symmetric"], opened["tensor"]
+    assert sym.gi_frame is None and ten.gi_frame is None
+    assert verify_symmetric_theorem(rho).holds and verify_tensor_theorem(rho).holds
+    assert minimal_faithful_power(rho, "symmetric") == 4
+    assert opened == {"tensor": [ten], "symmetric": [sym]}
+
+
 def test_concurrent_reads_share_one_walk(monkeypatch):
     """Threads reading one representation's chains at once, with a short
     switch interval, open each chain once and get a lone reader's answers."""

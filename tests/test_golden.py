@@ -32,6 +32,7 @@ GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
 
 T3 = ["t3.json", "natural.json"]
+T4 = ["t4.json", "natural.json"]
 N7 = ["nt7.json", "nt-paper.json"]
 # the 128-element submonoid of T_4 generated by (2,3,4,1) and (1,1,3,4)
 M128 = ["m128.json", "natural.json"]
@@ -59,6 +60,8 @@ CASES = {
     "verify-t3-default": (["verify", *T3], 0),
     "verify-t3-json": (["verify", *T3, "--which", "all", "--powers-cap", "20",
                         "--json"], 0),
+    # symmetric degrees up to 7 at dimension 4
+    "verify-t4": (["verify", *T4, "--which", "all"], 0),
     "verify-m128-steinberg": (["verify", *M128, "--which", "steinberg"], 0),
     "verify-m128-steinberg-json": (["verify", *M128, "--which", "steinberg",
                                     "--json"], 0),

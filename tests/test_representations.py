@@ -1,6 +1,6 @@
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import comb
 from pathlib import Path
 
@@ -159,6 +159,14 @@ def test_monomial_basis_order():
     assert monomial_basis(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert monomial_basis(0, 0) == [()]
     assert monomial_basis(0, 3) == []
+    for n in range(5):
+        for d in range(6):
+            brute = [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
+            assert monomial_basis(n, d) == sorted(brute, reverse=True)
+    # the number of variables is not bounded by the recursion limit
+    assert monomial_basis(1200, 0) == [(0,) * 1200]
+    assert monomial_basis(1200, 1) == [tuple(int(i == j) for i in range(1200))
+                                       for j in range(1200)]
 
 
 def test_sym_power_degree_zero_and_one(t2_natural):
