@@ -52,8 +52,9 @@ and the coarse |M|-power bound.  Each works out its bound and names its
 chain (tensor or symmetric, from power 0 or 1) to one body, which reads
 it: the first covering step is ``minimal_k`` and the verdict is whether
 it exists, and the step at the bound gives a failed check's witness.
-Each chain of a representation is walked once (``_walk``), as far as
-its furthest read; verifiers and minimal-power scans all read that walk.
+Each chain of a representation is walked once, as far as its furthest
+read; ``_steps`` hands every read the list of steps it asks for, so
+verifiers and minimal-power scans all index that one walk.
 No bound is capped: a tensor chain multiplies each of the at most |M|
 vectors it adds once; a symmetric degree too large is refused unbuilt.
 No direct sum or Kronecker power is built: the span
@@ -266,10 +267,10 @@ def annihilator_basis(rho: Representation) -> Subspace:
     The defining system has one constraint row per matrix entry position,
     with column x holding that entry of rho(x): the span E_1, whose
     kernel is step 1 of the tensor chain from power 1.  That step is read
-    off rho's walk (``_walk``), so the annihilator is computed once and
+    off rho's walk (``_steps``), so the annihilator is computed once and
     shared with every check that walks the same chain.
     """
-    return next(_walk(rho, "tensor", 1))[1]
+    return _steps(rho, "tensor", 1, 1)[0]
 
 
 def all_simples_appear(rho: Representation, radical: Subspace | None = None):
@@ -332,12 +333,9 @@ def _check(theorem, rho, mode, radical, r, s, bound, first=0):
         raise ValueError(f"{theorem} bound {bound} is below the first power "
                          f"{first}: there is no power to check")
     rad = radical_basis(rho.monoid) if radical is None else radical
-    minimal_k = None
-    for k, ann in _walk(rho, mode, first):
-        if minimal_k is None and ann <= rad:
-            minimal_k = k
-        if k == bound or not ann.dim:
-            break
+    steps = _steps(rho, mode, first, bound)
+    minimal_k = next((k for k, ann in enumerate(steps, first) if ann <= rad), None)
+    ann = steps[-1]
     holds = minimal_k is not None
     witness = None if holds else subspace_leq(ann, rad)[1]
     return VerificationReport(theorem, holds, r, s, bound,
@@ -353,7 +351,7 @@ def verify_tensor_theorem(rho: Representation,
     A False result would contradict the theorem and therefore signals an
     implementation bug; the report carries the witness for auditing.
     ``radical`` overrides the computed radical (negative-path testing).
-    The chain walked is shared with every other read of it (``_walk``).
+    The chain walked is shared with every other read of it (``_steps``).
     """
     _require_faithful(rho)
     r = len(distinct_character_values(rho))
@@ -414,7 +412,7 @@ def tensor_annihilator_chain(rho: Representation, first=0):
     F_{k+1} = F_k + D_k * E_1: each vector is multiplied with an E_1
     basis once, and the work stops as soon as a step adds nothing.  Each
     step inserts each distinct nonzero product once.  The chain has no
-    last step: a reader takes the steps it needs (``_walk``).
+    last step: a reader takes the steps it needs (``_steps``).
     """
     n = rho.monoid.size
     acc = Echelon(n)
@@ -470,64 +468,58 @@ def symmetric_annihilator_chain(rho: Representation):
         yield d, _kernel(acc)
 
 
-def _power_chain(rho, mode, first=0):
-    if mode == "tensor":
-        return tensor_annihilator_chain(rho, first)
-    if mode == "symmetric":
-        return symmetric_annihilator_chain(rho)
-    raise ValueError(f"unknown power mode {mode!r}")
-
-
 # rho -> {(mode, first): (chain, steps)}; weak keys and proxies free them with rho
 _WALKS = weakref.WeakKeyDictionary()
 _LOCK = threading.Lock()
 
 
-def _walk(rho, mode, first=0):
-    """Yield (k, Ann at step k of rho's ``mode`` chain) for k = first, ...
-    The chain is stepped once per rho, under ``_LOCK``, as far as a read
-    asks, and not past Ann = 0, where it stays and the chain is closed,
-    so its suspended frame is freed while the steps stay.  A step that
-    raises drops the walk, so the next read raises again."""
-    for k in count(first):
-        with _LOCK:
-            walks = _WALKS.setdefault(rho, {})
-            if (mode, first) not in walks:
-                walks[mode, first] = _power_chain(weakref.proxy(rho), mode, first), []
-            chain, steps = walks[mode, first]
-            while len(steps) <= k - first and (not steps or steps[-1].dim):
-                try:
-                    steps.append(next(chain)[1])
-                except BaseException:
-                    del walks[mode, first]
-                    raise
-                if not steps[-1].dim:
-                    chain.close()  # its last step: free the suspended frame
-            ann = steps[min(k - first, len(steps) - 1)]
-        yield k, ann
+def _steps(rho, mode, first, last):
+    """The list of Ann at steps first..last of rho's ``mode`` chain, cut
+    after the first step with Ann = 0, which lasts.  The chain is stepped
+    once per rho, under ``_LOCK``, as far as a read asks, and closed at
+    Ann = 0, so its suspended frame is freed while the steps stay.  A step
+    that raises drops the walk, so the next read raises again."""
+    with _LOCK:
+        walks = _WALKS.setdefault(rho, {})
+        if (mode, first) not in walks:
+            if mode == "tensor":
+                chain = tensor_annihilator_chain(weakref.proxy(rho), first)
+            elif mode == "symmetric":
+                chain = symmetric_annihilator_chain(weakref.proxy(rho))
+            else:
+                raise ValueError(f"unknown power mode {mode!r}")
+            walks[mode, first] = chain, []
+        chain, steps = walks[mode, first]
+        while len(steps) <= last - first and (not steps or steps[-1].dim):
+            try:
+                steps.append(next(chain)[1])
+            except BaseException:
+                del walks[mode, first]
+                raise
+            if not steps[-1].dim:
+                chain.close()  # its last step: free the suspended frame
+        return steps[:last - first + 1]
 
 
-def minimal_covering_power(rho: Representation, mode="tensor", cap=None,
+def minimal_covering_power(rho: Representation, mode="tensor", *,
                            radical: Subspace | None = None):
     """Least k such that powers 0..k together reach every simple module.
 
-    The coverage theorems guarantee k <= r-1 (tensor) and k <= dim*s-1
-    (symmetric) for faithful input, so by default the scan is capped at
-    that bound and running past it raises: it would mean the machinery
-    itself is broken, which must not pass silently.  The scan is the
-    verifiers' walk with ``cap`` as its bound.
+    This is the ``minimal_k`` of ``verify_tensor_theorem`` or
+    ``verify_symmetric_theorem``, which check up to k = r-1 and
+    k = dim*s-1.  The coverage theorems guarantee a covering power within
+    that bound for faithful input, so a report without one raises: it
+    would mean the machinery itself is broken, which must not pass
+    silently.
     """
-    _require_faithful(rho)
-    if cap is None:
-        if mode == "tensor":
-            cap = len(distinct_character_values(rho)) - 1
-        else:
-            cap = rho.dim * len(distinct_charpolys(rho)) - 1
-    k = _check(mode, rho, mode, radical, None, None, cap).minimal_k
-    if k is not None:
-        return k
+    if mode not in ("tensor", "symmetric"):
+        raise ValueError(f"unknown power mode {mode!r}")
+    verify = verify_tensor_theorem if mode == "tensor" else verify_symmetric_theorem
+    rep = verify(rho, radical)
+    if rep.minimal_k is not None:
+        return rep.minimal_k
     raise RuntimeError(
-        f"no covering power up to {cap} in {mode} mode; this contradicts "
+        f"no covering power up to {rep.bound} in {mode} mode; this contradicts "
         "the coverage theorem for a faithful representation and indicates "
         "an implementation bug")
 
@@ -539,10 +531,11 @@ def minimal_faithful_power(rho: Representation, mode="tensor", cap=32):
     the N_t family the answer grows as t-1 however many character values
     there are, which is exactly what the scan exposes.
     """
+    if cap < 0:
+        raise ValueError(f"bad cap: {cap} (must be nonnegative)")
     _require_faithful(rho)
-    for k, ann in _walk(rho, mode):
-        if not ann.dim or k >= cap:
-            return None if ann.dim else k
+    steps = _steps(rho, mode, 0, cap)
+    return None if steps[-1].dim else len(steps) - 1
 
 
 def verify_steinberg_bound(rho: Representation,

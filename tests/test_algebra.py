@@ -440,12 +440,65 @@ def test_concurrent_reads_share_one_walk(monkeypatch):
     assert sorted(opened) == ["symmetric", "tensor"]
 
 
+def _recording_pulls(monkeypatch):
+    """Rebind both chains to recorders; the returned list gets one
+    (mode, first, k) per step pulled from any chain."""
+    monkeypatch.setattr(algebra, "_WALKS", weakref.WeakKeyDictionary())
+    pulls = []
+
+    def recording(mode, first, chain):
+        for k, ann in chain:
+            pulls.append((mode, first, k))
+            yield k, ann
+
+    tensor, symmetric = algebra.tensor_annihilator_chain, algebra.symmetric_annihilator_chain
+    monkeypatch.setattr(algebra, "tensor_annihilator_chain", lambda rho, first=0:
+                        recording("tensor", first, tensor(rho, first)))
+    monkeypatch.setattr(algebra, "symmetric_annihilator_chain", lambda rho:
+                        recording("symmetric", 0, symmetric(rho)))
+    return pulls
+
+
+def test_reads_pull_no_step_they_do_not_ask_for(monkeypatch):
+    """A read steps a chain only as far as it asks, and not past Ann = 0;
+    a repeated or shorter read pulls nothing."""
+    pulls = _recording_pulls(monkeypatch)
+    rho = nt_paper_representation(8)
+    assert minimal_faithful_power(rho, "tensor", cap=3) is None
+    assert pulls == [("tensor", 0, k) for k in range(4)]
+    for cap in (3, 2):
+        assert minimal_faithful_power(rho, "tensor", cap=cap) is None
+    assert len(pulls) == 4
+
+
+def test_t3_reads_pull_each_step_once(t3_natural, monkeypatch):
+    """On natural T_3, each verifier and the annihilator pull exactly the
+    steps the earlier reads have not: the tensor bound r - 1 = 3 reaches
+    Ann = 0, so the Steinberg check and Ann(V) pull nothing."""
+    pulls = _recording_pulls(monkeypatch)
+    radical = radical_basis(t3_natural.monoid)
+    reads = [
+        (lambda: verify_tensor_theorem(t3_natural, radical),
+         [("tensor", 0, k) for k in range(4)]),
+        (lambda: verify_steinberg_bound(t3_natural, radical), []),
+        (lambda: verify_positive_power_refinement(t3_natural, radical),
+         [("tensor", 1, k) for k in range(1, 4)]),
+        (lambda: annihilator_basis(t3_natural), []),
+        (lambda: verify_symmetric_theorem(t3_natural, radical),
+         [("symmetric", 0, k) for k in range(5)]),
+    ]
+    for read, pulled in reads:
+        del pulls[:]
+        read()
+        assert pulls == pulled
+
+
 def test_annihilator_is_step_one_of_the_walk(corpus):
     """Ann(V) is the very subspace the walk of the tensor chain from
     power 1 holds at step 1, not a second computation of it."""
     for rho in corpus.values():
-        k, step = next(algebra._walk(rho, "tensor", 1))
-        assert k == 1 and annihilator_basis(rho) is step
+        (step,) = algebra._steps(rho, "tensor", 1, 1)
+        assert annihilator_basis(rho) is step
 
 
 def test_coverage_and_positive_refinement_share_one_walk(t2_natural, monkeypatch):
@@ -581,6 +634,14 @@ def test_minimal_faithful_power_respects_cap():
     assert minimal_faithful_power(rho, "tensor", cap=3) is None
 
 
+def test_minimal_faithful_power_refuses_negative_cap(corpus):
+    """A negative cap is refused, not answered past: the trivial monoid
+    is faithful at power 0, and natural T_2 at no power below 0."""
+    for name, cap in (("trivial", -5), ("t2_natural", -1)):
+        with pytest.raises(ValueError, match=rf"^bad cap: {cap} \(must be nonnegative\)$"):
+            minimal_faithful_power(corpus[name], "tensor", cap)
+
+
 def test_minimal_covering_power_examples(t2_natural, corpus):
     assert minimal_covering_power(nt_paper_representation(5), "tensor") == 1
     assert minimal_covering_power(t2_natural, "tensor") == 2
@@ -603,10 +664,23 @@ def test_minimal_covering_power_below_bounds(corpus):
 def test_minimal_covering_power_cap_violation_is_loud():
     rho = nt_paper_representation(5)
     with pytest.raises(RuntimeError, match="bug"):
-        # an impossible radical makes covering unreachable below the
-        # faithfulness threshold t - 1 = 4
-        minimal_covering_power(rho, "tensor", cap=3,
+        # an impossible radical makes covering unreachable at the bound
+        # r - 1 = 1, below the faithfulness threshold t - 1 = 4
+        minimal_covering_power(rho, "tensor",
                                radical=span_subspace(rho.monoid.size, ()))
+
+
+def test_minimal_covering_power_unknown_mode():
+    with pytest.raises(ValueError, match="unknown power mode 'bogus'"):
+        minimal_covering_power(nt_paper_representation(3), "bogus")
+
+
+def test_minimal_covering_power_takes_no_cap(t2_natural):
+    """The bound is the verifier's; a cap, by keyword or in the third
+    place where the radical is now keyword-only, is refused."""
+    for args, kwargs in ((("tensor", 1), {}), (("tensor",), {"cap": 1})):
+        with pytest.raises(TypeError):
+            minimal_covering_power(t2_natural, *args, **kwargs)
 
 
 def test_dimension_zero_symmetric_bound_is_refused():

@@ -1,13 +1,13 @@
 """The per-layer benchmark tracer still runs the package it wraps.
 
 ``perfbench/tracer.py`` wraps package functions and methods by name
-(``Subspace.__init__``, ``Subspace.basis``, ``Echelon.insert`` and
-``kernel_basis``, ``Representation.validate``, ``Monoid.__init__``, the
-chain functions) and rebinds them in every package module, so it runs
-only in a subprocess, never in the test process.  A golden case run
-under it must exit 0, print its golden stdout byte for byte, and record
-chain steps: a refactor that renames a wrapped name breaks this test
-instead of the benchmark.
+(``Subspace.__init__``, ``Echelon.insert`` and ``kernel_basis``,
+``Representation.validate``, ``Monoid.__init__``, the chain functions)
+and rebinds them in every package module; it also reads
+``Subspace.basis``.  So it runs only in a subprocess, never in the test
+process.  A golden case run under it must exit 0, print its golden
+stdout byte for byte, and record chain steps: a refactor that renames a
+wrapped name breaks this test instead of the benchmark.
 """
 
 import json
