@@ -52,9 +52,11 @@ and the coarse |M|-power bound.  Each works out its bound and names its
 chain (tensor or symmetric, from power 0 or 1) to one body, which reads
 it: the first covering step is ``minimal_k`` and the verdict is whether
 it exists, and the step at the bound gives a failed check's witness.
-Each chain of a representation is walked once, as far as its furthest
-read; ``_steps`` hands every read the list of steps it asks for, so
-verifiers and minimal-power scans all index that one walk.
+A representation has one walk per chain, tensor and symmetric, stepped
+once as far as its furthest read; ``_steps`` hands every read the list
+of steps it asks for, so verifiers and minimal-power scans all index
+those two walks.  The tensor walk runs from power 1: a step from power 0
+is the same step with the constant functions E_0 added.
 No bound is capped: a tensor chain multiplies each of the at most |M|
 vectors it adds once; a symmetric degree too large is refused unbuilt.
 No direct sum or Kronecker power is built: the span
@@ -147,9 +149,11 @@ class Subspace:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def _kernel(ech) -> Subspace:
-    """The kernel of an echelon's rows, held over a snapshot of it."""
+def _kernel(ech, *rows) -> Subspace:
+    """The kernel of an echelon's rows and ``rows``, over a snapshot of it."""
     snap = ech.copy()
+    for row in rows:
+        snap.insert(row)
     return Subspace(snap.ncols, snap.int_rows, snap.ncols - snap.rank, snap)
 
 
@@ -406,25 +410,29 @@ def tensor_annihilator_chain(rho: Representation, first=0):
     builds a Kronecker power.  The coefficient functions of V^k span the
     space E_k of k-fold entrywise products of V's coefficient functions,
     so E_{k+1} = E_k * E_1, and the annihilator is the kernel of the
-    accumulated span F_k = E_first + ... + E_k.  Let D_k hold the vectors
-    that step k added, so F_k = F_{k-1} + D_k.  Then E_{k+1} lies in
-    F_{k-1} * E_1 + D_k * E_1, and F_{k-1} * E_1 lies in F_k, so
-    F_{k+1} = F_k + D_k * E_1: each vector is multiplied with an E_1
-    basis once, and the work stops as soon as a step adds nothing.  Each
-    step inserts each distinct nonzero product once.  The chain has no
-    last step: a reader takes the steps it needs (``_steps``).
+    accumulated span.  Only F_k = E_1 + ... + E_k is accumulated: E_0
+    is the constant functions, so from power 0 each step is F_k plus the
+    constants, inserted into the step's snapshot last.  Let D_k hold the
+    vectors that step k added, so F_k = F_{k-1} + D_k.  Then E_{k+1}
+    lies in F_{k-1} * E_1 + D_k * E_1, and F_{k-1} * E_1 lies in F_k, so
+    F_{k+1} = F_k + D_k * E_1, and F_1 = 1 * E_1 starts it: each vector
+    is multiplied with an E_1 basis once, and the work stops as soon as
+    a step adds nothing.  Each step inserts each distinct nonzero
+    product once.  The chain has no last step: a reader takes the steps
+    it needs (``_steps``).
     """
     n = rho.monoid.size
     acc = Echelon(n)
-    new = [(1,) * n]  # spans E_0: the constant functions
-    if first == 0:
-        acc.insert(new[0])
-        yield 0, _kernel(acc)
+    ones = (1,) * n  # spans E_0: the constant functions
+    constants = [] if first else [ones]
+    if not first:
+        yield 0, _kernel(acc, *constants)
     e1 = Echelon(n, _entry_rows(rho)).int_rows  # a basis of E_1
+    new = [ones]
     for k in count(1):
         products = dict.fromkeys(tuple(map(mul, d, g)) for d in new for g in e1)
         new = [v for v in products if any(v) and acc.rank < n and acc.insert(v)]
-        yield k, _kernel(acc)
+        yield k, _kernel(acc, *constants)
 
 
 def symmetric_annihilator_chain(rho: Representation):
@@ -468,37 +476,63 @@ def symmetric_annihilator_chain(rho: Representation):
         yield d, _kernel(acc)
 
 
-# rho -> {(mode, first): (chain, steps)}; weak keys and proxies free them with rho
+# rho -> {mode: [chain, floor, steps, tensor steps from power 0]}; weak
+# keys and proxies free them with rho
 _WALKS = weakref.WeakKeyDictionary()
 _LOCK = threading.Lock()
 
 
 def _steps(rho, mode, first, last):
-    """The list of Ann at steps first..last of rho's ``mode`` chain, cut
-    after the first step with Ann = 0, which lasts.  The chain is stepped
-    once per rho, under ``_LOCK``, as far as a read asks, and closed at
-    Ann = 0, so its suspended frame is freed while the steps stay.  A step
-    that raises drops the walk, so the next read raises again."""
+    """The list of Ann at steps first..last of rho's ``mode`` walk, cut
+    after the step where Ann reaches its floor, which lasts.  Each mode
+    is walked once per rho, under ``_LOCK``, as far as a read asks, and
+    its chain closed at the floor, so its suspended frame is freed while
+    the steps stay.  A step that raises drops the walk, so the next read
+    raises again.
+
+    The symmetric walk is its chain, with floor 0.  The tensor walk is
+    the chain from power 1 after a step 0 with no power (Ann = QM).  Its
+    floor is Q^Z, Z the elements whose matrix is 0: every F_k vanishes on
+    Z, so once Ann is Q^Z it stays.  A read from power 0 takes each step
+    with the constants inserted into its snapshot (or the step itself,
+    once they lie in its span), memoised next to the walk and cut after
+    its first Ann = 0 step."""
     with _LOCK:
         walks = _WALKS.setdefault(rho, {})
-        if (mode, first) not in walks:
+        if mode not in walks:
             if mode == "tensor":
-                chain = tensor_annihilator_chain(weakref.proxy(rho), first)
+                chain = tensor_annihilator_chain(weakref.proxy(rho), 1)
+                floor = sum(not any(map(any, m.rows)) for m in rho.matrices)
+                walks[mode] = [chain, floor, [_kernel(Echelon(rho.monoid.size))], []]
             elif mode == "symmetric":
-                chain = symmetric_annihilator_chain(weakref.proxy(rho))
+                walks[mode] = [symmetric_annihilator_chain(weakref.proxy(rho)), 0, [], []]
             else:
                 raise ValueError(f"unknown power mode {mode!r}")
-            walks[mode, first] = chain, []
-        chain, steps = walks[mode, first]
-        while len(steps) <= last - first and (not steps or steps[-1].dim):
-            try:
-                steps.append(next(chain)[1])
-            except BaseException:
-                del walks[mode, first]
-                raise
-            if not steps[-1].dim:
-                chain.close()  # its last step: free the suspended frame
-        return steps[:last - first + 1]
+        _, _, steps, plus = walks[mode]
+        if mode == "symmetric" or first:
+            _pull(walks, mode, last)
+            return steps[first:last + 1] or steps[-1:]  # at its floor before first
+        ones = (1,) * rho.monoid.size
+        while len(plus) <= last and (not plus or plus[-1].dim) and _pull(walks, mode, len(plus)):
+            step = steps[len(plus)]
+            ann = _kernel(step._echelon, ones)
+            plus.append(step if ann.dim == step.dim else ann)
+        return plus[:last + 1]
+
+
+def _pull(walks, mode, k):
+    """Step the ``mode`` walk until it holds step k or has reached its
+    floor, closing its chain there; whether it holds step k."""
+    chain, floor, steps, _ = walks[mode]
+    while len(steps) <= k and (not steps or steps[-1].dim > floor):
+        try:
+            steps.append(next(chain)[1])
+        except BaseException:
+            del walks[mode]
+            raise
+        if steps[-1].dim == floor:
+            chain.close()  # its last step: free the suspended frame
+    return len(steps) > k
 
 
 def minimal_covering_power(rho: Representation, mode="tensor", *,

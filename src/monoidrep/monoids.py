@@ -182,7 +182,8 @@ def from_cayley_table(identity, table, labels=None) -> Monoid:
 
 def _closure(identity, generators, mul, cap=None):
     """Elements generated under ``mul``, in the element order described
-    above, and their table; raises once more than ``cap`` appear.
+    above, and their table; raises once more than ``cap`` appear, the
+    identity and the generators counted too.
 
     Only products with a generator are formed, as in Froidure & Pin,
     "Algorithms for computing finite semigroups" (1997): the |M| |A|
@@ -194,23 +195,23 @@ def _closure(identity, generators, mul, cap=None):
     ``left[k]``, one C-level pass per row; row 0 (the identity) is
     0..n-1.  Only the rows are held, not a second copy of the table.
     """
-    elements = [identity]
-    index = {identity: 0}
-    for g in generators:
-        if g not in index:
-            index[g] = len(elements)
-            elements.append(g)
+    elements, index = [], {}
+
+    def add(c):
+        if c not in index:
+            if cap is not None and len(elements) >= cap:
+                raise ValueError(f"cap exceeded: more than {cap} distinct elements")
+            index[c] = len(elements)
+            elements.append(c)
+
+    for c in (identity, *generators):
+        add(c)
     pos = 0
     while pos < len(elements):
         a = elements[pos]
         pos += 1
         for g in generators:
-            c = mul(a, g)
-            if c not in index:
-                if cap is not None and len(elements) >= cap:
-                    raise ValueError(f"cap exceeded: more than {cap} distinct elements")
-                index[c] = len(elements)
-                elements.append(c)
+            add(mul(a, g))
     left = [[index[mul(g, y)] for y in elements] for g in dict.fromkeys(generators)]
     rows = [None] * len(elements)
     rows[0] = tuple(range(len(elements)))
@@ -261,8 +262,8 @@ def from_matrices(generators, cap=10000) -> Monoid:
 
     The identity matrix is adjoined and elements are labelled "g0", "g1",
     ... in discovery order.  Raises when more than ``cap`` distinct
-    matrices appear, since arbitrary rational generators need not generate
-    a finite monoid.
+    matrices appear, the identity and the generators among them, since
+    arbitrary rational generators need not generate a finite monoid.
     """
     gens = [g if isinstance(g, Matrix) else Matrix(g) for g in generators]
     if not gens:

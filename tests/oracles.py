@@ -459,13 +459,16 @@ def first_associativity_failure(table, gens):
 def closure_all_pairs(identity, generators, mul, cap=None):
     """Elements generated under ``mul`` in breadth-first discovery order,
     and their table with every one of the |M|^2 products formed; raises
-    once more than ``cap`` appear."""
+    once more than ``cap`` appear, the identity and the generators
+    counted too."""
     elements = [identity]
     index = {identity: 0}
     for g in generators:
         if g not in index:
             index[g] = len(elements)
             elements.append(g)
+    if cap is not None and len(elements) > cap:
+        raise ValueError(f"cap exceeded: more than {cap} distinct elements")
     pos = 0
     while pos < len(elements):
         a = elements[pos]

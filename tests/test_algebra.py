@@ -465,24 +465,24 @@ def test_reads_pull_no_step_they_do_not_ask_for(monkeypatch):
     pulls = _recording_pulls(monkeypatch)
     rho = nt_paper_representation(8)
     assert minimal_faithful_power(rho, "tensor", cap=3) is None
-    assert pulls == [("tensor", 0, k) for k in range(4)]
+    assert pulls == [("tensor", 1, k) for k in range(1, 4)]
     for cap in (3, 2):
         assert minimal_faithful_power(rho, "tensor", cap=cap) is None
-    assert len(pulls) == 4
+    assert len(pulls) == 3
 
 
 def test_t3_reads_pull_each_step_once(t3_natural, monkeypatch):
     """On natural T_3, each verifier and the annihilator pull exactly the
     steps the earlier reads have not: the tensor bound r - 1 = 3 reaches
-    Ann = 0, so the Steinberg check and Ann(V) pull nothing."""
+    Ann = 0 on the one tensor walk, from power 1, so the Steinberg check,
+    the positive refinement and Ann(V) pull nothing."""
     pulls = _recording_pulls(monkeypatch)
     radical = radical_basis(t3_natural.monoid)
     reads = [
         (lambda: verify_tensor_theorem(t3_natural, radical),
-         [("tensor", 0, k) for k in range(4)]),
-        (lambda: verify_steinberg_bound(t3_natural, radical), []),
-        (lambda: verify_positive_power_refinement(t3_natural, radical),
          [("tensor", 1, k) for k in range(1, 4)]),
+        (lambda: verify_steinberg_bound(t3_natural, radical), []),
+        (lambda: verify_positive_power_refinement(t3_natural, radical), []),
         (lambda: annihilator_basis(t3_natural), []),
         (lambda: verify_symmetric_theorem(t3_natural, radical),
          [("symmetric", 0, k) for k in range(5)]),
@@ -694,6 +694,14 @@ def test_dimension_zero_symmetric_bound_is_refused():
         minimal_covering_power(rho, "symmetric")
     assert minimal_covering_power(rho, "tensor") == 0
     assert verify_tensor_theorem(rho).holds
+
+
+def test_dimension_zero_annihilator_is_the_whole_algebra():
+    """Every matrix of the zero-dimensional module is 0, so the tensor
+    walk starts at its floor: Ann(V) is all of QM, read without a step."""
+    rho = build_representation(from_cayley_table(0, [[0]]), [Matrix([], ncols=0)])
+    assert annihilator_basis(rho).dim == 1
+    assert all_simples_appear(rho) == (False, (1,))  # the identity kills it
 
 
 # --- integer elimination on the hot paths ----------------------------------------

@@ -22,8 +22,12 @@ certified modulo a prime must equal the plain Gauss-Jordan kernel of G,
 and with a prime that divides a minor of G it must fall back to the
 exact echelon and give the same subspace.  The tensor chain, which
 inserts each distinct product once per step, must store the same
-echelon rows at every step as the loop that inserted every product,
-kept in ``tests/oracles.py``.  The symmetric chain must insert no
+echelon rows at every step from power 1 as the loop that inserted every
+product, kept in ``tests/oracles.py``, and from power 0, where it adds
+the constants last, the same reduced form.  The steps a read from power
+0 derives from the one tensor walk, from power 1, must be the chain's
+from power 0, with the same verdict and witness, on those inputs and
+the sign representation of C_2.  The symmetric chain must insert no
 coefficient row twice, not even one that recurs at a later degree, and
 keep every degree's dimension.
 
@@ -73,6 +77,7 @@ error text as the pair-by-pair check kept there.
 
 import random
 import re
+import weakref
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -350,12 +355,52 @@ CHAIN_INPUTS = {**CORPUS, **{f"golden-{k}": v for k, v in GOLDEN_REPRESENTATIONS
 @pytest.mark.parametrize("name", sorted(CHAIN_INPUTS))
 def test_tensor_chain_matches_old_loop(name, first):
     """Inserting each distinct nonzero product once per step leaves every
-    step's dimension and stored echelon rows as inserting every product."""
+    step's dimension and stored echelon rows as inserting every product.
+    From power 0 the constants are inserted into each step last, not
+    first as in the loop, so there the steps' canonical RREF must agree."""
     rho = CHAIN_INPUTS[name]
+    n = rho.monoid.size
+    kmax = min(n - 1, 8)
+    steps = islice(tensor_annihilator_chain(rho, first), kmax + 1 - first)
+    oracle = tensor_chain_steps(rho, kmax, first=first)
+    if first:
+        assert [(k, ann.dim, ann._echelon.int_rows) for k, ann in steps] == list(oracle)
+    else:
+        assert ([(k, ann.dim, ann._echelon.rows) for k, ann in steps]
+                == [(k, dim, Echelon(n, rows).rows) for k, dim, rows in oracle])
+
+
+# the sign representation of C_2: from power 0, Ann = 0 at step 1, while
+# from power 1 it is 0 only at step 2
+SIGN_C2 = Representation(from_cayley_table(0, [[0, 1], [1, 0]]),
+                         [Matrix([[1]]), Matrix([[-1]])])
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_INPUTS) + ["sign-c2"])
+def test_power_zero_steps_derived_from_the_power_one_walk(name, monkeypatch):
+    """The walk's steps from power 0, each a step from power 1 with the
+    constants added, are the public chain's from power 0: the same
+    subspace and dimension, and the same containment verdict and witness
+    against the radical, at every step up to min(|M| - 1, 8)."""
+    monkeypatch.setattr(algebra, "_WALKS", weakref.WeakKeyDictionary())
+    rho = SIGN_C2 if name == "sign-c2" else CHAIN_INPUTS[name]
+    rad = radical_basis(rho.monoid)
     kmax = min(rho.monoid.size - 1, 8)
-    got = [(k, ann.dim, ann._echelon.int_rows)
-           for k, ann in islice(tensor_annihilator_chain(rho, first), kmax + 1 - first)]
-    assert got == list(tensor_chain_steps(rho, kmax, first=first))
+    for k, ann in islice(tensor_annihilator_chain(rho), kmax + 1):
+        steps = algebra._steps(rho, "tensor", 0, k)
+        step = steps[-1]
+        assert len(steps) == k + 1 or not step.dim  # cut only at Ann = 0
+        assert step == ann and step.dim == ann.dim
+        assert subspace_leq(step, rad) == subspace_leq(ann, rad)
+
+
+def test_sign_c2_reaches_zero_sooner_from_power_zero():
+    rho = SIGN_C2
+    assert [s.dim for s in algebra._steps(rho, "tensor", 0, 2)] == [1, 0]
+    assert [s.dim for s in algebra._steps(rho, "tensor", 1, 2)] == [1, 0]
+    assert minimal_faithful_power(rho) == 1
+    assert verify_tensor_theorem(rho).holds
+    assert algebra.verify_positive_power_refinement(rho).holds
 
 
 # m128 is left out: its Fraction oracle to degree 6 takes over a minute
@@ -1094,7 +1139,7 @@ def _closure_cases():
     of degree 1-5 with 0-4 generators, each drawn plain, with a repeated
     generator and with the identity among the generators; T_4 and a
     610-element submonoid of T_5; and matrix closures, some of which
-    exceed their cap."""
+    exceed their cap, one with its identity and generators alone."""
     rng = random.Random(CLOSURE_SEED)
     cases = {}
     for degree in range(1, 6):
@@ -1124,8 +1169,10 @@ def _closure_cases():
         "doubling-over-cap": [[[2]]],
         "shear-over-cap": [[[1, 1], [0, 1]], [[0, 1], [1, 0]]],
         "tight-cap": [[[0, 0, 1], [1, 0, 0], [0, 1, 0]]],
+        "generators-over-cap": [[[0, 1], [1, 0]], [[1, 0], [0, 0]]],
     }
-    caps = {"doubling-over-cap": 40, "shear-over-cap": 25, "tight-cap": 2}
+    caps = {"doubling-over-cap": 40, "shear-over-cap": 25, "tight-cap": 2,
+            "generators-over-cap": 2}
     for name, gens in matrices.items():
         gens = [Matrix(g) for g in gens]
         cases[f"matrices-{name}"] = (Matrix.identity(gens[0].nrows), gens,

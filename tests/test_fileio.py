@@ -73,6 +73,12 @@ def test_matrices_spec():
     assert m.matrix_elements[1] == Matrix([[0, 1], [1, 0]])
 
 
+def test_matrices_spec_cap_counts_every_element():
+    spec = {"type": "matrices", "cap": 1, "generators": [[["0", "1"], ["1", "0"]]]}
+    with pytest.raises(ValueError, match="cap exceeded: more than 1 distinct elements"):
+        monoid_from_spec(spec)
+
+
 @pytest.mark.parametrize("labels", [5, True, 1.5, "ab", {"e": 0}])
 def test_cayley_labels_must_be_an_array(labels):
     with pytest.raises(ValueError, match="field 'labels' must be an array"):

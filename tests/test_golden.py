@@ -228,9 +228,10 @@ def test_each_step_containment_decided_once(name, monkeypatch):
 
 
 def test_each_chain_walked_once(monkeypatch):
-    """``verify --which all`` on T_3 reads the tensor chain from power 0
-    (tensor and Steinberg checks), from power 1 (positive refinement) and
-    the symmetric chain: each is opened once and each step pulled once."""
+    """``verify --which all`` on T_3 reads the tensor walk from power 0
+    (tensor and Steinberg checks) and from power 1 (positive refinement),
+    and the symmetric chain: the tensor chain is opened once, from power
+    1, the symmetric chain once, and each step is pulled once."""
     opened = []
     tensor, symmetric = algebra.tensor_annihilator_chain, algebra.symmetric_annihilator_chain
 
@@ -248,7 +249,7 @@ def test_each_chain_walked_once(monkeypatch):
     code, out = run_case("verify-t3")
     assert code == 0
     assert out == (GOLDEN / "verify-t3.txt").read_text()
-    assert sorted(key for key, _ in opened) == [("symmetric", 0), ("tensor", 0), ("tensor", 1)]
+    assert sorted(key for key, _ in opened) == [("symmetric", 0), ("tensor", 1)]
     for (_, first), pulled in opened:
         assert pulled == list(range(first, first + len(pulled)))
 

@@ -158,6 +158,17 @@ def test_matrix_closure_cap_exceeded():
         from_matrices([Matrix([[2]])], cap=10)
 
 
+def test_matrix_closure_cap_counts_identity_and_generators():
+    """``cap`` bounds every matrix of the closure: the identity and a
+    generator are two, so the swap's closure exceeds a cap of 1."""
+    swap = Matrix([[0, 1], [1, 0]])
+    assert from_matrices([swap], cap=2).size == 2
+    with pytest.raises(ValueError, match="cap exceeded: more than 1 distinct elements"):
+        from_matrices([swap], cap=1)
+    with pytest.raises(ValueError, match="cap exceeded: more than 2 distinct elements"):
+        from_matrices([swap, Matrix([[1, 0], [0, 0]])], cap=2)
+
+
 # --- nt family -----------------------------------------------------------------
 
 def test_nt_small():
