@@ -56,7 +56,8 @@ A representation has one walk per chain, tensor and symmetric, stepped
 once as far as its furthest read; ``_steps`` hands every read the list
 of steps it asks for, so verifiers and minimal-power scans all index
 those two walks.  The tensor walk runs from power 1: a step from power 0
-is the same step with the constant functions E_0 added.
+is the same step with the constant functions E_0 as one more row,
+computed on each read and stored nowhere.
 No bound is capped: a tensor chain multiplies each of the at most |M|
 vectors it adds once; a symmetric degree too large is refused unbuilt.
 No direct sum or Kronecker power is built: the span
@@ -149,11 +150,9 @@ class Subspace:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def _kernel(ech, *rows) -> Subspace:
-    """The kernel of an echelon's rows and ``rows``, over a snapshot of it."""
+def _kernel(ech) -> Subspace:
+    """The kernel of an echelon's rows, over a snapshot of it."""
     snap = ech.copy()
-    for row in rows:
-        snap.insert(row)
     return Subspace(snap.ncols, snap.int_rows, snap.ncols - snap.rank, snap)
 
 
@@ -406,33 +405,33 @@ def _entry_rows(rho):
 def tensor_annihilator_chain(rho: Representation, first=0):
     """Yield (k, Ann(V^first + ... + V^k)) for k = first, first + 1, ...
 
-    ``first`` is 0, or 1 to leave out the trivial module V^0.  Never
-    builds a Kronecker power.  The coefficient functions of V^k span the
-    space E_k of k-fold entrywise products of V's coefficient functions,
-    so E_{k+1} = E_k * E_1, and the annihilator is the kernel of the
-    accumulated span.  Only F_k = E_1 + ... + E_k is accumulated: E_0
-    is the constant functions, so from power 0 each step is F_k plus the
-    constants, inserted into the step's snapshot last.  Let D_k hold the
-    vectors that step k added, so F_k = F_{k-1} + D_k.  Then E_{k+1}
-    lies in F_{k-1} * E_1 + D_k * E_1, and F_{k-1} * E_1 lies in F_k, so
-    F_{k+1} = F_k + D_k * E_1, and F_1 = 1 * E_1 starts it: each vector
-    is multiplied with an E_1 basis once, and the work stops as soon as
-    a step adds nothing.  Each step inserts each distinct nonzero
-    product once.  The chain has no last step: a reader takes the steps
-    it needs (``_steps``).
+    ``first`` is 0, or 1 to leave out the trivial module V^0; any other
+    value raises ``ValueError``.  Never builds a Kronecker power.  The
+    coefficient functions of V^k span the space E_k of k-fold entrywise
+    products of V's coefficient functions, so E_{k+1} = E_k * E_1, and
+    the annihilator is the kernel of the accumulated span
+    F_k = E_first + ... + E_k.  Let D_k hold the vectors that step k
+    added, so F_k = F_{k-1} + D_k.  Then E_{k+1} lies in
+    F_{k-1} * E_1 + D_k * E_1, and F_{k-1} * E_1 lies in F_k, so
+    F_{k+1} = F_k + D_k * E_1: each vector is multiplied with an E_1
+    basis once, and the work stops as soon as a step adds nothing.  Each
+    step inserts each distinct nonzero product once.  The chain has no
+    last step: a reader takes the steps it needs (``_steps``, which runs
+    it from power 1 only).
     """
+    if first not in (0, 1):
+        raise ValueError(f"bad first power: {first!r} (must be 0 or 1)")
     n = rho.monoid.size
     acc = Echelon(n)
-    ones = (1,) * n  # spans E_0: the constant functions
-    constants = [] if first else [ones]
+    new = [(1,) * n]  # spans E_0: the constant functions
     if not first:
-        yield 0, _kernel(acc, *constants)
+        acc.insert(new[0])
+        yield 0, _kernel(acc)
     e1 = Echelon(n, _entry_rows(rho)).int_rows  # a basis of E_1
-    new = [ones]
     for k in count(1):
         products = dict.fromkeys(tuple(map(mul, d, g)) for d in new for g in e1)
         new = [v for v in products if any(v) and acc.rank < n and acc.insert(v)]
-        yield k, _kernel(acc, *constants)
+        yield k, _kernel(acc)
 
 
 def symmetric_annihilator_chain(rho: Representation):
@@ -476,63 +475,61 @@ def symmetric_annihilator_chain(rho: Representation):
         yield d, _kernel(acc)
 
 
-# rho -> {mode: [chain, floor, steps, tensor steps from power 0]}; weak
-# keys and proxies free them with rho
+# rho -> {mode: [chain, floor, steps]}, freed with rho (weak keys, proxies)
 _WALKS = weakref.WeakKeyDictionary()
 _LOCK = threading.Lock()
 
 
 def _steps(rho, mode, first, last):
     """The list of Ann at steps first..last of rho's ``mode`` walk, cut
-    after the step where Ann reaches its floor, which lasts.  Each mode
-    is walked once per rho, under ``_LOCK``, as far as a read asks, and
-    its chain closed at the floor, so its suspended frame is freed while
-    the steps stay.  A step that raises drops the walk, so the next read
-    raises again.
+    after its first Ann = 0 step or where the walk reaches its floor,
+    which lasts.  Each mode is walked once per rho, under ``_LOCK``, as
+    far as a read asks, and its chain closed at the floor, so its
+    suspended frame is freed while the steps stay.  A step that raises
+    drops the walk, so the next read raises again.
 
     The symmetric walk is its chain, with floor 0.  The tensor walk is
     the chain from power 1 after a step 0 with no power (Ann = QM).  Its
     floor is Q^Z, Z the elements whose matrix is 0: every F_k vanishes on
     Z, so once Ann is Q^Z it stays.  A read from power 0 takes each step
-    with the constants inserted into its snapshot (or the step itself,
-    once they lie in its span), memoised next to the walk and cut after
-    its first Ann = 0 step."""
+    as it is once the constants lie in its span, else with the constants
+    as one more row (its echelon built only if needed), and stores
+    neither.  The constants do not vanish on Z, so above floor 0 no step
+    holds them; at floor 0 steps are tested until one does."""
     with _LOCK:
         walks = _WALKS.setdefault(rho, {})
         if mode not in walks:
             if mode == "tensor":
                 chain = tensor_annihilator_chain(weakref.proxy(rho), 1)
                 floor = sum(not any(map(any, m.rows)) for m in rho.matrices)
-                walks[mode] = [chain, floor, [_kernel(Echelon(rho.monoid.size))], []]
+                walks[mode] = [chain, floor, [_kernel(Echelon(rho.monoid.size))]]
             elif mode == "symmetric":
-                walks[mode] = [symmetric_annihilator_chain(weakref.proxy(rho)), 0, [], []]
+                walks[mode] = [symmetric_annihilator_chain(weakref.proxy(rho)), 0, []]
             else:
                 raise ValueError(f"unknown power mode {mode!r}")
-        _, _, steps, plus = walks[mode]
-        if mode == "symmetric" or first:
-            _pull(walks, mode, last)
-            return steps[first:last + 1] or steps[-1:]  # at its floor before first
-        ones = (1,) * rho.monoid.size
-        while len(plus) <= last and (not plus or plus[-1].dim) and _pull(walks, mode, len(plus)):
-            step = steps[len(plus)]
-            ann = _kernel(step._echelon, ones)
-            plus.append(step if ann.dim == step.dim else ann)
-        return plus[:last + 1]
-
-
-def _pull(walks, mode, k):
-    """Step the ``mode`` walk until it holds step k or has reached its
-    floor, closing its chain there; whether it holds step k."""
-    chain, floor, steps, _ = walks[mode]
-    while len(steps) <= k and (not steps or steps[-1].dim > floor):
-        try:
-            steps.append(next(chain)[1])
-        except BaseException:
-            del walks[mode]
-            raise
-        if steps[-1].dim == floor:
-            chain.close()  # its last step: free the suspended frame
-    return len(steps) > k
+        chain, floor, steps = walks[mode]
+        ones = None if first or mode == "symmetric" else (1,) * rho.monoid.size
+        read = []
+        for k in range(first, last + 1):
+            if k == len(steps):
+                if steps and steps[-1].dim == floor:
+                    break
+                try:
+                    steps.append(next(chain)[1])
+                except BaseException:
+                    del walks[mode]
+                    raise
+                if steps[-1].dim == floor:
+                    chain.close()  # its last step: free the suspended frame
+            step = steps[k]
+            if ones and (floor or not step._echelon.contains(ones)):
+                step = Subspace(step.ambient, [*step.rows, ones], step.dim - 1)
+            else:
+                ones = None  # this step holds the constants, and so every later one
+            read.append(step)
+            if not step.dim:
+                break
+        return read or steps[-1:]  # at its floor before first
 
 
 def minimal_covering_power(rho: Representation, mode="tensor", *,

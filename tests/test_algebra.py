@@ -471,6 +471,24 @@ def test_reads_pull_no_step_they_do_not_ask_for(monkeypatch):
     assert len(pulls) == 3
 
 
+def test_power_zero_read_inserts_no_constants_when_an_element_acts_as_0(monkeypatch):
+    """N_12's zero acts as 0, so no power-1 span holds the constants: the
+    steps a read from power 0 takes are the power-1 steps with the
+    constants as one more row, reduced into no echelon."""
+    monkeypatch.setattr(algebra, "_WALKS", weakref.WeakKeyDictionary())
+    inserted = []
+    insert = algebra.Echelon.insert
+
+    def recording_insert(ech, vec):
+        inserted.append(tuple(vec))
+        return insert(ech, vec)
+
+    monkeypatch.setattr(algebra.Echelon, "insert", recording_insert)
+    rho = nt_paper_representation(12)
+    assert minimal_faithful_power(rho, "tensor", 12) == 11
+    assert inserted and (1,) * rho.monoid.size not in inserted
+
+
 def test_t3_reads_pull_each_step_once(t3_natural, monkeypatch):
     """On natural T_3, each verifier and the annihilator pull exactly the
     steps the earlier reads have not: the tensor bound r - 1 = 3 reaches
@@ -581,6 +599,15 @@ def test_tensor_chain_matches_explicit_annihilators(corpus):
         for k in range(4):
             w = direct_sum([tensor_power(rho, i) for i in range(k + 1)])
             assert chain[k] == annihilator_basis(w)
+
+
+@pytest.mark.parametrize("first", [2, -1, None])
+def test_tensor_chain_refuses_a_first_power_other_than_0_or_1(first, corpus):
+    """Only powers 0 and 1 can start the chain; any other ``first`` is
+    refused on the first step, not read as power 1."""
+    chain = tensor_annihilator_chain(corpus["n3_paper"], first)
+    with pytest.raises(ValueError, match="bad first power"):
+        next(chain)
 
 
 def test_symmetric_chain_matches_explicit_annihilators(corpus):

@@ -22,12 +22,12 @@ certified modulo a prime must equal the plain Gauss-Jordan kernel of G,
 and with a prime that divides a minor of G it must fall back to the
 exact echelon and give the same subspace.  The tensor chain, which
 inserts each distinct product once per step, must store the same
-echelon rows at every step from power 1 as the loop that inserted every
-product, kept in ``tests/oracles.py``, and from power 0, where it adds
-the constants last, the same reduced form.  The steps a read from power
-0 derives from the one tensor walk, from power 1, must be the chain's
-from power 0, with the same verdict and witness, on those inputs and
-the sign representation of C_2.  The symmetric chain must insert no
+echelon rows at every step, from power 0 and from power 1, as the loop
+that inserted every product, kept in ``tests/oracles.py``.  The steps a
+read from power 0 derives from the one tensor walk, from power 1, must
+be the chain's from power 0, with the same verdict and witness, on those
+inputs, the sign representation of C_2 and an N_3 representation with
+two elements acting as 0.  The symmetric chain must insert no
 coefficient row twice, not even one that recurs at a later degree, and
 keep every degree's dimension.
 
@@ -355,19 +355,12 @@ CHAIN_INPUTS = {**CORPUS, **{f"golden-{k}": v for k, v in GOLDEN_REPRESENTATIONS
 @pytest.mark.parametrize("name", sorted(CHAIN_INPUTS))
 def test_tensor_chain_matches_old_loop(name, first):
     """Inserting each distinct nonzero product once per step leaves every
-    step's dimension and stored echelon rows as inserting every product.
-    From power 0 the constants are inserted into each step last, not
-    first as in the loop, so there the steps' canonical RREF must agree."""
+    step's dimension and stored echelon rows as inserting every product."""
     rho = CHAIN_INPUTS[name]
-    n = rho.monoid.size
-    kmax = min(n - 1, 8)
+    kmax = min(rho.monoid.size - 1, 8)
     steps = islice(tensor_annihilator_chain(rho, first), kmax + 1 - first)
     oracle = tensor_chain_steps(rho, kmax, first=first)
-    if first:
-        assert [(k, ann.dim, ann._echelon.int_rows) for k, ann in steps] == list(oracle)
-    else:
-        assert ([(k, ann.dim, ann._echelon.rows) for k, ann in steps]
-                == [(k, dim, Echelon(n, rows).rows) for k, dim, rows in oracle])
+    assert [(k, ann.dim, ann._echelon.int_rows) for k, ann in steps] == list(oracle)
 
 
 # the sign representation of C_2: from power 0, Ann = 0 at step 1, while
@@ -376,20 +369,29 @@ SIGN_C2 = Representation(from_cayley_table(0, [[0, 1], [1, 0]]),
                          [Matrix([[1]]), Matrix([[-1]])])
 
 
-@pytest.mark.parametrize("name", sorted(CHAIN_INPUTS) + ["sign-c2"])
+# N_3 with two elements acting as 0, so the tensor walk's floor is 2: not
+# faithful, and from power 0 its steps have dims [3, 1]
+N3_FLOOR_2 = Representation(nt_monoid(3), [Matrix.zero(2, 2), Matrix.identity(2),
+                                           Matrix.zero(2, 2), Matrix([[0, 3], [0, 0]])])
+EXTRA_CHAIN_INPUTS = {"sign-c2": SIGN_C2, "n3-floor-2": N3_FLOOR_2}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_INPUTS) + sorted(EXTRA_CHAIN_INPUTS))
 def test_power_zero_steps_derived_from_the_power_one_walk(name, monkeypatch):
     """The walk's steps from power 0, each a step from power 1 with the
     constants added, are the public chain's from power 0: the same
     subspace and dimension, and the same containment verdict and witness
     against the radical, at every step up to min(|M| - 1, 8)."""
     monkeypatch.setattr(algebra, "_WALKS", weakref.WeakKeyDictionary())
-    rho = SIGN_C2 if name == "sign-c2" else CHAIN_INPUTS[name]
+    rho = {**CHAIN_INPUTS, **EXTRA_CHAIN_INPUTS}[name]
     rad = radical_basis(rho.monoid)
     kmax = min(rho.monoid.size - 1, 8)
+    floor = sum(not any(map(any, m.rows)) for m in rho.matrices)
     for k, ann in islice(tensor_annihilator_chain(rho), kmax + 1):
         steps = algebra._steps(rho, "tensor", 0, k)
         step = steps[-1]
-        assert len(steps) == k + 1 or not step.dim  # cut only at Ann = 0
+        # cut only at Ann = 0, or where the walk from power 1 is at its floor
+        assert len(steps) == k + 1 or step.dim in (0, floor - 1)
         assert step == ann and step.dim == ann.dim
         assert subspace_leq(step, rad) == subspace_leq(ann, rad)
 
