@@ -233,18 +233,14 @@ def _split_top_level(s, sep=","):
 
 def parse_weights(spec, m):
     """Parse 'label:rational,label:rational' into a coefficient vector."""
-    from fractions import Fraction
+    from .fileio import parse_rational
 
-    weights = [Fraction(0)] * m.size
+    weights = [0] * m.size
     for part in _split_top_level(spec):
         if ":" not in part:
             raise ValueError(f"bad weight {part!r}: expected label:rational")
         label, _, value = part.rpartition(":")
-        idx = m.index_of_label(label.strip())
-        try:
-            weights[idx] += Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad rational {value.strip()!r} in weights") from None
+        weights[m.index_of_label(label.strip())] += parse_rational(value.strip())
     return tuple(weights)
 
 
@@ -255,18 +251,19 @@ def cmd_molien(args):
     rho = fileio.load_representation(args.representation, m)
     e = m.index_of_label(args.idempotent)
     weights = parse_weights(args.weights, m)
-    f, local, pos = molien._local_weighted_series(rho, e, weights)
+    f = molien.weighted_series(rho, e, weights)
     prefix = molien.series_prefix(f, args.terms)
 
     # cross-check every coefficient against the symmetric-power characters
-    # sum_x w_x h_d(eigenvalues of x), from one power-trace pass per x
+    # sum_x w_x h_d(eigenvalues of x), from one power-trace pass per x; on
+    # eMe, rho(x) and its restriction to eV have the same power traces
     n = args.terms
     direct = [0] * (n + 1)
-    for x in range(m.size):
-        if weights[x]:
-            h = representations.sym_power_characters(local, pos[x], n)
+    for x, w in enumerate(weights):
+        if w:
+            h = representations.sym_power_characters(rho, x, n)
             for d in range(n + 1):
-                direct[d] += weights[x] * h[d]
+                direct[d] += w * h[d]
     for d, coeff in enumerate(prefix):
         if direct[d] != coeff:
             raise RuntimeError(

@@ -81,13 +81,12 @@ def _div(a, b):
 
 
 def _canonical(rows):
-    """``rows`` as a tuple of tuples of canonical entries, and whether
-    every entry is an int."""
+    """``rows`` as a tuple of tuples of canonical entries; all-int rows
+    pass after one scan of the entry types, with nothing coerced."""
     rows = tuple(map(tuple, rows))
     if _INT.issuperset(map(type, chain.from_iterable(rows))):
-        return rows, True
-    rows = tuple(tuple(map(_exact, row)) for row in rows)
-    return rows, _INT.issuperset(map(type, chain.from_iterable(rows)))
+        return rows
+    return tuple(tuple(map(_exact, row)) for row in rows)
 
 
 class Matrix:
@@ -95,22 +94,23 @@ class Matrix:
 
     Entries are canonical: an entry whose value is an integer is a Python
     ``int``, and only an entry that is not an integer is a ``Fraction``.
-    The constructor normalises its input once (ints, "p/q" strings and
-    Fractions are accepted); products, sums, transposes, ``identity`` and
-    ``zero`` build their results through ``_trusted``, which coerces
-    nothing when every operand is integral.  So integral data never forms
-    a ``Fraction``, while rational data keeps exact ``Fraction``
-    arithmetic.  Equality and hashing do not depend on the form of an
-    entry, since ``2 == Fraction(2)`` and both hash alike.
+    The constructor is the one way to build a matrix: it normalises its
+    input (ints, "p/q" strings and Fractions are accepted), and products,
+    sums, transposes, ``identity`` and ``zero`` pass their results through
+    it too.  An all-int input costs one scan of its entry types and is
+    coerced nowhere, so integral data never forms a ``Fraction``, while
+    rational data keeps exact ``Fraction`` arithmetic.  Equality and
+    hashing do not depend on the form of an entry, since
+    ``2 == Fraction(2)`` and both hash alike.
 
     Entries are stored as a tuple of row tuples; ``m[i]`` is row ``i``.
     Empty matrices (0 rows and/or 0 columns) are allowed.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_integral")
+    __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        self.rows, self._integral = _canonical(rows)
+        self.rows = _canonical(rows)
         self.nrows = len(self.rows)
         if self.nrows:
             self.ncols = len(self.rows[0])
@@ -120,29 +120,12 @@ class Matrix:
             self.ncols = 0 if ncols is None else ncols
 
     @classmethod
-    def _trusted(cls, rows, ncols, integral):
-        """A matrix on a tuple of equal-length row tuples, unchecked.
-
-        When ``integral`` is true every entry must already be an int and
-        nothing is coerced; otherwise the entries are made canonical.
-        """
-        if not integral:
-            rows, integral = _canonical(rows)
-        m = object.__new__(cls)
-        m.rows = rows
-        m.nrows = len(rows)
-        m.ncols = ncols
-        m._integral = integral
-        return m
-
-    @classmethod
     def identity(cls, n):
-        return cls._trusted(tuple(tuple(int(i == j) for j in range(n))
-                                  for i in range(n)), n, True)
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zero(cls, nrows, ncols):
-        return cls._trusted(((0,) * ncols,) * nrows, ncols, True)
+        return cls(((0,) * ncols,) * nrows, ncols)
 
     @property
     def is_square(self):
@@ -170,9 +153,8 @@ class Matrix:
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("matrix shapes differ")
-        return Matrix._trusted(tuple(tuple(map(add, r1, r2))
-                                     for r1, r2 in zip(self.rows, other.rows)),
-                               self.ncols, self._integral and other._integral)
+        return Matrix([tuple(map(add, r1, r2)) for r1, r2 in zip(self.rows, other.rows)],
+                      self.ncols)
 
     def __sub__(self, other):
         return self + (-other)
@@ -182,17 +164,15 @@ class Matrix:
 
     def scale(self, c):
         c = _exact(c)
-        return Matrix._trusted(tuple(tuple(c * x for x in row) for row in self.rows),
-                               self.ncols, self._integral and type(c) is int)
+        return Matrix([tuple(c * x for x in row) for row in self.rows], self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("inner dimensions differ")
             cols = tuple(zip(*other.rows)) if other.rows else ((),) * other.ncols
-            return Matrix._trusted(tuple(tuple(sum(map(mul, row, col)) for col in cols)
-                                         for row in self.rows),
-                                   other.ncols, self._integral and other._integral)
+            return Matrix([tuple(sum(map(mul, row, col)) for col in cols)
+                           for row in self.rows], other.ncols)
         return self.scale(other)
 
     def __rmul__(self, c):
@@ -200,7 +180,7 @@ class Matrix:
 
     def transpose(self):
         rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
-        return Matrix._trusted(rows, self.nrows, self._integral)
+        return Matrix(rows, self.nrows)
 
     def trace(self):
         if not self.is_square:
@@ -474,9 +454,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     Row (i, k) and column (j, l) of the result, with the pairs flattened
     row-major, hold a[i][j] * b[k][l].
     """
-    out = tuple(tuple(x * y for x in arow for y in brow)
-                for arow in a.rows for brow in b.rows)
-    return Matrix._trusted(out, a.ncols * b.ncols, a._integral and b._integral)
+    return Matrix([tuple(x * y for x in arow for y in brow)
+                   for arow in a.rows for brow in b.rows], a.ncols * b.ncols)
 
 
 class Polynomial:

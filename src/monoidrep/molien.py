@@ -13,7 +13,10 @@ ints, and only rational weights bring in ``Fraction``.
 * ``reversed_charpoly``  -- det(I - tA) as a polynomial with constant 1;
 * ``element_series``     -- the reciprocal power series, term by term;
 * ``weighted_series``    -- an exact rational function sum_m c_m / det(I - tA_m)
-  for weights supported on a local monoid eMe;
+  for weights supported on a local monoid eMe, read off the ambient
+  matrices: for m in eMe, rho(m) = rho(e) rho(m) rho(e) acts as zero on
+  ker rho(e), so its determinant and power traces are those of its
+  restriction to eV;
 * ``series_prefix``      -- Taylor coefficients of a rational function via
   the linear recurrence carried by its denominator.
 """
@@ -21,7 +24,8 @@ ints, and only rational weights bring in ``Fraction``.
 from __future__ import annotations
 
 from .linalg import Polynomial, _div, _exact, charpoly, poly_gcd
-from .representations import Representation, restrict_to_local
+from .monoids import local_monoid
+from .representations import Representation
 
 
 class RationalFunction:
@@ -29,13 +33,16 @@ class RationalFunction:
 
     The denominator is normalised to constant term 1 whenever its
     constant term is nonzero (the series-expandable case), otherwise to
-    leading coefficient 1, so equal functions compare equal.
+    leading coefficient 1, so equal functions compare equal; the zero
+    function has denominator 1.
     """
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num.is_zero:
+        if num.is_zero:
+            den = Polynomial([1])
+        else:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num = num // g
@@ -89,21 +96,8 @@ def element_series(rho: Representation, x, nterms: int):
 
     Coefficient d is the degree-d symmetric-power character value at x.
     """
-    if nterms < 0:
-        raise ValueError("series length must be nonnegative")
-    den = reversed_charpoly(rho, x)
-    return _reciprocal_series(den, nterms)
-
-
-def _reciprocal_series(den: Polynomial, nterms):
-    # den has constant term 1 here; s solves den * s = 1 term by term
-    out = [1]
-    for k in range(1, nterms + 1):
-        acc = 0
-        for i in range(1, min(k, den.degree) + 1):
-            acc += den[i] * out[k - i]
-        out.append(-acc)
-    return tuple(out)
+    return series_prefix(RationalFunction(Polynomial([1]), reversed_charpoly(rho, x)),
+                         nterms)
 
 
 def weighted_series(rho: Representation, e, weights) -> RationalFunction:
@@ -111,41 +105,33 @@ def weighted_series(rho: Representation, e, weights) -> RationalFunction:
 
     ``weights`` assigns a rational coefficient to every monoid element
     and must vanish outside the local monoid eMe of the idempotent e;
-    rho' is the restriction of rho to eMe acting on the column space of
-    rho(e).  Terms sharing a reversed characteristic polynomial are
-    grouped first, so the reduced denominator divides the product of the
-    distinct reversed polynomials on the support.
+    rho' is the restriction of rho to eMe acting on eV, the column space
+    of rho(e).  Every term is read off rho itself: for m in eMe,
+    rho(m) = rho(e) rho(m) rho(e) maps V into eV and kills ker rho(e), so
+    det(I - t rho(m)) = det(I - t rho'(m)).  Terms sharing a reversed
+    characteristic polynomial are grouped first, so the reduced
+    denominator divides the product of the distinct reversed polynomials
+    on the support.
     """
-    return _local_weighted_series(rho, e, weights)[0]
-
-
-def _local_weighted_series(rho: Representation, e, weights):
-    """``(weighted_series(rho, e, weights), local, pos)``, where ``local``
-    is ``restrict_to_local(rho, e)`` and ``pos`` maps an element of eMe to
-    its index in ``local``, so a caller checking the series against the
-    local characters builds the restriction only once."""
     m = rho.monoid
     if len(weights) != m.size:
         raise ValueError("weight vector length differs from monoid size")
     weights = [_exact(c) for c in weights]
-    local = restrict_to_local(rho, e)
-    # local's element i is the i-th member of eMe and carries its label
-    index = {label: x for x, label in enumerate(m.labels)}
-    pos = {index[label]: i for i, label in enumerate(local.monoid.labels)}
+    members = set(local_monoid(m, e))  # validates idempotency
     support = [x for x, c in enumerate(weights) if c]
-    outside = [x for x in support if x not in pos]
+    outside = [x for x in support if x not in members]
     if outside:
         raise ValueError(
             f"weights supported outside eMe: element "
             f"{m.labels[outside[0]]!r} has a nonzero coefficient")
     grouped = {}
     for x in support:
-        q = reversed_charpoly(local, pos[x])
+        q = reversed_charpoly(rho, x)
         grouped[q] = grouped.get(q, 0) + weights[x]
     total = RationalFunction(Polynomial(), Polynomial([1]))
     for q in sorted(grouped):
         total = total + RationalFunction(Polynomial([grouped[q]]), q)
-    return total, local, pos
+    return total
 
 
 def series_prefix(f: RationalFunction, nterms: int):
@@ -158,10 +144,10 @@ def series_prefix(f: RationalFunction, nterms: int):
         raise ValueError("series length must be nonnegative")
     if not f.den[0]:
         raise ValueError("denominator vanishes at 0; no power series there")
-    # den is normalised with constant term 1
-    rec = _reciprocal_series(f.den, nterms)
+    # den has constant term 1, so the series s solves den * s = num term by term
+    num, den = f.num, f.den
     out = []
     for k in range(nterms + 1):
-        out.append(_exact(sum(f.num[i] * rec[k - i]
-                              for i in range(min(k, f.num.degree) + 1))))
+        out.append(_exact(num[k] - sum(den[i] * out[k - i]
+                                       for i in range(1, min(k, den.degree) + 1))))
     return tuple(out)

@@ -525,6 +525,25 @@ def test_molien_non_idempotent_named_by_label(capsys):
     assert err == "error: element '[2,3,1]' is not an idempotent\n"
 
 
+def test_molien_support_outside_a_proper_local_monoid(capsys):
+    """e = [1,1,3] has rank 2; [1,2,3] lies outside eMe and is named."""
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    code, out, err = run(capsys, ["molien", str(inputs / "t3.json"),
+                                  str(inputs / "natural.json"),
+                                  "--idempotent", "[1,1,3]", "--weights", "[1,2,3]:1"])
+    assert code == 2 and out == ""
+    assert err == ("error: weights supported outside eMe: element '[1,2,3]' "
+                   "has a nonzero coefficient\n")
+
+
+def test_molien_bad_rational_weight(files, capsys):
+    """A weight's value is read by the same parser as the input files."""
+    code, out, err = run(capsys, ["molien", files["nt5"], files["nt_rep"],
+                                  "--idempotent", "1", "--weights", "1:1/0"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad rational '1/0': ")
+
+
 def test_parse_weights_with_bracketed_labels():
     m = from_transformations(2, [(2, 1), (1, 1)])
     w = parse_weights("[1,2]:1/2,[2,1]:-3", m)

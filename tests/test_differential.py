@@ -47,7 +47,10 @@ and ``element_series`` against ``sym_power_characters``, each value
 canonical, an int for every element of a finite monoid, and no
 ``Fraction`` formed on integral input.  ``sym_power_characters``, which
 reads the power traces at the element powers, must equal Newton's
-identities on the traces of the matrix powers.
+identities on the traces of the matrix powers.  For every idempotent e
+of the first corpus and seeded rational weights on eMe, the Molien
+series read off rho must equal the one built from the restriction of rho
+to eV, and so must every symmetric-power character on eMe.
 
 A seeded corpus of integer and rational vector lists (up to 40 columns,
 sparse and dense, zero, repeated and dependent vectors) checks the
@@ -109,7 +112,7 @@ from monoidrep.linalg import (
     complete_homogeneous_sequence,
     power_traces,
 )
-from monoidrep.molien import element_series
+from monoidrep.molien import RationalFunction, element_series, weighted_series
 from monoidrep.monoids import (
     Monoid,
     _closure,
@@ -118,6 +121,8 @@ from monoidrep.monoids import (
     from_cayley_table,
     from_matrices,
     from_transformations,
+    idempotents,
+    local_monoid,
     nt_monoid,
 )
 from monoidrep.representations import (
@@ -129,6 +134,7 @@ from monoidrep.representations import (
     matrix_representation,
     natural_representation,
     nt_paper_representation,
+    restrict_to_local,
     sym_power,
     sym_power_characters,
     tensor_power,
@@ -817,6 +823,33 @@ def test_element_series_matches_sym_power_characters(name):
         assert list(series) == sym_power_characters(rho, x, 8)
         assert all(type(c) is int for c in series)
         assert all(type(c) is int for c in sym_power_characters(rho, x, 8))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_weighted_series_reads_the_ambient_representation(name):
+    """For x in eMe, rho(x) = rho(e) rho(x) rho(e) is zero on ker rho(e), so
+    det(I - t rho(x)) and the power traces of rho(x) are those of its
+    restriction to eV.  Against the restriction as the reference: for
+    every idempotent e and seeded rational weights on eMe, the weighted
+    series equals the sum of the weights over the restricted reversed
+    characteristic polynomials, and every symmetric-power character
+    agrees."""
+    rho = CORPUS[name]
+    m = rho.monoid
+    rng = random.Random(f"{SEED}-{name}")
+    for e in idempotents(m):
+        local = restrict_to_local(rho, e)
+        members = local_monoid(m, e)
+        weights = [0] * m.size
+        for x in members:
+            weights[x] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        expected = RationalFunction(Polynomial(), Polynomial([1]))
+        for i, x in enumerate(members):
+            den = charpoly(local.matrices[i]).degree_reverse(local.dim)
+            expected = expected + RationalFunction(Polynomial([weights[x]]), den)
+        assert weighted_series(rho, e, weights) == expected
+        for i, x in enumerate(members):
+            assert sym_power_characters(rho, x, 8) == sym_power_characters(local, i, 8)
 
 
 def test_integral_paths_form_no_fraction(monkeypatch):

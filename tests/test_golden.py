@@ -45,6 +45,7 @@ N7_CONJ = ["nt7.json", "nt7-conjugate.json"]
 RATIONAL2 = ["rational2.json", "rational2-defining.json"]
 MOLIEN_WEIGHTS = "[1,2,3]:1,[2,1,3]:-1/2,[2,3,1]:3,[1,1,3]:2/3,[1,1,1]:-1"
 MOLIEN_SHORT = "[1,2,3]:1,[2,1,3]:-1/2,[2,3,1]:3"
+MOLIEN_LOCAL = "[1,1,3]:2,[3,3,1]:-1/2,[1,1,1]:1/3,[3,3,3]:1"
 
 # name -> (argv with input file names, expected exit code)
 CASES = {
@@ -112,6 +113,11 @@ CASES = {
                              "--weights", MOLIEN_SHORT, "-N", "6"], 0),
     "molien-rational": (["molien", *RATIONAL2, "--idempotent", "g0",
                          "--weights", "g0:1,g1:-2/3,g2:1/2", "-N", "5"], 0),
+    # e = [1,1,3] has rank 2: eV is a proper subspace of V
+    "molien-t3-local": (["molien", *T3, "--idempotent", "[1,1,3]",
+                         "--weights", MOLIEN_LOCAL, "-N", "8"], 0),
+    "molien-t3-local-json": (["molien", *T3, "--idempotent", "[1,1,3]",
+                              "--weights", MOLIEN_LOCAL, "-N", "8", "--json"], 0),
 }
 
 
@@ -254,14 +260,14 @@ def test_each_chain_walked_once(monkeypatch):
         assert pulled == list(range(first, first + len(pulled)))
 
 
-@pytest.mark.parametrize("name", ["molien-t3", "molien-rational"])
-def test_molien_restricts_once(name, monkeypatch):
-    """The series and its cross-check share one restriction to eMe: the
-    local monoid and the local representation are each built, and the
-    latter validated, once."""
-    calls = {"local_monoid": 0, "restrict_to_local": 0, "validate": 0}
+@pytest.mark.parametrize("name", ["molien-t3", "molien-rational", "molien-t3-local"])
+def test_molien_builds_no_restriction(name, monkeypatch):
+    """The series and its cross-check read the loaded representation: the
+    local monoid eMe is listed once, for the support check, and neither a
+    submonoid nor a restricted representation is built or validated."""
+    calls = {"local_monoid": 0, "restrict_to_local": 0, "submonoid": 0, "validate": 0}
     originals = {key: getattr(representations, key)
-                 for key in ("local_monoid", "restrict_to_local")}
+                 for key in ("local_monoid", "restrict_to_local", "submonoid")}
 
     def counting(key):
         def wrapper(*args, **kwargs):
@@ -284,8 +290,9 @@ def test_molien_restricts_once(name, monkeypatch):
     code, out = run_case(name)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
-    # the loaded representation is validated too
-    assert calls == {"local_monoid": 1, "restrict_to_local": 1, "validate": 2}
+    # only the loaded representation is validated
+    assert calls == {"local_monoid": 1, "restrict_to_local": 0, "submonoid": 0,
+                     "validate": 1}
 
 
 @pytest.mark.parametrize("name", ["verify-t3", "verify-m128-steinberg"])

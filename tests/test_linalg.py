@@ -49,6 +49,31 @@ def random_idempotent(rng, n):
         return s * d * sinv
 
 
+# --- empty shapes -----------------------------------------------------------
+
+def _shape(a):
+    return a.nrows, a.ncols
+
+
+def test_empty_shapes_survive_arithmetic():
+    """A matrix with no rows keeps its column count, and one with no
+    columns its row count, through every operation."""
+    empty = Matrix.zero(0, 3)
+    assert _shape(empty) == (0, 3) and empty.rows == ()
+    assert _shape(empty.transpose()) == (3, 0)
+    assert empty.transpose().transpose() == empty
+    assert Matrix.zero(2, 0) * Matrix.zero(0, 3) == Matrix.zero(2, 3)
+    assert _shape(Matrix.zero(0, 2) * Matrix.zero(2, 3)) == (0, 3)
+    assert _shape(Matrix.zero(2, 3) * Matrix.zero(3, 0)) == (2, 0)
+    for result in (empty + empty, empty - empty, empty.scale(F(1, 2)), -empty,
+                   F(2, 3) * empty):
+        assert _shape(result) == (0, 3)
+        assert result == empty
+    assert _shape(kron(Matrix.zero(2, 0), Matrix.zero(3, 0))) == (6, 0)
+    assert _shape(kron(Matrix.zero(0, 2), Matrix.zero(0, 3))) == (0, 6)
+    assert _shape(Matrix.identity(0)) == (0, 0)
+
+
 # --- kernels and ranks ----------------------------------------------------
 
 def test_kernel_rank_one_symmetric():

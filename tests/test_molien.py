@@ -89,6 +89,8 @@ def test_rational_function_equality_and_sum():
     b = rf([1], [1])
     assert a + b == rf([2, -1], [1, -1])
     assert rf([2], [2, -2]) == rf([1], [1, -1])
+    # the zero function is 0/1 whatever denominator it was given
+    assert rf([], [1, -1]) == rf([], [1]) == a + rf([-1], [1, -1])
 
 
 def test_zero_denominator_rejected():
