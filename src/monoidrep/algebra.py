@@ -25,7 +25,7 @@ therefore kept as integer rows spanning the space it is the kernel of,
 with its dimension, and has one constructor.  Every span of a list of
 rows is built by ``Echelon(ncols, rows)``.  The chains hand a
 ``Subspace`` their echelon's rows and the echelon itself; Ann(W) is
-step 1 of the tensor chain from power 1, read off that chain's walk.
+step 1 of the tensor chain, read off that chain's walk.
 The radical hands it the rows of G it accepted, with the exact echelon
 of G or, when certified, the kernel; the certified rows' echelon is
 built only when ``<=``, ``==`` or ``hash`` needs it.  Any spanning set
@@ -55,9 +55,9 @@ it exists, and the step at the bound gives a failed check's witness.
 A representation has one walk per chain, tensor and symmetric, stepped
 once as far as its furthest read; ``_steps`` hands every read the list
 of steps it asks for, so verifiers and minimal-power scans all index
-those two walks.  The tensor walk runs from power 1: a step from power 0
-is the same step with the constant functions E_0 as one more row,
-computed on each read and stored nowhere.
+those two walks.  The tensor chain runs from power 1 and is the one
+tensor loop: a step from power 0 is the same step with the constant
+functions E_0 as one more row, computed on each read and stored nowhere.
 No bound is capped: a tensor chain multiplies each of the at most |M|
 vectors it adds once; a symmetric degree too large is refused unbuilt.
 No direct sum or Kronecker power is built: the span
@@ -402,31 +402,25 @@ def _entry_rows(rho):
                 yield row
 
 
-def tensor_annihilator_chain(rho: Representation, first=0):
-    """Yield (k, Ann(V^first + ... + V^k)) for k = first, first + 1, ...
+def tensor_annihilator_chain(rho: Representation):
+    """Yield (k, Ann(V^1 + ... + V^k)) for k = 1, 2, ...
 
-    ``first`` is 0, or 1 to leave out the trivial module V^0; any other
-    value raises ``ValueError``.  Never builds a Kronecker power.  The
-    coefficient functions of V^k span the space E_k of k-fold entrywise
-    products of V's coefficient functions, so E_{k+1} = E_k * E_1, and
-    the annihilator is the kernel of the accumulated span
-    F_k = E_first + ... + E_k.  Let D_k hold the vectors that step k
-    added, so F_k = F_{k-1} + D_k.  Then E_{k+1} lies in
-    F_{k-1} * E_1 + D_k * E_1, and F_{k-1} * E_1 lies in F_k, so
+    Never builds a Kronecker power.  The coefficient functions of V^k
+    span the space E_k of k-fold entrywise products of V's coefficient
+    functions, so E_{k+1} = E_k * E_1, and the annihilator is the kernel
+    of the accumulated span F_k = E_1 + ... + E_k.  Let D_k hold the
+    vectors that step k added, so F_k = F_{k-1} + D_k.  Then E_{k+1} lies
+    in F_{k-1} * E_1 + D_k * E_1, and F_{k-1} * E_1 lies in F_k, so
     F_{k+1} = F_k + D_k * E_1: each vector is multiplied with an E_1
-    basis once, and the work stops as soon as a step adds nothing.  Each
-    step inserts each distinct nonzero product once.  The chain has no
-    last step: a reader takes the steps it needs (``_steps``, which runs
-    it from power 1 only).
+    basis once, and the work stops as soon as a step adds nothing.  The
+    seed D_0 is the constant functions, which span E_0, with F_0 = 0.
+    Each step inserts each distinct nonzero product once.  The chain has
+    no last step: a reader takes the steps it needs (``_steps``, whose
+    reads from power 0 add the constants to these steps).
     """
-    if first not in (0, 1):
-        raise ValueError(f"bad first power: {first!r} (must be 0 or 1)")
     n = rho.monoid.size
     acc = Echelon(n)
-    new = [(1,) * n]  # spans E_0: the constant functions
-    if not first:
-        acc.insert(new[0])
-        yield 0, _kernel(acc)
+    new = [(1,) * n]  # D_0: the constant functions, spanning E_0
     e1 = Echelon(n, _entry_rows(rho)).int_rows  # a basis of E_1
     for k in count(1):
         products = dict.fromkeys(tuple(map(mul, d, g)) for d in new for g in e1)
@@ -489,10 +483,11 @@ def _steps(rho, mode, first, last):
     drops the walk, so the next read raises again.
 
     The symmetric walk is its chain, with floor 0.  The tensor walk is
-    the chain from power 1 after a step 0 with no power (Ann = QM).  Its
-    floor is Q^Z, Z the elements whose matrix is 0: every F_k vanishes on
-    Z, so once Ann is Q^Z it stays.  A read from power 0 takes each step
-    as it is once the constants lie in its span, else with the constants
+    its chain, which starts at power 1, after a step 0 with no power
+    (Ann = QM).  Its floor is Q^Z, Z the elements whose matrix is 0:
+    every F_k vanishes on Z, so once Ann is Q^Z it stays.  Power 0 is
+    read here and nowhere else: a read from power 0 takes each step as
+    it is once the constants lie in its span, else with the constants
     as one more row (its echelon built only if needed), and stores
     neither.  The constants do not vanish on Z, so above floor 0 no step
     holds them; at floor 0 steps are tested until one does."""
@@ -500,7 +495,7 @@ def _steps(rho, mode, first, last):
         walks = _WALKS.setdefault(rho, {})
         if mode not in walks:
             if mode == "tensor":
-                chain = tensor_annihilator_chain(weakref.proxy(rho), 1)
+                chain = tensor_annihilator_chain(weakref.proxy(rho))
                 floor = sum(not any(map(any, m.rows)) for m in rho.matrices)
                 walks[mode] = [chain, floor, [_kernel(Echelon(rho.monoid.size))]]
             elif mode == "symmetric":

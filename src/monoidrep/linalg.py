@@ -589,7 +589,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic()
 
 
-def format_polynomial(p: Polynomial, var="t"):
+def format_polynomial(p: Polynomial):
     """Human-readable form like "t^2 - 2t + 1"."""
     if p.is_zero:
         return "0"
@@ -608,7 +608,7 @@ def format_polynomial(p: Polynomial, var="t"):
                 coeff = str(mag)
             else:
                 coeff = f"({mag})"
-            body = f"{coeff}{var}" if i == 1 else f"{coeff}{var}^{i}"
+            body = f"{coeff}t" if i == 1 else f"{coeff}t^{i}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

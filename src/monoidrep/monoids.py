@@ -24,7 +24,6 @@ generator checks every element, at |M|^2 |A| lookups instead of |M|^3.
 
 from __future__ import annotations
 
-import json
 from operator import itemgetter
 
 from .linalg import _INT, Matrix
@@ -34,7 +33,7 @@ def _require_int(v, what):
     """Raise unless v is a Python int; bool subclasses int, but JSON
     true/false are not integers."""
     if isinstance(v, bool) or not isinstance(v, int):
-        shown = json.dumps(v) if isinstance(v, bool) else repr(v)
+        shown = str(v).lower() if isinstance(v, bool) else repr(v)
         raise ValueError(f"{what} must be an integer, not {shown}")
 
 

@@ -293,7 +293,7 @@ def symmetric_columns(rho: Representation):
     The generator is lazy: a degree is built only when asked for.
     """
     n = rho.dim
-    forms = [[[(i, x) for i, x in enumerate(col) if x] for col in mat.transpose().rows]
+    forms = [[[(i, x) for i, x in enumerate(col) if x] for col in zip(*mat.rows)]
              for mat in rho.matrices]
     basis, prev = [()], {(): 0}
     cols = [[{0: 1}] for _ in rho.matrices]

@@ -452,8 +452,8 @@ def _recording_pulls(monkeypatch):
             yield k, ann
 
     tensor, symmetric = algebra.tensor_annihilator_chain, algebra.symmetric_annihilator_chain
-    monkeypatch.setattr(algebra, "tensor_annihilator_chain", lambda rho, first=0:
-                        recording("tensor", first, tensor(rho, first)))
+    monkeypatch.setattr(algebra, "tensor_annihilator_chain", lambda rho:
+                        recording("tensor", 1, tensor(rho)))
     monkeypatch.setattr(algebra, "symmetric_annihilator_chain", lambda rho:
                         recording("symmetric", 0, symmetric(rho)))
     return pulls
@@ -526,17 +526,17 @@ def test_coverage_and_positive_refinement_share_one_walk(t2_natural, monkeypatch
     opened = []
     chain = algebra.tensor_annihilator_chain
 
-    def recording_chain(rho, first=0):
-        opened.append(first)
-        return chain(rho, first)
+    def recording_chain(rho):
+        opened.append(rho)
+        return chain(rho)
 
     monkeypatch.setattr(algebra, "tensor_annihilator_chain", recording_chain)
     radical = radical_basis(t2_natural.monoid)
     assert all_simples_appear(t2_natural, radical)[0] is False  # V alone misses one
-    assert opened == [1]
+    assert len(opened) == 1
     report = verify_positive_power_refinement(t2_natural, radical=radical)
     assert report.holds and report.minimal_k == 2
-    assert opened == [1]
+    assert len(opened) == 1
 
 
 def test_symmetric_degree_budget():
@@ -593,21 +593,16 @@ def test_verification_report_json_shape(t2_natural):
 # --- incremental chains against the explicit route --------------------------------------------
 
 def test_tensor_chain_matches_explicit_annihilators(corpus):
+    """The chain's steps from power 1, and the walk's reads from power 0,
+    are the annihilators of explicit sums of Kronecker powers."""
     for name in ("t2_natural", "n3_paper", "s2_sign"):
         rho = corpus[name]
-        chain = dict(islice(tensor_annihilator_chain(rho), 4))
+        chain = dict(islice(tensor_annihilator_chain(rho), 3))
         for k in range(4):
-            w = direct_sum([tensor_power(rho, i) for i in range(k + 1)])
-            assert chain[k] == annihilator_basis(w)
-
-
-@pytest.mark.parametrize("first", [2, -1, None])
-def test_tensor_chain_refuses_a_first_power_other_than_0_or_1(first, corpus):
-    """Only powers 0 and 1 can start the chain; any other ``first`` is
-    refused on the first step, not read as power 1."""
-    chain = tensor_annihilator_chain(corpus["n3_paper"], first)
-    with pytest.raises(ValueError, match="bad first power"):
-        next(chain)
+            powers = [tensor_power(rho, i) for i in range(k + 1)]
+            assert algebra._steps(rho, "tensor", 0, k)[-1] == annihilator_basis(direct_sum(powers))
+            if k:
+                assert chain[k] == annihilator_basis(direct_sum(powers[1:]))
 
 
 def test_symmetric_chain_matches_explicit_annihilators(corpus):

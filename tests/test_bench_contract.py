@@ -5,9 +5,10 @@
 ``Representation.validate``, ``Monoid.__init__``, the chain functions)
 and rebinds them in every package module; it also reads
 ``Subspace.basis``.  So it runs only in a subprocess, never in the test
-process.  A golden case run under it must exit 0, print its golden
-stdout byte for byte, and record chain steps: a refactor that renames a
-wrapped name breaks this test instead of the benchmark.
+process.  A golden case run under it, with ``-W error``, must exit 0,
+print its golden stdout byte for byte, and record chain steps: a
+refactor that renames a wrapped name breaks this test instead of the
+benchmark.
 """
 
 import json
@@ -31,7 +32,7 @@ def test_tracer_runs_golden_case(name, tmp_path):
     argv = [str(INPUTS / a) if a.endswith(".json") else a for a in argv]
     out_path = tmp_path / "trace.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(TRACER), str(out_path), *argv],
+    proc = subprocess.run([sys.executable, "-W", "error", str(TRACER), str(out_path), *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / f"{name}.txt").read_text()

@@ -1,5 +1,6 @@
-"""Every script in demos/ runs to completion with exit code 0 and prints
-exactly its recorded output in ``tests/golden/demos/<name>.txt``.
+"""Every script in demos/ runs to completion with exit code 0 under
+``-W error`` and prints exactly its recorded output in
+``tests/golden/demos/<name>.txt``.
 
 Regenerate a recorded output after a deliberate change with
 
@@ -23,7 +24,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (RECORDED / f"{demo.stem}.txt").read_text()

@@ -21,13 +21,13 @@ On the corpus, N_t, T_3 and the 128-element submonoid of T_4 the radical
 certified modulo a prime must equal the plain Gauss-Jordan kernel of G,
 and with a prime that divides a minor of G it must fall back to the
 exact echelon and give the same subspace.  The tensor chain, which
-inserts each distinct product once per step, must store the same
-echelon rows at every step, from power 0 and from power 1, as the loop
-that inserted every product, kept in ``tests/oracles.py``.  The steps a
-read from power 0 derives from the one tensor walk, from power 1, must
-be the chain's from power 0, with the same verdict and witness, on those
-inputs, the sign representation of C_2 and an N_3 representation with
-two elements acting as 0.  The symmetric chain must insert no
+starts at power 1 and inserts each distinct product once per step, must
+store the same echelon rows at every step as the loop that inserted
+every product, kept in ``tests/oracles.py``.  The steps a read from
+power 0 derives from that one tensor walk must be that loop's steps
+from power 0, the same subspace with the same verdict and witness, on
+those inputs, the sign representation of C_2 and an N_3 representation
+with two elements acting as 0.  The symmetric chain must insert no
 coefficient row twice, not even one that recurs at a later degree, and
 keep every degree's dimension.
 
@@ -82,13 +82,14 @@ import random
 import re
 import weakref
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 
 import pytest
 
 from monoidrep import algebra, linalg
 from monoidrep.algebra import (
+    Subspace,
     _certified_radical,
     _lift,
     minimal_covering_power,
@@ -227,10 +228,19 @@ def _corpus():
 
 CORPUS = _corpus()
 
+
+def _tensor_from_power_0(rho):
+    """Yield (k, Ann(V^0 + ... + V^k)) for k = 0, 1, ..., each the last
+    step of the walk's read from power 0: a read cut short of k stops at
+    a step that lasts."""
+    for k in count():
+        yield k, algebra._steps(rho, "tensor", 0, k)[-1]
+
+
 # chain name -> (chain, the explicit power of each degree, first degree)
 CHAINS = {
-    "tensor": (tensor_annihilator_chain, tensor_power, 0),
-    "positive": (lambda rho: tensor_annihilator_chain(rho, first=1), tensor_power, 1),
+    "tensor": (_tensor_from_power_0, tensor_power, 0),
+    "positive": (tensor_annihilator_chain, tensor_power, 1),
     "symmetric": (symmetric_annihilator_chain, sym_power_direct, 0),
 }
 
@@ -361,12 +371,21 @@ CHAIN_INPUTS = {**CORPUS, **{f"golden-{k}": v for k, v in GOLDEN_REPRESENTATIONS
 @pytest.mark.parametrize("name", sorted(CHAIN_INPUTS))
 def test_tensor_chain_matches_old_loop(name, first):
     """Inserting each distinct nonzero product once per step leaves every
-    step's dimension and stored echelon rows as inserting every product."""
+    step's dimension and stored echelon rows from power 1 as inserting
+    every product.  From power 0 the walk stores the power-1 rows with the
+    constants after them, so there its steps match the old loop's in
+    dimension and span, not in rows."""
     rho = CHAIN_INPUTS[name]
     kmax = min(rho.monoid.size - 1, 8)
-    steps = islice(tensor_annihilator_chain(rho, first), kmax + 1 - first)
     oracle = tensor_chain_steps(rho, kmax, first=first)
-    assert [(k, ann.dim, ann._echelon.int_rows) for k, ann in steps] == list(oracle)
+    if first:
+        steps = islice(tensor_annihilator_chain(rho), kmax)
+        assert [(k, ann.dim, ann._echelon.int_rows) for k, ann in steps] == list(oracle)
+    else:
+        n = rho.monoid.size
+        steps = islice(_tensor_from_power_0(rho), kmax + 1)
+        assert ([(k, ann.dim, ann) for k, ann in steps]
+                == [(k, dim, Subspace(n, rows, dim)) for k, dim, rows in oracle])
 
 
 # the sign representation of C_2: from power 0, Ann = 0 at step 1, while
@@ -385,21 +404,24 @@ EXTRA_CHAIN_INPUTS = {"sign-c2": SIGN_C2, "n3-floor-2": N3_FLOOR_2}
 @pytest.mark.parametrize("name", sorted(CHAIN_INPUTS) + sorted(EXTRA_CHAIN_INPUTS))
 def test_power_zero_steps_derived_from_the_power_one_walk(name, monkeypatch):
     """The walk's steps from power 0, each a step from power 1 with the
-    constants added, are the public chain's from power 0: the same
-    subspace and dimension, and the same containment verdict and witness
-    against the radical, at every step up to min(|M| - 1, 8)."""
+    constants added, are the old loop's from power 0 (constants inserted
+    first): the same subspace and dimension, and the same containment
+    verdict and witness against the radical, at every step up to
+    min(|M| - 1, 8)."""
     monkeypatch.setattr(algebra, "_WALKS", weakref.WeakKeyDictionary())
     rho = {**CHAIN_INPUTS, **EXTRA_CHAIN_INPUTS}[name]
+    n = rho.monoid.size
     rad = radical_basis(rho.monoid)
-    kmax = min(rho.monoid.size - 1, 8)
+    kmax = min(n - 1, 8)
     floor = sum(not any(map(any, m.rows)) for m in rho.matrices)
-    for k, ann in islice(tensor_annihilator_chain(rho), kmax + 1):
+    for k, dim, rows in tensor_chain_steps(rho, kmax, first=0):
         steps = algebra._steps(rho, "tensor", 0, k)
-        step = steps[-1]
+        step, old = steps[-1], Subspace(n, rows, dim)
         # cut only at Ann = 0, or where the walk from power 1 is at its floor
         assert len(steps) == k + 1 or step.dim in (0, floor - 1)
-        assert step == ann and step.dim == ann.dim
-        assert subspace_leq(step, rad) == subspace_leq(ann, rad)
+        assert step == old and step.dim == dim
+        assert (step <= rad) == (old <= rad)
+        assert subspace_leq(step, rad) == subspace_leq(old, rad)
 
 
 def test_sign_c2_reaches_zero_sooner_from_power_zero():

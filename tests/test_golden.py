@@ -248,8 +248,8 @@ def test_each_chain_walked_once(monkeypatch):
             pulled.append(k)
             yield k, ann
 
-    monkeypatch.setattr(algebra, "tensor_annihilator_chain", lambda rho, first=0:
-                        recording(("tensor", first), tensor(rho, first)))
+    monkeypatch.setattr(algebra, "tensor_annihilator_chain", lambda rho:
+                        recording(("tensor", 1), tensor(rho)))
     monkeypatch.setattr(algebra, "symmetric_annihilator_chain", lambda rho:
                         recording(("symmetric", 0), symmetric(rho)))
     code, out = run_case("verify-t3")

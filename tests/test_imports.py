@@ -4,8 +4,10 @@ A launch is a fresh ``python -X importtime ...`` process; the package
 modules it imported are read from the import-time log on stderr.
 ``import monoidrep`` loads no submodule, ``mbt --help`` and a usage
 error load only the command line module, and each subcommand loads the
-layers it calls and no other.  The package still exports every public
-name of its submodules, as the very object the submodule holds.
+layers it calls and no other; a text ``scan-nt`` loads no ``json``.
+Every launch runs with ``-W error``, so a warning fails it.  The package
+still exports every public name of its submodules, as the very object
+the submodule holds.
 """
 
 import os
@@ -42,23 +44,36 @@ LAUNCHES = {
 }
 
 
-def imported_submodules(args):
-    """Exit code and the ``monoidrep.*`` modules one launch imported."""
+def launch(args):
+    """Exit code and import-time log of one launch."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=INPUTS,
-                          env=env, capture_output=True, text=True, timeout=120)
-    names = re.findall(r"^import time:.*\|\s*monoidrep(?:\.(\w+))?\s*$",
-                       proc.stderr, re.MULTILINE)
-    assert "" in names, proc.stderr  # the package itself
-    return proc.returncode, set(names) - {"", "__main__"}
+    proc = subprocess.run([sys.executable, "-W", "error", "-X", "importtime", *args],
+                          cwd=INPUTS, env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+def imported_submodules(args):
+    """Exit code and the ``monoidrep.*`` modules one launch imported."""
+    code, log = launch(args)
+    names = re.findall(r"^import time:.*\|\s*monoidrep(?:\.(\w+))?\s*$", log, re.MULTILINE)
+    assert "" in names, log  # the package itself
+    return code, set(names) - {"", "__main__"}
 
 
 @pytest.mark.parametrize("name", sorted(LAUNCHES))
 def test_launch_imports_only_what_it_runs(name):
     args, code, expected = LAUNCHES[name]
     assert imported_submodules(args) == (code, expected)
+
+
+def test_scan_nt_imports_no_json():
+    args, code, _ = LAUNCHES["scan-nt"]
+    returncode, log = launch(args)
+    assert returncode == code
+    assert "monoidrep.algebra" in log
+    assert not re.search(r"^import time:.*\|\s*json\s*$", log, re.MULTILINE)
 
 
 def test_every_export_is_its_submodules_object():

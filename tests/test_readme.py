@@ -1,4 +1,4 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start runs as written, warning-free."""
 
 import os
 import re
@@ -19,7 +19,7 @@ def quick_start():
 
 def test_readme_quick_start_runs():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", quick_start()], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", quick_start()], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "7"
