@@ -412,16 +412,25 @@ def tensor_annihilator_chain(rho: Representation):
     vectors that step k added, so F_k = F_{k-1} + D_k.  Then E_{k+1} lies
     in F_{k-1} * E_1 + D_k * E_1, and F_{k-1} * E_1 lies in F_k, so
     F_{k+1} = F_k + D_k * E_1: each vector is multiplied with an E_1
-    basis once, and the work stops as soon as a step adds nothing.  The
-    seed D_0 is the constant functions, which span E_0, with F_0 = 0.
-    Each step inserts each distinct nonzero product once.  The chain has
+    basis once, and the work stops as soon as a step adds nothing.  Any
+    basis serves; the one taken is the entry rows that enlarge E_1's
+    span, denominators cleared and otherwise as they are, not reduced:
+    a transformation monoid's are 0/1 rows, so their products stay
+    sparse 0/1 rows and many of them coincide.  The seed D_0 is the
+    constant functions, which span E_0, with F_0 = 0.  Each step inserts
+    each distinct nonzero product once.  The chain has
     no last step: a reader takes the steps it needs (``_steps``, whose
     reads from power 0 add the constants to these steps).
     """
     n = rho.monoid.size
     acc = Echelon(n)
     new = [(1,) * n]  # D_0: the constant functions, spanning E_0
-    e1 = Echelon(n, _entry_rows(rho)).int_rows  # a basis of E_1
+    span, e1 = Echelon(n), []  # a basis of E_1: entry rows, as they are
+    for row in _entry_rows(rho):
+        if span.insert(row):
+            e1.append(clear_denominators(row))
+            if span.rank == n:
+                break
     for k in count(1):
         products = dict.fromkeys(tuple(map(mul, d, g)) for d in new for g in e1)
         new = [v for v in products if any(v) and acc.rank < n and acc.insert(v)]

@@ -14,6 +14,10 @@ deterministic; pass --json for machine-readable reports.
 
 Each subcommand imports the layers it calls when it runs, so ``--help``,
 a usage error or a subcommand compiles only the modules it needs.
+
+``scan-nt``'s rows are independent.  With a second CPU free and no other
+thread alive, one forked child computes every other row (``_scan_rows``);
+stdout, stderr and the exit code are those of the one-process scan.
 """
 
 import argparse
@@ -185,6 +189,62 @@ def _scan_row(t, mode, cap, with_s):
     return row
 
 
+def _scan_rows(ts, mode, cap, with_s):
+    """The rows of ``scan-nt`` for each t in ``ts``, in order.
+
+    With a second CPU free, a forked child computes the rows at odd
+    positions (a row's cost grows with t, so the shares balance) while
+    this process computes the rest; the child sends them back over a
+    pipe as ``marshal`` bytes and leaves by ``os._exit``, writing nothing
+    else.  No fork is made with another thread alive, whose locks the
+    child could inherit held.  Rows are deterministic, so when either
+    share fails the whole range is computed again here, one row after
+    another, and raises as that serial scan does.  The child is reaped
+    before this returns or raises.
+    """
+    import os
+    import threading
+
+    def share(part):
+        return [_scan_row(t, mode, cap, with_s) for t in part]
+
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1 and len(ts) >= 2):
+        return share(ts)
+    import marshal
+
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into its caller
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pipe.write(marshal.dumps(share(ts[1::2])))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    rows = None
+    try:
+        with open(r, "rb") as pipe:  # closed first on any error
+            mine = share(ts[::2])
+            theirs = marshal.loads(pipe.read())
+        merged = [None] * len(ts)
+        merged[::2], merged[1::2] = mine, theirs
+        rows = merged
+    except Exception:  # a share failed: the serial scan below raises it again
+        pass
+    finally:
+        if rows is None:  # the child's rows will not be read: stop it
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    return share(ts) if rows is None or status else rows
+
+
 def cmd_scan_nt(args):
     if args.t_from < 2 or args.t_to < args.t_from:
         raise ValueError(f"bad range: from={args.t_from} to={args.t_to}")
@@ -196,8 +256,7 @@ def cmd_scan_nt(args):
         raise ValueError(
             f"N_{args.t_to} has {args.t_to + 1} > {algebra.SIZE_GUARD} elements; "
             "exact O(n^3) radical computation refused")
-    rows = [_scan_row(t, args.mode, args.cap, args.json)
-            for t in range(args.t_from, args.t_to + 1)]
+    rows = _scan_rows(range(args.t_from, args.t_to + 1), args.mode, args.cap, args.json)
     ok = all(r["holds"] for r in rows)
     if args.json:
         _emit_json({"mode": args.mode, "rows": rows, "ok": ok})
