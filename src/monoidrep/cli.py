@@ -164,12 +164,12 @@ def _scan_row(t, mode, cap, with_s):
     m = rho.monoid
     verify = {"tensor": algebra.verify_tensor_theorem,
               "symmetric": algebra.verify_symmetric_theorem}[mode]
-    rep = verify(rho, radical=algebra.radical_basis(m))
+    rep = verify(rho)
     bound = rep.bound
     if mode == "tensor":
         w_dim = sum(rho.dim ** i for i in range(bound + 1))
     else:
-        w_dim = sum(d + 1 for d in range(bound + 1))
+        w_dim = sum(representations.sym_power_dim(rho.dim, d) for d in range(bound + 1))
     row = {
         "t": t,
         # the report carries the one of r, s its bound needs

@@ -118,7 +118,7 @@ def load_json(path):
         with open(path) as f:
             return json.load(f)
     except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from None
+        raise ValueError(f"invalid JSON at line {e.lineno}, column {e.colno}") from None
 
 
 def load_monoid(path) -> Monoid:
@@ -175,5 +175,4 @@ def load_representation(path, monoid: Monoid | None = None) -> Representation:
         return representation_from_spec(load_json(path), monoid,
                                         base_dir=os.path.dirname(path) or ".")
     except ValueError as e:
-        msg = str(e)
-        raise ValueError(msg if msg.startswith(path) else f"{path}: {e}") from None
+        raise ValueError(f"{path}: {e}") from None

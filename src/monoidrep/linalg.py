@@ -10,13 +10,14 @@ each pivot row) and divides only for its canonical reduced form, whose
 entries are canonical as a matrix's are.  One private routine,
 ``_echelon_mod_p``, echelons integer rows modulo a prime, each row packed
 into one int; its result is only a candidate, which the caller
-certifies over the integers.  Univariate polynomials and the
-Newton-identity conversions between power sums, complete homogeneous
-symmetric functions and elementary symmetric functions keep the same
-canonical form: every quotient goes through ``_div``, which gives an
-int when it divides exactly, so integral input stays in ints and
-rational input falls back to ``Fraction``.  There is no floating point
-anywhere; every result is exact.
+certifies over the integers.  Univariate polynomials keep the same
+canonical form.  One Newton recurrence turns power sums p into the
+complete homogeneous symmetric functions h; the elementary ones, and
+with them a characteristic polynomial, are h of -p, since
+e_k(p) = (-1)^k h_k(-p).  Every quotient goes through ``_div``, which
+gives an int when it divides exactly, so integral input stays in ints
+and rational input falls back to ``Fraction``.  There is no floating
+point anywhere; every result is exact.
 
 Integral is the common case even for rational matrices.  In a finite
 monoid every element x has x^a = x^(a+p) for some a and p, so each
@@ -513,8 +514,7 @@ class Polynomial:
         return Polynomial(tuple(self[i] + other[i] for i in range(n)))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(tuple(self[i] - other[i] for i in range(n)))
+        return self + -other
 
     def __neg__(self):
         return Polynomial(tuple(-c for c in self.coeffs))
@@ -543,24 +543,19 @@ class Polynomial:
         return _exact(acc)
 
     def __divmod__(self, other):
+        """(q, r) with self = q * other + r and deg r < deg other.  Each
+        quotient degree k, from the top, clears ``rem[k + d]``, so the
+        remainder is the low d coefficients left."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [0] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
+        b, d = other.coeffs, other.degree
         rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        d = other.degree
-        while len(rem) - 1 >= d and any(rem):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            c = _div(rem[-1], lead)
-            k = len(rem) - 1 - d
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] -= c * b
-            rem.pop()
-        return Polynomial(q), Polynomial(rem)
+        q = [0] * max(len(rem) - d, 0)
+        for k in reversed(range(len(q))):
+            c = q[k] = _div(rem[k + d], b[-1])
+            for i, x in enumerate(b):
+                rem[k + i] -= c * x
+        return Polynomial(q), Polynomial(rem[:d])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -691,25 +686,14 @@ def complete_homogeneous_from_power_sums(p, d: int) -> int | Fraction:
 def charpoly_from_power_traces(p, n: int) -> Polynomial:
     """Monic degree-n polynomial whose roots have power sums p[0..n-1].
 
-    Newton's identities recover the elementary symmetric functions e_k
-    from the power sums; the coefficient of t^(n-k) is then (-1)^k e_k.
+    The coefficient of t^(n-k) is (-1)^k e_k, which is h_k of the negated
+    power sums: negating every power sum inverts the generating function
+    H(t) of the h_k, and 1/H(t) = E(-t).  So one Newton recurrence,
+    ``complete_homogeneous_sequence``, gives every coefficient.
     Composing with ``power_traces`` reproduces ``charpoly`` exactly.
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
     if len(p) < n:
         raise ValueError(f"need {n} power traces, got {len(p)}")
-    p = [_exact(x) for x in p[:n]]
-    e = [1]
-    for k in range(1, n + 1):
-        s = 0
-        sign = 1
-        for i in range(1, k + 1):
-            term = e[k - i] * p[i - 1]
-            s += term if sign > 0 else -term
-            sign = -sign
-        e.append(_div(s, k))
-    coeffs = [0] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] = e[k] if k % 2 == 0 else -e[k]
-    return Polynomial(coeffs)
+    return Polynomial(reversed(complete_homogeneous_sequence([-_exact(x) for x in p[:n]], n)))

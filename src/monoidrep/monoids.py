@@ -310,19 +310,20 @@ def local_monoid(m: Monoid, e):
 
 
 def unit_group(m: Monoid, e):
-    """The group of units G_e of eMe: elements invertible relative to e."""
-    _require_idempotent(m, e)
-    eme = local_monoid(m, e)
-    units = []
-    for g in eme:
-        if any(m.table[g][h] == e and m.table[h][g] == e for h in eme):
-            units.append(g)
-    return tuple(units)
+    """The group of units G_e of eMe: elements invertible relative to e.
+
+    In a finite monoid a one-sided inverse is two-sided, so g is kept
+    exactly when g*h = e for some h in eMe.  Suppose g*h = e.  Then
+    y -> h*y is injective on eMe (h*y = h*y' gives y = e*y = g*h*y =
+    g*h*y' = y'), hence onto, so h*k = e for some k in eMe, and
+    g = g*(h*k) = (g*h)*k = e*k = k: h*g = e too.
+    """
+    eme = local_monoid(m, e)  # validates idempotency
+    return tuple(g for g in eme if e in map(m.table[g].__getitem__, eme))
 
 
 def local_ideal(m: Monoid, e):
     """I_e = eMe minus its unit group; an ideal of eMe."""
-    _require_idempotent(m, e)
     units = set(unit_group(m, e))
     return tuple(x for x in local_monoid(m, e) if x not in units)
 

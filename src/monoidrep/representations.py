@@ -134,6 +134,18 @@ def build_representation(m: Monoid, matrices) -> Representation:
     return Representation(m, matrices, check=True)
 
 
+def _action_matrices(maps, n):
+    """The 0/1 matrix of each self-map f of 0..n-1 acting on basis
+    vectors: column j holds its single 1 in row f(j)."""
+    mats = []
+    for f in maps:
+        rows = [[0] * n for _ in range(n)]
+        for j, img in enumerate(f):
+            rows[img][j] = 1
+        mats.append(Matrix(rows, n))
+    return mats
+
+
 def natural_representation(m: Monoid) -> Representation:
     """0/1 matrices of a transformation monoid acting on basis vectors.
 
@@ -144,13 +156,7 @@ def natural_representation(m: Monoid) -> Representation:
     if m.transformations is None:
         raise ValueError("monoid does not carry transformation data")
     degree = len(m.transformations[0]) if m.transformations else 0
-    mats = []
-    for f in m.transformations:
-        rows = [[0] * degree for _ in range(degree)]
-        for j, img in enumerate(f):
-            rows[img][j] = 1
-        mats.append(Matrix(rows))
-    return Representation(m, mats, check=True)
+    return Representation(m, _action_matrices(m.transformations, degree), check=True)
 
 
 def matrix_representation(m: Monoid) -> Representation:
@@ -178,15 +184,9 @@ def nt_paper_representation(t) -> Representation:
 
 
 def regular_representation(m: Monoid) -> Representation:
-    """Left multiplication on the monoid basis; always faithful."""
-    n = m.size
-    mats = []
-    for x in range(n):
-        rows = [[0] * n for _ in range(n)]
-        for j in range(n):
-            rows[m.table[x][j]][j] = 1
-        mats.append(Matrix(rows))
-    return Representation(m, mats, check=False)
+    """Left multiplication on the monoid basis; always faithful.  Element
+    x sends basis vector e_j to e_(x*j), read off row x of the table."""
+    return Representation(m, _action_matrices(m.table, m.size), check=False)
 
 
 def trivial_representation(m: Monoid) -> Representation:

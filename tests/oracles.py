@@ -5,10 +5,11 @@ under test: plain Gaussian elimination instead of the incremental echelon,
 Laplace expansion and the Faddeev-LeVerrier recurrence instead of
 Berkowitz, nested lists of ``Fraction`` instead of ``Matrix``, brute-force
 enumeration instead of Newton's identities, set-based closure instead of
-indexed BFS, every triple and every pair instead of a generating set, and
+indexed BFS, every triple and every pair instead of a generating set,
 each symmetric power expanded from scratch instead of from the degree
-below.  Five are the package's own earlier code, kept as it was to pin
-a faster rewrite to the old results: the tensor chain that inserted
+below, and units found by two-sided inverses instead of one-sided ones.
+Five are the package's own earlier code, kept as it was to pin a faster
+rewrite to the old results: the tensor chain that inserted
 every product in turn, Light's test scanned triple by triple, the
 fraction-free echelon that rewrote every column of a vector for each
 pivot it cleared, the closure that formed all |M|^2 products for its
@@ -346,6 +347,12 @@ def is_associative(table):
     n = len(table)
     return all(table[table[x][y]][z] == table[x][table[y][z]]
                for x, y, z in product(range(n), repeat=3))
+
+
+def units_two_sided(table, e, eme):
+    """The units of eMe by definition: each g with g*h = e = h*g for
+    some h in eMe, searched pair by pair."""
+    return tuple(g for g in eme if any(table[g][h] == e == table[h][g] for h in eme))
 
 
 def matmul(a, b, ncols=None):

@@ -97,6 +97,17 @@ def test_info_bad_table_exit_two(files, capsys):
     assert "(1, 1, 1)" in err
 
 
+@pytest.mark.parametrize("truncated", ["monoid", "representation"])
+def test_info_truncated_file_named_once(tmp_path, capsys, truncated):
+    paths = {"monoid": tmp_path / "m.json", "representation": tmp_path / "rep.json"}
+    paths["monoid"].write_text('{"type": "nt", "t": 3}')
+    paths["representation"].write_text('{"mode": "nt-paper"}')
+    paths[truncated].write_text('{"type": ')
+    code, out, err = run(capsys, ["info", *map(str, paths.values())])
+    assert code == 2 and out == ""
+    assert err == f"error: {paths[truncated]}: invalid JSON at line 1, column 10\n"
+
+
 @pytest.mark.parametrize("field, value", [("cap", "x"), ("cap", 0), ("cap", 2.5),
                                           ("cap", True), ("dim", "x"), ("dim", 2.0)])
 def test_info_bad_matrices_field_exit_two(tmp_path, capsys, field, value):

@@ -45,7 +45,10 @@ Faddeev-LeVerrier and Laplace expansion, ``complete_homogeneous_sequence``
 against term enumeration, the ``charpoly_from_power_traces`` round trip
 and ``element_series`` against ``sym_power_characters``, each value
 canonical, an int for every element of a finite monoid, and no
-``Fraction`` formed on integral input.  ``sym_power_characters``, which
+``Fraction`` formed on integral input.  Polynomial ``divmod`` must
+satisfy the division identity on seeded integral and rational
+polynomials, with ints for a monic integral divisor of an integral
+dividend.  ``sym_power_characters``, which
 reads the power traces at the element powers, must equal Newton's
 identities on the traces of the matrix powers.  For every idempotent e
 of the first corpus and seeded rational weights on eMe, the Molien
@@ -75,7 +78,10 @@ repeated generators and the identity among them), T_4, a 610-element
 submonoid of T_5 and matrix closures.  Seeded corruptions of T_3,
 the 128-element monoid, N_7 and a rational conjugate, one entry changed
 or two matrices swapped, must give the stacked validation the same
-error text as the pair-by-pair check kept there.
+error text as the pair-by-pair check kept there.  On every monoid of
+these corpora, T_3, T_4 and the 128-element monoid, ``unit_group`` of
+each idempotent e must be the units of eMe by their two-sided
+definition.
 """
 
 import random
@@ -125,6 +131,7 @@ from monoidrep.monoids import (
     idempotents,
     local_monoid,
     nt_monoid,
+    unit_group,
 )
 from monoidrep.representations import (
     Representation,
@@ -167,6 +174,7 @@ from oracles import (
     tensor_chain_steps,
     trace,
     transpose,
+    units_two_sided,
     validate_pair_by_pair,
 )
 
@@ -832,6 +840,40 @@ def test_charpoly_from_power_traces_round_trip():
             assert all(type(c) is int for c in q.coeffs)
 
 
+def _random_polynomial(rng, degree, integral, monic=False):
+    """A seeded polynomial of exactly this degree, -1 giving zero."""
+    def coeff():
+        return rng.randint(-4, 4) if integral else Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if degree < 0:
+        return Polynomial()
+    lead = 1 if monic else 0
+    while not lead:
+        lead = coeff()
+    return Polynomial([coeff() for _ in range(degree)] + [lead])
+
+
+def test_divmod_against_the_division_identity():
+    """q*b + r == a and deg r < deg b for seeded integral and rational a
+    and b: zero dividends, constant divisors and divisors of higher degree
+    than the dividend among them.  The coefficients are canonical, and ints
+    when a is integral and b is monic and integral."""
+    rng = random.Random(POLY_SEED + 1)
+    for deg_a in range(-1, 7):
+        for deg_b in range(6):
+            for int_a, int_b, monic in [(True, True, True), (True, True, False),
+                                        (True, False, False), (False, True, True),
+                                        (False, False, False)]:
+                a = _random_polynomial(rng, deg_a, int_a)
+                b = _random_polynomial(rng, deg_b, int_b, monic)
+                q, r = divmod(a, b)
+                assert q * b + r == a
+                assert r.degree < b.degree
+                assert (q, r) == (a // b, a % b)
+                assert _canonical_values(q.coeffs + r.coeffs)
+                if int_a and int_b and monic:
+                    assert all(type(c) is int for c in q.coeffs + r.coeffs)
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_element_series_matches_sym_power_characters(name):
     """The reciprocal series of det(I - t rho(x)) against Newton's
@@ -1181,6 +1223,21 @@ def test_representation_corruptions_match_oracle():
             else:
                 assert valid
     assert rejected > 20
+
+
+# --- unit groups against the two-sided definition -----------------------------
+
+UNIT_MONOIDS = {**RADICAL_MONOIDS, **{f"validator-{k}": m for k, m in ALL_MONOIDS.items()},
+                "t4": load_monoid(str(GOLDEN_INPUTS / "t4.json"))}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_MONOIDS))
+def test_unit_group_is_the_two_sided_units(name):
+    """``unit_group`` keeps g when g*h = e for some h; no unit is missed
+    and no one-sided unit kept, against g*h = e = h*g."""
+    m = UNIT_MONOIDS[name]
+    for e in idempotents(m):
+        assert unit_group(m, e) == units_two_sided(m.table, e, local_monoid(m, e))
 
 
 # --- closure tables and stacked validation against the all-pairs code ----------

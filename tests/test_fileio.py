@@ -161,6 +161,15 @@ def test_embedded_monoid_reference(tmp_path):
     assert rho.monoid.size == 4
 
 
+def test_truncated_embedded_monoid_named_once(tmp_path):
+    (tmp_path / "n3.json").write_text('{"type": "nt", "t": ')
+    rp = write(tmp_path, "rep.json", {"monoid": "n3.json", "mode": "nt-paper"})
+    with pytest.raises(ValueError) as info:
+        load_representation(rp)
+    n3 = str(tmp_path / "n3.json")
+    assert str(info.value) == f"{rp}: {n3}: invalid JSON at line 1, column 21"
+
+
 def test_inline_monoid_object():
     spec = {"monoid": {"type": "nt", "t": 2}, "mode": "nt-paper"}
     rho = representation_from_spec(spec)

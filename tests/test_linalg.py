@@ -262,6 +262,11 @@ def test_charpoly_from_power_traces_examples():
     assert charpoly_from_power_traces((2, 2), 2) == Polynomial([1, -2, 1])
     assert charpoly_from_power_traces((0, 0, 0), 3) == Polynomial([0, 0, 0, 1])
     assert charpoly_from_power_traces((1, 1), 2) == Polynomial([0, -1, 1])
+    assert charpoly_from_power_traces((), 0) == Polynomial([1])
+    with pytest.raises(ValueError, match="^size must be nonnegative$"):
+        charpoly_from_power_traces((), -1)
+    with pytest.raises(ValueError, match="^need 3 power traces, got 2$"):
+        charpoly_from_power_traces((2, 2), 3)
 
 
 def test_newton_round_trip_random():
