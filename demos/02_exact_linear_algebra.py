@@ -34,13 +34,15 @@ swap = Matrix([[0, 1], [1, 0]])
 print("trace(swap x swap) =", kron(swap, swap).trace(),
       "= trace(swap)^2 =", swap.trace() ** 2)
 
-# Characteristic polynomials via Berkowitz's division-free algorithm:
-# ring operations only, so an integral matrix stays in the integers.
+# A characteristic polynomial is read off the traces of the matrix
+# powers; on an integral matrix every exact division lands in the
+# integers.
 fib = Matrix([[0, 1], [1, 1]])
 print("charpoly of the Fibonacci companion matrix:", charpoly(fib))
 
-# Newton's identities turn power traces tr(A), tr(A^2), ... back into
-# the characteristic polynomial without touching eigenvalues.
+# Newton's identities turn power traces tr(A), tr(A^2), ... into the
+# characteristic polynomial without touching eigenvalues; ``charpoly``
+# is exactly that, so the two lines below agree.
 a = Matrix([[Fraction(1, 2), 3], [0, -2]])
 p = power_traces(a, 2)
 print("power traces:", p)

@@ -21,6 +21,7 @@ element label:
 
 An optional "monoid" key (an inline monoid object or a file path) lets
 a representation file stand alone; an explicitly supplied monoid wins.
+Every file is read as UTF-8, as RFC 8259 requires, whatever the locale.
 """
 
 from __future__ import annotations
@@ -54,8 +55,10 @@ def parse_rational(s) -> Fraction:
     if isinstance(s, str):
         try:
             return Fraction(s)
-        except (ValueError, ZeroDivisionError) as e:
+        except ValueError as e:
             raise ValueError(f"bad rational {s!r}: {e}") from None
+        except ZeroDivisionError:
+            raise ValueError(f"bad rational {s!r}: zero denominator") from None
     raise ValueError(f"bad rational {s!r}: expected a string or integer")
 
 
@@ -115,7 +118,7 @@ def monoid_from_spec(obj) -> Monoid:
 
 def load_json(path):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return json.load(f)
     except json.JSONDecodeError as e:
         raise ValueError(f"invalid JSON at line {e.lineno}, column {e.colno}") from None

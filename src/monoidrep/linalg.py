@@ -2,22 +2,22 @@
 
 A matrix entry is a Python ``int`` when its value is an integer and a
 ``fractions.Fraction`` only when it is not, so integral matrices multiply,
-add and transpose in integers alone.  Characteristic polynomials are
-division-free (Berkowitz), hence integral on integral input.  Echelon
-reduction takes rational input but eliminates in Python integers
-(fraction-free, by cross-multiplication, over the nonzero columns of
-each pivot row) and divides only for its canonical reduced form, whose
-entries are canonical as a matrix's are.  One private routine,
-``_echelon_mod_p``, echelons integer rows modulo a prime, each row packed
-into one int; its result is only a candidate, which the caller
-certifies over the integers.  Univariate polynomials keep the same
-canonical form.  One Newton recurrence turns power sums p into the
-complete homogeneous symmetric functions h; the elementary ones, and
-with them a characteristic polynomial, are h of -p, since
-e_k(p) = (-1)^k h_k(-p).  Every quotient goes through ``_div``, which
-gives an int when it divides exactly, so integral input stays in ints
-and rational input falls back to ``Fraction``.  There is no floating
-point anywhere; every result is exact.
+add and transpose in integers alone.  Echelon reduction takes rational
+input but eliminates in Python integers (fraction-free, by
+cross-multiplication, over the nonzero columns of each pivot row) and
+divides only for its canonical reduced form, whose entries are canonical
+as a matrix's are.  One private routine, ``_echelon_mod_p``, echelons
+integer rows modulo a prime, each row packed into one int; its result is
+only a candidate, which the caller certifies over the integers.
+Univariate polynomials keep the same canonical form.  One Newton
+recurrence turns power sums p into the complete homogeneous symmetric
+functions h; the elementary ones, and with them every characteristic
+polynomial, are h of -p, since e_k(p) = (-1)^k h_k(-p).  That is the one
+characteristic-polynomial algorithm: ``charpoly`` runs it on the traces
+of a matrix's powers.  Every quotient goes through ``_div``, which gives
+an int when it divides exactly, so integral input stays in ints and
+rational input falls back to ``Fraction``.  There is no floating point
+anywhere; every result is exact.
 
 Integral is the common case even for rational matrices.  In a finite
 monoid every element x has x^a = x^(a+p) for some a and p, so each
@@ -569,13 +569,6 @@ class Polynomial:
         lead = self.coeffs[-1]
         return Polynomial(tuple(_div(c, lead) for c in self.coeffs))
 
-    def degree_reverse(self, n):
-        """Coefficient reversal t^n * p(1/t), for a polynomial of degree <= n."""
-        if self.degree > n:
-            raise ValueError("degree exceeds reversal length")
-        padded = list(self.coeffs) + [0] * (n + 1 - len(self.coeffs))
-        return Polynomial(tuple(reversed(padded)))
-
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor via the Euclidean algorithm."""
@@ -611,39 +604,13 @@ def format_polynomial(p: Polynomial):
     return " ".join(parts)
 
 
-def charpoly(m: Matrix) -> Polynomial:
-    """Characteristic polynomial det(tI - m), monic of degree n.
-
-    Computed by Berkowitz's algorithm (1984), which uses ring operations
-    only: an integral matrix never forms a ``Fraction`` on the way, and a
-    rational one stays exact.  Step k borders the leading k x k block A
-    with row r = m[k][:k], column c = m[:k][k] and corner a = m[k][k]; the
-    characteristic polynomial of the bordered block is that of A times
-    the lower triangular Toeplitz matrix whose first column is
-    (1, -a, -r c, -r A c, ..., -r A^(k-1) c).
-    """
-    if not m.is_square:
-        raise ValueError("characteristic polynomial needs a square matrix")
-    rows = m.rows
-    p = [1]  # leading block's polynomial, leading coefficient first
-    for k in range(m.nrows):
-        block = [row[:k] for row in rows[:k]]
-        r = rows[k][:k]
-        c = [row[k] for row in rows[:k]]
-        t = [1, -rows[k][k]]
-        for _ in range(k):
-            t.append(-sum(map(mul, r, c)))
-            c = [sum(map(mul, row, c)) for row in block]
-        p = [sum(t[i - j] * p[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
-    return Polynomial(reversed(p))
-
-
 def power_traces(m: Matrix, k: int):
-    """(trace(m), trace(m^2), ..., trace(m^k)) by repeated multiplication."""
+    """(trace(m), trace(m^2), ..., trace(m^k)) by repeated multiplication;
+    empty for k = 0."""
     if not m.is_square:
         raise ValueError("power traces need a square matrix")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     out = []
     mk = m
     for i in range(k):
@@ -690,10 +657,23 @@ def charpoly_from_power_traces(p, n: int) -> Polynomial:
     power sums: negating every power sum inverts the generating function
     H(t) of the h_k, and 1/H(t) = E(-t).  So one Newton recurrence,
     ``complete_homogeneous_sequence``, gives every coefficient.
-    Composing with ``power_traces`` reproduces ``charpoly`` exactly.
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
     if len(p) < n:
         raise ValueError(f"need {n} power traces, got {len(p)}")
     return Polynomial(reversed(complete_homogeneous_sequence([-_exact(x) for x in p[:n]], n)))
+
+
+def charpoly(m: Matrix) -> Polynomial:
+    """Characteristic polynomial det(tI - m), monic of degree n.
+
+    Read off the power traces tr(m), ..., tr(m^n) by
+    ``charpoly_from_power_traces``, the one characteristic-polynomial
+    algorithm here.  Each h_k of the negated traces is (-1)^k e_k, an
+    integer on integral input, so the recurrence's exact divisions stay
+    in ints there, and rational input stays exact.
+    """
+    if not m.is_square:
+        raise ValueError("characteristic polynomial needs a square matrix")
+    return charpoly_from_power_traces(power_traces(m, m.nrows), m.nrows)

@@ -2,10 +2,11 @@
 
 For an element m acting through a matrix A, the generating function of
 the symmetric-power character values sum_d trace(S^d(A)) t^d equals
-1 / det(I - tA), and det(I - tA) is nothing but the characteristic
-polynomial of A with its coefficient order reversed.  This module works
-entirely through that reversal, so no determinant is ever expanded
-symbolically and all arithmetic stays in Q[t].  Coefficients are
+1 / det(I - tA), and det(I - tA) is the characteristic polynomial of A
+with its coefficient order reversed: its coefficient of t^k, (-1)^k e_k
+of A's eigenvalues, is h_k of the negated power traces -tr(A), ...,
+-tr(A^n), as ``linalg.charpoly`` computes it.  No determinant is ever
+expanded symbolically, and all arithmetic stays in Q[t].  Coefficients are
 canonical (``linalg.Polynomial``): for an element of a finite monoid
 det(I - tA) has integer coefficients, so its reciprocal series runs in
 ints, and only rational weights bring in ``Fraction``.
@@ -82,13 +83,17 @@ class RationalFunction:
 
 
 def reversed_charpoly(rho: Representation, x) -> Polynomial:
-    """det(I - t rho(x)), as the degree-reversed characteristic polynomial.
+    """det(I - t rho(x)), a polynomial with constant term 1.
 
-    The reversal t^n p(1/t) of the monic degree-n characteristic
-    polynomial has constant term 1; for a nilpotent matrix it collapses
-    to the constant polynomial 1.
+    Its coefficients are those of the monic degree-n characteristic
+    polynomial in reverse order, n the dimension: h_0, ..., h_n of the
+    negated power traces of rho(x)'s own matrix powers.  For a nilpotent
+    matrix it collapses to the constant polynomial 1.  The traces come
+    from the matrix, not from the character at the powers x^i as in
+    ``sym_power_characters``, so ``mbt molien``'s cross-check of the two
+    compares independent sources.
     """
-    return charpoly(rho.matrices[x]).degree_reverse(rho.dim)
+    return Polynomial(charpoly(rho.matrices[x]).coeffs[::-1])
 
 
 def element_series(rho: Representation, x, nterms: int):

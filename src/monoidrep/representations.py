@@ -7,6 +7,10 @@ matrices multiply along the Cayley table.  On top of that sit characters
 realised on the monomial basis, restriction to local monoids eMe, and the
 two counts that drive the coverage theorems: the number of distinct
 character values and the number of distinct characteristic polynomials.
+Both symmetric-power characters and characteristic polynomials are read
+off the character at the powers x, x^2, ..., x^n walked on the Cayley
+table, which assumes the matrices form a homomorphism (rho(x)^i =
+rho(x^i)); no characteristic polynomial of a matrix is taken here.
 
 A representation is validated against the monoid's generating set:
 rho(1) = I and rho(x) rho(g) = rho(x*g) for every x and every generator
@@ -38,14 +42,14 @@ exactly that.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, count, islice, repeat
+from itertools import accumulate, chain, combinations_with_replacement, count, islice, repeat
 from math import comb
 from operator import add, itemgetter, mul, ne
 
 from .linalg import (
     Echelon,
     Matrix,
-    charpoly,
+    charpoly_from_power_traces,
     complete_homogeneous_sequence,
     kron,
 )
@@ -219,10 +223,26 @@ def distinct_character_values(rho: Representation):
     return tuple(sorted(set(character(rho))))
 
 
+def _powers(table, x, n):
+    """x, x^2, ..., x^n, read off the Cayley table."""
+    return accumulate(repeat(x, n), lambda y, z: table[y][z])
+
+
 def distinct_charpolys(rho: Representation):
     """Sorted tuple of the characteristic polynomials of the element
-    matrices; s is its length."""
-    return tuple(sorted({charpoly(m) for m in rho.matrices}))
+    matrices; s is its length.
+
+    Read off the character, as ``sym_power_characters`` reads it: the
+    matrices are assumed to form a homomorphism, so tr rho(x)^i is the
+    character at x^i.  The first d power traces determine the
+    polynomial, d the dimension, and the polynomial determines them, so
+    the recurrence of ``charpoly_from_power_traces`` runs once per
+    distinct trace vector and no matrix product is formed.
+    """
+    chi, table, d = character(rho), rho.monoid.table, rho.dim
+    traces = {tuple(map(chi.__getitem__, _powers(table, x, d)))
+              for x in range(rho.monoid.size)}
+    return tuple(sorted(charpoly_from_power_traces(p, d) for p in traces))
 
 
 def tensor_power(rho: Representation, i) -> Representation:
@@ -355,12 +375,9 @@ def sym_power_characters(rho: Representation, x, n):
     Each h_d is an integer, since the eigenvalues of an element of a
     finite monoid are 0 or roots of unity, and is returned as an int.
     """
-    table, mats = rho.monoid.table, rho.matrices
-    p, y = [], x
-    for _ in range(n):
-        p.append(mats[y].trace())
-        y = table[y][x]
-    return complete_homogeneous_sequence(p, n)
+    mats = rho.matrices
+    return complete_homogeneous_sequence(
+        [mats[y].trace() for y in _powers(rho.monoid.table, x, n)], n)
 
 
 def sym_power_character(rho: Representation, x, d) -> int | Fraction:

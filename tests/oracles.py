@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from scratch against the package
 under test: plain Gaussian elimination instead of the incremental echelon,
-Laplace expansion and the Faddeev-LeVerrier recurrence instead of
-Berkowitz, nested lists of ``Fraction`` instead of ``Matrix``, brute-force
-enumeration instead of Newton's identities, set-based closure instead of
+Laplace expansion, the Faddeev-LeVerrier recurrence and a self-map's
+cycles instead of the traces of matrix powers, nested lists of
+``Fraction`` instead of ``Matrix``, brute-force enumeration instead of
+Newton's identities, set-based closure instead of
 indexed BFS, every triple and every pair instead of a generating set,
 each symmetric power expanded from scratch instead of from the degree
 below, and units found by two-sided inverses instead of one-sided ones.
@@ -246,6 +247,33 @@ def charpoly_faddeev(mat):
         coeffs[n - k] = c
         mk = mat_add(am, [[c * x for x in row] for row in identity(n)])
     return coeffs
+
+
+def charpoly_of_map(images):
+    """det(tI - A) for the 0/1 matrix A of a self-map f of 0..n-1 (column
+    j has its 1 in row f(j)), read off f's functional graph, as an
+    ascending coefficient list.
+
+    The basis vectors of the points on cycles span an invariant subspace
+    on which A permutes them, one factor t^l - 1 per cycle of length l;
+    on the quotient, every other point reaches a cycle, so A is nilpotent
+    there and contributes t to the number of points off the cycles.
+    """
+    n = len(images)
+    on_cycle = set(range(n))
+    for _ in range(n):  # f^n maps onto the points on cycles
+        on_cycle = {images[j] for j in on_cycle}
+    out = [Fraction(0)] * (n - len(on_cycle)) + [Fraction(1)]
+    seen = set()
+    for j in sorted(on_cycle):
+        length = 0
+        while j not in seen:
+            seen.add(j)
+            j = images[j]
+            length += 1
+        if length:
+            out = poly_mul(out, [Fraction(-1)] + [Fraction(0)] * (length - 1) + [Fraction(1)])
+    return out
 
 
 def h_complete_brute(values, d):

@@ -237,6 +237,24 @@ def test_info_malformed_input_sweep(tmp_path, capsys, monkeypatch):
     assert wrong == []
 
 
+def test_info_reads_utf8_labels_under_an_ascii_locale(tmp_path):
+    """Input files are UTF-8 (RFC 8259) whatever the locale: under the C
+    locale, with neither locale coercion nor UTF-8 mode, a label "σ" loads
+    and ``--json`` prints it escaped, so stdout is ASCII."""
+    path = tmp_path / "c2.json"
+    spec = {"type": "cayley", "identity": 0, "table": [[0, 1], [1, 0]], "labels": ["ε", "σ"]}
+    path.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONCOERCECLOCALE="0",
+               LC_ALL="C", PYTHONUTF8="0")
+    proc = subprocess.run([sys.executable, "-m", "monoidrep", "info", str(path), "--json"],
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    out = proc.stdout.decode("ascii")
+    assert '"identity": "\\u03b5"' in out
+    assert json.loads(out)["monoid"]["identity"] == "ε"
+
+
 # --- verify ----------------------------------------------------------------------
 
 def test_verify_nt7_all(files, capsys):
@@ -707,7 +725,7 @@ def test_molien_bad_rational_weight(files, capsys):
     code, out, err = run(capsys, ["molien", files["nt5"], files["nt_rep"],
                                   "--idempotent", "1", "--weights", "1:1/0"])
     assert code == 2 and out == ""
-    assert err.startswith("error: bad rational '1/0': ")
+    assert err == "error: bad rational '1/0': zero denominator\n"
 
 
 def test_parse_weights_with_bracketed_labels():

@@ -35,12 +35,11 @@ A third, seeded corpus of random square matrices whose entries mix ints,
 non-integral ``Fraction``s, "p/q" strings and integers in ``Fraction``
 or string form checks ``Matrix`` products, sums, traces, ``apply`` and
 transposes against plain ``Fraction`` lists, inverses against the plain
-Gauss-Jordan form of [A | I] (with singular draws added), Berkowitz's
-characteristic polynomial against Faddeev-LeVerrier's, and that every
-result holds
-canonical entries (an int exactly where the value is an integer).  The
-same corpus, every element matrix of the first and seeded integer and
-rational value multisets check the polynomial side: ``charpoly`` against
+Gauss-Jordan form of [A | I] (with singular draws added), and that every
+result holds canonical entries (an int exactly where the value is an
+integer).  The same corpus, every element matrix of the first and
+seeded integer and rational value multisets check the polynomial side:
+``charpoly`` against
 Faddeev-LeVerrier and Laplace expansion, ``complete_homogeneous_sequence``
 against term enumeration, the ``charpoly_from_power_traces`` round trip
 and ``element_series`` against ``sym_power_characters``, each value
@@ -54,6 +53,15 @@ identities on the traces of the matrix powers.  For every idempotent e
 of the first corpus and seeded rational weights on eMe, the Molien
 series read off rho must equal the one built from the restriction of rho
 to eV, and so must every symmetric-power character on eMe.
+``distinct_charpolys``, read off the character at the element powers,
+must be the set of Faddeev-LeVerrier polynomials, and
+``reversed_charpoly(rho, x)`` their reversal det(I - t rho(x)), on the
+first corpus, the tensor and symmetric square of each of its members,
+the golden representations and a zero-dimensional one.  On the regular
+representations of its monoids, T_3 and N_7 (at most 40 elements) the
+reference is each element's table row read as a self-map, whose cycles
+give its characteristic polynomial; the 128-element submonoid of T_4
+must give its 8 that way in under 1 s.
 
 A seeded corpus of integer and rational vector lists (up to 40 columns,
 sparse and dense, zero, repeated and dependent vectors) checks the
@@ -86,6 +94,7 @@ definition.
 
 import random
 import re
+import time
 import weakref
 from fractions import Fraction
 from itertools import count, islice
@@ -119,7 +128,12 @@ from monoidrep.linalg import (
     complete_homogeneous_sequence,
     power_traces,
 )
-from monoidrep.molien import RationalFunction, element_series, weighted_series
+from monoidrep.molien import (
+    RationalFunction,
+    element_series,
+    reversed_charpoly,
+    weighted_series,
+)
 from monoidrep.monoids import (
     Monoid,
     _closure,
@@ -142,6 +156,7 @@ from monoidrep.representations import (
     matrix_representation,
     natural_representation,
     nt_paper_representation,
+    regular_representation,
     restrict_to_local,
     sym_power,
     sym_power_characters,
@@ -153,6 +168,7 @@ from oracles import (
     MonoidMorphism,
     charpoly_faddeev,
     charpoly_laplace,
+    charpoly_of_map,
     closure_all_pairs,
     first_associativity_failure,
     gauss_nullity,
@@ -716,15 +732,6 @@ def test_inverse_matches_gauss_jordan_oracle():
             a.inverse()
 
 
-def test_berkowitz_matches_faddeev_leverrier():
-    for rows, a in MATRICES:
-        p = charpoly(a)
-        assert p == Polynomial(charpoly_faddeev(rows))
-        assert p.degree == a.nrows and p[a.nrows] == 1
-        if all(type(x) is int for row in a for x in row):
-            assert all(c.denominator == 1 for c in p.coeffs)
-
-
 def test_matrix_equality_and_hash_across_forms():
     assert Matrix([[2]]) == Matrix([["4/2"]]) == Matrix([[Fraction(4, 2)]])
     assert hash(Matrix([[2]])) == hash(Matrix([["4/2"]]))
@@ -765,10 +772,12 @@ def _element_matrices():
 
 
 def test_charpoly_against_oracles_in_canonical_form():
-    """Berkowitz against Faddeev-LeVerrier and Laplace expansion, on random
-    integral and rational matrices and on every element matrix of the
-    corpus.  Coefficients are canonical, and ints for an element of a
-    finite monoid even when its matrix is rational."""
+    """``charpoly`` (power traces and one Newton recurrence) against
+    Faddeev-LeVerrier and Laplace expansion, on random integral and
+    rational matrices and on every element matrix of the corpus: monic of
+    degree n.  Coefficients are canonical, ints on integral input, and
+    ints for an element of a finite monoid even when its matrix is
+    rational."""
     cases = [(a, False) for _, a in MATRICES]
     cases += [(mat, True) for _, mat in _element_matrices()]
     rational = 0
@@ -776,9 +785,10 @@ def test_charpoly_against_oracles_in_canonical_form():
         rows = _as_lists(a)
         p = charpoly(a)
         assert p == Polynomial(charpoly_faddeev(rows)) == Polynomial(charpoly_laplace(rows))
+        assert p.degree == a.nrows and p[a.nrows] == 1
         assert _canonical_values(p.coeffs)
         assert _canonical_values([p[i] for i in range(-1, p.degree + 2)])
-        if in_monoid:
+        if in_monoid or all(type(x) is int for row in a for x in row):
             assert all(type(c) is int for c in p.coeffs)
         rational += any(type(c) is Fraction for c in p.coeffs)
     assert rational >= 10
@@ -820,11 +830,11 @@ def test_complete_homogeneous_against_brute_force():
 
 def test_charpoly_from_power_traces_round_trip():
     """Power traces to elementary symmetric functions and back: equal to
-    Berkowitz on every matrix, and to prod (t - v) on every value
+    ``charpoly`` on every matrix, and to prod (t - v) on every value
     multiset, in canonical form."""
     for a in [a for _, a in MATRICES] + [mat for _, mat in _element_matrices()]:
         n = a.nrows
-        q = charpoly_from_power_traces(power_traces(a, n) if n else (), n)
+        q = charpoly_from_power_traces(power_traces(a, n), n)
         assert q == charpoly(a)
         assert q.coeffs == charpoly(a).coeffs
         assert _canonical_values(q.coeffs)
@@ -907,7 +917,7 @@ def test_weighted_series_reads_the_ambient_representation(name):
             weights[x] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
         expected = RationalFunction(Polynomial(), Polynomial([1]))
         for i, x in enumerate(members):
-            den = charpoly(local.matrices[i]).degree_reverse(local.dim)
+            den = Polynomial(charpoly_faddeev(_as_lists(local.matrices[i]))[::-1])
             expected = expected + RationalFunction(Polynomial([weights[x]]), den)
         assert weighted_series(rho, e, weights) == expected
         for i, x in enumerate(members):
@@ -951,6 +961,85 @@ def test_sym_power_characters_match_matrix_powers(name):
         for n in (1, 8):
             assert sym_power_characters(rho, x, n) == complete_homogeneous_sequence(
                 power_traces(rho.matrices[x], n), n)
+
+
+# --- characteristic polynomials read off the character ------------------------
+
+def _charpoly_inputs():
+    """The corpus, rational conjugates included, the tensor and symmetric
+    square of each of its representations, the golden representations
+    but the 128-dimensional one, and a zero-dimensional representation."""
+    out = {}
+    for name, rho in CORPUS.items():
+        out[name] = rho
+        out[f"tensor-square-{name}"] = tensor_power(rho, 2)
+        out[f"sym-square-{name}"] = sym_power(rho, 2)
+    out.update((f"golden-{name}", rho) for name, rho in GOLDEN_REPRESENTATIONS.items()
+               if name != "m128")
+    out["dim-0"] = direct_sum([], monoid=CORPUS["transformations-0"].monoid)
+    return out
+
+
+CHARPOLY_INPUTS = _charpoly_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(CHARPOLY_INPUTS))
+def test_charpolys_against_faddeev_leverrier(name):
+    """``distinct_charpolys``, read off the character at the powers x^i, is
+    the set of Faddeev-LeVerrier polynomials of the element matrices, and
+    ``reversed_charpoly(rho, x)``, read off rho(x)'s own matrix powers, is
+    det(I - t rho(x)): that polynomial reversed.  All coefficients are
+    ints, those of the rational conjugates included."""
+    rho = CHARPOLY_INPUTS[name]
+    oracle = [charpoly_faddeev(_as_lists(mat)) for mat in rho.matrices]
+    polys = distinct_charpolys(rho)
+    assert polys == tuple(sorted({Polynomial(p) for p in oracle}))
+    assert all(type(c) is int for p in polys for c in p.coeffs)
+    for x, p in enumerate(oracle):
+        q = reversed_charpoly(rho, x)
+        assert q == Polynomial(p[::-1]) and q[0] == 1
+        assert all(type(c) is int for c in q.coeffs)
+
+
+# the monoids above with at most 40 elements, each once
+REGULAR_MONOIDS = {
+    **{name: rho.monoid for name, rho in CORPUS.items() if not name.startswith("conjugate-")},
+    "golden-t3": GOLDEN_REPRESENTATIONS["t3"].monoid,
+    "golden-n7": GOLDEN_REPRESENTATIONS["n7"].monoid,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGULAR_MONOIDS))
+def test_regular_charpolys_against_cycles(name):
+    """In the regular representation element x acts by its table row, so
+    its characteristic polynomial is read off that self-map's cycles:
+    ``distinct_charpolys`` is the set of those, and ``reversed_charpoly``
+    their reversal at a seeded sample of elements (its d matrix products
+    cost d^3 each).  On the monoids of at most 10 elements the cycle
+    oracle equals Faddeev-LeVerrier at every element."""
+    m = REGULAR_MONOIDS[name]
+    assert m.size <= 40
+    rho = regular_representation(m)
+    oracle = [charpoly_of_map(row) for row in m.table]
+    assert distinct_charpolys(rho) == tuple(sorted({Polynomial(p) for p in oracle}))
+    for x in random.Random(f"{SEED}-{name}").sample(range(m.size), min(m.size, 2)):
+        assert reversed_charpoly(rho, x) == Polynomial(oracle[x][::-1])
+    if m.size <= 10:
+        assert oracle == [charpoly_faddeev(_as_lists(mat)) for mat in rho.matrices]
+
+
+def test_regular_m128_charpolys_in_under_a_second():
+    """The 128-dimensional regular representation of the 128-element
+    submonoid of T_4 has 8 characteristic polynomials, the cycle oracle's,
+    and reading them off the character takes under 1 s of CPU."""
+    m = GOLDEN_REPRESENTATIONS["m128"].monoid
+    rho = regular_representation(m)
+    start = time.process_time()
+    polys = distinct_charpolys(rho)
+    elapsed = time.process_time() - start
+    assert len(polys) == 8
+    assert set(polys) == {Polynomial(charpoly_of_map(row)) for row in m.table}
+    assert elapsed < 1.0, f"distinct_charpolys took {elapsed:.2f} s"
 
 
 # --- sparse elimination against the dense reference ----------------------------
