@@ -771,6 +771,19 @@ def _element_matrices():
     return [(name, mat) for name, rho in sorted(CORPUS.items()) for mat in rho.matrices]
 
 
+def test_berkowitz_matches_faddeev_leverrier():
+    """``charpoly`` against Faddeev-LeVerrier on the random matrices: monic
+    of degree n, with int coefficients on integral input.  The name is
+    older than the power-trace ``charpoly``, which replaced a Berkowitz
+    loop."""
+    for rows, a in MATRICES:
+        p = charpoly(a)
+        assert p == Polynomial(charpoly_faddeev(rows))
+        assert p.degree == a.nrows and p[a.nrows] == 1
+        if all(type(x) is int for row in a for x in row):
+            assert all(type(c) is int for c in p.coeffs)
+
+
 def test_charpoly_against_oracles_in_canonical_form():
     """``charpoly`` (power traces and one Newton recurrence) against
     Faddeev-LeVerrier and Laplace expansion, on random integral and
