@@ -33,9 +33,10 @@ def test_tracer_runs_golden_case(name, tmp_path):
     out_path = tmp_path / "trace.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-W", "error", str(TRACER), str(out_path), *argv],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=env, capture_output=True, text=True,
+                          encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / f"{name}.txt").read_text()
-    trace = json.loads(out_path.read_text())
+    assert proc.stdout == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    trace = json.loads(out_path.read_text(encoding="utf-8"))
     assert trace["counts"]["algebra.chain_steps"] > 0
     assert trace["counts"]["algebra.subspace_builds"] > 0

@@ -35,7 +35,7 @@ from test_golden import CASES, GOLDEN, run_case
 
 def write(tmp_path, name, obj):
     p = tmp_path / name
-    p.write_text(json.dumps(obj))
+    p.write_text(json.dumps(obj), encoding="utf-8")
     return str(p)
 
 
@@ -100,9 +100,9 @@ def test_info_bad_table_exit_two(files, capsys):
 @pytest.mark.parametrize("truncated", ["monoid", "representation"])
 def test_info_truncated_file_named_once(tmp_path, capsys, truncated):
     paths = {"monoid": tmp_path / "m.json", "representation": tmp_path / "rep.json"}
-    paths["monoid"].write_text('{"type": "nt", "t": 3}')
-    paths["representation"].write_text('{"mode": "nt-paper"}')
-    paths[truncated].write_text('{"type": ')
+    paths["monoid"].write_text('{"type": "nt", "t": 3}', encoding="utf-8")
+    paths["representation"].write_text('{"mode": "nt-paper"}', encoding="utf-8")
+    paths[truncated].write_text('{"type": ', encoding="utf-8")
     code, out, err = run(capsys, ["info", *map(str, paths.values())])
     assert code == 2 and out == ""
     assert err == f"error: {paths[truncated]}: invalid JSON at line 1, column 10\n"
@@ -219,7 +219,7 @@ def test_info_malformed_input_sweep(tmp_path, capsys, monkeypatch):
         text = json.dumps(spec)
         if text not in paths:
             paths[text] = tmp_path / f"{len(paths)}.json"
-            paths[text].write_text(text)
+            paths[text].write_text(text, encoding="utf-8")
         return str(paths[text])
 
     parser = cli.build_parser()  # built once: building it is most of a run
@@ -558,7 +558,7 @@ def test_scan_nt_golden_serial_and_split(name, monkeypatch):
     """Every golden scan prints the same bytes whether a forked child
     computes every other row (two CPUs) or this process computes them all
     (one CPU), and leaves no child behind."""
-    expected = (CASES[name][1], (GOLDEN / f"{name}.txt").read_text())
+    expected = (CASES[name][1], (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
     forks = counting_forks(monkeypatch)
     assert run_case(name) == expected
     assert forks == ([1] if can_split() else [])
@@ -623,7 +623,7 @@ def test_scan_nt_sigint_to_the_parent_reaps_the_child():
         deadline = time.monotonic() + 30
         kids = []
         while not kids and proc.poll() is None and time.monotonic() < deadline:
-            kids = children.read_text().split() if children.exists() else []
+            kids = children.read_text(encoding="utf-8").split() if children.exists() else []
             time.sleep(0.01)
         assert kids, "the scan forked no child"
         proc.send_signal(signal.SIGINT)

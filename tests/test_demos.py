@@ -25,6 +25,6 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (RECORDED / f"{demo.stem}.txt").read_text()
+    assert proc.stdout == (RECORDED / f"{demo.stem}.txt").read_text(encoding="utf-8")

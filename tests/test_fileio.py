@@ -18,7 +18,7 @@ from monoidrep.representations import character, natural_representation
 
 def write(tmp_path, name, obj):
     p = tmp_path / name
-    p.write_text(json.dumps(obj))
+    p.write_text(json.dumps(obj), encoding="utf-8")
     return str(p)
 
 
@@ -101,7 +101,7 @@ def test_unknown_type_rejected():
 
 def test_load_monoid_reports_path_and_json_errors(tmp_path):
     p = tmp_path / "broken.json"
-    p.write_text('{"type": "nt", "t": }')
+    p.write_text('{"type": "nt", "t": }', encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
         load_monoid(str(p))
     q = write(tmp_path, "bad.json", {"type": "nt"})
@@ -162,7 +162,7 @@ def test_embedded_monoid_reference(tmp_path):
 
 
 def test_truncated_embedded_monoid_named_once(tmp_path):
-    (tmp_path / "n3.json").write_text('{"type": "nt", "t": ')
+    (tmp_path / "n3.json").write_text('{"type": "nt", "t": ', encoding="utf-8")
     rp = write(tmp_path, "rep.json", {"monoid": "n3.json", "mode": "nt-paper"})
     with pytest.raises(ValueError) as info:
         load_representation(rp)

@@ -141,7 +141,7 @@ def run_case(name):
 def test_golden_output(name):
     code, out = run_case(name)
     assert code == CASES[name][1]
-    assert out == (GOLDEN / f"{name}.txt").read_text()
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 EXPLICIT_POWERS = ("direct_sum", "tensor_power", "kron", "sym_power")
@@ -163,7 +163,7 @@ def test_checking_path_builds_no_explicit_power(name, monkeypatch):
                     monkeypatch.setattr(mod, fn, refuse)
     code, out = run_case(name)
     assert code == 0
-    assert out == (GOLDEN / f"{name}.txt").read_text()
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", ["verify-t3", "verify-m128-steinberg", "scan-nt-tensor"])
@@ -184,11 +184,12 @@ def test_unlucky_prime_keeps_golden_output(name, monkeypatch):
     monkeypatch.setattr(algebra, "_PRIME", 7 if name.startswith("scan") else 3)
     monkeypatch.setattr(algebra, "_certified_radical", recording)
     if name.startswith("scan"):
-        assert run_case(name) == (CASES[name][1], (GOLDEN / f"{name}.txt").read_text())
+        golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+        assert run_case(name) == (CASES[name][1], golden)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     code, out = run_case(name)
     assert code == CASES[name][1]
-    assert out == (GOLDEN / f"{name}.txt").read_text()
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert any(fallbacks)
 
 
@@ -226,7 +227,7 @@ def test_each_step_containment_decided_once(name, monkeypatch):
         monkeypatch.setattr(algebra, verifier, counted)
     code, out = run_case(name)
     assert code == CASES[name][1]
-    assert out == (GOLDEN / f"{name}.txt").read_text()
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert reports
     for rep, le_calls, leq_calls in reports:
         if rep.holds:
@@ -260,7 +261,7 @@ def test_each_chain_walked_once(monkeypatch):
                         recording(("symmetric", 0), symmetric(rho)))
     code, out = run_case("verify-t3")
     assert code == 0
-    assert out == (GOLDEN / "verify-t3.txt").read_text()
+    assert out == (GOLDEN / "verify-t3.txt").read_text(encoding="utf-8")
     assert sorted(key for key, _ in opened) == [("symmetric", 0), ("tensor", 1)]
     for (_, first), pulled in opened:
         assert pulled == list(range(first, first + len(pulled)))
@@ -295,7 +296,7 @@ def test_molien_builds_no_restriction(name, monkeypatch):
     monkeypatch.setattr(Representation, "validate", counting_validate)
     code, out = run_case(name)
     assert code == 0
-    assert out == (GOLDEN / f"{name}.txt").read_text()
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     # only the loaded representation is validated
     assert calls == {"local_monoid": 1, "restrict_to_local": 0, "submonoid": 0,
                      "validate": 1}
@@ -322,7 +323,7 @@ def test_zero_annihilator_contained_without_reduction(name, monkeypatch):
     monkeypatch.setattr(Subspace, "__le__", recording_le)
     code, out = run_case(name)
     assert code == CASES[name][1]
-    assert out == (GOLDEN / f"{name}.txt").read_text()
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     zero = [(holds, n) for dim, holds, n in steps if dim == 0]
     assert zero and all(holds and n == 0 for holds, n in zero)
 
@@ -332,5 +333,5 @@ if __name__ == "__main__":
         code, out = run_case(name)
         if code != CASES[name][1]:
             raise SystemExit(f"{name}: exit code {code}, expected {CASES[name][1]}")
-        (GOLDEN / f"{name}.txt").write_text(out)
+        (GOLDEN / f"{name}.txt").write_text(out, encoding="utf-8")
         print(f"wrote {name}.txt")

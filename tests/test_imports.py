@@ -50,7 +50,8 @@ def launch(args):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-W", "error", "-X", "importtime", *args],
-                          cwd=INPUTS, env=env, capture_output=True, text=True, timeout=120)
+                          cwd=INPUTS, env=env, capture_output=True, text=True,
+                          encoding="utf-8", timeout=120)
     return proc.returncode, proc.stderr
 
 

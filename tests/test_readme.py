@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def quick_start():
     """The one ```python block under the "Library quick start" heading."""
-    text = (ROOT / "README.md").read_text()
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
     (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
     return block
@@ -20,6 +20,7 @@ def quick_start():
 def test_readme_quick_start_runs():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-W", "error", "-c", quick_start()], cwd=ROOT,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=env, capture_output=True, text=True,
+                          encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "7"
