@@ -41,8 +41,9 @@ echelon form mod p < 2^26 on rows packed into single ints
 it is used.  Rows independent mod p are independent over Q; the mod-p
 kernel vectors, lifted by rational reconstruction, are checked to
 satisfy G k = 0 exactly and are independent, so the exact rank equals
-the rank mod p (``_certified_radical``).  When a check fails the exact
-integer echelon of G decides instead.  Every verdict stays exact.
+the rank mod p (``_certified_radical``).  When a check fails a second
+prime is tried, and when that fails too the exact integer echelon of G
+decides.  Every verdict stays exact.
 
 Verifiers built on it: the tensor-power coverage bound (powers 0..r-1
 where r counts distinct character values), the symmetric-power bound
@@ -167,9 +168,10 @@ def subspace_leq(a: Subspace, b: Subspace):
     return False, next(v for v in a.basis if not b.contains(v))
 
 
-# The largest prime below 2^26: packed rows of G keep 64-bit slots for
-# up to 4096 pivots (``_slots_fit``).
-_PRIME = 67108859
+# The two largest primes below 2^26: packed rows of G keep 64-bit slots
+# for up to 4096 pivots (``_slots_fit``).  The second is tried only when
+# the first fails the certificate, before the exact echelon.
+_PRIMES = (67108859, 67108837)
 
 
 def _lift(vec, p):
@@ -194,8 +196,8 @@ def _lift(vec, p):
     return out
 
 
-def _certified_radical(gram, n):
-    """The kernel of G from one echelon mod ``_PRIME``, or None.
+def _certified_radical(gram, n, p):
+    """The kernel of G from one echelon mod the prime ``p``, or None.
 
     The rows accepted mod p are independent mod p, hence over Q, so
     rank G >= rank_p.  Each mod-p kernel vector is lifted by rational
@@ -213,14 +215,14 @@ def _certified_radical(gram, n):
     echelon's slots cannot overflow when ``_slots_fit(n)`` (n <= 4096);
     beyond that there is no candidate.
     """
-    if not _slots_fit(n, _PRIME):
+    if not _slots_fit(n, p):
         return None
-    accepted, kernel = _echelon_mod_p(gram, n, _PRIME)
+    accepted, kernel = _echelon_mod_p(gram, n, p)
     cols = [_pack(col) for col in zip(*dict.fromkeys(gram))]  # of distinct rows
     top = max(map(max, gram))
     lifted = []
     for v in kernel:
-        k = _lift(v, _PRIME)
+        k = _lift(v, p)
         if k is None or top * sum(map(abs, k)) >= 1 << 64:
             return None
         pos = neg = 0
@@ -245,8 +247,9 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
     rank and kernel are computed modulo a prime below 2^26 and certified
     over Z (``_certified_radical``): the ``rows`` are the rows of G that
     are independent mod p, with entries at most |M|, and ``basis`` is
-    read from the lifted kernel vectors.  If any check fails, the exact
-    integer echelon of G decides instead, keeping the rows it accepted.
+    read from the lifted kernel vectors.  If a check fails, a second
+    prime is tried, and if that fails too the exact integer echelon of G
+    decides instead, keeping the rows it accepted.
     """
     n = m.size
     if n > SIZE_GUARD and not force:
@@ -256,12 +259,13 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
             "to override)")
     fix = [sum(1 for j in range(n) if m.table[z][j] == j) for z in range(n)]
     gram = [tuple(map(fix.__getitem__, tx)) for tx in m.table]
-    rad = _certified_radical(gram, n)
-    if rad is None:
-        ech = Echelon(n)
-        rows = [row for row in gram if ech.insert(row)]
-        rad = Subspace(n, rows, n - ech.rank, ech)
-    return rad
+    for p in _PRIMES:
+        rad = _certified_radical(gram, n, p)
+        if rad is not None:
+            return rad
+    ech = Echelon(n)
+    rows = [row for row in gram if ech.insert(row)]
+    return Subspace(n, rows, n - ech.rank, ech)
 
 
 def annihilator_basis(rho: Representation) -> Subspace:
@@ -331,12 +335,20 @@ def _check(theorem, rho, mode, radical, r, s, bound, first=0):
     shrink, so it does exactly when some step up to ``bound`` is covered,
     the first being ``minimal_k``.  The read stops at ``bound`` or at
     Ann = 0, which lasts; only a failed check tests step ``bound`` again,
-    for its witness."""
+    for its witness.
+
+    The chain is walked before the radical is first read, so ``radical``
+    may be a zero-argument callable returning it, called once the walk
+    is done: the radical can then be computed elsewhere meanwhile.  With
+    ``radical=None`` it is computed here first, so its size guard refuses
+    before any chain step."""
     if bound < first:
         raise ValueError(f"{theorem} bound {bound} is below the first power "
                          f"{first}: there is no power to check")
-    rad = radical_basis(rho.monoid) if radical is None else radical
+    if radical is None:
+        radical = radical_basis(rho.monoid)
     steps = _steps(rho, mode, first, bound)
+    rad = radical() if callable(radical) else radical
     minimal_k = next((k for k, ann in enumerate(steps, first) if ann <= rad), None)
     ann = steps[-1]
     holds = minimal_k is not None
@@ -353,8 +365,10 @@ def verify_tensor_theorem(rho: Representation,
     r is the number of distinct character values of the (faithful) input.
     A False result would contradict the theorem and therefore signals an
     implementation bug; the report carries the witness for auditing.
-    ``radical`` overrides the computed radical (negative-path testing).
-    The chain walked is shared with every other read of it (``_steps``).
+    ``radical`` overrides the computed radical (negative-path testing), or
+    is a zero-argument callable returning it, called once the chain is
+    walked (``_check``).  The chain walked is shared with every other
+    read of it (``_steps``).
     """
     _require_faithful(rho)
     r = len(distinct_character_values(rho))

@@ -18,9 +18,12 @@ a usage error or a subcommand compiles only the modules it needs, and
 are flushed: the interpreter's teardown would only free memory the
 process is about to give back.
 
-``scan-nt``'s rows are independent.  With a second CPU free and no other
-thread alive, one forked child computes every other row (``_scan_rows``);
-stdout, stderr and the exit code are those of the one-process scan.
+Two commands split independent work over two processes when a second
+CPU is free and no other thread is alive (``_beside``): ``scan-nt``
+computes every other row in one forked child (``_scan_rows``), and
+``verify`` on a monoid of 64 elements or more computes the trace-form
+radical in one forked child while it walks the annihilator chains.
+Stdout, stderr and the exit code are those of the one-process run.
 """
 
 import argparse
@@ -99,6 +102,72 @@ def cmd_info(args):
     return 0
 
 
+# ``verify`` forks when the radical the child takes over costs more than
+# the fork, the pipe and the reap, about 1 ms.  The radical's echelon is
+# O(|M|^3): about 4-6 ns times |M|^3 for |M| = 128 to 256 (12 ms and
+# 65 ms; 2-core VM, Python 3.11), so |M|^3 >= 64^3 predicts 1-1.5 ms or
+# more.  T_3 (27 elements, a 0.5 ms radical) stays in one process.
+_FORK_WORK = 64 ** 3
+
+
+def _beside(child, parent, serial, worth):
+    """``parent(join)`` here while a forked child computes ``child()``,
+    or ``serial()`` alone.
+
+    The child is forked only when ``worth`` holds and a second CPU is
+    free: ``os.fork`` and ``os.sched_getaffinity`` exist, the affinity
+    set has two CPUs or more, and no other thread is alive, whose locks
+    the child could inherit held.  The child sends its value back over a
+    pipe as ``marshal`` bytes and leaves by ``os._exit``, writing nothing
+    else; ``join()`` reads that value once and returns it on every call.
+    ``parent`` computes what ``serial`` does from that value, so when
+    either side fails (``parent`` raises, or the child's value cannot be
+    read because it raised or died) ``serial()`` runs here instead and
+    raises as the one-process run does.  A child whose value is not read
+    is stopped; it is reaped before this returns or raises.
+    """
+    import os
+    import threading
+
+    if not (worth and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1):
+        return serial()
+    import marshal
+
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into its caller
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pipe.write(marshal.dumps(child()))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    value, done = [], False
+    try:
+        with open(r, "rb") as pipe:  # closed first on any error
+            def join():
+                if not value:
+                    value.append(marshal.loads(pipe.read()))
+                return value[0]
+
+            result = parent(join)
+        done = True
+    except Exception:  # a side failed: the serial run below raises it again
+        pass
+    finally:
+        if not value:  # the child's value will not be read: stop it
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    return result if done else serial()
+
+
 def cmd_verify(args):
     import json
 
@@ -108,22 +177,36 @@ def cmd_verify(args):
         print("warning: --powers-cap is ignored; no bound is capped", file=sys.stderr)
     m = fileio.load_monoid(args.monoid)
     rho = fileio.load_representation(args.representation, m)
-    radical = algebra.radical_basis(m, force=args.force)
-
     which = args.which
-    reports = []
-    skipped = []
-    if which in ("all", "tensor"):
-        reports.append(algebra.verify_tensor_theorem(rho, radical=radical))
-    if which in ("all", "symmetric"):
-        reports.append(algebra.verify_symmetric_theorem(rho, radical=radical))
-    # the verifier itself refuses a monoid with a zero; "all" skips it
-    if which == "positive" or (which == "all" and monoids.has_zero(m) is None):
-        reports.append(algebra.verify_positive_power_refinement(rho, radical=radical))
-    elif which == "all":
-        skipped.append("positive-refinement: monoid has a zero element")
-    if which in ("all", "steinberg"):
-        reports.append(algebra.verify_steinberg_bound(rho, radical=radical))
+
+    def run(radical):
+        reports, skipped = [], []
+        if which in ("all", "tensor"):
+            reports.append(algebra.verify_tensor_theorem(rho, radical=radical))
+        if which in ("all", "symmetric"):
+            reports.append(algebra.verify_symmetric_theorem(rho, radical=radical))
+        # the verifier itself refuses a monoid with a zero; "all" skips it
+        if which == "positive" or (which == "all" and monoids.has_zero(m) is None):
+            reports.append(algebra.verify_positive_power_refinement(rho, radical=radical))
+        elif which == "all":
+            skipped.append("positive-refinement: monoid has a zero element")
+        if which in ("all", "steinberg"):
+            reports.append(algebra.verify_steinberg_bound(rho, radical=radical))
+        return reports, skipped
+
+    def radical():
+        return algebra.radical_basis(m, force=args.force)
+
+    def sent():  # the child's radical, as marshal carries it: no echelon
+        rad = radical()
+        return rad.rows, rad.dim, None, rad._kernel
+
+    # the checks walk their chains before they read the radical
+    n = m.size
+    reports, skipped = _beside(
+        sent, lambda join: run(lambda: algebra.Subspace(n, *join())),
+        lambda: run(radical()),
+        n ** 3 >= _FORK_WORK and (n <= algebra.SIZE_GUARD or args.force))
 
     sharpness = {rep.theorem: rep.minimal_k for rep in reports
                  if rep.holds and rep.theorem in ("tensor", "symmetric")}
@@ -195,57 +278,23 @@ def _scan_row(t, mode, cap, with_s):
 def _scan_rows(ts, mode, cap, with_s):
     """The rows of ``scan-nt`` for each t in ``ts``, in order.
 
-    With a second CPU free, a forked child computes the rows at odd
+    Beside this process, a forked child computes the rows at odd
     positions (a row's cost grows with t, so the shares balance) while
-    this process computes the rest; the child sends them back over a
-    pipe as ``marshal`` bytes and leaves by ``os._exit``, writing nothing
-    else.  No fork is made with another thread alive, whose locks the
-    child could inherit held.  Rows are deterministic, so when either
-    share fails the whole range is computed again here, one row after
-    another, and raises as that serial scan does.  The child is reaped
-    before this returns or raises.
+    this process computes the rest (``_beside``).  Rows are
+    deterministic, so when either share fails the whole range is
+    computed again here, one row after another, and raises as that
+    serial scan does.
     """
-    import os
-    import threading
-
     def share(part):
         return [_scan_row(t, mode, cap, with_s) for t in part]
 
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1 and len(ts) >= 2):
-        return share(ts)
-    import marshal
+    def merged(join):
+        rows = [None] * len(ts)
+        rows[::2] = share(ts[::2])
+        rows[1::2] = join()
+        return rows
 
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child never returns into its caller
-        status = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                pipe.write(marshal.dumps(share(ts[1::2])))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    rows = None
-    try:
-        with open(r, "rb") as pipe:  # closed first on any error
-            mine = share(ts[::2])
-            theirs = marshal.loads(pipe.read())
-        merged = [None] * len(ts)
-        merged[::2], merged[1::2] = mine, theirs
-        rows = merged
-    except Exception:  # a share failed: the serial scan below raises it again
-        pass
-    finally:
-        if rows is None:  # the child's rows will not be read: stop it
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
-    return share(ts) if rows is None or status else rows
+    return _beside(lambda: share(ts[1::2]), merged, lambda: share(ts), len(ts) >= 2)
 
 
 def cmd_scan_nt(args):

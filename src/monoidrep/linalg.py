@@ -36,7 +36,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import add, mul, neg
+from operator import add, mul
 
 
 def as_fraction(x) -> Fraction:
@@ -337,26 +337,18 @@ class Echelon:
         vector for free column f has entry 1 there and the negated RREF
         pivot row entries elsewhere.
         """
-        return list(map(tuple, _kernel_from_rref(self.ncols, self.pivots,
-                                                 self.rows, neg)))
-
-
-def _kernel_from_rref(ncols, pivots, rows, negate):
-    """One vector per free column of reduced rows with the given pivots,
-    free columns ascending: entry 1 at its free column f and
-    ``negate(row[f])`` at the pivot of each row nonzero there."""
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [0] * ncols
-        v[f] = 1
-        for p, row in zip(pivots, rows):
-            if row[f]:
-                v[p] = negate(row[f])
-        basis.append(v)
-    return basis
+        pivot_set = set(self.pivots)
+        basis = []
+        for f in range(self.ncols):
+            if f in pivot_set:
+                continue
+            v = [0] * self.ncols
+            v[f] = 1
+            for p, row in zip(self.pivots, self.rows):
+                if row[f]:
+                    v[p] = -row[f]
+            basis.append(tuple(v))
+        return basis
 
 
 _SLOT_MASK = (1 << 64) - 1
@@ -399,13 +391,21 @@ def _echelon_mod_p(rows, ncols, p):
     Each row is packed into one int of 64-bit slots (``_pack``), so
     eliminating a stored pivot row R is the single big-int multiply-add
     ``v += (p - c) * R`` with c the residue of v's pivot slot.  Slots are
-    reduced mod p only when a row is unpacked: after its elimination, or
-    when the stored rows are brought to reduced form.  A slot starts
-    below p and each elimination adds at most (p-1)^2, so it never
-    carries into its neighbour while the rank stays within ``_slots_fit``:
-    up to 4096 for p < 2^26.  The caller keeps it there.
+    reduced mod p only when a row is unpacked, after its elimination.  A
+    slot starts below p and each elimination adds at most (p-1)^2, so it
+    never carries into its neighbour while the rank stays within
+    ``_slots_fit``: up to 4096 for p < 2^26.  The caller keeps it there.
+
+    The kernel needs the reduced form only at the free columns F, so the
+    back-substitution runs on rows packed over F alone.  Forward row k
+    has pivot 1 and is zero at the pivots stored before it; each reduced
+    row R_j (j > k) is zero at every pivot but its own, so clearing them
+    from row k, last first, leaves the coefficient of R_j at its forward
+    value: R_k[F] = row_k[F] - sum_{j>k} row_k[p_j] R_j[F].  Each term
+    adds at most (p-1)^2 to a slot, as an elimination does.
     """
     stored = []  # (bit offset of the pivot slot, packed row with pivot 1)
+    forward = []  # the same rows, unpacked
     pivots, accepted = [], []
     seen = set()  # a repeated row never enlarges the row space
     for i, row in enumerate(rows):
@@ -420,18 +420,31 @@ def _echelon_mod_p(rows, ncols, p):
         if col is None:
             continue
         inv = pow(vals[col], -1, p)
-        stored.append((64 * col, _pack([x * inv % p for x in vals])))
+        vals = [x * inv % p for x in vals]
+        stored.append((64 * col, _pack(vals)))
+        forward.append(vals)
         pivots.append(col)
         accepted.append(i)
-    # Row k is already zero at the pivots stored before it; clearing the
-    # later pivots, last row first, leaves the reduced form.
-    reduced = []
-    for k in range(len(stored) - 1, -1, -1):
-        vals = _reduce_mod_p(stored[k][1], stored[k + 1:], p, ncols)
-        stored[k] = stored[k][0], _pack(vals)
-        reduced.append(vals)
-    reduced.reverse()
-    return accepted, _kernel_from_rref(ncols, pivots, reduced, lambda x: p - x)
+    pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
+    kernel = [[0] * ncols for _ in free]
+    for v, f in zip(kernel, free):
+        v[f] = 1
+    if not free:
+        return accepted, kernel
+    reduced = [0] * len(pivots)  # R_k[F], packed
+    for k in range(len(pivots) - 1, -1, -1):
+        row = forward[k]
+        v = _pack([row[f] for f in free])
+        for q, r in zip(pivots[k + 1:], reduced[k + 1:]):
+            c = row[q]
+            if c:
+                v += (p - c) * r
+        vals = [x % p for x in _unpack(v, len(free))]
+        reduced[k] = _pack(vals)
+        for vec, x in compress(zip(kernel, vals), vals):
+            vec[pivots[k]] = p - x
+    return accepted, kernel
 
 
 def rank(m: Matrix) -> int:

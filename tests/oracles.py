@@ -9,12 +9,14 @@ Newton's identities, set-based closure instead of
 indexed BFS, every triple and every pair instead of a generating set,
 each symmetric power expanded from scratch instead of from the degree
 below, and units found by two-sided inverses instead of one-sided ones.
-Five are the package's own earlier code, kept as it was to pin a faster
+Six are the package's own earlier code, kept as it was to pin a faster
 rewrite to the old results: the tensor chain that inserted
 every product in turn, Light's test scanned triple by triple, the
 fraction-free echelon that rewrote every column of a vector for each
-pivot it cleared, the closure that formed all |M|^2 products for its
-table, and representation validation one matrix product per pair.
+pivot it cleared, the echelon modulo a prime that brought every stored
+row to reduced form at full width, the closure that formed all |M|^2
+products for its table, and representation validation one matrix
+product per pair.
 
 Last come helpers only tests use: the span of vectors as a
 ``Subspace``, monoid morphisms with the LI test, and the character
@@ -27,7 +29,7 @@ from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
 from monoidrep.algebra import Subspace
-from monoidrep.linalg import Echelon, Matrix
+from monoidrep.linalg import Echelon, Matrix, _pack, _reduce_mod_p
 from monoidrep.monoids import Monoid, idempotents, local_monoid
 from monoidrep.representations import Representation
 
@@ -120,6 +122,48 @@ class DenseEchelon:
                     v[p] = -row[f]
             basis.append(tuple(v))
         return basis
+
+
+def echelon_mod_p_full_width(rows, ncols, p):
+    """``linalg._echelon_mod_p`` as it was before its back-substitution
+    ran on the free columns alone: every stored row, last first, is
+    cleared of the later pivots at full width, and the kernel is read off
+    the reduced rows.  Returns ``(accepted, kernel)`` as that does."""
+    stored = []  # (bit offset of the pivot slot, packed row with pivot 1)
+    pivots, accepted = [], []
+    seen = set()
+    for i, row in enumerate(rows):
+        if len(stored) == ncols:
+            break
+        row = tuple(row)
+        if row in seen:
+            continue
+        seen.add(row)
+        vals = _reduce_mod_p(_pack([x % p for x in row]), stored, p, ncols)
+        col = next((j for j, x in enumerate(vals) if x), None)
+        if col is None:
+            continue
+        inv = pow(vals[col], -1, p)
+        stored.append((64 * col, _pack([x * inv % p for x in vals])))
+        pivots.append(col)
+        accepted.append(i)
+    reduced = []
+    for k in range(len(stored) - 1, -1, -1):
+        vals = _reduce_mod_p(stored[k][1], stored[k + 1:], p, ncols)
+        stored[k] = stored[k][0], _pack(vals)
+        reduced.append(vals)
+    reduced.reverse()
+    kernel = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for q, row in zip(pivots, reduced):
+            if row[f]:
+                v[q] = p - row[f]
+        kernel.append(v)
+    return accepted, kernel
 
 
 def gauss_rank(rows):

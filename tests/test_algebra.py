@@ -317,6 +317,37 @@ def test_tensor_theorem_rejects_unfaithful():
         verify_tensor_theorem(rho)
 
 
+@pytest.mark.parametrize("verify", [verify_tensor_theorem, verify_symmetric_theorem,
+                                    verify_steinberg_bound])
+def test_radical_callable_read_after_the_walk(verify, monkeypatch):
+    """A callable radical is called once, after the chain's steps are
+    read, and gives the report the radical itself gives; without one the
+    radical is computed first, so its size guard refuses before any
+    chain step."""
+    events = []
+    steps = algebra._steps
+
+    def recording_steps(*args):
+        events.append("walk")
+        return steps(*args)
+
+    def radical():
+        events.append("radical")
+        return radical_basis(rho.monoid)
+
+    monkeypatch.setattr(algebra, "_steps", recording_steps)
+    rho = nt_paper_representation(6)
+    expected = verify(nt_paper_representation(6))
+    events.clear()
+    assert verify(rho, radical=radical) == expected
+    assert events == ["walk", "radical"]
+    monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
+    events.clear()
+    with pytest.raises(ValueError, match="force"):
+        verify(nt_paper_representation(6))
+    assert "walk" not in events
+
+
 def test_symmetric_degree_refused_before_it_is_built(monkeypatch):
     """Degree d of N_7's symmetric chain has predicted size 8 * (d+1)^2.
     With the budget SIZE_GUARD ** 3 = 125 between degree 2 (72) and the

@@ -609,15 +609,13 @@ def test_scan_nt_interrupt_leaves_no_child(t_stop, monkeypatch, capsys):
     assert_no_child_left()
 
 
-@pytest.mark.skipif(not can_split() or not Path(f"/proc/{os.getpid()}").is_dir(),
-                    reason="needs os.fork, two CPUs and /proc")
-def test_scan_nt_sigint_to_the_parent_reaps_the_child():
-    """SIGINT sent to the scanning process alone: it stops its forked
-    child, reaps it and exits."""
+def sigint_to_the_parent_reaps_the_child(argv, cwd=None):
+    """Start ``python -m monoidrep`` with ``argv``, wait for its forked
+    child, send SIGINT to the parent alone: it stops its child, reaps it
+    and exits nonzero."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "monoidrep", "scan-nt", "--from", "2", "--to", "250"],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+    proc = subprocess.Popen([sys.executable, "-m", "monoidrep", *argv], cwd=cwd,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
     children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
     try:
         deadline = time.monotonic() + 30
@@ -625,7 +623,7 @@ def test_scan_nt_sigint_to_the_parent_reaps_the_child():
         while not kids and proc.poll() is None and time.monotonic() < deadline:
             kids = children.read_text(encoding="utf-8").split() if children.exists() else []
             time.sleep(0.01)
-        assert kids, "the scan forked no child"
+        assert kids, "the command forked no child"
         proc.send_signal(signal.SIGINT)
         assert proc.wait(timeout=30) != 0
     finally:
@@ -633,6 +631,18 @@ def test_scan_nt_sigint_to_the_parent_reaps_the_child():
         proc.wait()
     with pytest.raises(ProcessLookupError):
         os.kill(int(kids[0]), 0)
+
+
+needs_fork_and_proc = pytest.mark.skipif(
+    not can_split() or not Path(f"/proc/{os.getpid()}").is_dir(),
+    reason="needs os.fork, two CPUs and /proc")
+
+
+@needs_fork_and_proc
+def test_scan_nt_sigint_to_the_parent_reaps_the_child():
+    """SIGINT sent to the scanning process alone: it stops its forked
+    child, reaps it and exits."""
+    sigint_to_the_parent_reaps_the_child(["scan-nt", "--from", "2", "--to", "250"])
 
 
 def test_scan_nt_stays_serial_with_a_second_thread(monkeypatch, capsys):
@@ -660,6 +670,121 @@ def test_scan_rows_round_trip_through_marshal(mode, with_s):
     rows = [cli._scan_row(t, mode, 3, with_s) for t in range(2, 11)]
     back = marshal.loads(marshal.dumps(rows))
     assert back == rows and repr(back) == repr(rows)
+
+
+# --- verify with the radical in a forked child -----------------------------------
+
+VERIFY_CASES = sorted(name for name in CASES if name.startswith("verify-"))
+
+
+def test_verify_forks_once_for_a_large_monoid(monkeypatch, capsys):
+    """With two CPUs the 128-element monoid's radical is computed in one
+    forked child; T_3 (27 elements) stays in one process by the size
+    rule, and so does the 128-element monoid with one CPU or with a
+    second thread alive."""
+    expected = run_case("verify-m128-steinberg")
+    forks = counting_forks(monkeypatch)
+    assert run_case("verify-m128-steinberg") == expected
+    assert forks == ([1] if can_split() else [])
+    assert_no_child_left()
+    forks.clear()
+    t3 = (0, (GOLDEN / "verify-t3-default.txt").read_text(encoding="utf-8"))
+    assert run_case("verify-t3-default") == t3
+    assert forks == []
+    refusing_forks(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert run_case("verify-m128-steinberg") == expected
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    one_cpu(monkeypatch)
+    assert run_case("verify-m128-steinberg") == expected
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", VERIFY_CASES)
+def test_verify_golden_forked_and_in_one_process(name, monkeypatch, capsys):
+    """Every golden verify, the zero-radical ``*-corrupt*`` ones with
+    their exit-1 witnesses among them, prints the same stdout and stderr
+    with the same exit code whether its radical comes from a forked child
+    (the size rule lifted, two CPUs) or from this process (one CPU)."""
+    expected = (CASES[name][1], (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
+    monkeypatch.setattr(cli, "_FORK_WORK", 0)
+    forks = counting_forks(monkeypatch)
+    assert run_case(name) == expected
+    err = capsys.readouterr().err
+    assert forks == ([1] if can_split() else [])
+    assert_no_child_left()
+    one_cpu(monkeypatch)
+    refusing_forks(monkeypatch)
+    assert run_case(name) == expected
+    assert capsys.readouterr().err == err
+
+
+def test_verify_size_guard_refuses_before_any_fork_or_chain_step(files, capsys, monkeypatch):
+    """The radical's size guard refuses, exit 2, before a child is forked
+    and before any chain step, whatever the size rule says."""
+    def refuse(rho):
+        raise AssertionError("a chain was opened")
+
+    monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
+    monkeypatch.setattr(cli, "_FORK_WORK", 0)
+    monkeypatch.setattr(algebra, "tensor_annihilator_chain", refuse)
+    refusing_forks(monkeypatch)
+    code, out, err = run(capsys, ["verify", files["nt7"], files["nt_rep"],
+                                  "--which", "tensor"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: monoid has 8 > 5 elements")
+
+
+@pytest.mark.parametrize("failure", ["degree", "radical"])
+def test_verify_failure_on_either_side_is_the_serial_error(failure, files, capsys,
+                                                          monkeypatch):
+    """A symmetric degree refused while the child computes the radical,
+    or a radical that raises in the child, gives the one-process run's
+    exit 2 and error line, with no stdout and no child left."""
+    monkeypatch.setattr(cli, "_FORK_WORK", 0)
+    if failure == "degree":  # --force lifts the radical's guard only
+        monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
+        argv = ["verify", files["nt7"], files["nt_rep"], "--which", "symmetric", "--force"]
+        message = "error: symmetric degree 3 refused"
+    else:
+        def failing(m, force=False):
+            raise ValueError("no radical")
+
+        monkeypatch.setattr(algebra, "radical_basis", failing)
+        argv = ["verify", files["nt7"], files["nt_rep"], "--which", "tensor"]
+        message = "error: no radical\n"
+    forks = counting_forks(monkeypatch)
+    code, out, err = expected = run(capsys, argv)
+    assert (code, out) == (2, "") and err.startswith(message) and err.count("\n") == 1
+    assert forks == ([1] if can_split() else [])
+    assert_no_child_left()
+    one_cpu(monkeypatch)
+    refusing_forks(monkeypatch)
+    assert run(capsys, argv) == expected
+
+
+# the 610-element submonoid of T_5: with --force its radical keeps the
+# child busy for a good part of a second
+M610 = {"type": "transformations", "degree": 5,
+        "generators": [[2, 3, 4, 5, 1], [1, 1, 3, 4, 5]]}
+
+
+@needs_fork_and_proc
+def test_verify_sigint_to_the_parent_reaps_the_child(tmp_path):
+    """SIGINT sent to the verifying process alone: it stops the child
+    computing the radical, reaps it and exits."""
+    write(tmp_path, "m610.json", M610)
+    write(tmp_path, "natural.json", {"mode": "natural"})
+    sigint_to_the_parent_reaps_the_child(
+        ["verify", "m610.json", "natural.json", "--which", "tensor", "--force"],
+        cwd=tmp_path)
+
 
 
 # --- molien -------------------------------------------------------------------------

@@ -505,17 +505,21 @@ def test_certified_radical_against_null_space(name):
     assert set(rad.rows) <= set(gram)
 
 
-# small primes dividing a minor of G, so the rank drops mod p
+# small primes dividing a minor of G, so the rank drops mod p; modulo 2
+# the certificate fails too, by a rank drop or a kernel entry that does
+# not reconstruct
 UNLUCKY = {"t3": 3, "m128": 3, "nt-7": 7}
 
 
 @pytest.mark.parametrize("name", sorted(UNLUCKY))
 def test_unlucky_prime_falls_back_to_exact_radical(name, monkeypatch):
+    """With both primes unlucky the exact echelon of G decides."""
     m, p = RADICAL_MONOIDS[name], UNLUCKY[name]
     gram = _gram(m)
     exact = _exact_radical(gram)
     assert len(_echelon_mod_p(gram, m.size, p)[0]) < m.size - exact.dim
-    monkeypatch.setattr(algebra, "_PRIME", p)
+    assert _certified_radical(gram, m.size, 2) is None
+    monkeypatch.setattr(algebra, "_PRIMES", (p, 2))
     rad = radical_basis(m)
     assert rad._kernel is None  # fell back to the exact echelon
     assert rad == exact and hash(rad) == hash(exact)
@@ -523,20 +527,40 @@ def test_unlucky_prime_falls_back_to_exact_radical(name, monkeypatch):
     assert set(rad.rows) <= set(gram)
 
 
-def test_certificate_refuses_a_wrong_kernel(monkeypatch):
+@pytest.mark.parametrize("name", sorted(UNLUCKY))
+def test_second_prime_certifies_after_an_unlucky_first(name, monkeypatch):
+    """With only the first prime unlucky the second certifies the
+    radical, and no exact echelon of G is formed."""
+    m = RADICAL_MONOIDS[name]
+    monkeypatch.setattr(algebra, "_PRIMES", (UNLUCKY[name], algebra._PRIMES[1]))
+    inserted = []
+    insert = Echelon.insert
+
+    def recording_insert(ech, vec):
+        inserted.append(vec)
+        return insert(ech, vec)
+
+    monkeypatch.setattr(Echelon, "insert", recording_insert)
+    rad = radical_basis(m)
+    assert rad._kernel is not None and not inserted
+    expected = null_space(_gram(m), m.size)
+    assert rad.dim == len(expected) and rad.basis == tuple(expected)
+
+
+def test_certificate_refuses_a_wrong_kernel():
     """A hand-built G whose rank drops mod p, and one whose kernel entry
     is too large to reconstruct from its residue, both fail the check."""
-    assert _certified_radical([(1, 2), (3, 4)], 2).dim == 0
-    assert _certified_radical([(1, 100003), (2, 200006)], 2) is None
-    monkeypatch.setattr(algebra, "_PRIME", 2)
-    assert _certified_radical([(1, 2), (3, 4)], 2) is None
+    p = algebra._PRIMES[0]
+    assert _certified_radical([(1, 2), (3, 4)], 2, p).dim == 0
+    assert _certified_radical([(1, 100003), (2, 200006)], 2, p) is None
+    assert _certified_radical([(1, 2), (3, 4)], 2, 2) is None
 
 
 def test_lift_reconstructs_small_fractions():
     """Residues of -1, 2 and 1/2 lift to (-2, 4, 1), the same line over Q;
     a residue with no fraction of numerator and denominator up to
     sqrt(p/2) lifts to nothing."""
-    p = algebra._PRIME
+    p = algebra._PRIMES[0]
     assert _lift([p - 1, 2, (p + 1) // 2, 0], p) == [-2, 4, 1, 0]
     assert _lift([pow(7919, -1, p) * 7907 % p], p) is None
 
