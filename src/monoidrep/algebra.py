@@ -77,7 +77,7 @@ import weakref
 from collections import namedtuple
 from itertools import compress, count
 from math import isqrt, lcm
-from operator import mul
+from operator import eq, mul
 
 from .linalg import Echelon, _echelon_mod_p, _pack, _slots_fit, clear_denominators
 from .monoids import Monoid, has_zero
@@ -257,7 +257,7 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
             f"monoid has {n} > {SIZE_GUARD} elements; exact O(n^3) radical "
             "computation refused (pass --force, or force=True from Python, "
             "to override)")
-    fix = [sum(1 for j in range(n) if m.table[z][j] == j) for z in range(n)]
+    fix = [sum(map(eq, row, range(n))) for row in m.table]
     gram = [tuple(map(fix.__getitem__, tx)) for tx in m.table]
     for p in _PRIMES:
         rad = _certified_radical(gram, n, p)

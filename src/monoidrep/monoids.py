@@ -20,6 +20,11 @@ Call b good when (x*b)*y = x*(b*y) for all x, y.  The identity is good,
 and if b and c are good then so is b*c:
 (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) = x((bc)y).  So checking every
 generator checks every element, at |M|^2 |A| lookups instead of |M|^3.
+Up to 256 elements the rows are read as bytes and each x is checked in
+one translate pass: the generator rows, joined and read through row x,
+must be the joined rows x*a for every generator a.  The loop over a and
+y runs only for the first x that fails, to name the triple, or for every
+x of a larger table.
 """
 
 from __future__ import annotations
@@ -78,11 +83,21 @@ class Monoid:
             if table[identity][a] != a or table[a][identity] != a:
                 raise ValueError(f"identity law fails at element {a}")
         gens = _generating_set(table, identity)
+        xs = range(n)
+        if n <= 256:
+            # rows as bytes, padded into translate tables: read through row
+            # x, the generators give x*a and their joined rows x*(a*y) for
+            # every a and y, which must be the joined rows x*a, in a few
+            # C-level passes per x; the loop below names the first failing triple
+            rows, pad = [bytes(row) for row in table], bytes(256 - n)
+            joined, ga = b"".join([rows[a] for a in gens]), bytes(gens)
+            xs = [x for x, tx in enumerate([row + pad for row in rows]) if
+                  joined.translate(tx) != b"".join(map(rows.__getitem__, ga.translate(tx)))][:1]
         # row x of y -> x*(a*y) is row x read through row a, in C; a
         # one-element monoid has no generators, so every row has length >= 2
         # here and its itemgetter returns a tuple
-        through = [(a, itemgetter(*table[a])) for a in gens]
-        for x in range(n):
+        through = [(a, itemgetter(*table[a])) for a in gens] if xs else ()
+        for x in xs:
             tx = table[x]
             for a, through_a in through:
                 if table[tx[a]] != through_a(tx):

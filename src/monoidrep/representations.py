@@ -26,8 +26,9 @@ C-level ``map`` passes, and only one stacked copy of the entries is
 held.  The products are exact and, for integral matrices, run in Python
 ints: the natural, regular, trivial and N_t representations and the
 symmetric powers of integral ones are built with int entries, so their
-validation never forms a ``Fraction``.  For N_t the only generating set
-is every non-identity element, so there the check stays all-pairs.
+validation never forms a ``Fraction``.  N_t is generated by {2, ..., t}
+(0 = 2*2) and by no smaller set; ``Monoid.generators`` holds 0 too, as
+it scans in index order, so |A| = t and there the check stays all-pairs.
 The check is a proof:
 if b and c pass for every x, so does b*c, because rho(b*c) = rho(b)rho(c)
 and rho(x)rho(b)rho(c) = rho(x*b)rho(c) = rho((x*b)*c) = rho(x*(b*c)) by

@@ -415,10 +415,11 @@ def generated(table, identity, gens):
 
 
 def is_associative(table):
-    """Whether (x*y)*z = x*(y*z) for every triple."""
+    """Whether (x*y)*z = x*(y*z) for every triple: for each pair x, y,
+    row x*y against row y read through row x, at every z."""
     n = len(table)
-    return all(table[table[x][y]][z] == table[x][table[y][z]]
-               for x, y, z in product(range(n), repeat=3))
+    return all(list(table[table[x][y]]) == [table[x][c] for c in table[y]]
+               for x, y in product(range(n), repeat=2))
 
 
 def units_two_sided(table, e, eme):

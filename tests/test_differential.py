@@ -78,7 +78,12 @@ generating set (Light's test), against the exhaustive oracles: every
 table, of one matrix of a valid representation and of a morphism are
 rejected exactly when the all-triples or all-pairs oracle rejects them,
 and the triple or pair an error names is a real violation; the triple is
-the one the old triple-by-triple scan of Light's test reported.
+the one the old triple-by-triple scan of Light's test reported.  The
+table corruptions include N_t for t <= 12 (|A| = t) and T_4, whose 256
+elements are the most the byte-translate pass reads, and seeded
+corruptions of a 610-element submonoid of T_5 take the triple loop.  A
+valid table of at most 256 elements never enters that loop, and bool
+entries and a one-element table give the errors they always gave.
 Closures, which form only the products with a generator, must give the
 same elements, order, table and cap error as the all-pairs closure kept
 in ``tests/oracles.py``, on seeded transformations of degree 1-5 (with
@@ -102,7 +107,7 @@ from pathlib import Path
 
 import pytest
 
-from monoidrep import algebra, linalg
+from monoidrep import algebra, linalg, monoids
 from monoidrep.algebra import (
     Subspace,
     _certified_radical,
@@ -1288,9 +1293,16 @@ def test_closures_seed_their_generators(name):
         if g not in generated(m.table, m.identity, inputs[:i]))
 
 
+T4 = load_monoid(str(GOLDEN_INPUTS / "t4.json"))
+
+
 def test_table_corruptions_match_oracle():
     rng = random.Random(VALIDATOR_SEED + 1)
-    tables = [m for m in ALL_MONOIDS.values() if 2 <= m.size <= 16]
+    # N_t needs |A| = t generators; T_4 has 256 elements, the most Light's
+    # test reads as bytes
+    tables = ([m for m in ALL_MONOIDS.values() if 2 <= m.size <= 16]
+              + [nt_monoid(t) for t in range(2, 13) if f"nt-{t}" not in ALL_MONOIDS]
+              + [T4])
     rejected = 0
     for m in tables:
         for _ in range(12):
@@ -1318,6 +1330,78 @@ def test_table_corruptions_match_oracle():
             else:
                 assert valid
     assert rejected > 50
+
+
+def _fails_at_entry(table, a, b):
+    """Whether a triple that reads entry [a][b] fails associativity.  The
+    table was associative before that one entry changed, and every other
+    triple reads only unchanged entries, so this decides associativity."""
+    n = range(len(table))
+    parts = (((a, b, z) for z in n), ((x, a, b) for x in n),
+             ((x, y, b) for x in n for y in n if table[x][y] == a),
+             ((a, y, z) for y in n for z in n if table[y][z] == b))
+    return any(table[table[x][y]][z] != table[x][table[y][z]]
+               for part in parts for x, y, z in part)
+
+
+def test_table_corruptions_past_256_elements_match_oracle():
+    """On the 610-element submonoid of T_5 the triple loop decides every
+    x, and a corrupted table is rejected exactly when a triple fails,
+    naming the triple the old triple-by-triple scan reported."""
+    m610 = from_transformations(5, [(2, 3, 4, 5, 1), (1, 1, 3, 4, 5)])
+    assert m610.size == 610 and len(m610.generators) == 2
+    rng = random.Random(VALIDATOR_SEED + 3)
+    rejected = 0
+    for _ in range(6):
+        table = [list(row) for row in m610.table]
+        # off the identity's row and column, so the identity law holds
+        a, b = rng.randrange(1, m610.size), rng.randrange(1, m610.size)
+        table[a][b] = rng.choice([c for c in range(m610.size) if c != table[a][b]])
+        valid = not _fails_at_entry(table, a, b)
+        try:
+            Monoid(table, 0)
+        except ValueError as e:
+            assert not valid, e
+            rejected += 1
+            x, g, y = map(int, re.search(r"triple \((\d+), (\d+), (\d+)\)", str(e)).groups())
+            assert (x, g, y) == first_associativity_failure(
+                table, _generating_set(table, 0))
+        else:
+            assert valid
+    assert rejected >= 4
+
+
+def test_valid_tables_up_to_256_elements_skip_the_triple_loop(monkeypatch):
+    """The triple loop's itemgetters are built only when it runs: with
+    them made to raise, every valid table of at most 256 elements still
+    validates, and N_256, past the byte path, does not."""
+    def refuse(*args):
+        raise AssertionError("the triple loop ran")
+
+    monkeypatch.setattr(monoids, "itemgetter", refuse)
+    for m in [*ALL_MONOIDS.values(), Monoid([[0]], 0), nt_monoid(255), T4,
+              GOLDEN_REPRESENTATIONS["m128"].monoid]:
+        assert Monoid(m.table, m.identity) == m
+    with pytest.raises(AssertionError, match="the triple loop ran"):
+        nt_monoid(256)
+
+
+@pytest.mark.parametrize("table, identity, error", [
+    ([[True]], 0, "table entry [0][0] must be an integer, not true"),
+    ([[False]], 0, "table entry [0][0] must be an integer, not false"),
+    ([[1]], 0, "table entry [0][0] = 1 is out of range"),
+    ([[0]], True, "identity index must be an integer, not true"),
+    ([[0, 1], [1, True]], 0, "table entry [1][1] must be an integer, not true"),
+    ([[False, 1], [1, 0]], 0, "table entry [0][0] must be an integer, not false"),
+    ([[0, True], [1, 1]], 0, "table entry [0][1] must be an integer, not true"),
+    ([[1, 0], [0, 1]], True, "identity index must be an integer, not true"),
+])
+def test_one_element_and_bool_tables_keep_their_errors(table, identity, error):
+    """``bytes`` would take True and False as 1 and 0: tables are read as
+    bytes only after the type check has named any bool entry."""
+    with pytest.raises(ValueError) as e:
+        Monoid(table, identity)
+    assert str(e.value) == error
 
 
 def test_representation_corruptions_match_oracle():
@@ -1354,7 +1438,7 @@ def test_representation_corruptions_match_oracle():
 # --- unit groups against the two-sided definition -----------------------------
 
 UNIT_MONOIDS = {**RADICAL_MONOIDS, **{f"validator-{k}": m for k, m in ALL_MONOIDS.items()},
-                "t4": load_monoid(str(GOLDEN_INPUTS / "t4.json"))}
+                "t4": T4}
 
 
 @pytest.mark.parametrize("name", sorted(UNIT_MONOIDS))

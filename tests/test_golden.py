@@ -106,6 +106,12 @@ CASES = {
     "scan-nt-symmetric-cap12-deep-json": (["scan-nt", "--from", "12", "--to", "15",
                                            "--mode", "symmetric", "--cap", "12",
                                            "--json"], 0),
+    # N_254 and N_255 have at most 256 elements, so Light's test runs as
+    # one translate pass per element; N_256..N_258 take the triple loop
+    "scan-nt-tensor-byte-boundary": (["scan-nt", "--from", "254", "--to", "258",
+                                      "--mode", "tensor"], 0),
+    "scan-nt-symmetric-byte-boundary": (["scan-nt", "--from", "254", "--to", "258",
+                                         "--mode", "symmetric"], 0),
     "molien-t3": (["molien", *T3, "--idempotent", "[1,2,3]",
                    "--weights", MOLIEN_WEIGHTS, "-N", "12"], 0),
     "molien-t3-n0": (["molien", *T3, "--idempotent", "[1,2,3]",
