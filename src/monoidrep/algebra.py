@@ -3,8 +3,8 @@
 The algebra QM has the monoid elements as basis; its vectors are plain
 coefficient tuples.  Two subspaces of QM drive everything here:
 
-* the radical, computed in characteristic zero as the kernel of the trace
-  form (x, y) -> trace of left multiplication by x*y on the algebra;
+* the radical Rad(QM), the intersection of the annihilators of the
+  simple modules, read off Green's relations (below);
 * the annihilator of a module W, the kernel of the linear map sending a
   coefficient vector c to sum_m c_m W(m).
 
@@ -16,34 +16,44 @@ conversely a missing simple yields a primitive idempotent killing W,
 and a nonzero idempotent is never nilpotent, so the containment fails.
 That single test replaces any explicit construction of simple modules.
 
-Both sides are kernels: Rad = (rowspace G)^perp for the trace-form Gram
-matrix G, and Ann(W) = F^perp for the span F, inside Q^M, of W's
-matrix-coefficient functions x -> W(x)[i][j].  So the test is decided
-in dual form, on row spaces: Ann(W) <= Rad exactly when
-rowspace(G) <= F, and dim Ann(W) = |M| - rank F.  A ``Subspace`` is
-therefore kept as integer rows spanning the space it is the kernel of,
-with its dimension, and has one constructor.  Every span of a list of
-rows is built by ``Echelon(ncols, rows)``.  The chains hand a
-``Subspace`` their echelon's rows and the echelon itself; Ann(W) is
-step 1 of the tensor chain, read off that chain's walk.
-The radical hands it the rows of G it accepted, with the exact echelon
-of G or, when certified, the kernel; the certified rows' echelon is
-built only when ``<=``, ``==`` or ``hash`` needs it.  Any spanning set
-serves, so the radical is read as rows of G (entries at most |M|), not
-as their reduced echelon, whose entries grow large.  Canonical reduced
-echelon rows are derived only for equality and hashing, and a kernel
-basis only when it is read, which on the checking path happens only to
-produce the witness of a failed containment.
+Both sides are kernels: Rad = R^perp for the span R, inside Q^M, of the
+simple modules' matrix-coefficient functions, and Ann(W) = F^perp for
+the span F of W's, x -> W(x)[i][j].  So the test is decided in dual
+form, on row spaces: Ann(W) <= Rad exactly when R <= F, and dim Ann(W)
+= |M| - rank F.  A ``Subspace`` is therefore kept as integer rows
+spanning the space it is the kernel of, with its dimension, and has one
+constructor.  Every span of a list of rows is built by
+``Echelon(ncols, rows)``.  The chains hand a ``Subspace`` their
+echelon's rows and the echelon itself; Ann(W) is step 1 of the tensor
+chain, read off that chain's walk.  The radical hands it a basis of R
+made of 0/1 rows, and no echelon: ``<=`` reads only its rows.  Canonical
+reduced echelon rows are derived only for equality and hashing, and a
+kernel basis only when it is read, which on the checking path happens
+only to produce the witness of a failed containment.
 
-The radical is the one computation done modulo a prime: G is put in
-echelon form mod p < 2^26 on rows packed into single ints
-(``linalg._echelon_mod_p``), and the result is certified over Z before
-it is used.  Rows independent mod p are independent over Q; the mod-p
-kernel vectors, lifted by rational reconstruction, are checked to
-satisfy G k = 0 exactly and are independent, so the exact rank equals
-the rank mod p (``_certified_radical``).  When a check fails a second
-prime is tried, and when that fails too the exact integer echelon of G
-decides.  Every verdict stays exact.
+The radical from Green's relations.  Take one idempotent e in each
+regular J-class, with R_e and L_e its R- and L-class and G_e = R_e & L_e
+its maximal subgroup.  Then
+
+    Rad(QM)^perp = R = span{ x -> [r*x*l = e] : r in R_e, l in L_e }.
+
+By Clifford-Munn-Ponizovskii, the simple modules with apex e are the
+tops of the induced modules Q L_e (x) V, V a simple QG_e-module: each is
+the image of Q L_e (x) V in Hom_{G_e}(Q R_e, V) under the sandwich
+pairing (r, l) -> r*l in G_e, or 0 outside it (Steinberg,
+*Representation Theory of Finite Monoids*, Springer 2016, the chapter
+on the Clifford-Munn-Ponizovskii theory).
+So the coefficient functions of those simples are spanned by x -> phi(r*x*l)
+for functions phi on G_e, extended by 0 off G_e, and as V ranges over
+the simples of QG_e, which is semisimple, every such phi arises: the
+span is that of the rows x -> [r*x*l = g], g in G_e.  Replacing r by
+g^-1*r, still in R_e, turns g into e.  Every simple has an apex, and
+one e per J-class gives every apex, so these rows span R.  The R- and
+L-classes are the strongly connected components of the right and left
+Cayley graphs (Froidure & Pin 1997; ``monoids.j_classes``), so the
+radical costs no Gram matrix, no product of matrices and no step
+modulo a prime: only the exact echelon of at most |M| sparse 0/1 rows
+(``radical_basis``).  Every verdict stays exact.
 
 Verifiers built on it: the tensor-power coverage bound (powers 0..r-1
 where r counts distinct character values), the symmetric-power bound
@@ -56,8 +66,9 @@ it exists, and the step at the bound gives a failed check's witness.
 A representation has one walk per chain, tensor and symmetric, stepped
 once as far as its furthest read; ``_steps`` hands every read the list
 of steps it asks for, so verifiers and minimal-power scans all index
-those two walks.  The tensor chain runs from power 1 and is the one
-tensor loop: a step from power 0 is the same step with the constant
+those two walks.  The tensor chain runs from power 1, on fibre rows
+for a transformation representation and on products of entry rows for
+any other: a step from power 0 is the same step with the constant
 functions E_0 as one more row, computed on each read and stored nowhere.
 No bound is capped: a tensor chain multiplies each of the at most |M|
 vectors it adds once; a symmetric degree too large is refused unbuilt.
@@ -75,12 +86,11 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import namedtuple
-from itertools import compress, count
-from math import isqrt, lcm
-from operator import eq, mul
+from itertools import combinations, count
+from operator import mul
 
-from .linalg import Echelon, _echelon_mod_p, _pack, _slots_fit, clear_denominators
-from .monoids import Monoid, has_zero
+from .linalg import Echelon, clear_denominators
+from .monoids import Monoid, has_zero, j_classes
 from .representations import (
     Representation,
     distinct_character_values,
@@ -90,8 +100,10 @@ from .representations import (
     symmetric_columns,
 )
 
-# Exact Gram matrices cost O(|M|^3); beyond a few hundred elements this
-# stops being a desk-scale computation.
+# The refusal and its message stay until one work budget replaces them,
+# though the radical is no longer an O(|M|^3) Gram echelon but an exact
+# echelon of at most |M| sparse 0/1 rows; the bound, cubed, also caps
+# the size of a symmetric degree.
 SIZE_GUARD = 300
 
 
@@ -99,19 +111,19 @@ class Subspace:
     """A linear subspace of Q^ambient, kept as the kernel of integer rows.
 
     ``rows`` spans the orthogonal complement, any spanning set: the
-    radical keeps rows of G.  ``dim`` is the subspace's dimension,
+    radical keeps 0/1 Green rows.  ``dim`` is the subspace's dimension,
     ``ambient`` minus the rank of ``rows``; the caller has worked it out.
     ``echelon``, when given, is an echelon of ``rows`` that no one
     changes afterwards.  It decides ``a <= b`` (b's rows lie in a's row
     space) and, by its canonical RREF, ``==`` and ``hash``; without it,
     it is built from ``rows`` when one of those first needs it.
     ``contains`` is a dot product with each row.  ``basis`` is derived on
-    read, from ``kernel`` when the caller has certified one.
+    read.
     """
 
-    def __init__(self, ambient, rows, dim, echelon=None, kernel=None):
+    def __init__(self, ambient, rows, dim, echelon=None):
         self.ambient, self.rows, self.dim = ambient, rows, dim
-        self._snapshot, self._kernel = echelon, kernel
+        self._snapshot = echelon
 
     @property
     def _echelon(self):
@@ -122,8 +134,7 @@ class Subspace:
     @property
     def basis(self):
         """Canonical RREF basis, as a tuple of tuples."""
-        kernel = self._echelon.kernel_basis() if self._kernel is None else self._kernel
-        return Echelon(self.ambient, kernel).rows
+        return Echelon(self.ambient, self._echelon.kernel_basis()).rows
 
     def contains(self, vec):
         if len(vec) != self.ambient:
@@ -168,88 +179,25 @@ def subspace_leq(a: Subspace, b: Subspace):
     return False, next(v for v in a.basis if not b.contains(v))
 
 
-# The two largest primes below 2^26: packed rows of G keep 64-bit slots
-# for up to 4096 pivots (``_slots_fit``).  The second is tried only when
-# the first fails the certificate, before the exact echelon.
-_PRIMES = (67108859, 67108837)
-
-
-def _lift(vec, p):
-    """An integer vector whose reduction mod p is a multiple of ``vec``,
-    by rational reconstruction of each entry (Wang, Guy & Davenport
-    1982) with numerator and denominator at most sqrt(p/2); None when an
-    entry has no such fraction."""
-    bound = isqrt(p // 2)
-    fracs = []
-    for j, a in compress(enumerate(vec), vec):  # the nonzero entries
-        r0, r1, s0, s1 = p, a, 0, 1
-        while r1 > bound:
-            q = r0 // r1
-            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-        if abs(s1) > bound:
-            return None
-        fracs.append((j, r1, s1))
-    d = lcm(*(abs(s) for _, _, s in fracs))
-    out = [0] * len(vec)
-    for j, r, s in fracs:
-        out[j] = r * (d // s)
-    return out
-
-
-def _certified_radical(gram, n, p):
-    """The kernel of G from one echelon mod the prime ``p``, or None.
-
-    The rows accepted mod p are independent mod p, hence over Q, so
-    rank G >= rank_p.  Each mod-p kernel vector is lifted by rational
-    reconstruction and checked to satisfy G k = 0 exactly over Z; the
-    lifted vectors are nonzero at distinct free columns and zero at the
-    other free columns, so they are independent, and nullity G >=
-    n - rank_p.  When every check passes, rank G = rank_p: the accepted
-    rows span G's row space and the lifted vectors its kernel.
-
-    G k is summed over G's columns packed into 64-bit slots, the positive
-    and the negative terms apart, so no slot borrows; G's entries are
-    nonnegative (fixed-point counts), so no slot carries while
-    max(G) * sum |k_j| < 2^64, and then the two sums are equal exactly
-    when every entry of G k is 0.  The rank mod p is at most n, so the
-    echelon's slots cannot overflow when ``_slots_fit(n)`` (n <= 4096);
-    beyond that there is no candidate.
-    """
-    if not _slots_fit(n, p):
-        return None
-    accepted, kernel = _echelon_mod_p(gram, n, p)
-    cols = [_pack(col) for col in zip(*dict.fromkeys(gram))]  # of distinct rows
-    top = max(map(max, gram))
-    lifted = []
-    for v in kernel:
-        k = _lift(v, p)
-        if k is None or top * sum(map(abs, k)) >= 1 << 64:
-            return None
-        pos = neg = 0
-        for c, col in compress(zip(k, cols), k):
-            if c > 0:
-                pos += c * col
-            else:
-                neg -= c * col
-        if pos != neg:
-            return None
-        lifted.append(k)
-    return Subspace(n, [gram[i] for i in accepted], len(lifted), kernel=lifted)
-
-
 def radical_basis(m: Monoid, force=False) -> Subspace:
-    """Radical of QM as a subspace, via the trace-form kernel.
+    """Radical of QM as a subspace, kept as the span of its Green rows.
 
-    In characteristic zero the radical is exactly the kernel of the
-    bilinear form (x, y) -> trace of left multiplication by x*y.  The
-    trace of left multiplication by a basis element z is the number of
-    fixed points {j : z*j = j}, so the Gram matrix G is integral.  Its
-    rank and kernel are computed modulo a prime below 2^26 and certified
-    over Z (``_certified_radical``): the ``rows`` are the rows of G that
-    are independent mod p, with entries at most |M|, and ``basis`` is
-    read from the lifted kernel vectors.  If a check fails, a second
-    prime is tried, and if that fails too the exact integer echelon of G
-    decides instead, keeping the rows it accepted.
+    For one idempotent e of each regular J-class, with R_e and L_e its
+    R- and L-classes (``monoids.j_classes``), Rad(QM) is the kernel of
+    the 0/1 rows x -> [r*x*l = e], r in R_e, l in L_e (see the module
+    docstring).  Row (g*r, l*g^-1) is row (r, l) for g in the group G_e
+    = R_e & L_e, so the least l of each H-class l*G_e of L_e gives them
+    all, at most |M| rows.  Up to 256 elements a row is row r of the
+    table read through [y*l = e] by one ``bytes.translate``.
+
+    The rows of distinct classes span independent spaces: those of the
+    simples with apex e, whose coefficient spaces form a direct sum, as
+    QM/Rad is the product of the simples' images.  So each class's
+    distinct rows, as ``bytes``, go l by l into an exact echelon of their
+    own, and the rows that enlarged it, over all classes, are a basis of
+    Rad's complement: ``dim`` is |M| minus their number.  Their common
+    echelon is built only when ``==``, ``hash`` or ``basis`` needs it;
+    ``<=`` against the radical reads only its rows.
     """
     n = m.size
     if n > SIZE_GUARD and not force:
@@ -257,15 +205,17 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
             f"monoid has {n} > {SIZE_GUARD} elements; exact O(n^3) radical "
             "computation refused (pass --force, or force=True from Python, "
             "to override)")
-    fix = [sum(map(eq, row, range(n))) for row in m.table]
-    gram = [tuple(map(fix.__getitem__, tx)) for tx in m.table]
-    for p in _PRIMES:
-        rad = _certified_radical(gram, n, p)
-        if rad is not None:
-            return rad
-    ech = Echelon(n)
-    rows = [row for row in gram if ech.insert(row)]
-    return Subspace(n, rows, n - ech.rank, ech)
+    table, pad = m.table, bytes(max(256 - n, 0))
+    rows = []
+    for e, r_e, l_e in j_classes(m):
+        group, green, ech = set(r_e).intersection(l_e), [], Echelon(n)
+        for l in l_e:
+            if l == min(map(table[l].__getitem__, group)):  # the least of l*G_e
+                hit = bytes([row[l] == e for row in table]) + pad  # y -> [y*l = e]
+                green += [bytes(table[r]).translate(hit) if n <= 256
+                          else bytes(map(hit.__getitem__, table[r])) for r in r_e]
+        rows += [row for row in dict.fromkeys(green) if ech.insert(row)]
+    return Subspace(n, rows, n - len(rows))
 
 
 def annihilator_basis(rho: Representation) -> Subspace:
@@ -339,9 +289,8 @@ def _check(theorem, rho, mode, radical, r, s, bound, first=0):
 
     The chain is walked before the radical is first read, so ``radical``
     may be a zero-argument callable returning it, called once the walk
-    is done: the radical can then be computed elsewhere meanwhile.  With
-    ``radical=None`` it is computed here first, so its size guard refuses
-    before any chain step."""
+    is done.  With ``radical=None`` it is computed here first, so its
+    size guard refuses before any chain step."""
     if bound < first:
         raise ValueError(f"{theorem} bound {bound} is below the first power "
                          f"{first}: there is no power to check")
@@ -365,10 +314,10 @@ def verify_tensor_theorem(rho: Representation,
     r is the number of distinct character values of the (faithful) input.
     A False result would contradict the theorem and therefore signals an
     implementation bug; the report carries the witness for auditing.
-    ``radical`` overrides the computed radical (negative-path testing), or
-    is a zero-argument callable returning it, called once the chain is
-    walked (``_check``).  The chain walked is shared with every other
-    read of it (``_steps``).
+    ``radical`` overrides the computed radical (negative-path testing, or
+    one radical shared by several checks), or is a zero-argument callable
+    returning it, called once the chain is walked (``_check``).  The
+    chain walked is shared with every other read of it (``_steps``).
     """
     _require_faithful(rho)
     r = len(distinct_character_values(rho))
@@ -435,9 +384,38 @@ def tensor_annihilator_chain(rho: Representation):
     each distinct nonzero product once.  The chain has
     no last step: a reader takes the steps it needs (``_steps``, whose
     reads from power 0 add the constants to these steps).
+
+    A transformation representation (``_point_values``), where rho(x) is
+    the 0/1 matrix of a self-map x of the points, takes a basis with no
+    products.  Its entry rows are [x(j) = a]; two of them at one point j
+    multiply to 0 or to a repeat, and they sum to 1 over the values a.
+    So with one reference value a_j per point, its most common, F_k is
+    spanned by the constants and the monomials prod_{j in J} [x(j) = b_j]
+    over point sets |J| <= k and values b_j != a_j: the 0/1 rows of the
+    fibres of x -> x|_J that avoid every a_j.  Step 1 inserts the
+    constants, and step k the fibres of each k-set J of points, each
+    fibre once; none is a product or a repeat.
     """
     n = rho.monoid.size
     acc = Echelon(n)
+    points = _point_values(rho)
+    if points is not None:  # fibre rows, in a walk that never returns
+        acc.insert((1,) * n)
+        # each point's values x -> x(j), with None where x(j) = a_j
+        refs = [max(set(col), key=col.count) for col in points]
+        marked = [tuple(None if a == ref else a for a in col)
+                  for col, ref in zip(points, refs)]
+        for k in count(1):
+            for part in combinations(marked, k):
+                if acc.rank == n:
+                    break
+                fibres = {}
+                for x, key in enumerate(zip(*part)):
+                    if None not in key:
+                        fibres.setdefault(key, bytearray(n))[x] = 1
+                # insert the fibres in turn, up to full rank
+                any(acc.insert(row) and acc.rank == n for row in fibres.values())
+            yield k, _kernel(acc)
     new = [(1,) * n]  # D_0: the constant functions, spanning E_0
     span, e1 = Echelon(n), []  # a basis of E_1: entry rows, as they are
     for row in _entry_rows(rho):
@@ -449,6 +427,24 @@ def tensor_annihilator_chain(rho: Representation):
         products = dict.fromkeys(tuple(map(mul, d, g)) for d in new for g in e1)
         new = [v for v in products if any(v) and acc.rank < n and acc.insert(v)]
         yield k, _kernel(acc)
+
+
+def _point_values(rho):
+    """For a transformation representation, the values x -> x(j) of each
+    point j, rho(x) holding its one 1 of column j in row x(j); else None.
+    Such a representation has dimension at least 1, and every matrix is
+    0/1 with exactly one 1 per column, as ``_action_matrices`` builds
+    them.  Each matrix is read as ``bytes``, and column j as a slice."""
+    d, maps = rho.dim, []
+    try:
+        for mat in rho.matrices:
+            flat = b"".join(map(bytes, mat.rows))  # raises unless entries are 0..255
+            if flat.count(1) != d or flat.count(0) != d * d - d:
+                return None
+            maps.append([flat[j::d].index(1) for j in range(d)])  # raises on a 0 column
+    except (TypeError, ValueError):
+        return None
+    return list(zip(*maps)) if d else None
 
 
 def symmetric_annihilator_chain(rho: Representation):

@@ -18,12 +18,12 @@ a usage error or a subcommand compiles only the modules it needs, and
 are flushed: the interpreter's teardown would only free memory the
 process is about to give back.
 
-Two commands split independent work over two processes when a second
-CPU is free and no other thread is alive (``_beside``): ``scan-nt``
-computes every other row in one forked child (``_scan_rows``), and
-``verify`` on a monoid of 64 elements or more computes the trace-form
-radical in one forked child while it walks the annihilator chains.
-Stdout, stderr and the exit code are those of the one-process run.
+``scan-nt`` splits its rows over two processes when a second CPU is
+free and no other thread is alive (``_beside``): one forked child
+computes every other row (``_scan_rows``).  Stdout, stderr and the exit
+code are those of the one-process run.  ``verify`` runs in one process:
+its radical, an exact echelon of at most |M| sparse 0/1 rows, costs
+less than a fork would save.
 """
 
 import argparse
@@ -102,14 +102,6 @@ def cmd_info(args):
     return 0
 
 
-# ``verify`` forks when the radical the child takes over costs more than
-# the fork, the pipe and the reap, about 1 ms.  The radical's echelon is
-# O(|M|^3): about 4-6 ns times |M|^3 for |M| = 128 to 256 (12 ms and
-# 65 ms; 2-core VM, Python 3.11), so |M|^3 >= 64^3 predicts 1-1.5 ms or
-# more.  T_3 (27 elements, a 0.5 ms radical) stays in one process.
-_FORK_WORK = 64 ** 3
-
-
 def _beside(child, parent, serial, worth):
     """``parent(join)`` here while a forked child computes ``child()``,
     or ``serial()`` alone.
@@ -179,34 +171,20 @@ def cmd_verify(args):
     rho = fileio.load_representation(args.representation, m)
     which = args.which
 
-    def run(radical):
-        reports, skipped = [], []
-        if which in ("all", "tensor"):
-            reports.append(algebra.verify_tensor_theorem(rho, radical=radical))
-        if which in ("all", "symmetric"):
-            reports.append(algebra.verify_symmetric_theorem(rho, radical=radical))
-        # the verifier itself refuses a monoid with a zero; "all" skips it
-        if which == "positive" or (which == "all" and monoids.has_zero(m) is None):
-            reports.append(algebra.verify_positive_power_refinement(rho, radical=radical))
-        elif which == "all":
-            skipped.append("positive-refinement: monoid has a zero element")
-        if which in ("all", "steinberg"):
-            reports.append(algebra.verify_steinberg_bound(rho, radical=radical))
-        return reports, skipped
-
-    def radical():
-        return algebra.radical_basis(m, force=args.force)
-
-    def sent():  # the child's radical, as marshal carries it: no echelon
-        rad = radical()
-        return rad.rows, rad.dim, None, rad._kernel
-
-    # the checks walk their chains before they read the radical
-    n = m.size
-    reports, skipped = _beside(
-        sent, lambda join: run(lambda: algebra.Subspace(n, *join())),
-        lambda: run(radical()),
-        n ** 3 >= _FORK_WORK and (n <= algebra.SIZE_GUARD or args.force))
+    # the radical first, so that its size guard refuses before any chain step
+    radical = algebra.radical_basis(m, force=args.force)
+    reports, skipped = [], []
+    if which in ("all", "tensor"):
+        reports.append(algebra.verify_tensor_theorem(rho, radical=radical))
+    if which in ("all", "symmetric"):
+        reports.append(algebra.verify_symmetric_theorem(rho, radical=radical))
+    # the verifier itself refuses a monoid with a zero; "all" skips it
+    if which == "positive" or (which == "all" and monoids.has_zero(m) is None):
+        reports.append(algebra.verify_positive_power_refinement(rho, radical=radical))
+    elif which == "all":
+        skipped.append("positive-refinement: monoid has a zero element")
+    if which in ("all", "steinberg"):
+        reports.append(algebra.verify_steinberg_bound(rho, radical=radical))
 
     sharpness = {rep.theorem: rep.minimal_k for rep in reports
                  if rep.holds and rep.theorem in ("tensor", "symmetric")}

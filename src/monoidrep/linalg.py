@@ -6,9 +6,7 @@ add and transpose in integers alone.  Echelon reduction takes rational
 input but eliminates in Python integers (fraction-free, by
 cross-multiplication, over the nonzero columns of each pivot row) and
 divides only for its canonical reduced form, whose entries are canonical
-as a matrix's are.  One private routine, ``_echelon_mod_p``, echelons
-integer rows modulo a prime, each row packed into one int; its result is
-only a candidate, which the caller certifies over the integers.
+as a matrix's are.  No elimination runs modulo a prime.
 Univariate polynomials keep the same canonical form.  One Newton
 recurrence turns power sums p into the complete homogeneous symmetric
 functions h; the elementary ones, and with them every characteristic
@@ -31,10 +29,9 @@ here are safe to call from multiple threads.
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, count
 from math import gcd, lcm
 from operator import add, mul
 
@@ -298,13 +295,13 @@ class Echelon:
     def insert(self, vec):
         """Add ``vec`` to the row space; True if it enlarged the space."""
         v = self.reduce(vec)
-        p = next((j for j, c in enumerate(v) if c), None)
+        p = next(compress(count(), v), None)  # the first nonzero column
         if p is None:
             return False
         g = gcd(*v)
         if v[p] < 0:
             g = -g
-        row = tuple(x // g for x in v)
+        row = tuple(v) if g == 1 else tuple(x // g for x in v)
         k = bisect_left(self.pivots, p)
         self.pivots.insert(k, p)
         self.int_rows.insert(k, row)
@@ -349,102 +346,6 @@ class Echelon:
                     v[p] = -row[f]
             basis.append(tuple(v))
         return basis
-
-
-_SLOT_MASK = (1 << 64) - 1
-
-
-def _slots_fit(rank, p):
-    """Whether a 64-bit slot holding an entry below p survives ``rank``
-    eliminations, each adding at most (p-1)^2 without reduction."""
-    return rank * (p - 1) ** 2 + (p - 1) < 1 << 64
-
-
-def _pack(vals):
-    """Entries in [0, 2^64) as one int, entry j in bits 64j .. 64j+63."""
-    return int.from_bytes(struct.pack(f"<{len(vals)}Q", *vals), "little")
-
-
-def _unpack(v, n):
-    """The n 64-bit slots of a packed int, entry 0 first."""
-    return struct.unpack(f"<{n}Q", v.to_bytes(8 * n, "little"))
-
-
-def _reduce_mod_p(v, stored, p, n):
-    """The n entries mod p of packed v once the pivot slot of each stored
-    (offset, row), in turn, is brought to 0 by one multiply-add."""
-    for shift, r in stored:
-        c = (v >> shift & _SLOT_MASK) % p
-        if c:
-            v += (p - c) * r
-    return [x % p for x in _unpack(v, n)]
-
-
-def _echelon_mod_p(rows, ncols, p):
-    """Row echelon form of integer rows modulo a prime p.
-
-    Returns ``(accepted, kernel)``: the indices of the rows that enlarged
-    the row space mod p (in order), and the canonical kernel basis mod p,
-    one list per free column in ascending order with entry 1 there,
-    entries in [0, p).
-
-    Each row is packed into one int of 64-bit slots (``_pack``), so
-    eliminating a stored pivot row R is the single big-int multiply-add
-    ``v += (p - c) * R`` with c the residue of v's pivot slot.  Slots are
-    reduced mod p only when a row is unpacked, after its elimination.  A
-    slot starts below p and each elimination adds at most (p-1)^2, so it
-    never carries into its neighbour while the rank stays within
-    ``_slots_fit``: up to 4096 for p < 2^26.  The caller keeps it there.
-
-    The kernel needs the reduced form only at the free columns F, so the
-    back-substitution runs on rows packed over F alone.  Forward row k
-    has pivot 1 and is zero at the pivots stored before it; each reduced
-    row R_j (j > k) is zero at every pivot but its own, so clearing them
-    from row k, last first, leaves the coefficient of R_j at its forward
-    value: R_k[F] = row_k[F] - sum_{j>k} row_k[p_j] R_j[F].  Each term
-    adds at most (p-1)^2 to a slot, as an elimination does.
-    """
-    stored = []  # (bit offset of the pivot slot, packed row with pivot 1)
-    forward = []  # the same rows, unpacked
-    pivots, accepted = [], []
-    seen = set()  # a repeated row never enlarges the row space
-    for i, row in enumerate(rows):
-        if len(stored) == ncols:
-            break
-        row = tuple(row)
-        if row in seen:
-            continue
-        seen.add(row)
-        vals = _reduce_mod_p(_pack([x % p for x in row]), stored, p, ncols)
-        col = next((j for j, x in enumerate(vals) if x), None)
-        if col is None:
-            continue
-        inv = pow(vals[col], -1, p)
-        vals = [x * inv % p for x in vals]
-        stored.append((64 * col, _pack(vals)))
-        forward.append(vals)
-        pivots.append(col)
-        accepted.append(i)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    kernel = [[0] * ncols for _ in free]
-    for v, f in zip(kernel, free):
-        v[f] = 1
-    if not free:
-        return accepted, kernel
-    reduced = [0] * len(pivots)  # R_k[F], packed
-    for k in range(len(pivots) - 1, -1, -1):
-        row = forward[k]
-        v = _pack([row[f] for f in free])
-        for q, r in zip(pivots[k + 1:], reduced[k + 1:]):
-            c = row[q]
-            if c:
-                v += (p - c) * r
-        vals = [x % p for x in _unpack(v, len(free))]
-        reduced[k] = _pack(vals)
-        for vec, x in compress(zip(kernel, vals), vals):
-            vec[pivots[k]] = p - x
-    return accepted, kernel
 
 
 def rank(m: Matrix) -> int:

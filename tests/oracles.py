@@ -18,18 +18,28 @@ row to reduced form at full width, the closure that formed all |M|^2
 products for its table, and representation validation one matrix
 product per pair.
 
+The radical is checked against its definition in characteristic zero,
+the kernel of the trace form, computed from the Gram matrix (the route
+the package took before it read the radical off Green's relations),
+with the rank modulo a prime of the package's former echelon on packed
+rows (``echelon_mod_p``, itself checked against the exact echelon and
+the full-width one) as a lower bound where that exact echelon is too
+slow; Green's relations come from the one-sided and two-sided
+ideals xM, Mx and MxM, each formed product by product.
+
 Last come helpers only tests use: the span of vectors as a
 ``Subspace``, monoid morphisms with the LI test, and the character
 kernel computed two ways.
 """
 
+import struct
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, compress, product
 from math import gcd, lcm
 
 from monoidrep.algebra import Subspace
-from monoidrep.linalg import Echelon, Matrix, _pack, _reduce_mod_p
+from monoidrep.linalg import Echelon, Matrix
 from monoidrep.monoids import Monoid, idempotents, local_monoid
 from monoidrep.representations import Representation
 
@@ -122,48 +132,6 @@ class DenseEchelon:
                     v[p] = -row[f]
             basis.append(tuple(v))
         return basis
-
-
-def echelon_mod_p_full_width(rows, ncols, p):
-    """``linalg._echelon_mod_p`` as it was before its back-substitution
-    ran on the free columns alone: every stored row, last first, is
-    cleared of the later pivots at full width, and the kernel is read off
-    the reduced rows.  Returns ``(accepted, kernel)`` as that does."""
-    stored = []  # (bit offset of the pivot slot, packed row with pivot 1)
-    pivots, accepted = [], []
-    seen = set()
-    for i, row in enumerate(rows):
-        if len(stored) == ncols:
-            break
-        row = tuple(row)
-        if row in seen:
-            continue
-        seen.add(row)
-        vals = _reduce_mod_p(_pack([x % p for x in row]), stored, p, ncols)
-        col = next((j for j, x in enumerate(vals) if x), None)
-        if col is None:
-            continue
-        inv = pow(vals[col], -1, p)
-        stored.append((64 * col, _pack([x * inv % p for x in vals])))
-        pivots.append(col)
-        accepted.append(i)
-    reduced = []
-    for k in range(len(stored) - 1, -1, -1):
-        vals = _reduce_mod_p(stored[k][1], stored[k + 1:], p, ncols)
-        stored[k] = stored[k][0], _pack(vals)
-        reduced.append(vals)
-    reduced.reverse()
-    kernel = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [0] * ncols
-        v[f] = 1
-        for q, row in zip(pivots, reduced):
-            if row[f]:
-                v[q] = p - row[f]
-        kernel.append(v)
-    return accepted, kernel
 
 
 def gauss_rank(rows):
@@ -402,6 +370,181 @@ def in_radical(table, v):
     fix = [sum(1 for j in range(n) if table[z][j] == j) for z in range(n)]
     return all(sum(Fraction(v[x]) * fix[table[x][y]] for x in range(n) if v[x]) == 0
                for y in range(n))
+
+
+def gram_matrix(table):
+    """The Gram matrix G of the trace form: G[x][y] = tr(L_{x*y}), the
+    number of fixed points j of z = x*y, z*j = j."""
+    n = len(table)
+    fix = [sum(1 for j in range(n) if table[z][j] == j) for z in range(n)]
+    return [tuple(fix[table[x][y]] for y in range(n)) for x in range(n)]
+
+
+def gram_radical(m: Monoid):
+    """Rad(QM) by its definition in characteristic zero: the kernel of the
+    trace form, here the kernel of G's exact echelon, over the rows of G
+    it accepted.  The route ``radical_basis`` took before it read the
+    radical off Green's relations, with no prime."""
+    n = m.size
+    ech = Echelon(n)
+    rows = [row for row in gram_matrix(m.table) if ech.insert(row)]
+    return Subspace(n, rows, n - ech.rank, ech)
+
+
+PRIME = (1 << 26) - 5  # the prime of the package's certified radical
+_SLOT_MASK = (1 << 64) - 1
+
+
+def _pack(vals):
+    """Entries in [0, 2^64) as one int, entry j in bits 64j .. 64j+63."""
+    return int.from_bytes(struct.pack(f"<{len(vals)}Q", *vals), "little")
+
+
+def _unpack(v, n):
+    """The n 64-bit slots of a packed int, entry 0 first."""
+    return struct.unpack(f"<{n}Q", v.to_bytes(8 * n, "little"))
+
+
+def _reduce_mod_p(v, stored, p, n):
+    """The n entries mod p of packed v once the pivot slot of each stored
+    (offset, row), in turn, is brought to 0 by one multiply-add."""
+    for shift, r in stored:
+        c = (v >> shift & _SLOT_MASK) % p
+        if c:
+            v += (p - c) * r
+    return [x % p for x in _unpack(v, n)]
+
+
+def echelon_mod_p(rows, ncols, p=PRIME):
+    """Row echelon form of integer rows modulo a prime p.
+
+    Returns ``(accepted, kernel)``: the indices of the rows that enlarged
+    the row space mod p (in order), and the canonical kernel basis mod p,
+    one list per free column in ascending order with entry 1 there,
+    entries in [0, p).
+
+    Each row is packed into one int of 64-bit slots (``_pack``), so
+    eliminating a stored pivot row R is the single big-int multiply-add
+    ``v += (p - c) * R`` with c the residue of v's pivot slot.  Slots are
+    reduced mod p only when a row is unpacked, after its elimination.  A
+    slot starts below p and each elimination adds at most (p-1)^2, so it
+    never carries into its neighbour while rank (p-1)^2 + (p-1) < 2^64:
+    up to rank 4096 for p < 2^26, which every input here stays within.
+
+    The kernel needs the reduced form only at the free columns F, so the
+    back-substitution runs on rows packed over F alone.  Forward row k
+    has pivot 1 and is zero at the pivots stored before it; each reduced
+    row R_j (j > k) is zero at every pivot but its own, so clearing them
+    from row k, last first, leaves the coefficient of R_j at its forward
+    value: R_k[F] = row_k[F] - sum_{j>k} row_k[p_j] R_j[F].  Each term
+    adds at most (p-1)^2 to a slot, as an elimination does.
+    """
+    stored = []  # (bit offset of the pivot slot, packed row with pivot 1)
+    forward = []  # the same rows, unpacked
+    pivots, accepted = [], []
+    seen = set()  # a repeated row never enlarges the row space
+    for i, row in enumerate(rows):
+        if len(stored) == ncols:
+            break
+        row = tuple(row)
+        if row in seen:
+            continue
+        seen.add(row)
+        vals = _reduce_mod_p(_pack([x % p for x in row]), stored, p, ncols)
+        col = next((j for j, x in enumerate(vals) if x), None)
+        if col is None:
+            continue
+        inv = pow(vals[col], -1, p)
+        vals = [x * inv % p for x in vals]
+        stored.append((64 * col, _pack(vals)))
+        forward.append(vals)
+        pivots.append(col)
+        accepted.append(i)
+    pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
+    kernel = [[0] * ncols for _ in free]
+    for v, f in zip(kernel, free):
+        v[f] = 1
+    if not free:
+        return accepted, kernel
+    reduced = [0] * len(pivots)  # R_k[F], packed
+    for k in range(len(pivots) - 1, -1, -1):
+        row = forward[k]
+        v = _pack([row[f] for f in free])
+        for q, r in zip(pivots[k + 1:], reduced[k + 1:]):
+            c = row[q]
+            if c:
+                v += (p - c) * r
+        vals = [x % p for x in _unpack(v, len(free))]
+        reduced[k] = _pack(vals)
+        for vec, x in compress(zip(kernel, vals), vals):
+            vec[pivots[k]] = p - x
+    return accepted, kernel
+
+
+def echelon_mod_p_full_width(rows, ncols, p):
+    """``echelon_mod_p`` as it was before its back-substitution
+    ran on the free columns alone: every stored row, last first, is
+    cleared of the later pivots at full width, and the kernel is read off
+    the reduced rows.  Returns ``(accepted, kernel)`` as that does."""
+    stored = []  # (bit offset of the pivot slot, packed row with pivot 1)
+    pivots, accepted = [], []
+    seen = set()
+    for i, row in enumerate(rows):
+        if len(stored) == ncols:
+            break
+        row = tuple(row)
+        if row in seen:
+            continue
+        seen.add(row)
+        vals = _reduce_mod_p(_pack([x % p for x in row]), stored, p, ncols)
+        col = next((j for j, x in enumerate(vals) if x), None)
+        if col is None:
+            continue
+        inv = pow(vals[col], -1, p)
+        stored.append((64 * col, _pack([x * inv % p for x in vals])))
+        pivots.append(col)
+        accepted.append(i)
+    reduced = []
+    for k in range(len(stored) - 1, -1, -1):
+        vals = _reduce_mod_p(stored[k][1], stored[k + 1:], p, ncols)
+        stored[k] = stored[k][0], _pack(vals)
+        reduced.append(vals)
+    reduced.reverse()
+    kernel = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for q, row in zip(pivots, reduced):
+            if row[f]:
+                v[q] = p - row[f]
+        kernel.append(v)
+    return accepted, kernel
+
+
+def green_classes(table):
+    """The R-, L- and J-class of each element by definition, as frozensets:
+    x R y when xM = yM, x L y when Mx = My, x J y when MxM = MyM, each
+    ideal formed product by product."""
+    n = len(table)
+    right = [frozenset(table[x]) for x in range(n)]
+    left = [frozenset(table[y][x] for y in range(n)) for x in range(n)]
+    two = [frozenset(table[y][z] for y in range(n) for z in right[x]) for x in range(n)]
+    return [[frozenset(y for y in range(n) if ideal[y] == ideal[x]) for x in range(n)]
+            for ideal in (right, left, two)]
+
+
+def green_rows(table):
+    """Every row x -> [r*x*l = e] of the radical's description, by
+    definition, as bytes: e the least idempotent of a J-class that has
+    one, r in the R-class of e and l in its L-class."""
+    n = len(table)
+    r_class, l_class, j_class = green_classes(table)
+    first = {j_class[e]: e for e in reversed(range(n)) if table[e][e] == e}
+    return [bytes(table[table[r][x]][l] == e for x in range(n))
+            for e in first.values() for r in sorted(r_class[e]) for l in sorted(l_class[e])]
 
 
 def generated(table, identity, gens):

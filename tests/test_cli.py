@@ -672,67 +672,34 @@ def test_scan_rows_round_trip_through_marshal(mode, with_s):
     assert back == rows and repr(back) == repr(rows)
 
 
-# --- verify with the radical in a forked child -----------------------------------
+# --- verify in one process -------------------------------------------------------
 
 VERIFY_CASES = sorted(name for name in CASES if name.startswith("verify-"))
-
-
-def test_verify_forks_once_for_a_large_monoid(monkeypatch, capsys):
-    """With two CPUs the 128-element monoid's radical is computed in one
-    forked child; T_3 (27 elements) stays in one process by the size
-    rule, and so does the 128-element monoid with one CPU or with a
-    second thread alive."""
-    expected = run_case("verify-m128-steinberg")
-    forks = counting_forks(monkeypatch)
-    assert run_case("verify-m128-steinberg") == expected
-    assert forks == ([1] if can_split() else [])
-    assert_no_child_left()
-    forks.clear()
-    t3 = (0, (GOLDEN / "verify-t3-default.txt").read_text(encoding="utf-8"))
-    assert run_case("verify-t3-default") == t3
-    assert forks == []
-    refusing_forks(monkeypatch)
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        assert run_case("verify-m128-steinberg") == expected
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    one_cpu(monkeypatch)
-    assert run_case("verify-m128-steinberg") == expected
-    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("name", VERIFY_CASES)
 def test_verify_golden_forked_and_in_one_process(name, monkeypatch, capsys):
     """Every golden verify, the zero-radical ``*-corrupt*`` ones with
-    their exit-1 witnesses among them, prints the same stdout and stderr
-    with the same exit code whether its radical comes from a forked child
-    (the size rule lifted, two CPUs) or from this process (one CPU)."""
+    their exit-1 witnesses among them, prints its golden stdout with its
+    exit code from this process alone: with two CPUs free, as with one,
+    no child is forked.  The name is from when two free CPUs forked a
+    child for the radical."""
     expected = (CASES[name][1], (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
-    monkeypatch.setattr(cli, "_FORK_WORK", 0)
-    forks = counting_forks(monkeypatch)
+    refusing_forks(monkeypatch)
     assert run_case(name) == expected
     err = capsys.readouterr().err
-    assert forks == ([1] if can_split() else [])
-    assert_no_child_left()
     one_cpu(monkeypatch)
-    refusing_forks(monkeypatch)
     assert run_case(name) == expected
     assert capsys.readouterr().err == err
 
 
 def test_verify_size_guard_refuses_before_any_fork_or_chain_step(files, capsys, monkeypatch):
-    """The radical's size guard refuses, exit 2, before a child is forked
-    and before any chain step, whatever the size rule says."""
+    """The radical's size guard refuses, exit 2, before any chain step,
+    and no child is forked."""
     def refuse(rho):
         raise AssertionError("a chain was opened")
 
     monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
-    monkeypatch.setattr(cli, "_FORK_WORK", 0)
     monkeypatch.setattr(algebra, "tensor_annihilator_chain", refuse)
     refusing_forks(monkeypatch)
     code, out, err = run(capsys, ["verify", files["nt7"], files["nt_rep"],
@@ -744,10 +711,9 @@ def test_verify_size_guard_refuses_before_any_fork_or_chain_step(files, capsys, 
 @pytest.mark.parametrize("failure", ["degree", "radical"])
 def test_verify_failure_on_either_side_is_the_serial_error(failure, files, capsys,
                                                           monkeypatch):
-    """A symmetric degree refused while the child computes the radical,
-    or a radical that raises in the child, gives the one-process run's
-    exit 2 and error line, with no stdout and no child left."""
-    monkeypatch.setattr(cli, "_FORK_WORK", 0)
+    """A symmetric degree refused once the radical is computed, or a
+    radical that raises, gives exit 2 and one error line, with no stdout
+    and no child forked."""
     if failure == "degree":  # --force lifts the radical's guard only
         monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
         argv = ["verify", files["nt7"], files["nt_rep"], "--which", "symmetric", "--force"]
@@ -759,32 +725,9 @@ def test_verify_failure_on_either_side_is_the_serial_error(failure, files, capsy
         monkeypatch.setattr(algebra, "radical_basis", failing)
         argv = ["verify", files["nt7"], files["nt_rep"], "--which", "tensor"]
         message = "error: no radical\n"
-    forks = counting_forks(monkeypatch)
-    code, out, err = expected = run(capsys, argv)
-    assert (code, out) == (2, "") and err.startswith(message) and err.count("\n") == 1
-    assert forks == ([1] if can_split() else [])
-    assert_no_child_left()
-    one_cpu(monkeypatch)
     refusing_forks(monkeypatch)
-    assert run(capsys, argv) == expected
-
-
-# the 610-element submonoid of T_5: with --force its radical keeps the
-# child busy for a good part of a second
-M610 = {"type": "transformations", "degree": 5,
-        "generators": [[2, 3, 4, 5, 1], [1, 1, 3, 4, 5]]}
-
-
-@needs_fork_and_proc
-def test_verify_sigint_to_the_parent_reaps_the_child(tmp_path):
-    """SIGINT sent to the verifying process alone: it stops the child
-    computing the radical, reaps it and exits."""
-    write(tmp_path, "m610.json", M610)
-    write(tmp_path, "natural.json", {"mode": "natural"})
-    sigint_to_the_parent_reaps_the_child(
-        ["verify", "m610.json", "natural.json", "--which", "tensor", "--force"],
-        cwd=tmp_path)
-
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "") and err.startswith(message) and err.count("\n") == 1
 
 
 # --- molien -------------------------------------------------------------------------

@@ -13,14 +13,11 @@ the minimal covering and faithful power scans on the same corpus, and
 every symmetric power up to degree 6 against its from-scratch
 expansion.  A conjugate has the same annihilator as its original, so
 its every chain step, verdict, ``minimal_k`` and witness must equal the
-original's.  The radical, kept as its own rows of the Gram matrix G, must
-be the kernel of G's full echelon, and ``<=``, ``subspace_leq`` and
-``contains`` on those rows must agree with the trace-form definition and
-plain Gauss-Jordan kernels at every tensor and symmetric chain step.
-On the corpus, N_t, T_3 and the 128-element submonoid of T_4 the radical
-certified modulo a prime must equal the plain Gauss-Jordan kernel of G,
-and with a prime that divides a minor of G it must fall back to the
-exact echelon and give the same subspace.  The tensor chain, which
+original's.  The radical, kept as 0/1 Green rows x -> [r*x*l = e] that
+span rowspace(G) for the trace-form Gram matrix G, must be the kernel of
+G's full echelon, and ``<=``, ``subspace_leq`` and ``contains`` on those
+rows must agree with the trace-form definition and plain Gauss-Jordan
+kernels at every tensor and symmetric chain step.  The tensor chain, which
 starts at power 1 and inserts each distinct product once per step, must
 store the same echelon rows at every step as the loop that inserted
 every product, kept in ``tests/oracles.py``.  The steps a read from
@@ -95,6 +92,19 @@ error text as the pair-by-pair check kept there.  On every monoid of
 these corpora, T_3, T_4 and the 128-element monoid, ``unit_group`` of
 each idempotent e must be the units of eMe by their two-sided
 definition.
+
+The radical read off Green's relations must be the kernel of the trace
+form's Gram matrix (``oracles.gram_radical``), in canonical RREF, on all
+of these monoids, seeded monoids of 0/+-1 matrices and N_2..N_40; its
+rows must be Green rows by definition, and all Green rows must span
+rowspace(G).  On T_4 and the 610-element submonoid of T_5, too large for
+that exact echelon, every row of G must lie in the span of the Green
+rows and G must have their rank modulo a prime.  ``j_classes`` must
+agree with the classes of the ideals xM, Mx and MxM, and a
+transformation representation's fibre rows must give every tensor step
+the dimension and canonical RREF of the general loop, on the natural
+and regular representations of the transformation monoids, T_3 and the
+128-element monoid, and on T_4's natural one.
 """
 
 import random
@@ -110,8 +120,7 @@ import pytest
 from monoidrep import algebra, linalg, monoids
 from monoidrep.algebra import (
     Subspace,
-    _certified_radical,
-    _lift,
+    _point_values,
     minimal_covering_power,
     minimal_faithful_power,
     radical_basis,
@@ -126,7 +135,6 @@ from monoidrep.linalg import (
     Echelon,
     Matrix,
     Polynomial,
-    _echelon_mod_p,
     charpoly,
     charpoly_from_power_traces,
     complete_homogeneous_from_power_sums,
@@ -148,6 +156,7 @@ from monoidrep.monoids import (
     from_matrices,
     from_transformations,
     idempotents,
+    j_classes,
     local_monoid,
     nt_monoid,
     unit_group,
@@ -175,10 +184,15 @@ from oracles import (
     charpoly_laplace,
     charpoly_of_map,
     closure_all_pairs,
+    echelon_mod_p,
     first_associativity_failure,
     gauss_nullity,
     gauss_rank,
     generated,
+    gram_matrix,
+    gram_radical,
+    green_classes,
+    green_rows,
     h_complete_brute,
     in_radical,
     is_associative,
@@ -322,34 +336,23 @@ def test_chain_against_oracles(name, chain_name):
     assert steps == KMAX + 1 - first
 
 
-def _gram(m):
-    return [tuple(sum(1 for j in range(m.size) if m.table[m.table[x][y]][j] == j)
-                  for y in range(m.size)) for x in range(m.size)]
-
-
-def _exact_radical(gram):
-    """The kernel of G's full exact echelon."""
-    full = Echelon(len(gram))
-    for row in gram:
-        full.insert(row)
-    return algebra._kernel(full)
-
-
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_subspace_form_against_oracles(name):
-    """The radical keeps its own rows of G yet is the same subspace as the
-    kernel of G's full echelon; at every tensor and symmetric chain step
-    ``<=``, ``subspace_leq`` and ``contains`` on those rows agree with the
-    trace-form definition and with plain Gauss-Jordan kernels."""
+    """The radical keeps 0/1 Green rows, yet is the same subspace as the
+    kernel of G's full echelon: its rows span rowspace(G).  At every
+    tensor and symmetric chain step ``<=``, ``subspace_leq`` and
+    ``contains`` on those rows agree with the trace-form definition and
+    with plain Gauss-Jordan kernels."""
     rho = CORPUS[name]
     m = rho.monoid
-    gram = _gram(m)
+    gram = gram_matrix(m.table)
     rad = radical_basis(m)
-    kernel = _exact_radical(gram)
+    kernel = gram_radical(m)
     assert rad == kernel and hash(rad) == hash(kernel)
     assert rad.dim == kernel.dim == gauss_nullity(gram, m.size)
     assert rad.basis == kernel.basis == tuple(null_space(gram, m.size))
-    assert set(rad.rows) <= set(gram)
+    assert set(rad.rows) <= set(green_rows(m.table))
+    assert gauss_rank(list(rad.rows) + gram) == gauss_rank(gram) == len(rad.rows)
     assert len(rad.rows) == gauss_rank(rad.rows) == m.size - rad.dim
     for chain_name in ("tensor", "symmetric"):
         chain, power, _ = CHAINS[chain_name]
@@ -484,7 +487,7 @@ def test_symmetric_chain_inserts_each_row_once(name, monkeypatch):
     assert inserted and len(set(inserted)) == len(inserted)
 
 
-# --- the certified modular radical ---------------------------------------------
+# --- the radical from Green's relations -----------------------------------------
 
 RADICAL_MONOIDS = {
     **{name: rho.monoid for name, rho in CORPUS.items() if not name.startswith("conjugate-")},
@@ -496,92 +499,20 @@ RADICAL_MONOIDS = {
 
 @pytest.mark.parametrize("name", sorted(RADICAL_MONOIDS))
 def test_certified_radical_against_null_space(name):
-    """The radical certified mod p is the plain Gauss-Jordan kernel of G
-    in ``==``, ``hash``, ``dim`` and ``basis``, read through rows of G."""
+    """The radical is the plain Gauss-Jordan kernel of G in ``==``,
+    ``hash``, ``dim`` and ``basis``, read through distinct 0/1 Green rows,
+    one per dimension of rowspace(G).  The name is from the radical
+    certified modulo a prime that this test first checked."""
     m = RADICAL_MONOIDS[name]
-    gram = _gram(m)
+    gram = gram_matrix(m.table)
     rad = radical_basis(m)
-    assert rad._kernel is not None  # the certificate held; no fallback
     expected = null_space(gram, m.size)
     oracle = span_subspace(m.size, expected)
     assert rad == oracle and hash(rad) == hash(oracle)
     assert rad.dim == oracle.dim == len(expected)
     assert rad.basis == tuple(expected)
-    assert set(rad.rows) <= set(gram)
-
-
-# small primes dividing a minor of G, so the rank drops mod p; modulo 2
-# the certificate fails too, by a rank drop or a kernel entry that does
-# not reconstruct
-UNLUCKY = {"t3": 3, "m128": 3, "nt-7": 7}
-
-
-@pytest.mark.parametrize("name", sorted(UNLUCKY))
-def test_unlucky_prime_falls_back_to_exact_radical(name, monkeypatch):
-    """With both primes unlucky the exact echelon of G decides."""
-    m, p = RADICAL_MONOIDS[name], UNLUCKY[name]
-    gram = _gram(m)
-    exact = _exact_radical(gram)
-    assert len(_echelon_mod_p(gram, m.size, p)[0]) < m.size - exact.dim
-    assert _certified_radical(gram, m.size, 2) is None
-    monkeypatch.setattr(algebra, "_PRIMES", (p, 2))
-    rad = radical_basis(m)
-    assert rad._kernel is None  # fell back to the exact echelon
-    assert rad == exact and hash(rad) == hash(exact)
-    assert rad.dim == exact.dim and rad.basis == exact.basis
-    assert set(rad.rows) <= set(gram)
-
-
-@pytest.mark.parametrize("name", sorted(UNLUCKY))
-def test_second_prime_certifies_after_an_unlucky_first(name, monkeypatch):
-    """With only the first prime unlucky the second certifies the
-    radical, and no exact echelon of G is formed."""
-    m = RADICAL_MONOIDS[name]
-    monkeypatch.setattr(algebra, "_PRIMES", (UNLUCKY[name], algebra._PRIMES[1]))
-    inserted = []
-    insert = Echelon.insert
-
-    def recording_insert(ech, vec):
-        inserted.append(vec)
-        return insert(ech, vec)
-
-    monkeypatch.setattr(Echelon, "insert", recording_insert)
-    rad = radical_basis(m)
-    assert rad._kernel is not None and not inserted
-    expected = null_space(_gram(m), m.size)
-    assert rad.dim == len(expected) and rad.basis == tuple(expected)
-
-
-def test_certificate_refuses_a_wrong_kernel():
-    """A hand-built G whose rank drops mod p, and one whose kernel entry
-    is too large to reconstruct from its residue, both fail the check."""
-    p = algebra._PRIMES[0]
-    assert _certified_radical([(1, 2), (3, 4)], 2, p).dim == 0
-    assert _certified_radical([(1, 100003), (2, 200006)], 2, p) is None
-    assert _certified_radical([(1, 2), (3, 4)], 2, 2) is None
-
-
-def test_lift_reconstructs_small_fractions():
-    """Residues of -1, 2 and 1/2 lift to (-2, 4, 1), the same line over Q;
-    a residue with no fraction of numerator and denominator up to
-    sqrt(p/2) lifts to nothing."""
-    p = algebra._PRIMES[0]
-    assert _lift([p - 1, 2, (p + 1) // 2, 0], p) == [-2, 4, 1, 0]
-    assert _lift([pow(7919, -1, p) * 7907 % p], p) is None
-
-
-def test_certified_radical_forms_no_exact_echelon(monkeypatch):
-    inserted = []
-    insert = Echelon.insert
-
-    def recording_insert(ech, vec):
-        inserted.append(vec)
-        return insert(ech, vec)
-
-    monkeypatch.setattr(Echelon, "insert", recording_insert)
-    rad = radical_basis(RADICAL_MONOIDS["m128"])
-    assert rad._kernel is not None and rad.dim == 37
-    assert not inserted
+    assert set(rad.rows) <= set(green_rows(m.table))
+    assert len(set(rad.rows)) == len(rad.rows) == m.size - rad.dim
 
 
 VERIFIERS = {"tensor": verify_tensor_theorem, "symmetric": verify_symmetric_theorem}
@@ -1590,3 +1521,121 @@ def test_morphism_corruptions_match_oracle():
             else:
                 assert valid
     assert rejected > 20
+
+
+# --- the radical from Green's relations, against the trace form ------------------
+
+def _signed_matrices(rng):
+    """Seeded monoids of 2x2 and 3x3 matrices with entries 0 and +-1."""
+    out = {}
+    while len(out) < 4:
+        dim = rng.randint(2, 3)
+        gens = [[[rng.choice((-1, 0, 0, 1)) for _ in range(dim)] for _ in range(dim)]
+                for _ in range(rng.randint(1, 2))]
+        try:
+            m = from_matrices(gens, cap=60)
+        except ValueError:  # infinite or too large a closure: draw again
+            continue
+        if m.size >= 3:
+            out[f"signed-matrices-{len(out)}"] = m
+    return out
+
+
+GREEN_MONOIDS = {**RADICAL_MONOIDS, **ALL_MONOIDS,
+                 **_signed_matrices(random.Random(VALIDATOR_SEED + 4)),
+                 **{f"nt-{t}": nt_monoid(t) for t in range(2, 41)}}
+
+
+@pytest.mark.parametrize("name", sorted(GREEN_MONOIDS))
+def test_radical_against_gram_oracle(name):
+    """The radical from Green's relations is the kernel of the trace
+    form's Gram matrix G: the same canonical RREF, ``hash`` and ``dim``.
+    Its rows are the distinct 0/1 rows x -> [r*x*l = e] that enlarged its
+    echelon, and all those rows together span rowspace(G), as the theorem
+    states."""
+    m = GREEN_MONOIDS[name]
+    rad, oracle = radical_basis(m), gram_radical(m)
+    assert rad == oracle and hash(rad) == hash(oracle)
+    assert rad.dim == oracle.dim and rad.basis == oracle.basis
+    green = green_rows(m.table)
+    assert set(rad.rows) <= set(green) and len(set(rad.rows)) == len(rad.rows)
+    assert Echelon(m.size, green).rows == Echelon(m.size, gram_matrix(m.table)).rows
+
+
+@pytest.mark.parametrize("name", ["t4", "m610"])
+def test_large_radical_against_gram_oracle(name):
+    """On T_4 and the 610-element submonoid of T_5, every row of G lies in
+    the span of the Green rows, and G has at least their rank, for it has
+    that rank modulo a prime: the two row spaces, hence the two radicals
+    and their canonical RREFs, are equal."""
+    m = T4 if name == "t4" else from_transformations(5, [(2, 3, 4, 5, 1), (1, 1, 3, 4, 5)])
+    rad = radical_basis(m, force=True)
+    gram = gram_matrix(m.table)
+    assert all(map(rad._echelon.contains, gram))
+    assert len(echelon_mod_p(gram, m.size)[0]) == m.size - rad.dim == len(rad.rows)
+    assert rad.dim == {"t4": 97, "m610": 161}[name]
+
+
+J_MONOIDS = {**GREEN_MONOIDS, "one-generator": from_transformations(4, [(2, 3, 4, 4)])}
+
+
+@pytest.mark.parametrize("name", sorted(J_MONOIDS))
+def test_j_classes_against_ideals(name):
+    """``j_classes`` lists each J-class that holds an idempotent once, by
+    its least idempotent e, in the order of e, with the R- and L-class of
+    e: the classes of the ideals xM, Mx and MxM formed product by
+    product."""
+    m = J_MONOIDS[name]
+    r_class, l_class, j_class = green_classes(m.table)
+    firsts = sorted({min(e for e in idempotents(m) if e in j_class[f])
+                     for f in idempotents(m)})
+    assert j_classes(m) == [(e, tuple(sorted(r_class[e])), tuple(sorted(l_class[e])))
+                            for e in firsts]
+
+
+def _loop_steps(rho, kmax, monkeypatch):
+    """Steps 1..kmax of the tensor chain's general loop, which every
+    representation other than a transformation one takes."""
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "_point_values", lambda rho: None)
+        return list(islice(tensor_annihilator_chain(rho), kmax))
+
+
+FIBRE_INPUTS = {
+    **{f"{name}-{kind}": (m, kind) for name, m in {
+        **{k: rho.monoid for k, rho in CORPUS.items() if k.startswith("transformations-")},
+        "t3": GOLDEN_REPRESENTATIONS["t3"].monoid,
+        "m128": GOLDEN_REPRESENTATIONS["m128"].monoid}.items()
+       for kind in ("natural", "regular")},
+    # T_4's regular representation is left out: the loop takes 13 s on it
+    "t4-natural": (T4, "natural"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIBRE_INPUTS))
+def test_fibre_rows_match_the_loop(name, monkeypatch):
+    """A transformation representation, natural or regular, takes the
+    fibre rows, and each of its steps up to Ann = 0 has the dimension and
+    canonical RREF of the general loop's step."""
+    m, kind = FIBRE_INPUTS[name]
+    rho = (natural_representation if kind == "natural" else regular_representation)(m)
+    assert _point_values(rho) is not None
+    kmax = rho.dim + 1
+    fibres = list(islice(tensor_annihilator_chain(rho), kmax))
+    loop = _loop_steps(rho, kmax, monkeypatch)
+    assert [(k, ann.dim, ann) for k, ann in fibres] == [(k, ann.dim, ann) for k, ann in loop]
+    assert fibres[-1][1].dim == 0
+
+
+def test_representations_with_a_zero_or_fractional_column_take_the_loop():
+    """N_t's representation holds the zero matrix, a rational conjugate
+    and a 0/1 matrix monoid's need not be 0/1 with one 1 per column:
+    those take the general loop, and a zero-dimensional one too."""
+    for t in (2, 7, 40):
+        assert _point_values(nt_paper_representation(t)) is None
+    for name, rho in CORPUS.items():
+        if name.startswith(("conjugate-", "nt-")):
+            assert _point_values(rho) is None
+    zero_dim = Representation(from_cayley_table(0, [[0]]), [Matrix([], 0)])
+    assert _point_values(zero_dim) is None
+    assert _point_values(natural_representation(from_transformations(1, [(1,)]))) == [(0,)]

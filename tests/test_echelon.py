@@ -11,9 +11,11 @@ insertion order, the stored integer form, the kernel basis, ``reduce``
 and ``contains``, and ``copy`` as a snapshot that later inserts on
 either side, before or after the RREF was cached, leave alone.  The same
 corpus, denominators cleared, checks the echelon modulo a prime on packed
-rows against the exact one, and against the full-width back-substitution
-it replaced (``oracles.echelon_mod_p_full_width``), together with the
-trace-form Gram matrices of monoids and hand-made edge cases.
+rows (``oracles.echelon_mod_p``, the package's former modular radical
+step, which the large-monoid radical tests use for a rank bound) against
+the exact one, and against the full-width back-substitution it replaced
+(``oracles.echelon_mod_p_full_width``), together with the trace-form
+Gram matrices of monoids and hand-made edge cases.
 """
 
 import random
@@ -23,22 +25,22 @@ from pathlib import Path
 
 import pytest
 
-from monoidrep.algebra import _PRIMES, _certified_radical
 from monoidrep.fileio import load_monoid
-from monoidrep.linalg import (
-    Echelon,
-    _echelon_mod_p,
-    _pack,
-    _slots_fit,
-    _unpack,
-    clear_denominators,
-)
+from monoidrep.linalg import Echelon, clear_denominators
 from monoidrep.monoids import nt_monoid
 
-from oracles import echelon_mod_p_full_width, gauss_rank, rref
+from oracles import (
+    PRIME,
+    _pack,
+    _unpack,
+    echelon_mod_p,
+    echelon_mod_p_full_width,
+    gauss_rank,
+    gram_matrix,
+    rref,
+)
 
 SEED = 1968
-_PRIME = _PRIMES[0]
 
 
 def _entry(rng):
@@ -247,16 +249,10 @@ def test_echelon_mod_p_matches_exact(name):
     exact canonical one reduced mod p (so its free columns, hence its
     pivots, are the exact ones)."""
     rows, ncols = [clear_denominators(r) for r in CORPUS[name]], _ncols(name)
-    accepted, kernel = _echelon_mod_p(rows, ncols, _PRIME)
+    accepted, kernel = echelon_mod_p(rows, ncols, PRIME)
     ech = Echelon(ncols)
     assert accepted == [i for i, row in enumerate(rows) if ech.insert(row)]
-    assert kernel == [[_residue(x, _PRIME) for x in v] for v in ech.kernel_basis()]
-
-
-def _gram(m):
-    """The trace-form Gram matrix of a monoid: fixed points of x*y."""
-    fix = [sum(1 for j in range(m.size) if m.table[z][j] == j) for z in range(m.size)]
-    return [[fix[z] for z in tx] for tx in m.table]
+    assert kernel == [[_residue(x, PRIME) for x in v] for v in ech.kernel_basis()]
 
 
 def _reference_cases():
@@ -265,9 +261,9 @@ def _reference_cases():
              for name, rows in CORPUS.items()}
     for name in ("t3", "m128", "t4"):
         m = load_monoid(inputs / f"{name}.json")
-        cases[name] = (_gram(m), m.size)
+        cases[name] = (gram_matrix(m.table), m.size)
     for t in (7, 40):  # nullity |M| - 2
-        cases[f"nt-{t}"] = (_gram(nt_monoid(t)), t + 1)
+        cases[f"nt-{t}"] = (gram_matrix(nt_monoid(t).table), t + 1)
     rng = random.Random(SEED)
     upper = [[0] * i + [rng.randint(1, 9) for _ in range(6 - i)] for i in range(6)]
     cases["full-rank"] = (upper[::-1], 6)  # no free column
@@ -281,34 +277,34 @@ def _reference_cases():
 REFERENCE_CASES = _reference_cases()
 
 
-@pytest.mark.parametrize("p", [_PRIME, 3])
+@pytest.mark.parametrize("p", [PRIME, 3])
 @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
 def test_echelon_mod_p_matches_full_width_reference(name, p):
     """Back-substitution on the free columns alone accepts the same rows
     and gives the same kernel as the full-width reduced form, modulo the
     certificate's prime and modulo 3, where ranks drop."""
     rows, ncols = REFERENCE_CASES[name]
-    assert _echelon_mod_p(rows, ncols, p) == echelon_mod_p_full_width(rows, ncols, p)
+    assert echelon_mod_p(rows, ncols, p) == echelon_mod_p_full_width(rows, ncols, p)
 
 
 def test_echelon_mod_p_edge_cases():
     """Full rank leaves no free column and no kernel; N_t's Gram matrix
     has rank 2; a repeated row is accepted once; a 1x1 zero has kernel
     [1]."""
-    kernel_size = {name: len(_echelon_mod_p(*REFERENCE_CASES[name], _PRIME)[1])
+    kernel_size = {name: len(echelon_mod_p(*REFERENCE_CASES[name], PRIME)[1])
                    for name in ("full-rank", "nt-7", "nt-40", "repeated", "size-1",
                                 "size-1-zero")}
     assert kernel_size == {"full-rank": 0, "nt-7": 6, "nt-40": 39, "repeated": 4,
                            "size-1": 0, "size-1-zero": 1}
-    assert _echelon_mod_p(*REFERENCE_CASES["repeated"], _PRIME)[0] == [0]
-    assert _echelon_mod_p([[0], [0]], 1, _PRIME) == ([], [[1]])
+    assert echelon_mod_p(*REFERENCE_CASES["repeated"], PRIME)[0] == [0]
+    assert echelon_mod_p([[0], [0]], 1, PRIME) == ([], [[1]])
 
 
 def test_echelon_mod_small_prime():
     """Modulo 3 the rank of [[1, 2], [2, 1]] drops to 1; the kernel basis
     is that of the reduced rows."""
-    assert _echelon_mod_p([[1, 2], [2, 1]], 2, 3) == ([0], [[1, 1]])
-    assert _echelon_mod_p([[0, 3], [-1, 4]], 2, 3) == ([1], [[1, 1]])
+    assert echelon_mod_p([[1, 2], [2, 1]], 2, 3) == ([0], [[1, 1]])
+    assert echelon_mod_p([[0, 3], [-1, 4]], 2, 3) == ([1], [[1, 1]])
 
 
 def test_pack_round_trip():
@@ -317,15 +313,3 @@ def test_pack_round_trip():
     assert v == sum(x << (64 * j) for j, x in enumerate(vals))
     assert list(_unpack(v, len(vals))) == vals
     assert list(_unpack(_pack([]), 0)) == []
-
-
-def test_slot_bound_refuses_overflowing_ranks():
-    """A slot starts below p and gains at most (p-1)^2 per elimination, so
-    rank r is safe exactly when r (p-1)^2 + (p-1) < 2^64.  The certified
-    radical refuses a size whose rank could pass that before it reads a
-    row of G, so the exact path decides."""
-    assert _slots_fit(4096, _PRIME) and not _slots_fit(4097, _PRIME)
-    assert _certified_radical(None, 4097, _PRIME) is None
-    big = 2 ** 32 - 5  # prime; (p-1)^2 is close to 2^64
-    assert _slots_fit(1, big) and not _slots_fit(2, big)
-    assert _echelon_mod_p([[1, 0]], 2, big) == ([0], [[0, 1]])

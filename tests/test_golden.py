@@ -14,7 +14,6 @@ Regenerate after a deliberate output change with
 
 import contextlib
 import io
-import os
 import sys
 from pathlib import Path
 from unittest import mock
@@ -170,60 +169,6 @@ def test_checking_path_builds_no_explicit_power(name, monkeypatch):
     code, out = run_case(name)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
-
-
-# small primes for which the radical's certificate fails (``UNLUCKY`` in
-# test_differential.py): the rank of G drops mod 3 for T_3 and the
-# 128-element monoid and mod 7 for N_7; mod 2 it fails for all three
-UNLUCKY_PRIME = {"verify-t3": 3, "verify-m128-steinberg": 3, "scan-nt-tensor": 7}
-
-
-def recorded_certificates(monkeypatch):
-    """Record, per call of ``_certified_radical``, the prime and whether
-    the certificate failed.  The second prime is tried only when the
-    first failed, and the exact echelon only when the second failed."""
-    calls = []
-    certified = algebra._certified_radical
-
-    def recording(gram, n, p):
-        rad = certified(gram, n, p)
-        calls.append((p, rad is None))
-        return rad
-
-    monkeypatch.setattr(algebra, "_certified_radical", recording)
-    return calls
-
-
-def check_golden_forked_then_serial(name, monkeypatch):
-    """The golden stdout, where the case forks a child with two CPUs (the
-    radical of the 128-element monoid, or N_7's scan row), and then again
-    with one CPU, so that every radical is computed in this process."""
-    golden = (CASES[name][1], (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
-    if name != "verify-t3":
-        assert run_case(name) == golden
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert run_case(name) == golden
-
-
-@pytest.mark.parametrize("name", sorted(UNLUCKY_PRIME))
-def test_unlucky_prime_keeps_golden_output(name, monkeypatch):
-    """With both primes unlucky, the radical falls back to the exact
-    echelon and the output is unchanged, forked and in one process."""
-    monkeypatch.setattr(algebra, "_PRIMES", (UNLUCKY_PRIME[name], 2))
-    calls = recorded_certificates(monkeypatch)
-    check_golden_forked_then_serial(name, monkeypatch)
-    assert (2, True) in calls
-
-
-@pytest.mark.parametrize("name", sorted(UNLUCKY_PRIME))
-def test_second_prime_keeps_golden_output(name, monkeypatch):
-    """With only the first prime unlucky, the second certifies every
-    radical: no exact fallback runs, and the output is unchanged."""
-    second = algebra._PRIMES[1]
-    monkeypatch.setattr(algebra, "_PRIMES", (UNLUCKY_PRIME[name], second))
-    calls = recorded_certificates(monkeypatch)
-    check_golden_forked_then_serial(name, monkeypatch)
-    assert (second, False) in calls and (second, True) not in calls
 
 
 VERIFIERS = ("verify_tensor_theorem", "verify_symmetric_theorem",
