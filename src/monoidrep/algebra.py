@@ -49,11 +49,12 @@ the simples of QG_e, which is semisimple, every such phi arises: the
 span is that of the rows x -> [r*x*l = g], g in G_e.  Replacing r by
 g^-1*r, still in R_e, turns g into e.  Every simple has an apex, and
 one e per J-class gives every apex, so these rows span R.  The R- and
-L-classes are the strongly connected components of the right and left
-Cayley graphs (Froidure & Pin 1997; ``monoids.j_classes``), so the
-radical costs no Gram matrix, no product of matrices and no step
-modulo a prime: only the exact echelon of at most |M| sparse 0/1 rows
-(``radical_basis``).  Every verdict stays exact.
+L-classes are read off the table by definition, x R y when rows x and
+y hold the same set and x L y when columns x and y do
+(``monoids.j_classes``), so the radical costs no Gram matrix, no
+product of matrices and no step modulo a prime: only the exact echelon
+of at most |M| sparse 0/1 rows (``radical_basis``).  Every verdict
+stays exact.
 
 Verifiers built on it: the tensor-power coverage bound (powers 0..r-1
 where r counts distinct character values), the symmetric-power bound
@@ -287,24 +288,21 @@ def _check(theorem, rho, mode, radical, r, s, bound, first=0):
     Ann = 0, which lasts; only a failed check tests step ``bound`` again,
     for its witness.
 
-    The chain is walked before the radical is first read, so ``radical``
-    may be a zero-argument callable returning it, called once the walk
-    is done.  With ``radical=None`` it is computed here first, so its
-    size guard refuses before any chain step."""
+    ``radical`` is the radical of QM, or None to compute it here first,
+    so that its size guard refuses before any chain step."""
     if bound < first:
         raise ValueError(f"{theorem} bound {bound} is below the first power "
                          f"{first}: there is no power to check")
     if radical is None:
         radical = radical_basis(rho.monoid)
     steps = _steps(rho, mode, first, bound)
-    rad = radical() if callable(radical) else radical
-    minimal_k = next((k for k, ann in enumerate(steps, first) if ann <= rad), None)
+    minimal_k = next((k for k, ann in enumerate(steps, first) if ann <= radical), None)
     ann = steps[-1]
     holds = minimal_k is not None
-    witness = None if holds else subspace_leq(ann, rad)[1]
+    witness = None if holds else subspace_leq(ann, radical)[1]
     return VerificationReport(theorem, holds, r, s, bound,
                               tuple(range(first, bound + 1)),
-                              rad.dim, ann.dim, witness, minimal_k)
+                              radical.dim, ann.dim, witness, minimal_k)
 
 
 def verify_tensor_theorem(rho: Representation,
@@ -315,9 +313,8 @@ def verify_tensor_theorem(rho: Representation,
     A False result would contradict the theorem and therefore signals an
     implementation bug; the report carries the witness for auditing.
     ``radical`` overrides the computed radical (negative-path testing, or
-    one radical shared by several checks), or is a zero-argument callable
-    returning it, called once the chain is walked (``_check``).  The
-    chain walked is shared with every other read of it (``_steps``).
+    one radical shared by several checks).  The chain walked is shared
+    with every other read of it (``_steps``).
     """
     _require_faithful(rho)
     r = len(distinct_character_values(rho))

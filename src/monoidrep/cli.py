@@ -19,11 +19,11 @@ are flushed: the interpreter's teardown would only free memory the
 process is about to give back.
 
 ``scan-nt`` splits its rows over two processes when a second CPU is
-free and no other thread is alive (``_beside``): one forked child
-computes every other row (``_scan_rows``).  Stdout, stderr and the exit
-code are those of the one-process run.  ``verify`` runs in one process:
-its radical, an exact echelon of at most |M| sparse 0/1 rows, costs
-less than a fork would save.
+free and no other thread is alive: one forked child computes every
+other row (``_scan_rows``).  Stdout, stderr and the exit code are those
+of the one-process run.  ``verify`` runs in one process: its radical,
+an exact echelon of at most |M| sparse 0/1 rows, costs less than a fork
+would save.
 """
 
 import argparse
@@ -100,64 +100,6 @@ def cmd_info(args):
         print(f"characteristic polynomials (s={rep_payload['s']}): "
               + ", ".join(linalg.format_polynomial(p) for p in polys))
     return 0
-
-
-def _beside(child, parent, serial, worth):
-    """``parent(join)`` here while a forked child computes ``child()``,
-    or ``serial()`` alone.
-
-    The child is forked only when ``worth`` holds and a second CPU is
-    free: ``os.fork`` and ``os.sched_getaffinity`` exist, the affinity
-    set has two CPUs or more, and no other thread is alive, whose locks
-    the child could inherit held.  The child sends its value back over a
-    pipe as ``marshal`` bytes and leaves by ``os._exit``, writing nothing
-    else; ``join()`` reads that value once and returns it on every call.
-    ``parent`` computes what ``serial`` does from that value, so when
-    either side fails (``parent`` raises, or the child's value cannot be
-    read because it raised or died) ``serial()`` runs here instead and
-    raises as the one-process run does.  A child whose value is not read
-    is stopped; it is reaped before this returns or raises.
-    """
-    import os
-    import threading
-
-    if not (worth and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1):
-        return serial()
-    import marshal
-
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child never returns into its caller
-        status = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                pipe.write(marshal.dumps(child()))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    value, done = [], False
-    try:
-        with open(r, "rb") as pipe:  # closed first on any error
-            def join():
-                if not value:
-                    value.append(marshal.loads(pipe.read()))
-                return value[0]
-
-            result = parent(join)
-        done = True
-    except Exception:  # a side failed: the serial run below raises it again
-        pass
-    finally:
-        if not value:  # the child's value will not be read: stop it
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    return result if done else serial()
 
 
 def cmd_verify(args):
@@ -256,23 +198,58 @@ def _scan_row(t, mode, cap, with_s):
 def _scan_rows(ts, mode, cap, with_s):
     """The rows of ``scan-nt`` for each t in ``ts``, in order.
 
-    Beside this process, a forked child computes the rows at odd
+    When there are two rows or more and a second CPU is free --
+    ``os.fork`` and ``os.sched_getaffinity`` exist, the affinity set has
+    two CPUs or more, and no other thread is alive, whose locks the child
+    could inherit held -- a forked child computes the rows at odd
     positions (a row's cost grows with t, so the shares balance) while
-    this process computes the rest (``_beside``).  Rows are
-    deterministic, so when either share fails the whole range is
-    computed again here, one row after another, and raises as that
-    serial scan does.
+    this process computes the rest.  The child sends its rows back over a
+    pipe as ``marshal`` bytes and leaves by ``os._exit``, writing nothing
+    else.  Rows are deterministic, so when either share fails (a row here
+    raises, or the child's rows cannot be read because it raised or died)
+    the whole range is computed again here, one row after another, and
+    raises as that serial scan does.  A child whose rows are not read is
+    stopped; it is reaped before this returns or raises.
     """
+    import os
+    import threading
+
     def share(part):
         return [_scan_row(t, mode, cap, with_s) for t in part]
 
-    def merged(join):
-        rows = [None] * len(ts)
-        rows[::2] = share(ts[::2])
-        rows[1::2] = join()
-        return rows
+    if not (len(ts) >= 2 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1):
+        return share(ts)
+    import marshal
 
-    return _beside(lambda: share(ts[1::2]), merged, lambda: share(ts), len(ts) >= 2)
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into its caller
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pipe.write(marshal.dumps(share(ts[1::2])))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    rows, read = [None] * len(ts), False
+    try:
+        with open(r, "rb") as pipe:  # closed first on any error
+            rows[::2] = share(ts[::2])
+            rows[1::2] = marshal.loads(pipe.read())
+            read = True
+    except Exception:  # a share failed: the serial scan below raises it again
+        pass
+    finally:
+        if not read:  # the child's rows will not be read: stop it
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    return rows if read else share(ts)
 
 
 def cmd_scan_nt(args):

@@ -30,7 +30,7 @@ x of a larger table.
 
 from __future__ import annotations
 
-from itertools import compress, count
+from itertools import compress
 from operator import itemgetter
 
 from .linalg import _INT, Matrix
@@ -320,63 +320,29 @@ def _require_idempotent(m, e):
         raise ValueError(f"element {m.labels[e]!r} is not an idempotent")
 
 
-def _components(succ):
-    """The strongly connected component of each vertex of the graph whose
-    vertex v has the successors ``succ[v]``, numbered in the order an
-    iterative Tarjan search (Tarjan 1972) completes them."""
-    n = len(succ)
-    order, low, comp = [0] * n, [0] * n, [-1] * n
-    stack, work, ticks, done = [], [], count(1), count()
-
-    def visit(v):
-        order[v] = low[v] = next(ticks)
-        stack.append(v)
-        work.append((v, iter(succ[v])))
-
-    for root in range(n):
-        if not order[root]:
-            visit(root)
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if not order[w]:  # descend into w, resuming v's edges later
-                    visit(w)
-                    break
-                if comp[w] < 0:  # w is on the stack
-                    low[v] = min(low[v], order[w])
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if low[v] == order[v]:  # v roots a component: pop it
-                    w, c = None, next(done)
-                    while w != v:
-                        w = stack.pop()
-                        comp[w] = c
-    return comp
-
-
 def j_classes(m: Monoid):
     """(e, R_e, L_e) for each regular J-class, e its first idempotent.
 
-    The R-classes and L-classes are the strongly connected components of
-    the right and left Cayley graphs, x -> x*a and x -> a*x for the
-    generators a (Froidure & Pin 1997): y lies in xM exactly when a path
-    leads from x to y.  The components of their union are the J-classes,
-    which in a finite monoid are the D-classes.  A J-class is regular
-    when it holds an idempotent; classes are listed by that idempotent.
-    R_e and L_e are sorted tuples of element indices.
+    By definition x R y when xM = yM, that is when rows x and y of the
+    table hold the same set, and x L y when Mx = My, the same test on
+    columns.  In a finite monoid J = D = R o L (Clifford & Preston,
+    Algebraic Theory of Semigroups I, chapter 2), so the J-class of e is
+    the union of the R-classes that meet L_e.  A J-class is regular when
+    it holds an idempotent; the idempotents are walked in order, and e is
+    kept when no earlier class covers its R-class.  R_e and L_e are
+    sorted tuples of element indices.
     """
-    table, gens = m.table, m.generators
-    right = [set(map(row.__getitem__, gens)) for row in table]
-    # the one-element monoid has no generators, and no edges either way
-    left = list(map(set, zip(*map(table.__getitem__, gens)))) or right
-    r_id, l_id = _components(right), _components(left)
-    j_id = _components(list(map(set.union, right, left)))
-    firsts = {j_id[e]: e for e in reversed(idempotents(m))}
-    return [(e, tuple(compress(range(m.size), map(r_id[e].__eq__, r_id))),
-             tuple(compress(range(m.size), map(l_id[e].__eq__, l_id))))
-            for e in sorted(firsts.values())]
+    table, xs = m.table, range(m.size)
+    r_ids, l_ids = {}, {}
+    r_id = [r_ids.setdefault(frozenset(row), len(r_ids)) for row in table]
+    l_id = [l_ids.setdefault(frozenset(col), len(l_ids)) for col in zip(*table)]
+    covered, classes = set(), []
+    for e in idempotents(m):
+        if r_id[e] not in covered:
+            l_e = tuple(compress(xs, map(l_id[e].__eq__, l_id)))
+            covered.update(map(r_id.__getitem__, l_e))
+            classes.append((e, tuple(compress(xs, map(r_id[e].__eq__, r_id))), l_e))
+    return classes
 
 
 def local_monoid(m: Monoid, e):

@@ -320,32 +320,35 @@ def test_tensor_theorem_rejects_unfaithful():
 @pytest.mark.parametrize("verify", [verify_tensor_theorem, verify_symmetric_theorem,
                                     verify_steinberg_bound])
 def test_radical_callable_read_after_the_walk(verify, monkeypatch):
-    """A callable radical is called once, after the chain's steps are
-    read, and gives the report the radical itself gives; without one the
-    radical is computed first, so its size guard refuses before any
-    chain step."""
+    """Without a radical passed in, the radical is computed before the
+    first chain step, so its size guard refuses before any chain step;
+    a radical passed in gives the report the computed one gives.  The
+    name is from when the radical could also be a callable, read after
+    the walk."""
     events = []
-    steps = algebra._steps
+    steps, radical = algebra._steps, algebra.radical_basis
 
     def recording_steps(*args):
         events.append("walk")
         return steps(*args)
 
-    def radical():
+    def recording_radical(*args, **kwargs):
         events.append("radical")
-        return radical_basis(rho.monoid)
+        return radical(*args, **kwargs)
 
     monkeypatch.setattr(algebra, "_steps", recording_steps)
-    rho = nt_paper_representation(6)
+    monkeypatch.setattr(algebra, "radical_basis", recording_radical)
     expected = verify(nt_paper_representation(6))
+    assert events == ["radical", "walk"]
     events.clear()
-    assert verify(rho, radical=radical) == expected
-    assert events == ["walk", "radical"]
+    rho = nt_paper_representation(6)
+    assert verify(rho, radical=radical(rho.monoid)) == expected
+    assert events == ["walk"]
     monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
     events.clear()
     with pytest.raises(ValueError, match="force"):
         verify(nt_paper_representation(6))
-    assert "walk" not in events
+    assert events == ["radical"]
 
 
 def test_symmetric_degree_refused_before_it_is_built(monkeypatch):

@@ -568,6 +568,22 @@ def test_scan_nt_golden_serial_and_split(name, monkeypatch):
     assert run_case(name) == expected
 
 
+@pytest.mark.parametrize("t_to", [2, 3])
+def test_scan_nt_forks_only_from_two_rows(t_to, monkeypatch, capsys):
+    """One row (N_2) is computed here and forks nothing; two rows (N_2
+    and N_3) fork one child when a second CPU is free.  Both print the
+    one-CPU run's output and leave no child behind."""
+    argv = ["scan-nt", "--from", "2", "--to", str(t_to)]
+    with monkeypatch.context() as patch:
+        one_cpu(patch)
+        refusing_forks(patch)
+        expected = run(capsys, argv)
+    forks = counting_forks(monkeypatch)
+    assert run(capsys, argv) == expected
+    assert forks == ([1] if t_to == 3 and can_split() else [])
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("failing", [{5}, {4}, {4, 5}, {3, 6}, {7}])
 def test_scan_nt_error_in_either_share_is_the_serial_error(failing, monkeypatch, capsys):
     """A row that raises, in the child's share (odd positions of 2..7:

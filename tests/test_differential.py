@@ -180,6 +180,7 @@ from monoidrep.representations import (
 from oracles import (
     DenseEchelon,
     MonoidMorphism,
+    all_selfmaps,
     charpoly_faddeev,
     charpoly_laplace,
     charpoly_of_map,
@@ -1591,6 +1592,27 @@ def test_j_classes_against_ideals(name):
                      for f in idempotents(m)})
     assert j_classes(m) == [(e, tuple(sorted(r_class[e])), tuple(sorted(l_class[e])))
                             for e in firsts]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_j_classes_of_full_transformation_monoids_in_closed_form(n):
+    """In T_n, where f*g is "g then f", f R g when im f = im g and f L g
+    when ker f = ker g, and the J-classes are the ranks, each regular:
+    ``j_classes`` checked against these, read from the maps alone.  T_4
+    is too large for the ideal oracle above."""
+    m = from_transformations(n, all_selfmaps(n))
+    maps = m.transformations
+    image = [frozenset(f) for f in maps]
+    kernel = [tuple(map(f.index, f)) for f in maps]  # i -> the least j with f(j) = f(i)
+    firsts = {}
+    for x, f in enumerate(maps):
+        if all(f[y] == y for y in f):  # idempotent: f fixes its image
+            firsts.setdefault(len(image[x]), x)
+    assert sorted(firsts) == list(range(1, n + 1))
+    assert j_classes(m) == [
+        (e, tuple(x for x in range(m.size) if image[x] == image[e]),
+         tuple(x for x in range(m.size) if kernel[x] == kernel[e]))
+        for e in sorted(firsts.values())]
 
 
 def _loop_steps(rho, kmax, monkeypatch):
