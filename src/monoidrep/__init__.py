@@ -35,9 +35,8 @@ _MODULES = {
     "representations": (
         "Representation", "build_representation", "character", "direct_sum",
         "distinct_character_values", "distinct_charpolys", "is_faithful",
-        "matrix_representation", "monomial_basis", "natural_representation",
-        "nt_paper_representation", "regular_representation",
-        "restrict_to_local", "sym_power", "sym_power_character",
+        "monomial_basis", "natural_representation", "nt_paper_representation",
+        "regular_representation", "sym_power", "sym_power_character",
         "sym_power_characters", "sym_power_dim", "tensor_power",
         "trivial_representation",
     ),

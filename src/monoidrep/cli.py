@@ -18,12 +18,10 @@ a usage error or a subcommand compiles only the modules it needs, and
 are flushed: the interpreter's teardown would only free memory the
 process is about to give back.
 
-``scan-nt`` splits its rows over two processes when a second CPU is
-free and no other thread is alive: one forked child computes every
-other row (``_scan_rows``).  Stdout, stderr and the exit code are those
-of the one-process run.  ``verify`` runs in one process: its radical,
-an exact echelon of at most |M| sparse 0/1 rows, costs less than a fork
-would save.
+Every command runs in one process.  ``scan-nt`` computes its rows in
+order, so an error names the first failing t.  ``verify``'s radical, an
+exact echelon of at most |M| sparse 0/1 rows, costs less than a second
+process would save.
 """
 
 import argparse
@@ -195,63 +193,6 @@ def _scan_row(t, mode, cap, with_s):
     return row
 
 
-def _scan_rows(ts, mode, cap, with_s):
-    """The rows of ``scan-nt`` for each t in ``ts``, in order.
-
-    When there are two rows or more and a second CPU is free --
-    ``os.fork`` and ``os.sched_getaffinity`` exist, the affinity set has
-    two CPUs or more, and no other thread is alive, whose locks the child
-    could inherit held -- a forked child computes the rows at odd
-    positions (a row's cost grows with t, so the shares balance) while
-    this process computes the rest.  The child sends its rows back over a
-    pipe as ``marshal`` bytes and leaves by ``os._exit``, writing nothing
-    else.  Rows are deterministic, so when either share fails (a row here
-    raises, or the child's rows cannot be read because it raised or died)
-    the whole range is computed again here, one row after another, and
-    raises as that serial scan does.  A child whose rows are not read is
-    stopped; it is reaped before this returns or raises.
-    """
-    import os
-    import threading
-
-    def share(part):
-        return [_scan_row(t, mode, cap, with_s) for t in part]
-
-    if not (len(ts) >= 2 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1):
-        return share(ts)
-    import marshal
-
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child never returns into its caller
-        status = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                pipe.write(marshal.dumps(share(ts[1::2])))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    rows, read = [None] * len(ts), False
-    try:
-        with open(r, "rb") as pipe:  # closed first on any error
-            rows[::2] = share(ts[::2])
-            rows[1::2] = marshal.loads(pipe.read())
-            read = True
-    except Exception:  # a share failed: the serial scan below raises it again
-        pass
-    finally:
-        if not read:  # the child's rows will not be read: stop it
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    return rows if read else share(ts)
-
-
 def cmd_scan_nt(args):
     if args.t_from < 2 or args.t_to < args.t_from:
         raise ValueError(f"bad range: from={args.t_from} to={args.t_to}")
@@ -263,7 +204,8 @@ def cmd_scan_nt(args):
         raise ValueError(
             f"N_{args.t_to} has {args.t_to + 1} > {algebra.SIZE_GUARD} elements; "
             "exact O(n^3) radical computation refused")
-    rows = _scan_rows(range(args.t_from, args.t_to + 1), args.mode, args.cap, args.json)
+    rows = [_scan_row(t, args.mode, args.cap, args.json)
+            for t in range(args.t_from, args.t_to + 1)]
     ok = all(r["holds"] for r in rows)
     if args.json:
         _emit_json({"mode": args.mode, "rows": rows, "ok": ok})

@@ -191,19 +191,6 @@ class Matrix:
             raise ValueError("vector length differs from column count")
         return tuple(sum(map(mul, row, vec)) for row in self.rows)
 
-    def inverse(self):
-        """Inverse, read off the RREF of [A | I]: A is invertible exactly
-        when that form has its pivots in the first n columns, and then its
-        right block is the inverse.  Raises on singular input."""
-        if not self.is_square:
-            raise ValueError("only square matrices can be inverted")
-        n = self.nrows
-        ech = Echelon(2 * n, (row + tuple(int(i == j) for j in range(n))
-                              for i, row in enumerate(self.rows)))
-        if ech.pivots != list(range(n)):
-            raise ValueError("matrix is singular")
-        return Matrix(tuple(row[n:] for row in ech.rows), ncols=n)
-
 
 def _eliminate(v, row, cols, p):
     """(a/g)*v - (c/g)*row for a = row[p] > 0, c = v[p] and g = gcd(a, c):

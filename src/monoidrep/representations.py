@@ -4,7 +4,7 @@ A representation assigns one square matrix over the rationals to every
 monoid element so that the identity maps to the identity matrix and
 matrices multiply along the Cayley table.  On top of that sit characters
 (trace functions), faithfulness tests, tensor powers, symmetric powers
-realised on the monomial basis, restriction to local monoids eMe, and the
+realised on the monomial basis, and the
 two counts that drive the coverage theorems: the number of distinct
 character values and the number of distinct characteristic polynomials.
 Both symmetric-power characters and characteristic polynomials are read
@@ -34,8 +34,7 @@ if b and c pass for every x, so does b*c, because rho(b*c) = rho(b)rho(c)
 and rho(x)rho(b)rho(c) = rho(x*b)rho(c) = rho((x*b)*c) = rho(x*(b*c)) by
 associativity, and every element is a product of generators.
 Internally produced tensor powers, symmetric powers and direct sums are
-homomorphisms by construction, so the check is skipped for them;
-restrictions to a local monoid are validated once, as they are built.
+homomorphisms by construction, so the check is skipped for them.
 ``validate()`` re-runs the check on demand and the test suite does
 exactly that.
 """
@@ -48,13 +47,12 @@ from math import comb
 from operator import add, itemgetter, mul, ne
 
 from .linalg import (
-    Echelon,
     Matrix,
     charpoly_from_power_traces,
     complete_homogeneous_sequence,
     kron,
 )
-from .monoids import Monoid, local_monoid, nt_monoid, submonoid
+from .monoids import Monoid, nt_monoid
 
 
 class Representation:
@@ -162,13 +160,6 @@ def natural_representation(m: Monoid) -> Representation:
         raise ValueError("monoid does not carry transformation data")
     degree = len(m.transformations[0]) if m.transformations else 0
     return Representation(m, _action_matrices(m.transformations, degree), check=True)
-
-
-def matrix_representation(m: Monoid) -> Representation:
-    """The defining representation of a matrix-closure monoid."""
-    if m.matrix_elements is None:
-        raise ValueError("monoid does not carry matrix data")
-    return Representation(m, m.matrix_elements, check=True)
 
 
 def nt_paper_representation(t) -> Representation:
@@ -388,39 +379,3 @@ def sym_power_character(rho: Representation, x, d) -> int | Fraction:
 
 def sym_power_dim(n, d):
     return comb(n + d - 1, d) if n > 0 else (1 if d == 0 else 0)
-
-
-def restrict_to_local(rho: Representation, e) -> Representation:
-    """The action of the local monoid eMe on the column space of rho(e).
-
-    The basis of e.V is the canonical echelon basis of the column space
-    of the idempotent's matrix; the result is a representation of the
-    monoid eMe (labels inherited), whose character is the restriction of
-    the original character.  The basis vectors and the local matrices
-    have canonical entries, ints where integral, so an integral rho(e)
-    restricts in integers alone.
-    """
-    m = rho.monoid
-    members = local_monoid(m, e)  # validates idempotency
-    local = submonoid(m, members, e)
-    pe = rho.matrices[e]
-    ech = Echelon(rho.dim, pe.transpose().rows)
-    basis = ech.rows
-    pivots = list(ech.pivots)
-    k = len(basis)
-    mats = []
-    for x in members:
-        mx = rho.matrices[x]
-        rows = [[0] * k for _ in range(k)]
-        for j, b in enumerate(basis):
-            w = mx.apply(b)
-            # basis is in RREF, so coordinates are read off pivot columns
-            coords = [w[p] for p in pivots]
-            if any(ech.reduce(w)):
-                raise RuntimeError(
-                    "column space of the idempotent is not invariant; "
-                    "the input is not a representation")
-            for s in range(k):
-                rows[s][j] = coords[s]
-        mats.append(Matrix(rows, ncols=k))
-    return Representation(local, mats, check=True)

@@ -28,8 +28,10 @@ slow; Green's relations come from the one-sided and two-sided
 ideals xM, Mx and MxM, each formed product by product.
 
 Last come helpers only tests use: the span of vectors as a
-``Subspace``, monoid morphisms with the LI test, and the character
-kernel computed two ways.
+``Subspace``, a matrix's inverse, a matrix monoid's defining
+representation, the restriction of a representation to a local monoid
+eMe, monoid morphisms with the LI test, and the character kernel
+computed two ways.
 """
 
 import struct
@@ -40,7 +42,7 @@ from math import gcd, lcm
 
 from monoidrep.algebra import Subspace
 from monoidrep.linalg import Echelon, Matrix
-from monoidrep.monoids import Monoid, idempotents, local_monoid
+from monoidrep.monoids import Monoid, idempotents, local_monoid, submonoid
 from monoidrep.representations import Representation
 
 
@@ -730,6 +732,63 @@ def span_subspace(n, vectors):
         d = lcm(*(x.denominator for x in v))
         rows.append(tuple(x.numerator * (d // x.denominator) for x in v))
     return Subspace(n, rows, n - len(rows))
+
+
+def inverse(a: Matrix) -> Matrix:
+    """Inverse, read off the RREF of [A | I]: A is invertible exactly
+    when that form has its pivots in the first n columns, and then its
+    right block is the inverse.  Raises on singular input."""
+    if not a.is_square:
+        raise ValueError("only square matrices can be inverted")
+    n = a.nrows
+    ech = Echelon(2 * n, (row + tuple(int(i == j) for j in range(n))
+                          for i, row in enumerate(a.rows)))
+    if ech.pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return Matrix(tuple(row[n:] for row in ech.rows), ncols=n)
+
+
+def matrix_representation(m: Monoid) -> Representation:
+    """The defining representation of a matrix-closure monoid."""
+    if m.matrix_elements is None:
+        raise ValueError("monoid does not carry matrix data")
+    return Representation(m, m.matrix_elements, check=True)
+
+
+def restrict_to_local(rho: Representation, e) -> Representation:
+    """The action of the local monoid eMe on the column space of rho(e).
+
+    The basis of e.V is the canonical echelon basis of the column space
+    of the idempotent's matrix; the result is a representation of the
+    monoid eMe (labels inherited), whose character is the restriction of
+    the original character.  The basis vectors and the local matrices
+    have canonical entries, ints where integral, so an integral rho(e)
+    restricts in integers alone.
+    """
+    m = rho.monoid
+    members = local_monoid(m, e)  # validates idempotency
+    local = submonoid(m, members, e)
+    pe = rho.matrices[e]
+    ech = Echelon(rho.dim, pe.transpose().rows)
+    basis = ech.rows
+    pivots = list(ech.pivots)
+    k = len(basis)
+    mats = []
+    for x in members:
+        mx = rho.matrices[x]
+        rows = [[0] * k for _ in range(k)]
+        for j, b in enumerate(basis):
+            w = mx.apply(b)
+            # basis is in RREF, so coordinates are read off pivot columns
+            coords = [w[p] for p in pivots]
+            if any(ech.reduce(w)):
+                raise RuntimeError(
+                    "column space of the idempotent is not invariant; "
+                    "the input is not a representation")
+            for s in range(k):
+                rows[s][j] = coords[s]
+        mats.append(Matrix(rows, ncols=k))
+    return Representation(local, mats, check=True)
 
 
 class MonoidMorphism:

@@ -1,11 +1,7 @@
 import json
-import marshal
 import os
-import signal
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -30,7 +26,7 @@ from monoidrep.representations import (
 
 from conftest import T3_GENERATORS
 from oracles import span_subspace
-from test_golden import CASES, GOLDEN, run_case
+from test_golden import CASES, GOLDEN, refusing_forks, run_case
 
 
 def write(tmp_path, name, obj):
@@ -515,102 +511,51 @@ def test_scan_nt_cap_below_bound_probes_to_bound(capsys, mode, expected):
     assert "must be nonnegative" in help_text
 
 
-# --- scan-nt in two processes --------------------------------------------------------
+# --- scan-nt and verify in one process ---------------------------------------------
 
 SCAN_CASES = sorted(name for name in CASES if name.startswith("scan-nt"))
+VERIFY_CASES = sorted(name for name in CASES if name.startswith("verify-"))
 
 
-def one_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
-def counting_forks(monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-def refusing_forks(monkeypatch):
-    def refuse():
-        raise AssertionError("os.fork called")
-
-    monkeypatch.setattr(os, "fork", refuse)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def can_split():
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2)
+def golden(name):
+    return CASES[name][1], (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", SCAN_CASES)
-def test_scan_nt_golden_serial_and_split(name, monkeypatch):
-    """Every golden scan prints the same bytes whether a forked child
-    computes every other row (two CPUs) or this process computes them all
-    (one CPU), and leaves no child behind."""
-    expected = (CASES[name][1], (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
-    forks = counting_forks(monkeypatch)
-    assert run_case(name) == expected
-    assert forks == ([1] if can_split() else [])
-    assert_no_child_left()
-    one_cpu(monkeypatch)
+def test_scan_nt_golden_serial_and_split(name, monkeypatch, capsys):
+    """Every golden scan prints its golden stdout with its exit code, and
+    nothing on stderr, from this process alone.  The name is from when a
+    forked child computed every other row."""
     refusing_forks(monkeypatch)
-    assert run_case(name) == expected
-
-
-@pytest.mark.parametrize("t_to", [2, 3])
-def test_scan_nt_forks_only_from_two_rows(t_to, monkeypatch, capsys):
-    """One row (N_2) is computed here and forks nothing; two rows (N_2
-    and N_3) fork one child when a second CPU is free.  Both print the
-    one-CPU run's output and leave no child behind."""
-    argv = ["scan-nt", "--from", "2", "--to", str(t_to)]
-    with monkeypatch.context() as patch:
-        one_cpu(patch)
-        refusing_forks(patch)
-        expected = run(capsys, argv)
-    forks = counting_forks(monkeypatch)
-    assert run(capsys, argv) == expected
-    assert forks == ([1] if t_to == 3 and can_split() else [])
-    assert_no_child_left()
+    assert run_case(name) == golden(name)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("failing", [{5}, {4}, {4, 5}, {3, 6}, {7}])
 def test_scan_nt_error_in_either_share_is_the_serial_error(failing, monkeypatch, capsys):
-    """A row that raises, in the child's share (odd positions of 2..7:
-    t = 3, 5, 7), in this process's (t = 2, 4, 6) or in both, gives the
-    serial scan's error line for the first failing t and exit 2, with no
-    stdout and no child left."""
-    scan_row = cli._scan_row
+    """Rows are computed in order, so a row that raises gives the first
+    failing t's error line and exit 2, with no stdout and no row past it
+    computed.  The name is from when a forked child computed the rows at
+    odd positions of 2..7 (t = 3, 5, 7)."""
+    scan_row, computed = cli._scan_row, []
 
     def failing_row(t, *args):
+        computed.append(t)
         if t in failing:
             raise ValueError(f"row {t} failed")
         return scan_row(t, *args)
 
     monkeypatch.setattr(cli, "_scan_row", failing_row)
-    argv = ["scan-nt", "--from", "2", "--to", "7"]
-    expected = (2, "", f"error: row {min(failing)} failed\n")
-    assert run(capsys, argv) == expected
-    assert_no_child_left()
-    one_cpu(monkeypatch)
     refusing_forks(monkeypatch)
-    assert run(capsys, argv) == expected
+    argv = ["scan-nt", "--from", "2", "--to", "7"]
+    assert run(capsys, argv) == (2, "", f"error: row {min(failing)} failed\n")
+    assert computed == list(range(2, min(failing) + 1))
 
 
 @pytest.mark.parametrize("t_stop", [3, 4])
 def test_scan_nt_interrupt_leaves_no_child(t_stop, monkeypatch, capsys):
-    """A KeyboardInterrupt in either share reaches the caller, as it does
-    in the serial scan, and the child is reaped first."""
+    """A KeyboardInterrupt in a row reaches the caller, with no stdout.
+    The name is from when a forked child was reaped first."""
     scan_row = cli._scan_row
 
     def interrupted(t, *args):
@@ -619,94 +564,23 @@ def test_scan_nt_interrupt_leaves_no_child(t_stop, monkeypatch, capsys):
         return scan_row(t, *args)
 
     monkeypatch.setattr(cli, "_scan_row", interrupted)
+    refusing_forks(monkeypatch)
     with pytest.raises(KeyboardInterrupt):
         main(["scan-nt", "--from", "2", "--to", "7"])
     assert capsys.readouterr().out == ""
-    assert_no_child_left()
-
-
-def sigint_to_the_parent_reaps_the_child(argv, cwd=None):
-    """Start ``python -m monoidrep`` with ``argv``, wait for its forked
-    child, send SIGINT to the parent alone: it stops its child, reaps it
-    and exits nonzero."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.Popen([sys.executable, "-m", "monoidrep", *argv], cwd=cwd,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
-    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
-    try:
-        deadline = time.monotonic() + 30
-        kids = []
-        while not kids and proc.poll() is None and time.monotonic() < deadline:
-            kids = children.read_text(encoding="utf-8").split() if children.exists() else []
-            time.sleep(0.01)
-        assert kids, "the command forked no child"
-        proc.send_signal(signal.SIGINT)
-        assert proc.wait(timeout=30) != 0
-    finally:
-        proc.kill()
-        proc.wait()
-    with pytest.raises(ProcessLookupError):
-        os.kill(int(kids[0]), 0)
-
-
-needs_fork_and_proc = pytest.mark.skipif(
-    not can_split() or not Path(f"/proc/{os.getpid()}").is_dir(),
-    reason="needs os.fork, two CPUs and /proc")
-
-
-@needs_fork_and_proc
-def test_scan_nt_sigint_to_the_parent_reaps_the_child():
-    """SIGINT sent to the scanning process alone: it stops its forked
-    child, reaps it and exits."""
-    sigint_to_the_parent_reaps_the_child(["scan-nt", "--from", "2", "--to", "250"])
-
-
-def test_scan_nt_stays_serial_with_a_second_thread(monkeypatch, capsys):
-    """Forking with another thread alive could copy a held lock into the
-    child, so the scan then runs serially; so it does with one CPU."""
-    refusing_forks(monkeypatch)
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        code, out, _ = run(capsys, ["scan-nt", "--from", "2", "--to", "5"])
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert code == 0 and not thread.is_alive()
-    one_cpu(monkeypatch)
-    assert run(capsys, ["scan-nt", "--from", "2", "--to", "5"]) == (code, out, "")
-
-
-@pytest.mark.parametrize("with_s", [False, True])
-@pytest.mark.parametrize("mode", ["tensor", "symmetric"])
-def test_scan_rows_round_trip_through_marshal(mode, with_s):
-    """The child's rows reach the parent unchanged: bools stay bools and
-    None stays None."""
-    rows = [cli._scan_row(t, mode, 3, with_s) for t in range(2, 11)]
-    back = marshal.loads(marshal.dumps(rows))
-    assert back == rows and repr(back) == repr(rows)
-
-
-# --- verify in one process -------------------------------------------------------
-
-VERIFY_CASES = sorted(name for name in CASES if name.startswith("verify-"))
 
 
 @pytest.mark.parametrize("name", VERIFY_CASES)
 def test_verify_golden_forked_and_in_one_process(name, monkeypatch, capsys):
     """Every golden verify, the zero-radical ``*-corrupt*`` ones with
     their exit-1 witnesses among them, prints its golden stdout with its
-    exit code from this process alone: with two CPUs free, as with one,
-    no child is forked.  The name is from when two free CPUs forked a
-    child for the radical."""
-    expected = (CASES[name][1], (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
+    exit code from this process alone, and on stderr at most the warning
+    that ``--powers-cap`` is ignored.  The name is from when two free
+    CPUs forked a child for the radical."""
     refusing_forks(monkeypatch)
-    assert run_case(name) == expected
-    err = capsys.readouterr().err
-    one_cpu(monkeypatch)
-    assert run_case(name) == expected
-    assert capsys.readouterr().err == err
+    assert run_case(name) == golden(name)
+    warning = "warning: --powers-cap is ignored; no bound is capped\n"
+    assert capsys.readouterr().err == (warning if "--powers-cap" in CASES[name][0] else "")
 
 
 def test_verify_size_guard_refuses_before_any_fork_or_chain_step(files, capsys, monkeypatch):

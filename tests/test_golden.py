@@ -6,6 +6,8 @@ listed here.  Input files live in ``tests/golden/inputs``.  The cases
 cover every subcommand, text and ``--json``, and the witness output of a
 failed check: a case named ``*-corrupt*`` runs with ``algebra.radical_basis``
 returning the zero subspace, so any change to stdout shows.
+The golden test runs every case with ``os.fork`` refused, so no `mbt`
+command forks.
 
 Regenerate after a deliberate output change with
 
@@ -14,13 +16,14 @@ Regenerate after a deliberate output change with
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from monoidrep import algebra, representations
+from monoidrep import algebra, monoids
 from monoidrep.algebra import Subspace
 from monoidrep.cli import main
 from monoidrep.linalg import Echelon
@@ -131,6 +134,13 @@ def zero_radical(m, force=False):
     return span_subspace(m.size, ())
 
 
+def refusing_forks(monkeypatch):
+    def refuse():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+
+
 def run_case(name):
     argv, _ = CASES[name]
     argv = [str(INPUTS / a) if a.endswith(".json") else a for a in argv]
@@ -143,7 +153,10 @@ def run_case(name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name):
+def test_golden_output(name, monkeypatch):
+    """Every case prints its golden stdout with its exit code from this
+    process alone: no `mbt` command forks."""
+    refusing_forks(monkeypatch)
     code, out = run_case(name)
     assert code == CASES[name][1]
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
@@ -250,9 +263,9 @@ def test_molien_builds_no_restriction(name, monkeypatch):
     """The series and its cross-check read the loaded representation: the
     local monoid eMe is listed once, for the support check, and neither a
     submonoid nor a restricted representation is built or validated."""
-    calls = {"local_monoid": 0, "restrict_to_local": 0, "submonoid": 0, "validate": 0}
-    originals = {key: getattr(representations, key)
-                 for key in ("local_monoid", "restrict_to_local", "submonoid")}
+    calls = {"local_monoid": 0, "submonoid": 0, "validate": 0}
+    originals = {key: getattr(monoids, key)
+                 for key in ("local_monoid", "submonoid")}
 
     def counting(key):
         def wrapper(*args, **kwargs):
@@ -276,8 +289,7 @@ def test_molien_builds_no_restriction(name, monkeypatch):
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     # only the loaded representation is validated
-    assert calls == {"local_monoid": 1, "restrict_to_local": 0, "submonoid": 0,
-                     "validate": 1}
+    assert calls == {"local_monoid": 1, "submonoid": 0, "validate": 1}
 
 
 @pytest.mark.parametrize("name", ["verify-t3", "verify-m128-steinberg"])

@@ -13,10 +13,11 @@ from monoidrep.molien import (
 from monoidrep.monoids import idempotents, local_monoid
 from monoidrep.representations import (
     nt_paper_representation,
-    restrict_to_local,
     sym_power,
     sym_power_character,
 )
+
+from oracles import restrict_to_local
 
 F = Fraction
 

@@ -23,7 +23,6 @@ from monoidrep.representations import (
     natural_representation,
     nt_paper_representation,
     regular_representation,
-    restrict_to_local,
     sym_power,
     sym_power_character,
     sym_power_characters,
@@ -33,7 +32,7 @@ from monoidrep.representations import (
     trivial_representation,
 )
 
-from oracles import character_kernel
+from oracles import character_kernel, restrict_to_local
 
 F = Fraction
 
