@@ -68,9 +68,10 @@ A representation has one walk per chain, tensor and symmetric, stepped
 once as far as its furthest read; ``_steps`` hands every read the list
 of steps it asks for, so verifiers and minimal-power scans all index
 those two walks.  The tensor chain runs from power 1, on fibre rows
-for a transformation representation and on products of entry rows for
-any other: a step from power 0 is the same step with the constant
-functions E_0 as one more row, computed on each read and stored nowhere.
+for a transformation representation and on the entry rows and their
+products for any other: a step from power 0 is the same step with the
+constant functions E_0 as one more row, computed on each read and
+stored nowhere.
 No bound is capped: a tensor chain multiplies each of the at most |M|
 vectors it adds once; a symmetric degree too large is refused unbuilt.
 No direct sum or Kronecker power is built: the span
@@ -101,10 +102,10 @@ from .representations import (
     symmetric_columns,
 )
 
-# The refusal and its message stay until one work budget replaces them,
-# though the radical is no longer an O(|M|^3) Gram echelon but an exact
-# echelon of at most |M| sparse 0/1 rows; the bound, cubed, also caps
-# the size of a symmetric degree.
+# The refusal stays until one work budget replaces it, though the
+# radical is no longer an O(|M|^3) Gram echelon but an exact echelon of
+# at most |M| sparse 0/1 rows; the bound, cubed, also caps the size of a
+# symmetric degree.
 SIZE_GUARD = 300
 
 
@@ -203,9 +204,8 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
     n = m.size
     if n > SIZE_GUARD and not force:
         raise ValueError(
-            f"monoid has {n} > {SIZE_GUARD} elements; exact O(n^3) radical "
-            "computation refused (pass --force, or force=True from Python, "
-            "to override)")
+            f"monoid has {n} > {SIZE_GUARD} elements; refused by the size guard "
+            "(pass --force, or force=True from Python, to override)")
     table, pad = m.table, bytes(max(256 - n, 0))
     rows = []
     for e, r_e, l_e in j_classes(m):
@@ -353,13 +353,14 @@ def verify_positive_power_refinement(rho: Representation,
 
 
 def _entry_rows(rho):
-    """Yield the nonzero coefficient functions x -> rho(x)[i][j], as rows."""
+    """Yield the nonzero coefficient functions x -> rho(x)[i][j], as
+    integer tuples, denominators cleared."""
     mats = [m.rows for m in rho.matrices]
     for i in range(rho.dim):
         for j in range(rho.dim):
             row = [m[i][j] for m in mats]
             if any(row):
-                yield row
+                yield tuple(clear_denominators(row))
 
 
 def tensor_annihilator_chain(rho: Representation):
@@ -373,11 +374,11 @@ def tensor_annihilator_chain(rho: Representation):
     in F_{k-1} * E_1 + D_k * E_1, and F_{k-1} * E_1 lies in F_k, so
     F_{k+1} = F_k + D_k * E_1: each vector is multiplied with an E_1
     basis once, and the work stops as soon as a step adds nothing.  Any
-    basis serves; the one taken is the entry rows that enlarge E_1's
-    span, denominators cleared and otherwise as they are, not reduced:
-    a transformation monoid's are 0/1 rows, so their products stay
-    sparse 0/1 rows and many of them coincide.  The seed D_0 is the
-    constant functions, which span E_0, with F_0 = 0.  Each step inserts
+    basis serves.  Step 1 inserts the distinct entry rows, denominators
+    cleared and otherwise as they are, not reduced; those that enlarge
+    F_1 = E_1 are D_1, and they are the E_1 basis later steps multiply
+    by.  A transformation monoid's are 0/1 rows, so their products stay
+    sparse 0/1 rows and many of them coincide.  Each later step inserts
     each distinct nonzero product once.  The chain has
     no last step: a reader takes the steps it needs (``_steps``, whose
     reads from power 0 add the constants to these steps).
@@ -413,14 +414,9 @@ def tensor_annihilator_chain(rho: Representation):
                 # insert the fibres in turn, up to full rank
                 any(acc.insert(row) and acc.rank == n for row in fibres.values())
             yield k, _kernel(acc)
-    new = [(1,) * n]  # D_0: the constant functions, spanning E_0
-    span, e1 = Echelon(n), []  # a basis of E_1: entry rows, as they are
-    for row in _entry_rows(rho):
-        if span.insert(row):
-            e1.append(clear_denominators(row))
-            if span.rank == n:
-                break
-    for k in count(1):
+    new = e1 = [v for v in dict.fromkeys(_entry_rows(rho)) if acc.rank < n and acc.insert(v)]
+    yield 1, _kernel(acc)
+    for k in count(2):
         products = dict.fromkeys(tuple(map(mul, d, g)) for d in new for g in e1)
         new = [v for v in products if any(v) and acc.rank < n and acc.insert(v)]
         yield k, _kernel(acc)

@@ -203,7 +203,7 @@ def cmd_scan_nt(args):
     if args.t_to + 1 > algebra.SIZE_GUARD:
         raise ValueError(
             f"N_{args.t_to} has {args.t_to + 1} > {algebra.SIZE_GUARD} elements; "
-            "exact O(n^3) radical computation refused")
+            "refused by the size guard")
     rows = [_scan_row(t, args.mode, args.cap, args.json)
             for t in range(args.t_from, args.t_to + 1)]
     ok = all(r["holds"] for r in rows)
@@ -312,7 +312,7 @@ def build_parser():
     # accepted for old scripts and ignored, with a warning
     sp.add_argument("--powers-cap", type=int, help=argparse.SUPPRESS)
     sp.add_argument("--force", action="store_true",
-                    help="override the size guard on exact radical computation")
+                    help="override the size guard on the monoid's element count")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_verify)
 

@@ -11,7 +11,9 @@ Element order is deterministic everywhere: the identity first, then the
 generators in the order given, then new elements in breadth-first
 discovery order.  All structure queries (idempotents, local monoids eMe,
 unit groups G_e, their ideals I_e, zero elements, the R-, L- and
-J-classes of ``j_classes``) work on any Monoid.
+J-classes of ``j_classes``) work on any Monoid, and each reads the table
+by its definition: eMe is the x with e*x = x = x*e, G_e the x in eMe
+whose row holds e, and I_e the rest of eMe.
 
 Every Monoid carries a generating set A: every element is a left-normed
 product of generators.  The monoid laws and representations are checked
@@ -346,28 +348,31 @@ def j_classes(m: Monoid):
 
 
 def local_monoid(m: Monoid, e):
-    """The set eMe = {e*x*e : x in M}, sorted; a monoid with identity e."""
+    """eMe, a monoid with identity e, in index order: the x fixed by e
+    on both sides, e*x = x = x*e, since x = e*y*e is fixed and a fixed x
+    is e*x*e."""
     _require_idempotent(m, e)
-    return tuple(sorted({m.table[m.table[e][x]][e] for x in range(m.size)}))
+    return tuple(x for x, ex in enumerate(m.table[e]) if ex == x == m.table[x][e])
 
 
 def unit_group(m: Monoid, e):
-    """The group of units G_e of eMe: elements invertible relative to e.
+    """The group of units G_e of eMe: the g in eMe whose table row holds e.
 
-    In a finite monoid a one-sided inverse is two-sided, so g is kept
-    exactly when g*h = e for some h in eMe.  Suppose g*h = e.  Then
-    y -> h*y is injective on eMe (h*y = h*y' gives y = e*y = g*h*y =
-    g*h*y' = y'), hence onto, so h*k = e for some k in eMe, and
-    g = g*(h*k) = (g*h)*k = e*k = k: h*g = e too.
+    If g*h = e for some h in M, then g*(e*h*e) = g*h*e = e with e*h*e in
+    eMe, so g has a right inverse in eMe.  In a finite monoid a one-sided
+    inverse is two-sided: suppose g*h = e with h in eMe.  Then y -> h*y
+    is injective on eMe (h*y = h*y' gives y = e*y = g*h*y = g*h*y' = y'),
+    hence onto, so h*k = e for some k in eMe, and g = g*(h*k) = (g*h)*k
+    = e*k = k: h*g = e too.  So G_e is the H-class of e: for g in eMe,
+    e in row g is g R e, and h*g = e gives g L e.
     """
-    eme = local_monoid(m, e)  # validates idempotency
-    return tuple(g for g in eme if e in map(m.table[g].__getitem__, eme))
+    return tuple(g for g in local_monoid(m, e) if e in m.table[g])
 
 
 def local_ideal(m: Monoid, e):
-    """I_e = eMe minus its unit group; an ideal of eMe."""
-    units = set(unit_group(m, e))
-    return tuple(x for x in local_monoid(m, e) if x not in units)
+    """I_e = eMe minus its unit group, an ideal of eMe: the x in eMe whose
+    table row does not hold e."""
+    return tuple(x for x in local_monoid(m, e) if e not in m.table[x])
 
 
 def has_zero(m: Monoid):

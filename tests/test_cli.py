@@ -342,9 +342,9 @@ def test_verify_radical_refusal_names_force_flag(files, capsys, monkeypatch):
     code, out, err = run(capsys, ["verify", files["nt7"], files["nt_rep"],
                                   "--which", "tensor"])
     assert (code, out) == (2, "")
-    assert err == ("error: monoid has 8 > 5 elements; exact O(n^3) radical "
-                   "computation refused (pass --force, or force=True from "
-                   "Python, to override)\n")
+    assert err == ("error: monoid has 8 > 5 elements; refused by the size "
+                   "guard (pass --force, or force=True from Python, to "
+                   "override)\n")
 
 
 # the trivial monoid on the zero-dimensional module: s = 1, so the
@@ -482,7 +482,7 @@ def test_scan_nt_oversized_range_refused_up_front(monkeypatch, capsys, guard, t_
     code, out, err = run(capsys, ["scan-nt", "--from", "2", "--to", str(t_to)])
     assert (code, out, built) == (2, "", [])
     assert err == (f"error: N_{t_to} has {t_to + 1} > {guard} elements; "
-                   "exact O(n^3) radical computation refused\n")
+                   "refused by the size guard\n")
 
 
 def test_scan_nt_range_at_size_guard_runs(monkeypatch, capsys):

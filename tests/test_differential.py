@@ -89,9 +89,10 @@ submonoid of T_5 and matrix closures.  Seeded corruptions of T_3,
 the 128-element monoid, N_7 and a rational conjugate, one entry changed
 or two matrices swapped, must give the stacked validation the same
 error text as the pair-by-pair check kept there.  On every monoid of
-these corpora, T_3, T_4 and the 128-element monoid, ``unit_group`` of
-each idempotent e must be the units of eMe by their two-sided
-definition.
+these corpora, T_3, T_4 and the 128-element monoid, ``local_monoid``
+of each idempotent e must be eMe, built in the test as {e*x*e},
+``unit_group`` its units by their two-sided definition, and
+``local_ideal`` the rest.
 
 The radical read off Green's relations must be the kernel of the trace
 form's Gram matrix (``oracles.gram_radical``), in canonical RREF, on all
@@ -157,6 +158,7 @@ from monoidrep.monoids import (
     from_transformations,
     idempotents,
     j_classes,
+    local_ideal,
     local_monoid,
     nt_monoid,
     unit_group,
@@ -1376,11 +1378,18 @@ UNIT_MONOIDS = {**RADICAL_MONOIDS, **{f"validator-{k}": m for k, m in ALL_MONOID
 
 @pytest.mark.parametrize("name", sorted(UNIT_MONOIDS))
 def test_unit_group_is_the_two_sided_units(name):
-    """``unit_group`` keeps g when g*h = e for some h; no unit is missed
-    and no one-sided unit kept, against g*h = e = h*g."""
+    """eMe, built here as {e*x*e}, is ``local_monoid``; ``unit_group``
+    keeps g when g*h = e for some h, so no unit is missed and no
+    one-sided unit kept, against g*h = e = h*g in eMe; and
+    ``local_ideal`` is the rest of eMe."""
     m = UNIT_MONOIDS[name]
+    table = m.table
     for e in idempotents(m):
-        assert unit_group(m, e) == units_two_sided(m.table, e, local_monoid(m, e))
+        eme = tuple(sorted({table[table[e][x]][e] for x in range(m.size)}))
+        units = units_two_sided(table, e, eme)
+        assert local_monoid(m, e) == eme
+        assert unit_group(m, e) == units
+        assert local_ideal(m, e) == tuple(x for x in eme if x not in units)
 
 
 # --- closure tables and stacked validation against the all-pairs code ----------
