@@ -78,16 +78,16 @@ No direct sum or Kronecker power is built: the span
 E_k of the k-th tensor power's coefficient functions consists of the
 k-fold entrywise products of V's, and the accumulated span
 F_k = E_0 + ... + E_k never grows past dimension |M|.  No symmetric
-power matrix is built either: each degree's sparse columns come from the
-degree below, and their entries are scattered straight into coefficient
-rows.
+power matrix is built either: each element's nonzero columns of a degree
+come from its nonzero columns of the degree below, and their entries are
+scattered straight into coefficient rows.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from itertools import combinations, count
 from operator import mul
 
@@ -181,6 +181,16 @@ def subspace_leq(a: Subspace, b: Subspace):
     return False, next(v for v in a.basis if not b.contains(v))
 
 
+def size_guard(n, force=False):
+    """Refuse a monoid of n > ``SIZE_GUARD`` elements unless ``force``:
+    the radical's guard, which ``fileio.load_monoid`` also applies to an
+    ``nt`` spec, before its table is built."""
+    if n > SIZE_GUARD and not force:
+        raise ValueError(
+            f"monoid has {n} > {SIZE_GUARD} elements; refused by the size guard "
+            "(pass --force, or force=True from Python, to override)")
+
+
 def radical_basis(m: Monoid, force=False) -> Subspace:
     """Radical of QM as a subspace, kept as the span of its Green rows.
 
@@ -202,10 +212,7 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
     ``<=`` against the radical reads only its rows.
     """
     n = m.size
-    if n > SIZE_GUARD and not force:
-        raise ValueError(
-            f"monoid has {n} > {SIZE_GUARD} elements; refused by the size guard "
-            "(pass --force, or force=True from Python, to override)")
+    size_guard(n, force)
     table, pad = m.table, bytes(max(256 - n, 0))
     rows = []
     for e, r_e, l_e in j_classes(m):
@@ -443,12 +450,14 @@ def _point_values(rho):
 def symmetric_annihilator_chain(rho: Representation):
     """Yield (d, Ann(S^0 + ... + S^d)) for d = 0, 1, ...
 
-    Each degree is built from the one before (``symmetric_columns``); the
-    entries of its sparse columns are scattered straight into the
-    coefficient rows x -> S^d(x)[p][q], and each distinct row is folded
-    once into one accumulated constraint space: a row already folded at
-    an earlier degree lies in it and is skipped.  Once the kernel is zero
-    it stays zero, so no further degree is built.  A degree of
+    Each degree is built from the one before (``symmetric_columns``),
+    which keeps only each element's nonzero columns; the entries of
+    those are scattered straight into the coefficient rows
+    x -> S^d(x)[p][q], in column order, so a zero column is never
+    visited.  Each distinct row is folded once into one accumulated
+    constraint space: a row already folded at an earlier degree lies in
+    it and is skipped.  Once the kernel is zero it stays zero, so no
+    further degree is built.  A degree of
     c = C(dim+d-1, d) columns holds at most |M| * c^2 entries, in its
     columns and in its rows; past ``SIZE_GUARD ** 3``, the work the
     radical guard admits, it is refused before it is built.  As for the
@@ -464,14 +473,11 @@ def symmetric_annihilator_chain(rho: Representation):
             if size > SIZE_GUARD ** 3:
                 raise ValueError(f"symmetric degree {d} refused: predicted size "
                                  f"{size} exceeds {SIZE_GUARD ** 3}")
-            rows = {}
+            rows = defaultdict(lambda: [0] * n)
             for x, cols in enumerate(next(degrees)):
-                for q, col in enumerate(cols):
+                for q, col in cols.items():
                     for p, c in col.items():
-                        row = rows.get((p, q))
-                        if row is None:
-                            row = rows[p, q] = [0] * n
-                        row[x] = c
+                        rows[p, q][x] = c
             for row in dict.fromkeys(map(tuple, rows.values())):
                 if acc.rank == n:
                     break

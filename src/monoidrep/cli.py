@@ -107,7 +107,7 @@ def cmd_verify(args):
 
     if args.powers_cap is not None:
         print("warning: --powers-cap is ignored; no bound is capped", file=sys.stderr)
-    m = fileio.load_monoid(args.monoid)
+    m = fileio.load_monoid(args.monoid, force=args.force)
     rho = fileio.load_representation(args.representation, m)
     which = args.which
 

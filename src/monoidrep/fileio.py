@@ -124,9 +124,24 @@ def load_json(path):
         raise ValueError(f"invalid JSON at line {e.lineno}, column {e.colno}") from None
 
 
-def load_monoid(path) -> Monoid:
+def load_monoid(path, force=True) -> Monoid:
+    """The monoid a JSON file describes; an error names the path.
+
+    Unless ``force``, an ``nt`` spec, whose N_t has t + 1 elements, is
+    held to the radical's size guard before its table is built, and a
+    refusal is the guard's own error (``mbt verify`` without
+    ``--force``).  Other types are built first and refused by the
+    radical."""
     try:
-        return monoid_from_spec(load_json(path))
+        obj = load_json(path)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    if not force and type(obj) is dict and obj.get("type") == "nt" and type(obj.get("t")) is int:
+        from .algebra import size_guard
+
+        size_guard(obj["t"] + 1)
+    try:
+        return monoid_from_spec(obj)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 

@@ -42,6 +42,7 @@ exactly that.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, combinations_with_replacement, count, islice, repeat
 from math import comb
 from operator import add, itemgetter, mul, ne
@@ -292,34 +293,53 @@ def symmetric_columns(rho: Representation):
     """Yield the symmetric powers of every element matrix, degree by degree.
 
     Item d (d = 0, 1, 2, ...) holds one entry per monoid element: the
-    columns of its degree-d symmetric power, in ``monomial_basis(dim, d)``
-    order, each a dict from row position to coefficient.  A monomial of
-    degree d is its sorted tuple of d variables, in the order
-    ``combinations_with_replacement`` lists them, and x_i times it is
-    that tuple with i inserted.  Column mono is the product of the linear
-    forms m . x_j, j in mono, expanded in the monomial basis, where
-    m . x_j is column j of the element matrix.  Degree d+1 is built from
-    degree d: column mono is column mono[1:] times the form of variable
-    mono[0], so each monomial costs one product with a linear form.  The
-    expansion starts from the integer 1, so integral input stays in ints.
-    The generator is lazy: a degree is built only when asked for.
+    nonzero columns of its degree-d symmetric power, as a dict from a
+    column's position in ``monomial_basis(dim, d)`` to the column, in
+    that order, each column a dict from row position to coefficient.  A
+    monomial of degree d is its sorted tuple of d variables, in the order
+    ``combinations_with_replacement`` lists them.  Column mono is the
+    product of the linear forms m . x_j, j in mono, expanded in the
+    monomial basis, where m . x_j is column j of the element matrix.
+    Degree d+1 is built from the stored columns of degree d: stored
+    column k times the form of each variable j at least the greatest of
+    monomial k is column monomial k + (j,).  Every monomial splits so in
+    exactly one way, j its greatest variable, so each is made once, with
+    one product with a linear form, and taking k, then j, in order makes
+    them in basis order.  A product of nonzero polynomials is nonzero,
+    so what is stored is exactly the nonzero columns, and a zero column
+    costs nothing.  The index tables depend only on (dim, d) and are
+    built once (``_monomial_tables``).  The expansion starts from the
+    integer 1, so integral input stays in ints.  The generator is lazy:
+    a degree is built only when asked for.
     """
     n = rho.dim
     forms = [[[(i, x) for i, x in enumerate(col) if x] for col in zip(*mat.rows)]
              for mat in rho.matrices]
-    basis, prev = [()], {(): 0}
-    cols = [[{0: 1}] for _ in rho.matrices]
-    for d in count(1):
+    cols = [{0: {0: 1}} for _ in rho.matrices]
+    for d in count():
         yield cols
-        nxt = list(combinations_with_replacement(range(n), d))
-        pos = {mono: k for k, mono in enumerate(nxt)}
-        # up[k][i]: position of basis[k] * x_i among the next degree's monomials
-        up = [[pos[tuple(sorted(mono + (i,)))] for i in range(n)] for mono in basis]
-        steps = [(mono[0], prev[mono[1:]]) for mono in nxt]
-        cols = [[_times_form(col[k], form[j], up) if col[k] and form[j] else {}
-                 for j, k in steps]
-                for form, col in zip(forms, cols)]
-        basis, prev = nxt, pos
+        up, splits = _monomial_tables(n, d)
+        cols = [{q: _times_form(col, form[j], up)
+                 for k, col in per_x.items() for j, q in splits[k] if form[j]}
+                for form, per_x in zip(forms, cols)]
+
+
+@lru_cache
+def _monomial_tables(n, d):
+    """Index tables of the degree-d monomials in n variables, in
+    ``combinations_with_replacement`` order: ``up[k][i]`` is the position
+    of monomial k times x_i among the degree-(d+1) monomials, and
+    ``splits[k]`` the pairs (j, up[k][j]) for the variables j at least
+    monomial k's greatest (every j when d = 0).  Every degree-(d+1)
+    monomial is monomial k + (j,) for exactly one such pair, j its
+    greatest variable, and taking k, then j, in order lists them in
+    order: they are sorted tuples of one length, compared
+    lexicographically.  Every caller reads the same tuples."""
+    pos = {mono: k for k, mono in enumerate(combinations_with_replacement(range(n), d + 1))}
+    basis = list(combinations_with_replacement(range(n), d))
+    up = tuple(tuple(pos[tuple(sorted(mono + (i,)))] for i in range(n)) for mono in basis)
+    return up, tuple(tuple((j, row[j]) for j in range(mono[-1] if mono else 0, n))
+                     for mono, row in zip(basis, up))
 
 
 def _times_form(poly, form, up):
@@ -347,7 +367,7 @@ def sym_power(rho: Representation, d) -> Representation:
     mats = []
     for cols in next(islice(symmetric_columns(rho), d, None)):
         rows = [[0] * dim for _ in range(dim)]
-        for k, col in enumerate(cols):
+        for k, col in cols.items():
             for p, c in col.items():
                 rows[p][k] = c
         mats.append(Matrix(rows, ncols=dim))

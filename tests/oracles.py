@@ -7,8 +7,9 @@ cycles instead of the traces of matrix powers, nested lists of
 ``Fraction`` instead of ``Matrix``, brute-force enumeration instead of
 Newton's identities, set-based closure instead of
 indexed BFS, every triple and every pair instead of a generating set,
-each symmetric power expanded from scratch instead of from the degree
-below, and units found by two-sided inverses instead of one-sided ones.
+each symmetric power expanded from scratch, or read entry by entry off
+its definition, instead of from the degree below, and units found by
+two-sided inverses instead of one-sided ones.
 Six are the package's own earlier code, kept as it was to pin a faster
 rewrite to the old results: the tensor chain that inserted
 every product in turn, Light's test scanned triple by triple, the
@@ -37,8 +38,8 @@ computed two ways.
 import struct
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations_with_replacement, compress, product
-from math import gcd, lcm
+from itertools import combinations_with_replacement, compress, permutations, product
+from math import gcd, lcm, prod
 
 from monoidrep.algebra import Subspace
 from monoidrep.linalg import Echelon, Matrix
@@ -647,6 +648,24 @@ def sym_power_direct(rho, d):
                     rows[pos[mono]][k] = c
         mats.append(Matrix(rows, ncols=dim))
     return Representation(rho.monoid, mats, check=False)
+
+
+def sym_power_entries(mat, n, d):
+    """Degree-d symmetric power of the n x n matrix ``mat``, entry by
+    entry from its definition, as nested lists.
+
+    Monomials are sorted tuples of variables, in the order
+    ``combinations_with_replacement`` lists them.  Entry (p, q) is the
+    coefficient of monomial p in prod_{j in q} sum_i mat[i][j] x_i:
+    expanding the product picks one variable s_k from each factor q_k,
+    so it is the sum, over the distinct orderings s of p, of
+    prod_k mat[s_k][q_k].
+    """
+    monos = list(combinations_with_replacement(range(n), d))
+    orderings = [set(permutations(p)) for p in monos]
+    a = [list(row) for row in mat]
+    return [[sum(prod(a[i][j] for i, j in zip(s, q)) for s in orders) for q in monos]
+            for orders in orderings]
 
 
 def tensor_chain_steps(rho, kmax, first=0):

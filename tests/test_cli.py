@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import monoidrep.cli as cli
-from monoidrep import algebra, representations
+from monoidrep import algebra, fileio, monoids, representations
 from monoidrep.algebra import (
     minimal_faithful_power,
     radical_basis,
@@ -345,6 +345,71 @@ def test_verify_radical_refusal_names_force_flag(files, capsys, monkeypatch):
     assert err == ("error: monoid has 8 > 5 elements; refused by the size "
                    "guard (pass --force, or force=True from Python, to "
                    "override)\n")
+
+
+REFUSAL = ("error: monoid has {} > {} elements; refused by the size guard "
+           "(pass --force, or force=True from Python, to override)\n")
+
+
+def refusing_builds(monkeypatch):
+    """Make building N_t or any monoid table fail the test."""
+    def build(*args, **kwargs):
+        raise AssertionError("a monoid table was built")
+
+    monkeypatch.setattr(monoids, "nt_monoid", build)
+    monkeypatch.setattr(fileio, "nt_monoid", build)
+    monkeypatch.setattr(monoids.Monoid, "__init__", build)
+
+
+@pytest.mark.parametrize("args", [[], ["--which", "tensor"], ["--json"]])
+def test_verify_refuses_oversized_nt_before_any_table(tmp_path, capsys, monkeypatch, args):
+    """N_3000 has 3001 elements, known from the spec: verify refuses it
+    with the radical guard's message and exit 2 before building a table
+    (its Light test alone would run for minutes)."""
+    refusing_builds(monkeypatch)
+    monoid = write(tmp_path, "n3000.json", {"type": "nt", "t": 3000})
+    code, out, err = run(capsys, ["verify", monoid, write(tmp_path, "rep.json",
+                                                          {"mode": "nt-paper"}), *args])
+    assert (code, out, err) == (2, "", REFUSAL.format(3001, 300))
+
+
+def test_verify_force_reaches_the_nt_builder(tmp_path, capsys, monkeypatch):
+    """--force lifts the loader's guard, as the radical's: the spec goes
+    on to the builder, stubbed here so that nothing that size is built."""
+    built = []
+
+    def build(t):
+        built.append(t)
+        raise ValueError("stub builder")
+
+    monkeypatch.setattr(fileio, "nt_monoid", build)
+    monoid = write(tmp_path, "n3000.json", {"type": "nt", "t": 3000})
+    code, out, err = run(capsys, ["verify", monoid, "rep.json", "--force"])
+    assert (code, out, err, built) == (2, "", f"error: {monoid}: stub builder\n", [3000])
+
+
+@pytest.mark.parametrize("monoid, rep, size", [("nt7", "nt_rep", 8), ("t3", "natural", 27)])
+def test_verify_size_refusal_is_one_line_from_loader_or_radical(
+        files, capsys, monkeypatch, monoid, rep, size):
+    """An nt spec is refused by the loader, unbuilt, and any other type by
+    the radical once built; stderr is the same line either way."""
+    monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
+    if monoid == "nt7":
+        refusing_builds(monkeypatch)
+    code, out, err = run(capsys, ["verify", files[monoid], files[rep]])
+    assert (code, out, err) == (2, "", REFUSAL.format(size, 5))
+
+
+def test_loader_guard_admits_the_guard_size(tmp_path, monkeypatch):
+    """N_4 has 5 elements, at a guard of 5, and loads; N_5 is refused
+    only when not forced, and the default load is forced."""
+    monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
+    n4 = write(tmp_path, "n4.json", {"type": "nt", "t": 4})
+    n5 = write(tmp_path, "n5.json", {"type": "nt", "t": 5})
+    assert fileio.load_monoid(n4, force=False).size == 5
+    assert fileio.load_monoid(n5).size == fileio.load_monoid(n5, force=True).size == 6
+    with pytest.raises(ValueError, match=r"^monoid has 6 > 5 elements; refused"):
+        fileio.load_monoid(n5, force=False)
 
 
 # the trivial monoid on the zero-dimensional module: s = 1, so the

@@ -174,6 +174,7 @@ from monoidrep.representations import (
     regular_representation,
     sym_power,
     sym_power_characters,
+    symmetric_columns,
     tensor_power,
 )
 
@@ -210,6 +211,7 @@ from oracles import (
     rref,
     span_subspace,
     sym_power_direct,
+    sym_power_entries,
     tensor_chain_steps,
     trace,
     transpose,
@@ -583,6 +585,38 @@ def test_sym_power_matches_direct_expansion(name):
         for a, b in zip(power.matrices, direct.matrices, strict=True):
             assert a == b
             assert [type(x) for row in a for x in row] == [type(x) for row in b for x in row]
+
+
+# a projection whose middle column is 0, so every power's monomials in x_1 are
+# zero columns, beside nonzero ones
+ZERO_COLUMN = matrix_representation(from_matrices([[[1, 0, 2], [0, 0, 0], [0, 0, 0]]]))
+SPARSE_INPUTS = {**CORPUS, "regular-n6": regular_representation(nt_monoid(6)),
+                 "zero-column": ZERO_COLUMN}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_INPUTS))
+def test_symmetric_columns_are_the_nonzero_columns_of_the_definition(name):
+    """At degrees 0..4 each element stores exactly the nonzero columns of
+    its S^d, read entry by entry off the definition, in basis order, each
+    column equal to the oracle's."""
+    rho = SPARSE_INPUTS[name]
+    for d, cols in enumerate(islice(symmetric_columns(rho), 5)):
+        for mat, per_x in zip(rho.matrices, cols, strict=True):
+            oracle = list(zip(*sym_power_entries(mat, rho.dim, d)))  # its columns
+            assert list(per_x) == [q for q, col in enumerate(oracle) if any(col)]
+            for q, col in per_x.items():
+                assert [col.get(p, 0) for p in range(len(oracle))] == list(oracle[q])
+
+
+def test_nt_nilpotent_elements_store_one_column_per_degree():
+    """N_t's elements 2..t act by [[0, j], [0, 0]], whose degree-d power
+    has one nonzero column, j^d at (x_0^d, x_1^d); the zero element
+    stores none past degree 0 and the identity all d + 1."""
+    t = 9
+    for d, cols in enumerate(islice(symmetric_columns(nt_paper_representation(t)), 8)):
+        assert cols[0] == ({0: {0: 1}} if d == 0 else {})
+        assert cols[1] == {q: {q: 1} for q in range(d + 1)}
+        assert cols[2:] == [{d: {0: j ** d}} for j in range(2, t + 1)]
 
 
 # --- exact matrices against plain Fraction lists ---------------------------------

@@ -1,6 +1,6 @@
 import tracemalloc
 from fractions import Fraction
-from itertools import islice, product
+from itertools import combinations_with_replacement, islice, product
 from math import comb
 from pathlib import Path
 
@@ -166,6 +166,41 @@ def test_monomial_basis_order():
     assert monomial_basis(1200, 0) == [(0,) * 1200]
     assert monomial_basis(1200, 1) == [tuple(int(i == j) for i in range(1200))
                                        for j in range(1200)]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_monomial_tables_split_every_monomial_once(n):
+    """For d <= 6: ``up`` inserts a variable into a degree-d monomial and
+    sorts, and the splits (j, q) of each monomial k in turn give
+    monomial k + (j,), at position q, for every degree-(d+1) monomial
+    exactly once, in basis order."""
+    for d in range(7):
+        basis = list(combinations_with_replacement(range(n), d))
+        nxt = list(combinations_with_replacement(range(n), d + 1))
+        up, splits = representations._monomial_tables(n, d)
+        assert up == tuple(tuple(nxt.index(tuple(sorted(mono + (i,)))) for i in range(n))
+                           for mono in basis)
+        assert len(splits) == len(basis)
+        made = [(basis[k] + (j,), q) for k, pairs in enumerate(splits) for j, q in pairs]
+        assert made == list(zip(nxt, range(len(nxt))))
+
+
+def test_monomial_tables_shared_by_representations_of_one_dim(monkeypatch):
+    """Two representations of dimension 2 read the same table object at
+    every degree: the tables are built once per (dim, degree)."""
+    read = {}
+    tables = representations._monomial_tables
+
+    def recording(n, d):
+        read.setdefault((n, d), []).append(tables(n, d))
+        return read[n, d][-1]
+
+    monkeypatch.setattr(representations, "_monomial_tables", recording)
+    for t in (5, 7):
+        for _ in islice(symmetric_columns(nt_paper_representation(t)), 5):
+            pass
+    assert sorted(read) == [(2, d) for d in range(4)]
+    assert all(len(objs) == 2 and objs[0] is objs[1] for objs in read.values())
 
 
 def test_sym_power_degree_zero_and_one(t2_natural):
@@ -402,7 +437,8 @@ def test_integral_representations_never_form_a_fraction(name, monkeypatch):
         assert all(_ints(m) for m in power.matrices)
         Representation(rho.monoid, power.matrices, check=True)
     for cols in islice(symmetric_columns(rho), 4):
-        assert all(type(c) is int for per_x in cols for col in per_x for c in col.values())
+        assert all(type(c) is int
+                   for per_x in cols for col in per_x.values() for c in col.values())
     inserted = []
     insert = linalg.Echelon.insert
 
