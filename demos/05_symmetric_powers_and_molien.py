@@ -47,12 +47,13 @@ for x in range(t2.size):
 print("\ndet(I - t swap) =", reversed_charpoly(rho, 1))
 print("its reciprocal series:", [str(c) for c in element_series(rho, 1, 6)])
 
-# A weighted sum over eMe becomes one exact rational function.
+# A weighted sum over eMe becomes one exact rational function, a
+# (numerator, denominator) pair in lowest terms.
 n5 = nt_paper_representation(5)
 weights = [0, 1, 1, 0, 0, 0]          # identity and the element 2
-g = weighted_series(n5, 1, weights)
-print("\ng(t) =", g)
-print("coefficients:", [str(c) for c in series_prefix(g, 6)])
+num, den = weighted_series(n5, 1, weights)
+print(f"\ng(t) = ({num}) / ({den})")
+print("coefficients:", [str(c) for c in series_prefix(num, den, 6)])
 
 # The symmetric-power coverage theorem for T_2: s = 3 distinct
 # characteristic polynomials, dimension 2, so degrees 0..5 suffice.

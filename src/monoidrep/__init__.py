@@ -49,8 +49,8 @@ _MODULES = {
         "verify_tensor_theorem",
     ),
     "molien": (
-        "RationalFunction", "element_series", "reversed_charpoly",
-        "series_prefix", "weighted_series",
+        "element_series", "reversed_charpoly", "series_prefix",
+        "weighted_series",
     ),
     "fileio": (
         "load_monoid", "load_representation", "monoid_from_spec",

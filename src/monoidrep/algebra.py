@@ -183,12 +183,13 @@ def subspace_leq(a: Subspace, b: Subspace):
 
 def size_guard(n, force=False):
     """Refuse a monoid of n > ``SIZE_GUARD`` elements unless ``force``:
-    the radical's guard, which ``fileio.load_monoid`` also applies to an
-    ``nt`` spec, before its table is built."""
-    if n > SIZE_GUARD and not force:
-        raise ValueError(
-            f"monoid has {n} > {SIZE_GUARD} elements; refused by the size guard "
-            "(pass --force, or force=True from Python, to override)")
+    the radical's guard, which ``fileio.load_monoid`` also applies to a
+    spec before its table is built.  n is None for a closure stopped at
+    the guard, which knows only that it found more."""
+    if (n is None or n > SIZE_GUARD) and not force:
+        count = f"more than {SIZE_GUARD}" if n is None else f"{n} > {SIZE_GUARD}"
+        raise ValueError(f"monoid has {count} elements; refused by the size guard "
+                         "(pass --force, or force=True from Python, to override)")
 
 
 def radical_basis(m: Monoid, force=False) -> Subspace:

@@ -259,8 +259,8 @@ def cmd_molien(args):
     rho = fileio.load_representation(args.representation, m)
     e = m.index_of_label(args.idempotent)
     weights = parse_weights(args.weights, m)
-    f = molien.weighted_series(rho, e, weights)
-    prefix = molien.series_prefix(f, args.terms)
+    num, den = molien.weighted_series(rho, e, weights)
+    prefix = molien.series_prefix(num, den, args.terms)
 
     # cross-check every coefficient against the symmetric-power characters
     # sum_x w_x h_d(eigenvalues of x), from one power-trace pass per x; on
@@ -280,13 +280,13 @@ def cmd_molien(args):
 
     if args.json:
         _emit_json({
-            "num": [fileio.format_rational(c) for c in f.num.coeffs],
-            "den": [fileio.format_rational(c) for c in f.den.coeffs],
+            "num": [fileio.format_rational(c) for c in num.coeffs],
+            "den": [fileio.format_rational(c) for c in den.coeffs],
             "series": [fileio.format_rational(c) for c in prefix],
         })
     else:
-        print(f"g(t) = ({linalg.format_polynomial(f.num)}) / "
-              f"({linalg.format_polynomial(f.den)})")
+        print(f"g(t) = ({linalg.format_polynomial(num)}) / "
+              f"({linalg.format_polynomial(den)})")
         print("series: " + ", ".join(fileio.format_rational(c) for c in prefix))
     return 0
 

@@ -32,11 +32,13 @@ from fractions import Fraction
 
 from .linalg import Matrix
 from .monoids import (
+    CapExceeded,
     Monoid,
     from_cayley_table,
     from_matrices,
     from_transformations,
     nt_monoid,
+    nt_table,
 )
 from .representations import (
     Representation,
@@ -84,8 +86,10 @@ def _require(obj, field, kind=None):
     return v
 
 
-def monoid_from_spec(obj) -> Monoid:
-    """Build a monoid from a parsed JSON object."""
+def monoid_from_spec(obj, guard=None) -> Monoid:
+    """Build a monoid from a parsed JSON object; a closure type stops its
+    element search past ``guard`` elements, if a guard is given, as a
+    ``matrices`` spec's own cap does."""
     if not isinstance(obj, dict):
         raise ValueError("monoid description must be a JSON object")
     kind = _require(obj, "type", str)
@@ -99,7 +103,7 @@ def monoid_from_spec(obj) -> Monoid:
     if kind == "transformations":
         degree = _require(obj, "degree", int)
         gens = _require(obj, "generators", list)
-        return from_transformations(degree, gens)
+        return from_transformations(degree, gens, guard)
     if kind == "nt":
         return nt_monoid(_require(obj, "t", int))
     if kind == "matrices":
@@ -112,7 +116,7 @@ def monoid_from_spec(obj) -> Monoid:
         cap = obj.get("cap", 10000)
         if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
             raise ValueError(f"field 'cap' must be a positive integer, not {cap!r}")
-        return from_matrices(gens, cap=cap)
+        return from_matrices(gens, cap=cap if guard is None else min(cap, guard))
     raise ValueError(f"unknown monoid type {kind!r}")
 
 
@@ -127,22 +131,29 @@ def load_json(path):
 def load_monoid(path, force=True) -> Monoid:
     """The monoid a JSON file describes; an error names the path.
 
-    Unless ``force``, an ``nt`` spec, whose N_t has t + 1 elements, is
-    held to the radical's size guard before its table is built, and a
-    refusal is the guard's own error (``mbt verify`` without
-    ``--force``).  Other types are built first and refused by the
-    radical."""
+    Unless ``force`` (``mbt verify`` without ``--force``), a spec is held
+    to the radical's size guard before its table is built, and a refusal
+    is the guard's own error: an ``nt`` spec by its t + 1 elements, a
+    ``cayley`` spec by its table's length, and a closure type by a
+    closure capped at the guard, whose element search stops there."""
     try:
         obj = load_json(path)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    if not force and type(obj) is dict and obj.get("type") == "nt" and type(obj.get("t")) is int:
-        from .algebra import size_guard
+    guard = None
+    if not force and type(obj) is dict:
+        from .algebra import SIZE_GUARD as guard, size_guard
 
-        size_guard(obj["t"] + 1)
+        t, table = obj.get("t"), obj.get("table")
+        if obj.get("type") == "nt" and type(t) is int:
+            size_guard(t + 1)
+        if obj.get("type") == "cayley" and type(table) is list:
+            size_guard(len(table))
     try:
-        return monoid_from_spec(obj)
+        return monoid_from_spec(obj, guard)
     except ValueError as e:
+        if isinstance(e, CapExceeded) and e.cap == guard:
+            size_guard(None)
         raise ValueError(f"{path}: {e}") from None
 
 
@@ -166,10 +177,10 @@ def representation_from_spec(obj, monoid: Monoid | None = None,
     if mode == "natural":
         return natural_representation(monoid)
     if mode == "nt-paper":
-        rep = nt_paper_representation(monoid.size - 1)
-        if rep.monoid != monoid:
+        t = monoid.size - 1
+        if (monoid.table, monoid.identity) != (nt_table(t), 1):
             raise ValueError('mode "nt-paper" needs a monoid of type "nt"')
-        return rep
+        return nt_paper_representation(t, monoid)
     if mode is not None:
         raise ValueError(f"unknown representation mode {mode!r}")
     dim = _require(obj, "dim", int)

@@ -13,13 +13,14 @@ ints, and only rational weights bring in ``Fraction``.
 
 * ``reversed_charpoly``  -- det(I - tA) as a polynomial with constant 1;
 * ``element_series``     -- the reciprocal power series, term by term;
-* ``weighted_series``    -- an exact rational function sum_m c_m / det(I - tA_m)
-  for weights supported on a local monoid eMe, read off the ambient
+* ``weighted_series``    -- the exact series sum_m c_m / det(I - tA_m) as one
+  pair (num, den) of polynomials in lowest terms with den(0) = 1, for
+  weights supported on a local monoid eMe, read off the ambient
   matrices: for m in eMe, rho(m) = rho(e) rho(m) rho(e) acts as zero on
   ker rho(e), so its determinant and power traces are those of its
   restriction to eV;
-* ``series_prefix``      -- Taylor coefficients of a rational function via
-  the linear recurrence carried by its denominator.
+* ``series_prefix``      -- Taylor coefficients of num / den via the linear
+  recurrence carried by den.
 """
 
 from __future__ import annotations
@@ -27,59 +28,6 @@ from __future__ import annotations
 from .linalg import Polynomial, _div, _exact, charpoly, poly_gcd
 from .monoids import local_monoid
 from .representations import Representation
-
-
-class RationalFunction:
-    """Quotient of two polynomials in lowest terms.
-
-    The denominator is normalised to constant term 1 whenever its
-    constant term is nonzero (the series-expandable case), otherwise to
-    leading coefficient 1, so equal functions compare equal; the zero
-    function has denominator 1.
-    """
-
-    def __init__(self, num: Polynomial, den: Polynomial):
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            den = Polynomial([1])
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-        inverse = _div(1, den[0] if den[0] else den.coeffs[-1])
-        self.num = num * inverse
-        self.den = den * inverse
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalFunction)
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    def __mul__(self, other):
-        if isinstance(other, RationalFunction):
-            return RationalFunction(self.num * other.num, self.den * other.den)
-        return RationalFunction(self.num * _exact(other), self.den)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __repr__(self):
-        return f"RationalFunction(({self.num}) / ({self.den}))"
-
-    def __str__(self):
-        return f"({self.num}) / ({self.den})"
 
 
 def reversed_charpoly(rho: Representation, x) -> Polynomial:
@@ -101,12 +49,11 @@ def element_series(rho: Representation, x, nterms: int):
 
     Coefficient d is the degree-d symmetric-power character value at x.
     """
-    return series_prefix(RationalFunction(Polynomial([1]), reversed_charpoly(rho, x)),
-                         nterms)
+    return series_prefix(Polynomial([1]), reversed_charpoly(rho, x), nterms)
 
 
-def weighted_series(rho: Representation, e, weights) -> RationalFunction:
-    """Exact rational function sum_m c_m / det(I - t rho'(m)).
+def weighted_series(rho: Representation, e, weights):
+    """Exact sum_m c_m / det(I - t rho'(m)) as a pair (num, den).
 
     ``weights`` assigns a rational coefficient to every monoid element
     and must vanish outside the local monoid eMe of the idempotent e;
@@ -114,9 +61,12 @@ def weighted_series(rho: Representation, e, weights) -> RationalFunction:
     of rho(e).  Every term is read off rho itself: for m in eMe,
     rho(m) = rho(e) rho(m) rho(e) maps V into eV and kills ker rho(e), so
     det(I - t rho(m)) = det(I - t rho'(m)).  Terms sharing a reversed
-    characteristic polynomial are grouped first, so the reduced
-    denominator divides the product of the distinct reversed polynomials
-    on the support.
+    characteristic polynomial are grouped first, and the groups c_q / q
+    are added in sorted order of q, reduced by their gcd after each, so
+    den divides the product of the distinct reversed polynomials on the
+    support.  Every q has constant term 1, so den(0) is nonzero; it is
+    scaled to 1 at the end, which makes the reduced pair unique.  The
+    zero series is (0, 1).
     """
     m = rho.monoid
     if len(weights) != m.size:
@@ -133,26 +83,28 @@ def weighted_series(rho: Representation, e, weights) -> RationalFunction:
     for x in support:
         q = reversed_charpoly(rho, x)
         grouped[q] = grouped.get(q, 0) + weights[x]
-    total = RationalFunction(Polynomial(), Polynomial([1]))
+    num, den = Polynomial(), Polynomial([1])
     for q in sorted(grouped):
-        total = total + RationalFunction(Polynomial([grouped[q]]), q)
-    return total
+        num, den = num * q + den * grouped[q], den * q
+        g = poly_gcd(num, den)
+        num, den = num // g, den // g
+    inverse = _div(1, den[0])
+    return num * inverse, den * inverse
 
 
-def series_prefix(f: RationalFunction, nterms: int):
-    """First nterms+1 Taylor coefficients of f at 0, exactly.
+def series_prefix(num: Polynomial, den: Polynomial, nterms: int):
+    """First nterms+1 Taylor coefficients of num / den at 0, exactly.
 
-    The denominator must not vanish at 0; its coefficients define the
-    linear recurrence the series satisfies.
+    ``den`` must not vanish at 0; its coefficients define the linear
+    recurrence the series satisfies.
     """
     if nterms < 0:
         raise ValueError("series length must be nonnegative")
-    if not f.den[0]:
+    if not den[0]:
         raise ValueError("denominator vanishes at 0; no power series there")
-    # den has constant term 1, so the series s solves den * s = num term by term
-    num, den = f.num, f.den
+    # the series s solves den * s = num term by term
     out = []
     for k in range(nterms + 1):
-        out.append(_exact(num[k] - sum(den[i] * out[k - i]
-                                       for i in range(1, min(k, den.degree) + 1))))
+        out.append(_div(num[k] - sum(den[i] * out[k - i]
+                                     for i in range(1, min(k, den.degree) + 1)), den[0]))
     return tuple(out)

@@ -198,10 +198,19 @@ def from_cayley_table(identity, table, labels=None) -> Monoid:
     return Monoid(table, identity, labels=labels)
 
 
+class CapExceeded(ValueError):
+    """Raised by a closure that finds more than ``cap`` elements."""
+
+    def __init__(self, cap):
+        super().__init__(f"cap exceeded: more than {cap} distinct elements")
+        self.cap = cap
+
+
 def _closure(identity, generators, mul, cap=None):
     """Elements generated under ``mul``, in the element order described
-    above, and their table; raises once more than ``cap`` appear, the
-    identity and the generators counted too.
+    above, and their table; raises ``CapExceeded`` once more than ``cap``
+    appear, the identity and the generators counted too, which stops the
+    element search before any row is built.
 
     Only products with a generator are formed, as in Froidure & Pin,
     "Algorithms for computing finite semigroups" (1997): the |M| |A|
@@ -218,7 +227,7 @@ def _closure(identity, generators, mul, cap=None):
     def add(c):
         if c not in index:
             if cap is not None and len(elements) >= cap:
-                raise ValueError(f"cap exceeded: more than {cap} distinct elements")
+                raise CapExceeded(cap)
             index[c] = len(elements)
             elements.append(c)
 
@@ -253,12 +262,13 @@ def _one_line_label(f):
     return "[" + ",".join(str(x + 1) for x in f) + "]"
 
 
-def from_transformations(degree, generators) -> Monoid:
+def from_transformations(degree, generators, cap=None) -> Monoid:
     """Closure of self-maps of {1..degree} under composition.
 
     Generators are given as sequences of 1-based images, e.g. (2, 3, 1)
     for the 3-cycle.  The product f*g acts as "g then f".  Elements are
-    labelled in one-line notation "[2,3,1]".
+    labelled in one-line notation "[2,3,1]".  Raises when more than
+    ``cap`` maps appear, if a cap is given.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -270,7 +280,7 @@ def from_transformations(degree, generators) -> Monoid:
         if len(g) != degree or any(not 1 <= x <= degree for x in g):
             raise ValueError(f"generator {k} is not a self-map of 1..{degree}")
         gens.append(tuple(x - 1 for x in g))
-    elements, table = _closure(tuple(range(degree)), gens, _compose)
+    elements, table = _closure(tuple(range(degree)), gens, _compose, cap)
     return Monoid(table, 0, labels=[_one_line_label(f) for f in elements],
                   transformations=tuple(elements))
 
@@ -303,11 +313,15 @@ def nt_monoid(t) -> Monoid:
     """
     if t < 1:
         raise ValueError("t must be at least 1")
+    return Monoid(nt_table(t), 1, labels=[str(i) for i in range(t + 1)])
+
+
+def nt_table(t):
+    """The table of N_t: row a != 1 holds a at column 1 (a*1 = a) and 0
+    elsewhere.  Below t = 1 it is no monoid's table."""
     n = t + 1
-    # row a != 1 holds a at column 1 (a*1 = a) and 0 elsewhere
-    table = tuple(tuple(range(n)) if a == 1 else (0, a) + (0,) * (n - 2)
-                  for a in range(n))
-    return Monoid(table, 1, labels=[str(i) for i in range(n)])
+    return tuple(tuple(range(n)) if a == 1 else (0, a) + (0,) * (n - 2)
+                 for a in range(n))
 
 
 def idempotents(m: Monoid):

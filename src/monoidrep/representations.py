@@ -163,21 +163,21 @@ def natural_representation(m: Monoid) -> Representation:
     return Representation(m, _action_matrices(m.transformations, degree), check=True)
 
 
-def nt_paper_representation(t) -> Representation:
+def nt_paper_representation(t, monoid=None) -> Representation:
     """The faithful two-dimensional representation of N_t.
 
     The zero element maps to the zero matrix, the identity to I, and
     element j (2 <= j <= t) to [[0, j], [0, 0]].  Its character takes the
     two values 2 (at the identity) and 0 (everywhere else); note the value
-    at the identity is the dimension 2, not 1.
+    at the identity is the dimension 2, not 1.  ``monoid``, when given, is
+    N_t already built (``fileio`` passes the one it loaded, whose table
+    it has matched with ``monoids.nt_table``); otherwise N_t is built.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
-    m = nt_monoid(t)
     mats = [Matrix.zero(2, 2), Matrix.identity(2)]
-    for j in range(2, t + 1):
-        mats.append(Matrix([[0, j], [0, 0]]))
-    return Representation(m, mats, check=True)
+    mats += (Matrix([[0, j], [0, 0]]) for j in range(2, t + 1))
+    return Representation(nt_monoid(t) if monoid is None else monoid, mats, check=True)
 
 
 def regular_representation(m: Monoid) -> Representation:

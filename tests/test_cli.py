@@ -349,6 +349,8 @@ def test_verify_radical_refusal_names_force_flag(files, capsys, monkeypatch):
 
 REFUSAL = ("error: monoid has {} > {} elements; refused by the size guard "
            "(pass --force, or force=True from Python, to override)\n")
+GUARD_REFUSAL = ("error: monoid has {} elements; refused by the size guard "
+                 "(pass --force, or force=True from Python, to override)\n")
 
 
 def refusing_builds(monkeypatch):
@@ -391,13 +393,91 @@ def test_verify_force_reaches_the_nt_builder(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("monoid, rep, size", [("nt7", "nt_rep", 8), ("t3", "natural", 27)])
 def test_verify_size_refusal_is_one_line_from_loader_or_radical(
         files, capsys, monkeypatch, monoid, rep, size):
-    """An nt spec is refused by the loader, unbuilt, and any other type by
-    the radical once built; stderr is the same line either way."""
+    """Both are refused by the loader, unbuilt, on one stderr line: an nt
+    spec by its t + 1 elements, and a closure type (T_3 has 27) once its
+    element search passes the guard, which then knows only that there are
+    more.  The name is from when the radical refused the closure types,
+    once built."""
     monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
-    if monoid == "nt7":
-        refusing_builds(monkeypatch)
+    refusing_builds(monkeypatch)
     code, out, err = run(capsys, ["verify", files[monoid], files[rep]])
-    assert (code, out, err) == (2, "", REFUSAL.format(size, 5))
+    count = f"{size} > 5" if monoid == "nt7" else "more than 5"
+    assert (code, out, err) == (2, "", GUARD_REFUSAL.format(count))
+
+
+def test_verify_refuses_a_closure_type_past_the_guard_before_any_table(
+        tmp_path, capsys, monkeypatch):
+    """T_5 from three generators (3125 elements) is refused at the default
+    guard once its element search finds element 301: no table, no Light
+    test."""
+    refusing_builds(monkeypatch)
+    t5 = write(tmp_path, "t5.json", {"type": "transformations", "degree": 5,
+                                     "generators": [[2, 3, 4, 5, 1], [2, 1, 3, 4, 5],
+                                                    [1, 1, 3, 4, 5]]})
+    code, out, err = run(capsys, ["verify", t5, write(tmp_path, "natural.json",
+                                                      {"mode": "natural"})])
+    assert (code, out, err) == (2, "", GUARD_REFUSAL.format("more than 300"))
+
+
+def test_matrices_spec_is_refused_by_the_lesser_of_its_cap_and_the_guard(
+        tmp_path, capsys, monkeypatch):
+    """A 7-cycle's permutation matrix generates 7 matrices: past a guard of
+    5 it is refused by the guard, and a spec cap below the guard keeps its
+    own error, as in a forced or library load."""
+    monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
+    refusing_builds(monkeypatch)
+    cycle = [["1" if i == (j + 1) % 7 else "0" for j in range(7)] for i in range(7)]
+    rep = write(tmp_path, "natural.json", {"mode": "natural"})
+    spec = {"type": "matrices", "generators": [cycle]}
+    code, out, err = run(capsys, ["verify", write(tmp_path, "c7.json", spec), rep])
+    assert (code, out, err) == (2, "", GUARD_REFUSAL.format("more than 5"))
+    capped = write(tmp_path, "c7-cap3.json", dict(spec, cap=3))
+    for force in ([], ["--force"]):
+        code, out, err = run(capsys, ["verify", capped, rep, *force])
+        assert (code, out, err) == (
+            2, "", f"error: {capped}: cap exceeded: more than 3 distinct elements\n")
+
+
+def test_verify_refuses_a_cayley_table_by_its_length(tmp_path, capsys, monkeypatch):
+    """A cayley spec's table length is its size, refused before Monoid()."""
+    monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
+    refusing_builds(monkeypatch)
+    z7 = write(tmp_path, "z7.json", {"type": "cayley", "identity": 0,
+                                     "table": [[(a + b) % 7 for b in range(7)]
+                                               for a in range(7)]})
+    code, out, err = run(capsys, ["verify", z7, write(tmp_path, "rep.json", {"mode": "natural"})])
+    assert (code, out, err) == (2, "", GUARD_REFUSAL.format("7 > 5"))
+
+
+def test_only_verify_without_force_guards_the_closure(files, capsys, monkeypatch):
+    """--force, info, molien and the default library load build T_3 past
+    a guard of 5 as before."""
+    monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
+    assert fileio.load_monoid(files["t3"]).size == 27
+    assert fileio.load_monoid(files["t3"], force=True).size == 27
+    with pytest.raises(ValueError, match=r"^monoid has more than 5 elements; refused"):
+        fileio.load_monoid(files["t3"], force=False)
+    assert run(capsys, ["info", files["t3"], files["natural"]])[0] == 0
+    assert run(capsys, ["molien", files["t3"], files["natural"], "--idempotent",
+                        "[1,2,3]", "--weights", "[1,2,3]:1"])[0] == 0
+    assert run(capsys, ["verify", files["t3"], files["natural"], "--force",
+                        "--which", "steinberg"])[0] == 0
+
+
+def test_nt_paper_file_builds_its_monoid_once(files, capsys, monkeypatch):
+    """The nt-paper mode reads the loaded N_t's table against the closed
+    form and puts the paper's matrices on it, with no second N_t."""
+    built = []
+    init = monoids.Monoid.__init__
+
+    def recording(self, table, *args, **kwargs):
+        built.append(len(table))
+        init(self, table, *args, **kwargs)
+
+    monkeypatch.setattr(monoids.Monoid, "__init__", recording)
+    code, out, _ = run(capsys, ["verify", files["nt7"], files["nt_rep"]])
+    assert code == 0 and out.endswith("overall: OK\n")
+    assert built == [8]
 
 
 def test_loader_guard_admits_the_guard_size(tmp_path, monkeypatch):

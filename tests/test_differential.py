@@ -140,10 +140,10 @@ from monoidrep.linalg import (
     charpoly_from_power_traces,
     complete_homogeneous_from_power_sums,
     complete_homogeneous_sequence,
+    poly_gcd,
     power_traces,
 )
 from monoidrep.molien import (
-    RationalFunction,
     element_series,
     reversed_charpoly,
     weighted_series,
@@ -913,10 +913,11 @@ def test_weighted_series_reads_the_ambient_representation(name):
     """For x in eMe, rho(x) = rho(e) rho(x) rho(e) is zero on ker rho(e), so
     det(I - t rho(x)) and the power traces of rho(x) are those of its
     restriction to eV.  Against the restriction as the reference: for
-    every idempotent e and seeded rational weights on eMe, the weighted
-    series equals the sum of the weights over the restricted reversed
-    characteristic polynomials, and every symmetric-power character
-    agrees."""
+    every idempotent e and seeded rational weights on eMe, with c_q the
+    weight on the restricted reversed characteristic polynomial q (by
+    Faddeev-LeVerrier), the pair (num, den) satisfies
+    num * prod q = den * sum_q c_q prod_{q' != q} q', is coprime and has
+    den(0) = 1; and every symmetric-power character agrees."""
     rho = CORPUS[name]
     m = rho.monoid
     rng = random.Random(f"{SEED}-{name}")
@@ -926,11 +927,17 @@ def test_weighted_series_reads_the_ambient_representation(name):
         weights = [0] * m.size
         for x in members:
             weights[x] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
-        expected = RationalFunction(Polynomial(), Polynomial([1]))
+        grouped = {}
         for i, x in enumerate(members):
-            den = Polynomial(charpoly_faddeev(_as_lists(local.matrices[i]))[::-1])
-            expected = expected + RationalFunction(Polynomial([weights[x]]), den)
-        assert weighted_series(rho, e, weights) == expected
+            q = Polynomial(charpoly_faddeev(_as_lists(local.matrices[i]))[::-1])
+            grouped[q] = grouped.get(q, 0) + weights[x]
+        product, total = Polynomial([1]), Polynomial()
+        for q, c in grouped.items():
+            total = total * q + product * c
+            product = product * q
+        num, den = weighted_series(rho, e, weights)
+        assert num * product == den * total
+        assert poly_gcd(num, den) == Polynomial([1]) and den[0] == 1
         for i, x in enumerate(members):
             assert sym_power_characters(rho, x, 8) == sym_power_characters(local, i, 8)
 

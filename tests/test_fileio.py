@@ -127,10 +127,19 @@ def test_nt_paper_mode(tmp_path):
 
 
 def test_nt_paper_mode_needs_nt_monoid(tmp_path):
-    m = load_monoid(write(tmp_path, "c2.json",
-                          {"type": "cayley", "identity": 0, "table": [[0, 1], [1, 0]]}))
-    with pytest.raises(ValueError, match="nt"):
-        load_representation(write(tmp_path, "rep.json", {"mode": "nt-paper"}), m)
+    """A monoid that is not N_t is told so, also when it is too small for
+    N_t with t >= 2; N_1 is told its t is too small."""
+    rep = write(tmp_path, "rep.json", {"mode": "nt-paper"})
+    for spec, message in [
+        ({"type": "cayley", "identity": 0, "table": [[0, 1], [1, 0]]},
+         'mode "nt-paper" needs a monoid of type "nt"'),
+        ({"type": "cayley", "identity": 0, "table": [[0]]},
+         'mode "nt-paper" needs a monoid of type "nt"'),
+        ({"type": "nt", "t": 1}, "t must be at least 2"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            load_representation(rep, monoid_from_spec(spec))
+        assert str(info.value) == f"{rep}: {message}"
 
 
 def test_explicit_matrices_by_label():

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from monoidrep.linalg import Polynomial, charpoly
+from monoidrep.linalg import Polynomial, charpoly, poly_gcd
 from monoidrep.molien import (
-    RationalFunction,
     element_series,
     reversed_charpoly,
     series_prefix,
@@ -22,8 +21,8 @@ from oracles import restrict_to_local
 F = Fraction
 
 
-def rf(num, den):
-    return RationalFunction(Polynomial(num), Polynomial(den))
+def pair(num, den):
+    return Polynomial(num), Polynomial(den)
 
 
 # --- reversed characteristic polynomials --------------------------------------
@@ -76,27 +75,20 @@ def test_element_series_matches_symmetric_characters(corpus):
                 assert series[d] == newton == trace
 
 
-# --- rational functions -----------------------------------------------------------
+# --- the reduced pair --------------------------------------------------------------
 
-def test_rational_function_normalises():
-    f = rf([2, -2], [2])            # (2 - 2t)/2 -> 1 - t over 1
-    assert f.num == Polynomial([1, -1]) and f.den == Polynomial([1])
-    g = rf([1, 1], [1, 2, 1])       # (1+t)/(1+t)^2 -> 1/(1+t)
-    assert g.num == Polynomial([1]) and g.den == Polynomial([1, 1])
-
-
-def test_rational_function_equality_and_sum():
-    a = rf([1], [1, -1])
-    b = rf([1], [1])
-    assert a + b == rf([2, -1], [1, -1])
-    assert rf([2], [2, -2]) == rf([1], [1, -1])
-    # the zero function is 0/1 whatever denominator it was given
-    assert rf([], [1, -1]) == rf([], [1]) == a + rf([-1], [1, -1])
+def test_weighted_series_reduces_to_lowest_terms(t2_natural):
+    # swap - (1/2) const: 1/(1 - t^2) - (1/2)/(1 - t) = (1/2)(1 - t)/(1 - t^2)
+    # -> (1/2)/(1 + t), the common factor 1 - t cancelled
+    w = [0, 1, F(-1, 2), 0]
+    assert weighted_series(t2_natural, t2_natural.monoid.identity, w) == pair([F(1, 2)], [1, 1])
 
 
-def test_zero_denominator_rejected():
-    with pytest.raises(ZeroDivisionError):
-        rf([1], [])
+def test_weighted_series_zero_is_zero_over_one():
+    rho = nt_paper_representation(5)
+    assert weighted_series(rho, 1, [0] * 6) == pair([], [1])
+    # elements 2 and 3 share det(I - t rho(x)) = 1, so their weights cancel
+    assert weighted_series(rho, 1, [0, 0, 1, -1, 0, 0]) == pair([], [1])
 
 
 # --- weighted series -----------------------------------------------------------------
@@ -104,16 +96,15 @@ def test_zero_denominator_rejected():
 def test_weighted_series_unit_mass_at_identity(t2_natural):
     w = [0, 0, 0, 0]
     w[t2_natural.monoid.identity] = 1
-    f = weighted_series(t2_natural, t2_natural.monoid.identity, w)
-    assert f == rf([1], [1, -2, 1])
+    assert weighted_series(t2_natural, t2_natural.monoid.identity, w) == pair([1], [1, -2, 1])
 
 
 def test_weighted_series_nt_example():
     rho = nt_paper_representation(5)
     w = [0, 1, 1, 0, 0, 0]
-    f = weighted_series(rho, 1, w)
-    assert f == rf([2, -2, 1], [1, -2, 1])
-    assert series_prefix(f, 2) == (F(2), F(2), F(3))
+    num, den = weighted_series(rho, 1, w)
+    assert (num, den) == pair([2, -2, 1], [1, -2, 1])
+    assert series_prefix(num, den, 2) == (F(2), F(2), F(3))
 
 
 def test_weighted_series_support_violation():
@@ -133,9 +124,9 @@ def test_weighted_series_denominator_degree_bound(corpus):
             weights = [0] * m.size
             for x in members:
                 weights[x] = 1
-            f = weighted_series(rho, e, weights)
+            _, den = weighted_series(rho, e, weights)
             distinct = {reversed_charpoly(local, i) for i in range(len(members))}
-            assert f.den.degree <= local.dim * len(distinct)
+            assert den.degree <= local.dim * len(distinct)
 
 
 def test_weighted_series_is_linear_in_weights():
@@ -144,9 +135,11 @@ def test_weighted_series_is_linear_in_weights():
     w1 = [0, 1, 0, 0, 0]
     w2 = [0, 0, 1, 2, 0]
     total = [a + b for a, b in zip(w1, w2)]
-    lhs = weighted_series(rho, 1, total)
-    rhs = weighted_series(rho, 1, w1) + weighted_series(rho, 1, w2)
-    assert lhs == rhs
+    n, d = weighted_series(rho, 1, total)
+    n1, d1 = weighted_series(rho, 1, w1)
+    n2, d2 = weighted_series(rho, 1, w2)
+    assert n * d1 * d2 == (n1 * d2 + n2 * d1) * d
+    assert poly_gcd(n, d) == Polynomial([1]) and d[0] == 1
 
 
 def test_weighted_series_prefix_is_weighted_character_sum(corpus):
@@ -155,8 +148,7 @@ def test_weighted_series_prefix_is_weighted_character_sum(corpus):
         m = rho.monoid
         e = m.identity
         weights = [F(x + 1, 2) for x in range(m.size)]
-        f = weighted_series(rho, e, weights)
-        prefix = series_prefix(f, 5)
+        prefix = series_prefix(*weighted_series(rho, e, weights), 5)
         for d in range(6):
             direct = sum(weights[x] * sym_power_character(rho, x, d)
                          for x in range(m.size))
@@ -168,17 +160,24 @@ def test_weighted_series_prefix_is_weighted_character_sum(corpus):
 # --- series expansion --------------------------------------------------------------------
 
 def test_series_prefix_geometric():
-    assert series_prefix(rf([1], [1, -1]), 3) == (F(1), F(1), F(1), F(1))
-    assert series_prefix(rf([1], [1, -2, 1]), 3) == (F(1), F(2), F(3), F(4))
+    assert series_prefix(*pair([1], [1, -1]), 3) == (F(1), F(1), F(1), F(1))
+    assert series_prefix(*pair([1], [1, -2, 1]), 3) == (F(1), F(2), F(3), F(4))
+    # a denominator with another nonzero constant term: 2 / (2 - 2t)
+    assert series_prefix(*pair([2], [2, -2]), 3) == (F(1), F(1), F(1), F(1))
 
 
 def test_series_prefix_long_division_example():
-    assert series_prefix(rf([2, -2, 1], [1, -2, 1]), 2) == (F(2), F(2), F(3))
+    assert series_prefix(*pair([2, -2, 1], [1, -2, 1]), 2) == (F(2), F(2), F(3))
 
 
 def test_series_prefix_rejects_pole_at_zero():
     with pytest.raises(ValueError, match="vanishes at 0"):
-        series_prefix(rf([1], [0, 1]), 3)
+        series_prefix(*pair([1], [0, 1]), 3)
+
+
+def test_series_prefix_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="vanishes at 0"):
+        series_prefix(*pair([1], []), 3)
 
 
 def test_nonzero_function_has_nonzero_early_coefficient():
@@ -186,11 +185,11 @@ def test_nonzero_function_has_nonzero_early_coefficient():
     # and an all-zero prefix of length deg(den) would be identically zero;
     # contrapositive: these nonzero examples show life early
     examples = [
-        rf([1], [1, -2, 1]),
-        rf([0, 1], [1, 0, 0, -1]),
-        rf([1, 1], [1, 5, 3, 2]),
+        pair([1], [1, -2, 1]),
+        pair([0, 1], [1, 0, 0, -1]),
+        pair([1, 1], [1, 5, 3, 2]),
     ]
-    for f in examples:
-        assert f.num.degree < f.den.degree
-        prefix = series_prefix(f, f.den.degree - 1)
+    for num, den in examples:
+        assert num.degree < den.degree
+        prefix = series_prefix(num, den, den.degree - 1)
         assert any(prefix)

@@ -17,7 +17,7 @@ from monoidrep.linalg import (
     complete_homogeneous_sequence,
     power_traces,
 )
-from monoidrep.molien import RationalFunction, series_prefix, weighted_series
+from monoidrep.molien import series_prefix, weighted_series
 from monoidrep.monoids import from_cayley_table, from_matrices, nt_monoid, submonoid
 from monoidrep.representations import (
     Representation,
@@ -63,7 +63,7 @@ REFUSALS = {
     "weights-of-wrong-length": (lambda: weighted_series(N3_PAPER, 1, (1, 0)), ValueError,
                                 "weight vector length differs from monoid size"),
     "negative-series-length": (
-        lambda: series_prefix(RationalFunction(Polynomial((1,)), Polynomial((1,))), -1),
+        lambda: series_prefix(Polynomial((1,)), Polynomial((1,)), -1),
         ValueError, "series length must be nonnegative"),
     "float-as-rational": (lambda: as_fraction(0.5), TypeError,
                           r"cannot interpret 0\.5 as an exact rational"),
