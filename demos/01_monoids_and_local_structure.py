@@ -7,7 +7,7 @@ monoids eMe, their unit groups G_e and the ideals I_e = eMe - G_e.
 """
 
 from monoidrep import (
-    from_cayley_table,
+    Monoid,
     from_matrices,
     from_transformations,
     has_zero,
@@ -19,7 +19,7 @@ from monoidrep import (
 )
 
 # 1. Raw Cayley table: the cyclic group of order 2.
-c2 = from_cayley_table(0, [[0, 1], [1, 0]])
+c2 = Monoid([[0, 1], [1, 0]], 0)
 print("C_2:", c2, "idempotents:", idempotents(c2))
 
 # 2. Transformation monoid: all self-maps of {1, 2}, generated by the

@@ -12,7 +12,7 @@ from monoidrep import (
     Matrix,
     charpoly,
     charpoly_from_power_traces,
-    complete_homogeneous_from_power_sums,
+    complete_homogeneous_sequence,
     kernel_basis,
     kron,
     power_traces,
@@ -53,4 +53,4 @@ print("direct charpoly: ", charpoly(a))
 # of the eigenvalues; h_d of (1, 1) counts degree-d monomials in two
 # variables.
 for d in range(5):
-    print(f"h_{d}(1, 1) =", complete_homogeneous_from_power_sums((2, 2, 2, 2), d))
+    print(f"h_{d}(1, 1) =", complete_homogeneous_sequence((2, 2, 2, 2), d)[d])

@@ -22,7 +22,7 @@ from monoidrep import (
     reversed_charpoly,
     series_prefix,
     sym_power,
-    sym_power_character,
+    sym_power_characters,
     verify_symmetric_theorem,
     weighted_series,
 )
@@ -36,7 +36,7 @@ for x in range(t2.size):
     row = []
     for d in range(5):
         a = sym_power(rho, d).matrices[x].trace()
-        b = sym_power_character(rho, x, d)
+        b = sym_power_characters(rho, x, d)[d]
         c = series[d]
         assert a == b == c
         row.append(str(a))

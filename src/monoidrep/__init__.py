@@ -23,22 +23,20 @@ import sys
 _MODULES = {
     "linalg": (
         "Echelon", "Matrix", "Polynomial", "as_fraction", "charpoly",
-        "charpoly_from_power_traces", "complete_homogeneous_from_power_sums",
-        "format_polynomial", "kernel_basis", "kron", "poly_gcd",
-        "power_traces", "rank",
+        "charpoly_from_power_traces", "complete_homogeneous_sequence",
+        "kernel_basis", "kron", "poly_gcd", "power_traces", "rank",
     ),
     "monoids": (
-        "Monoid", "from_cayley_table", "from_matrices", "from_transformations",
-        "has_zero", "idempotents", "local_ideal", "local_monoid", "nt_monoid",
-        "submonoid", "unit_group",
+        "Monoid", "from_matrices", "from_transformations", "has_zero",
+        "idempotents", "local_ideal", "local_monoid", "nt_monoid", "submonoid",
+        "unit_group",
     ),
     "representations": (
-        "Representation", "build_representation", "character", "direct_sum",
-        "distinct_character_values", "distinct_charpolys", "is_faithful",
-        "monomial_basis", "natural_representation", "nt_paper_representation",
-        "regular_representation", "sym_power", "sym_power_character",
-        "sym_power_characters", "sym_power_dim", "tensor_power",
-        "trivial_representation",
+        "Representation", "character", "direct_sum", "distinct_character_values",
+        "distinct_charpolys", "is_faithful", "monomial_basis",
+        "natural_representation", "nt_paper_representation",
+        "regular_representation", "sym_power", "sym_power_characters",
+        "sym_power_dim", "tensor_power", "trivial_representation",
     ),
     "algebra": (
         "Subspace", "VerificationReport", "all_simples_appear",

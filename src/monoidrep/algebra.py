@@ -181,15 +181,17 @@ def subspace_leq(a: Subspace, b: Subspace):
     return False, next(v for v in a.basis if not b.contains(v))
 
 
-def size_guard(n, force=False):
-    """Refuse a monoid of n > ``SIZE_GUARD`` elements unless ``force``:
-    the radical's guard, which ``fileio.load_monoid`` also applies to a
-    spec before its table is built.  n is None for a closure stopped at
-    the guard, which knows only that it found more."""
-    if (n is None or n > SIZE_GUARD) and not force:
+def size_guard(n, gens=None):
+    """Refuse a monoid of n > ``SIZE_GUARD`` elements, whatever its
+    number of generators, and return ``SIZE_GUARD``: the radical's guard,
+    and the spec guard (``fileio.monoid_from_spec``) of ``mbt verify``
+    without ``--force``.  n is None for a closure stopped at the guard,
+    which knows only that it found more."""
+    if n is None or n > SIZE_GUARD:
         count = f"more than {SIZE_GUARD}" if n is None else f"{n} > {SIZE_GUARD}"
         raise ValueError(f"monoid has {count} elements; refused by the size guard "
                          "(pass --force, or force=True from Python, to override)")
+    return SIZE_GUARD
 
 
 def radical_basis(m: Monoid, force=False) -> Subspace:
@@ -213,7 +215,8 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
     ``<=`` against the radical reads only its rows.
     """
     n = m.size
-    size_guard(n, force)
+    if not force:
+        size_guard(n)
     table, pad = m.table, bytes(max(256 - n, 0))
     rows = []
     for e, r_e, l_e in j_classes(m):

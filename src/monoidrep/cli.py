@@ -45,9 +45,9 @@ def _table(headers, rows):
 
 
 def cmd_info(args):
-    from . import fileio, linalg, monoids, representations
+    from . import fileio, monoids, representations
 
-    m = fileio.load_monoid(args.monoid)
+    m = fileio.load_monoid(args.monoid, fileio.work_guard)
     z = monoids.has_zero(m)
     idem = monoids.idempotents(m)
     sizes = [(len(monoids.local_monoid(m, e)), len(monoids.unit_group(m, e)))
@@ -96,7 +96,7 @@ def cmd_info(args):
         print(f"character values (r={rep_payload['r']}): "
               + ", ".join(rep_payload["character_values"]))
         print(f"characteristic polynomials (s={rep_payload['s']}): "
-              + ", ".join(linalg.format_polynomial(p) for p in polys))
+              + ", ".join(map(str, polys)))
     return 0
 
 
@@ -107,7 +107,7 @@ def cmd_verify(args):
 
     if args.powers_cap is not None:
         print("warning: --powers-cap is ignored; no bound is capped", file=sys.stderr)
-    m = fileio.load_monoid(args.monoid, force=args.force)
+    m = fileio.load_monoid(args.monoid, None if args.force else algebra.size_guard)
     rho = fileio.load_representation(args.representation, m)
     which = args.which
 
@@ -253,9 +253,9 @@ def parse_weights(spec, m):
 
 
 def cmd_molien(args):
-    from . import fileio, linalg, molien, representations
+    from . import fileio, molien, representations
 
-    m = fileio.load_monoid(args.monoid)
+    m = fileio.load_monoid(args.monoid, fileio.work_guard)
     rho = fileio.load_representation(args.representation, m)
     e = m.index_of_label(args.idempotent)
     weights = parse_weights(args.weights, m)
@@ -285,8 +285,7 @@ def cmd_molien(args):
             "series": [fileio.format_rational(c) for c in prefix],
         })
     else:
-        print(f"g(t) = ({linalg.format_polynomial(num)}) / "
-              f"({linalg.format_polynomial(den)})")
+        print(f"g(t) = ({num}) / ({den})")
         print("series: " + ", ".join(fileio.format_rational(c) for c in prefix))
     return 0
 

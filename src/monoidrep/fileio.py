@@ -22,6 +22,13 @@ element label:
 An optional "monoid" key (an inline monoid object or a file path) lets
 a representation file stand alone; an explicitly supplied monoid wins.
 Every file is read as UTF-8, as RFC 8259 requires, whatever the locale.
+
+``monoid_from_spec`` is the one place that refuses a monoid spec by
+size, before any table is built, against the guard its caller names:
+``algebra.size_guard`` (|M| <= 300) for ``mbt verify`` without
+``--force``, ``work_guard`` (|M|^2 (|A| + 1) <= ``WORK_GUARD``) for
+``mbt info`` and ``mbt molien``, or None.  ``load_monoid`` adds the
+path to every error, a refusal included.
 """
 
 from __future__ import annotations
@@ -29,12 +36,12 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from math import isqrt
 
 from .linalg import Matrix
 from .monoids import (
     CapExceeded,
     Monoid,
-    from_cayley_table,
     from_matrices,
     from_transformations,
     nt_monoid,
@@ -42,7 +49,6 @@ from .monoids import (
 )
 from .representations import (
     Representation,
-    build_representation,
     natural_representation,
     nt_paper_representation,
 )
@@ -87,37 +93,81 @@ def _require(obj, field, kind=None):
 
 
 def monoid_from_spec(obj, guard=None) -> Monoid:
-    """Build a monoid from a parsed JSON object; a closure type stops its
-    element search past ``guard`` elements, if a guard is given, as a
-    ``matrices`` spec's own cap does."""
+    """Build a monoid from a parsed JSON object, refused by ``guard``,
+    if one is given, before any table is built.
+
+    ``guard(n, gens)`` raises unless a monoid of n elements and at most
+    ``gens`` generators is admitted, and returns the most elements it
+    admits for ``gens`` generators (n = 0 asks only that).  An ``nt`` spec
+    is held to it by its t + 1 elements and t generators, and a
+    ``cayley`` spec by its table's length, as elements and generators
+    both; a closure type stops its element search past the guard's
+    count, as a ``matrices`` spec's own cap does, and is refused with n
+    None, since the closure knows only that there are more."""
     if not isinstance(obj, dict):
         raise ValueError("monoid description must be a JSON object")
     kind = _require(obj, "type", str)
     if kind == "cayley":
         table = _require(obj, "table", list)
+        if guard:
+            guard(len(table), len(table))
         identity = _require(obj, "identity", int)
         labels = obj.get("labels")
         if labels is not None and not isinstance(labels, list):
             raise ValueError(f"field 'labels' must be an array, not {json.dumps(labels)}")
-        return from_cayley_table(identity, table, labels=labels)
+        return Monoid(table, identity, labels=labels)
+    if kind == "nt":
+        t = _require(obj, "t", int)
+        if guard:
+            guard(t + 1, t)
+        return nt_monoid(t)
     if kind == "transformations":
         degree = _require(obj, "degree", int)
         gens = _require(obj, "generators", list)
-        return from_transformations(degree, gens, guard)
-    if kind == "nt":
-        return nt_monoid(_require(obj, "t", int))
-    if kind == "matrices":
+
+        def closure(cap):
+            return from_transformations(degree, gens, cap)
+    elif kind == "matrices":
         gens = [parse_matrix(g) for g in _require(obj, "generators", list)]
         dim = obj.get("dim")
         if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool)):
             raise ValueError("field 'dim' has the wrong type")
         if dim is not None and any(g.nrows != dim for g in gens):
             raise ValueError(f"a generator does not match the declared dim {dim}")
-        cap = obj.get("cap", 10000)
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-            raise ValueError(f"field 'cap' must be a positive integer, not {cap!r}")
-        return from_matrices(gens, cap=cap if guard is None else min(cap, guard))
-    raise ValueError(f"unknown monoid type {kind!r}")
+        own = obj.get("cap", 10000)
+        if not isinstance(own, int) or isinstance(own, bool) or own < 1:
+            raise ValueError(f"field 'cap' must be a positive integer, not {own!r}")
+
+        def closure(cap):
+            return from_matrices(gens, cap=own if cap is None else min(own, cap))
+    else:
+        raise ValueError(f"unknown monoid type {kind!r}")
+    cap = guard(0, len(gens)) if guard else None
+    try:
+        return closure(cap)
+    except CapExceeded as e:
+        if e.cap != cap:
+            raise
+        guard(None, len(gens))
+
+
+# |M|^2 (|A| + 1): the table lookups that building a monoid of |M|
+# elements and |A| generators, and Light's test on it, take.  `mbt info`
+# and `mbt molien` admit at most this many.  On a 2-core host `mbt info`
+# takes 2.0-2.4 s on N_463 (9.9e7) and 2.5 s on T_5 from three generators
+# (3.9e7); T_6 (8.7e9) and N_3000 (2.7e10) are refused.
+WORK_GUARD = 10 ** 8
+
+
+def work_guard(n, gens):
+    """The spec guard of ``mbt info`` and ``mbt molien`` (see
+    ``monoid_from_spec``): |M|^2 (|A| + 1) <= ``WORK_GUARD``."""
+    cap = isqrt(WORK_GUARD // (max(gens, 0) + 1))  # gens < 0 from t < 0
+    if n is None or n > cap:
+        count = f"more than {cap}" if n is None else n
+        raise ValueError(f"monoid has {count} elements and up to {gens} generators: "
+                         f"|M|^2 (|A| + 1) is past {WORK_GUARD}; refused by the size guard")
+    return cap
 
 
 def load_json(path):
@@ -128,32 +178,12 @@ def load_json(path):
         raise ValueError(f"invalid JSON at line {e.lineno}, column {e.colno}") from None
 
 
-def load_monoid(path, force=True) -> Monoid:
-    """The monoid a JSON file describes; an error names the path.
-
-    Unless ``force`` (``mbt verify`` without ``--force``), a spec is held
-    to the radical's size guard before its table is built, and a refusal
-    is the guard's own error: an ``nt`` spec by its t + 1 elements, a
-    ``cayley`` spec by its table's length, and a closure type by a
-    closure capped at the guard, whose element search stops there."""
+def load_monoid(path, guard) -> Monoid:
+    """The monoid a JSON file describes, held to ``guard`` (None, or
+    see ``monoid_from_spec``); an error names the path."""
     try:
-        obj = load_json(path)
+        return monoid_from_spec(load_json(path), guard)
     except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
-    guard = None
-    if not force and type(obj) is dict:
-        from .algebra import SIZE_GUARD as guard, size_guard
-
-        t, table = obj.get("t"), obj.get("table")
-        if obj.get("type") == "nt" and type(t) is int:
-            size_guard(t + 1)
-        if obj.get("type") == "cayley" and type(table) is list:
-            size_guard(len(table))
-    try:
-        return monoid_from_spec(obj, guard)
-    except ValueError as e:
-        if isinstance(e, CapExceeded) and e.cap == guard:
-            size_guard(None)
         raise ValueError(f"{path}: {e}") from None
 
 
@@ -170,7 +200,7 @@ def representation_from_spec(obj, monoid: Monoid | None = None,
     if monoid is None:
         ref = _require(obj, "monoid")
         if isinstance(ref, str):
-            monoid = load_monoid(os.path.join(base_dir, ref))
+            monoid = load_monoid(os.path.join(base_dir, ref), None)
         else:
             monoid = monoid_from_spec(ref)
     mode = obj.get("mode")
@@ -196,7 +226,7 @@ def representation_from_spec(obj, monoid: Monoid | None = None,
     extra = set(table) - set(monoid.labels)
     if extra:
         raise ValueError(f"matrices given for unknown labels: {sorted(extra)}")
-    return build_representation(monoid, mats)
+    return Representation(monoid, mats)
 
 
 def load_representation(path, monoid: Monoid | None = None) -> Representation:

@@ -7,7 +7,8 @@ input but eliminates in Python integers (fraction-free, by
 cross-multiplication, over the nonzero columns of each pivot row) and
 divides only for its canonical reduced form, whose entries are canonical
 as a matrix's are.  No elimination runs modulo a prime.
-Univariate polynomials keep the same canonical form.  One Newton
+Univariate polynomials keep the same canonical form; a polynomial is
+false when it is zero, and ``str`` prints it as "t^2 - 2t + 1".  One Newton
 recurrence turns power sums p into the complete homogeneous symmetric
 functions h; the elementary ones, and with them every characteristic
 polynomial, are h of -p, since e_k(p) = (-1)^k h_k(-p).  That is the one
@@ -383,10 +384,6 @@ class Polynomial:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -408,7 +405,30 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self):
-        return format_polynomial(self)
+        """Human-readable form like "t^2 - 2t + 1"."""
+        if not self:
+            return "0"
+        parts = []
+        for i in range(self.degree, -1, -1):
+            c = self[i]
+            if not c:
+                continue
+            if i == 0:
+                body = str(abs(c))
+            else:
+                mag = abs(c)
+                if mag == 1:
+                    coeff = ""
+                elif mag.denominator == 1:
+                    coeff = str(mag)
+                else:
+                    coeff = f"({mag})"
+                body = f"{coeff}t" if i == 1 else f"{coeff}t^{i}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
@@ -424,7 +444,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             c = _exact(other)
             return Polynomial(tuple(c * x for x in self.coeffs))
-        if self.is_zero or other.is_zero:
+        if not (self and other):
             return Polynomial()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -447,7 +467,7 @@ class Polynomial:
         """(q, r) with self = q * other + r and deg r < deg other.  Each
         quotient degree k, from the top, clears ``rem[k + d]``, so the
         remainder is the low d coefficients left."""
-        if other.is_zero:
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         b, d = other.coeffs, other.degree
         rem = list(self.coeffs)
@@ -465,7 +485,7 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def monic(self):
-        if self.is_zero:
+        if not self:
             return self
         lead = self.coeffs[-1]
         return Polynomial(tuple(_div(c, lead) for c in self.coeffs))
@@ -473,36 +493,9 @@ class Polynomial:
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor via the Euclidean algorithm."""
-    while not b.is_zero:
+    while b:
         a, b = b, a % b
     return a.monic()
-
-
-def format_polynomial(p: Polynomial):
-    """Human-readable form like "t^2 - 2t + 1"."""
-    if p.is_zero:
-        return "0"
-    parts = []
-    for i in range(p.degree, -1, -1):
-        c = p[i]
-        if not c:
-            continue
-        if i == 0:
-            body = str(abs(c))
-        else:
-            mag = abs(c)
-            if mag == 1:
-                coeff = ""
-            elif mag.denominator == 1:
-                coeff = str(mag)
-            else:
-                coeff = f"({mag})"
-            body = f"{coeff}t" if i == 1 else f"{coeff}t^{i}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
 
 
 def power_traces(m: Matrix, k: int):
@@ -541,14 +534,6 @@ def complete_homogeneous_sequence(p, d: int):
         s = sum(p[i - 1] * h[k - i] for i in range(1, k + 1))
         h.append(_div(s, k))
     return h
-
-
-def complete_homogeneous_from_power_sums(p, d: int) -> int | Fraction:
-    """h_d of any value multiset whose power sums are p[0], p[1], ...
-
-    The last entry of ``complete_homogeneous_sequence(p, d)``.
-    """
-    return complete_homogeneous_sequence(p, d)[d]
 
 
 def charpoly_from_power_traces(p, n: int) -> Polynomial:

@@ -21,6 +21,11 @@ ints, and only rational weights bring in ``Fraction``.
   restriction to eV;
 * ``series_prefix``      -- Taylor coefficients of num / den via the linear
   recurrence carried by den.
+
+Coefficient d of ``element_series(rho, x, n)`` is the degree-d
+symmetric-power character ``representations.sym_power_characters(rho,
+x, n)[d]``, the sum that `mbt molien` checks each weighted series
+against.
 """
 
 from __future__ import annotations

@@ -193,11 +193,6 @@ def _generating_set(table, identity):
     return tuple(gens)
 
 
-def from_cayley_table(identity, table, labels=None) -> Monoid:
-    """Validated monoid from a square table of element indices."""
-    return Monoid(table, identity, labels=labels)
-
-
 class CapExceeded(ValueError):
     """Raised by a closure that finds more than ``cap`` elements."""
 
@@ -208,19 +203,14 @@ class CapExceeded(ValueError):
 
 def _closure(identity, generators, mul, cap=None):
     """Elements generated under ``mul``, in the element order described
-    above, and their table; raises ``CapExceeded`` once more than ``cap``
-    appear, the identity and the generators counted too, which stops the
-    element search before any row is built.
+    above, and their table (``_closure_rows``); raises ``CapExceeded``
+    once more than ``cap`` appear, the identity and the generators
+    counted too, which stops the element search before any row is built.
 
     Only products with a generator are formed, as in Froidure & Pin,
     "Algorithms for computing finite semigroups" (1997): the |M| |A|
-    products x*g that find the elements, and the |M| |A| products g*y of
-    the left Cayley graph ``left[k][y]`` = g_k*y.  Each element x other
-    than the identity is g_k*q for some q reached before it in a
-    breadth-first search of that graph, and by associativity
-    x*y = g_k*(q*y), so row x of the table is row q read through
-    ``left[k]``, one C-level pass per row; row 0 (the identity) is
-    0..n-1.  Only the rows are held, not a second copy of the table.
+    products x*g that find the elements here, and the |M| |A| products
+    g*y of the rows' left Cayley graph.
     """
     elements, index = [], {}
 
@@ -239,6 +229,17 @@ def _closure(identity, generators, mul, cap=None):
         pos += 1
         for g in generators:
             add(mul(a, g))
+    return elements, _closure_rows(elements, index, generators, mul)
+
+
+def _closure_rows(elements, index, generators, mul):
+    """The table of the closure's elements, from the left Cayley graph
+    ``left[k][y]`` = g_k*y.  Each element x other than the identity is
+    g_k*q for some q reached before it in a breadth-first search of that
+    graph, and by associativity x*y = g_k*(q*y), so row x of the table is
+    row q read through ``left[k]``, one C-level pass per row; row 0 (the
+    identity) is 0..n-1.  Only the rows are held, not a second copy of
+    the table."""
     left = [[index[mul(g, y)] for y in elements] for g in dict.fromkeys(generators)]
     rows = [None] * len(elements)
     rows[0] = tuple(range(len(elements)))
@@ -249,7 +250,7 @@ def _closure(identity, generators, mul, cap=None):
             if rows[x] is None:
                 rows[x] = tuple(map(left_k.__getitem__, rows[q]))
                 reached.append(x)
-    return elements, tuple(rows)
+    return tuple(rows)
 
 
 def _compose(f, g):

@@ -12,6 +12,9 @@ off the character at the powers x, x^2, ..., x^n walked on the Cayley
 table, which assumes the matrices form a homomorphism (rho(x)^i =
 rho(x^i)); no characteristic polynomial of a matrix is taken here.
 
+``Representation(m, matrices)`` is the one way to build a validated
+representation from one matrix per element, and
+``sym_power_characters(rho, x, d)[d]`` the trace of S^d at x.
 A representation is validated against the monoid's generating set:
 rho(1) = I and rho(x) rho(g) = rho(x*g) for every x and every generator
 g, which is |M| |A| matrix products instead of |M|^2.  The matrices of
@@ -41,7 +44,6 @@ exactly that.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations_with_replacement, count, islice, repeat
 from math import comb
@@ -131,11 +133,6 @@ def _stacked_column(stack, coefs, zero):
             col = map(mul, col, repeat(c))
         out = tuple(col) if out is None else tuple(map(add, out, col))
     return zero if out is None else out
-
-
-def build_representation(m: Monoid, matrices) -> Representation:
-    """Validated representation from one matrix per element."""
-    return Representation(m, matrices, check=True)
 
 
 def _action_matrices(maps, n):
@@ -390,11 +387,6 @@ def sym_power_characters(rho: Representation, x, n):
     mats = rho.matrices
     return complete_homogeneous_sequence(
         [mats[y].trace() for y in _powers(rho.monoid.table, x, n)], n)
-
-
-def sym_power_character(rho: Representation, x, d) -> int | Fraction:
-    """Trace of the degree-d symmetric power at element x."""
-    return sym_power_characters(rho, x, d)[d]
 
 
 def sym_power_dim(n, d):

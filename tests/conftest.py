@@ -6,8 +6,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from monoidrep import (
-    build_representation,
-    from_cayley_table,
+    Monoid,
+    Representation,
     from_transformations,
     natural_representation,
     nt_paper_representation,
@@ -19,14 +19,14 @@ T3_GENERATORS = [(2, 3, 1), (2, 1, 3), (1, 1, 3)]
 
 
 def _build_corpus():
-    trivial = from_cayley_table(0, [[0]])
+    trivial = Monoid([[0]], 0)
     s2 = from_transformations(2, [(2, 1)])
     s3 = from_transformations(3, [(2, 3, 1), (2, 1, 3)])
     t2 = from_transformations(2, [(2, 1), (1, 1)])
     t3 = from_transformations(3, T3_GENERATORS)
     return {
-        "trivial": build_representation(trivial, [[[1]]]),
-        "s2_sign": build_representation(s2, [[[1]], [[-1]]]),
+        "trivial": Representation(trivial, [[[1]]]),
+        "s2_sign": Representation(s2, [[[1]], [[-1]]]),
         "s3_natural": natural_representation(s3),
         "t2_natural": natural_representation(t2),
         "t3_natural": natural_representation(t3),

@@ -28,13 +28,13 @@ from monoidrep.algebra import (
 from monoidrep.fileio import load_monoid, load_representation
 from monoidrep.linalg import Matrix
 from monoidrep.monoids import (
-    from_cayley_table,
+    Monoid,
     from_transformations,
     idempotents,
     nt_monoid,
 )
 from monoidrep.representations import (
-    build_representation,
+    Representation,
     direct_sum,
     distinct_character_values,
     nt_paper_representation,
@@ -742,7 +742,7 @@ def test_minimal_covering_power_takes_no_cap(t2_natural):
 def test_dimension_zero_symmetric_bound_is_refused():
     """The zero-dimensional module of the trivial monoid has symmetric
     bound dim*s - 1 = -1: no degree to check, refused before any step."""
-    rho = build_representation(from_cayley_table(0, [[0]]), [Matrix([], ncols=0)])
+    rho = Representation(Monoid([[0]], 0), [Matrix([], ncols=0)])
     message = "symmetric bound -1 is below the first power 0"
     with pytest.raises(ValueError, match=message):
         verify_symmetric_theorem(rho)
@@ -755,7 +755,7 @@ def test_dimension_zero_symmetric_bound_is_refused():
 def test_dimension_zero_annihilator_is_the_whole_algebra():
     """Every matrix of the zero-dimensional module is 0, so the tensor
     walk starts at its floor: Ann(V) is all of QM, read without a step."""
-    rho = build_representation(from_cayley_table(0, [[0]]), [Matrix([], ncols=0)])
+    rho = Representation(Monoid([[0]], 0), [Matrix([], ncols=0)])
     assert annihilator_basis(rho).dim == 1
     assert all_simples_appear(rho) == (False, (1,))  # the identity kills it
 
@@ -766,7 +766,7 @@ GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def _load(monoid_file, rep_file):
-    m = load_monoid(str(GOLDEN_INPUTS / monoid_file))
+    m = load_monoid(str(GOLDEN_INPUTS / monoid_file), None)
     return load_representation(str(GOLDEN_INPUTS / rep_file), m)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -342,14 +343,14 @@ def test_verify_radical_refusal_names_force_flag(files, capsys, monkeypatch):
     code, out, err = run(capsys, ["verify", files["nt7"], files["nt_rep"],
                                   "--which", "tensor"])
     assert (code, out) == (2, "")
-    assert err == ("error: monoid has 8 > 5 elements; refused by the size "
-                   "guard (pass --force, or force=True from Python, to "
+    assert err == (f"error: {files['nt7']}: monoid has 8 > 5 elements; refused by "
+                   "the size guard (pass --force, or force=True from Python, to "
                    "override)\n")
 
 
-REFUSAL = ("error: monoid has {} > {} elements; refused by the size guard "
+REFUSAL = ("error: {}: monoid has {} > {} elements; refused by the size guard "
            "(pass --force, or force=True from Python, to override)\n")
-GUARD_REFUSAL = ("error: monoid has {} elements; refused by the size guard "
+GUARD_REFUSAL = ("error: {}: monoid has {} elements; refused by the size guard "
                  "(pass --force, or force=True from Python, to override)\n")
 
 
@@ -372,7 +373,7 @@ def test_verify_refuses_oversized_nt_before_any_table(tmp_path, capsys, monkeypa
     monoid = write(tmp_path, "n3000.json", {"type": "nt", "t": 3000})
     code, out, err = run(capsys, ["verify", monoid, write(tmp_path, "rep.json",
                                                           {"mode": "nt-paper"}), *args])
-    assert (code, out, err) == (2, "", REFUSAL.format(3001, 300))
+    assert (code, out, err) == (2, "", REFUSAL.format(monoid, 3001, 300))
 
 
 def test_verify_force_reaches_the_nt_builder(tmp_path, capsys, monkeypatch):
@@ -402,7 +403,7 @@ def test_verify_size_refusal_is_one_line_from_loader_or_radical(
     refusing_builds(monkeypatch)
     code, out, err = run(capsys, ["verify", files[monoid], files[rep]])
     count = f"{size} > 5" if monoid == "nt7" else "more than 5"
-    assert (code, out, err) == (2, "", GUARD_REFUSAL.format(count))
+    assert (code, out, err) == (2, "", GUARD_REFUSAL.format(files[monoid], count))
 
 
 def test_verify_refuses_a_closure_type_past_the_guard_before_any_table(
@@ -416,7 +417,7 @@ def test_verify_refuses_a_closure_type_past_the_guard_before_any_table(
                                                     [1, 1, 3, 4, 5]]})
     code, out, err = run(capsys, ["verify", t5, write(tmp_path, "natural.json",
                                                       {"mode": "natural"})])
-    assert (code, out, err) == (2, "", GUARD_REFUSAL.format("more than 300"))
+    assert (code, out, err) == (2, "", GUARD_REFUSAL.format(t5, "more than 300"))
 
 
 def test_matrices_spec_is_refused_by_the_lesser_of_its_cap_and_the_guard(
@@ -429,8 +430,9 @@ def test_matrices_spec_is_refused_by_the_lesser_of_its_cap_and_the_guard(
     cycle = [["1" if i == (j + 1) % 7 else "0" for j in range(7)] for i in range(7)]
     rep = write(tmp_path, "natural.json", {"mode": "natural"})
     spec = {"type": "matrices", "generators": [cycle]}
-    code, out, err = run(capsys, ["verify", write(tmp_path, "c7.json", spec), rep])
-    assert (code, out, err) == (2, "", GUARD_REFUSAL.format("more than 5"))
+    c7 = write(tmp_path, "c7.json", spec)
+    code, out, err = run(capsys, ["verify", c7, rep])
+    assert (code, out, err) == (2, "", GUARD_REFUSAL.format(c7, "more than 5"))
     capped = write(tmp_path, "c7-cap3.json", dict(spec, cap=3))
     for force in ([], ["--force"]):
         code, out, err = run(capsys, ["verify", capped, rep, *force])
@@ -446,17 +448,17 @@ def test_verify_refuses_a_cayley_table_by_its_length(tmp_path, capsys, monkeypat
                                      "table": [[(a + b) % 7 for b in range(7)]
                                                for a in range(7)]})
     code, out, err = run(capsys, ["verify", z7, write(tmp_path, "rep.json", {"mode": "natural"})])
-    assert (code, out, err) == (2, "", GUARD_REFUSAL.format("7 > 5"))
+    assert (code, out, err) == (2, "", GUARD_REFUSAL.format(z7, "7 > 5"))
 
 
 def test_only_verify_without_force_guards_the_closure(files, capsys, monkeypatch):
-    """--force, info, molien and the default library load build T_3 past
+    """--force, info, molien and an unguarded library load build T_3 past
     a guard of 5 as before."""
     monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
-    assert fileio.load_monoid(files["t3"]).size == 27
-    assert fileio.load_monoid(files["t3"], force=True).size == 27
-    with pytest.raises(ValueError, match=r"^monoid has more than 5 elements; refused"):
-        fileio.load_monoid(files["t3"], force=False)
+    assert fileio.load_monoid(files["t3"], None).size == 27
+    with pytest.raises(ValueError, match=rf"^{re.escape(files['t3'])}: monoid has "
+                                         "more than 5 elements; refused"):
+        fileio.load_monoid(files["t3"], algebra.size_guard)
     assert run(capsys, ["info", files["t3"], files["natural"]])[0] == 0
     assert run(capsys, ["molien", files["t3"], files["natural"], "--idempotent",
                         "[1,2,3]", "--weights", "[1,2,3]:1"])[0] == 0
@@ -482,14 +484,89 @@ def test_nt_paper_file_builds_its_monoid_once(files, capsys, monkeypatch):
 
 def test_loader_guard_admits_the_guard_size(tmp_path, monkeypatch):
     """N_4 has 5 elements, at a guard of 5, and loads; N_5 is refused
-    only when not forced, and the default load is forced."""
+    only when guarded."""
     monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
     n4 = write(tmp_path, "n4.json", {"type": "nt", "t": 4})
     n5 = write(tmp_path, "n5.json", {"type": "nt", "t": 5})
-    assert fileio.load_monoid(n4, force=False).size == 5
-    assert fileio.load_monoid(n5).size == fileio.load_monoid(n5, force=True).size == 6
-    with pytest.raises(ValueError, match=r"^monoid has 6 > 5 elements; refused"):
-        fileio.load_monoid(n5, force=False)
+    assert fileio.load_monoid(n4, algebra.size_guard).size == 5
+    assert fileio.load_monoid(n5, None).size == 6
+    with pytest.raises(ValueError,
+                       match=rf"^{re.escape(n5)}: monoid has 6 > 5 elements; refused"):
+        fileio.load_monoid(n5, algebra.size_guard)
+
+
+# specs that `info` and `molien` refuse by their work guard, unbuilt:
+# name -> (spec, what the refusal says of it)
+T6 = {"type": "transformations", "degree": 6,
+      "generators": [[2, 3, 4, 5, 6, 1], [2, 1, 3, 4, 5, 6], [1, 1, 3, 4, 5, 6]]}
+OVERSIZED = {
+    "t6-closure": (T6, "more than 5000 elements and up to 3 generators"),
+    "n3000": ({"type": "nt", "t": 3000}, "3001 elements and up to 3000 generators"),
+    # the length is read before any row, so the rows may be empty
+    "cayley-465": ({"type": "cayley", "identity": 0, "table": [[]] * 465},
+                   "465 elements and up to 465 generators"),
+}
+
+
+@pytest.mark.parametrize("command", ["info", "molien"])
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_info_and_molien_refuse_an_oversized_spec_before_any_table(
+        tmp_path, capsys, monkeypatch, command, name):
+    """T_6 from three generators would build a 46656^2 table, and N_3000's
+    Light test would run for minutes: both commands refuse such a spec
+    with one error line that names no flag, and exit 2, before a closure
+    builds a row or any Monoid is made."""
+    def build(*args, **kwargs):
+        raise AssertionError("a closure built its rows")
+
+    refusing_builds(monkeypatch)
+    monkeypatch.setattr(monoids, "_closure_rows", build)
+    spec, count = OVERSIZED[name]
+    monoid = write(tmp_path, f"{name}.json", spec)
+    argv = [command, monoid, write(tmp_path, "rep.json", {"mode": "natural"})]
+    if command == "molien":
+        argv += ["--idempotent", "0", "--weights", "0:1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (
+        2, "", f"error: {monoid}: monoid has {count}: |M|^2 (|A| + 1) is past "
+               f"{fileio.WORK_GUARD}; refused by the size guard\n")
+
+
+def test_work_guard_admits_t5_and_refuses_t6_by_arithmetic():
+    """T_5 from three generators has 3125 elements, 3125^2 * 4 = 3.9e7
+    lookups: under the bound, and the closure's cap for three generators
+    is 5000.  T_6 (46656 elements) and N_3000 (3001 elements, 3000
+    generators) are past it.  Nothing is built."""
+    assert fileio.work_guard(3125, 3) == fileio.work_guard(0, 3) == 5000
+    assert 3125 ** 2 * 4 <= fileio.WORK_GUARD < 46656 ** 2 * 4
+    for n, gens in ((46656, 3), (3001, 3000), (None, 3)):
+        with pytest.raises(ValueError, match="refused by the size guard$"):
+            fileio.work_guard(n, gens)
+    # the cap is the largest n with n^2 (gens + 1) within the bound
+    for gens in (0, 1, 2, 3, 464, 3000, 10 ** 6):
+        cap = fileio.work_guard(0, gens)
+        assert cap ** 2 * (gens + 1) <= fileio.WORK_GUARD < (cap + 1) ** 2 * (gens + 1)
+        assert fileio.work_guard(cap, gens) == cap
+        with pytest.raises(ValueError):
+            fileio.work_guard(cap + 1, gens)
+
+
+def test_info_hands_t5_to_its_closure_under_the_work_guard(tmp_path, capsys, monkeypatch):
+    """`info` on T_5 from three generators reaches the closure with the
+    cap 5000, above T_5's 3125 elements; the stub stands in for the
+    2.5 s build."""
+    caps = []
+
+    def closure(degree, gens, cap):
+        caps.append(cap)
+        raise ValueError("stub closure")
+
+    monkeypatch.setattr(fileio, "from_transformations", closure)
+    t5 = write(tmp_path, "t5.json", {"type": "transformations", "degree": 5,
+                                     "generators": [[2, 3, 4, 5, 1], [2, 1, 3, 4, 5],
+                                                    [1, 1, 3, 4, 5]]})
+    code, out, err = run(capsys, ["info", t5])
+    assert (code, out, err, caps) == (2, "", f"error: {t5}: stub closure\n", [5000])
 
 
 # the trivial monoid on the zero-dimensional module: s = 1, so the
@@ -740,7 +817,7 @@ def test_verify_size_guard_refuses_before_any_fork_or_chain_step(files, capsys, 
     code, out, err = run(capsys, ["verify", files["nt7"], files["nt_rep"],
                                   "--which", "tensor"])
     assert (code, out) == (2, "")
-    assert err.startswith("error: monoid has 8 > 5 elements")
+    assert err.startswith(f"error: {files['nt7']}: monoid has 8 > 5 elements")
 
 
 @pytest.mark.parametrize("failure", ["degree", "radical"])

@@ -260,7 +260,7 @@ def _reference_cases():
     cases = {f"corpus-{name}": ([clear_denominators(r) for r in rows], len(rows[0]))
              for name, rows in CORPUS.items()}
     for name in ("t3", "m128", "t4"):
-        m = load_monoid(inputs / f"{name}.json")
+        m = load_monoid(inputs / f"{name}.json", None)
         cases[name] = (gram_matrix(m.table), m.size)
     for t in (7, 40):  # nullity |M| - 2
         cases[f"nt-{t}"] = (gram_matrix(nt_monoid(t).table), t + 1)

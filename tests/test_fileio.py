@@ -103,10 +103,10 @@ def test_load_monoid_reports_path_and_json_errors(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"type": "nt", "t": }', encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
-        load_monoid(str(p))
+        load_monoid(str(p), None)
     q = write(tmp_path, "bad.json", {"type": "nt"})
     with pytest.raises(ValueError, match="bad.json"):
-        load_monoid(q)
+        load_monoid(q, None)
 
 
 # --- representation specs ---------------------------------------------------------
@@ -115,13 +115,13 @@ def test_natural_mode(tmp_path):
     mp = write(tmp_path, "t2.json", {"type": "transformations", "degree": 2,
                                      "generators": [[2, 1], [1, 1]]})
     rp = write(tmp_path, "rep.json", {"mode": "natural"})
-    m = load_monoid(mp)
+    m = load_monoid(mp, None)
     rho = load_representation(rp, m)
     assert character(rho) == character(natural_representation(m))
 
 
 def test_nt_paper_mode(tmp_path):
-    m = load_monoid(write(tmp_path, "n4.json", {"type": "nt", "t": 4}))
+    m = load_monoid(write(tmp_path, "n4.json", {"type": "nt", "t": 4}), None)
     rho = load_representation(write(tmp_path, "rep.json", {"mode": "nt-paper"}), m)
     assert rho.dim == 2 and rho.matrices[3] == Matrix([[0, 3], [0, 0]])
 

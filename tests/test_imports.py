@@ -78,7 +78,7 @@ def test_scan_nt_imports_no_json():
 
 
 def test_every_export_is_its_submodules_object():
-    assert len(monoidrep.__all__) == len(set(monoidrep.__all__)) == 64
+    assert len(monoidrep.__all__) == len(set(monoidrep.__all__)) == 60
     for name in monoidrep.__all__:
         obj = getattr(monoidrep, name)
         module = sys.modules[obj.__module__]
@@ -103,3 +103,27 @@ def test_unknown_name_raises():
     assert not hasattr(monoidrep, "__main__")
     with pytest.raises(ImportError):
         exec("from monoidrep import no_such_name", {})
+
+
+# public names that only forwarded to another entry, by the module that held them
+REMOVED = {
+    "build_representation": "representations",  # Representation(m, mats)
+    "from_cayley_table": "monoids",  # Monoid(table, identity, labels=labels)
+    "complete_homogeneous_from_power_sums": "linalg",  # complete_homogeneous_sequence(p, d)[d]
+    "sym_power_character": "representations",  # sym_power_characters(rho, x, d)[d]
+    "format_polynomial": "linalg",  # str(p)
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED))
+def test_forwarding_alias_is_gone(name):
+    with pytest.raises(ImportError):
+        exec(f"from monoidrep import {name}", {})
+    assert not hasattr(getattr(monoidrep, REMOVED[name]), name)
+
+
+def test_polynomial_has_no_is_zero():
+    from monoidrep import Polynomial
+
+    assert not hasattr(Polynomial(), "is_zero")
+    assert not Polynomial() and Polynomial([0, 1])

@@ -3,7 +3,6 @@ import pytest
 from monoidrep.linalg import Matrix
 from monoidrep.monoids import (
     Monoid,
-    from_cayley_table,
     from_matrices,
     from_transformations,
     has_zero,
@@ -25,20 +24,20 @@ def t2():
 # --- construction and validation -------------------------------------------
 
 def test_trivial_monoid():
-    m = from_cayley_table(0, [[0]])
+    m = Monoid([[0]], 0)
     assert m.size == 1 and m.identity == 0
     assert m.generators == ()
 
 
 def test_cyclic_group_of_order_two():
-    m = from_cayley_table(0, [[0, 1], [1, 0]])
+    m = Monoid([[0, 1], [1, 0]], 0)
     assert idempotents(m) == (0,)
     assert has_zero(m) is None
 
 
 def test_nt_table_round_trips():
     m = nt_monoid(3)
-    again = from_cayley_table(m.identity, m.table)
+    again = Monoid(m.table, m.identity)
     assert again == m
 
 
@@ -293,7 +292,7 @@ def test_non_idempotent_named_by_label_and_bad_index_by_range():
 def test_has_zero_cases():
     assert has_zero(t2()) is None
     assert has_zero(nt_monoid(5)) == 0
-    trivial = from_cayley_table(0, [[0]])
+    trivial = Monoid([[0]], 0)
     assert has_zero(trivial) == 0
 
 
@@ -323,7 +322,7 @@ def test_collapsing_top_elements_is_li():
 
 def test_collapse_to_trivial_is_not_li():
     src = nt_monoid(3)
-    dst = from_cayley_table(0, [[0]])
+    dst = Monoid([[0]], 0)
     phi = MonoidMorphism(src, dst, [0, 0, 0, 0])
     ok, witness = is_li_morphism(phi)
     assert not ok and witness == (1, 0)

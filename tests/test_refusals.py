@@ -18,7 +18,7 @@ from monoidrep.linalg import (
     power_traces,
 )
 from monoidrep.molien import series_prefix, weighted_series
-from monoidrep.monoids import from_cayley_table, from_matrices, nt_monoid, submonoid
+from monoidrep.monoids import Monoid, from_matrices, nt_monoid, submonoid
 from monoidrep.representations import (
     Representation,
     direct_sum,
@@ -30,7 +30,7 @@ from monoidrep.representations import (
 from test_golden import CASES, INPUTS
 
 N3 = nt_monoid(3)
-Z3 = from_cayley_table(0, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])  # not an N_t
+Z3 = Monoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)  # not an N_t
 N3_PAPER = nt_paper_representation(3)
 ROW = Matrix([[1, 2]])
 

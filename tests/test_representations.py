@@ -10,10 +10,9 @@ from monoidrep import linalg, representations
 from monoidrep.algebra import symmetric_annihilator_chain
 from monoidrep.fileio import load_monoid
 from monoidrep.linalg import Matrix, Polynomial, charpoly
-from monoidrep.monoids import from_cayley_table, idempotents, local_monoid, nt_monoid
+from monoidrep.monoids import Monoid, idempotents, local_monoid, nt_monoid
 from monoidrep.representations import (
     Representation,
-    build_representation,
     character,
     direct_sum,
     distinct_character_values,
@@ -24,7 +23,6 @@ from monoidrep.representations import (
     nt_paper_representation,
     regular_representation,
     sym_power,
-    sym_power_character,
     sym_power_characters,
     sym_power_dim,
     symmetric_columns,
@@ -66,7 +64,7 @@ def test_nt_paper_requires_t_at_least_two():
 
 def test_zero_dimensional_representation_valid():
     m = nt_monoid(2)
-    rho = build_representation(m, [Matrix((), ncols=0)] * 3)
+    rho = Representation(m, [Matrix((), ncols=0)] * 3)
     assert rho.dim == 0
 
 
@@ -74,13 +72,13 @@ def test_invalid_homomorphism_reports_pair():
     m = nt_monoid(2)
     bad = [Matrix.identity(1), Matrix.identity(1), Matrix([[2]])]
     with pytest.raises(ValueError, match=r"pair \(0, 2\)"):
-        build_representation(m, bad)
+        Representation(m, bad)
 
 
 def test_wrong_identity_image_rejected():
-    m = from_cayley_table(0, [[0]])
+    m = Monoid([[0]], 0)
     with pytest.raises(ValueError, match="identity"):
-        build_representation(m, [Matrix([[2]])])
+        Representation(m, [Matrix([[2]])])
 
 
 # --- faithfulness and characters ---------------------------------------------
@@ -113,7 +111,7 @@ def test_distinct_charpolys(t2_natural):
     assert polys == {Polynomial([1, -2, 1]), Polynomial([-1, 0, 1]),
                      Polynomial([0, -1, 1])}
     assert len(distinct_charpolys(nt_paper_representation(7))) == 2
-    trivial = trivial_representation(from_cayley_table(0, [[0]]))
+    trivial = trivial_representation(Monoid([[0]], 0))
     assert len(distinct_charpolys(trivial)) == 1
 
 
@@ -234,10 +232,10 @@ def test_sym_power_is_valid_representation(corpus):
 
 
 def test_sym_power_character_examples(t2_natural):
-    assert sym_power_character(t2_natural, 0, 2) == 3  # h_2(1, 1)
+    assert sym_power_characters(t2_natural, 0, 2)[2] == 3  # h_2(1, 1)
     rho = nt_paper_representation(4)
     for j in range(2, 5):
-        assert sym_power_character(rho, j, 2) == 0
+        assert sym_power_characters(rho, j, 2)[2] == 0
 
 
 def test_sym_power_character_newton_identity(corpus):
@@ -248,7 +246,7 @@ def test_sym_power_character_newton_identity(corpus):
         for x in range(rho.monoid.size):
             p1, p2 = (rho.matrices[x].trace(),
                       (rho.matrices[x] * rho.matrices[x]).trace())
-            assert sym_power_character(rho, x, 2) == (p1 * p1 + p2) / 2
+            assert sym_power_characters(rho, x, 2)[2] == (p1 * p1 + p2) / 2
 
 
 def test_sym_power_trace_matches_newton_route(corpus):
@@ -256,7 +254,7 @@ def test_sym_power_trace_matches_newton_route(corpus):
         for d in range(5):
             sp = sym_power(rho, d)
             for x in range(rho.monoid.size):
-                assert sp.matrices[x].trace() == sym_power_character(rho, x, d)
+                assert sp.matrices[x].trace() == sym_power_characters(rho, x, d)[d]
 
 
 def test_sym_power_characters_list_every_degree(corpus):
@@ -376,8 +374,8 @@ def _ints(mat):
 
 # T_3's and the 128-element submonoid of T_4's natural representations, N_7's
 INTEGRAL_REPRESENTATIONS = {
-    "t3": lambda: natural_representation(load_monoid(str(GOLDEN_INPUTS / "t3.json"))),
-    "m128": lambda: natural_representation(load_monoid(str(GOLDEN_INPUTS / "m128.json"))),
+    "t3": lambda: natural_representation(load_monoid(str(GOLDEN_INPUTS / "t3.json"), None)),
+    "m128": lambda: natural_representation(load_monoid(str(GOLDEN_INPUTS / "m128.json"), None)),
     "n7": lambda: nt_paper_representation(7),
 }
 
@@ -386,7 +384,7 @@ def test_validation_holds_one_stacked_copy():
     """The regular representation of the 128-element monoid has |M| d^2
     = 2^21 entries; validating it holds at most one stacked copy of them
     (a pointer each, about 16.8 MB)."""
-    rho = regular_representation(load_monoid(str(GOLDEN_INPUTS / "m128.json")))
+    rho = regular_representation(load_monoid(str(GOLDEN_INPUTS / "m128.json"), None))
     tracemalloc.start()
     try:
         rho.validate()
