@@ -29,9 +29,9 @@ print("\nT_2 has", t2.size, "elements:", ", ".join(t2.labels))
 
 # The two constants and the identity are idempotent; the swap is not.
 for e in idempotents(t2):
-    print(f"  e = {t2.label(e):6}  eMe = {[t2.label(x) for x in local_monoid(t2, e)]}"
-          f"  G_e = {[t2.label(x) for x in unit_group(t2, e)]}"
-          f"  I_e = {[t2.label(x) for x in local_ideal(t2, e)]}")
+    print(f"  e = {t2.labels[e]:6}  eMe = {[t2.labels[x] for x in local_monoid(t2, e)]}"
+          f"  G_e = {[t2.labels[x] for x in unit_group(t2, e)]}"
+          f"  I_e = {[t2.labels[x] for x in local_ideal(t2, e)]}")
 
 # 3. Matrix monoid: closure of exact rational matrices.  A nilpotent
 #    generator reaches the zero matrix after one step.
@@ -43,6 +43,6 @@ print("\nmatrix closure of [[0,2],[0,0]]:", nil.size, "elements,",
 #    two non-identity elements collapses to 0.  This tiny monoid is the
 #    counterexample engine for everything in demo 04.
 n5 = nt_monoid(5)
-print("\nN_5:", n5.size, "elements, zero =", n5.label(has_zero(n5)),
-      "idempotents =", [n5.label(e) for e in idempotents(n5)])
-print("2 * 3 =", n5.label(n5.mul(2, 3)), " 1 * 4 =", n5.label(n5.mul(1, 4)))
+print("\nN_5:", n5.size, "elements, zero =", n5.labels[has_zero(n5)],
+      "idempotents =", [n5.labels[e] for e in idempotents(n5)])
+print("2 * 3 =", n5.labels[n5.table[2][3]], " 1 * 4 =", n5.labels[n5.table[1][4]])

@@ -9,24 +9,25 @@ so every equality below is exact.
 from fractions import Fraction
 
 from monoidrep import (
+    Echelon,
     Matrix,
     charpoly,
     charpoly_from_power_traces,
     complete_homogeneous_sequence,
-    kernel_basis,
     kron,
     power_traces,
-    rank,
 )
 
-# Kernels come out in a canonical form: one vector per free column.
+# A matrix's rows, fed to an exact echelon, give its rank and its
+# kernel, in a canonical form: one vector per free column.
 m = Matrix([[1, 1], [1, 1]])
-print("kernel of [[1,1],[1,1]]:", kernel_basis(m))
+print("kernel of [[1,1],[1,1]]:", Echelon(m.ncols, m.rows).kernel_basis())
 
 # Rank and nullity always add up to the number of columns.
 gram = Matrix([[4, 0, 1, 1], [0, 4, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]])
-print("rank of the T_2 trace-form Gram matrix:", rank(gram),
-      " nullity:", len(kernel_basis(gram)))
+ech = Echelon(gram.ncols, gram.rows)
+print("rank of the T_2 trace-form Gram matrix:", ech.rank,
+      " nullity:", len(ech.kernel_basis()))
 
 # The Kronecker product realises the action on a tensor product; its
 # trace is the product of the traces.

@@ -40,7 +40,7 @@ for x in range(t2.size):
         c = series[d]
         assert a == b == c
         row.append(str(a))
-    print(f"{t2.label(x):7} | {' '.join(row)}")
+    print(f"{t2.labels[x]:7} | {' '.join(row)}")
 
 # det(I - t rho(m)) is the reversed characteristic polynomial; for the
 # swap it is 1 - t^2, and its reciprocal series alternates.

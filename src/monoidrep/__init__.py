@@ -22,20 +22,18 @@ import sys
 # submodule -> the public names it defines
 _MODULES = {
     "linalg": (
-        "Echelon", "Matrix", "Polynomial", "as_fraction", "charpoly",
-        "charpoly_from_power_traces", "complete_homogeneous_sequence",
-        "kernel_basis", "kron", "poly_gcd", "power_traces", "rank",
+        "Echelon", "Matrix", "Polynomial", "charpoly",
+        "charpoly_from_power_traces", "complete_homogeneous_sequence", "kron",
+        "poly_gcd", "power_traces",
     ),
     "monoids": (
         "Monoid", "from_matrices", "from_transformations", "has_zero",
-        "idempotents", "local_ideal", "local_monoid", "nt_monoid", "submonoid",
-        "unit_group",
+        "idempotents", "local_ideal", "local_monoid", "nt_monoid", "unit_group",
     ),
     "representations": (
         "Representation", "character", "direct_sum", "distinct_character_values",
-        "distinct_charpolys", "is_faithful", "monomial_basis",
-        "natural_representation", "nt_paper_representation",
-        "regular_representation", "sym_power", "sym_power_characters",
+        "distinct_charpolys", "is_faithful", "natural_representation",
+        "nt_paper_representation", "sym_power", "sym_power_characters",
         "sym_power_dim", "tensor_power", "trivial_representation",
     ),
     "algebra": (

@@ -26,10 +26,9 @@ constructor.  Every span of a list of rows is built by
 ``Echelon(ncols, rows)``.  The chains hand a ``Subspace`` their
 echelon's rows and the echelon itself; Ann(W) is step 1 of the tensor
 chain, read off that chain's walk.  The radical hands it a basis of R
-made of 0/1 rows, and no echelon: ``<=`` reads only its rows.  Canonical
-reduced echelon rows are derived only for equality and hashing, and a
-kernel basis only when it is read, which on the checking path happens
-only to produce the witness of a failed containment.
+made of 0/1 rows, and no echelon: ``<=`` reads only its rows.  A basis
+of the kernel is derived only when it is read, which on the checking
+path happens only to produce the witness of a failed containment.
 
 The radical from Green's relations.  Take one idempotent e in each
 regular J-class, with R_e and L_e its R- and L-class and G_e = R_e & L_e
@@ -117,10 +116,10 @@ class Subspace:
     ``ambient`` minus the rank of ``rows``; the caller has worked it out.
     ``echelon``, when given, is an echelon of ``rows`` that no one
     changes afterwards.  It decides ``a <= b`` (b's rows lie in a's row
-    space) and, by its canonical RREF, ``==`` and ``hash``; without it,
-    it is built from ``rows`` when one of those first needs it.
-    ``contains`` is a dot product with each row.  ``basis`` is derived on
-    read.
+    space) and gives ``basis``, derived on read; without it, it is built
+    from ``rows`` when one of those first needs it.  ``contains`` is a
+    dot product with each row.  Subspaces compare by identity: two are
+    the same space when each is ``<=`` the other.
     """
 
     def __init__(self, ambient, rows, dim, echelon=None):
@@ -152,13 +151,6 @@ class Subspace:
         if self.dim == 0:  # the zero subspace lies in every subspace
             return True
         return self.dim <= other.dim and all(map(self._echelon.contains, other.rows))
-
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.ambient == other.ambient
-                and self._echelon.rows == other._echelon.rows)
-
-    def __hash__(self):
-        return hash((self.ambient, self._echelon.rows))
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
@@ -211,8 +203,8 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
     distinct rows, as ``bytes``, go l by l into an exact echelon of their
     own, and the rows that enlarged it, over all classes, are a basis of
     Rad's complement: ``dim`` is |M| minus their number.  Their common
-    echelon is built only when ``==``, ``hash`` or ``basis`` needs it;
-    ``<=`` against the radical reads only its rows.
+    echelon is built only when ``basis`` needs it; ``<=`` against the
+    radical reads only its rows.
     """
     n = m.size
     if not force:

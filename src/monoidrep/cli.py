@@ -54,11 +54,11 @@ def cmd_info(args):
              for e in idem]
     payload = {
         "size": m.size,
-        "identity": m.label(m.identity),
-        "zero": None if z is None else m.label(z),
+        "identity": m.labels[m.identity],
+        "zero": None if z is None else m.labels[z],
         "idempotents": [
             {
-                "label": m.label(e),
+                "label": m.labels[e],
                 "local_monoid_size": local,
                 "unit_group_size": units,
                 "ideal_size": local - units,  # I_e = eMe minus G_e

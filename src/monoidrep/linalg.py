@@ -37,15 +37,6 @@ from math import gcd, lcm
 from operator import add, mul
 
 
-def as_fraction(x) -> Fraction:
-    """Coerce an int, string ("p/q" or "p") or Fraction to a Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
 _INT = frozenset((int,))
 
 
@@ -54,18 +45,22 @@ def clear_denominators(vec):
     list of ints spanning the same line."""
     if _INT.issuperset(map(type, vec)):
         return list(vec)
-    q = [as_fraction(x) for x in vec]
+    q = [_exact(x) for x in vec]
     d = lcm(*(x.denominator for x in q))
     return [x.numerator * (d // x.denominator) for x in q]
 
 
 def _exact(x):
     """The canonical form of an int, a "p/q" string or a Fraction: an int
-    when the value is an integer, otherwise a Fraction."""
+    when the value is an integer, otherwise a Fraction.  Anything else,
+    a float included, is refused."""
     if type(x) is int:
         return x
-    q = as_fraction(x)
-    return q.numerator if q.denominator == 1 else q
+    if isinstance(x, (int, str)):
+        x = Fraction(x)
+    elif not isinstance(x, Fraction):
+        raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    return x.numerator if x.denominator == 1 else x
 
 
 def _div(a, b):
@@ -334,21 +329,6 @@ class Echelon:
                     v[p] = -row[f]
             basis.append(tuple(v))
         return basis
-
-
-def rank(m: Matrix) -> int:
-    """Exact rank of a matrix."""
-    return Echelon(m.ncols, m.rows).rank
-
-
-def kernel_basis(m: Matrix):
-    """Canonical basis of the right kernel {v : m v = 0}.
-
-    Vectors are indexed by the free columns of the RREF of ``m``, in
-    ascending column order, each normalised with entry 1 at its free
-    column.  Returns a list of tuples; empty for an injective matrix.
-    """
-    return Echelon(m.ncols, m.rows).kernel_basis()
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -130,12 +130,6 @@ class Monoid:
     def size(self):
         return len(self.table)
 
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def label(self, i):
-        return self.labels[i]
-
     def index_of_label(self, label):
         try:
             return self.labels.index(str(label))
@@ -397,28 +391,3 @@ def has_zero(m: Monoid):
         if all(row[x] == z and m.table[x][z] == z for x in range(m.size)):
             return z
     return None
-
-
-def submonoid(m: Monoid, members, identity) -> Monoid:
-    """Monoid structure on a product-closed subset of m.
-
-    ``members`` must be closed under the ambient product and contain
-    ``identity`` acting as a two-sided identity on it.  Labels are
-    inherited.  Returns the new monoid; its element i corresponds to
-    sorted(members)[i] in the parent.
-    """
-    members = tuple(sorted(set(members)))
-    pos = {x: i for i, x in enumerate(members)}
-    if identity not in pos:
-        raise ValueError("identity must belong to the subset")
-    table = []
-    for a in members:
-        row = []
-        for b in members:
-            c = pos.get(m.table[a][b])
-            if c is None:
-                raise ValueError(
-                    f"subset is not closed: {a}*{b} = {m.table[a][b]} is outside")
-            row.append(c)
-        table.append(row)
-    return Monoid(table, pos[identity], labels=[m.labels[x] for x in members])

@@ -27,9 +27,9 @@ column c read at the entries of the elements x*g, one column of the
 Cayley table.  Every entry is still computed and compared, in
 C-level ``map`` passes, and only one stacked copy of the entries is
 held.  The products are exact and, for integral matrices, run in Python
-ints: the natural, regular, trivial and N_t representations and the
-symmetric powers of integral ones are built with int entries, so their
-validation never forms a ``Fraction``.  N_t is generated by {2, ..., t}
+ints: the natural, trivial and N_t representations and the symmetric
+powers of integral ones are built with int entries, so their validation
+never forms a ``Fraction``.  N_t is generated by {2, ..., t}
 (0 = 2*2) and by no smaller set; ``Monoid.generators`` holds 0 too, as
 it scans in index order, so |A| = t and there the check stays all-pairs.
 The check is a proof:
@@ -177,12 +177,6 @@ def nt_paper_representation(t, monoid=None) -> Representation:
     return Representation(nt_monoid(t) if monoid is None else monoid, mats, check=True)
 
 
-def regular_representation(m: Monoid) -> Representation:
-    """Left multiplication on the monoid basis; always faithful.  Element
-    x sends basis vector e_j to e_(x*j), read off row x of the table."""
-    return Representation(m, _action_matrices(m.table, m.size), check=False)
-
-
 def trivial_representation(m: Monoid) -> Representation:
     """Every element acting as [[1]] on a one-dimensional space."""
     one = Matrix.identity(1)
@@ -275,28 +269,18 @@ def direct_sum(rhos, monoid=None) -> Representation:
     return Representation(base, mats, check=False)
 
 
-def monomial_basis(n, d):
-    """Exponent tuples of length n summing to d, in descending lex order.
-
-    For n = 2, d = 2 this is (2,0), (1,1), (0,2) -- i.e. x1^2, x1 x2,
-    x2^2.  The count is C(n+d-1, d).  These are the sorted variable
-    tuples ``combinations_with_replacement(range(n), d)``, here (0,0),
-    (0,1), (1,1), in their order, each counted into its exponents.
-    """
-    return [tuple(map(c.count, range(n))) for c in combinations_with_replacement(range(n), d)]
-
-
 def symmetric_columns(rho: Representation):
     """Yield the symmetric powers of every element matrix, degree by degree.
 
     Item d (d = 0, 1, 2, ...) holds one entry per monoid element: the
     nonzero columns of its degree-d symmetric power, as a dict from a
-    column's position in ``monomial_basis(dim, d)`` to the column, in
+    column's position among the degree-d monomials to the column, in
     that order, each column a dict from row position to coefficient.  A
-    monomial of degree d is its sorted tuple of d variables, in the order
-    ``combinations_with_replacement`` lists them.  Column mono is the
-    product of the linear forms m . x_j, j in mono, expanded in the
-    monomial basis, where m . x_j is column j of the element matrix.
+    monomial of degree d is its sorted tuple of d variables, and the
+    monomials are in ``combinations_with_replacement`` order.  Column
+    mono is the product of the linear forms m . x_j, j in mono, expanded
+    in the monomial basis, where m . x_j is column j of the element
+    matrix.
     Degree d+1 is built from the stored columns of degree d: stored
     column k times the form of each variable j at least the greatest of
     monomial k is column monomial k + (j,).  Every monomial splits so in

@@ -29,10 +29,12 @@ slow; Green's relations come from the one-sided and two-sided
 ideals xM, Mx and MxM, each formed product by product.
 
 Last come helpers only tests use: the span of vectors as a
-``Subspace``, a matrix's inverse, a matrix monoid's defining
-representation, the restriction of a representation to a local monoid
-eMe, monoid morphisms with the LI test, and the character kernel
-computed two ways.
+``Subspace``, whether two subspaces are the same space, a matrix's
+inverse, a matrix monoid's defining representation, the regular
+representation, the monoid on a product-closed subset, the monomial
+basis of a symmetric power, the restriction of a representation to a
+local monoid eMe, monoid morphisms with the LI test, and the character
+kernel computed two ways.
 """
 
 import struct
@@ -43,7 +45,7 @@ from math import gcd, lcm, prod
 
 from monoidrep.algebra import Subspace
 from monoidrep.linalg import Echelon, Matrix
-from monoidrep.monoids import Monoid, idempotents, local_monoid, submonoid
+from monoidrep.monoids import Monoid, idempotents, local_monoid
 from monoidrep.representations import Representation
 
 
@@ -753,6 +755,12 @@ def span_subspace(n, vectors):
     return Subspace(n, rows, n - len(rows))
 
 
+def same_space(a: Subspace, b: Subspace):
+    """Whether a and b are one subspace: the same ambient space, and
+    each contained in the other."""
+    return a.ambient == b.ambient and a <= b and b <= a
+
+
 def inverse(a: Matrix) -> Matrix:
     """Inverse, read off the RREF of [A | I]: A is invertible exactly
     when that form has its pivots in the first n columns, and then its
@@ -772,6 +780,55 @@ def matrix_representation(m: Monoid) -> Representation:
     if m.matrix_elements is None:
         raise ValueError("monoid does not carry matrix data")
     return Representation(m, m.matrix_elements, check=True)
+
+
+def regular_representation(m: Monoid) -> Representation:
+    """Left multiplication on the monoid basis; always faithful.  Element
+    x sends basis vector e_j to e_(x*j), read off row x of the table."""
+    n, mats = m.size, []
+    for row in m.table:
+        rows = [[0] * n for _ in range(n)]
+        for j, xj in enumerate(row):
+            rows[xj][j] = 1
+        mats.append(Matrix(rows, n))
+    return Representation(m, mats, check=False)
+
+
+def submonoid(m: Monoid, members, identity) -> Monoid:
+    """Monoid structure on a product-closed subset of m.
+
+    ``members`` must be closed under the ambient product and contain
+    ``identity`` acting as a two-sided identity on it.  Labels are
+    inherited.  Returns the new monoid; its element i corresponds to
+    sorted(members)[i] in the parent.
+    """
+    members = tuple(sorted(set(members)))
+    pos = {x: i for i, x in enumerate(members)}
+    if identity not in pos:
+        raise ValueError("identity must belong to the subset")
+    table = []
+    for a in members:
+        row = []
+        for b in members:
+            c = pos.get(m.table[a][b])
+            if c is None:
+                raise ValueError(
+                    f"subset is not closed: {a}*{b} = {m.table[a][b]} is outside")
+            row.append(c)
+        table.append(row)
+    return Monoid(table, pos[identity], labels=[m.labels[x] for x in members])
+
+
+def monomial_basis(n, d):
+    """Exponent tuples of length n summing to d, in descending lex order.
+
+    For n = 2, d = 2 this is (2,0), (1,1), (0,2) -- i.e. x1^2, x1 x2,
+    x2^2.  The count is C(n+d-1, d).  These are the sorted variable
+    tuples ``combinations_with_replacement(range(n), d)``, here (0,0),
+    (0,1), (1,1), in their order, each counted into its exponents: the
+    order of the package's symmetric-power columns.
+    """
+    return [tuple(map(c.count, range(n))) for c in combinations_with_replacement(range(n), d)]
 
 
 def restrict_to_local(rho: Representation, e) -> Representation:

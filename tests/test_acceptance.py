@@ -21,7 +21,7 @@ from monoidrep.algebra import (
     verify_symmetric_theorem,
     verify_tensor_theorem,
 )
-from monoidrep.linalg import Matrix, rank
+from monoidrep.linalg import Echelon, Matrix
 from monoidrep.molien import element_series
 from monoidrep.monoids import (
     from_transformations,
@@ -40,7 +40,7 @@ from monoidrep.representations import (
 )
 from monoidrep.linalg import charpoly, charpoly_from_power_traces, power_traces
 
-from oracles import character_kernel, inverse, restrict_to_local, span_subspace
+from oracles import character_kernel, inverse, restrict_to_local, same_space, span_subspace
 
 F = Fraction
 
@@ -93,7 +93,7 @@ def test_criterion_3_full_transformation_monoid_degree_two():
         rho = natural_representation(t2)
         rad = radical_basis(t2)
         assert rad.dim == 1
-        assert rad == span_subspace(4, [(0, 0, 1, -1)])   # const_1 - const_2
+        assert same_space(rad, span_subspace(4, [(0, 0, 1, -1)]))   # const_1 - const_2
         assert len(distinct_character_values(rho)) == 3
         tensor = verify_tensor_theorem(rho)
         assert tensor.holds and tensor.r == 3
@@ -168,9 +168,9 @@ def test_criterion_7_lemma_suite(corpus):
                 ideal = set(local_ideal(m, e))
                 for a in members:
                     for x in ideal:
-                        ax = m.mul(a, x)
+                        ax = m.table[a][x]
                         for b in members:
-                            assert m.mul(ax, b) in ideal
+                            assert m.table[ax][b] in ideal
         # rank equals trace for 200 constructed idempotent matrices
         rng = random.Random(1729)
         built = 0
@@ -185,7 +185,7 @@ def test_criterion_7_lemma_suite(corpus):
             except ValueError:
                 continue
             assert e * e == e
-            assert e.trace() == rank(e)
+            assert e.trace() == Echelon(e.ncols, e.rows).rank
             built += 1
 
 

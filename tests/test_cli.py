@@ -22,11 +22,10 @@ from monoidrep.representations import (
     distinct_character_values,
     distinct_charpolys,
     nt_paper_representation,
-    regular_representation,
 )
 
 from conftest import T3_GENERATORS
-from oracles import span_subspace
+from oracles import regular_representation, span_subspace
 from test_golden import CASES, GOLDEN, refusing_forks, run_case
 
 

@@ -261,11 +261,10 @@ def test_each_chain_walked_once(monkeypatch):
 @pytest.mark.parametrize("name", ["molien-t3", "molien-rational", "molien-t3-local"])
 def test_molien_builds_no_restriction(name, monkeypatch):
     """The series and its cross-check read the loaded representation: the
-    local monoid eMe is listed once, for the support check, and neither a
-    submonoid nor a restricted representation is built or validated."""
-    calls = {"local_monoid": 0, "submonoid": 0, "validate": 0}
-    originals = {key: getattr(monoids, key)
-                 for key in ("local_monoid", "submonoid")}
+    local monoid eMe is listed once, for the support check, and no
+    restricted representation is built or validated."""
+    calls = {"local_monoid": 0, "validate": 0}
+    originals = {"local_monoid": monoids.local_monoid}
 
     def counting(key):
         def wrapper(*args, **kwargs):
@@ -289,7 +288,7 @@ def test_molien_builds_no_restriction(name, monkeypatch):
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     # only the loaded representation is validated
-    assert calls == {"local_monoid": 1, "submonoid": 0, "validate": 1}
+    assert calls == {"local_monoid": 1, "validate": 1}
 
 
 @pytest.mark.parametrize("name", ["verify-t3", "verify-m128-steinberg"])

@@ -78,7 +78,7 @@ def test_scan_nt_imports_no_json():
 
 
 def test_every_export_is_its_submodules_object():
-    assert len(monoidrep.__all__) == len(set(monoidrep.__all__)) == 60
+    assert len(monoidrep.__all__) == len(set(monoidrep.__all__)) == 54
     for name in monoidrep.__all__:
         obj = getattr(monoidrep, name)
         module = sys.modules[obj.__module__]
@@ -105,13 +105,20 @@ def test_unknown_name_raises():
         exec("from monoidrep import no_such_name", {})
 
 
-# public names that only forwarded to another entry, by the module that held them
+# public names that left the package, by the module that held them: each
+# forwarded to another entry, or only tests used it
 REMOVED = {
     "build_representation": "representations",  # Representation(m, mats)
     "from_cayley_table": "monoids",  # Monoid(table, identity, labels=labels)
     "complete_homogeneous_from_power_sums": "linalg",  # complete_homogeneous_sequence(p, d)[d]
     "sym_power_character": "representations",  # sym_power_characters(rho, x, d)[d]
     "format_polynomial": "linalg",  # str(p)
+    "rank": "linalg",  # Echelon(m.ncols, m.rows).rank
+    "kernel_basis": "linalg",  # Echelon(m.ncols, m.rows).kernel_basis()
+    "as_fraction": "linalg",  # folded into the private _exact
+    "submonoid": "monoids",  # tests/oracles.py
+    "regular_representation": "representations",  # tests/oracles.py
+    "monomial_basis": "representations",  # tests/oracles.py
 }
 
 
@@ -127,3 +134,11 @@ def test_polynomial_has_no_is_zero():
 
     assert not hasattr(Polynomial(), "is_zero")
     assert not Polynomial() and Polynomial([0, 1])
+
+
+def test_monoid_forwarders_are_gone_and_subspaces_compare_by_identity():
+    from monoidrep import Monoid, Subspace
+
+    assert not hasattr(Monoid, "mul") and not hasattr(Monoid, "label")
+    assert Subspace.__eq__ is object.__eq__
+    assert Subspace.__hash__ is object.__hash__

@@ -13,12 +13,11 @@ from monoidrep.fileio import monoid_from_spec, representation_from_spec
 from monoidrep.linalg import (
     Matrix,
     Polynomial,
-    as_fraction,
     complete_homogeneous_sequence,
     power_traces,
 )
 from monoidrep.molien import series_prefix, weighted_series
-from monoidrep.monoids import Monoid, from_matrices, nt_monoid, submonoid
+from monoidrep.monoids import Monoid, from_matrices, nt_monoid
 from monoidrep.representations import (
     Representation,
     direct_sum,
@@ -27,6 +26,7 @@ from monoidrep.representations import (
     tensor_power,
 )
 
+from oracles import submonoid
 from test_golden import CASES, INPUTS
 
 N3 = nt_monoid(3)
@@ -65,7 +65,7 @@ REFUSALS = {
     "negative-series-length": (
         lambda: series_prefix(Polynomial((1,)), Polynomial((1,)), -1),
         ValueError, "series length must be nonnegative"),
-    "float-as-rational": (lambda: as_fraction(0.5), TypeError,
+    "float-as-rational": (lambda: Matrix([[0.5]]), TypeError,
                           r"cannot interpret 0\.5 as an exact rational"),
     "ragged-matrix": (lambda: Matrix([[1, 2], [3]]), ValueError,
                       "matrix rows have unequal lengths"),

@@ -18,10 +18,8 @@ from monoidrep.representations import (
     distinct_character_values,
     distinct_charpolys,
     is_faithful,
-    monomial_basis,
     natural_representation,
     nt_paper_representation,
-    regular_representation,
     sym_power,
     sym_power_characters,
     sym_power_dim,
@@ -30,7 +28,7 @@ from monoidrep.representations import (
     trivial_representation,
 )
 
-from oracles import character_kernel, restrict_to_local
+from oracles import character_kernel, monomial_basis, regular_representation, restrict_to_local
 
 F = Fraction
 
@@ -352,7 +350,7 @@ def test_regular_representation_faithful(corpus):
         else:
             m = reg.monoid
             for a, b in ((1, 2), (3, 5), (7, 11)):
-                assert reg.matrices[a] * reg.matrices[b] == reg.matrices[m.mul(a, b)]
+                assert reg.matrices[a] * reg.matrices[b] == reg.matrices[m.table[a][b]]
 
 
 def test_regular_representation_character():
