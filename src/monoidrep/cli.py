@@ -50,8 +50,9 @@ def cmd_info(args):
     m = fileio.load_monoid(args.monoid, fileio.work_guard)
     z = monoids.has_zero(m)
     idem = monoids.idempotents(m)
-    sizes = [(len(monoids.local_monoid(m, e)), len(monoids.unit_group(m, e)))
-             for e in idem]
+    # |G_e| counts the g in eMe whose table row holds e, as monoids.unit_group reads it
+    sizes = [(len(eme), sum(e in m.table[g] for g in eme))
+             for e in idem for eme in [monoids.local_monoid(m, e)]]
     payload = {
         "size": m.size,
         "identity": m.labels[m.identity],

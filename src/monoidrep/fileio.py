@@ -19,9 +19,9 @@ element label:
     {"mode": "nt-paper"}
     {"dim": 2, "matrices": {"1": [["1","0"],["0","1"]], ...}}
 
-An optional "monoid" key (an inline monoid object or a file path) lets
-a representation file stand alone; an explicitly supplied monoid wins.
-Every file is read as UTF-8, as RFC 8259 requires, whatever the locale.
+A representation is read against the monoid its caller has already
+loaded; a "monoid" key in the file is ignored.  Every file is read as
+UTF-8, as RFC 8259 requires, whatever the locale.
 
 ``monoid_from_spec`` is the one place that refuses a monoid spec by
 size, before any table is built, against the guard its caller names:
@@ -34,7 +34,6 @@ path to every error, a refusal included.
 from __future__ import annotations
 
 import json
-import os
 from fractions import Fraction
 from math import isqrt
 
@@ -187,22 +186,10 @@ def load_monoid(path, guard) -> Monoid:
         raise ValueError(f"{path}: {e}") from None
 
 
-def representation_from_spec(obj, monoid: Monoid | None = None,
-                             base_dir=".") -> Representation:
-    """Build a representation from a parsed JSON object.
-
-    When ``monoid`` is None the object must carry a "monoid" key holding
-    either an inline monoid object or a path (relative paths resolve
-    against ``base_dir``).
-    """
+def representation_from_spec(obj, monoid: Monoid) -> Representation:
+    """Build a representation of ``monoid`` from a parsed JSON object."""
     if not isinstance(obj, dict):
         raise ValueError("representation description must be a JSON object")
-    if monoid is None:
-        ref = _require(obj, "monoid")
-        if isinstance(ref, str):
-            monoid = load_monoid(os.path.join(base_dir, ref), None)
-        else:
-            monoid = monoid_from_spec(ref)
     mode = obj.get("mode")
     if mode == "natural":
         return natural_representation(monoid)
@@ -229,9 +216,8 @@ def representation_from_spec(obj, monoid: Monoid | None = None,
     return Representation(monoid, mats)
 
 
-def load_representation(path, monoid: Monoid | None = None) -> Representation:
+def load_representation(path, monoid: Monoid) -> Representation:
     try:
-        return representation_from_spec(load_json(path), monoid,
-                                        base_dir=os.path.dirname(path) or ".")
+        return representation_from_spec(load_json(path), monoid)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

@@ -1,12 +1,12 @@
 """Exact dense linear algebra over the rationals.
 
 A matrix entry is a Python ``int`` when its value is an integer and a
-``fractions.Fraction`` only when it is not, so integral matrices multiply,
-add and transpose in integers alone.  Echelon reduction takes rational
-input but eliminates in Python integers (fraction-free, by
-cross-multiplication, over the nonzero columns of each pivot row) and
-divides only for its canonical reduced form, whose entries are canonical
-as a matrix's are.  No elimination runs modulo a prime.
+``fractions.Fraction`` only when it is not, so integral matrices multiply
+in integers alone.  Echelon reduction takes rational input but eliminates
+in Python integers (fraction-free, by cross-multiplication, over the
+nonzero columns of each pivot row) and divides only for its canonical
+reduced form, whose entries are canonical as a matrix's are.  No
+elimination runs modulo a prime.
 Univariate polynomials keep the same canonical form; a polynomial is
 false when it is zero, and ``str`` prints it as "t^2 - 2t + 1".  One Newton
 recurrence turns power sums p into the complete homogeneous symmetric
@@ -34,7 +34,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, compress, count
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 
 
 _INT = frozenset((int,))
@@ -90,10 +90,11 @@ class Matrix:
     ``int``, and only an entry that is not an integer is a ``Fraction``.
     The constructor is the one way to build a matrix: it normalises its
     input (ints, "p/q" strings and Fractions are accepted), and products,
-    sums, transposes, ``identity`` and ``zero`` pass their results through
-    it too.  An all-int input costs one scan of its entry types and is
-    coerced nowhere, so integral data never forms a ``Fraction``, while
-    rational data keeps exact ``Fraction`` arithmetic.  Equality and
+    ``identity`` and ``zero`` pass their results through it too.  An
+    all-int input costs one scan of its entry types and is coerced
+    nowhere, so integral data never forms a ``Fraction``, while rational
+    data keeps exact ``Fraction`` arithmetic.  A matrix multiplies only a
+    matrix: there is no scalar product, sum or transpose.  Equality and
     hashing do not depend on the form of an entry, since
     ``2 == Fraction(2)`` and both hash alike.
 
@@ -128,9 +129,6 @@ class Matrix:
     def __getitem__(self, i):
         return self.rows[i]
 
-    def __iter__(self):
-        return iter(self.rows)
-
     def __eq__(self, other):
         return (isinstance(other, Matrix)
                 and self.nrows == other.nrows and self.ncols == other.ncols
@@ -144,48 +142,19 @@ class Matrix:
                          for row in self.rows)
         return f"Matrix([{body}])" if self.ncols or self.nrows else "Matrix([])"
 
-    def __add__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("matrix shapes differ")
-        return Matrix([tuple(map(add, r1, r2)) for r1, r2 in zip(self.rows, other.rows)],
-                      self.ncols)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = _exact(c)
-        return Matrix([tuple(c * x for x in row) for row in self.rows], self.ncols)
-
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ValueError("inner dimensions differ")
-            cols = tuple(zip(*other.rows)) if other.rows else ((),) * other.ncols
-            return Matrix([tuple(sum(map(mul, row, col)) for col in cols)
-                           for row in self.rows], other.ncols)
-        return self.scale(other)
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def transpose(self):
-        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
-        return Matrix(rows, self.nrows)
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.ncols != other.nrows:
+            raise ValueError("inner dimensions differ")
+        cols = tuple(zip(*other.rows)) if other.rows else ((),) * other.ncols
+        return Matrix([tuple(sum(map(mul, row, col)) for col in cols)
+                       for row in self.rows], other.ncols)
 
     def trace(self):
         if not self.is_square:
             raise ValueError("trace needs a square matrix")
         return sum(row[i] for i, row in enumerate(self.rows))
-
-    def apply(self, vec):
-        """Matrix-vector product, returning a tuple."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length differs from column count")
-        return tuple(sum(map(mul, row, vec)) for row in self.rows)
 
 
 def _eliminate(v, row, cols, p):
@@ -347,8 +316,8 @@ class Polynomial:
     Coefficients are canonical, as ``Matrix`` entries are: an ``int``
     wherever the value is an integer and a ``Fraction`` only where it is
     not.  The constructor accepts ints, "p/q" strings and Fractions;
-    ``p[i]`` and ``p(x)`` answer in the same form, and division goes
-    through ``_div``, so integral polynomials compute in ints alone.
+    ``p[i]`` answers in the same form, and division goes through
+    ``_div``, so integral polynomials compute in ints alone.
     The zero polynomial has an empty coefficient tuple; otherwise the
     leading coefficient is nonzero.
     """
@@ -414,12 +383,6 @@ class Polynomial:
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial(tuple(self[i] + other[i] for i in range(n)))
 
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = _exact(other)
@@ -432,16 +395,6 @@ class Polynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return Polynomial(out)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __call__(self, x):
-        x = _exact(x)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return _exact(acc)
 
     def __divmod__(self, other):
         """(q, r) with self = q * other + r and deg r < deg other.  Each

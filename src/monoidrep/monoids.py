@@ -63,8 +63,7 @@ class Monoid:
     Instances are immutable in use; all queries are pure.
     """
 
-    def __init__(self, table, identity, labels=None,
-                 transformations=None, matrix_elements=None):
+    def __init__(self, table, identity, labels=None, transformations=None):
         table = tuple(_require_sequence(row, f"table row {a}")
                       for a, row in enumerate(table))
         n = len(table)
@@ -124,7 +123,6 @@ class Monoid:
         self.generators = gens
         self.labels = labels
         self.transformations = transformations
-        self.matrix_elements = matrix_elements
 
     @property
     def size(self):
@@ -296,8 +294,7 @@ def from_matrices(generators, cap=10000) -> Monoid:
         if not g.is_square or g.nrows != dim:
             raise ValueError("generators must be square matrices of one dimension")
     elements, table = _closure(Matrix.identity(dim), gens, Matrix.__mul__, cap)
-    return Monoid(table, 0, labels=[f"g{i}" for i in range(len(elements))],
-                  matrix_elements=tuple(elements))
+    return Monoid(table, 0, labels=[f"g{i}" for i in range(len(elements))])
 
 
 def nt_monoid(t) -> Monoid:

@@ -28,13 +28,13 @@ the full-width one) as a lower bound where that exact echelon is too
 slow; Green's relations come from the one-sided and two-sided
 ideals xM, Mx and MxM, each formed product by product.
 
-Last come helpers only tests use: the span of vectors as a
-``Subspace``, whether two subspaces are the same space, a matrix's
-inverse, a matrix monoid's defining representation, the regular
-representation, the monoid on a product-closed subset, the monomial
-basis of a symmetric power, the restriction of a representation to a
-local monoid eMe, monoid morphisms with the LI test, and the character
-kernel computed two ways.
+Last come helpers only tests use: a weighted sum of matrices, the span
+of vectors as a ``Subspace``, whether two subspaces are the same space,
+a matrix's inverse, a matrix monoid's defining representation, rebuilt
+from its generators, the regular representation, the monoid on a
+product-closed subset, the monomial basis of a symmetric power, the
+restriction of a representation to a local monoid eMe, monoid morphisms
+with the LI test, and the character kernel computed two ways.
 """
 
 import struct
@@ -589,10 +589,6 @@ def mat_add(a, b):
     return [[Fraction(x) + Fraction(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def transpose(a, ncols):
-    return [[Fraction(a[i][j]) for i in range(len(a))] for j in range(ncols)]
-
-
 def trace(a):
     return sum((Fraction(a[i][i]) for i in range(len(a))), Fraction(0))
 
@@ -745,6 +741,14 @@ def validate_pair_by_pair(rho):
     return rho
 
 
+def weighted_sum(mats, coeffs):
+    """sum_i coeffs[i] * mats[i] over ``Matrix`` values of one shape, entry
+    by entry, as a tuple of row tuples."""
+    return tuple(tuple(sum(c * x for c, x in zip(coeffs, entries))
+                       for entries in zip(*rows))
+                 for rows in zip(*(m.rows for m in mats)))
+
+
 def span_subspace(n, vectors):
     """The span of ``vectors`` in Q^n, as the kernel of the plain
     Gauss-Jordan null space of the vectors, cleared to integer rows."""
@@ -775,11 +779,15 @@ def inverse(a: Matrix) -> Matrix:
     return Matrix(tuple(row[n:] for row in ech.rows), ncols=n)
 
 
-def matrix_representation(m: Monoid) -> Representation:
-    """The defining representation of a matrix-closure monoid."""
-    if m.matrix_elements is None:
-        raise ValueError("monoid does not carry matrix data")
-    return Representation(m, m.matrix_elements, check=True)
+def matrix_representation(m: Monoid, generators) -> Representation:
+    """The defining representation of ``from_matrices(generators)``: the
+    closure of the generators found again by ``closure_all_pairs``, in
+    the same element order, whose table must be m's."""
+    gens = [Matrix(g) for g in generators]
+    elements, table = closure_all_pairs(Matrix.identity(gens[0].nrows), gens, Matrix.__mul__)
+    if table != m.table:
+        raise ValueError("the generators do not generate this monoid")
+    return Representation(m, elements, check=True)
 
 
 def regular_representation(m: Monoid) -> Representation:
@@ -845,7 +853,7 @@ def restrict_to_local(rho: Representation, e) -> Representation:
     members = local_monoid(m, e)  # validates idempotency
     local = submonoid(m, members, e)
     pe = rho.matrices[e]
-    ech = Echelon(rho.dim, pe.transpose().rows)
+    ech = Echelon(rho.dim, zip(*pe.rows))  # the columns of rho(e)
     basis = ech.rows
     pivots = list(ech.pivots)
     k = len(basis)
@@ -854,7 +862,7 @@ def restrict_to_local(rho: Representation, e) -> Representation:
         mx = rho.matrices[x]
         rows = [[0] * k for _ in range(k)]
         for j, b in enumerate(basis):
-            w = mx.apply(b)
+            w = tuple(sum(u * v for u, v in zip(row, b)) for row in mx.rows)
             # basis is in RREF, so coordinates are read off pivot columns
             coords = [w[p] for p in pivots]
             if any(ech.reduce(w)):

@@ -40,7 +40,14 @@ from monoidrep.representations import (
 )
 from monoidrep.linalg import charpoly, charpoly_from_power_traces, power_traces
 
-from oracles import character_kernel, inverse, restrict_to_local, same_space, span_subspace
+from oracles import (
+    character_kernel,
+    inverse,
+    restrict_to_local,
+    same_space,
+    span_subspace,
+    weighted_sum,
+)
 
 F = Fraction
 
@@ -205,10 +212,7 @@ def test_criterion_9_positive_powers_miss_trivial_module():
         holds, witness = all_simples_appear(rho)
         assert not holds and witness is not None
         # the witness annihilates the module
-        total = Matrix.zero(2, 2)
-        for x, c in enumerate(witness):
-            total = total + rho.matrices[x].scale(c)
-        assert total == Matrix.zero(2, 2)
+        assert Matrix(weighted_sum(rho.matrices, witness)) == Matrix.zero(2, 2)
         ann = annihilator_basis(rho)
         assert ann.contains(witness)
         # and lies outside the radical, touching an idempotent

@@ -51,6 +51,7 @@ from oracles import (
     same_space,
     span_subspace,
     sym_power_direct,
+    weighted_sum,
 )
 
 F = Fraction
@@ -88,7 +89,7 @@ def test_left_regular_is_linear():
         a = tuple(F(rng.randint(-3, 3)) for _ in range(4))
         b = tuple(F(rng.randint(-3, 3)) for _ in range(4))
         lab = regular(m, tuple(x + y for x, y in zip(a, b)))
-        assert lab == regular(m, a) + regular(m, b)
+        assert lab == Matrix(weighted_sum([regular(m, a), regular(m, b)], (1, 1)))
 
 
 def test_left_regular_multiplicative():
@@ -295,10 +296,7 @@ def test_positive_powers_miss_the_trivial_module():
     assert not ok
     n = rho.monoid.size
     # the witness annihilates the module ...
-    total = Matrix.zero(rho.dim, rho.dim)
-    for x, c in enumerate(witness):
-        total = total + rho.matrices[x].scale(c)
-    assert total == Matrix.zero(rho.dim, rho.dim)
+    assert Matrix(weighted_sum(rho.matrices, witness)) == Matrix.zero(rho.dim, rho.dim)
     # ... but is not in the radical, and touches an idempotent
     assert not radical_basis(rho.monoid).contains(witness)
     assert any(witness[e] for e in idempotents(rho.monoid))

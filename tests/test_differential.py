@@ -30,8 +30,8 @@ keep every degree's dimension.
 
 A third, seeded corpus of random square matrices whose entries mix ints,
 non-integral ``Fraction``s, "p/q" strings and integers in ``Fraction``
-or string form checks ``Matrix`` products, sums, traces, ``apply`` and
-transposes against plain ``Fraction`` lists, inverses against the plain
+or string form checks ``Matrix`` products and traces against plain
+``Fraction`` lists, inverses against the plain
 Gauss-Jordan form of [A | I] (with singular draws added), and that every
 result holds canonical entries (an int exactly where the value is an
 integer).  The same corpus, every element matrix of the first and
@@ -196,8 +196,6 @@ from oracles import (
     inverse,
     is_associative,
     is_homomorphism,
-    mat_add,
-    mat_vec,
     matmul,
     matrix_representation,
     null_space,
@@ -212,7 +210,6 @@ from oracles import (
     sym_power_entries,
     tensor_chain_steps,
     trace,
-    transpose,
     units_two_sided,
     validate_pair_by_pair,
 )
@@ -238,7 +235,7 @@ def _random_01_matrices(rng):
         except ValueError:  # infinite or too large a closure: draw again
             continue
         if m.size >= 4:  # smaller ones add nothing the other families lack
-            return gens, matrix_representation(m)
+            return gens, matrix_representation(m, gens)
 
 
 def _conjugate(rng, rho):
@@ -589,7 +586,8 @@ def test_sym_power_matches_direct_expansion(name):
 
 # a projection whose middle column is 0, so every power's monomials in x_1 are
 # zero columns, beside nonzero ones
-ZERO_COLUMN = matrix_representation(from_matrices([[[1, 0, 2], [0, 0, 0], [0, 0, 0]]]))
+ZERO_COLUMN_GENS = [[[1, 0, 2], [0, 0, 0], [0, 0, 0]]]
+ZERO_COLUMN = matrix_representation(from_matrices(ZERO_COLUMN_GENS), ZERO_COLUMN_GENS)
 SPARSE_INPUTS = {**CORPUS, "regular-n6": regular_representation(nt_monoid(6)),
                  "zero-column": ZERO_COLUMN}
 
@@ -658,7 +656,6 @@ def _as_lists(mat):
 
 
 def test_matrix_arithmetic_matches_fraction_oracle():
-    rng = random.Random(MATRIX_SEED + 1)
     by_size = {}
     for rows, a in MATRICES:
         by_size.setdefault(a.nrows, []).append((rows, a))
@@ -666,22 +663,12 @@ def test_matrix_arithmetic_matches_fraction_oracle():
         for rows, a in group:
             assert _is_canonical(a)
             assert _as_lists(a) == [[Fraction(x) for x in row] for row in rows]
-            assert a.transpose() == Matrix(transpose(rows, n), ncols=n)
-            assert _is_canonical(a.transpose())
             assert a.trace() == trace(rows)
-            v = [_random_entry(rng, integral=False) for _ in range(n)]
-            assert list(a.apply([Fraction(x) for x in v])) == mat_vec(rows, v)
-            c = _random_entry(rng, integral=False)
-            scaled = a.scale(c)
-            assert _is_canonical(scaled)
-            assert _as_lists(scaled) == [[Fraction(c) * Fraction(x) for x in row]
-                                         for row in rows]
             for other_rows, b in group:
-                for result, expected in ((a * b, matmul(rows, other_rows, n)),
-                                         (a + b, mat_add(rows, other_rows))):
-                    assert _is_canonical(result)
-                    assert _as_lists(result) == expected
-                    assert result.nrows == result.ncols == n
+                product = a * b
+                assert _is_canonical(product)
+                assert _as_lists(product) == matmul(rows, other_rows, n)
+                assert product.nrows == product.ncols == n
 
 
 def test_integral_matrices_multiply_in_ints():
@@ -738,7 +725,7 @@ def test_matrix_equality_and_hash_across_forms():
     half = Matrix([["1/2", 0], [0, "3/2"]])
     double = Matrix([[4, 0], [0, "2/3"]])
     assert half * double == Matrix([[2, 0], [0, 1]])
-    assert hash(half * double) == hash(Matrix.identity(2) + Matrix([[1, 0], [0, 0]]))
+    assert hash(half * double) == hash(Matrix([["4/2", 0], [0, Fraction(1)]]))
     assert all(type(x) is int for row in half * double for x in row)
     for rows, a in MATRICES:
         as_fractions = Matrix([[Fraction(x) for x in row] for row in rows], ncols=a.ncols)
@@ -1226,7 +1213,7 @@ def _validator_corpus():
     for i in range(3):
         gens, rho = _random_01_matrices(rng)
         m = rho.monoid
-        seeded[f"matrices-{i}"] = (m, [m.matrix_elements.index(Matrix(g)) for g in gens])
+        seeded[f"matrices-{i}"] = (m, [rho.matrices.index(Matrix(g)) for g in gens])
         raw[f"cayley-matrices-{i}"] = _relabelled(rng, m)
     for t in (1, 2, 5, 8):
         raw[f"nt-{t}"] = nt_monoid(t)

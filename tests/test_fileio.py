@@ -15,6 +15,8 @@ from monoidrep.linalg import Matrix
 from monoidrep.monoids import nt_monoid
 from monoidrep.representations import character, natural_representation
 
+from oracles import matrix_representation
+
 
 def write(tmp_path, name, obj):
     p = tmp_path / name
@@ -67,10 +69,10 @@ def test_nt_spec():
 
 
 def test_matrices_spec():
-    m = monoid_from_spec({"type": "matrices", "dim": 2, "cap": 10000,
-                          "generators": [[["0", "1"], ["1", "0"]]]})
+    gens = [[["0", "1"], ["1", "0"]]]
+    m = monoid_from_spec({"type": "matrices", "dim": 2, "cap": 10000, "generators": gens})
     assert m.size == 2 and m.labels == ("g0", "g1")
-    assert m.matrix_elements[1] == Matrix([[0, 1], [1, 0]])
+    assert matrix_representation(m, gens).matrices[1] == Matrix([[0, 1], [1, 0]])
 
 
 def test_matrices_spec_cap_counts_every_element():
@@ -161,28 +163,6 @@ def test_explicit_matrices_errors():
     with pytest.raises(ValueError, match="not 2x2"):
         representation_from_spec(
             {"dim": 2, "matrices": {"0": [["0"]], "1": [["1"]], "2": [["0"]]}}, m)
-
-
-def test_embedded_monoid_reference(tmp_path):
-    write(tmp_path, "n3.json", {"type": "nt", "t": 3})
-    rp = write(tmp_path, "rep.json", {"monoid": "n3.json", "mode": "nt-paper"})
-    rho = load_representation(rp)
-    assert rho.monoid.size == 4
-
-
-def test_truncated_embedded_monoid_named_once(tmp_path):
-    (tmp_path / "n3.json").write_text('{"type": "nt", "t": ', encoding="utf-8")
-    rp = write(tmp_path, "rep.json", {"monoid": "n3.json", "mode": "nt-paper"})
-    with pytest.raises(ValueError) as info:
-        load_representation(rp)
-    n3 = str(tmp_path / "n3.json")
-    assert str(info.value) == f"{rp}: {n3}: invalid JSON at line 1, column 21"
-
-
-def test_inline_monoid_object():
-    spec = {"monoid": {"type": "nt", "t": 2}, "mode": "nt-paper"}
-    rho = representation_from_spec(spec)
-    assert rho.monoid.size == 3
 
 
 def test_mode_unknown():

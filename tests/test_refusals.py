@@ -1,8 +1,10 @@
 """Refusals that no other test reaches: each malformed call raises its
-exception type with its message, and `mbt`'s documented exit 1 for a
-broken internal invariant."""
+exception type with its message, each operator that a matrix or a
+polynomial does not have raises ``TypeError``, `mbt`'s documented exit 1
+for a broken internal invariant, and a representation file's "monoid"
+key, which `mbt` ignores."""
 
-from fractions import Fraction
+import json
 
 import pytest
 
@@ -27,12 +29,13 @@ from monoidrep.representations import (
 )
 
 from oracles import submonoid
-from test_golden import CASES, INPUTS
+from test_golden import CASES, GOLDEN, INPUTS
 
 N3 = nt_monoid(3)
 Z3 = Monoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)  # not an N_t
 N3_PAPER = nt_paper_representation(3)
 ROW = Matrix([[1, 2]])
+P = Polynomial((1, 1))
 
 # (call, exception type, message pattern)
 REFUSALS = {
@@ -69,11 +72,8 @@ REFUSALS = {
                           r"cannot interpret 0\.5 as an exact rational"),
     "ragged-matrix": (lambda: Matrix([[1, 2], [3]]), ValueError,
                       "matrix rows have unequal lengths"),
-    "sum-of-two-shapes": (lambda: Matrix([[1]]) + ROW, ValueError, "matrix shapes differ"),
     "product-of-two-rows": (lambda: ROW * ROW, ValueError, "inner dimensions differ"),
     "trace-of-a-row": (lambda: ROW.trace(), ValueError, "trace needs a square matrix"),
-    "apply-to-short-vector": (lambda: ROW.apply((Fraction(1),)), ValueError,
-                              "vector length differs from column count"),
     "division-by-zero-polynomial": (lambda: divmod(Polynomial((1,)), Polynomial(())),
                                     ZeroDivisionError, "polynomial division by zero"),
     "power-traces-of-a-row": (lambda: power_traces(ROW, 1), ValueError,
@@ -84,6 +84,23 @@ REFUSALS = {
                            "need 2 power sums, got 1"),
     "unknown-power-mode": (lambda: minimal_faithful_power(N3_PAPER, "bogus"), ValueError,
                            "unknown power mode 'bogus'"),
+    # a matrix multiplies only a matrix, and a polynomial is no function
+    "sum-of-two-matrices": (lambda: ROW + ROW, TypeError,
+                            r"unsupported operand type\(s\) for \+: 'Matrix' and 'Matrix'"),
+    "difference-of-two-matrices": (lambda: ROW - ROW, TypeError,
+                                   r"unsupported operand type\(s\) for -: 'Matrix' and 'Matrix'"),
+    "negated-matrix": (lambda: -ROW, TypeError, "bad operand type for unary -: 'Matrix'"),
+    "matrix-times-scalar": (lambda: ROW * 2, TypeError,
+                            r"unsupported operand type\(s\) for \*: 'Matrix' and 'int'"),
+    "scalar-times-matrix": (lambda: 2 * ROW, TypeError,
+                            r"unsupported operand type\(s\) for \*: 'int' and 'Matrix'"),
+    "difference-of-two-polynomials": (
+        lambda: P - P, TypeError,
+        r"unsupported operand type\(s\) for -: 'Polynomial' and 'Polynomial'"),
+    "negated-polynomial": (lambda: -P, TypeError, "bad operand type for unary -: 'Polynomial'"),
+    "scalar-times-polynomial": (lambda: 2 * P, TypeError,
+                                r"unsupported operand type\(s\) for \*: 'int' and 'Polynomial'"),
+    "polynomial-evaluated": (lambda: P(1), TypeError, "'Polynomial' object is not callable"),
 }
 
 
@@ -111,3 +128,15 @@ def test_molien_cross_check_failure_exits_1(monkeypatch, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("internal invariant violated: series coefficient 2 disagrees")
     assert err.count("\n") == 1
+
+
+def test_representation_file_monoid_key_is_ignored(tmp_path, capsys):
+    """`mbt` reads a representation file against the monoid file it is
+    given: a "monoid" key in it, here naming a file that does not exist,
+    is ignored, and the output is that of the plain file."""
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({"mode": "natural", "monoid": "missing.json"}), encoding="utf-8")
+    code = main(["verify", str(INPUTS / "t3.json"), str(rep)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out == (GOLDEN / "verify-t3-default.txt").read_text(encoding="utf-8")

@@ -448,8 +448,7 @@ def test_integral_representations_never_form_a_fraction(name, monkeypatch):
     monkeypatch.setattr(linalg.Echelon, "insert", insert)
     assert inserted and all(type(x) is int for row in inserted for x in row)
     a, b = rho.matrices[-1], rho.matrices[-2]
-    assert all(_ints(m) for m in (a * b, a + b, a - b, a.transpose(), a.scale(3)))
-    assert type(a.trace()) is int and all(type(x) is int for x in a.apply([1] * a.ncols))
+    assert _ints(a * b) and type(a.trace()) is int
     assert set(coerced) <= {int}
 
     coefficients = []
