@@ -34,7 +34,7 @@ _MODULES = {
         "Representation", "character", "direct_sum", "distinct_character_values",
         "distinct_charpolys", "is_faithful", "natural_representation",
         "nt_paper_representation", "sym_power", "sym_power_characters",
-        "sym_power_dim", "tensor_power", "trivial_representation",
+        "sym_power_dim", "tensor_power",
     ),
     "algebra": (
         "Subspace", "VerificationReport", "all_simples_appear",

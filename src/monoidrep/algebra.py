@@ -194,8 +194,7 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
     the 0/1 rows x -> [r*x*l = e], r in R_e, l in L_e (see the module
     docstring).  Row (g*r, l*g^-1) is row (r, l) for g in the group G_e
     = R_e & L_e, so the least l of each H-class l*G_e of L_e gives them
-    all, at most |M| rows.  Up to 256 elements a row is row r of the
-    table read through [y*l = e] by one ``bytes.translate``.
+    all, at most |M| rows: row r of the table read through [y*l = e].
 
     The rows of distinct classes span independent spaces: those of the
     simples with apex e, whose coefficient spaces form a direct sum, as
@@ -209,15 +208,13 @@ def radical_basis(m: Monoid, force=False) -> Subspace:
     n = m.size
     if not force:
         size_guard(n)
-    table, pad = m.table, bytes(max(256 - n, 0))
-    rows = []
+    table, rows = m.table, []
     for e, r_e, l_e in j_classes(m):
         group, green, ech = set(r_e).intersection(l_e), [], Echelon(n)
         for l in l_e:
             if l == min(map(table[l].__getitem__, group)):  # the least of l*G_e
-                hit = bytes([row[l] == e for row in table]) + pad  # y -> [y*l = e]
-                green += [bytes(table[r]).translate(hit) if n <= 256
-                          else bytes(map(hit.__getitem__, table[r])) for r in r_e]
+                hit = bytes([row[l] == e for row in table])  # y -> [y*l = e]
+                green += [bytes(map(hit.__getitem__, table[r])) for r in r_e]
         rows += [row for row in dict.fromkeys(green) if ech.insert(row)]
     return Subspace(n, rows, n - len(rows))
 

@@ -5,8 +5,7 @@ Monoid files carry a "type" discriminator:
     {"type": "cayley", "identity": 0, "table": [[0,1],[1,0]]}
     {"type": "transformations", "degree": 3, "generators": [[2,3,1],[2,1,3]]}
     {"type": "nt", "t": 5}
-    {"type": "matrices", "dim": 2, "cap": 10000,
-     "generators": [[["0","1"],["1","0"]]]}
+    {"type": "matrices", "dim": 2, "generators": [[["0","1"],["1","0"]]]}
 
 Transformation generators use 1-based images.  Rational numbers are
 strings "p/q" or "p" everywhere; matrices are row-major arrays of such
@@ -20,8 +19,9 @@ element label:
     {"dim": 2, "matrices": {"1": [["1","0"],["0","1"]], ...}}
 
 A representation is read against the monoid its caller has already
-loaded; a "monoid" key in the file is ignored.  Every file is read as
-UTF-8, as RFC 8259 requires, whatever the locale.
+loaded.  A key not shown here is ignored, as are a representation
+file's "monoid" and a matrices spec's "cap", which older files carry.
+Every file is read as UTF-8, as RFC 8259 requires, whatever the locale.
 
 ``monoid_from_spec`` is the one place that refuses a monoid spec by
 size, before any table is built, against the guard its caller names:
@@ -79,15 +79,23 @@ def parse_matrix(rows) -> Matrix:
     return Matrix([[parse_rational(x) for x in row] for row in rows])
 
 
-def _require(obj, field, kind=None):
-    if field not in obj:
-        raise ValueError(f"missing field {field!r}")
-    v = obj[field]
+_KINDS = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
+_REQUIRED = object()
+
+
+def _require(obj, field, kind, default=_REQUIRED):
+    """obj[field], of type ``kind``; an absent or null field is
+    ``default``, or refused if none is given."""
+    v = obj.get(field)
+    if v is None:
+        if default is _REQUIRED:
+            raise ValueError(f"missing field {field!r}")
+        return default
     # bool is a subclass of int, but JSON true/false are not numbers
-    if kind is int and isinstance(v, bool):
-        raise ValueError(f"field {field!r} must be an integer, not {json.dumps(v)}")
-    if kind is not None and not isinstance(v, kind):
-        raise ValueError(f"field {field!r} has the wrong type")
+    if not isinstance(v, kind) or (kind is int and isinstance(v, bool)):
+        # repr: a caller from Python may pass a value JSON has no form for
+        raise ValueError(f"field {field!r} must be {_KINDS[kind]}, "
+                         f"not {json.dumps(v, default=repr)}")
     return v
 
 
@@ -101,8 +109,9 @@ def monoid_from_spec(obj, guard=None) -> Monoid:
     is held to it by its t + 1 elements and t generators, and a
     ``cayley`` spec by its table's length, as elements and generators
     both; a closure type stops its element search past the guard's
-    count, as a ``matrices`` spec's own cap does, and is refused with n
-    None, since the closure knows only that there are more."""
+    count and is refused with n None, since the closure knows only that
+    there are more.  Without a guard a ``matrices`` closure stops past
+    ``from_matrices``' default cap."""
     if not isinstance(obj, dict):
         raise ValueError("monoid description must be a JSON object")
     kind = _require(obj, "type", str)
@@ -111,10 +120,7 @@ def monoid_from_spec(obj, guard=None) -> Monoid:
         if guard:
             guard(len(table), len(table))
         identity = _require(obj, "identity", int)
-        labels = obj.get("labels")
-        if labels is not None and not isinstance(labels, list):
-            raise ValueError(f"field 'labels' must be an array, not {json.dumps(labels)}")
-        return Monoid(table, identity, labels=labels)
+        return Monoid(table, identity, labels=_require(obj, "labels", list, None))
     if kind == "nt":
         t = _require(obj, "t", int)
         if guard:
@@ -128,17 +134,12 @@ def monoid_from_spec(obj, guard=None) -> Monoid:
             return from_transformations(degree, gens, cap)
     elif kind == "matrices":
         gens = [parse_matrix(g) for g in _require(obj, "generators", list)]
-        dim = obj.get("dim")
-        if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool)):
-            raise ValueError("field 'dim' has the wrong type")
+        dim = _require(obj, "dim", int, None)
         if dim is not None and any(g.nrows != dim for g in gens):
             raise ValueError(f"a generator does not match the declared dim {dim}")
-        own = obj.get("cap", 10000)
-        if not isinstance(own, int) or isinstance(own, bool) or own < 1:
-            raise ValueError(f"field 'cap' must be a positive integer, not {own!r}")
 
         def closure(cap):
-            return from_matrices(gens, cap=own if cap is None else min(own, cap))
+            return from_matrices(gens) if cap is None else from_matrices(gens, cap)
     else:
         raise ValueError(f"unknown monoid type {kind!r}")
     cap = guard(0, len(gens)) if guard else None
@@ -175,6 +176,8 @@ def load_json(path):
             return json.load(f)
     except json.JSONDecodeError as e:
         raise ValueError(f"invalid JSON at line {e.lineno}, column {e.colno}") from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read") from None
 
 
 def load_monoid(path, guard) -> Monoid:

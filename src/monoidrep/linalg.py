@@ -339,6 +339,9 @@ class Polynomial:
     def __getitem__(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
+    # p[i] answers past the degree, so iterating would never end
+    __iter__ = None
+
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 

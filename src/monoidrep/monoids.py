@@ -141,9 +141,6 @@ class Monoid:
         return (isinstance(other, Monoid) and self.table == other.table
                 and self.identity == other.identity)
 
-    def __hash__(self):
-        return hash((self.table, self.identity))
-
 
 def _generating_set(table, identity):
     """Indices A whose left-normed products reach every element.

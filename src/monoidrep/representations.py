@@ -177,12 +177,6 @@ def nt_paper_representation(t, monoid=None) -> Representation:
     return Representation(nt_monoid(t) if monoid is None else monoid, mats, check=True)
 
 
-def trivial_representation(m: Monoid) -> Representation:
-    """Every element acting as [[1]] on a one-dimensional space."""
-    one = Matrix.identity(1)
-    return Representation(m, (one,) * m.size, check=False)
-
-
 def is_faithful(rho: Representation):
     """Whether distinct elements get distinct matrices.
 
@@ -230,24 +224,22 @@ def distinct_charpolys(rho: Representation):
 
 
 def tensor_power(rho: Representation, i) -> Representation:
-    """The i-fold Kronecker power; i = 0 is the trivial representation."""
+    """The i-fold Kronecker power; i = 0 is the trivial representation,
+    every element acting as [[1]] on a one-dimensional space."""
     if i < 0:
         raise ValueError("tensor power exponent must be nonnegative")
-    if i == 0:
-        return trivial_representation(rho.monoid)
-    mats = list(rho.matrices)
-    for _ in range(i - 1):
+    mats = [Matrix.identity(1)] * rho.monoid.size
+    for _ in range(i):
         mats = [kron(a, b) for a, b in zip(mats, rho.matrices)]
     return Representation(rho.monoid, mats, check=False)
 
 
-def direct_sum(rhos, monoid=None) -> Representation:
-    """Block-diagonal sum of representations of one monoid."""
+def direct_sum(rhos) -> Representation:
+    """Block-diagonal sum of a nonempty list of representations of one
+    monoid."""
     rhos = list(rhos)
     if not rhos:
-        if monoid is None:
-            raise ValueError("an empty direct sum needs an explicit monoid")
-        return Representation(monoid, (Matrix((), ncols=0),) * monoid.size, check=False)
+        raise ValueError("a direct sum needs at least one representation")
     base = rhos[0].monoid
     for r in rhos[1:]:
         if r.monoid != base:

@@ -613,6 +613,12 @@ def is_homomorphism(monoid, mats):
                for x in range(n) for y in range(n))
 
 
+def zero_representation(m: Monoid):
+    """The representation of m on the zero space: every element acting
+    as the 0x0 matrix."""
+    return Representation(m, [Matrix.identity(0)] * m.size)
+
+
 def sym_power_direct(rho, d):
     """Degree-d symmetric power, every column expanded from scratch.
 

@@ -41,7 +41,6 @@ from monoidrep.representations import (
     sym_power,
     sym_power_dim,
     tensor_power,
-    trivial_representation,
 )
 
 from oracles import (
@@ -325,7 +324,7 @@ def test_tensor_theorem_t3(t3_natural):
 
 
 def test_tensor_theorem_rejects_unfaithful():
-    rho = trivial_representation(nt_monoid(2))
+    rho = tensor_power(nt_paper_representation(2), 0)
     with pytest.raises(ValueError, match="not faithful"):
         verify_tensor_theorem(rho)
 
@@ -658,8 +657,7 @@ def test_symmetric_chain_matches_explicit_annihilators(corpus):
         rho = corpus[name]
         chain = dict(islice(symmetric_annihilator_chain(rho), 4))
         for k in range(4):
-            w = direct_sum([sym_power_direct(rho, d) for d in range(k + 1)],
-                           monoid=rho.monoid)
+            w = direct_sum([sym_power_direct(rho, d) for d in range(k + 1)])
             assert same_space(chain[k], annihilator_basis(w))
 
 

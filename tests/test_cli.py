@@ -26,7 +26,7 @@ from monoidrep.representations import (
 
 from conftest import T3_GENERATORS
 from oracles import regular_representation, span_subspace
-from test_golden import CASES, GOLDEN, refusing_forks, run_case
+from test_golden import refusing_forks
 
 
 def write(tmp_path, name, obj):
@@ -104,8 +104,19 @@ def test_info_truncated_file_named_once(tmp_path, capsys, truncated):
     assert err == f"error: {paths[truncated]}: invalid JSON at line 1, column 10\n"
 
 
-@pytest.mark.parametrize("field, value", [("cap", "x"), ("cap", 0), ("cap", 2.5),
-                                          ("cap", True), ("dim", "x"), ("dim", 2.0)])
+@pytest.mark.parametrize("kind", ["monoid", "representation"])
+def test_deeply_nested_file_exit_two(files, tmp_path, capsys, kind):
+    """JSON nested past the parser's recursion limit is a bad input file,
+    named in one error line, not a broken invariant (exit 1)."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+    argv = ["info", str(deep)] if kind == "monoid" else ["verify", files["t3"], str(deep)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {deep}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, value", [("dim", "x"), ("dim", 2.0)])
 def test_info_bad_matrices_field_exit_two(tmp_path, capsys, field, value):
     spec = {"type": "matrices", "generators": [[["1", "1"], ["0", "1"]]], field: value}
     code, out, err = run(capsys, ["info", write(tmp_path, "m.json", spec)])
@@ -126,6 +137,8 @@ BOOLEAN_INPUTS = {
                             None, "bad rational true: a boolean is not a number"),
     "dim": (N1, {"dim": True, "matrices": {"0": [["0"]], "1": [["1"]]}},
             "field 'dim' must be an integer, not true"),
+    "monoid-dim": ({"type": "matrices", "dim": True, "generators": [[["1"]]]},
+                   None, "field 'dim' must be an integer, not true"),
     "matrix-entry": (N1, {"dim": 1, "matrices": {"0": [[False]], "1": [["1"]]}},
                      "bad rational false: a boolean is not a number"),
     "cayley-entry": ({"type": "cayley", "identity": 0, "table": [[0, True], [True, 0]]},
@@ -185,7 +198,7 @@ SWEEP_MONOIDS = {
     "cayley": {"type": "cayley", "identity": 0, "table": [[0, 1], [1, 0]]},
     "transformations": {"type": "transformations", "degree": 2, "generators": [[2, 1]]},
     "nt": {"type": "nt", "t": 2},
-    "matrices": {"type": "matrices", "dim": 1, "cap": 10, "generators": [[["-1"]]]},
+    "matrices": {"type": "matrices", "dim": 1, "generators": [[["-1"]]]},
 }
 
 
@@ -419,24 +432,19 @@ def test_verify_refuses_a_closure_type_past_the_guard_before_any_table(
     assert (code, out, err) == (2, "", GUARD_REFUSAL.format(t5, "more than 300"))
 
 
-def test_matrices_spec_is_refused_by_the_lesser_of_its_cap_and_the_guard(
-        tmp_path, capsys, monkeypatch):
+def test_matrices_spec_is_refused_by_the_guard(tmp_path, capsys, monkeypatch):
     """A 7-cycle's permutation matrix generates 7 matrices: past a guard of
-    5 it is refused by the guard, and a spec cap below the guard keeps its
-    own error, as in a forced or library load."""
+    5 it is refused by the guard, also where the file carries an old
+    "cap" below the guard, which is ignored."""
     monkeypatch.setattr(algebra, "SIZE_GUARD", 5)
     refusing_builds(monkeypatch)
     cycle = [["1" if i == (j + 1) % 7 else "0" for j in range(7)] for i in range(7)]
     rep = write(tmp_path, "natural.json", {"mode": "natural"})
     spec = {"type": "matrices", "generators": [cycle]}
-    c7 = write(tmp_path, "c7.json", spec)
-    code, out, err = run(capsys, ["verify", c7, rep])
-    assert (code, out, err) == (2, "", GUARD_REFUSAL.format(c7, "more than 5"))
-    capped = write(tmp_path, "c7-cap3.json", dict(spec, cap=3))
-    for force in ([], ["--force"]):
-        code, out, err = run(capsys, ["verify", capped, rep, *force])
-        assert (code, out, err) == (
-            2, "", f"error: {capped}: cap exceeded: more than 3 distinct elements\n")
+    for name, obj in ("c7.json", spec), ("c7-cap3.json", dict(spec, cap=3)):
+        c7 = write(tmp_path, name, obj)
+        code, out, err = run(capsys, ["verify", c7, rep])
+        assert (code, out, err) == (2, "", GUARD_REFUSAL.format(c7, "more than 5"))
 
 
 def test_verify_refuses_a_cayley_table_by_its_length(tmp_path, capsys, monkeypatch):
@@ -734,24 +742,6 @@ def test_scan_nt_cap_below_bound_probes_to_bound(capsys, mode, expected):
 
 # --- scan-nt and verify in one process ---------------------------------------------
 
-SCAN_CASES = sorted(name for name in CASES if name.startswith("scan-nt"))
-VERIFY_CASES = sorted(name for name in CASES if name.startswith("verify-"))
-
-
-def golden(name):
-    return CASES[name][1], (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("name", SCAN_CASES)
-def test_scan_nt_golden_serial_and_split(name, monkeypatch, capsys):
-    """Every golden scan prints its golden stdout with its exit code, and
-    nothing on stderr, from this process alone.  The name is from when a
-    forked child computed every other row."""
-    refusing_forks(monkeypatch)
-    assert run_case(name) == golden(name)
-    assert capsys.readouterr().err == ""
-
-
 @pytest.mark.parametrize("failing", [{5}, {4}, {4, 5}, {3, 6}, {7}])
 def test_scan_nt_error_in_either_share_is_the_serial_error(failing, monkeypatch, capsys):
     """Rows are computed in order, so a row that raises gives the first
@@ -789,19 +779,6 @@ def test_scan_nt_interrupt_leaves_no_child(t_stop, monkeypatch, capsys):
     with pytest.raises(KeyboardInterrupt):
         main(["scan-nt", "--from", "2", "--to", "7"])
     assert capsys.readouterr().out == ""
-
-
-@pytest.mark.parametrize("name", VERIFY_CASES)
-def test_verify_golden_forked_and_in_one_process(name, monkeypatch, capsys):
-    """Every golden verify, the zero-radical ``*-corrupt*`` ones with
-    their exit-1 witnesses among them, prints its golden stdout with its
-    exit code from this process alone, and on stderr at most the warning
-    that ``--powers-cap`` is ignored.  The name is from when two free
-    CPUs forked a child for the radical."""
-    refusing_forks(monkeypatch)
-    assert run_case(name) == golden(name)
-    warning = "warning: --powers-cap is ignored; no bound is capped\n"
-    assert capsys.readouterr().err == (warning if "--powers-cap" in CASES[name][0] else "")
 
 
 def test_verify_size_guard_refuses_before_any_fork_or_chain_step(files, capsys, monkeypatch):

@@ -212,6 +212,7 @@ from oracles import (
     trace,
     units_two_sided,
     validate_pair_by_pair,
+    zero_representation,
 )
 
 SEED = 7632
@@ -981,7 +982,7 @@ def _charpoly_inputs():
         out[f"sym-square-{name}"] = sym_power(rho, 2)
     out.update((f"golden-{name}", rho) for name, rho in GOLDEN_REPRESENTATIONS.items()
                if name != "m128")
-    out["dim-0"] = direct_sum([], monoid=CORPUS["transformations-0"].monoid)
+    out["dim-0"] = zero_representation(CORPUS["transformations-0"].monoid)
     return out
 
 

@@ -7,7 +7,7 @@ cover every subcommand, text and ``--json``, and the witness output of a
 failed check: a case named ``*-corrupt*`` runs with ``algebra.radical_basis``
 returning the zero subspace, so any change to stdout shows.
 The golden test runs every case with ``os.fork`` refused, so no `mbt`
-command forks.
+command forks, and checks that none writes to stderr.
 
 Regenerate after a deliberate output change with
 
@@ -59,21 +59,18 @@ CASES = {
     "info-t3-conjugate": (["info", *T3_CONJ], 0),
     "info-t3-conjugate-json": (["info", *T3_CONJ, "--json"], 0),
     "info-n7-conjugate": (["info", *N7_CONJ], 0),
-    "verify-t3": (["verify", *T3, "--which", "all", "--powers-cap", "20"], 0),
+    "verify-t3": (["verify", *T3, "--which", "all"], 0),
     # the default flags walk every bound; same stdout as verify-t3
     "verify-t3-default": (["verify", *T3], 0),
-    "verify-t3-json": (["verify", *T3, "--which", "all", "--powers-cap", "20",
-                        "--json"], 0),
+    "verify-t3-json": (["verify", *T3, "--which", "all", "--json"], 0),
     # symmetric degrees up to 7 at dimension 4
     "verify-t4": (["verify", *T4, "--which", "all"], 0),
     "verify-m128-steinberg": (["verify", *M128, "--which", "steinberg"], 0),
     "verify-m128-steinberg-json": (["verify", *M128, "--which", "steinberg",
                                     "--json"], 0),
-    "verify-t3-conjugate": (["verify", *T3_CONJ, "--which", "all",
-                             "--powers-cap", "20"], 0),
+    "verify-t3-conjugate": (["verify", *T3_CONJ, "--which", "all"], 0),
     # with the zero radical: Ann = 0 at every bound, so even that holds
-    "verify-t3-conjugate-corrupt": (["verify", *T3_CONJ, "--which", "all",
-                                     "--powers-cap", "20"], 0),
+    "verify-t3-conjugate-corrupt": (["verify", *T3_CONJ, "--which", "all"], 0),
     "verify-n7-conjugate-corrupt": (["verify", *N7_CONJ, "--which", "all"], 1),
     "verify-n7-corrupt": (["verify", *N7, "--which", "all"], 1),
     "verify-n7-corrupt-json": (["verify", *N7, "--which", "all", "--json"], 1),
@@ -153,13 +150,16 @@ def run_case(name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, monkeypatch):
-    """Every case prints its golden stdout with its exit code from this
-    process alone: no `mbt` command forks."""
+def test_golden_output(name, monkeypatch, capsys):
+    """Every case, the zero-radical ``*-corrupt*`` ones with their exit-1
+    witnesses among them, prints its golden stdout with its exit code
+    from this process alone, and nothing on stderr: no `mbt` command
+    forks."""
     refusing_forks(monkeypatch)
     code, out = run_case(name)
     assert code == CASES[name][1]
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().err == ""
 
 
 EXPLICIT_POWERS = ("direct_sum", "tensor_power", "kron", "sym_power")

@@ -78,7 +78,7 @@ def test_scan_nt_imports_no_json():
 
 
 def test_every_export_is_its_submodules_object():
-    assert len(monoidrep.__all__) == len(set(monoidrep.__all__)) == 54
+    assert len(monoidrep.__all__) == len(set(monoidrep.__all__)) == 53
     for name in monoidrep.__all__:
         obj = getattr(monoidrep, name)
         module = sys.modules[obj.__module__]

@@ -1,8 +1,9 @@
 """Refusals that no other test reaches: each malformed call raises its
 exception type with its message, each operator that a matrix or a
-polynomial does not have raises ``TypeError``, `mbt`'s documented exit 1
-for a broken internal invariant, and a representation file's "monoid"
-key, which `mbt` ignores."""
+polynomial does not have, a polynomial's iteration and a monoid's hash
+raise ``TypeError``, `mbt`'s documented exit 1 for a broken internal
+invariant, and a representation file's "monoid" key, which `mbt`
+ignores."""
 
 import json
 
@@ -60,7 +61,7 @@ REFUSALS = {
     "negative-tensor-power": (lambda: tensor_power(N3_PAPER, -1), ValueError,
                               "tensor power exponent must be nonnegative"),
     "empty-direct-sum": (lambda: direct_sum([]), ValueError,
-                         "an empty direct sum needs an explicit monoid"),
+                         "a direct sum needs at least one representation"),
     "negative-symmetric-power": (lambda: sym_power(N3_PAPER, -1), ValueError,
                                  "symmetric power degree must be nonnegative"),
     "weights-of-wrong-length": (lambda: weighted_series(N3_PAPER, 1, (1, 0)), ValueError,
@@ -101,6 +102,10 @@ REFUSALS = {
     "scalar-times-polynomial": (lambda: 2 * P, TypeError,
                                 r"unsupported operand type\(s\) for \*: 'int' and 'Polynomial'"),
     "polynomial-evaluated": (lambda: P(1), TypeError, "'Polynomial' object is not callable"),
+    "nt-size-as-string": (lambda: monoid_from_spec({"type": "nt", "t": "5"}), ValueError,
+                          """field 't' must be an integer, not "5"$"""),
+    # a monoid compares by its table and identity, and nothing hashes one
+    "hashed-monoid": (lambda: hash(N3), TypeError, "unhashable type: 'Monoid'"),
 }
 
 
@@ -109,6 +114,15 @@ def test_refusal(name):
     call, kind, message = REFUSALS[name]
     with pytest.raises(kind, match=message):
         call()
+
+
+def test_polynomial_is_not_iterable():
+    """``p[i]`` is 0 past the degree, so the sequence protocol would
+    iterate a polynomial forever; ``iter`` comes first, as it returns
+    where iteration is allowed, and ``list`` and ``in`` would hang."""
+    for use in (iter, list, lambda p: 3 in p):
+        with pytest.raises(TypeError, match="not iterable"):
+            use(P)
 
 
 def test_molien_cross_check_failure_exits_1(monkeypatch, capsys):

@@ -25,7 +25,6 @@ from monoidrep.representations import (
     sym_power_dim,
     symmetric_columns,
     tensor_power,
-    trivial_representation,
 )
 
 from oracles import character_kernel, monomial_basis, regular_representation, restrict_to_local
@@ -82,7 +81,7 @@ def test_wrong_identity_image_rejected():
 # --- faithfulness and characters ---------------------------------------------
 
 def test_trivial_representation_not_faithful():
-    rho = trivial_representation(nt_monoid(2))
+    rho = tensor_power(nt_paper_representation(2), 0)
     ok, witness = is_faithful(rho)
     assert not ok and witness == (0, 1)
 
@@ -109,7 +108,7 @@ def test_distinct_charpolys(t2_natural):
     assert polys == {Polynomial([1, -2, 1]), Polynomial([-1, 0, 1]),
                      Polynomial([0, -1, 1])}
     assert len(distinct_charpolys(nt_paper_representation(7))) == 2
-    trivial = trivial_representation(Monoid([[0]], 0))
+    trivial = Representation(Monoid([[0]], 0), [[[1]]])
     assert len(distinct_charpolys(trivial)) == 1
 
 
@@ -275,12 +274,6 @@ def test_direct_sum_dims_and_characters(t2_natural):
     w.validate()
 
 
-def test_empty_direct_sum():
-    m = nt_monoid(2)
-    w = direct_sum([], monoid=m)
-    assert w.dim == 0
-
-
 def test_direct_sum_rejects_mixed_monoids(t2_natural):
     with pytest.raises(ValueError):
         direct_sum([t2_natural, nt_paper_representation(2)])
@@ -331,8 +324,8 @@ def test_character_kernel_of_faithful_is_identity(corpus):
 
 
 def test_character_kernel_of_trivial_rep_is_everything():
-    m = nt_monoid(3)
-    assert character_kernel(trivial_representation(m)) == tuple(range(m.size))
+    rho = tensor_power(nt_paper_representation(3), 0)
+    assert character_kernel(rho) == tuple(range(rho.monoid.size))
 
 
 def test_character_kernel_t3(t3_natural):
