@@ -26,7 +26,7 @@ from monoidrep.representations import (
 
 from conftest import T3_GENERATORS
 from oracles import regular_representation, span_subspace
-from test_golden import refusing_forks
+from test_golden import CASES, GOLDEN, refusing_forks, run_case
 
 
 def write(tmp_path, name, obj):
@@ -741,6 +741,35 @@ def test_scan_nt_cap_below_bound_probes_to_bound(capsys, mode, expected):
 
 
 # --- scan-nt and verify in one process ---------------------------------------------
+
+SCAN_CASES = sorted(name for name in CASES if name.startswith("scan-nt"))
+VERIFY_CASES = sorted(name for name in CASES if name.startswith("verify-"))
+
+
+def golden(name):
+    return CASES[name][1], (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", SCAN_CASES)
+def test_scan_nt_golden_serial_and_split(name, monkeypatch, capsys):
+    """Every golden scan prints its golden stdout with its exit code, and
+    nothing on stderr, from this process alone.  The name is from when a
+    forked child computed every other row."""
+    refusing_forks(monkeypatch)
+    assert run_case(name) == golden(name)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", VERIFY_CASES)
+def test_verify_golden_forked_and_in_one_process(name, monkeypatch, capsys):
+    """Every golden verify, the zero-radical ``*-corrupt*`` ones with
+    their exit-1 witnesses among them, prints its golden stdout with its
+    exit code, and nothing on stderr, from this process alone.  The name
+    is from when two free CPUs forked a child for the radical."""
+    refusing_forks(monkeypatch)
+    assert run_case(name) == golden(name)
+    assert capsys.readouterr().err == ""
+
 
 @pytest.mark.parametrize("failing", [{5}, {4}, {4, 5}, {3, 6}, {7}])
 def test_scan_nt_error_in_either_share_is_the_serial_error(failing, monkeypatch, capsys):
