@@ -71,6 +71,26 @@ for a transformation representation and on the entry rows and their
 products for any other: a step from power 0 is the same step with the
 constant functions E_0 as one more row, computed on each read and
 stored nowhere.
+
+One walk can serve a nested family.  Let rho be a representation of
+the submonoid N on the first c elements of a monoid M, with the first
+c matrices of a representation sigma of M (``_share_walks``; the N_t
+of ``mbt scan-nt`` are the prefixes of N_to).  The coefficient
+functions of rho's tensor and symmetric powers are the restrictions to
+N of sigma's, so rho's step k spans sigma's F_k cut to its first c
+columns.  In sigma's echelon, ordered by pivot column, a row with pivot
+c or more vanishes on those columns, and the rows with pivot < c, cut
+there, keep their pivots: they are an echelon of the cut span, and
+dim Ann = c - #{pivots < c}.  The canonical RREF, the kernel basis and
+a witness are unique, so they come out as rho's own walk gives them.
+At sigma's tensor floor, the functions vanishing on its zero-matrix
+elements Z, the cut step is rho's floor, since Z meets N in rho's Z, so
+sigma's walk closes where every read has reached its own floor.  A
+symmetric degree is refused from sigma's size, |M| * C(dim+d-1, d)^2
+against rho's |N| * C(dim+d-1, d)^2: for N_t in N_T, (T+1)(d+1)^2.  Row
+t reads no degree past t - 1, where its Ann is 0, and the scan refuses
+T + 1 > ``SIZE_GUARD`` up front, so (T+1)(d+1)^2 <= (T+1) t^2 <=
+``SIZE_GUARD ** 3``: no degree that row t alone admits is refused.
 No bound is capped: a tensor chain multiplies each of the at most |M|
 vectors it adds once; a symmetric degree too large is refused unbuilt.
 No direct sum or Kronecker power is built: the span
@@ -482,39 +502,89 @@ def symmetric_annihilator_chain(rho: Representation):
 
 # rho -> {mode: [chain, floor, steps]}, freed with rho (weak keys, proxies)
 _WALKS = weakref.WeakKeyDictionary()
+# rho -> the representation whose walks it reads, cut to its elements
+_OWNERS = weakref.WeakKeyDictionary()
 _LOCK = threading.Lock()
+
+
+def _share_walks(rho, owner):
+    """Have rho read owner's walks, restricted to its c elements.
+
+    rho's monoid must be the submonoid of owner's on its first c
+    elements, its table owner's table cut to c x c, and its matrices
+    owner's first c; else this raises ``RuntimeError``.  Then every
+    coefficient function of rho's powers is the restriction of owner's,
+    so step k of rho's walk is owner's step k cut to c columns
+    (``_steps``).  rho holds owner until rho is freed."""
+    c = rho.monoid.size
+    if (rho.monoid.table != tuple(row[:c] for row in owner.monoid.table[:c])
+            or rho.matrices != owner.matrices[:c]):
+        raise RuntimeError(f"a representation of {c} elements is not the restriction "
+                           f"of one of {owner.monoid.size} to its first {c}")
+    with _LOCK:
+        _OWNERS[rho] = owner
+
+
+def _floor(rho, mode):
+    """The least dimension of Ann in rho's ``mode`` walk: |Z| for the
+    tensor walk, Z the elements whose matrix is 0, and 0 for the
+    symmetric walk."""
+    return sum(not any(map(any, m.rows)) for m in rho.matrices) if mode == "tensor" else 0
+
+
+def _cut(step, c):
+    """The step of a walk cut to the first c elements (``_steps``)."""
+    if step.ambient == c:
+        return step
+    ech = step._echelon._prefix(c)
+    return Subspace(c, ech.int_rows, c - ech.rank, ech)
 
 
 def _steps(rho, mode, first, last):
     """The list of Ann at steps first..last of rho's ``mode`` walk, cut
     after its first Ann = 0 step or where the walk reaches its floor,
-    which lasts.  Each mode is walked once per rho, under ``_LOCK``, as
-    far as a read asks, and its chain closed at the floor, so its
-    suspended frame is freed while the steps stay.  A step that raises
-    drops the walk, so the next read raises again.
+    which lasts.  Each mode is walked once per owner, under ``_LOCK``,
+    as far as a read asks, and its chain closed at the owner's floor, so
+    its suspended frame is freed while the steps stay.  A step that
+    raises drops the walk, so the next read raises again.
+
+    rho's owner is rho itself, or the representation whose walks
+    ``_share_walks`` had it read, and rho's step k is owner's cut to
+    rho's c elements on each read (``_cut``), stored nowhere.  That is
+    exact (module docstring): rho's F_k is owner's cut to c columns, and
+    owner's echelon rows with pivot < c, cut there, are an echelon of
+    it, so rho's Ann has dimension c - #{pivots < c} and its canonical
+    RREF, kernel basis and witnesses are those of rho's own walk.  A
+    symmetric degree is refused from owner's size, which for the N_t of
+    a scan refuses none that rho alone admits.
 
     The symmetric walk is its chain, with floor 0.  The tensor walk is
     its chain, which starts at power 1, after a step 0 with no power
     (Ann = QM).  Its floor is Q^Z, Z the elements whose matrix is 0:
-    every F_k vanishes on Z, so once Ann is Q^Z it stays.  Power 0 is
-    read here and nowhere else: a read from power 0 takes each step as
-    it is once the constants lie in its span, else with the constants
-    as one more row (its echelon built only if needed), and stores
-    neither.  The constants do not vanish on Z, so above floor 0 no step
-    holds them; at floor 0 steps are tested until one does."""
+    every F_k vanishes on Z, so once Ann is Q^Z it stays.  At owner's
+    floor the step cut to c is rho's floor, since Z meets rho's elements
+    in rho's Z; a read stops at rho's own floor, which may come first.
+    Power 0 is read here and nowhere else: a read from power 0 takes
+    each step as it is once the constants lie in its span, else with the
+    constants as one more row (its echelon built only if needed), and
+    stores neither.  The constants do not vanish on Z, so above floor 0
+    no step holds them; at floor 0 steps are tested until one does."""
+    c = rho.monoid.size
     with _LOCK:
-        walks = _WALKS.setdefault(rho, {})
+        owner = _OWNERS.get(rho, rho)
+        walks = _WALKS.setdefault(owner, {})
         if mode not in walks:
             if mode == "tensor":
-                chain = tensor_annihilator_chain(weakref.proxy(rho))
-                floor = sum(not any(map(any, m.rows)) for m in rho.matrices)
-                walks[mode] = [chain, floor, [_kernel(Echelon(rho.monoid.size))]]
+                chain = tensor_annihilator_chain(weakref.proxy(owner))
+                walks[mode] = [chain, _floor(owner, mode),
+                               [_kernel(Echelon(owner.monoid.size))]]
             elif mode == "symmetric":
-                walks[mode] = [symmetric_annihilator_chain(weakref.proxy(rho)), 0, []]
+                walks[mode] = [symmetric_annihilator_chain(weakref.proxy(owner)), 0, []]
             else:
                 raise ValueError(f"unknown power mode {mode!r}")
         chain, floor, steps = walks[mode]
-        ones = None if first or mode == "symmetric" else (1,) * rho.monoid.size
+        own_floor = floor if owner is rho else _floor(rho, mode)
+        ones = None if first or mode == "symmetric" else (1,) * c
         read = []
         for k in range(first, last + 1):
             if k == len(steps):
@@ -527,15 +597,16 @@ def _steps(rho, mode, first, last):
                     raise
                 if steps[-1].dim == floor:
                     chain.close()  # its last step: free the suspended frame
-            step = steps[k]
-            if ones and (floor or not step._echelon.contains(ones)):
-                step = Subspace(step.ambient, [*step.rows, ones], step.dim - 1)
+            step = _cut(steps[k], c)
+            at_floor = step.dim == own_floor
+            if ones and (own_floor or not step._echelon.contains(ones)):
+                step = Subspace(c, [*step.rows, ones], step.dim - 1)
             else:
                 ones = None  # this step holds the constants, and so every later one
             read.append(step)
-            if not step.dim:
+            if not step.dim or at_floor:
                 break
-        return read or steps[-1:]  # at its floor before first
+        return read or [_cut(steps[-1], c)]  # at its floor before first
 
 
 def minimal_covering_power(rho: Representation, mode="tensor", *,

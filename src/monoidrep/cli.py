@@ -19,7 +19,16 @@ are flushed: the interpreter's teardown would only free memory the
 process is about to give back.
 
 Every command runs in one process.  ``scan-nt`` computes its rows in
-order, so an error names the first failing t.  ``verify``'s radical, an
+order, so an error names the first failing t, and walks each chain
+once: N_t is the submonoid of N_to on its first t + 1 elements, with
+the first t + 1 of its representation's matrices, so each row reads
+N_to's walks restricted to its elements.  That is exact: a row's step
+spans N_to's cut to its columns, whose echelon is N_to's rows with a
+pivot among them; N_to's walk closes at its floor, where every row is
+at its own; and since a row t reads no symmetric degree past t - 1 and
+N_to is within the size guard, no degree a row alone admits is refused
+(``algebra``).  Each N_t and its representation are still built and
+checked on their own.  ``verify``'s radical, an
 exact echelon of at most |M| sparse 0/1 rows, costs less than a second
 process would save.
 """
@@ -160,12 +169,18 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def _scan_row(t, mode, cap, with_s):
-    """One row of ``scan-nt``; s is counted only when ``with_s`` (the
+def _scan_row(t, owner, mode, cap, with_s):
+    """The ``scan-nt`` row of N_t.  ``owner`` is N_to's representation,
+    the last row's; every other row builds and checks N_t and its
+    representation, then reads owner's walks restricted to its elements
+    (``algebra._share_walks``).  s is counted only when ``with_s`` (the
     JSON form prints it, the table does not)."""
     from . import algebra, representations
 
-    rho = representations.nt_paper_representation(t)
+    rho = owner
+    if t < owner.monoid.size - 1:
+        rho = representations.nt_paper_representation(t)
+        algebra._share_walks(rho, owner)
     m = rho.monoid
     verify = {"tensor": algebra.verify_tensor_theorem,
               "symmetric": algebra.verify_symmetric_theorem}[mode]
@@ -199,13 +214,14 @@ def cmd_scan_nt(args):
         raise ValueError(f"bad range: from={args.t_from} to={args.t_to}")
     if args.cap < 0:
         raise ValueError(f"bad cap: {args.cap} (must be nonnegative)")
-    from . import algebra
+    from . import algebra, representations
 
     if args.t_to + 1 > algebra.SIZE_GUARD:
         raise ValueError(
             f"N_{args.t_to} has {args.t_to + 1} > {algebra.SIZE_GUARD} elements; "
             "refused by the size guard")
-    rows = [_scan_row(t, args.mode, args.cap, args.json)
+    owner = representations.nt_paper_representation(args.t_to)  # walked once
+    rows = [_scan_row(t, owner, args.mode, args.cap, args.json)
             for t in range(args.t_from, args.t_to + 1)]
     ok = all(r["holds"] for r in rows)
     if args.json:

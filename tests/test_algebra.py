@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import random
 import sys
 import threading
@@ -6,6 +8,7 @@ import time
 import weakref
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -25,8 +28,9 @@ from monoidrep.algebra import (
     verify_symmetric_theorem,
     verify_tensor_theorem,
 )
+from monoidrep.cli import main
 from monoidrep.fileio import load_monoid, load_representation
-from monoidrep.linalg import Matrix
+from monoidrep.linalg import Echelon, Matrix
 from monoidrep.monoids import (
     Monoid,
     from_transformations,
@@ -400,8 +404,13 @@ def test_refused_degree_refused_again(monkeypatch):
 
 def test_walks_freed_with_their_representation(monkeypatch):
     """The walks hold a representation only weakly: once verified and
-    scanned, it is freed by reference counting alone, walks and all."""
+    scanned, it is freed by reference counting alone, walks and all.  A
+    row that reads an owner's walks (``_share_walks``) holds the owner:
+    the owner outlives its own name while a row lives, and once the rows
+    and the owner are dropped, by hand or at a scan's end, no walk and
+    no registration is left."""
     monkeypatch.setattr(algebra, "_WALKS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(algebra, "_OWNERS", weakref.WeakKeyDictionary())
     rho = nt_paper_representation(5)
     alive = weakref.ref(rho)
     gc.disable()
@@ -413,8 +422,95 @@ def test_walks_freed_with_their_representation(monkeypatch):
         del rho
         assert alive() is None
         assert len(algebra._WALKS) == 0
+        owner = nt_paper_representation(6)
+        rows = [nt_paper_representation(t) for t in range(2, 6)]
+        for rho in rows:
+            algebra._share_walks(rho, owner)
+        for rho in [*rows, owner]:
+            t = rho.monoid.size - 1
+            assert verify_tensor_theorem(rho).holds and verify_symmetric_theorem(rho).holds
+            assert minimal_faithful_power(rho, "tensor", 8) == t - 1
+            assert minimal_faithful_power(rho, "symmetric", 8) == t - 1
+        assert (len(algebra._WALKS), len(algebra._OWNERS)) == (1, 4)
+        alive = weakref.ref(owner)
+        del rho, owner
+        assert alive() is not None  # held by the rows' registrations
+        del rows
+        assert alive() is None
+        assert (len(algebra._WALKS), len(algebra._OWNERS)) == (0, 0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["scan-nt", "--from", "2", "--to", "9", "--mode", "symmetric"]) == 0
+        assert (len(algebra._WALKS), len(algebra._OWNERS)) == (0, 0)
     finally:
         gc.enable()
+
+
+PREFIX_T = 16
+
+
+@pytest.mark.parametrize("mode", ["tensor", "symmetric"])
+def test_prefix_reads_equal_own_walks(monkeypatch, mode):
+    """N_t, t <= 16, reading N_16's walks restricted to its elements gets
+    at each step, from power 0 and from power 1, the space of its own
+    walk's step, and its read stops where its own does.  A read through
+    an owner walks the owner's chain alone."""
+    monkeypatch.setattr(algebra, "_WALKS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(algebra, "_OWNERS", weakref.WeakKeyDictionary())
+    owner = nt_paper_representation(PREFIX_T)
+    for t in range(2, PREFIX_T + 1):
+        own, shared = nt_paper_representation(t), nt_paper_representation(t)
+        algebra._share_walks(shared, owner)
+        # from power 0 first: the symmetric walk is read from 1 only once stepped
+        for first in (0, 1):
+            for last in (first, 3, PREFIX_T + 2):
+                mine = algebra._steps(own, mode, first, last)
+                read = algebra._steps(shared, mode, first, last)
+                assert [s.dim for s in read] == [s.dim for s in mine]
+                assert all(map(same_space, read, mine))
+        assert shared not in algebra._WALKS  # it walks nothing of its own
+
+
+def _walk_echelons(rho, mode, n):
+    chain = {"tensor": tensor_annihilator_chain,
+             "symmetric": symmetric_annihilator_chain}[mode](rho)
+    return [ann._echelon for _, ann in islice(chain, n)]
+
+
+@pytest.mark.parametrize("mode", ["tensor", "symmetric"])
+def test_prefix_echelon_is_the_cut_echelon(mode):
+    """An echelon cut to its first c columns keeps the stored rows with
+    pivot < c, each cut there and primitive again, with their nonzero
+    columns, and its RREF is that of an echelon built from the cut rows;
+    a row whose content the cut raises is divided by it."""
+    rng = random.Random(4)
+    echelons = _walk_echelons(nt_paper_representation(PREFIX_T), mode, 6)
+    echelons += [Echelon(6, [[rng.randint(-3, 3) for _ in range(6)] for _ in range(k)])
+                 for k in range(1, 7)]
+    echelons.append(Echelon(3, [(2, 4, 1)]))
+    for ech in echelons:
+        for c in range(ech.ncols + 1):
+            cut = ech._prefix(c)
+            assert cut.ncols == c
+            assert cut.pivots == [p for p in ech.pivots if p < c]
+            for p, row, cols in zip(cut.pivots, cut.int_rows, cut._cols):
+                assert len(row) == c and row[p] > 0 and gcd(*row) == 1
+                assert cols == tuple(j for j in range(p, c) if row[j])
+            assert cut.rows == Echelon(c, [row[:c] for row in ech.int_rows]).rows
+    assert Echelon(3, [(2, 4, 1)])._prefix(2).int_rows == [(1, 2)]
+
+
+def test_share_walks_refuses_a_non_prefix():
+    """Only a representation of the submonoid on the owner's first c
+    elements, with the owner's first c matrices, reads its walks: a
+    different table, or one matrix changed, raises."""
+    owner = nt_paper_representation(6)
+    idempotent = Monoid([[0, 0, 0], [0, 1, 2], [0, 2, 2]], 1)
+    other_table = Representation(idempotent, owner.matrices[:3], check=False)
+    changed = Representation(nt_monoid(3), [*owner.matrices[:3], [[0, 5], [0, 0]]])
+    for rho in (other_table, changed):
+        with pytest.raises(RuntimeError, match="is not the restriction of one of 7"):
+            algebra._share_walks(rho, owner)
+        assert rho not in algebra._OWNERS
 
 
 def test_finished_chain_is_released(monkeypatch):
@@ -485,6 +581,58 @@ def test_concurrent_reads_share_one_walk(monkeypatch):
     assert [results[i] for i in range(6)] == expected * 3
     assert sorted(opened) == ["symmetric", "tensor"]
 
+
+
+def test_concurrent_prefix_reads_share_the_owners_walk(monkeypatch):
+    """Threads reading N_2..N_9 through N_9's walks, and N_9 itself, at
+    once, with a short switch interval, open each of N_9's chains once,
+    and none of their own, and get their own walks' answers."""
+    monkeypatch.setattr(algebra, "_WALKS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(algebra, "_OWNERS", weakref.WeakKeyDictionary())
+    ts = range(2, 10)
+    expected = {(t, mode): (minimal_faithful_power(nt_paper_representation(t), mode, 12),
+                            verify_steinberg_bound(nt_paper_representation(t)).minimal_k)
+                for t in ts for mode in ("tensor", "symmetric")}
+    opened = []
+
+    def slow(mode, chain, rho):
+        opened.append((mode, rho.monoid.size))
+        for step in chain(rho):
+            time.sleep(0.001)  # a window for another reader to step it too
+            yield step
+
+    for mode in ("tensor", "symmetric"):
+        chain = getattr(algebra, f"{mode}_annihilator_chain")
+        monkeypatch.setattr(algebra, f"{mode}_annihilator_chain",
+                            lambda rho, _mode=mode, _chain=chain: slow(_mode, _chain, rho))
+    owner = nt_paper_representation(9)
+    rhos = {t: nt_paper_representation(t) for t in ts[:-1]}
+    for rho in rhos.values():
+        algebra._share_walks(rho, owner)
+    rhos[9] = owner
+    keys = list(expected)
+    results = {}
+    start = threading.Barrier(len(keys))
+
+    def read(key):
+        t, mode = key
+        start.wait(timeout=60)
+        results[key] = (minimal_faithful_power(rhos[t], mode, 12),
+                        verify_steinberg_bound(rhos[t]).minimal_k)
+
+    threads = [threading.Thread(target=read, args=(key,)) for key in keys]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected
+    assert sorted(opened) == [("symmetric", 10), ("tensor", 10)]
 
 def _recording_pulls(monkeypatch):
     """Rebind both chains to recorders; the returned list gets one

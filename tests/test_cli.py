@@ -685,12 +685,30 @@ def _two_walk_row(t, mode, cap):
 @pytest.mark.parametrize("cap", [1, 3, 12, 32])
 @pytest.mark.parametrize("mode", ["tensor", "symmetric"])
 def test_scan_nt_one_walk_matches_two(capsys, mode, cap):
-    code, out, _ = run(capsys, ["scan-nt", "--from", "2", "--to", "14", "--mode", mode,
+    """Every row of a scan, read off N_to's walks cut to its elements,
+    is the row its own representation's two walks give: to 40, the
+    benchmark's range, for caps 1 and 12."""
+    t_to = 40 if cap in (1, 12) else 14
+    code, out, _ = run(capsys, ["scan-nt", "--from", "2", "--to", str(t_to), "--mode", mode,
                                 "--cap", str(cap), "--json"])
     assert code == 0
     rows = json.loads(out)["rows"]
     assert [{key: row[key] for key in _two_walk_row(2, mode, cap)} for row in rows] == [
-        _two_walk_row(t, mode, cap) for t in range(2, 15)]
+        _two_walk_row(t, mode, cap) for t in range(2, t_to + 1)]
+
+
+def test_scan_nt_shared_walk_refuses_no_degree_a_row_admits(monkeypatch, capsys):
+    """The symmetric degrees N_to's walk is refused at are predicted from
+    |N_to|, but a row t reads degree d only while d <= t - 1, and
+    (to + 1) t^2 stays within the guard cubed: at the guard's edge, 6
+    elements, the scan runs and each row is its own walks' row."""
+    monkeypatch.setattr(algebra, "SIZE_GUARD", 6)
+    code, out, _ = run(capsys, ["scan-nt", "--from", "2", "--to", "5", "--mode", "symmetric",
+                                "--cap", "10", "--json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [{key: row[key] for key in _two_walk_row(2, "symmetric", 10)} for row in rows] == [
+        _two_walk_row(t, "symmetric", 10) for t in range(2, 6)]
 
 
 @pytest.mark.parametrize("cap", ["-1", "-7"])

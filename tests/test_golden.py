@@ -105,6 +105,11 @@ CASES = {
     "scan-nt-symmetric-cap12-deep-json": (["scan-nt", "--from", "12", "--to", "15",
                                            "--mode", "symmetric", "--cap", "12",
                                            "--json"], 0),
+    # the benchmark's nt-scan jobs: every row reads N_40's walks
+    "scan-nt-tensor-cap12-bench": (["scan-nt", "--from", "2", "--to", "40",
+                                    "--mode", "tensor", "--cap", "12"], 0),
+    "scan-nt-symmetric-cap12-bench": (["scan-nt", "--from", "2", "--to", "40",
+                                       "--mode", "symmetric", "--cap", "12"], 0),
     # N_254 and N_255 have at most 256 elements, so Light's test runs as
     # one translate pass per element; N_256..N_258 take the triple loop
     "scan-nt-tensor-byte-boundary": (["scan-nt", "--from", "254", "--to", "258",
