@@ -72,10 +72,12 @@ products for any other: a step from power 0 is the same step with the
 constant functions E_0 as one more row, computed on each read and
 stored nowhere.
 
-One walk can serve a nested family.  Let rho be a representation of
-the submonoid N on the first c elements of a monoid M, with the first
-c matrices of a representation sigma of M (``_share_walks``; the N_t
-of ``mbt scan-nt`` are the prefixes of N_to).  The coefficient
+One walk can serve a nested family.  Let rho be the restriction of a
+representation sigma of a monoid M to the submonoid N on its first c
+elements, with sigma's first c matrices (``_restriction``, which
+checks that N's table and identity are M's, cut, and so needs no
+homomorphism check of rho; the N_t of ``mbt scan-nt`` are the
+prefixes of N_to).  The coefficient
 functions of rho's tensor and symmetric powers are the restrictions to
 N of sigma's, so rho's step k spans sigma's F_k cut to its first c
 columns.  In sigma's echelon, ordered by pivot column, a row with pivot
@@ -507,22 +509,27 @@ _OWNERS = weakref.WeakKeyDictionary()
 _LOCK = threading.Lock()
 
 
-def _share_walks(rho, owner):
-    """Have rho read owner's walks, restricted to its c elements.
+def _restriction(owner, m):
+    """The restriction of owner to m, the submonoid of owner's monoid on
+    its first c elements: owner's first c matrices, as a representation
+    of m that reads owner's walks cut to its elements (``_steps``) and
+    holds owner until it is freed.
 
-    rho's monoid must be the submonoid of owner's on its first c
-    elements, its table owner's table cut to c x c, and its matrices
-    owner's first c; else this raises ``RuntimeError``.  Then every
-    coefficient function of rho's powers is the restriction of owner's,
-    so step k of rho's walk is owner's step k cut to c columns
-    (``_steps``).  rho holds owner until rho is freed."""
-    c = rho.monoid.size
-    if (rho.monoid.table != tuple(row[:c] for row in owner.monoid.table[:c])
-            or rho.matrices != owner.matrices[:c]):
-        raise RuntimeError(f"a representation of {c} elements is not the restriction "
+    m's table must be owner's cut to c x c and its identity owner's;
+    else this raises ``RuntimeError``.  Then the restriction rho needs no
+    homomorphism check of its own, since owner's sigma is a homomorphism
+    (validated, or built as one): for x, y < c, x*y is the same in m as
+    in owner's monoid, so rho(x) rho(y) = sigma(x) sigma(y) = sigma(x*y)
+    = rho(x*y), and rho(1) = sigma(1) = I."""
+    c = m.size
+    if (m.table != tuple(row[:c] for row in owner.monoid.table[:c])
+            or m.identity != owner.monoid.identity):
+        raise RuntimeError(f"a monoid of {c} elements is not the restriction "
                            f"of one of {owner.monoid.size} to its first {c}")
+    rho = Representation(m, owner.matrices[:c], check=False)
     with _LOCK:
         _OWNERS[rho] = owner
+    return rho
 
 
 def _floor(rho, mode):
@@ -548,8 +555,8 @@ def _steps(rho, mode, first, last):
     its suspended frame is freed while the steps stay.  A step that
     raises drops the walk, so the next read raises again.
 
-    rho's owner is rho itself, or the representation whose walks
-    ``_share_walks`` had it read, and rho's step k is owner's cut to
+    rho's owner is rho itself, or the representation ``_restriction``
+    cut it from, and rho's step k is owner's cut to
     rho's c elements on each read (``_cut``), stored nowhere.  That is
     exact (module docstring): rho's F_k is owner's cut to c columns, and
     owner's echelon rows with pivot < c, cut there, are an echelon of
@@ -587,9 +594,8 @@ def _steps(rho, mode, first, last):
         ones = None if first or mode == "symmetric" else (1,) * c
         read = []
         for k in range(first, last + 1):
-            if k == len(steps):
-                if steps and steps[-1].dim == floor:
-                    break
+            # step the walk up to step k; its end may lie before first
+            while k >= len(steps) and not (steps and steps[-1].dim == floor):
                 try:
                     steps.append(next(chain)[1])
                 except BaseException:
@@ -597,6 +603,8 @@ def _steps(rho, mode, first, last):
                     raise
                 if steps[-1].dim == floor:
                     chain.close()  # its last step: free the suspended frame
+            if k >= len(steps):  # the walk is at its floor before step k
+                break
             step = _cut(steps[k], c)
             at_floor = step.dim == own_floor
             if ones and (own_floor or not step._echelon.contains(ones)):

@@ -405,7 +405,7 @@ def test_refused_degree_refused_again(monkeypatch):
 def test_walks_freed_with_their_representation(monkeypatch):
     """The walks hold a representation only weakly: once verified and
     scanned, it is freed by reference counting alone, walks and all.  A
-    row that reads an owner's walks (``_share_walks``) holds the owner:
+    row that reads an owner's walks (``_restriction``) holds the owner:
     the owner outlives its own name while a row lives, and once the rows
     and the owner are dropped, by hand or at a scan's end, no walk and
     no registration is left."""
@@ -423,9 +423,7 @@ def test_walks_freed_with_their_representation(monkeypatch):
         assert alive() is None
         assert len(algebra._WALKS) == 0
         owner = nt_paper_representation(6)
-        rows = [nt_paper_representation(t) for t in range(2, 6)]
-        for rho in rows:
-            algebra._share_walks(rho, owner)
+        rows = [algebra._restriction(owner, nt_monoid(t)) for t in range(2, 6)]
         for rho in [*rows, owner]:
             t = rho.monoid.size - 1
             assert verify_tensor_theorem(rho).holds and verify_symmetric_theorem(rho).holds
@@ -458,16 +456,37 @@ def test_prefix_reads_equal_own_walks(monkeypatch, mode):
     monkeypatch.setattr(algebra, "_OWNERS", weakref.WeakKeyDictionary())
     owner = nt_paper_representation(PREFIX_T)
     for t in range(2, PREFIX_T + 1):
-        own, shared = nt_paper_representation(t), nt_paper_representation(t)
-        algebra._share_walks(shared, owner)
-        # from power 0 first: the symmetric walk is read from 1 only once stepped
-        for first in (0, 1):
+        own, shared = nt_paper_representation(t), algebra._restriction(owner, nt_monoid(t))
+        for first in (1, 0):
             for last in (first, 3, PREFIX_T + 2):
                 mine = algebra._steps(own, mode, first, last)
                 read = algebra._steps(shared, mode, first, last)
                 assert [s.dim for s in read] == [s.dim for s in mine]
                 assert all(map(same_space, read, mine))
         assert shared not in algebra._WALKS  # it walks nothing of its own
+
+
+@pytest.mark.parametrize("mode", ["tensor", "symmetric"])
+def test_fresh_read_from_power_one(mode):
+    """A read from power 1 of a walk that no read has stepped steps it to
+    power 1 first: for N_t, t <= 8, it gets what the same read gets once
+    a read from power 0 has stepped the walk.  The symmetric walk adds no
+    row at power 0, so there it is the read from 0 with its first step
+    dropped; in tensor mode each step of that read is the fresh step
+    with the constants, which vanish on no element, as one more row."""
+    for t in range(2, 9):
+        fresh = algebra._steps(nt_paper_representation(t), mode, 1, t + 2)
+        rho = nt_paper_representation(t)
+        from0 = algebra._steps(rho, mode, 0, t + 2)[1:]
+        stepped = algebra._steps(rho, mode, 1, t + 2)
+        assert [s.dim for s in fresh] == [s.dim for s in stepped]
+        assert all(map(same_space, fresh, stepped))
+        assert len(fresh) == len(from0)
+        if mode == "symmetric":
+            assert all(map(same_space, fresh, from0))
+        else:
+            assert [s.dim - 1 for s in fresh] == [s.dim for s in from0]
+            assert all(a <= b for a, b in zip(from0, fresh))
 
 
 def _walk_echelons(rho, mode, n):
@@ -499,18 +518,37 @@ def test_prefix_echelon_is_the_cut_echelon(mode):
     assert Echelon(3, [(2, 4, 1)])._prefix(2).int_rows == [(1, 2)]
 
 
-def test_share_walks_refuses_a_non_prefix():
-    """Only a representation of the submonoid on the owner's first c
-    elements, with the owner's first c matrices, reads its walks: a
-    different table, or one matrix changed, raises."""
+def test_share_walks_refuses_a_non_prefix(monkeypatch):
+    """Only the submonoid on the owner's first c elements is restricted
+    to: a table that is not the owner's cut, or a monoid larger than the
+    owner's, raises and registers nothing."""
+    monkeypatch.setattr(algebra, "_OWNERS", weakref.WeakKeyDictionary())
     owner = nt_paper_representation(6)
     idempotent = Monoid([[0, 0, 0], [0, 1, 2], [0, 2, 2]], 1)
-    other_table = Representation(idempotent, owner.matrices[:3], check=False)
-    changed = Representation(nt_monoid(3), [*owner.matrices[:3], [[0, 5], [0, 0]]])
-    for rho in (other_table, changed):
+    for m in (idempotent, nt_monoid(7)):
         with pytest.raises(RuntimeError, match="is not the restriction of one of 7"):
-            algebra._share_walks(rho, owner)
-        assert rho not in algebra._OWNERS
+            algebra._restriction(owner, m)
+    assert len(algebra._OWNERS) == 0
+
+
+def test_restriction_refuses_another_identity(monkeypatch):
+    """A monoid whose table is the owner's cut but whose identity is not
+    the owner's is refused: its restriction would map its identity to a
+    matrix other than I, as the oracle check shows."""
+    monkeypatch.setattr(algebra, "_OWNERS", weakref.WeakKeyDictionary())
+    # {0, e, 1}: 0 a zero, e an idempotent, 1 the identity
+    ze1 = Monoid([[0, 0, 0], [0, 1, 1], [0, 1, 2]], 2)
+    cases = [(Representation(ze1, [[[0, 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 1]]]),
+              Monoid([[0, 0], [0, 1]], 1)),
+             (nt_paper_representation(6), Monoid([[0]], 0))]
+    for owner, cut in cases:
+        with pytest.raises(RuntimeError,
+                           match=f"is not the restriction of one of {owner.monoid.size}"):
+            algebra._restriction(owner, cut)
+        unchecked = Representation(cut, owner.matrices[:cut.size], check=False)
+        with pytest.raises(ValueError, match="identity element does not map"):
+            unchecked.validate()
+    assert len(algebra._OWNERS) == 0
 
 
 def test_finished_chain_is_released(monkeypatch):
@@ -606,9 +644,7 @@ def test_concurrent_prefix_reads_share_the_owners_walk(monkeypatch):
         monkeypatch.setattr(algebra, f"{mode}_annihilator_chain",
                             lambda rho, _mode=mode, _chain=chain: slow(_mode, _chain, rho))
     owner = nt_paper_representation(9)
-    rhos = {t: nt_paper_representation(t) for t in ts[:-1]}
-    for rho in rhos.values():
-        algebra._share_walks(rho, owner)
+    rhos = {t: algebra._restriction(owner, nt_monoid(t)) for t in ts[:-1]}
     rhos[9] = owner
     keys = list(expected)
     results = {}

@@ -711,6 +711,44 @@ def test_scan_nt_shared_walk_refuses_no_degree_a_row_admits(monkeypatch, capsys)
         _two_walk_row(t, "symmetric", 10) for t in range(2, 6)]
 
 
+@pytest.mark.parametrize("mode", ["tensor", "symmetric"])
+def test_scan_nt_checks_one_homomorphism(monkeypatch, capsys, mode):
+    """scan-nt 2..40 validates one representation, N_40's, and builds
+    each N_t once, N_40 first: every other row's representation is N_40's
+    restricted to N_t, which, re-validated here as an oracle, passes and
+    has the monoid and matrices of nt_paper_representation(t)."""
+    validate, nt_monoid, restriction = (representations.Representation.validate,
+                                        monoids.nt_monoid, algebra._restriction)
+    validated, built, rows = [], [], []
+
+    def counting_validate(rho):
+        validated.append(rho.monoid.size)
+        return validate(rho)
+
+    def counting_nt_monoid(t):
+        built.append(t)
+        return nt_monoid(t)
+
+    def recording(owner, m):
+        rows.append(restriction(owner, m))
+        return rows[-1]
+
+    monkeypatch.setattr(representations.Representation, "validate", counting_validate)
+    monkeypatch.setattr(monoids, "nt_monoid", counting_nt_monoid)
+    monkeypatch.setattr(representations, "nt_monoid", counting_nt_monoid)
+    monkeypatch.setattr(algebra, "_restriction", recording)
+    code, out, _ = run(capsys, ["scan-nt", "--from", "2", "--to", "40", "--mode", mode,
+                                "--cap", "12"])
+    assert code == 0
+    assert out == (GOLDEN / f"scan-nt-{mode}-cap12-bench.txt").read_text(encoding="utf-8")
+    assert (validated, built) == ([41], [40, *range(2, 40)])
+    assert [rho.monoid.size for rho in rows] == list(range(3, 41))
+    for t, rho in enumerate(rows, 2):
+        assert validate(rho) is rho
+        own = nt_paper_representation(t)
+        assert (rho.monoid, rho.matrices) == (own.monoid, own.matrices)
+
+
 @pytest.mark.parametrize("cap", ["-1", "-7"])
 def test_scan_nt_negative_cap_exit_two(capsys, cap):
     code, out, err = run(capsys, ["scan-nt", "--from", "2", "--to", "3", "--cap", cap])
