@@ -74,10 +74,9 @@ stored nowhere.
 
 One walk can serve a nested family.  Let rho be the restriction of a
 representation sigma of a monoid M to the submonoid N on its first c
-elements, with sigma's first c matrices (``_restriction``, which
-checks that N's table and identity are M's, cut, and so needs no
-homomorphism check of rho; the N_t of ``mbt scan-nt`` are the
-prefixes of N_to).  The coefficient
+elements, with sigma's first c matrices: ``_restriction`` cuts N and
+rho from M and sigma, and proves rho a representation; each row N_t
+of ``mbt scan-nt`` is N_to's cut to t + 1 elements.  The coefficient
 functions of rho's tensor and symmetric powers are the restrictions to
 N of sigma's, so rho's step k spans sigma's F_k cut to its first c
 columns.  In sigma's echelon, ordered by pivot column, a row with pivot
@@ -509,24 +508,24 @@ _OWNERS = weakref.WeakKeyDictionary()
 _LOCK = threading.Lock()
 
 
-def _restriction(owner, m):
-    """The restriction of owner to m, the submonoid of owner's monoid on
-    its first c elements: owner's first c matrices, as a representation
-    of m that reads owner's walks cut to its elements (``_steps``) and
+def _restriction(owner, c):
+    """The restriction of owner to the submonoid N on its monoid M's
+    first c elements: N's table is M's cut to c x c, with M's identity
+    and labels, and rho is owner's first c matrices, as a representation
+    of N that reads owner's walks cut to its elements (``_steps``) and
     holds owner until it is freed.
 
-    m's table must be owner's cut to c x c and its identity owner's;
-    else this raises ``RuntimeError``.  Then the restriction rho needs no
-    homomorphism check of its own, since owner's sigma is a homomorphism
-    (validated, or built as one): for x, y < c, x*y is the same in m as
-    in owner's monoid, so rho(x) rho(y) = sigma(x) sigma(y) = sigma(x*y)
-    = rho(x*y), and rho(1) = sigma(1) = I."""
-    c = m.size
-    if (m.table != tuple(row[:c] for row in owner.monoid.table[:c])
-            or m.identity != owner.monoid.identity):
-        raise RuntimeError(f"a monoid of {c} elements is not the restriction "
-                           f"of one of {owner.monoid.size} to its first {c}")
-    rho = Representation(m, owner.matrices[:c], check=False)
+    ``Monoid.__init__`` checks the cut: an entry >= c means the first c
+    elements are not closed under the product, an identity >= c that
+    they lack the identity, and either raises ``ValueError`` with
+    nothing registered.  A closed cut with the identity is a submonoid,
+    associative as M is.  Then rho needs no homomorphism check of its
+    own, since owner's sigma is a homomorphism (validated, or built as
+    one): for x, y < c, x*y is the same in N as in M, so rho(x) rho(y) =
+    sigma(x) sigma(y) = sigma(x*y) = rho(x*y), and rho(1) = sigma(1) = I."""
+    m = owner.monoid
+    cut = Monoid([row[:c] for row in m.table[:c]], m.identity, m.labels[:c])
+    rho = Representation(cut, owner.matrices[:c], check=False)
     with _LOCK:
         _OWNERS[rho] = owner
     return rho
@@ -556,12 +555,13 @@ def _steps(rho, mode, first, last):
     raises drops the walk, so the next read raises again.
 
     rho's owner is rho itself, or the representation ``_restriction``
-    cut it from, and rho's step k is owner's cut to
-    rho's c elements on each read (``_cut``), stored nowhere.  That is
-    exact (module docstring): rho's F_k is owner's cut to c columns, and
-    owner's echelon rows with pivot < c, cut there, are an echelon of
-    it, so rho's Ann has dimension c - #{pivots < c} and its canonical
-    RREF, kernel basis and witnesses are those of rho's own walk.  A
+    cut it from (each ``mbt scan-nt`` row is N_to's cut), and rho's
+    step k is owner's cut to rho's c elements on each read (``_cut``),
+    stored nowhere.  That is exact (module docstring): rho's F_k is
+    owner's cut to c columns, and owner's echelon rows with pivot < c,
+    cut there, are an echelon of it, so rho's Ann has dimension
+    c - #{pivots < c} and its canonical RREF, kernel basis and
+    witnesses are those of rho's own walk.  A
     symmetric degree is refused from owner's size, which for the N_t of
     a scan refuses none that rho alone admits.
 

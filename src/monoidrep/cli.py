@@ -20,20 +20,17 @@ process is about to give back.
 
 Every command runs in one process.  ``scan-nt`` computes its rows in
 order, so an error names the first failing t, and walks each chain
-once: N_t is the submonoid of N_to on its first t + 1 elements, with
-the first t + 1 of its representation's matrices, so each row reads
-N_to's walks restricted to its elements.  That is exact: a row's step
-spans N_to's cut to its columns, whose echelon is N_to's rows with a
-pivot among them; N_to's walk closes at its floor, where every row is
-at its own; and since a row t reads no symmetric degree past t - 1 and
-N_to is within the size guard, no degree a row alone admits is refused
-(``algebra``).  Each N_t is still built and checked on its own
-(Light's test), and its representation is N_to's, restricted, with no
-check of its own: N_t's table and identity are N_to's, cut, so for x, y
-in N_t, rho(x) rho(y) = rho_to(x) rho_to(y) = rho_to(x*y) = rho(x*y)
-and rho(1) = I.  A scan checks one homomorphism, N_to's.  ``verify``'s
-radical, an exact echelon of at most |M| sparse 0/1 rows, costs less
-than a second process would save.
+once: every row is N_to cut to its first t + 1 elements, monoid and
+matrices (``algebra._restriction``, which proves the cut a
+representation), so a scan builds one N_t and checks one homomorphism,
+N_to's, and each row reads N_to's walks cut to its elements.  That is
+exact: a row's step spans N_to's cut to its columns, whose echelon is
+N_to's rows with a pivot among them; N_to's walk closes at its floor,
+where every row is at its own; and since a row t reads no symmetric
+degree past t - 1 and N_to is within the size guard, no degree a row
+alone admits is refused (``algebra``).  ``verify``'s radical, an exact
+echelon of at most |M| sparse 0/1 rows, costs less than a second
+process would save.
 """
 
 import argparse
@@ -174,17 +171,15 @@ def cmd_verify(args):
 
 def _scan_row(t, owner, mode, cap, with_s):
     """The ``scan-nt`` row of N_t.  ``owner`` is N_to's representation,
-    the last row's; every other row builds and checks N_t and takes
-    owner restricted to it (``algebra._restriction``), a homomorphism
-    because N_t's table and identity are N_to's, cut, and owner passed
-    its check; it reads owner's walks restricted to its elements.  s is
-    counted only when ``with_s`` (the JSON form prints it, the table
-    does not)."""
-    from . import algebra, monoids, representations
+    the last row's; every other row is N_to cut to its first t + 1
+    elements (``algebra._restriction``, which proves the cut a
+    representation), and reads owner's walks cut to them.  s is counted
+    only when ``with_s`` (the JSON form prints it, the table does not)."""
+    from . import algebra, representations
 
     rho = owner
     if t < owner.monoid.size - 1:
-        rho = algebra._restriction(owner, monoids.nt_monoid(t))
+        rho = algebra._restriction(owner, t + 1)
     m = rho.monoid
     verify = {"tensor": algebra.verify_tensor_theorem,
               "symmetric": algebra.verify_symmetric_theorem}[mode]

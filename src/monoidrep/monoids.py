@@ -302,7 +302,7 @@ def nt_monoid(t) -> Monoid:
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    return Monoid(nt_table(t), 1, labels=[str(i) for i in range(t + 1)])
+    return Monoid(nt_table(t), 1)
 
 
 def nt_table(t):

@@ -37,10 +37,9 @@ if b and c pass for every x, so does b*c, because rho(b*c) = rho(b)rho(c)
 and rho(x)rho(b)rho(c) = rho(x*b)rho(c) = rho((x*b)*c) = rho(x*(b*c)) by
 associativity, and every element is a product of generators.
 Internally produced tensor powers, symmetric powers and direct sums are
-homomorphisms by construction, and so is a representation restricted
-to the submonoid on its monoid's first c elements, when that
-submonoid's table and identity are the monoid's, cut
-(``algebra._restriction``, the rows of ``mbt scan-nt``); the check is
+homomorphisms by construction, and so is a representation cut to the
+submonoid on its monoid's first c elements (``algebra._restriction``,
+which proves it; each ``mbt scan-nt`` row is N_to's cut); the check is
 skipped for them.
 ``validate()`` re-runs the check on demand and the test suite does
 exactly that.

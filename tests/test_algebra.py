@@ -423,7 +423,7 @@ def test_walks_freed_with_their_representation(monkeypatch):
         assert alive() is None
         assert len(algebra._WALKS) == 0
         owner = nt_paper_representation(6)
-        rows = [algebra._restriction(owner, nt_monoid(t)) for t in range(2, 6)]
+        rows = [algebra._restriction(owner, t + 1) for t in range(2, 6)]
         for rho in [*rows, owner]:
             t = rho.monoid.size - 1
             assert verify_tensor_theorem(rho).holds and verify_symmetric_theorem(rho).holds
@@ -456,7 +456,7 @@ def test_prefix_reads_equal_own_walks(monkeypatch, mode):
     monkeypatch.setattr(algebra, "_OWNERS", weakref.WeakKeyDictionary())
     owner = nt_paper_representation(PREFIX_T)
     for t in range(2, PREFIX_T + 1):
-        own, shared = nt_paper_representation(t), algebra._restriction(owner, nt_monoid(t))
+        own, shared = nt_paper_representation(t), algebra._restriction(owner, t + 1)
         for first in (1, 0):
             for last in (first, 3, PREFIX_T + 2):
                 mine = algebra._steps(own, mode, first, last)
@@ -518,37 +518,49 @@ def test_prefix_echelon_is_the_cut_echelon(mode):
     assert Echelon(3, [(2, 4, 1)])._prefix(2).int_rows == [(1, 2)]
 
 
-def test_share_walks_refuses_a_non_prefix(monkeypatch):
-    """Only the submonoid on the owner's first c elements is restricted
-    to: a table that is not the owner's cut, or a monoid larger than the
-    owner's, raises and registers nothing."""
+def test_restriction_cuts_the_owners_monoid(monkeypatch):
+    """The restriction to the first c elements is the owner's monoid cut
+    to c x c, with its identity and labels, and the owner's first c
+    matrices; it passes the homomorphism check it skips, and it is
+    registered to read the owner's walks."""
     monkeypatch.setattr(algebra, "_OWNERS", weakref.WeakKeyDictionary())
-    owner = nt_paper_representation(6)
-    idempotent = Monoid([[0, 0, 0], [0, 1, 2], [0, 2, 2]], 1)
-    for m in (idempotent, nt_monoid(7)):
-        with pytest.raises(RuntimeError, match="is not the restriction of one of 7"):
-            algebra._restriction(owner, m)
-    assert len(algebra._OWNERS) == 0
+    # {1, e, z}: 1 the identity, e an idempotent, z a zero
+    m = Monoid([[0, 1, 2], [1, 1, 2], [2, 2, 2]], 0, labels=["1", "e", "z"])
+    owners = [Representation(m, [[[1, 0], [0, 1]], [[1, 0], [0, 0]], [[0, 0], [0, 0]]]),
+              nt_paper_representation(6)]
+    for owner in owners:
+        for c in range(owner.monoid.identity + 1, owner.monoid.size + 1):
+            rho = algebra._restriction(owner, c)
+            assert rho.monoid.size == c
+            assert rho.monoid.table == tuple(row[:c] for row in owner.monoid.table[:c])
+            assert rho.monoid.identity == owner.monoid.identity
+            assert rho.monoid.labels == owner.monoid.labels[:c]
+            assert rho.matrices == owner.matrices[:c]
+            assert rho.validate() is rho
+            assert algebra._OWNERS[rho] is owner
 
 
 def test_restriction_refuses_another_identity(monkeypatch):
-    """A monoid whose table is the owner's cut but whose identity is not
-    the owner's is refused: its restriction would map its identity to a
-    matrix other than I, as the oracle check shows."""
+    """A cut that is not closed under the product, or that lacks the
+    owner's identity, is refused by ``Monoid``'s own checks, with
+    nothing registered.  A cut of {0, e, 1} to {0, e} could only take e
+    as its identity, and the restriction would then map it to a matrix
+    other than I, as the oracle check shows."""
     monkeypatch.setattr(algebra, "_OWNERS", weakref.WeakKeyDictionary())
+    c3 = Representation(Monoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0), [[[1]]] * 3)
     # {0, e, 1}: 0 a zero, e an idempotent, 1 the identity
     ze1 = Monoid([[0, 0, 0], [0, 1, 1], [0, 1, 2]], 2)
-    cases = [(Representation(ze1, [[[0, 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 1]]]),
-              Monoid([[0, 0], [0, 1]], 1)),
-             (nt_paper_representation(6), Monoid([[0]], 0))]
-    for owner, cut in cases:
-        with pytest.raises(RuntimeError,
-                           match=f"is not the restriction of one of {owner.monoid.size}"):
-            algebra._restriction(owner, cut)
-        unchecked = Representation(cut, owner.matrices[:cut.size], check=False)
-        with pytest.raises(ValueError, match="identity element does not map"):
-            unchecked.validate()
+    ze1_rep = Representation(ze1, [[[0, 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 1]]])
+    cases = [(c3, 2, r"table entry \[1\]\[1\] = 2 is out of range"),
+             (ze1_rep, 2, "identity index 2 is out of range"),
+             (nt_paper_representation(6), 1, "identity index 1 is out of range")]
+    for owner, c, message in cases:
+        with pytest.raises(ValueError, match=message):
+            algebra._restriction(owner, c)
     assert len(algebra._OWNERS) == 0
+    unchecked = Representation(Monoid([[0, 0], [0, 1]], 1), ze1_rep.matrices[:2], check=False)
+    with pytest.raises(ValueError, match="identity element does not map"):
+        unchecked.validate()
 
 
 def test_finished_chain_is_released(monkeypatch):
@@ -644,7 +656,7 @@ def test_concurrent_prefix_reads_share_the_owners_walk(monkeypatch):
         monkeypatch.setattr(algebra, f"{mode}_annihilator_chain",
                             lambda rho, _mode=mode, _chain=chain: slow(_mode, _chain, rho))
     owner = nt_paper_representation(9)
-    rhos = {t: algebra._restriction(owner, nt_monoid(t)) for t in ts[:-1]}
+    rhos = {t: algebra._restriction(owner, t + 1) for t in ts[:-1]}
     rhos[9] = owner
     keys = list(expected)
     results = {}

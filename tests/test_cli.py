@@ -714,9 +714,9 @@ def test_scan_nt_shared_walk_refuses_no_degree_a_row_admits(monkeypatch, capsys)
 @pytest.mark.parametrize("mode", ["tensor", "symmetric"])
 def test_scan_nt_checks_one_homomorphism(monkeypatch, capsys, mode):
     """scan-nt 2..40 validates one representation, N_40's, and builds
-    each N_t once, N_40 first: every other row's representation is N_40's
-    restricted to N_t, which, re-validated here as an oracle, passes and
-    has the monoid and matrices of nt_paper_representation(t)."""
+    one N_t, N_40: every other row's representation is N_40's cut to
+    N_t, which, re-validated here as an oracle, passes and has the
+    monoid and matrices of nt_paper_representation(t)."""
     validate, nt_monoid, restriction = (representations.Representation.validate,
                                         monoids.nt_monoid, algebra._restriction)
     validated, built, rows = [], [], []
@@ -729,8 +729,8 @@ def test_scan_nt_checks_one_homomorphism(monkeypatch, capsys, mode):
         built.append(t)
         return nt_monoid(t)
 
-    def recording(owner, m):
-        rows.append(restriction(owner, m))
+    def recording(owner, c):
+        rows.append(restriction(owner, c))
         return rows[-1]
 
     monkeypatch.setattr(representations.Representation, "validate", counting_validate)
@@ -741,12 +741,25 @@ def test_scan_nt_checks_one_homomorphism(monkeypatch, capsys, mode):
                                 "--cap", "12"])
     assert code == 0
     assert out == (GOLDEN / f"scan-nt-{mode}-cap12-bench.txt").read_text(encoding="utf-8")
-    assert (validated, built) == ([41], [40, *range(2, 40)])
+    assert (validated, built) == ([41], [40])
     assert [rho.monoid.size for rho in rows] == list(range(3, 41))
     for t, rho in enumerate(rows, 2):
         assert validate(rho) is rho
         own = nt_paper_representation(t)
         assert (rho.monoid, rho.matrices) == (own.monoid, own.matrices)
+
+
+@pytest.mark.parametrize("mode", ["tensor", "symmetric"])
+def test_scan_nt_negative_family_to_sixty(capsys, mode):
+    """The paper's negative family: for every N_t, t <= 60, each a cut of
+    N_60, the theorem holds with the first power covering, the radical
+    has dimension t - 1, and the least faithful power is t - 1."""
+    code, out, _ = run(capsys, ["scan-nt", "--from", "2", "--to", "60", "--mode", mode,
+                                "--cap", "60", "--json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["t"], r["holds"], r["min_covering"], r["dim_rad"], r["min_faithful"])
+            for r in rows] == [(t, True, 1, t - 1, t - 1) for t in range(2, 61)]
 
 
 @pytest.mark.parametrize("cap", ["-1", "-7"])

@@ -10,6 +10,7 @@ from monoidrep.monoids import (
     local_ideal,
     local_monoid,
     nt_monoid,
+    nt_table,
     unit_group,
 )
 
@@ -198,6 +199,18 @@ def test_nt_idempotents_and_zero():
 def test_nt_requires_positive_t():
     with pytest.raises(ValueError):
         nt_monoid(0)
+
+
+def test_nt_table_cut_is_the_smaller_nt_table():
+    """N_t is N_T's first t + 1 elements, table and labels, for every
+    2 <= t <= T <= 60: the fact that makes each ``scan-nt`` row N_to's
+    cut (``algebra._restriction``)."""
+    tables = {t: nt_table(t) for t in range(2, 61)}
+    labels = {t: nt_monoid(t).labels for t in range(2, 61)}
+    for big in range(2, 61):
+        for t in range(2, big + 1):
+            assert tuple(row[:t + 1] for row in tables[big][:t + 1]) == tables[t]
+            assert labels[big][:t + 1] == labels[t]
 
 
 # --- local structure -------------------------------------------------------------
