@@ -26,7 +26,9 @@ constructor.  Every span of a list of rows is built by
 ``Echelon(ncols, rows)``.  The chains hand a ``Subspace`` their
 echelon's rows and the echelon itself; Ann(W) is step 1 of the tensor
 chain, read off that chain's walk.  The radical hands it a basis of R
-made of 0/1 rows, and no echelon: ``<=`` reads only its rows.  A basis
+made of 0/1 rows, and no echelon: ``<=`` reads only its rows.  A step
+cut to a submonoid's elements (below) hands it the step's echelon rows,
+cut, and no echelon either.  A basis
 of the kernel is derived only when it is read, which on the checking
 path happens only to produce the witness of a failed containment.
 
@@ -82,8 +84,11 @@ N of sigma's, so rho's step k spans sigma's F_k cut to its first c
 columns.  In sigma's echelon, ordered by pivot column, a row with pivot
 c or more vanishes on those columns, and the rows with pivot < c, cut
 there, keep their pivots: they are an echelon of the cut span, and
-dim Ann = c - #{pivots < c}.  The canonical RREF, the kernel basis and
-a witness are unique, so they come out as rho's own walk gives them.
+dim Ann = c - #{pivots < c}.  The cut step keeps those rows, and builds
+their echelon only when ``<=`` or ``basis`` reads it; being in echelon
+form already, they reduce to nothing there and are only divided by their
+content.  The canonical RREF, the kernel basis and a witness are unique,
+so they come out as rho's own walk gives them.
 At sigma's tensor floor, the functions vanishing on its zero-matrix
 elements Z, the cut step is rho's floor, since Z meets N in rho's Z, so
 sigma's walk closes where every read has reached its own floor.  A
@@ -107,6 +112,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from bisect import bisect_left
 from collections import defaultdict, namedtuple
 from itertools import combinations, count
 from operator import mul
@@ -137,8 +143,9 @@ class Subspace:
     ``ambient`` minus the rank of ``rows``; the caller has worked it out.
     ``echelon``, when given, is an echelon of ``rows`` that no one
     changes afterwards.  It decides ``a <= b`` (b's rows lie in a's row
-    space) and gives ``basis``, derived on read; without it, it is built
-    from ``rows`` when one of those first needs it.  ``contains`` is a
+    space) and gives ``basis``, derived on read; without it, as for the
+    radical and a cut step, it is built from ``rows`` when one of those
+    first needs it, and ``dim`` alone costs nothing.  ``contains`` is a
     dot product with each row.  Subspaces compare by identity: two are
     the same space when each is ``<=`` the other.
     """
@@ -539,11 +546,14 @@ def _floor(rho, mode):
 
 
 def _cut(step, c):
-    """The step of a walk cut to the first c elements (``_steps``)."""
+    """The step of a walk cut to the first c elements (``_steps``): the
+    rows of step's echelon with pivot < c, cut there, and no echelon of
+    its own until ``<=`` or ``basis`` reads one."""
     if step.ambient == c:
         return step
-    ech = step._echelon._prefix(c)
-    return Subspace(c, ech.int_rows, c - ech.rank, ech)
+    ech = step._echelon
+    k = bisect_left(ech.pivots, c)
+    return Subspace(c, [row[:c] for row in ech.int_rows[:k]], c - k)
 
 
 def _steps(rho, mode, first, last):
@@ -560,8 +570,9 @@ def _steps(rho, mode, first, last):
     stored nowhere.  That is exact (module docstring): rho's F_k is
     owner's cut to c columns, and owner's echelon rows with pivot < c,
     cut there, are an echelon of it, so rho's Ann has dimension
-    c - #{pivots < c} and its canonical RREF, kernel basis and
-    witnesses are those of rho's own walk.  A
+    c - #{pivots < c}, found by bisection, and its canonical RREF,
+    kernel basis and witnesses, from the echelon those rows build on
+    read, are those of rho's own walk.  A
     symmetric degree is refused from owner's size, which for the N_t of
     a scan refuses none that rho alone admits.
 
@@ -617,8 +628,7 @@ def _steps(rho, mode, first, last):
         return read or [_cut(steps[-1], c)]  # at its floor before first
 
 
-def minimal_covering_power(rho: Representation, mode="tensor", *,
-                           radical: Subspace | None = None):
+def minimal_covering_power(rho: Representation, mode="tensor"):
     """Least k such that powers 0..k together reach every simple module.
 
     This is the ``minimal_k`` of ``verify_tensor_theorem`` or
@@ -631,7 +641,7 @@ def minimal_covering_power(rho: Representation, mode="tensor", *,
     if mode not in ("tensor", "symmetric"):
         raise ValueError(f"unknown power mode {mode!r}")
     verify = verify_tensor_theorem if mode == "tensor" else verify_symmetric_theorem
-    rep = verify(rho, radical)
+    rep = verify(rho)
     if rep.minimal_k is not None:
         return rep.minimal_k
     raise RuntimeError(

@@ -238,15 +238,15 @@ def cmd_scan_nt(args):
     return 0 if ok else 1
 
 
-def _split_top_level(s, sep=","):
-    """Split on separators that are not nested inside brackets."""
+def _split_top_level(s):
+    """Split on commas that are not nested inside brackets."""
     parts, depth, cur = [], 0, []
     for ch in s:
         if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        if ch == sep and depth == 0:
+        if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:

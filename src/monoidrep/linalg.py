@@ -229,24 +229,6 @@ class Echelon:
         out._rref = self._rref
         return out
 
-    def _prefix(self, c):
-        """An echelon of this row space cut to its first c columns.
-
-        A stored row whose pivot is c or more vanishes on those columns;
-        the others, cut there, keep their pivots, so they are an echelon
-        of the cut space, found by bisection with no row re-inserted.
-        Each is divided by its content again, and its nonzero columns
-        are cut with it."""
-        k = bisect_left(self.pivots, c)
-        out = Echelon(c)
-        out.pivots = self.pivots[:k]
-        for row, cols in zip(self.int_rows[:k], self._cols):
-            row = row[:c]
-            g = gcd(*row)
-            out.int_rows.append(row if g == 1 else tuple(x // g for x in row))
-            out._cols.append(cols[:bisect_left(cols, c)])
-        return out
-
     def reduce(self, vec):
         """A nonzero integer multiple of ``vec``'s residual modulo the
         stored rows, as a list of ints: zero exactly when ``vec`` lies in

@@ -496,26 +496,55 @@ def _walk_echelons(rho, mode, n):
 
 
 @pytest.mark.parametrize("mode", ["tensor", "symmetric"])
-def test_prefix_echelon_is_the_cut_echelon(mode):
-    """An echelon cut to its first c columns keeps the stored rows with
-    pivot < c, each cut there and primitive again, with their nonzero
-    columns, and its RREF is that of an echelon built from the cut rows;
-    a row whose content the cut raises is divided by it."""
+def test_cut_step_is_the_owners_rows_below_c(mode):
+    """A step cut to its first c columns has dimension c - #{pivots < c}
+    and, as rows, its echelon's stored rows with pivot < c, cut there.
+    The echelon the cut builds on read has those pivots, primitive rows
+    with a positive leading entry and their nonzero columns, and its
+    RREF is that of an echelon built from every stored row cut; a row
+    whose content the cut raises is divided by it."""
     rng = random.Random(4)
     echelons = _walk_echelons(nt_paper_representation(PREFIX_T), mode, 6)
     echelons += [Echelon(6, [[rng.randint(-3, 3) for _ in range(6)] for _ in range(k)])
                  for k in range(1, 7)]
     echelons.append(Echelon(3, [(2, 4, 1)]))
     for ech in echelons:
+        step = algebra._kernel(ech)
         for c in range(ech.ncols + 1):
-            cut = ech._prefix(c)
-            assert cut.ncols == c
-            assert cut.pivots == [p for p in ech.pivots if p < c]
-            for p, row, cols in zip(cut.pivots, cut.int_rows, cut._cols):
+            cut = algebra._cut(step, c)
+            below = [p for p in ech.pivots if p < c]
+            assert cut.ambient == c and cut.dim == c - len(below)
+            assert list(cut.rows) == [row[:c] for row in ech.int_rows[:len(below)]]
+            built = cut._echelon
+            assert built.ncols == c and built.pivots == below
+            for p, row, cols in zip(built.pivots, built.int_rows, built._cols):
                 assert len(row) == c and row[p] > 0 and gcd(*row) == 1
                 assert cols == tuple(j for j in range(p, c) if row[j])
-            assert cut.rows == Echelon(c, [row[:c] for row in ech.int_rows]).rows
-    assert Echelon(3, [(2, 4, 1)])._prefix(2).int_rows == [(1, 2)]
+            assert built.rows == Echelon(c, [row[:c] for row in ech.int_rows]).rows
+    cut = algebra._cut(algebra._kernel(Echelon(3, [(2, 4, 1)])), 2)
+    assert cut._echelon.int_rows == [(1, 2)]
+
+
+@pytest.mark.parametrize("mode", ["tensor", "symmetric"])
+def test_cut_reads_build_no_echelon(monkeypatch, mode):
+    """Once the owner's walk is stepped, a row's least faithful power is
+    read off cut steps by their dimensions alone: no echelon is built."""
+    monkeypatch.setattr(algebra, "_WALKS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(algebra, "_OWNERS", weakref.WeakKeyDictionary())
+    owner, cap = nt_paper_representation(PREFIX_T), PREFIX_T + 2
+    assert minimal_faithful_power(owner, mode, cap) == PREFIX_T - 1
+    rows = [algebra._restriction(owner, t + 1) for t in range(2, PREFIX_T)]
+    built = []
+    init = Echelon.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Echelon, "__init__", counting_init)
+    for t, rho in enumerate(rows, 2):
+        assert minimal_faithful_power(rho, mode, cap) == t - 1
+    assert built == []
 
 
 def test_restriction_cuts_the_owners_monoid(monkeypatch):
@@ -925,13 +954,13 @@ def test_minimal_covering_power_below_bounds(corpus):
         assert rep.minimal_k == k and rep.holds == (k <= rep.bound)
 
 
-def test_minimal_covering_power_cap_violation_is_loud():
+def test_minimal_covering_power_cap_violation_is_loud(monkeypatch):
     rho = nt_paper_representation(5)
+    # an impossible radical makes covering unreachable at the bound
+    # r - 1 = 1, below the faithfulness threshold t - 1 = 4
+    monkeypatch.setattr(algebra, "radical_basis", lambda m: span_subspace(m.size, ()))
     with pytest.raises(RuntimeError, match="bug"):
-        # an impossible radical makes covering unreachable at the bound
-        # r - 1 = 1, below the faithfulness threshold t - 1 = 4
-        minimal_covering_power(rho, "tensor",
-                               radical=span_subspace(rho.monoid.size, ()))
+        minimal_covering_power(rho, "tensor")
 
 
 def test_minimal_covering_power_unknown_mode():
@@ -941,7 +970,7 @@ def test_minimal_covering_power_unknown_mode():
 
 def test_minimal_covering_power_takes_no_cap(t2_natural):
     """The bound is the verifier's; a cap, by keyword or in the third
-    place where the radical is now keyword-only, is refused."""
+    place, is refused."""
     for args, kwargs in ((("tensor", 1), {}), (("tensor",), {"cap": 1})):
         with pytest.raises(TypeError):
             minimal_covering_power(t2_natural, *args, **kwargs)

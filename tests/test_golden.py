@@ -72,6 +72,8 @@ CASES = {
     # with the zero radical: Ann = 0 at every bound, so even that holds
     "verify-t3-conjugate-corrupt": (["verify", *T3_CONJ, "--which", "all"], 0),
     "verify-n7-conjugate-corrupt": (["verify", *N7_CONJ, "--which", "all"], 1),
+    # the nt-paper spec with its true radical
+    "verify-n7": (["verify", *N7, "--which", "all"], 0),
     "verify-n7-corrupt": (["verify", *N7, "--which", "all"], 1),
     "verify-n7-corrupt-json": (["verify", *N7, "--which", "all", "--json"], 1),
     "scan-nt-tensor": (["scan-nt", "--from", "2", "--to", "9"], 0),
